@@ -54,6 +54,9 @@ pub enum ChainError {
     /// The checkpoint bytes failed validation (bad magic, version,
     /// checksum, or truncation).
     CorruptCheckpoint(CheckpointError),
+    /// The live state cannot be written as a checkpoint image (the graph
+    /// holds evicted rows).
+    Unencodable(CheckpointError),
     /// The checkpoint was taken under a different shard count than the
     /// resuming configuration.
     ShardMismatch {
@@ -96,6 +99,7 @@ impl fmt::Display for ChainError {
                 write!(f, "service not warmed up: call warmup() or resume() first")
             }
             ChainError::CorruptCheckpoint(e) => write!(f, "corrupt checkpoint: {e}"),
+            ChainError::Unencodable(e) => write!(f, "checkpoint refused: {e}"),
             ChainError::ShardMismatch { expected, found } => write!(
                 f,
                 "checkpoint shard count {found} does not match the configured {expected}"
@@ -107,7 +111,7 @@ impl fmt::Display for ChainError {
 impl std::error::Error for ChainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ChainError::CorruptCheckpoint(e) => Some(e),
+            ChainError::CorruptCheckpoint(e) | ChainError::Unencodable(e) => Some(e),
             _ => None,
         }
     }

@@ -323,7 +323,9 @@ impl ChainService {
     /// Checkpoints are only defined at epoch boundaries: mid-epoch the
     /// stream's touched-set and the engine's batch state are in flight
     /// and not serializable, so the call returns
-    /// [`ChainError::MidEpochCheckpoint`] instead of a torn image.
+    /// [`ChainError::MidEpochCheckpoint`] instead of a torn image. A state
+    /// the image format cannot hold (a graph with evicted rows) is
+    /// [`ChainError::Unencodable`].
     pub fn checkpoint(&self) -> Result<Vec<u8>, ChainError> {
         if !self.warmed_up {
             return Err(ChainError::NotWarmedUp);
@@ -347,11 +349,8 @@ impl ChainService {
         consumer.u8(degradation_code(self.degradation));
         consumer.u64(engine_blob.len() as u64);
         consumer.bytes(&engine_blob);
-        Ok(encode_checkpoint(
-            &self.graph,
-            &stream_state,
-            &consumer.finish(),
-        ))
+        encode_checkpoint(&self.graph, &stream_state, &consumer.finish())
+            .map_err(ChainError::Unencodable)
     }
 
     /// Reopens a service from a [`ChainService::checkpoint`] image under

@@ -38,9 +38,12 @@ const MAGIC: u64 = u64::from_le_bytes(*b"TXALLOCP");
 /// misread.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Why a checkpoint image failed to decode.
+/// Why a checkpoint image could not be encoded or failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
+    /// The graph holds this many evicted (cold) rows, which it would read
+    /// as empty: rehydrate them with `TxGraph::ensure_all_resident` first.
+    ColdRows(usize),
     /// The image ended before the declared content did.
     Truncated,
     /// The leading magic is not a TxAllo checkpoint's.
@@ -56,6 +59,10 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckpointError::ColdRows(n) => write!(
+                f,
+                "cannot checkpoint a graph with {n} evicted row(s); rehydrate them first"
+            ),
             CheckpointError::Truncated => write!(f, "checkpoint image is truncated"),
             CheckpointError::BadMagic => write!(f, "not a TxAllo checkpoint (bad magic)"),
             CheckpointError::UnsupportedVersion(v) => {
@@ -409,7 +416,19 @@ fn decode_stream(d: &mut Decoder<'_>, node_count: usize) -> Result<StreamState, 
 
 /// Serializes one epoch-boundary checkpoint image (see the
 /// [module docs](self) for the layout).
-pub fn encode_checkpoint(graph: &TxGraph, stream: &StreamState, consumer: &[u8]) -> Vec<u8> {
+///
+/// Refuses a graph with evicted rows ([`CheckpointError::ColdRows`]): the
+/// residency read invariant says a cold row is never read, and encoding
+/// one would write it as an empty row under a valid checksum.
+pub fn encode_checkpoint(
+    graph: &TxGraph,
+    stream: &StreamState,
+    consumer: &[u8],
+) -> Result<Vec<u8>, CheckpointError> {
+    let cold = graph.memory_footprint().cold_rows;
+    if cold > 0 {
+        return Err(CheckpointError::ColdRows(cold));
+    }
     let mut e = Encoder::new();
     e.u64(MAGIC);
     e.u32(FORMAT_VERSION);
@@ -420,7 +439,7 @@ pub fn encode_checkpoint(graph: &TxGraph, stream: &StreamState, consumer: &[u8])
     let mut buf = e.finish();
     let sum = fnv1a(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
-    buf
+    Ok(buf)
 }
 
 /// Decodes and validates a checkpoint image produced by
@@ -498,7 +517,7 @@ mod tests {
         let g = sample_graph();
         let stream = sample_stream(&g);
         let consumer = vec![1u8, 2, 3, 250, 0, 9];
-        let image = encode_checkpoint(&g, &stream, &consumer);
+        let image = encode_checkpoint(&g, &stream, &consumer).unwrap();
         let cp = decode_checkpoint(&image).unwrap();
         assert_eq!(cp.stream, stream);
         assert_eq!(cp.consumer, consumer);
@@ -520,16 +539,57 @@ mod tests {
         // Re-encoding the restored state reproduces the image byte-for-byte
         // (stability: checkpoints of resumed runs match the original's).
         assert_eq!(
-            encode_checkpoint(&cp.graph, &cp.stream, &cp.consumer),
+            encode_checkpoint(&cp.graph, &cp.stream, &cp.consumer).unwrap(),
             image
         );
+    }
+
+    /// A graph with evicted rows would encode them as empty rows under a
+    /// valid checksum, so encoding refuses it until every row is
+    /// rehydrated — after which the image equals that of a twin graph
+    /// that never evicted.
+    #[test]
+    fn cold_rows_are_refused_until_rehydrated() {
+        use txallo_graph::ResidencyConfig;
+        use txallo_model::Block;
+
+        let mut plain = TxGraph::new();
+        let mut evicting = TxGraph::new();
+        evicting.enable_residency(&ResidencyConfig::in_memory(1));
+        for e in 0..12u64 {
+            // Traffic pocket `e % 3` is active; the other two idle.
+            let base = (e % 3) * 10;
+            let txs = (0..12)
+                .map(|i| {
+                    Transaction::transfer(AccountId(base + i % 5), AccountId(base + (i * 3) % 7))
+                })
+                .collect();
+            let block = Block::new(e, txs);
+            plain.ingest_block(&block);
+            evicting.ingest_block(&block);
+            evicting.advance_residency_epoch();
+        }
+        let stream = sample_stream(&plain);
+        let cold = evicting.memory_footprint().cold_rows;
+        assert!(cold > 0, "the 1-epoch window must have evicted rows");
+        assert_eq!(
+            encode_checkpoint(&evicting, &stream, &[]),
+            Err(CheckpointError::ColdRows(cold))
+        );
+
+        evicting.ensure_all_resident();
+        let image = encode_checkpoint(&evicting, &stream, &[]).unwrap();
+        assert_eq!(image, encode_checkpoint(&plain, &stream, &[]).unwrap());
+        let cp = decode_checkpoint(&image).unwrap();
+        assert_eq!(cp.stream, stream);
+        assert_eq!(cp.graph.edge_count(), plain.edge_count());
     }
 
     #[test]
     fn every_corruption_is_a_typed_error() {
         let g = sample_graph();
         let stream = sample_stream(&g);
-        let image = encode_checkpoint(&g, &stream, &[7u8; 16]);
+        let image = encode_checkpoint(&g, &stream, &[7u8; 16]).unwrap();
 
         assert_eq!(
             decode_checkpoint(&[]).err(),
@@ -583,7 +643,7 @@ mod tests {
         let g = sample_graph();
         let mut stream = sample_stream(&g);
         stream.labels.pop();
-        let image = encode_checkpoint(&g, &stream, &[]);
+        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
         assert_eq!(
             decode_checkpoint(&image).err(),
             Some(CheckpointError::Malformed("label count"))
@@ -591,7 +651,7 @@ mod tests {
 
         let mut stream = sample_stream(&g);
         stream.labels[0] = 3; // == shards
-        let image = encode_checkpoint(&g, &stream, &[]);
+        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
         assert_eq!(
             decode_checkpoint(&image).err(),
             Some(CheckpointError::Malformed("label out of range"))
@@ -603,7 +663,7 @@ mod tests {
         let g = sample_graph();
         let mut stream = sample_stream(&g);
         stream.community = None;
-        let image = encode_checkpoint(&g, &stream, &[]);
+        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
         let cp = decode_checkpoint(&image).unwrap();
         assert_eq!(cp.stream, stream);
         assert!(cp.consumer.is_empty());
@@ -637,6 +697,9 @@ mod tests {
 
     #[test]
     fn error_display_names_the_failure() {
+        assert!(CheckpointError::ColdRows(14)
+            .to_string()
+            .contains("14 evicted"));
         assert!(CheckpointError::Truncated.to_string().contains("truncated"));
         assert!(CheckpointError::ChecksumMismatch
             .to_string()

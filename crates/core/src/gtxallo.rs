@@ -1,6 +1,6 @@
 //! G-TxAllo — the global allocation algorithm (Algorithm 1).
 
-use txallo_graph::{fit_u32, CsrGraph, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, SweepCache, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult, GAIN_EPS};
 
 use crate::allocation::Allocation;
@@ -124,6 +124,17 @@ impl GTxAllo {
             "initialization must label every node"
         );
         assert_eq!(order.len(), n, "sweep order must cover every node");
+        // Sweep position of each node: the optimization phase's cache and
+        // active set are indexed by position.
+        let mut position = vec![usize::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            assert_eq!(
+                position[v as usize],
+                usize::MAX,
+                "sweep order repeats node {v}"
+            );
+            position[v as usize] = i;
+        }
 
         if n == 0 {
             return GTxAlloOutcome {
@@ -176,8 +187,9 @@ impl GTxAllo {
             if labels[v as usize] != UNASSIGNED {
                 continue;
             }
-            let q = self.best_join(graph, &state, &labels, v, &mut scratch);
+            state.gather_links(graph, &labels, v, &mut scratch);
             let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
+            let q = state.best_join(self_w, d_v, scratch.candidates());
             let w_vq = scratch.weight_to(q);
             state.apply_join(q, self_w, d_v, w_vq);
             labels[v as usize] = q;
@@ -198,44 +210,30 @@ impl GTxAllo {
         // recomputed against fresh community state every visit. When *both*
         // inputs are untouched since the node's last evaluation the node is
         // skipped outright: re-evaluating would provably repeat the
-        // previous no-move. All reuse is bit-exact, so the trajectory is
-        // identical to re-gathering every node every sweep.
+        // previous no-move. A node touching only its own community
+        // (`C_v = ∅`) sits out of the sweep until a neighbor moves. All
+        // reuse is bit-exact, so the trajectory is identical to
+        // re-gathering every node every sweep.
+        let mut cache = SweepCache::new(k, order.iter().map(|&v| graph.neighbor_count(v)));
         let mut sweeps = 0usize;
         let mut total_gain = 0.0;
-        let mut move_stamp: u64 = 1; // bumped on every committed move
-        let mut last_eval: Vec<u64> = vec![0; n];
-        let mut gathered_at: Vec<u64> = vec![0; n];
-        let mut links_dirty: Vec<u64> = vec![1; n];
-        let mut comm_stamp: Vec<u64> = vec![1; k];
-        // Cached candidate lists (ascending community order, straight from
-        // `gather_links`), reused until invalidated by a neighbor's move.
-        let mut cand_cache: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         loop {
             let mut delta = 0.0;
-            for &v in order {
+            let mut next = 0;
+            while let Some(i) = cache.next_active(next) {
+                next = i + 1;
+                let v = order[i];
                 let vi = v as usize;
                 let p = labels[vi];
-                let links_fresh = links_dirty[vi] <= gathered_at[vi];
-                if links_fresh {
-                    let seen = last_eval[vi];
-                    if comm_stamp[p as usize] <= seen
-                        && cand_cache[vi]
-                            .iter()
-                            .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                    {
-                        continue; // Inputs unchanged: evaluation would no-op.
-                    }
-                } else {
+                if cache.is_stale(i) {
                     state.gather_links(graph, &labels, v, &mut scratch);
-                    gathered_at[vi] = move_stamp;
-                    cand_cache[vi].clear();
-                    cand_cache[vi].extend(scratch.candidates());
+                    cache.store(i, scratch.candidates());
+                } else if cache.unchanged_since_eval(i, p) {
+                    continue; // Inputs unchanged: evaluation would no-op.
                 }
-                last_eval[vi] = move_stamp;
-                let cand = &cand_cache[vi];
-                if cand.is_empty() || (cand.len() == 1 && cand[0].0 == p) {
+                let Some(cand) = cache.evaluate(i, p) else {
                     continue; // C_v = ∅: v only touches its own community.
-                }
+                };
                 let self_w = graph.self_loop(v);
                 let d_v = graph.incident_weight(v);
                 let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
@@ -262,12 +260,8 @@ impl GTxAllo {
                         delta += gain;
                         total_gain += gain;
                         moves += 1;
-                        move_stamp += 1;
-                        comm_stamp[p as usize] = move_stamp;
-                        comm_stamp[q as usize] = move_stamp;
-                        graph.for_each_neighbor(v, |u, _| {
-                            links_dirty[u as usize] = move_stamp;
-                        });
+                        cache.commit_move(p, q);
+                        graph.for_each_neighbor(v, |u, _| cache.invalidate(position[u as usize]));
                     }
                 }
             }
@@ -285,65 +279,6 @@ impl GTxAllo {
             total_gain,
             moves,
         }
-    }
-
-    /// Best community for an unassigned node by join gain (Eq. 6);
-    /// candidates per Eq. 9, falling back to all communities when the node
-    /// touches none (line 4–6 of Algorithm 1).
-    ///
-    /// Ties on the gain (within [`GAIN_EPS`]) are broken toward the
-    /// *least-loaded* community (then the smaller id). This matters: nodes
-    /// from dissolved small communities often have identical gains across
-    /// every candidate, and an id-based tie-break would funnel them all —
-    /// plus their neighbors, by cascade — into community 0, wrecking the
-    /// balance the objective is supposed to protect.
-    fn best_join(
-        &self,
-        graph: &impl WeightedGraph,
-        state: &CommunityState,
-        labels: &[u32],
-        v: NodeId,
-        scratch: &mut MoveScratch,
-    ) -> u32 {
-        state.gather_links(graph, labels, v, scratch);
-        let self_w = graph.self_loop(v);
-        let d_v = graph.incident_weight(v);
-        let k = fit_u32(state.community_count());
-        // Ties are judged against the running *maximum* gain (not the
-        // selected candidate's gain), so the selected community is always
-        // within GAIN_EPS of the true best — the tie window cannot slide
-        // downward across a chain of near-ties. When a new maximum pushes
-        // the selected candidate below `max − GAIN_EPS`, the max-holder
-        // takes over.
-        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
-        let mut max_gain = f64::NEG_INFINITY;
-        let consider =
-            |q: u32, w_vq: f64, best: &mut Option<(u32, f64, f64)>, max_gain: &mut f64| {
-                let gain = state.join_gain(q, self_w, d_v, w_vq);
-                let sigma = state.sigma(q);
-                if gain > *max_gain {
-                    *max_gain = gain;
-                }
-                let better = match *best {
-                    None => true,
-                    Some((_, bg, bs)) => {
-                        bg < *max_gain - GAIN_EPS || (gain >= *max_gain - GAIN_EPS && sigma < bs)
-                    }
-                };
-                if better {
-                    *best = Some((q, gain, sigma));
-                }
-            };
-        if scratch.is_empty() {
-            for q in 0..k {
-                consider(q, 0.0, &mut best, &mut max_gain);
-            }
-        } else {
-            for (q, w_vq) in scratch.candidates() {
-                consider(q, w_vq, &mut best, &mut max_gain);
-            }
-        }
-        best.expect("k ≥ 1 guarantees a candidate").0 // txallo-lint: allow(lib-unwrap) — the loop above visits every shard 0..k and k >= 1, so best is always set
     }
 }
 

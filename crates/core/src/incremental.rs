@@ -184,38 +184,8 @@ fn epoch_sweep_serial(
         gather_row(snap, i, labels, k, acc);
         let self_w = snap.self_loop(i);
         let d_v = snap.incident_weight(i);
-        // Ties (within GAIN_EPS of the running maximum gain) broken toward
-        // the least-loaded community — see `GTxAllo::best_join` for the
-        // anchoring rule and why the id tie-break would wreck balance.
-        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
-        let mut max_gain = f64::NEG_INFINITY;
-        let mut consider = |q: u32, w_vq: f64, best: &mut Option<(u32, f64, f64)>| {
-            let gain = state.join_gain(q, self_w, d_v, w_vq);
-            let sigma = state.sigma(q);
-            if gain > max_gain {
-                max_gain = gain;
-            }
-            let better = match *best {
-                None => true,
-                Some((_, bg, bs)) => {
-                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
-                }
-            };
-            if better {
-                *best = Some((q, gain, sigma));
-            }
-        };
-        if acc.is_empty() {
-            // C_v = ∅: consider every community (lines 3–5).
-            for q in 0..k as u32 {
-                consider(q, 0.0, &mut best);
-            }
-        } else {
-            for (q, w_vq) in acc.entries() {
-                consider(q, w_vq, &mut best);
-            }
-        }
-        let q = best.expect("k ≥ 1").0; // txallo-lint: allow(lib-unwrap) — the candidate scan visits every shard 0..k and k >= 1, so best is always set
+        // C_v = ∅ considers every community (lines 3–5).
+        let q = state.best_join(self_w, d_v, acc.entries());
         let w_vq = acc.get(q);
         state.apply_join(q, self_w, d_v, w_vq);
         labels[g] = q;
@@ -389,36 +359,7 @@ fn epoch_sweep_parallel(
         let cand = &cand_cache[i];
         let self_w = snap.self_loop(i);
         let d_v = snap.incident_weight(i);
-        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
-        let mut max_gain = f64::NEG_INFINITY;
-        let mut consider = |q: u32, w_vq: f64, best: &mut Option<(u32, f64, f64)>| {
-            let gain = state.join_gain(q, self_w, d_v, w_vq);
-            let sigma = state.sigma(q);
-            if gain > max_gain {
-                max_gain = gain;
-            }
-            let better = match *best {
-                None => true,
-                Some((_, bg, bs)) => {
-                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
-                }
-            };
-            if better {
-                *best = Some((q, gain, sigma));
-            }
-        };
-        if cand.is_empty() {
-            // C_v = ∅: consider every community (lines 3–5).
-            for q in 0..k as u32 {
-                consider(q, 0.0, &mut best);
-            }
-        } else {
-            for &(q, w_vq) in cand {
-                consider(q, w_vq, &mut best);
-            }
-        }
-        // txallo-lint: allow(lib-unwrap) — the candidate scan visits every shard 0..k and k >= 1, so best is always set
-        let q = best.expect("k ≥ 1").0;
+        let q = state.best_join(self_w, d_v, cand.iter().copied());
         // Equals the serial `acc.get(q)`: the cache holds exactly the
         // touched buckets and `get` reads 0.0 for untouched ones.
         let w_vq = cand.iter().find(|&&(c, _)| c == q).map_or(0.0, |&(_, w)| w);

@@ -1,6 +1,7 @@
 //! Per-community workload/throughput accounting and the §V-B gain formulas.
 
 use txallo_graph::{fit_u32, DenseAccumulator, NodeId, WeightedGraph};
+use txallo_louvain::GAIN_EPS;
 
 /// Label value for nodes not yet assigned to any community.
 ///
@@ -350,6 +351,56 @@ impl CommunityState {
         // Λ̂'_q = Λ̂_q + w_vv + (d_v − w_vv)/2
         let hat_new = self.lambda_hat(q) + self_w + (d_v - self_w) / 2.0;
         (sigma_new, hat_new)
+    }
+
+    /// The placement rule (D2) shared by G-TxAllo's initialization phase
+    /// and A-TxAllo's phase 1: the community `v` should join, by join gain
+    /// (Eq. 6) over `candidates` — `(community, w_vq)` in ascending
+    /// community order — or over every community at `w_vq = 0` when there
+    /// are none (`C_v = ∅`, Algorithm 1 lines 4–6).
+    ///
+    /// Ties on the gain (within [`GAIN_EPS`]) are broken toward the
+    /// *least-loaded* community (then the earlier candidate). This matters:
+    /// nodes from dissolved small communities often have identical gains
+    /// across every candidate, and an id-based tie-break would funnel them
+    /// all — plus their neighbors, by cascade — into community 0, wrecking
+    /// the balance the objective is supposed to protect. Ties are judged
+    /// against the running *maximum* gain (not the selected candidate's
+    /// gain), so the selected community is always within `GAIN_EPS` of the
+    /// true best — the tie window cannot slide downward across a chain of
+    /// near-ties. When a new maximum pushes the selected candidate below
+    /// `max − GAIN_EPS`, the max-holder takes over.
+    pub(crate) fn best_join(
+        &self,
+        self_w: f64,
+        d_v: f64,
+        candidates: impl IntoIterator<Item = (u32, f64)>,
+    ) -> u32 {
+        let mut candidates = candidates.into_iter().peekable();
+        let every = if candidates.peek().is_none() {
+            fit_u32(self.community_count())
+        } else {
+            0
+        };
+        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
+        let mut max_gain = f64::NEG_INFINITY;
+        for (q, w_vq) in candidates.chain((0..every).map(|q| (q, 0.0))) {
+            let gain = self.join_gain(q, self_w, d_v, w_vq);
+            let sigma = self.sigma(q);
+            if gain > max_gain {
+                max_gain = gain;
+            }
+            let better = match best {
+                None => true,
+                Some((_, bg, bs)) => {
+                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
+                }
+            };
+            if better {
+                best = Some((q, gain, sigma));
+            }
+        }
+        best.expect("k ≥ 1 guarantees a candidate").0 // txallo-lint: allow(lib-unwrap) — with no candidates the scan visits every community 0..k and k >= 1, so best is always set
     }
 
     /// Throughput gain `Δ_{leave} Λ_p` of `v` leaving its community `p`

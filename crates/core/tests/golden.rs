@@ -236,6 +236,35 @@ fn dense_scratch_path_matches_reference_byte_for_byte() {
     }
 }
 
+/// The ablation and broker paths sweep the *un-renumbered* graph in the
+/// canonical account-hash order, so sweep positions and node ids differ:
+/// the optimizer's cache and active set must follow `order`, not ids.
+#[test]
+fn non_identity_sweep_order_matches_reference_byte_for_byte() {
+    for (accounts, transactions, seed, k) in
+        [(1_000usize, 8_000usize, 7u64, 8usize), (800, 6_000, 3, 5)]
+    {
+        let graph = workload_graph(accounts, transactions, seed);
+        let params = TxAlloParams::for_graph(&graph, k);
+        let csr = CsrGraph::from_graph(&graph);
+        let init = louvain_csr(&csr, &params.louvain);
+        let canonical = graph.nodes_in_canonical_order();
+        let reversed: Vec<NodeId> = (0..csr.node_count() as NodeId).rev().collect();
+        for order in [canonical, reversed] {
+            assert!(order.iter().enumerate().any(|(i, &v)| v as usize != i));
+            let production = GTxAllo::new(params.clone())
+                .allocate_with_init(&csr, &init, &order)
+                .allocation;
+            let reference = reference_allocate(&params, &csr, &init, &order);
+            assert_eq!(
+                production.labels(),
+                &reference[..],
+                "non-identity order diverged from the reference (seed {seed}, k {k})"
+            );
+        }
+    }
+}
+
 #[test]
 fn planned_pipeline_is_a_permutation_of_the_sweep_result() {
     let graph = workload_graph(1_000, 8_000, 11);

@@ -67,7 +67,7 @@ pub use decay::DecayingGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
 pub use residency::{MemoryFootprint, ResidencyConfig, SpillTarget};
-pub use scratch::{DenseAccumulator, DenseIndexMap};
+pub use scratch::{DenseAccumulator, DenseIndexMap, SweepCache};
 pub use slab::SortedRunStore;
 pub use stats::GraphStats;
 pub use traits::{fit_u32, NodeId, RowView, WeightedGraph};

@@ -125,6 +125,158 @@ impl DenseAccumulator {
     }
 }
 
+/// Per-row candidate cache and active set of the serial incremental
+/// sweeps (Louvain local moving, the G-TxAllo optimization phase).
+///
+/// A row's move decision depends on two inputs: its gathered
+/// `(bucket, weight)` candidate list, which changes only when a neighbor
+/// moves, and the state of the buckets it lists plus its own, which
+/// changes only when a move touches them. The cache holds:
+///
+/// * a **flat candidate arena**: row `r` owns a fixed window of
+///   `min(degree, buckets)` slots, the most distinct buckets its gather
+///   can produce;
+/// * the **stamp arrays**: a move stamp bumped on every committed move,
+///   per-row `gathered_at`/`links_dirty`/`last_eval` stamps and per-bucket
+///   stamps. A row whose neighbors moved since its gather is *stale*; a
+///   fresh row whose listed buckets and own bucket are untouched since its
+///   last evaluation would provably repeat that evaluation's no-move;
+/// * an **active-position bitset**: a row whose candidates list no rival
+///   bucket cannot move, so it leaves the set until a neighbor's move
+///   re-activates it.
+///
+/// Rows are sweep positions (`0..rows`). A sweep walks the active rows in
+/// ascending position with [`SweepCache::next_active`], which re-reads the
+/// bitset word on every call: a row re-activated ahead of the cursor is
+/// still visited in the same sweep, one behind it in the next — exactly
+/// when a full scan of every row would first see it stale.
+#[derive(Debug, Clone)]
+pub struct SweepCache {
+    /// Row `r`'s arena window is `start[r]..start[r + 1]`.
+    start: Vec<usize>,
+    /// Cached candidates per row (a prefix of the row's window).
+    filled: Vec<u32>,
+    arena: Vec<(u32, f64)>,
+    last_eval: Vec<u64>,
+    gathered_at: Vec<u64>,
+    links_dirty: Vec<u64>,
+    bucket_stamp: Vec<u64>,
+    move_stamp: u64,
+    active: Vec<u64>,
+}
+
+impl SweepCache {
+    /// A cache over one row per entry of `degrees` (in sweep position
+    /// order) and buckets `0..buckets`. Every row starts active and stale.
+    pub fn new(buckets: usize, degrees: impl IntoIterator<Item = usize>) -> Self {
+        let mut start = vec![0usize];
+        for d in degrees {
+            start.push(start[start.len() - 1] + d.min(buckets));
+        }
+        let rows = start.len() - 1;
+        let mut active = vec![u64::MAX; rows.div_ceil(64)];
+        if let Some(last) = active.last_mut() {
+            if rows % 64 != 0 {
+                *last = (1u64 << (rows % 64)) - 1;
+            }
+        }
+        Self {
+            arena: vec![(0, 0.0); start[rows]],
+            start,
+            filled: vec![0; rows],
+            last_eval: vec![0; rows],
+            gathered_at: vec![0; rows],
+            links_dirty: vec![1; rows],
+            bucket_stamp: vec![1; buckets],
+            move_stamp: 1,
+            active,
+        }
+    }
+
+    /// The first active row at position `from` or later.
+    #[inline]
+    pub fn next_active(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.active.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.active.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Whether a neighbor of row `r` moved since `r` was last gathered.
+    #[inline]
+    pub fn is_stale(&self, r: usize) -> bool {
+        self.links_dirty[r] > self.gathered_at[r]
+    }
+
+    /// Whether fresh row `r`, in bucket `own`, would see exactly the
+    /// inputs of its last evaluation: neither `own` nor any listed bucket
+    /// was touched by a move since.
+    #[inline]
+    pub fn unchanged_since_eval(&self, r: usize, own: u32) -> bool {
+        let seen = self.last_eval[r];
+        self.bucket_stamp[own as usize] <= seen
+            && self
+                .candidates(r)
+                .iter()
+                .all(|&(c, _)| self.bucket_stamp[c as usize] <= seen)
+    }
+
+    /// Replaces row `r`'s candidates with a fresh gather (ascending bucket
+    /// order, at most `min(degree, buckets)` entries).
+    #[inline]
+    pub fn store(&mut self, r: usize, candidates: impl IntoIterator<Item = (u32, f64)>) {
+        let window = &mut self.arena[self.start[r]..self.start[r + 1]];
+        let mut filled = 0usize;
+        for entry in candidates {
+            window[filled] = entry;
+            filled += 1;
+        }
+        self.filled[r] = crate::fit_u32(filled);
+        self.gathered_at[r] = self.move_stamp;
+    }
+
+    /// Row `r`'s cached candidates.
+    #[inline]
+    fn candidates(&self, r: usize) -> &[(u32, f64)] {
+        let s = self.start[r];
+        &self.arena[s..s + self.filled[r] as usize]
+    }
+
+    /// Records an evaluation of row `r`, in bucket `own`, and returns its
+    /// candidates — or `None` when none is a rival bucket, in which case
+    /// the row cannot move and leaves the active set until a neighbor's
+    /// move re-activates it.
+    #[inline]
+    pub fn evaluate(&mut self, r: usize, own: u32) -> Option<&[(u32, f64)]> {
+        self.last_eval[r] = self.move_stamp;
+        if self.candidates(r).iter().all(|&(c, _)| c == own) {
+            self.active[r / 64] &= !(1u64 << (r % 64));
+            return None;
+        }
+        Some(self.candidates(r))
+    }
+
+    /// Records a committed move out of bucket `from` into `to`. Follow it
+    /// with [`SweepCache::invalidate`] on each of the mover's neighbors.
+    #[inline]
+    pub fn commit_move(&mut self, from: u32, to: u32) {
+        self.move_stamp += 1;
+        self.bucket_stamp[from as usize] = self.move_stamp;
+        self.bucket_stamp[to as usize] = self.move_stamp;
+    }
+
+    /// Marks row `r`'s gather stale after a neighbor's move, and activates
+    /// it.
+    #[inline]
+    pub fn invalidate(&mut self, r: usize) {
+        self.links_dirty[r] = self.move_stamp;
+        self.active[r / 64] |= 1u64 << (r % 64);
+    }
+}
+
 /// A reusable `u32 → u32` map over dense keys, invalidated in O(1) —
 /// the index-building cousin of [`DenseAccumulator`] (used e.g. to map
 /// subgraph nodes to local ids during recursive bisection without
@@ -219,6 +371,144 @@ mod tests {
         acc.add(9, 2.0);
         assert!((acc.get(9) - 2.0).abs() < 1e-12);
         assert_eq!(acc.len(), 1);
+    }
+
+    /// Drives one sweep the way the sweep loops do: visit each active row
+    /// in ascending position, re-reading the bitset after every row.
+    fn sweep(cache: &mut SweepCache, mut visit: impl FnMut(&mut SweepCache, usize)) -> Vec<usize> {
+        let mut visited = Vec::new();
+        let mut next = 0;
+        while let Some(r) = cache.next_active(next) {
+            next = r + 1;
+            visited.push(r);
+            visit(cache, r);
+        }
+        visited
+    }
+
+    /// Row `r` gathers only its own bucket 0, so it leaves the active set.
+    fn idle(cache: &mut SweepCache, r: usize) {
+        cache.store(r, [(0, 1.0)]);
+        assert!(cache.evaluate(r, 0).is_none());
+    }
+
+    /// A cache whose `rows` rows have all gone idle in a first sweep.
+    fn idle_cache(rows: usize) -> SweepCache {
+        let mut cache = SweepCache::new(4, vec![2; rows]);
+        assert_eq!(sweep(&mut cache, idle), (0..rows).collect::<Vec<_>>());
+        assert_eq!(cache.next_active(0), None);
+        cache
+    }
+
+    #[test]
+    fn sweep_cache_starts_with_every_row_active_and_stale() {
+        for rows in [0usize, 1, 63, 64, 65, 128, 130] {
+            let mut cache = SweepCache::new(3, vec![5; rows]);
+            let visited = sweep(&mut cache, |c, r| assert!(c.is_stale(r)));
+            assert_eq!(visited, (0..rows).collect::<Vec<_>>(), "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn arena_rows_hold_min_degree_buckets_candidates() {
+        let mut cache = SweepCache::new(3, [0usize, 1, 7]);
+        cache.store(0, []);
+        cache.store(1, [(2, 0.5)]);
+        cache.store(2, [(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert!(cache.candidates(0).is_empty());
+        assert_eq!(cache.candidates(1), &[(2, 0.5)]);
+        assert_eq!(cache.candidates(2), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        cache.store(2, [(1, 4.0)]);
+        assert_eq!(
+            cache.candidates(2),
+            &[(1, 4.0)],
+            "a re-gather replaces the row"
+        );
+        assert_eq!(
+            cache.candidates(1),
+            &[(2, 0.5)],
+            "neighbor windows untouched"
+        );
+        assert!(!cache.is_stale(2));
+    }
+
+    #[test]
+    #[should_panic]
+    fn storing_past_a_row_window_panics() {
+        let mut cache = SweepCache::new(4, [1usize, 1]);
+        cache.store(0, [(0, 1.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn row_dirtied_ahead_of_the_cursor_is_visited_in_the_same_sweep() {
+        // (mover, dirtied): same word, a later word, and either side of
+        // the word boundary between bits 63 and 64.
+        for (mover, dirtied) in [
+            (2usize, 9usize),
+            (3, 130),
+            (10, 63),
+            (10, 64),
+            (62, 63),
+            (63, 64),
+        ] {
+            let mut cache = idle_cache(200);
+            cache.commit_move(1, 2); // some neighbor of `mover` moved
+            cache.invalidate(mover);
+            let visited = sweep(&mut cache, |c, r| {
+                assert!(c.is_stale(r), "row {r} is visited because it went stale");
+                if r == mover {
+                    c.store(r, [(0, 1.0), (3, 2.0)]);
+                    assert!(c.evaluate(r, 0).is_some());
+                    c.commit_move(0, 3);
+                    c.invalidate(dirtied);
+                } else {
+                    idle(c, r);
+                }
+            });
+            assert_eq!(visited, vec![mover, dirtied], "mover {mover}");
+        }
+    }
+
+    #[test]
+    fn skipped_row_reenters_when_a_later_neighbor_moves() {
+        let mut cache = SweepCache::new(4, vec![2; 100]);
+        // Sweep 1: row 5 goes idle; row 70 moves later in the same sweep
+        // and dirties row 5 (behind the cursor) and row 90 (ahead of it).
+        let first = sweep(&mut cache, |c, r| {
+            if r == 70 {
+                c.store(r, [(0, 1.0), (1, 1.0)]);
+                assert!(c.evaluate(r, 0).is_some());
+                c.commit_move(0, 1);
+                c.invalidate(5);
+                c.invalidate(90);
+            } else {
+                idle(c, r);
+            }
+        });
+        assert_eq!(first, (0..100).collect::<Vec<_>>());
+        // Sweep 2: row 5 re-enters stale; row 90 was already re-gathered
+        // in sweep 1 and went idle again; row 70 stays active.
+        let second = sweep(&mut cache, |c, r| {
+            if r == 5 {
+                assert!(c.is_stale(r));
+            }
+            idle(c, r);
+        });
+        assert_eq!(second, vec![5, 70]);
+        assert_eq!(cache.next_active(0), None);
+    }
+
+    #[test]
+    fn unchanged_since_eval_tracks_own_and_listed_buckets() {
+        let mut cache = SweepCache::new(4, [2usize]);
+        cache.store(0, [(1, 1.0), (2, 1.0)]);
+        assert!(cache.evaluate(0, 1).is_some());
+        assert!(cache.unchanged_since_eval(0, 1));
+        cache.commit_move(3, 0); // touches neither bucket 1 nor 2
+        assert!(cache.unchanged_since_eval(0, 1));
+        assert!(!cache.unchanged_since_eval(0, 0), "own bucket 0 moved");
+        cache.commit_move(2, 3); // listed bucket 2 moved
+        assert!(!cache.unchanged_since_eval(0, 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod refine;
 pub use aggregate::{
     aggregate_graph, aggregate_graph_into, aggregate_graph_threaded, AggregateScratch,
 };
-pub use local_move::{local_moving_condensed, local_moving_pass, LocalMoveOutcome};
+pub use local_move::{local_moving_pass, LocalMoveOutcome};
 pub use modularity::modularity;
 pub use refine::{count_disconnected, split_disconnected};
 
@@ -139,19 +139,10 @@ pub fn louvain_csr(graph: &AdjacencyGraph, config: &LouvainConfig) -> LouvainRes
 
     for _ in 0..config.max_levels {
         let level_graph = owned_level.as_ref().unwrap_or(graph);
-        // Level 0 sweeps the borrowed graph with the stamp/re-gather pass
-        // (serial or multi-core per `config.threads`). The owned deep
-        // levels switch to condensed rows: aggregated graphs are dense
-        // community-to-community strips whose rows the stamp scheme
-        // re-gathers over and over, and the condensed pass relocates
-        // buckets instead — bit-identical to the re-gather path (pinned in
-        // `local_move::tests`), so the switch is invisible to results at
-        // every thread count.
-        let outcome = if owned_level.is_some() {
-            local_moving_condensed(level_graph, config)
-        } else {
-            local_moving_pass(level_graph, config)
-        };
+        // Every level — the borrowed level-0 graph and the owned
+        // aggregated ones — runs the same cached re-gather pass (serial or
+        // multi-core per `config.threads`, bit-identical either way).
+        let outcome = local_moving_pass(level_graph, config);
         levels += 1;
         if !outcome.moved_any {
             break;

@@ -1,6 +1,6 @@
 //! The local-moving phase of Louvain.
 
-use txallo_graph::{fit_u32, par, DenseAccumulator, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, par, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
 use crate::{LouvainConfig, GAIN_EPS};
 
@@ -46,8 +46,7 @@ pub fn local_moving_pass(
     }
 }
 
-/// The serial local-moving pass — the `threads == 1` code path, byte for
-/// byte the implementation that predates the multi-core sweep engine.
+/// The serial local-moving pass — the `threads == 1` code path.
 fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> LocalMoveOutcome {
     let n = graph.node_count();
     let m = graph.total_weight();
@@ -74,57 +73,47 @@ fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> Lo
     // Workhorse scratch: weight from v to each neighboring community.
     let mut link = DenseAccumulator::new();
 
-    // Incremental-sweep machinery (same scheme as the G-TxAllo
-    // optimization phase): a node's decision depends only on (a) its
+    // Incremental-sweep machinery (shared with the G-TxAllo optimization
+    // phase, see `SweepCache`): a node's decision depends only on (a) its
     // per-community link weights — which change when a *neighbor* moves —
     // and (b) `sigma_tot` of its candidate communities and its own. The
     // expensive gather (a) is cached per node and reused verbatim until a
     // neighbor moves; the gains (b) are recomputed against fresh
     // `sigma_tot` every visit. When both inputs are untouched since the
     // node's last evaluation the node is skipped outright — re-evaluating
-    // would provably repeat the previous no-move. Evaluations are pure
-    // (`sigma_tot` is only written when a move commits; the seed's
-    // `-= k_v … += k_v` round-trip is gone because float subtraction does
-    // not exactly invert addition), so all reuse is bit-exact.
-    let mut move_stamp: u64 = 1;
-    let mut last_eval: Vec<u64> = vec![0; n];
-    let mut gathered_at: Vec<u64> = vec![0; n];
-    let mut links_dirty: Vec<u64> = vec![1; n];
-    let mut comm_stamp: Vec<u64> = vec![1; n];
-    let mut cand_cache: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    // would provably repeat the previous no-move — and a node whose only
+    // candidate is its own community sits out of the sweep until a
+    // neighbor moves. Evaluations are pure (`sigma_tot` is only written
+    // when a move commits; the seed's `-= k_v … += k_v` round-trip is gone
+    // because float subtraction does not exactly invert addition), so all
+    // reuse is bit-exact.
+    let mut cache = SweepCache::new(n, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
 
     for _ in 0..config.max_sweeps {
         sweeps += 1;
         let mut moved_this_sweep = false;
 
-        for v in 0..n as NodeId {
-            let vi = v as usize;
+        let mut next = 0;
+        while let Some(vi) = cache.next_active(next) {
+            next = vi + 1;
+            let v = fit_u32(vi);
             let current = communities[vi];
-            let links_fresh = links_dirty[vi] <= gathered_at[vi];
-            if links_fresh {
-                let seen = last_eval[vi];
-                if comm_stamp[current as usize] <= seen
-                    && cand_cache[vi]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
+            if cache.is_stale(vi) {
                 link.begin(n);
                 graph.for_each_neighbor(v, |u, w| {
                     link.add(communities[u as usize], w);
                 });
                 // Deterministic candidate order: ascending community id.
                 link.sort_touched();
-                gathered_at[vi] = move_stamp;
-                cand_cache[vi].clear();
-                cand_cache[vi].extend(link.entries());
+                cache.store(vi, link.entries());
+            } else if cache.unchanged_since_eval(vi, current) {
+                continue; // Inputs unchanged: evaluation would no-op.
             }
-            last_eval[vi] = move_stamp;
+            let Some(cand) = cache.evaluate(vi, current) else {
+                continue; // No rival community: staying put is the only option.
+            };
 
             let k_v = strength[vi];
-            let cand = &cand_cache[vi];
             // Evaluate with v removed from its community.
             let sig_cur = sigma_tot[current as usize] - k_v;
             let w_current = cand
@@ -153,12 +142,8 @@ fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> Lo
                 communities[vi] = best_comm;
                 moved_this_sweep = true;
                 moved_any = true;
-                move_stamp += 1;
-                comm_stamp[current as usize] = move_stamp;
-                comm_stamp[best_comm as usize] = move_stamp;
-                graph.for_each_neighbor(v, |u, _| {
-                    links_dirty[u as usize] = move_stamp;
-                });
+                cache.commit_move(current, best_comm);
+                graph.for_each_neighbor(v, |u, _| cache.invalidate(u as usize));
             }
         }
 
@@ -184,13 +169,13 @@ fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> Lo
 /// every *stale* row's gather is refreshed concurrently, partitioned by
 /// canonical row ranges ([`par::entry_balanced_split`]), each chunk
 /// writing only its own cache window with its own accumulator. The
-/// decision loop that follows is the serial one, unchanged: it visits
-/// nodes in the same order, sees caches whose bits equal what a
-/// visit-time gather would have produced (any cache invalidated by an
-/// earlier in-sweep move is re-gathered serially at its turn, exactly as
-/// before), and therefore commits the identical move sequence, float by
-/// float. No gain, Σ_tot update or modularity fold ever crosses a chunk
-/// boundary.
+/// decision loop that follows applies the serial rule to every node in
+/// the same order (the serial pass's active set only leaves out nodes
+/// whose evaluation would be a no-op), sees caches whose bits equal what
+/// a visit-time gather would have produced (any cache invalidated by an
+/// earlier in-sweep move is re-gathered serially at its turn), and
+/// therefore commits the identical move sequence, float by float. No
+/// gain, Σ_tot update or modularity fold ever crosses a chunk boundary.
 fn local_moving_parallel(
     graph: &(impl WeightedGraph + Sync),
     config: &LouvainConfig,
@@ -321,248 +306,6 @@ fn local_moving_parallel(
                 graph.for_each_neighbor(v, |u, _| {
                     links_dirty[u as usize] = move_stamp;
                 });
-            }
-        }
-
-        if !moved_this_sweep {
-            break;
-        }
-    }
-
-    LocalMoveOutcome {
-        communities,
-        moved_any,
-        sweeps,
-    }
-}
-
-/// One community bucket of a condensed row: the weight toward `comm`,
-/// plus the row positions (into the flat neighbor arrays) of the members
-/// currently labelled `comm`, kept in ascending position order so a refold
-/// replays the exact add sequence a fresh row gather would execute.
-struct CondensedGroup {
-    comm: u32,
-    sum: f64,
-    members: Vec<u32>,
-}
-
-/// Refolds a group's weight from scratch, in ascending member-position
-/// order — bitwise the same sequence of `+=` a [`DenseAccumulator`] gather
-/// over the full row would apply to this community's slot.
-fn refold(group: &mut CondensedGroup, row_w: &[f64]) {
-    let mut sum = 0.0;
-    for &p in &group.members {
-        sum += row_w[p as usize];
-    }
-    group.sum = sum;
-}
-
-/// Moves every entry for neighbor `v` in one condensed row from the bucket
-/// of community `from` to the bucket of `to`, refolding only those two
-/// buckets. A row that does not list `v` (asymmetric input) is untouched —
-/// exactly what a full re-gather would compute for it.
-fn relocate_member(
-    groups: &mut Vec<CondensedGroup>,
-    row_nbr: &[u32],
-    row_w: &[f64],
-    v: u32,
-    from: u32,
-    to: u32,
-) {
-    let Ok(ai) = groups.binary_search_by_key(&from, |g| g.comm) else {
-        return;
-    };
-    let mut moved: Vec<u32> = Vec::new();
-    groups[ai].members.retain(|&p| {
-        if row_nbr[p as usize] == v {
-            moved.push(p);
-            false
-        } else {
-            true
-        }
-    });
-    if moved.is_empty() {
-        return;
-    }
-    if groups[ai].members.is_empty() {
-        groups.remove(ai);
-    } else {
-        refold(&mut groups[ai], row_w);
-    }
-    match groups.binary_search_by_key(&to, |g| g.comm) {
-        Ok(bi) => {
-            // Merge the relocated positions back in ascending order.
-            for p in moved {
-                let at = groups[bi].members.partition_point(|&q| q < p);
-                groups[bi].members.insert(at, p);
-            }
-            refold(&mut groups[bi], row_w);
-        }
-        Err(bi) => {
-            let mut group = CondensedGroup {
-                comm: to,
-                sum: 0.0,
-                members: moved,
-            };
-            refold(&mut group, row_w);
-            groups.insert(bi, group);
-        }
-    }
-}
-
-/// Local moving with *condensed rows*: instead of re-gathering a node's
-/// full row whenever any neighbor moved (the [`local_moving_pass`]
-/// scheme), every row is kept pre-grouped by neighbor community across
-/// sweeps. A committed move then relocates just the mover's entries inside
-/// each adjacent row — O(affected bucket sizes), not O(degree) — and
-/// refolds the two touched buckets in member order.
-///
-/// **Why this is bit-identical to the re-gather path.** A fresh gather
-/// computes, for each community `c`, the fold of the row's weights whose
-/// neighbor is labelled `c`, in row-walk order. The condensed invariant is
-/// exactly that: each bucket holds the positions currently labelled with
-/// its community, ascending, and its sum is the fold over them in that
-/// order. Relocation preserves the invariant (positions move buckets when
-/// their label changes; both touched buckets refold from scratch in
-/// position order), so every candidate list the decision loop reads equals
-/// the re-gathered one float for float — and the decision loop itself is
-/// the serial one, unchanged.
-///
-/// Intended for the *aggregated* (deep) Louvain levels, where rows are
-/// dense community-to-community strips that the stamp scheme re-gathers
-/// many times per level; the pass is serial and thread-count independent,
-/// so it slots under every `config.threads` without affecting bits.
-pub fn local_moving_condensed(
-    graph: &impl WeightedGraph,
-    config: &LouvainConfig,
-) -> LocalMoveOutcome {
-    let n = graph.node_count();
-    let m = graph.total_weight();
-    let mut communities: Vec<u32> = (0..n as u32).collect();
-    if n == 0 || m <= 0.0 {
-        return LocalMoveOutcome {
-            communities,
-            moved_any: false,
-            sweeps: 0,
-        };
-    }
-
-    let strength: Vec<f64> = (0..n as NodeId).map(|v| graph.strength(v)).collect();
-    let mut sigma_tot: Vec<f64> = strength.clone();
-    let mut moved_any = false;
-    let mut sweeps = 0usize;
-
-    // Materialize the rows once: the relocation walk needs flat
-    // position-indexed access, and deep-level graphs are small.
-    let mut offsets: Vec<usize> = vec![0; n + 1];
-    for v in 0..n {
-        offsets[v + 1] = offsets[v] + graph.neighbor_count(v as NodeId);
-    }
-    let mut row_nbr: Vec<u32> = Vec::with_capacity(offsets[n]);
-    let mut row_w: Vec<f64> = Vec::with_capacity(offsets[n]);
-    for v in 0..n as NodeId {
-        graph.for_each_neighbor(v, |u, w| {
-            row_nbr.push(u);
-            row_w.push(w);
-        });
-    }
-
-    // Initial condensation under the identity labels. Sorting the
-    // (community, position) pairs groups each bucket's members in
-    // ascending position = row-walk order, matching the gather fold.
-    let mut groups: Vec<Vec<CondensedGroup>> = (0..n)
-        .map(|v| {
-            let mut tagged: Vec<(u32, u32)> = (offsets[v]..offsets[v + 1])
-                .map(|p| (communities[row_nbr[p] as usize], fit_u32(p)))
-                .collect();
-            tagged.sort_unstable();
-            let mut gs: Vec<CondensedGroup> = Vec::new();
-            for (c, p) in tagged {
-                match gs.last_mut() {
-                    Some(g) if g.comm == c => g.members.push(p),
-                    _ => gs.push(CondensedGroup {
-                        comm: c,
-                        sum: 0.0,
-                        members: vec![p],
-                    }),
-                }
-            }
-            for g in gs.iter_mut() {
-                refold(g, &row_w);
-            }
-            gs
-        })
-        .collect();
-
-    // Same incremental-skip machinery as the re-gather passes, minus the
-    // links-dirty half: condensed rows are never stale, and any membership
-    // change freshens the stamp of a community the row now lists.
-    let mut move_stamp: u64 = 1;
-    let mut last_eval: Vec<u64> = vec![0; n];
-    let mut comm_stamp: Vec<u64> = vec![1; n];
-
-    for _ in 0..config.max_sweeps {
-        sweeps += 1;
-        let mut moved_this_sweep = false;
-
-        for v in 0..n as NodeId {
-            let vi = v as usize;
-            let current = communities[vi];
-            let seen = last_eval[vi];
-            if comm_stamp[current as usize] <= seen
-                && groups[vi]
-                    .iter()
-                    .all(|g| comm_stamp[g.comm as usize] <= seen)
-            {
-                continue; // Inputs unchanged: evaluation would no-op.
-            }
-            last_eval[vi] = move_stamp;
-
-            let k_v = strength[vi];
-            let sig_cur = sigma_tot[current as usize] - k_v;
-            let w_current = groups[vi]
-                .iter()
-                .find(|g| g.comm == current)
-                .map_or(0.0, |g| g.sum);
-            let gain_stay = w_current / m - config.resolution * sig_cur * k_v / (2.0 * m * m);
-
-            let mut best_comm = current;
-            let mut best_gain = gain_stay;
-            for g in &groups[vi] {
-                if g.comm == current {
-                    continue;
-                }
-                let gain = g.sum / m
-                    - config.resolution * sigma_tot[g.comm as usize] * k_v / (2.0 * m * m);
-                if gain > best_gain + GAIN_EPS {
-                    best_gain = gain;
-                    best_comm = g.comm;
-                }
-            }
-
-            if best_comm != current {
-                sigma_tot[current as usize] = sig_cur;
-                sigma_tot[best_comm as usize] += k_v;
-                communities[vi] = best_comm;
-                moved_this_sweep = true;
-                moved_any = true;
-                move_stamp += 1;
-                comm_stamp[current as usize] = move_stamp;
-                comm_stamp[best_comm as usize] = move_stamp;
-                // Relocate v inside every adjacent condensed row (v's own
-                // row too, when it carries a self-edge — a re-gather would
-                // rebucket that entry the same way).
-                for p in offsets[vi]..offsets[vi + 1] {
-                    let x = row_nbr[p] as usize;
-                    relocate_member(
-                        &mut groups[x],
-                        &row_nbr,
-                        &row_w,
-                        v,
-                        current,
-                        best_comm,
-                    );
-                }
             }
         }
 
@@ -710,21 +453,9 @@ mod tests {
         AdjacencyGraph::from_edges(60, edges)
     }
 
-    #[test]
-    fn dense_gather_matches_hashmap_reference_byte_for_byte() {
-        let g = messy_graph();
-        let config = LouvainConfig::default();
-        let dense = local_moving_pass(&g, &config);
-        let reference = reference_local_moving(&g, &config);
-        assert_eq!(dense.communities, reference.communities);
-        assert_eq!(dense.sweeps, reference.sweeps);
-        assert_eq!(dense.moved_any, reference.moved_any);
-    }
-
     /// A weighted mess with exercised self-loops and hubs, scrambled per
-    /// seed so the condensed pass sees varied float folds and tie shapes.
-    fn weighted_mess(seed: u64) -> AdjacencyGraph {
-        let n = 48u32;
+    /// seed so the pass sees varied float folds and tie shapes.
+    fn weighted_mess(seed: u64, n: u32) -> AdjacencyGraph {
         let mut edges = Vec::new();
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = || {
@@ -746,41 +477,40 @@ mod tests {
         AdjacencyGraph::from_edges(n as usize, edges)
     }
 
-    /// The condensed-row pass must replay the re-gather pass move for
-    /// move: identical labels, sweep counts and convergence flags, with
-    /// every gather bit reproduced by bucket relocation + refold instead
-    /// of full-row re-gathers.
-    #[test]
-    fn condensed_pass_matches_regather_pass_byte_for_byte() {
-        let config = LouvainConfig::default().with_threads(1);
-        for seed in 0..5u64 {
-            let g = weighted_mess(seed);
-            let regather = local_moving_pass(&g, &config);
-            let condensed = local_moving_condensed(&g, &config);
-            assert_eq!(condensed.communities, regather.communities, "seed {seed}");
-            assert_eq!(condensed.sweeps, regather.sweeps, "seed {seed}");
-            assert_eq!(condensed.moved_any, regather.moved_any, "seed {seed}");
-        }
-        // And on the standing messy graph, against the hash-map reference.
-        let g = messy_graph();
-        let condensed = local_moving_condensed(&g, &config);
-        let reference = reference_local_moving(&g, &config);
-        assert_eq!(condensed.communities, reference.communities);
-        assert_eq!(condensed.sweeps, reference.sweeps);
+    /// A deep Louvain level: `graph` collapsed through its own first
+    /// local-moving pass — dense community-to-community rows plus the
+    /// self-loops that carry each community's internal weight.
+    fn aggregated_level(graph: &AdjacencyGraph) -> AdjacencyGraph {
+        let level0 = local_moving_pass(graph, &LouvainConfig::default().with_threads(1));
+        let compact = crate::compact_labels(&level0.communities);
+        crate::aggregate_graph(graph, &compact.labels, compact.count)
     }
 
+    /// The dense-gather, cached, active-set pass must replay the hash-map
+    /// reference move for move on every input: the messy ring, seeded
+    /// weighted messes (one spanning several 64-row bitset words), a deep
+    /// aggregated level, and the degenerate empty and edgeless shapes.
     #[test]
-    fn condensed_pass_degenerate_shapes() {
-        let empty = AdjacencyGraph::from_edges(0, Vec::new());
-        let out = local_moving_condensed(&empty, &LouvainConfig::default());
-        assert!(!out.moved_any);
-        assert!(out.communities.is_empty());
-
-        // Isolated nodes only: zero total weight, nothing moves.
-        let isolated = AdjacencyGraph::from_edges(3, Vec::new());
-        let out = local_moving_condensed(&isolated, &LouvainConfig::default());
-        assert!(!out.moved_any);
-        assert_eq!(out.communities, vec![0, 1, 2]);
+    fn dense_gather_matches_hashmap_reference_byte_for_byte() {
+        let wide = weighted_mess(5, 150);
+        let deep = aggregated_level(&wide);
+        assert!(deep.node_count() > 1 && deep.node_count() < wide.node_count());
+        let mut inputs = vec![messy_graph(), wide, deep];
+        inputs.extend((0..5u64).map(|seed| weighted_mess(seed, 48)));
+        inputs.push(AdjacencyGraph::from_edges(0, Vec::new()));
+        inputs.push(AdjacencyGraph::from_edges(3, Vec::new()));
+        for config in [
+            LouvainConfig::default().with_threads(1),
+            LouvainConfig::default(),
+        ] {
+            for (i, g) in inputs.iter().enumerate() {
+                let dense = local_moving_pass(g, &config);
+                let reference = reference_local_moving(g, &config);
+                assert_eq!(dense.communities, reference.communities, "input {i}");
+                assert_eq!(dense.sweeps, reference.sweeps, "input {i}");
+                assert_eq!(dense.moved_any, reference.moved_any, "input {i}");
+            }
+        }
     }
 
     /// Golden thread-invariance test: the multi-core pass must reproduce
