@@ -1,19 +1,19 @@
 //! Out-of-core streaming replay benchmark: million-account epochs through
-//! the full [`txallo_core::StreamingAllocator`] service loop without ever
-//! materializing the ledger, with a §VI-B6-style per-phase time
-//! decomposition and peak-resident-memory accounting.
+//! [`txallo_sim::ShardedChainSim`] without ever materializing the ledger,
+//! with wall-clock totals and peak-resident-memory accounting.
 //!
-//! The loop mirrors `txallo_sim::ShardedChainSim::run_epoch` phase by
-//! phase — synthesize, reweight, ingest, fold, update, score, evict — but
-//! times each phase separately, which the driver deliberately does not.
-//! The residency rules are the driver's exactly (incremental snapshot
-//! route forced, rehydrate-all ahead of any full-graph read), so the run
-//! is bit-identical to an in-core replay of the same workload.
+//! The replay drives the simulator's own epoch loop (residency window,
+//! decay, the `txallo` stream), so it is bit-identical to an in-core
+//! replay of the same workload. It times block synthesis, the served
+//! epochs as a whole and, from each [`txallo_sim::EpochReport`], the
+//! `end_epoch` calls inside them; `perfbench --workload stream_1m
+//! --trace 1` splits the same kind of replay layer by layer.
 
 use std::time::Instant;
 
-use txallo_core::{AllocatorRegistry, EpochKind, HybridSchedule, TxAlloParams};
-use txallo_graph::{MemoryFootprint, ResidencyConfig, TxGraph, WeightedGraph};
+use txallo_core::HybridSchedule;
+use txallo_graph::{MemoryFootprint, ResidencyConfig, WeightedGraph};
+use txallo_sim::{ShardedChainSim, SimConfig};
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 /// Configuration of one streaming replay run.
@@ -62,39 +62,6 @@ impl StreamBenchConfig {
     }
 }
 
-/// Wall-clock totals of each service-loop phase, in seconds, summed over
-/// all served epochs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimes {
-    /// Synthesizing the epoch's blocks from the counter-based streams.
-    pub generate: f64,
-    /// Decay rescale of graph weights + session aggregates.
-    pub reweight: f64,
-    /// Graph ingestion (interning, slab row merges, rehydration).
-    pub ingest: f64,
-    /// Folding block deltas into the allocator's warm aggregates.
-    pub fold: f64,
-    /// Epoch-boundary allocation update (snapshot + sweep + diff).
-    pub update: f64,
-    /// Scoring the epoch under the updated mapping.
-    pub score: f64,
-    /// Residency epoch advance (eviction + spill serialization).
-    pub evict: f64,
-}
-
-impl PhaseTimes {
-    /// Sum of all phases.
-    pub fn total(&self) -> f64 {
-        self.generate
-            + self.reweight
-            + self.ingest
-            + self.fold
-            + self.update
-            + self.score
-            + self.evict
-    }
-}
-
 /// Everything one replay run measured.
 #[derive(Debug, Clone)]
 pub struct StreamBenchReport {
@@ -106,8 +73,14 @@ pub struct StreamBenchReport {
     pub transactions: u64,
     /// Warm-up wall clock: history ingestion + the one global solve.
     pub warmup_seconds: f64,
-    /// Per-phase totals over the served epochs.
-    pub phases: PhaseTimes,
+    /// Wall clock of synthesizing the served epochs' blocks.
+    pub generate_seconds: f64,
+    /// Wall clock of serving the epochs (`ShardedChainSim::run_epoch`:
+    /// decay, ingest, fold, close, score, evict).
+    pub serve_seconds: f64,
+    /// The part of `serve_seconds` spent in `end_epoch`
+    /// (Σ [`txallo_sim::EpochReport::update_time`]).
+    pub update_seconds: f64,
     /// Peak of (graph resident bytes + allocator state bytes) sampled at
     /// every epoch boundary.
     pub peak_resident_bytes: usize,
@@ -126,15 +99,13 @@ impl StreamBenchReport {
     /// embeds it verbatim).
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let p = &self.phases;
         let f = &self.final_footprint;
         format!(
             "{{\"workload\": {{\"accounts\": {}, \"epochs\": {}, \"epoch_blocks\": {}, \
              \"block_size\": {}, \"k\": {}, \"window\": {}, \"decay\": {}, \"seed\": {}}}, \
              \"distinct_accounts\": {}, \"transactions\": {}, \
              \"warmup_seconds\": {:.3}, \
-             \"phase_seconds\": {{\"generate\": {:.3}, \"reweight\": {:.3}, \"ingest\": {:.3}, \
-             \"fold\": {:.3}, \"update\": {:.3}, \"score\": {:.3}, \"evict\": {:.3}, \
+             \"phase_seconds\": {{\"generate\": {:.3}, \"serve\": {:.3}, \"update\": {:.3}, \
              \"total\": {:.3}}}, \
              \"peak_resident_mib\": {:.1}, \"peak_graph_mib\": {:.1}, \
              \"spilled_mib\": {:.1}, \"evicted_rows\": {}, \"restored_rows\": {}, \
@@ -151,14 +122,10 @@ impl StreamBenchReport {
             self.distinct_accounts,
             self.transactions,
             self.warmup_seconds,
-            p.generate,
-            p.reweight,
-            p.ingest,
-            p.fold,
-            p.update,
-            p.score,
-            p.evict,
-            p.total(),
+            self.generate_seconds,
+            self.serve_seconds,
+            self.update_seconds,
+            self.generate_seconds + self.serve_seconds,
             self.peak_resident_bytes as f64 / MIB,
             self.peak_graph_bytes as f64 / MIB,
             f.spill_bytes as f64 / MIB,
@@ -176,10 +143,10 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// Runs the out-of-core replay and returns its measurements.
 pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
-    let total_blocks = (cfg.warm_epochs + cfg.epochs) * cfg.epoch_blocks;
+    let warm_blocks = cfg.warm_epochs * cfg.epoch_blocks;
     let wl = WorkloadConfig {
         accounts: cfg.accounts,
-        transactions: total_blocks as usize * cfg.block_size,
+        transactions: (warm_blocks + cfg.epochs * cfg.epoch_blocks) as usize * cfg.block_size,
         block_size: cfg.block_size,
         groups: (cfg.accounts / 50).max(10),
         new_account_prob: 0.002,
@@ -187,104 +154,58 @@ pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
     };
     wl.validate();
     let workload = StreamingWorkload::new(wl, cfg.seed);
-
-    let mut graph = TxGraph::new();
-    if cfg.window > 0 {
-        graph.enable_residency(&ResidencyConfig::in_memory(cfg.window));
-    }
-    let schedule = if cfg.global_gap == 0 {
-        HybridSchedule::AlwaysAdaptive
-    } else {
-        HybridSchedule::Hybrid {
-            global_gap: cfg.global_gap,
-        }
+    let schedule = match cfg.global_gap {
+        0 => HybridSchedule::AlwaysAdaptive,
+        global_gap => HybridSchedule::Hybrid { global_gap },
     };
-    let params_for = |graph: &TxGraph, window: u32| {
-        let p = TxAlloParams::for_graph(graph, cfg.shards)
-            .with_threads(txallo_graph::par::threads_from_env());
-        // Cold rows read as empty, so the adaptive update must take the
-        // touched-rows-only snapshot route (the driver's rule).
-        if window > 0 {
-            p.with_incremental_threshold(1.0)
-        } else {
-            p
-        }
-    };
-    let mut stream = AllocatorRegistry::builtin()
-        .streaming("txallo", &params_for(&graph, cfg.window), schedule)
-        .expect("txallo is registered");
+    let mut sim = ShardedChainSim::new(SimConfig {
+        epoch_blocks: cfg.epoch_blocks as usize,
+        schedule,
+        decay_per_epoch: (cfg.decay < 1.0).then_some(cfg.decay),
+        residency: (cfg.window > 0).then(|| ResidencyConfig::in_memory(cfg.window)),
+        ..SimConfig::new(cfg.shards)
+    });
 
     // Warm-up: stream the history in (one block alive at a time), then the
     // one global solve every serving mode pays.
     let warm_start = Instant::now();
-    for b in workload.block_iter(0..cfg.warm_epochs * cfg.epoch_blocks) {
-        graph.ingest_block(&b);
-    }
-    let mut allocation = stream.begin(&graph, &params_for(&graph, cfg.window));
+    sim.warmup_streamed(workload.block_iter(0..warm_blocks));
     let warmup_seconds = warm_start.elapsed().as_secs_f64();
 
-    let mut phases = PhaseTimes::default();
+    let (mut generate_seconds, mut serve_seconds, mut update_seconds) = (0.0, 0.0, 0.0);
     let mut peak_resident = 0usize;
     let mut peak_graph = 0usize;
-    let mut transactions = cfg.warm_epochs * cfg.epoch_blocks * cfg.block_size as u64;
+    let mut transactions = warm_blocks * cfg.block_size as u64;
     let mut throughput_sum = 0.0;
-
     for epoch in 0..cfg.epochs {
         let t = Instant::now();
         let blocks = workload.epoch_blocks(cfg.warm_epochs + epoch, cfg.epoch_blocks);
-        phases.generate += t.elapsed().as_secs_f64();
-
-        if cfg.decay < 1.0 {
-            let t = Instant::now();
-            graph.apply_decay(cfg.decay);
-            stream.on_reweight(cfg.decay);
-            phases.reweight += t.elapsed().as_secs_f64();
-        }
-
-        for b in &blocks {
-            let t = Instant::now();
-            let nodes = graph.ingest_block_nodes(b);
-            phases.ingest += t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            stream.on_block_nodes(&graph, b, &nodes);
-            phases.fold += t.elapsed().as_secs_f64();
-            transactions += b.len() as u64;
-        }
+        generate_seconds += t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        if cfg.global_gap != 0 && schedule.is_global_epoch(epoch) {
-            // The residency read invariant: a global re-solve reads every
-            // row, so every row must be in core first.
-            graph.ensure_all_resident();
-        }
-        let update = stream.end_epoch(&graph, EpochKind::Scheduled);
-        allocation.apply_update(&update);
-        phases.update += t.elapsed().as_secs_f64();
+        let report = sim.run_epoch(&blocks);
+        serve_seconds += t.elapsed().as_secs_f64();
+        update_seconds += report.update_time.as_secs_f64();
+        transactions += report.metrics.transactions as u64;
+        throughput_sum += report.metrics.throughput_normalized;
 
-        let t = Instant::now();
-        let metrics = txallo_sim::epoch_metrics(&blocks, &graph, &allocation, cfg.shards, 2.0);
-        throughput_sum += metrics.throughput_normalized;
-        phases.score += t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        graph.advance_residency_epoch();
-        phases.evict += t.elapsed().as_secs_f64();
-
-        let fp = graph.memory_footprint();
-        peak_graph = peak_graph.max(fp.resident_bytes());
-        peak_resident = peak_resident.max(fp.resident_bytes() + stream.state_bytes());
+        let graph_bytes = sim.memory_footprint().resident_bytes();
+        peak_graph = peak_graph.max(graph_bytes);
+        peak_resident = peak_resident.max(graph_bytes + sim.allocator_state_bytes());
     }
 
     StreamBenchReport {
         config: cfg.clone(),
-        distinct_accounts: graph.node_count(),
+        distinct_accounts: sim.graph().node_count(),
         transactions,
         warmup_seconds,
-        phases,
+        generate_seconds,
+        serve_seconds,
+        update_seconds,
         peak_resident_bytes: peak_resident,
         peak_graph_bytes: peak_graph,
-        final_footprint: graph.memory_footprint(),
-        final_allocator_bytes: stream.state_bytes(),
+        final_footprint: sim.memory_footprint(),
+        final_allocator_bytes: sim.allocator_state_bytes(),
         avg_throughput: throughput_sum / cfg.epochs.max(1) as f64,
     }
 }

@@ -1,10 +1,9 @@
 //! The epoch-driven chain service: consensus substrate + streaming
 //! allocation in one loop.
 //!
-//! [`ChainService`] is the chain-side twin of the simulator's driver: it
-//! owns the accumulated [`TxGraph`], a [`ChainEngine`] (per-shard PBFT +
-//! cross-shard Atomix), and a [`StreamingAllocator`] resolved by name
-//! through the [`AllocatorRegistry`]. Blocks flow through
+//! [`ChainService`] runs a [`ChainEngine`] (per-shard PBFT + cross-shard
+//! Atomix) under the mapping of a [`txallo_core::EpochLoop`], the same
+//! loop the simulator drives. Blocks flow through
 //! [`ChainService::process_block`]; every `epoch_blocks` blocks the
 //! service closes the epoch, *executes the reallocation diff on the
 //! substrate* ([`ChainEngine::apply_reallocation`] — each migrated
@@ -13,14 +12,12 @@
 //! is therefore a measured protocol cost, exactly like the transactions
 //! it is supposed to save.
 
-use txallo_core::checkpoint::{
-    decode_checkpoint, encode_checkpoint, Decoder, Encoder, StreamState,
-};
+use txallo_core::checkpoint::decode_checkpoint;
 use txallo_core::{
-    Allocation, AllocationUpdate, AllocatorRegistry, CheckpointError, Degradation, EpochKind,
-    GlobalStream, HashAllocator, HybridSchedule, StateCarry, StreamingAllocator, TxAlloParams,
+    Allocation, AllocationUpdate, AllocatorRegistry, Degradation, EpochLoop, HybridSchedule,
+    StateCarry, TxAlloParams,
 };
-use txallo_graph::{TxGraph, WeightedGraph};
+use txallo_graph::TxGraph;
 use txallo_model::Block;
 
 use crate::engine::{ChainEngine, ChainEngineConfig, EngineReport};
@@ -66,47 +63,12 @@ impl ChainServiceConfig {
     }
 }
 
-/// Stable wire code of a [`Degradation`] rung (checkpoint format).
-fn degradation_code(d: Degradation) -> u8 {
-    match d {
-        Degradation::None => 0,
-        Degradation::Invalidated => 1,
-        Degradation::Rebuilt => 2,
-        Degradation::HashFallback => 3,
-    }
-}
-
-fn degradation_from_code(code: u8) -> Result<Degradation, ChainError> {
-    Ok(match code {
-        0 => Degradation::None,
-        1 => Degradation::Invalidated,
-        2 => Degradation::Rebuilt,
-        3 => Degradation::HashFallback,
-        _ => {
-            return Err(ChainError::CorruptCheckpoint(CheckpointError::Malformed(
-                "degradation rung",
-            )))
-        }
-    })
-}
-
 /// The running service (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ChainService {
     config: ChainServiceConfig,
-    graph: TxGraph,
+    epochs: EpochLoop,
     engine: ChainEngine,
-    stream: Box<dyn StreamingAllocator>,
-    allocation: Allocation,
-    blocks_in_epoch: usize,
-    epochs_closed: u64,
-    warmed_up: bool,
-    /// Health-check period in epochs (0 = disabled).
-    health_interval: u64,
-    /// Maximum tolerated aggregate divergence before degrading.
-    health_tolerance: f64,
-    /// Current rung on the recovery ladder.
-    degradation: Degradation,
     /// How the stream state crossed the last [`ChainService::resume`]
     /// (`None` until a resume happened).
     resume_carry: Option<StateCarry>,
@@ -146,23 +108,21 @@ impl ChainService {
         if config.epoch_blocks == 0 {
             return Err(ChainError::EmptyEpoch);
         }
-        let shards = config.engine.shards;
-        let params = TxAlloParams::for_total_weight(0.0, shards)
+        let params = TxAlloParams::for_total_weight(0.0, config.engine.shards)
             .with_eta(config.eta)
             .with_threads(config.threads);
-        let stream = registry.streaming(&config.method, &params, config.schedule)?;
+        let epochs = EpochLoop::new(
+            registry,
+            &config.method,
+            config.schedule,
+            params,
+            None,
+            None,
+        )?;
         Ok(Self {
             engine: ChainEngine::try_new(config.engine.clone())?,
             config,
-            graph: TxGraph::new(),
-            stream,
-            allocation: Allocation::new(Vec::new(), shards),
-            blocks_in_epoch: 0,
-            epochs_closed: 0,
-            warmed_up: false,
-            health_interval: 0,
-            health_tolerance: 0.0,
-            degradation: Degradation::None,
+            epochs,
             resume_carry: None,
         })
     }
@@ -173,113 +133,51 @@ impl ChainService {
         self.engine.set_fault_plan(plan);
     }
 
-    /// Enables the serving-state health check: every `interval_epochs`
-    /// closed epochs, the stream's maintained aggregates are audited
-    /// against a from-scratch recomputation
-    /// ([`StreamingAllocator::consistency_error`]); a divergence above
-    /// `tolerance` steps down the recovery ladder (see
-    /// [`Degradation`]) — first invalidating the warm session, then, on
-    /// repeated divergence, falling back to deterministic hash
-    /// allocation so epochs keep closing.
+    /// Enables the serving-state health check and its recovery ladder
+    /// (see [`EpochLoop::enable_health_check`]).
     pub fn enable_health_check(&mut self, interval_epochs: u64, tolerance: f64) {
-        self.health_interval = interval_epochs;
-        self.health_tolerance = tolerance;
+        self.epochs.enable_health_check(interval_epochs, tolerance);
     }
 
     /// Ingests the historical prefix (not processed by consensus) and
     /// opens the allocation service on it.
     pub fn warmup(&mut self, blocks: &[Block]) {
-        for b in blocks {
-            self.graph.ingest_block(b);
-        }
-        let params = self.current_params();
-        self.allocation = self.stream.begin(&self.graph, &params);
-        self.warmed_up = true;
+        self.epochs.warmup(blocks);
     }
 
-    /// Processes one live block: ingest, let the allocation service
-    /// observe it, run it through consensus under the *current* mapping,
-    /// and — at an epoch boundary — close the epoch. Returns the epoch's
-    /// [`AllocationUpdate`] when this block closed one.
+    /// Processes one live block: feed it into the epoch loop, run it
+    /// through consensus under the *current* mapping (new accounts on
+    /// their transient hash shard), and — at an epoch boundary — close the
+    /// epoch. Returns the epoch's [`AllocationUpdate`] when this block
+    /// closed one.
     ///
     /// # Panics
     /// Panics if called before [`ChainService::warmup`].
     pub fn process_block(&mut self, block: &Block) -> Option<AllocationUpdate> {
-        assert!(self.warmed_up, "call warmup() before process_block()");
-        // The interned view hands the stream each transaction's dense node
-        // ids straight from ingestion — no account re-hashing per epoch.
-        let nodes = self.graph.ingest_block_nodes(block);
-        self.stream.on_block_nodes(&self.graph, block, &nodes);
-        // New accounts appear mid-epoch, before any boundary labels them:
-        // consensus needs a shard *now*, so unlabelled accounts fall back
-        // to their hash shard until the epoch closes (the same rule the
-        // hash baseline uses for every account, applied transiently).
-        self.extend_allocation_by_hash();
+        self.epochs.ingest(block);
         self.engine
-            .process_block(block, &self.graph, &self.allocation);
-
-        self.blocks_in_epoch += 1;
-        if self.blocks_in_epoch < self.config.epoch_blocks {
+            .process_block(block, self.epochs.graph(), self.epochs.allocation());
+        if self.epochs.blocks_in_epoch() < self.config.epoch_blocks {
             return None;
         }
-        self.blocks_in_epoch = 0;
-        let update = self.stream.end_epoch(&self.graph, EpochKind::Scheduled);
-        // The diff hits the substrate first (migrations are Atomix state
-        // transfers), then the mapping. Accounts that arrived mid-epoch
-        // were served — and committed state — on their transient hash
-        // shard, so the stream's "placement" of such an account is a real
-        // state transfer too: rewrite those moves with the transient
-        // shard as the source before charging the substrate.
-        let mut substrate = update.clone();
-        for m in &mut substrate.moves {
-            if m.from.is_none() && (m.node as usize) < self.allocation.len() {
-                m.from = Some(self.allocation.shard_of(m.node));
+        let engine = &mut self.engine;
+        let (update, _) = self.epochs.close(|update, served| {
+            // The diff hits the substrate first (migrations are Atomix
+            // state transfers), then the mapping. Accounts that arrived
+            // mid-epoch were served — and committed state — on their
+            // transient hash shard, so the stream's "placement" of such an
+            // account is a real state transfer too: rewrite those moves
+            // with the transient shard as the source before charging the
+            // substrate.
+            let mut substrate = update.clone();
+            for m in &mut substrate.moves {
+                if m.from.is_none() {
+                    m.from = Some(served.shard_of(m.node));
+                }
             }
-        }
-        self.engine.apply_reallocation(&substrate);
-        // The service's allocation holds those hash-fallback labels, so
-        // it re-syncs from the stream rather than replaying the diff.
-        self.allocation = self.stream.allocation();
-        self.epochs_closed += 1;
-        self.run_health_check();
+            engine.apply_reallocation(&substrate);
+        });
         Some(update)
-    }
-
-    /// The epoch-boundary health audit and its recovery ladder.
-    fn run_health_check(&mut self) {
-        if self.health_interval == 0 || !self.epochs_closed.is_multiple_of(self.health_interval) {
-            return;
-        }
-        let Some(err) = self.stream.consistency_error(&self.graph) else {
-            return; // nothing maintained, nothing to diverge
-        };
-        if err <= self.health_tolerance {
-            return;
-        }
-        if self.degradation < Degradation::Invalidated && self.stream.invalidate_state() {
-            // First strike: drop the warm aggregates, keep the labels;
-            // the next boundary rebuilds from the graph.
-            self.degradation = Degradation::Invalidated;
-            return;
-        }
-        // The rebuilt state diverged again (or there was nothing left to
-        // invalidate): last rung, swap in deterministic hash allocation.
-        // Epochs keep closing; quality is sacrificed, visibly.
-        let params = self.current_params();
-        let mut fallback = GlobalStream::new(
-            "hash-fallback",
-            params.clone(),
-            Box::new(|g, p| HashAllocator::new(p.shards).allocate_graph(g)),
-        );
-        self.allocation = fallback.begin(&self.graph, &params);
-        self.stream = Box::new(fallback);
-        self.degradation = Degradation::HashFallback;
-    }
-
-    fn current_params(&self) -> TxAlloParams {
-        TxAlloParams::for_graph(&self.graph, self.config.engine.shards)
-            .with_eta(self.config.eta)
-            .with_threads(self.config.threads)
     }
 
     /// Runs a whole block stream, returning the updates of every closed
@@ -291,33 +189,9 @@ impl ChainService {
             .collect()
     }
 
-    /// [`ChainService::run`] from a block *iterator*: each block is
-    /// processed and dropped before the next is produced, so the chain
-    /// can replay a synthesized ledger
-    /// (`txallo_workload::StreamingWorkload`) of any length without ever
-    /// materializing it.
-    pub fn run_streamed<I>(&mut self, blocks: I) -> Vec<AllocationUpdate>
-    where
-        I: IntoIterator<Item = Block>,
-    {
-        blocks
-            .into_iter()
-            .filter_map(|b| self.process_block(&b))
-            .collect()
-    }
-
-    fn extend_allocation_by_hash(&mut self) {
-        let n = self.graph.node_count();
-        let shards = self.allocation.shard_count();
-        for v in self.allocation.len()..n {
-            self.allocation
-                .push_shard(self.graph.account(v as u32).hash_shard(shards));
-        }
-    }
-
     /// Serializes the whole resumable service state — graph, stream
-    /// labels + aggregates, engine counters, degradation rung — into one
-    /// versioned, checksummed image (see
+    /// labels + aggregates, epoch count, degradation rung, engine counters
+    /// — into one versioned, checksummed image (see
     /// [`txallo_core::checkpoint`]).
     ///
     /// Checkpoints are only defined at epoch boundaries: mid-epoch the
@@ -327,29 +201,15 @@ impl ChainService {
     /// the image format cannot hold (a graph with evicted rows) is
     /// [`ChainError::Unencodable`].
     pub fn checkpoint(&self) -> Result<Vec<u8>, ChainError> {
-        if !self.warmed_up {
+        if !self.epochs.is_warmed_up() {
             return Err(ChainError::NotWarmedUp);
         }
-        if self.blocks_in_epoch != 0 {
-            return Err(ChainError::MidEpochCheckpoint {
-                blocks_into_epoch: self.blocks_in_epoch,
-            });
+        let blocks_into_epoch = self.epochs.blocks_in_epoch();
+        if blocks_into_epoch != 0 {
+            return Err(ChainError::MidEpochCheckpoint { blocks_into_epoch });
         }
-        // Streams without checkpoint support still get a labels-only
-        // state: resume then rebuilds their internals from the graph.
-        let stream_state = self.stream.export_state().unwrap_or_else(|| StreamState {
-            epoch: self.epochs_closed,
-            shards: self.config.engine.shards,
-            labels: self.allocation.labels().to_vec(),
-            community: None,
-        });
-        let engine_blob = self.engine.export_state();
-        let mut consumer = Encoder::new();
-        consumer.u64(self.epochs_closed);
-        consumer.u8(degradation_code(self.degradation));
-        consumer.u64(engine_blob.len() as u64);
-        consumer.bytes(&engine_blob);
-        encode_checkpoint(&self.graph, &stream_state, &consumer.finish())
+        self.epochs
+            .checkpoint(&self.engine.export_state())
             .map_err(ChainError::Unencodable)
     }
 
@@ -381,49 +241,8 @@ impl ChainService {
             });
         }
         let mut service = Self::try_with_registry(config, registry)?;
-
-        let mut consumer = Decoder::new(&cp.consumer);
-        let epochs_closed = consumer.u64().map_err(ChainError::CorruptCheckpoint)?;
-        let degradation =
-            degradation_from_code(consumer.u8().map_err(ChainError::CorruptCheckpoint)?)?;
-        let engine_len = consumer.u64().map_err(ChainError::CorruptCheckpoint)? as usize;
-        let engine_blob = consumer
-            .bytes(engine_len)
-            .map_err(ChainError::CorruptCheckpoint)?;
-        service.engine.import_state(engine_blob)?;
-        consumer.finish().map_err(ChainError::CorruptCheckpoint)?;
-
-        service.graph = cp.graph;
-        let params = service.current_params();
-        if degradation == Degradation::HashFallback {
-            // The run had already fallen back to hash allocation; resuming
-            // onto the configured method would silently un-degrade it.
-            service.stream = Box::new(GlobalStream::new(
-                "hash-fallback",
-                params.clone(),
-                Box::new(|g, p| HashAllocator::new(p.shards).allocate_graph(g)),
-            ));
-        }
-        let carry = match service
-            .stream
-            .import_state(&cp.stream, &service.graph, &params)
-        {
-            Some(carry) => {
-                service.allocation = service.stream.allocation();
-                carry
-            }
-            None => {
-                // The stream cannot adopt checkpointed state (e.g. the
-                // transaction-level scheduler): cold-open it on the
-                // restored graph — a sound, visibly degraded resume.
-                service.allocation = service.stream.begin(&service.graph, &params);
-                StateCarry::Rebuilt
-            }
-        };
-        service.blocks_in_epoch = 0;
-        service.epochs_closed = epochs_closed;
-        service.warmed_up = true;
-        service.degradation = degradation;
+        let (engine_blob, carry) = service.epochs.restore(cp)?;
+        service.engine.import_state(&engine_blob)?;
         service.resume_carry = Some(carry);
         Ok(service)
     }
@@ -436,7 +255,7 @@ impl ChainService {
     /// The current rung on the recovery ladder (see
     /// [`ChainService::enable_health_check`]).
     pub fn degradation(&self) -> Degradation {
-        self.degradation
+        self.epochs.degradation()
     }
 
     /// How stream state crossed the last [`ChainService::resume`]
@@ -447,17 +266,17 @@ impl ChainService {
 
     /// The current account-shard mapping.
     pub fn allocation(&self) -> &Allocation {
-        &self.allocation
+        self.epochs.allocation()
     }
 
     /// The accumulated transaction graph.
     pub fn graph(&self) -> &TxGraph {
-        &self.graph
+        self.epochs.graph()
     }
 
     /// Epochs closed since warm-up.
     pub fn epochs_closed(&self) -> u64 {
-        self.epochs_closed
+        self.epochs.epoch()
     }
 }
 
@@ -465,6 +284,7 @@ impl ChainService {
 mod tests {
     use super::*;
     use txallo_core::UpdateKind;
+    use txallo_graph::WeightedGraph;
     use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
     fn service_config(shards: usize, epoch_blocks: usize, gap: u64) -> ChainServiceConfig {

@@ -88,6 +88,11 @@ impl Allocation {
         self.labels.push(shard.0);
     }
 
+    /// Forgets the labels of nodes `len..` (no-op past the end).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.labels.truncate(len);
+    }
+
     /// Folds an epoch's [`AllocationUpdate`] diff into the mapping:
     /// migrations relabel existing nodes, placements extend the vector for
     /// brand-new accounts.

@@ -21,7 +21,8 @@
 //! * **streaming** (§V-C): [`StreamingAllocator`] serves an epoch-driven
 //!   chain — `begin` on the warm-up history, `on_block` per committed
 //!   block, `end_epoch` returning the [`AllocationUpdate`] *diff* of moved
-//!   accounts (see [`streaming`]).
+//!   accounts (see [`streaming`]), served by the one [`EpochLoop`] every
+//!   consumer drives.
 //!
 //! Consumers resolve either entry point by name through the
 //! [`AllocatorRegistry`] instead of constructing algorithms directly.
@@ -35,6 +36,7 @@ pub mod atxallo;
 pub mod broker;
 pub mod checkpoint;
 pub mod dataset;
+pub mod epoch_loop;
 pub mod gtxallo;
 pub mod hash_alloc;
 mod incremental;
@@ -59,6 +61,7 @@ pub use checkpoint::{
     StreamState,
 };
 pub use dataset::Dataset;
+pub use epoch_loop::EpochLoop;
 pub use gtxallo::{GTxAllo, GTxAlloOutcome, GTxAlloPlan};
 pub use hash_alloc::HashAllocator;
 pub use metis_alloc::MetisAllocator;

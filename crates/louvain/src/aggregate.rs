@@ -359,42 +359,41 @@ fn aggregate_impl(
     // One target range's output: row-sorted (target, weight) entries plus
     // the per-row bucket offsets into them.
     type RangeBuckets = (Vec<(u32, f64)>, Vec<u32>);
-    let row_sorted: Vec<RangeBuckets> =
-        fold_chunks(workers, &target_bounds, |_, clo, chi| {
-            let mut hist = vec![0u32; c];
-            for q in clo..chi {
-                for stage in &stages {
-                    let (s, e) = (
-                        stage.bucket_offsets[q] as usize,
-                        stage.bucket_offsets[q + 1] as usize,
-                    );
-                    for &(row, _) in &stage.sorted[s..e] {
-                        hist[row as usize] += 1;
-                    }
+    let row_sorted: Vec<RangeBuckets> = fold_chunks(workers, &target_bounds, |_, clo, chi| {
+        let mut hist = vec![0u32; c];
+        for q in clo..chi {
+            for stage in &stages {
+                let (s, e) = (
+                    stage.bucket_offsets[q] as usize,
+                    stage.bucket_offsets[q + 1] as usize,
+                );
+                for &(row, _) in &stage.sorted[s..e] {
+                    hist[row as usize] += 1;
                 }
             }
-            let mut local_offsets = vec![0u32; c + 1];
-            for r in 0..c {
-                local_offsets[r + 1] = local_offsets[r] + hist[r];
-            }
-            let mut cursor: Vec<u32> = local_offsets[..c].to_vec();
-            let range_entries = (offsets[chi] - offsets[clo]) as usize;
-            let mut out = vec![(0u32, 0.0f64); range_entries];
-            for q in clo..chi {
-                for stage in &stages {
-                    let (s, e) = (
-                        stage.bucket_offsets[q] as usize,
-                        stage.bucket_offsets[q + 1] as usize,
-                    );
-                    for &(row, w) in &stage.sorted[s..e] {
-                        let slot = cursor[row as usize] as usize;
-                        cursor[row as usize] += 1;
-                        out[slot] = (fit_u32(q), w);
-                    }
+        }
+        let mut local_offsets = vec![0u32; c + 1];
+        for r in 0..c {
+            local_offsets[r + 1] = local_offsets[r] + hist[r];
+        }
+        let mut cursor: Vec<u32> = local_offsets[..c].to_vec();
+        let range_entries = (offsets[chi] - offsets[clo]) as usize;
+        let mut out = vec![(0u32, 0.0f64); range_entries];
+        for q in clo..chi {
+            for stage in &stages {
+                let (s, e) = (
+                    stage.bucket_offsets[q] as usize,
+                    stage.bucket_offsets[q + 1] as usize,
+                );
+                for &(row, w) in &stage.sorted[s..e] {
+                    let slot = cursor[row as usize] as usize;
+                    cursor[row as usize] += 1;
+                    out[slot] = (fit_u32(q), w);
                 }
             }
-            (out, local_offsets)
-        });
+        }
+        (out, local_offsets)
+    });
 
     // Stage 4 (parallel over canonical row ranges): each row's final
     // sequence is the range-order concatenation of its per-range buckets

@@ -1,19 +1,14 @@
-//! The simulation driver: warm-up, epoch loop, allocation updates.
+//! The simulation driver: warm-up, epoch loop, scoring.
 //!
-//! Since the streaming-API redesign the driver owns no algorithm wiring at
-//! all: it resolves a [`StreamingAllocator`] by name through the
-//! [`AllocatorRegistry`] and drives epochs purely through the service
-//! contract — `on_reweight` for decay, `on_block` per ingested block,
-//! `end_epoch` for the boundary — folding each returned
-//! [`AllocationUpdate`](txallo_core::AllocationUpdate) diff into its
-//! mapping with [`Allocation::apply_update`].
-
-// txallo-lint: allow(no-wall-clock) — measures solve latency for EpochReport only; no allocation decision reads the clock
-use std::time::Instant;
+//! The driver owns no algorithm wiring and no epoch boundary: it feeds
+//! each epoch's blocks into a [`txallo_core::EpochLoop`] — which resolves
+//! the [`StreamingAllocator`](txallo_core::StreamingAllocator) by name,
+//! decays, ingests, closes the epoch and folds the returned
+//! [`AllocationUpdate`](txallo_core::AllocationUpdate) diff into the
+//! mapping — and scores the epoch's transactions under the result.
 
 use txallo_core::{
-    Allocation, AllocatorRegistry, Degradation, EpochKind, GlobalStream, HashAllocator,
-    HybridSchedule, StreamingAllocator, TxAlloParams,
+    Allocation, AllocatorRegistry, Degradation, EpochLoop, HybridSchedule, TxAlloParams,
 };
 use txallo_graph::{MemoryFootprint, ResidencyConfig, TxGraph};
 use txallo_model::Block;
@@ -80,20 +75,10 @@ impl SimConfig {
 #[derive(Debug)]
 pub struct ShardedChainSim {
     config: SimConfig,
-    graph: TxGraph,
-    allocation: Allocation,
-    /// The epoch-driven allocation service (resolved by name; for
-    /// `txallo` this is the hybrid/adaptive stream whose warm
-    /// `AtxAlloSession` carries the community aggregates across epochs).
-    stream: Box<dyn StreamingAllocator>,
-    epoch: u64,
-    warmed_up: bool,
-    /// Health-check cadence in epochs (0 = disabled).
-    health_interval: u64,
-    /// Consistency-error tolerance of the health check.
-    health_tolerance: f64,
-    /// The current rung of the recovery ladder.
-    degradation: Degradation,
+    /// The epoch loop serving the configured method (for `txallo` the
+    /// hybrid/adaptive stream whose warm `AtxAlloSession` carries the
+    /// community aggregates across epochs).
+    epochs: EpochLoop,
 }
 
 impl ShardedChainSim {
@@ -111,208 +96,91 @@ impl ShardedChainSim {
     pub fn with_registry(config: SimConfig, registry: &AllocatorRegistry) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         assert!(config.epoch_blocks > 0, "epochs must contain blocks");
-        let shards = config.shards;
         // Placeholder hyper-parameters until warm-up: every stream
         // re-derives the weight-dependent fields from the graph it is
         // begun on.
-        let mut params = TxAlloParams::for_total_weight(0.0, shards)
+        let params = TxAlloParams::for_total_weight(0.0, config.shards)
             .with_eta(config.eta)
             .with_threads(config.threads);
-        if config.residency.is_some() {
-            // Cold rows read as empty through `&TxGraph`, so the adaptive
-            // update must take the touched-rows-only snapshot route —
-            // exactly the rows ingestion just rehydrated. (Route choice is
-            // result-identical either way; see `TxAlloParams`.)
-            params = params.with_incremental_threshold(1.0);
-        }
-        let stream = registry
-            .streaming(&config.method, &params, config.schedule)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut graph = TxGraph::new();
-        if let Some(res) = &config.residency {
-            graph.enable_residency(res);
-        }
-        Self {
-            config,
-            graph,
-            allocation: Allocation::new(Vec::new(), shards),
-            stream,
-            epoch: 0,
-            warmed_up: false,
-            health_interval: 0,
-            health_tolerance: 0.0,
-            degradation: Degradation::None,
-        }
+        let epochs = EpochLoop::new(
+            registry,
+            &config.method,
+            config.schedule,
+            params,
+            config.decay_per_epoch,
+            config.residency.as_ref(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        Self { config, epochs }
     }
 
     /// The accumulated transaction graph.
     pub fn graph(&self) -> &TxGraph {
-        &self.graph
+        self.epochs.graph()
     }
 
     /// The current account-shard mapping.
     pub fn allocation(&self) -> &Allocation {
-        &self.allocation
+        self.epochs.allocation()
     }
 
     /// Epochs processed since warm-up.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.epochs.epoch()
     }
 
-    /// Enables the epoch-boundary serving-state health check: every
-    /// `interval_epochs` epochs the stream's maintained aggregates are
-    /// audited against a from-scratch recomputation
-    /// ([`StreamingAllocator::consistency_error`]); a divergence above
-    /// `tolerance` steps down the recovery ladder (see [`Degradation`]) —
-    /// first invalidating the warm session, then falling back to
-    /// deterministic hash allocation. Each [`EpochReport`] records the
-    /// rung in force after its boundary.
+    /// Enables the epoch-boundary serving-state health check (see
+    /// [`EpochLoop::enable_health_check`]). Each [`EpochReport`] records
+    /// the rung in force after its boundary.
     pub fn enable_health_check(&mut self, interval_epochs: u64, tolerance: f64) {
-        self.health_interval = interval_epochs;
-        self.health_tolerance = tolerance;
+        self.epochs.enable_health_check(interval_epochs, tolerance);
     }
 
     /// The current rung of the recovery ladder.
     pub fn degradation(&self) -> Degradation {
-        self.degradation
-    }
-
-    fn current_params(&self) -> TxAlloParams {
-        let params = TxAlloParams::for_graph(&self.graph, self.config.shards)
-            .with_eta(self.config.eta)
-            .with_threads(self.config.threads);
-        if self.config.residency.is_some() {
-            params.with_incremental_threshold(1.0)
-        } else {
-            params
-        }
+        self.epochs.degradation()
     }
 
     /// Ingests the historical prefix and opens the allocation service on
     /// it (for TxAllo: one global G-TxAllo run). Returns the wall-clock
     /// time of that initial solve.
     pub fn warmup(&mut self, blocks: &[Block]) -> std::time::Duration {
-        for b in blocks {
-            self.graph.ingest_block(b);
-        }
-        let start = Instant::now(); // txallo-lint: allow(no-wall-clock) — measures solve latency for EpochReport only; no allocation decision reads the clock
-        let params = self.current_params();
-        self.allocation = self.stream.begin(&self.graph, &params);
-        self.warmed_up = true;
-        start.elapsed()
+        self.epochs.warmup(blocks)
     }
 
-    /// Processes one epoch: ingest `blocks` into the graph and the
-    /// stream, close the epoch per the service contract, then score the
-    /// epoch's transactions under the updated mapping.
+    /// Processes one epoch: feed `blocks` into the epoch loop, close the
+    /// epoch, then score the epoch's transactions under the updated
+    /// mapping.
     ///
     /// # Panics
     /// Panics if called before [`ShardedChainSim::warmup`] or with an empty
     /// block slice.
     pub fn run_epoch(&mut self, blocks: &[Block]) -> EpochReport {
-        assert!(self.warmed_up, "call warmup() before run_epoch()");
         assert!(!blocks.is_empty(), "an epoch must contain blocks");
-
-        if let Some(factor) = self.config.decay_per_epoch {
-            self.graph.apply_decay(factor);
-            // Uniform rescale: the adaptive stream folds it into its
-            // aggregates (`StateCarry::WarmRescaled`) instead of dropping
-            // its session — see `AtxAlloSession::apply_decay`.
-            self.stream.on_reweight(factor);
-        }
+        let epoch = self.epochs.epoch();
         for b in blocks {
-            // The interned view carries each transaction's dense node ids
-            // (and the deduplicated touched set) from ingestion into the
-            // stream, so the serving surface never re-hashes an account id.
-            let nodes = self.graph.ingest_block_nodes(b);
-            self.stream.on_block_nodes(&self.graph, b, &nodes);
+            self.epochs.ingest(b);
         }
-
-        self.rehydrate_for_boundary();
-        let start = Instant::now(); // txallo-lint: allow(no-wall-clock) — measures solve latency for EpochReport only; no allocation decision reads the clock
-        let update = self.stream.end_epoch(&self.graph, EpochKind::Scheduled);
-        let update_time = start.elapsed();
-        let new_accounts = update.placements();
-        self.allocation.apply_update(&update);
-        self.run_health_check();
-        self.graph.advance_residency_epoch();
-
+        let (update, update_time) = self.epochs.close(|_, _| {});
         let mut metrics = epoch_metrics(
             blocks,
-            &self.graph,
-            &self.allocation,
+            self.epochs.graph(),
+            self.epochs.allocation(),
             self.config.shards,
             self.config.eta,
         );
         metrics.migrated_accounts = update.migrations();
-        let report = EpochReport {
-            epoch: self.epoch,
+        EpochReport {
+            epoch,
             height_range: (blocks[0].height(), blocks[blocks.len() - 1].height()),
             update: update.kind,
             update_path: update.path,
             carry: update.carry,
             update_time,
-            new_accounts,
-            degradation: self.degradation,
+            new_accounts: update.placements(),
+            degradation: self.epochs.degradation(),
             metrics,
-        };
-        self.epoch += 1;
-        report
-    }
-
-    /// Rehydrates every cold row ahead of an epoch boundary that will read
-    /// the whole graph (the residency read invariant —
-    /// `txallo_graph::residency`): a scheduled global re-solve, a
-    /// consistency audit, any degraded state (whose rebuild/fallback paths
-    /// re-solve globally), or a non-adaptive method (the batch baselines
-    /// re-read the full graph at every boundary). Purely-adaptive epochs
-    /// skip this: their incremental snapshot only reads rows ingestion
-    /// just rehydrated.
-    fn rehydrate_for_boundary(&mut self) {
-        if !self.graph.residency_enabled() {
-            return;
         }
-        let audit_epoch =
-            self.health_interval != 0 && (self.epoch + 1).is_multiple_of(self.health_interval);
-        let full_read = self.config.method != "txallo"
-            || self.config.schedule.is_global_epoch(self.epoch)
-            || self.degradation != Degradation::None
-            || audit_epoch;
-        if full_read {
-            self.graph.ensure_all_resident();
-        }
-    }
-
-    /// The epoch-boundary health audit and its recovery ladder, mirroring
-    /// `txallo_chain::ChainService`.
-    fn run_health_check(&mut self) {
-        if self.health_interval == 0 || !(self.epoch + 1).is_multiple_of(self.health_interval) {
-            return;
-        }
-        let Some(err) = self.stream.consistency_error(&self.graph) else {
-            return; // nothing maintained, nothing to diverge
-        };
-        if err <= self.health_tolerance {
-            return;
-        }
-        if self.degradation < Degradation::Invalidated && self.stream.invalidate_state() {
-            // First strike: drop the warm aggregates, keep the labels;
-            // the next boundary rebuilds from the graph.
-            self.degradation = Degradation::Invalidated;
-            return;
-        }
-        // Last rung: swap in deterministic hash allocation so the epoch
-        // loop keeps running — quality is sacrificed, visibly.
-        let params = self.current_params();
-        let mut fallback = GlobalStream::new(
-            "hash-fallback",
-            params.clone(),
-            Box::new(|g, p| HashAllocator::new(p.shards).allocate_graph(g)),
-        );
-        self.allocation = fallback.begin(&self.graph, &params);
-        self.stream = Box::new(fallback);
-        self.degradation = Degradation::HashFallback;
     }
 
     /// Convenience: run a whole stream of blocks in `epoch_blocks`-sized
@@ -334,14 +202,7 @@ impl ShardedChainSim {
     where
         I: IntoIterator<Item = Block>,
     {
-        for b in blocks {
-            self.graph.ingest_block(&b);
-        }
-        let start = Instant::now(); // txallo-lint: allow(no-wall-clock) — measures solve latency for EpochReport only; no allocation decision reads the clock
-        let params = self.current_params();
-        self.allocation = self.stream.begin(&self.graph, &params);
-        self.warmed_up = true;
-        start.elapsed()
+        self.epochs.warmup(blocks)
     }
 
     /// Runs `epochs` epochs, synthesizing each epoch's blocks on demand
@@ -355,7 +216,7 @@ impl ShardedChainSim {
     {
         (0..epochs)
             .map(|_| {
-                let blocks = epoch_blocks(self.epoch);
+                let blocks = epoch_blocks(self.epoch());
                 self.run_epoch(&blocks)
             })
             .collect()
@@ -365,13 +226,13 @@ impl ShardedChainSim {
     /// [`MemoryFootprint`]) — slab arena, interner, residency index,
     /// spill.
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        self.graph.memory_footprint()
+        self.epochs.graph().memory_footprint()
     }
 
     /// Approximate resident bytes of the allocator's own serving state
     /// (session aggregates, snapshot buffer, sweep scratch).
     pub fn allocator_state_bytes(&self) -> usize {
-        self.stream.state_bytes()
+        self.epochs.allocator_state_bytes()
     }
 }
 
@@ -642,45 +503,54 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let w = StreamingWorkload::new(cfg, 77);
-        let base = SimConfig {
-            decay_per_epoch: Some(0.8),
-            ..config(4, 10, HybridSchedule::Hybrid { global_gap: 4 })
-        };
-        let run = |residency: Option<ResidencyConfig>| {
-            let mut sim = ShardedChainSim::new(SimConfig {
-                residency,
-                ..base.clone()
-            });
-            sim.enable_health_check(3, 1e-6);
-            sim.warmup_streamed(w.blocks(0..40));
-            let reports = sim.run_stream_with(12, |e| w.epoch_blocks(e + 4, 10));
-            (reports, sim)
-        };
-        let (plain, plain_sim) = run(None);
-        let (evicted, evicted_sim) = run(Some(ResidencyConfig::in_memory(1)));
-        assert!(
-            evicted_sim.memory_footprint().evicted_rows > 0,
-            "the window must actually evict"
-        );
-        assert_eq!(plain.len(), evicted.len());
-        for (a, b) in plain.iter().zip(&evicted) {
-            assert_eq!(a.update, b.update, "epoch {}", a.epoch);
-            assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
-            assert_eq!(
-                a.metrics.throughput_normalized.to_bits(),
-                b.metrics.throughput_normalized.to_bits(),
-                "epoch {}: out-of-core replay must be bit-identical",
-                a.epoch
-            );
-            assert_eq!(a.metrics.migrated_accounts, b.metrics.migrated_accounts);
-            assert_eq!(a.degradation, b.degradation);
+        // A batch baseline re-reads the whole graph at every boundary, and
+        // an impossible tolerance walks the recovery ladder down to the
+        // hash fallback: both must rehydrate before they close.
+        for method in ["txallo", "metis"] {
+            for tolerance in [1e-6, -1.0] {
+                let base = SimConfig {
+                    method: method.into(),
+                    decay_per_epoch: Some(0.8),
+                    ..config(4, 10, HybridSchedule::Hybrid { global_gap: 4 })
+                };
+                let run = |residency: Option<ResidencyConfig>| {
+                    let mut sim = ShardedChainSim::new(SimConfig {
+                        residency,
+                        ..base.clone()
+                    });
+                    sim.enable_health_check(3, tolerance);
+                    sim.warmup_streamed(w.blocks(0..40));
+                    let reports = sim.run_stream_with(12, |e| w.epoch_blocks(e + 4, 10));
+                    (reports, sim)
+                };
+                let (plain, plain_sim) = run(None);
+                let (evicted, evicted_sim) = run(Some(ResidencyConfig::in_memory(1)));
+                assert!(
+                    evicted_sim.memory_footprint().evicted_rows > 0,
+                    "the window must actually evict"
+                );
+                assert_eq!(plain.len(), evicted.len());
+                for (a, b) in plain.iter().zip(&evicted) {
+                    assert_eq!(a.update, b.update, "epoch {}", a.epoch);
+                    assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
+                    assert_eq!(
+                        a.metrics.throughput_normalized.to_bits(),
+                        b.metrics.throughput_normalized.to_bits(),
+                        "{method}, tolerance {tolerance}, epoch {}: \
+                         out-of-core replay must be bit-identical",
+                        a.epoch
+                    );
+                    assert_eq!(a.metrics.migrated_accounts, b.metrics.migrated_accounts);
+                    assert_eq!(a.degradation, b.degradation);
+                }
+                assert_eq!(
+                    plain_sim.allocation().labels(),
+                    evicted_sim.allocation().labels(),
+                    "final mappings must match label-for-label"
+                );
+                assert!(evicted_sim.allocator_state_bytes() > 0);
+            }
         }
-        assert_eq!(
-            plain_sim.allocation().labels(),
-            evicted_sim.allocation().labels(),
-            "final mappings must match label-for-label"
-        );
-        assert!(evicted_sim.allocator_state_bytes() > 0);
     }
 
     #[test]

@@ -332,8 +332,8 @@ impl StreamingWorkload {
 
     /// Lazily synthesizes a contiguous range of blocks — one block alive
     /// at a time, for feeding iterator-driven replay loops
-    /// (`ShardedChainSim::warmup_streamed`, `ChainService::run_streamed`)
-    /// without materializing the range.
+    /// (`ShardedChainSim::warmup_streamed`, or `ChainService::process_block`
+    /// per block) without materializing the range.
     pub fn block_iter(&self, heights: Range<u64>) -> impl Iterator<Item = Block> + '_ {
         heights.map(|h| self.block_at(h))
     }
