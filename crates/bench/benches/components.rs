@@ -13,7 +13,8 @@
 //! and `csr/*` for the snapshot build (`csr/build_seed` is the edge-list
 //! extraction + per-row sort; `csr/build` the counting-sort rewrite). The
 //! `scale/*` group repeats the build benchmarks on a 50k-account /
-//! 400k-transaction workload, where the §VI-B6 init cost actually bites.
+//! 400k-transaction workload, where the §VI-B6 init cost actually bites,
+//! and times both METIS drivers (k = 20) on it, where coarsening stalls.
 //!
 //! Run with `cargo bench -p txallo-bench --bench components`.
 
@@ -31,7 +32,7 @@ use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{
     aggregate_graph_threaded, louvain, louvain_csr, AggregateScratch, LouvainConfig,
 };
-use txallo_metis::{metis_partition, MetisConfig};
+use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
 use txallo_model::{Block, FxHashMap};
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
@@ -358,6 +359,17 @@ fn bench_scale(_: &mut Criterion) {
     c.bench_function("scale/gtxallo_end_to_end_50k", |b| {
         let gtx = GTxAllo::new(TxAlloParams::for_graph(&graph, 40));
         b.iter(|| gtx.allocate_graph(&graph));
+    });
+    // METIS where coarsening stalls: heavy-edge matching cannot pair a
+    // hub's many leaves, so the hierarchy stops far above its target and
+    // the greedy grower and FM refinement run on a large coarsest graph
+    // (the shape of the served `metis` epochs).
+    let metis = MetisConfig::new(20);
+    c.bench_function("scale/metis_partition", |b| {
+        b.iter(|| black_box(metis_partition(&graph, &metis)));
+    });
+    c.bench_function("scale/metis_recursive", |b| {
+        b.iter(|| black_box(recursive_bisection_partition(&graph, &metis)));
     });
 }
 

@@ -126,7 +126,8 @@ impl DenseAccumulator {
 }
 
 /// Per-row candidate cache and active set of the serial incremental
-/// sweeps (Louvain local moving, the G-TxAllo optimization phase).
+/// sweeps (Louvain local moving, the G-TxAllo optimization phase, the
+/// METIS FM boundary pass with parts as buckets).
 ///
 /// A row's move decision depends on two inputs: its gathered
 /// `(bucket, weight)` candidate list, which changes only when a neighbor

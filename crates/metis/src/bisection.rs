@@ -8,70 +8,32 @@
 use txallo_graph::{AdjacencyGraph, DenseIndexMap, NodeId, WeightedGraph};
 
 use crate::coarsen::coarsen_threaded;
+use crate::frontier::{heaviest_first, GrowFrontier};
 use crate::refine::fm_refine_with_targets_threaded;
 use crate::MetisConfig;
 
 /// Grows one region to `frac` of the total vertex weight (2-way greedy
-/// graph growing); everything else is part 1.
-fn grow_bisection(graph: &AdjacencyGraph, vertex_weights: &[f64], frac: f64) -> Vec<u32> {
+/// graph growing, same frontier as the k-way grower); everything else is
+/// part 1. When the frontier runs dry (a disconnected graph), the next
+/// heaviest unassigned vertex joins the region; the first one is the seed.
+pub(crate) fn grow_bisection(
+    graph: &AdjacencyGraph,
+    vertex_weights: &[f64],
+    frac: f64,
+) -> Vec<u32> {
     let n = graph.node_count();
     let mut parts = vec![1u32; n];
-    if n == 0 {
-        return parts;
-    }
     let total: f64 = vertex_weights.iter().sum();
     let target = total * frac;
 
-    let mut by_weight: Vec<NodeId> = (0..n as NodeId).collect();
-    by_weight.sort_unstable_by(|&a, &b| {
-        vertex_weights[b as usize]
-            .partial_cmp(&vertex_weights[a as usize])
-            .expect("finite weights") // txallo-lint: allow(lib-unwrap) — vertex weights are finite strengths (floored positive), so partial_cmp is total
-            .then(a.cmp(&b))
-    });
-
-    let seed = by_weight[0];
-    parts[seed as usize] = 0;
-    let mut region_weight = vertex_weights[seed as usize];
-    // Dense frontier state: accumulated gain per node plus a frontier list
-    // (entries for nodes later absorbed into the region go stale and are
-    // skipped by the `parts` check — no hash map, no removals).
-    let mut gain = vec![0.0f64; n];
-    let mut in_frontier = vec![false; n];
-    let mut frontier: Vec<NodeId> = Vec::new();
-    graph.for_each_neighbor(seed, |u, w| {
-        gain[u as usize] += w;
-        if !in_frontier[u as usize] {
-            in_frontier[u as usize] = true;
-            frontier.push(u);
-        }
-    });
-
-    let mut cursor = 1usize;
+    let by_weight = heaviest_first(vertex_weights);
+    let mut frontier = GrowFrontier::new(n, 1);
+    let mut region_weight = 0.0;
+    let mut cursor = 0usize;
     while region_weight < target {
-        // Best frontier candidate: largest gain, then largest gain/strength
-        // ratio, then smallest id (same policy as the k-way grower).
-        let mut best: Option<(NodeId, f64, f64)> = None;
-        for &u in &frontier {
-            if parts[u as usize] == 0 {
-                continue;
-            }
-            let g = gain[u as usize];
-            let ratio = g / graph.strength(u).max(crate::RATIO_FLOOR);
-            let better = match best {
-                None => true,
-                Some((bu, bg, br)) => {
-                    g > bg || (g == bg && (ratio > br || (ratio == br && u < bu)))
-                }
-            };
-            if better {
-                best = Some((u, g, ratio));
-            }
-        }
-        let next = match best {
-            Some((u, _, _)) => u,
+        let next = match frontier.pop(&parts) {
+            Some(u) => u,
             None => {
-                // Disconnected frontier: pull the next heaviest unassigned.
                 while cursor < n && parts[by_weight[cursor] as usize] == 0 {
                     cursor += 1;
                 }
@@ -83,15 +45,7 @@ fn grow_bisection(graph: &AdjacencyGraph, vertex_weights: &[f64], frac: f64) -> 
         };
         parts[next as usize] = 0;
         region_weight += vertex_weights[next as usize];
-        graph.for_each_neighbor(next, |u, w| {
-            if parts[u as usize] == 1 {
-                gain[u as usize] += w;
-                if !in_frontier[u as usize] {
-                    in_frontier[u as usize] = true;
-                    frontier.push(u);
-                }
-            }
-        });
+        frontier.absorb(graph, &parts, next);
     }
     parts
 }
@@ -107,39 +61,23 @@ fn multilevel_bisect(
     let total: f64 = vertex_weights.iter().sum();
     let targets = [total * frac, total * (1.0 - frac)];
     let floor = config.coarsen_target.clamp(40, 4_000);
-    let hierarchy = coarsen_threaded(graph, vertex_weights, floor, config.threads);
-    let coarsest = hierarchy.last().expect("base level exists"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
+    let mut hierarchy = coarsen_threaded(graph, vertex_weights, floor, config.threads);
+    let mut level = hierarchy.pop().expect("base level exists"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
 
-    let mut parts = grow_bisection(&coarsest.graph, &coarsest.vertex_weights, frac);
-    fm_refine_with_targets_threaded(
-        &coarsest.graph,
-        &coarsest.vertex_weights,
-        &mut parts,
-        &targets,
-        config.balance_factor,
-        config.refine_passes,
-        config.threads,
-    );
-    for level in (0..hierarchy.len() - 1).rev() {
-        let fine = &hierarchy[level];
-        let map = hierarchy[level + 1]
-            .fine_to_coarse
-            .as_ref()
-            .expect("projection map"); // txallo-lint: allow(lib-unwrap) — every non-base level is built by coarsen() with its projection map populated
-        let mut fine_parts = vec![0u32; fine.graph.node_count()];
-        for (v, p) in fine_parts.iter_mut().enumerate() {
-            *p = parts[map[v] as usize];
-        }
-        parts = fine_parts;
+    let mut parts = grow_bisection(&level.graph, &level.vertex_weights, frac);
+    loop {
         fm_refine_with_targets_threaded(
-            &fine.graph,
-            &fine.vertex_weights,
+            &level.graph,
+            &level.vertex_weights,
             &mut parts,
             &targets,
             config.balance_factor,
             config.refine_passes,
             config.threads,
         );
+        let Some(fine) = hierarchy.pop() else { break };
+        parts = crate::project(&parts, level.fine_to_coarse);
+        level = fine;
     }
     parts
 }
@@ -237,12 +175,7 @@ pub fn recursive_bisection_partition(
         };
     }
     let base = AdjacencyGraph::from_graph(graph);
-    let vertex_weights: Vec<f64> = match config.weighting {
-        crate::VertexWeighting::Unit => vec![1.0; n],
-        crate::VertexWeighting::Strength => (0..n as NodeId)
-            .map(|v| graph.strength(v).max(crate::STRENGTH_FLOOR))
-            .collect(),
-    };
+    let vertex_weights = config.weighting.of(graph);
     let mut parts = vec![0u32; n];
     let nodes: Vec<NodeId> = (0..n as NodeId).collect();
     let mut local_of = DenseIndexMap::new();

@@ -1,14 +1,21 @@
 //! Initial partitioning via greedy graph growing (GGGP).
 
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{AdjacencyGraph, WeightedGraph};
+
+use crate::frontier::{heaviest_first, GrowFrontier};
+
+/// Part label of a vertex no region has taken yet.
+const UNASSIGNED: u32 = u32::MAX;
 
 /// Produces an initial `k`-way partition of (the coarsest) `graph`.
 ///
 /// For each part in turn, the heaviest unassigned vertex seeds a region,
 /// which greedily absorbs the unassigned neighbor with the strongest
-/// connection to the region until the region reaches the target vertex
-/// weight `total/k`. Unreached vertices are swept into the currently
-/// lightest parts at the end.
+/// connection to the region (ties: the larger share of the neighbor's
+/// strength, then the smaller id) until the region reaches the target
+/// vertex weight `total/k`. A candidate that would push the region past
+/// `target × balance_factor` is left for later parts. Unreached vertices
+/// are swept into the currently lightest parts at the end.
 pub fn greedy_growing_partition(
     graph: &AdjacencyGraph,
     vertex_weights: &[f64],
@@ -16,7 +23,7 @@ pub fn greedy_growing_partition(
     balance_factor: f64,
 ) -> Vec<u32> {
     let n = graph.node_count();
-    let mut parts = vec![u32::MAX; n];
+    let mut parts = vec![UNASSIGNED; n];
     if n == 0 {
         return parts;
     }
@@ -27,53 +34,14 @@ pub fn greedy_growing_partition(
     let target = total / k as f64;
     let cap = target * balance_factor;
 
-    // Heaviest-first seed order, ties toward smaller id (determinism).
-    let mut by_weight: Vec<NodeId> = (0..n as NodeId).collect();
-    by_weight.sort_unstable_by(|&a, &b| {
-        vertex_weights[b as usize]
-            .partial_cmp(&vertex_weights[a as usize])
-            .expect("finite weights") // txallo-lint: allow(lib-unwrap) — vertex weights are finite strengths (floored positive), so partial_cmp is total
-            .then(a.cmp(&b))
-    });
-
+    let by_weight = heaviest_first(vertex_weights);
     let mut part_weight = vec![0.0f64; k];
     let mut seed_cursor = 0usize;
-
-    // Dense frontier state, reused across parts (sparse-reset through the
-    // frontier list — same structure as `bisection::grow_bisection`, no
-    // hash map, so the candidate scan order is canonical per contract D1).
-    // `in_map` mirrors membership of the old gain map exactly: removal
-    // zeroes the gain, and a later absorb re-inserts the node with freshly
-    // accumulated gain, which is what `entry().or_insert(0.0)` did after a
-    // `remove`. Selection is a strict total order on (gain desc, ratio
-    // desc, id asc), so the chosen node is scan-order independent and the
-    // produced partition is bit-identical to the hash-map implementation.
-    let mut gain = vec![0.0f64; n];
-    let mut in_map = vec![false; n];
-    let mut frontier: Vec<NodeId> = Vec::new();
-
-    fn absorb_frontier(
-        graph: &AdjacencyGraph,
-        v: NodeId,
-        parts: &[u32],
-        gain: &mut [f64],
-        in_map: &mut [bool],
-        frontier: &mut Vec<NodeId>,
-    ) {
-        graph.for_each_neighbor(v, |u, w| {
-            if parts[u as usize] == u32::MAX {
-                gain[u as usize] += w;
-                if !in_map[u as usize] {
-                    in_map[u as usize] = true;
-                    frontier.push(u);
-                }
-            }
-        });
-    }
+    let mut frontier = GrowFrontier::new(n, UNASSIGNED);
 
     for part in 0..k as u32 {
         // Find the next unassigned seed.
-        while seed_cursor < n && parts[by_weight[seed_cursor] as usize] != u32::MAX {
+        while seed_cursor < n && parts[by_weight[seed_cursor] as usize] != UNASSIGNED {
             seed_cursor += 1;
         }
         if seed_cursor >= n {
@@ -82,56 +50,24 @@ pub fn greedy_growing_partition(
         let seed = by_weight[seed_cursor];
         parts[seed as usize] = part;
         part_weight[part as usize] += vertex_weights[seed as usize];
-
-        // Reset the previous part's frontier state sparsely.
-        for &u in &frontier {
-            gain[u as usize] = 0.0;
-            in_map[u as usize] = false;
-        }
         frontier.clear();
-        absorb_frontier(graph, seed, &parts, &mut gain, &mut in_map, &mut frontier);
+        frontier.absorb(graph, &parts, seed);
 
         while part_weight[part as usize] < target {
-            // Deterministic max: largest gain; ties prefer the node whose
-            // gain is the largest fraction of its strength (an "absorption"
-            // preference that keeps the region from leaking across weak
-            // bridge edges into foreign clusters); final tie → smallest id.
-            // (Re-inserted nodes appear twice in `frontier`; the duplicate
-            // evaluates the identical candidate, so the max is unaffected.)
-            let mut best: Option<(NodeId, f64, f64)> = None;
-            for &u in &frontier {
-                if !in_map[u as usize] || parts[u as usize] != u32::MAX {
-                    continue;
-                }
-                let g = gain[u as usize];
-                let ratio = g / graph.strength(u).max(crate::RATIO_FLOOR);
-                let better = match best {
-                    None => true,
-                    Some((bu, bg, br)) => {
-                        g > bg || (g == bg && (ratio > br || (ratio == br && u < bu)))
-                    }
-                };
-                if better {
-                    best = Some((u, g, ratio));
-                }
-            }
-            let Some((u, _, _)) = best else { break };
-            // Remove from the candidate set (mirrors `gain.remove`).
-            in_map[u as usize] = false;
-            gain[u as usize] = 0.0;
+            let Some(u) = frontier.pop(&parts) else { break };
             if part_weight[part as usize] + vertex_weights[u as usize] > cap {
                 // Too big for this part; leave it for later parts.
                 continue;
             }
             parts[u as usize] = part;
             part_weight[part as usize] += vertex_weights[u as usize];
-            absorb_frontier(graph, u, &parts, &mut gain, &mut in_map, &mut frontier);
+            frontier.absorb(graph, &parts, u);
         }
     }
 
     // Sweep leftovers into the lightest part.
     for v in 0..n {
-        if parts[v] == u32::MAX {
+        if parts[v] == UNASSIGNED {
             let lightest = (0..k)
                 .min_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).expect("finite")) // txallo-lint: allow(lib-unwrap) — part weights are finite sums of finite vertex weights, so partial_cmp is total
                 .expect("k > 0"); // txallo-lint: allow(lib-unwrap) — the k == 0 assert and k == 1 early return above guarantee a non-empty range

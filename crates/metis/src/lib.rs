@@ -23,6 +23,7 @@
 
 pub mod bisection;
 pub mod coarsen;
+mod frontier;
 pub mod initial;
 pub mod refine;
 
@@ -63,6 +64,18 @@ pub enum VertexWeighting {
     /// partitioning literature feeds account graphs to METIS.
     #[default]
     Strength,
+}
+
+impl VertexWeighting {
+    /// The balance weight of every node of `graph`.
+    pub(crate) fn of(self, graph: &impl WeightedGraph) -> Vec<f64> {
+        match self {
+            Self::Unit => vec![1.0; graph.node_count()],
+            Self::Strength => (0..graph.node_count() as NodeId)
+                .map(|v| graph.strength(v).max(STRENGTH_FLOOR))
+                .collect(),
+        }
+    }
 }
 
 /// Configuration for [`metis_partition`].
@@ -138,67 +151,56 @@ pub fn metis_partition(graph: &(impl WeightedGraph + Sync), config: &MetisConfig
     }
 
     let base = AdjacencyGraph::from_graph(graph);
-    let vertex_weights: Vec<f64> = match config.weighting {
-        VertexWeighting::Unit => vec![1.0; n],
-        VertexWeighting::Strength => (0..n as NodeId)
-            .map(|v| graph.strength(v).max(STRENGTH_FLOOR))
-            .collect(),
-    };
+    let vertex_weights = config.weighting.of(graph);
 
     // Phase 1: coarsen.
     let coarsen_floor = config.coarsen_target.max(20 * config.parts);
-    let hierarchy = coarsen_threaded(base, vertex_weights, coarsen_floor, config.threads);
+    let mut hierarchy = coarsen_threaded(base, vertex_weights, coarsen_floor, config.threads);
     let levels = hierarchy.len();
-    let coarsest = hierarchy
-        .last()
+    let mut level = hierarchy
+        .pop()
         .expect("hierarchy always has the base level"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
 
     // Phase 2: initial partition of the coarsest graph.
     let mut parts = greedy_growing_partition(
-        &coarsest.graph,
-        &coarsest.vertex_weights,
+        &level.graph,
+        &level.vertex_weights,
         config.parts,
         config.balance_factor,
     );
-    fm_refine_threaded(
-        &coarsest.graph,
-        &coarsest.vertex_weights,
-        &mut parts,
-        config.parts,
-        config.balance_factor,
-        config.refine_passes,
-        config.threads,
-    );
-
-    // Phase 3: project back and refine at every level.
-    for level in (0..levels - 1).rev() {
-        let fine = &hierarchy[level];
-        let coarse_map = hierarchy[level + 1]
-            .fine_to_coarse
-            .as_ref()
-            .expect("non-base levels store their projection map"); // txallo-lint: allow(lib-unwrap) — every non-base level is built by coarsen() with its projection map populated
-        let mut fine_parts = vec![0u32; fine.graph.node_count()];
-        for (v, p) in fine_parts.iter_mut().enumerate() {
-            *p = parts[coarse_map[v] as usize];
-        }
-        parts = fine_parts;
+    // Phase 3: refine, then project one level finer, down to the base
+    // graph. Each coarse level is dropped once its partition is projected.
+    loop {
         fm_refine_threaded(
-            &fine.graph,
-            &fine.vertex_weights,
+            &level.graph,
+            &level.vertex_weights,
             &mut parts,
             config.parts,
             config.balance_factor,
             config.refine_passes,
             config.threads,
         );
+        let Some(fine) = hierarchy.pop() else { break };
+        parts = project(&parts, level.fine_to_coarse);
+        level = fine;
     }
 
-    let cut = edge_cut(&hierarchy[0].graph, &parts);
+    let cut = edge_cut(&level.graph, &parts);
     MetisResult {
         parts,
         edge_cut: cut,
         levels,
     }
+}
+
+/// The partition of a level's finer neighbor: each fine node takes its
+/// coarse node's part through the coarse level's projection map.
+fn project(coarse_parts: &[u32], fine_to_coarse: Option<Vec<u32>>) -> Vec<u32> {
+    fine_to_coarse
+        .expect("non-base levels store their projection map") // txallo-lint: allow(lib-unwrap) — every non-base level is built by coarsen() with its projection map populated
+        .iter()
+        .map(|&c| coarse_parts[c as usize])
+        .collect()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! pass at every thread count, and `threads <= 1` *is* the serial code.
 
 use txallo_graph::par::{entry_balanced_split, for_each_chunk_mut, reduce_tree, resolve_threads};
-use txallo_graph::{fit_u32, AdjacencyGraph, DenseAccumulator, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, AdjacencyGraph, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
 /// Minimum cut improvement for an FM move to count as a gain. A
 /// magnitude floor against float dust from the link accumulator, not a
@@ -57,15 +57,14 @@ pub fn fm_refine(
     balance_factor: f64,
     max_passes: usize,
 ) {
-    let total: f64 = vertex_weights.iter().sum();
-    let targets = vec![total / k.max(1) as f64; k];
-    fm_refine_with_targets(
+    fm_refine_threaded(
         graph,
         vertex_weights,
         parts,
-        &targets,
+        k,
         balance_factor,
         max_passes,
+        1,
     );
 }
 
@@ -84,77 +83,106 @@ pub fn fm_refine_with_targets(
     if n == 0 || k <= 1 {
         return;
     }
-    let caps: Vec<f64> = targets.iter().map(|t| t * balance_factor).collect();
-    let floors: Vec<f64> = targets.iter().map(|t| t * (2.0 - balance_factor)).collect();
+    let mut part_weight = part_weights(parts, vertex_weights, k);
 
-    let mut part_weight = vec![0.0f64; k];
-    for (v, &p) in parts.iter().enumerate() {
-        part_weight[p as usize] += vertex_weights[v];
-    }
-
-    // Dense per-part link weights, reused across every vertex visit (no
-    // hashing or allocation on the refinement hot path).
+    // Incremental boundary passes on the shared `SweepCache`, parts as
+    // buckets. A vertex's decision reads its per-part links (stale only
+    // once a neighbor moves) and the weights of its own and listed parts
+    // (changed only by moves touching them). So gathers are cached until a
+    // neighbor moves, a fresh vertex whose parts are untouched since its
+    // last evaluation is skipped, and an interior vertex sits out until a
+    // neighbor's move. Each pass visits the active vertices in ascending
+    // id order, so the move sequence is the full scan's, byte for byte.
+    let mut cache = SweepCache::new(k, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
     let mut link = DenseAccumulator::new();
     for _ in 0..max_passes {
         let mut improved = false;
-        for v in 0..n as NodeId {
-            let from = parts[v as usize];
-            link.begin(k);
-            let mut is_boundary = false;
-            graph.for_each_neighbor(v, |u, w| {
-                let pu = parts[u as usize];
-                if pu != from {
-                    is_boundary = true;
-                }
-                link.add(pu, w);
-            });
-            if !is_boundary {
+        let mut next = 0;
+        while let Some(vi) = cache.next_active(next) {
+            next = vi + 1;
+            let v = fit_u32(vi);
+            let from = parts[vi];
+            if cache.is_stale(vi) {
+                link.begin(k);
+                graph.for_each_neighbor(v, |u, w| link.add(parts[u as usize], w));
+                // Candidate destinations in ascending part order (determinism).
+                link.sort_touched();
+                cache.store(vi, link.entries());
+            } else if cache.unchanged_since_eval(vi, from) {
                 continue;
             }
-            let w_v = vertex_weights[v as usize];
-            let internal = link.get(from);
-            // Candidate destinations in ascending part order (determinism).
-            link.sort_touched();
-
-            let mut best: Option<(u32, f64)> = None;
-            for (to, external) in link.entries() {
-                if to == from {
-                    continue;
-                }
-                let gain = external - internal;
-                if gain <= FM_GAIN_MIN {
-                    continue;
-                }
-                // A move is admissible if the destination stays within the
-                // cap, or if it still strictly improves the balance (moving
-                // from a heavier to a lighter part) — the escape hatch that
-                // keeps refinement live when parts sit exactly at the cap.
-                let dest_ok = part_weight[to as usize] + w_v <= caps[to as usize]
-                    || part_weight[to as usize] + w_v < part_weight[from as usize];
-                if !dest_ok {
-                    continue;
-                }
-                if part_weight[from as usize] - w_v < floors[from as usize]
-                    && part_weight[from as usize] <= targets[from as usize]
-                {
-                    continue;
-                }
-                match best {
-                    Some((bp, bg)) if gain < bg || (gain == bg && to > bp) => {}
-                    _ => best = Some((to, gain)),
-                }
-            }
-            if let Some((to, _)) = best {
-                parts[v as usize] = to;
+            let Some(entries) = cache.evaluate(vi, from) else {
+                continue; // Interior vertex: no neighbor in another part.
+            };
+            let w_v = vertex_weights[vi];
+            if let Some(to) = best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
+                parts[vi] = to;
                 part_weight[from as usize] -= w_v;
                 part_weight[to as usize] += w_v;
                 improved = true;
+                cache.commit_move(from, to);
+                graph.for_each_neighbor(v, |u, _| cache.invalidate(u as usize));
             }
         }
         if !improved {
             break;
         }
     }
+}
+
+/// Vertex weight per part.
+fn part_weights(parts: &[u32], vertex_weights: &[f64], k: usize) -> Vec<f64> {
+    let mut part_weight = vec![0.0f64; k];
+    for (v, &p) in parts.iter().enumerate() {
+        part_weight[p as usize] += vertex_weights[v];
+    }
+    part_weight
+}
+
+/// The boundary pass's decision for one vertex of weight `w_v` in part
+/// `from`, given its `(part, link weight)` entries ascending by part: the
+/// destination with the largest cut reduction above [`FM_GAIN_MIN`] that
+/// the balance rule admits, ties toward the smaller part id.
+fn best_move(
+    entries: &[(u32, f64)],
+    from: u32,
+    w_v: f64,
+    part_weight: &[f64],
+    targets: &[f64],
+    balance_factor: f64,
+) -> Option<u32> {
+    let internal = entries.iter().find(|e| e.0 == from).map_or(0.0, |e| e.1);
+    let mut best: Option<(u32, f64)> = None;
+    for &(to, external) in entries {
+        if to == from {
+            continue;
+        }
+        let gain = external - internal;
+        if gain <= FM_GAIN_MIN {
+            continue;
+        }
+        // A move is admissible if the destination stays within the cap, or
+        // if it still strictly improves the balance (moving from a heavier
+        // to a lighter part) — the escape hatch that keeps refinement live
+        // when parts sit exactly at the cap.
+        let dest_ok = part_weight[to as usize] + w_v <= targets[to as usize] * balance_factor
+            || part_weight[to as usize] + w_v < part_weight[from as usize];
+        if !dest_ok {
+            continue;
+        }
+        // The source must not drop below `target × (2 − balance_factor)`
+        // unless it is over target.
+        if part_weight[from as usize] - w_v < targets[from as usize] * (2.0 - balance_factor)
+            && part_weight[from as usize] <= targets[from as usize]
+        {
+            continue;
+        }
+        match best {
+            Some((bp, bg)) if gain < bg || (gain == bg && to > bp) => {}
+            _ => best = Some((to, gain)),
+        }
+    }
+    best.map(|(to, _)| to)
 }
 
 /// [`fm_refine`] with a thread-count knob (see the module docs):
@@ -212,13 +240,7 @@ pub fn fm_refine_with_targets_threaded(
     if n == 0 || k <= 1 {
         return;
     }
-    let caps: Vec<f64> = targets.iter().map(|t| t * balance_factor).collect();
-    let floors: Vec<f64> = targets.iter().map(|t| t * (2.0 - balance_factor)).collect();
-
-    let mut part_weight = vec![0.0f64; k];
-    for (v, &p) in parts.iter().enumerate() {
-        part_weight[p as usize] += vertex_weights[v];
-    }
+    let mut part_weight = part_weights(parts, vertex_weights, k);
 
     // Canonical row ranges for the cache refresh (house pattern: the
     // cache slots are position-identical pure functions of row + frozen
@@ -308,33 +330,7 @@ pub fn fm_refine_with_targets_threaded(
                 continue;
             }
             let w_v = vertex_weights[v];
-            let internal = entries.iter().find(|e| e.0 == from).map_or(0.0, |e| e.1);
-
-            let mut best: Option<(u32, f64)> = None;
-            for &(to, external) in entries {
-                if to == from {
-                    continue;
-                }
-                let gain = external - internal;
-                if gain <= FM_GAIN_MIN {
-                    continue;
-                }
-                let dest_ok = part_weight[to as usize] + w_v <= caps[to as usize]
-                    || part_weight[to as usize] + w_v < part_weight[from as usize];
-                if !dest_ok {
-                    continue;
-                }
-                if part_weight[from as usize] - w_v < floors[from as usize]
-                    && part_weight[from as usize] <= targets[from as usize]
-                {
-                    continue;
-                }
-                match best {
-                    Some((bp, bg)) if gain < bg || (gain == bg && to > bp) => {}
-                    _ => best = Some((to, gain)),
-                }
-            }
-            if let Some((to, _)) = best {
+            if let Some(to) = best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
                 parts[v] = to;
                 part_weight[from as usize] -= w_v;
                 part_weight[to as usize] += w_v;
@@ -492,6 +488,39 @@ mod tests {
         }
     }
 
+    /// A seeded random instance for the cached boundary pass: `n` vertices
+    /// on a ring (so an early vertex's neighbor can sit far ahead of it)
+    /// plus random chords, edge weights from {0.5, 1, 1.5, 2}, vertex
+    /// weights from {1, 2, 3}, and a random start over `k` parts.
+    fn random_instance(n: usize, k: usize, seed: u64) -> (AdjacencyGraph, Vec<f64>, Vec<u32>) {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7);
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize
+        };
+        let mut edges = Vec::new();
+        for v in 0..n {
+            edges.push((v as NodeId, ((v + 1) % n) as NodeId, 1.0));
+            for _ in 0..2 {
+                let u = next() % n;
+                if u != v {
+                    edges.push((v as NodeId, u as NodeId, 0.5 * (1 + next() % 4) as f64));
+                }
+            }
+        }
+        let weights = (0..n).map(|_| (1 + next() % 3) as f64).collect();
+        let start = (0..n).map(|_| (next() % k) as u32).collect();
+        (AdjacencyGraph::from_edges(n, edges), weights, start)
+    }
+
+    /// The cached boundary pass against the ordered-map full scan. Beyond
+    /// the community instance, the random instances run several passes
+    /// under tight balance factors, where the caps and floors reject
+    /// positive-gain moves (so a fresh row's skip must track the part
+    /// weights its decision reads), and where a move re-activates a row
+    /// behind the cursor that must move in the next pass.
     #[test]
     fn dense_refine_matches_ordered_map_reference_byte_for_byte() {
         // A messy multi-part instance: 4 communities, noisy chords, varied
@@ -511,15 +540,24 @@ mod tests {
         }
         let g = AdjacencyGraph::from_edges(40, edges);
         let weights: Vec<f64> = (0..40).map(|v| 1.0 + (v % 5) as f64 * 0.25).collect();
-        let total: f64 = weights.iter().sum();
-        let targets = vec![total / 4.0; 4];
         let start: Vec<u32> = (0..40).map(|v| (v % 4) as u32).collect();
-
-        let mut dense = start.clone();
-        fm_refine_with_targets(&g, &weights, &mut dense, &targets, 1.1, 12);
-        let mut reference = start;
-        reference_refine(&g, &weights, &mut reference, &targets, 1.1, 12);
-        assert_eq!(dense, reference, "dense scratch diverged from reference");
+        let mut instances = vec![(g, weights, start, 4, 1.1)];
+        for seed in 0..24u64 {
+            let k = [2usize, 3, 5, 8][seed as usize % 4];
+            let (g, weights, start) = random_instance(30 + 7 * seed as usize, k, seed);
+            for bf in [1.0, 1.03, 1.1, 1.5] {
+                instances.push((g.clone(), weights.clone(), start.clone(), k, bf));
+            }
+        }
+        for (i, (g, weights, start, k, bf)) in instances.into_iter().enumerate() {
+            let total: f64 = weights.iter().sum();
+            let targets = vec![total / k as f64; k];
+            let mut dense = start.clone();
+            fm_refine_with_targets(&g, &weights, &mut dense, &targets, bf, 12);
+            let mut reference = start;
+            reference_refine(&g, &weights, &mut reference, &targets, bf, 12);
+            assert_eq!(dense, reference, "instance {i}: cached pass diverged");
+        }
     }
 
     /// A messy refinement instance shared by the parallel-equality tests:
