@@ -29,11 +29,9 @@ use txallo_core::{
     MoveScratch, StreamingAllocator, TxAlloParams,
 };
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
-use txallo_louvain::{
-    aggregate_graph_threaded, louvain, louvain_csr, AggregateScratch, LouvainConfig,
-};
+use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
 use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
-use txallo_model::{Block, FxHashMap};
+use txallo_model::FxHashMap;
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
 fn workload() -> WorkloadConfig {
@@ -255,73 +253,6 @@ fn bench_components(_: &mut Criterion) {
     c.bench_function("atxallo/epoch_update_seed", |b| {
         b.iter(|| black_box(seed_atxallo_update(&params2, &graph2, &prev, &touched)));
     });
-
-    // The multi-core sweep engine: the same warm epoch update and the
-    // Louvain initialization at 1, 2 and 4 workers. Outputs are pinned
-    // bit-identical at every count (the `parallel_invariance` suite), so
-    // these only measure scaling — on a single-core runner the curve is
-    // flat by construction but still worth recording.
-    //
-    // The three canonical-reduction paths ride the same matrix: Louvain
-    // aggregation over the init labels, the full METIS partition (heavy-
-    // edge matching + FM refinement are the threaded phases inside), and
-    // big-block epoch ingestion through the warm session's clique-
-    // expansion fold. The ingest blocks are deliberately oversized
-    // (~5 000 transactions each) so the work crosses the canonical chunk
-    // quantum and the threaded fold genuinely splits.
-    let mut agg_scratch = AggregateScratch::default();
-    let big_nodes = {
-        let mut ingest_graph = graph2.clone();
-        let extra = generator.blocks(100);
-        let mut txs: Vec<_> = extra
-            .iter()
-            .flat_map(|b| b.transactions().iter().cloned())
-            .collect();
-        let tail = txs.split_off(txs.len() / 2);
-        [Block::new(1_000, txs), Block::new(1_001, tail)]
-            .iter()
-            .map(|blk| ingest_graph.ingest_block_nodes(blk))
-            .collect::<Vec<_>>()
-    };
-    for threads in [1usize, 2, 4] {
-        let params_t = params2.clone().with_threads(threads);
-        c.bench_function(&format!("sweep/threads/epoch_t{threads}"), |b| {
-            b.iter(|| {
-                let mut session = warm.clone();
-                for blk in &new_blocks {
-                    session.apply_block(&graph2, blk);
-                }
-                black_box(session.update(&graph2, &touched, &params_t))
-            });
-        });
-        c.bench_function(&format!("sweep/threads/louvain_t{threads}"), |b| {
-            b.iter(|| louvain_csr(&csr, &LouvainConfig::default().with_threads(threads)));
-        });
-        c.bench_function(&format!("louvain/aggregate_threads/t{threads}"), |b| {
-            b.iter(|| {
-                black_box(aggregate_graph_threaded(
-                    &csr,
-                    &init.communities,
-                    init.community_count,
-                    &mut agg_scratch,
-                    threads,
-                ))
-            });
-        });
-        c.bench_function(&format!("metis/refine_threads/t{threads}"), |b| {
-            let cfg = MetisConfig::new(k).with_threads(threads);
-            b.iter(|| black_box(metis_partition(&csr, &cfg)));
-        });
-        c.bench_function(&format!("ingest/threads/t{threads}"), |b| {
-            b.iter(|| {
-                let mut session = warm.clone();
-                for nodes in &big_nodes {
-                    session.apply_block_nodes_threaded(nodes, threads);
-                }
-                black_box(session)
-            });
-        });
-    }
 }
 
 /// The 50k-account / 400k-transaction scale workload: the graph is big

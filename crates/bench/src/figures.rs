@@ -240,14 +240,9 @@ pub fn fig9(scale: ExperimentScale, quick: bool) {
         let warm = generator.blocks(warmup_blocks);
         let stream = generator.blocks(epoch_blocks as u64 * epochs);
         let mut sim = ShardedChainSim::new(SimConfig {
-            shards: k,
-            eta: 2.0,
             epoch_blocks,
-            method: "txallo".into(),
             schedule: *schedule,
-            decay_per_epoch: None,
-            threads: txallo_graph::par::threads_from_env(),
-            residency: None,
+            ..SimConfig::new(k)
         });
         sim.warmup(&warm);
         let reports = sim.run_stream(&stream);
@@ -289,14 +284,9 @@ pub fn fig10(scale: ExperimentScale, quick: bool) {
         let warm = generator.blocks(warmup_blocks);
         let stream = generator.blocks(epoch_blocks as u64 * epochs);
         let mut sim = ShardedChainSim::new(SimConfig {
-            shards: k,
-            eta: 2.0,
             epoch_blocks,
-            method: "txallo".into(),
             schedule,
-            decay_per_epoch: None,
-            threads: txallo_graph::par::threads_from_env(),
-            residency: None,
+            ..SimConfig::new(k)
         });
         sim.warmup(&warm);
         for r in sim.run_stream(&stream) {
@@ -802,106 +792,6 @@ pub fn bench_snapshot(out_path: &str) {
         ));
     });
 
-    // The multi-core sweep engine (PR 7): the warm epoch update and the
-    // Louvain initialization at 1/2/4 workers. The allocations are pinned
-    // bit-identical across counts, so this matrix records scaling only —
-    // on a single-core container expect a flat-or-worse curve, but record
-    // it anyway so multi-core machines accumulate a real trajectory.
-    let sweep_threads: Vec<(usize, f64, f64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let params_t = params2.clone().with_threads(t);
-            let epoch = median_ms(reps, || {
-                let mut session = warm.clone();
-                for blk in &new_blocks {
-                    session.apply_block(&graph2, blk);
-                }
-                std::hint::black_box(session.update(&graph2, &touched, &params_t));
-            });
-            let lv = median_ms(reps, || {
-                std::hint::black_box(louvain_csr(&csr, &LouvainConfig::default().with_threads(t)));
-            });
-            (t, epoch, lv)
-        })
-        .collect();
-    let sweep_threads_json = sweep_threads
-        .iter()
-        .map(|(t, epoch, lv)| {
-            format!(
-                "{{\"threads\": {t}, \"atxallo_epoch_update\": {epoch:.3}, \"louvain_csr\": {lv:.3}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-
-    // The canonical-reduction matrix (PR 10): the three paths rebuilt on
-    // `txallo_graph::par::reduce_tree` — Louvain aggregation over the init
-    // labels, the full METIS partition (heavy-edge matching + FM
-    // refinement are its threaded phases), and big-block ingestion through
-    // the warm session's clique-expansion fold. Each is pinned
-    // bit-identical across thread counts (proptests + parallel_invariance),
-    // so this matrix, like `sweep_threads`, records scaling only. The
-    // ingest blocks are oversized (~5 000 transactions each) so the work
-    // crosses the canonical chunk quantum and the fold genuinely splits.
-    let reduction_threads: Vec<(usize, f64, f64, f64)> = {
-        use txallo_louvain::{aggregate_graph_threaded, AggregateScratch};
-        use txallo_metis::{metis_partition, MetisConfig};
-        let init = louvain_csr(&csr, &LouvainConfig::default());
-        let mut agg_scratch = AggregateScratch::default();
-        let big_nodes = {
-            let mut ingest_graph = graph2.clone();
-            let extra = generator.blocks(100);
-            let mut txs: Vec<_> = extra
-                .iter()
-                .flat_map(|b| b.transactions().iter().cloned())
-                .collect();
-            let tail = txs.split_off(txs.len() / 2);
-            [
-                txallo_model::Block::new(1_000, txs),
-                txallo_model::Block::new(1_001, tail),
-            ]
-            .iter()
-            .map(|blk| ingest_graph.ingest_block_nodes(blk))
-            .collect::<Vec<_>>()
-        };
-        [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                let agg = median_ms(reps, || {
-                    std::hint::black_box(aggregate_graph_threaded(
-                        &csr,
-                        &init.communities,
-                        init.community_count,
-                        &mut agg_scratch,
-                        t,
-                    ));
-                });
-                let cfg = MetisConfig::new(k).with_threads(t);
-                let metis = median_ms(reps, || {
-                    std::hint::black_box(metis_partition(&csr, &cfg));
-                });
-                let ingest = median_ms(reps, || {
-                    let mut session = warm.clone();
-                    for nodes in &big_nodes {
-                        session.apply_block_nodes_threaded(nodes, t);
-                    }
-                    std::hint::black_box(session);
-                });
-                (t, agg, metis, ingest)
-            })
-            .collect()
-    };
-    let reduction_threads_json = reduction_threads
-        .iter()
-        .map(|(t, agg, metis, ingest)| {
-            format!(
-                "{{\"threads\": {t}, \"louvain_aggregate\": {agg:.3}, \
-                 \"metis_partition\": {metis:.3}, \"ingest_big_block\": {ingest:.3}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-
     // The 50k/400k scale workload: where the §VI-B6 init cost actually
     // bites; the CSR build ratio at this size is the tentpole claim.
     let scale_reps = 5;
@@ -1038,8 +928,6 @@ pub fn bench_snapshot(out_path: &str) {
          \"atxallo_epoch_update_full\": {atxallo_full:.3},\n  \
          \"atxallo_epoch_update_seed\": {atxallo_seed:.3},\n  \
          \"atxallo_touched_fraction\": {touched_fraction:.4},\n  \
-         \"sweep_threads\": [{sweep_threads_json}],\n  \
-         \"reduction_threads\": [{reduction_threads_json}],\n  \
          \"scale_workload\": {{\"accounts\": 50000, \"transactions\": 400000, \"k\": 40, \"seed\": 42}},\n  \
          \"scale_unit\": \"ms (median of {scale_reps})\",\n  \
          \"scale_csr_build\": {scale_csr_build:.3},\n  \

@@ -39,12 +39,8 @@ pub struct ChainServiceConfig {
     /// Cross-shard workload parameter `η` of the allocation objective
     /// (the engine independently *measures* the realized η).
     pub eta: f64,
-    /// Worker threads of the allocation sweep kernels (`1` = serial,
-    /// `0` = one per core). Never changes an allocation — only how fast
-    /// epochs close — and is deliberately not part of checkpoint images,
-    /// so a checkpoint written under `N` threads resumes bit-identically
-    /// under `M`. Defaults to the `TXALLO_THREADS` environment variable
-    /// (unset = `1`).
+    /// Ignored: every allocation kernel is single-threaded. Kept only so
+    /// that existing struct literals still build; nothing reads it.
     pub threads: usize,
 }
 
@@ -58,7 +54,7 @@ impl ChainServiceConfig {
             method: "txallo".to_string(),
             schedule: HybridSchedule::Hybrid { global_gap: 20 },
             eta: 2.0,
-            threads: txallo_graph::par::threads_from_env(),
+            threads: 1,
         }
     }
 }
@@ -108,9 +104,7 @@ impl ChainService {
         if config.epoch_blocks == 0 {
             return Err(ChainError::EmptyEpoch);
         }
-        let params = TxAlloParams::for_total_weight(0.0, config.engine.shards)
-            .with_eta(config.eta)
-            .with_threads(config.threads);
+        let params = TxAlloParams::for_total_weight(0.0, config.engine.shards).with_eta(config.eta);
         let epochs = EpochLoop::new(
             registry,
             &config.method,

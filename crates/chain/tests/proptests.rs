@@ -110,7 +110,7 @@ fn small_trace(seed: u64, blocks: u64) -> Vec<Block> {
     EthereumLikeGenerator::new(cfg, seed).blocks(blocks)
 }
 
-fn faulty_config(shards: usize, threads: usize) -> ChainServiceConfig {
+fn faulty_config(shards: usize) -> ChainServiceConfig {
     ChainServiceConfig {
         engine: ChainEngineConfig {
             shards,
@@ -121,16 +121,12 @@ fn faulty_config(shards: usize, threads: usize) -> ChainServiceConfig {
         },
         epoch_blocks: 10,
         schedule: HybridSchedule::Hybrid { global_gap: 2 },
-        threads,
         ..ChainServiceConfig::new(shards)
     }
 }
 
 fn faulty_service(shards: usize, fault_seed: u64) -> ChainService {
-    // Env-default thread count: the CI matrix re-runs this whole suite at
-    // TXALLO_THREADS=1 and =4, and every property must hold unchanged.
-    let threads = txallo_graph::par::threads_from_env();
-    let mut service = ChainService::new(faulty_config(shards, threads));
+    let mut service = ChainService::new(faulty_config(shards));
     service.set_fault_plan(FaultPlan::mixed(fault_seed));
     service
 }
@@ -165,11 +161,7 @@ proptest! {
         let image = crashed.checkpoint().expect("boundary checkpoint");
         drop(crashed);
 
-        let mut resumed = ChainService::resume(
-            faulty_config(3, txallo_graph::par::threads_from_env()),
-            &image,
-        )
-        .expect("resume");
+        let mut resumed = ChainService::resume(faulty_config(3), &image).expect("resume");
         let after = resumed.run(&live[crash_block..]);
 
         prop_assert_eq!(before.len() + after.len(), reference_updates.len());
@@ -190,66 +182,6 @@ proptest! {
             format!("{:?}", reference.report()),
             format!("{:?}", resumed.report()),
             "substrate tallies (messages, retries, aborts) must survive the restart"
-        );
-    }
-
-    /// Checkpoints are thread-count neutral: the image deliberately does
-    /// not record the sweep worker count (a pure performance knob), so a
-    /// checkpoint written by an `N`-thread service must resume under `M`
-    /// threads bit-identically to an uninterrupted *serial* run — same
-    /// update kinds and migrations, same final mapping, same substrate
-    /// tallies — with fault injection active throughout.
-    #[test]
-    fn checkpoint_crosses_thread_counts_bit_identically(
-        crash_after in 1u64..4,
-        workload_seed in 0u64..500,
-        fault_seed in 0u64..500,
-        write_threads in 2usize..5,
-        resume_threads in 1usize..5,
-    ) {
-        let warm = small_trace(workload_seed, 80);
-        let (warmup, live) = warm.split_at(40);
-
-        // Uninterrupted serial reference.
-        let mut reference = ChainService::new(faulty_config(3, 1));
-        reference.set_fault_plan(FaultPlan::mixed(fault_seed));
-        reference.warmup(warmup);
-        let reference_updates = reference.run(live);
-
-        // N-thread run up to the crash point, checkpoint at the boundary.
-        let mut crashed = ChainService::new(faulty_config(3, write_threads));
-        crashed.set_fault_plan(FaultPlan::mixed(fault_seed));
-        crashed.warmup(warmup);
-        let crash_block = (crash_after * 10) as usize;
-        let before = crashed.run(&live[..crash_block]);
-        let image = crashed.checkpoint().expect("boundary checkpoint");
-        drop(crashed);
-
-        // M-thread resume from the N-thread image.
-        let mut resumed =
-            ChainService::resume(faulty_config(3, resume_threads), &image).expect("resume");
-        let after = resumed.run(&live[crash_block..]);
-
-        prop_assert_eq!(before.len() + after.len(), reference_updates.len());
-        for (i, (live_u, split_u)) in reference_updates
-            .iter()
-            .zip(before.iter().chain(after.iter()))
-            .enumerate()
-        {
-            prop_assert_eq!(live_u.kind, split_u.kind, "epoch {}", i);
-            prop_assert_eq!(live_u.migrations(), split_u.migrations(), "epoch {}", i);
-        }
-        prop_assert_eq!(
-            reference.allocation().labels(),
-            resumed.allocation().labels(),
-            "{}-thread checkpoint resumed at {} threads must serve the serial mapping",
-            write_threads,
-            resume_threads
-        );
-        prop_assert_eq!(
-            format!("{:?}", reference.report()),
-            format!("{:?}", resumed.report()),
-            "substrate tallies must match the serial run across the thread switch"
         );
     }
 }

@@ -31,6 +31,23 @@ impl ArgMap {
         Ok(Self { values })
     }
 
+    /// Rejects the first flag outside `accepted`: commands read flags by
+    /// name, so an unread flag (a typo, a removed option) would otherwise
+    /// be silently ignored and the command would run on a default.
+    pub fn reject_unknown(&self, accepted: &[&str]) -> Result<(), String> {
+        match self.values.keys().find(|k| !accepted.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(flag) => {
+                let list: Vec<String> = accepted.iter().map(|f| dashed(f)).collect();
+                Err(format!(
+                    "unknown flag {} (accepted: {})",
+                    dashed(flag),
+                    list.join(" ")
+                ))
+            }
+        }
+    }
+
     /// A string flag.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)
@@ -50,6 +67,15 @@ impl ArgMap {
                 .parse()
                 .map_err(|_| format!("flag --{name}: cannot parse {v:?}")),
         }
+    }
+}
+
+/// A flag name as typed: `-k` for one letter, `--name` otherwise.
+pub fn dashed(name: &str) -> String {
+    if name.len() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
     }
 }
 
@@ -81,5 +107,14 @@ mod tests {
         let a = parse(&["--k", "abc"]).unwrap();
         assert!(a.required("nope").is_err());
         assert!(a.parsed_or::<usize>("k", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let a = parse(&["--shard", "4", "-k", "2"]).unwrap();
+        assert!(a.reject_unknown(&["shard", "k"]).is_ok());
+        let err = a.reject_unknown(&["shards", "k"]).unwrap_err();
+        assert!(err.starts_with("unknown flag --shard "), "{err}");
+        assert!(err.contains("--shards -k"), "{err}");
     }
 }

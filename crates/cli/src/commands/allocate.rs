@@ -10,6 +10,9 @@ use crate::args::ArgMap;
 use crate::commands::load_dataset;
 use crate::mapping::write_mapping;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &["trace", "method", "k", "eta", "out"];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let dataset = load_dataset(args)?;
@@ -19,12 +22,7 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
         return Err("-k must be at least 1".into());
     }
     let method = args.get("method").unwrap_or("txallo");
-    // Sweep worker threads: 1 = serial, 0 = one per core. Never changes
-    // the allocation, only wall-clock time.
-    let threads: usize = args.parsed_or("threads", txallo_graph::par::threads_from_env())?;
-    let params = TxAlloParams::for_graph(dataset.graph(), k)
-        .with_eta(eta)
-        .with_threads(threads);
+    let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
 
     // Name → algorithm resolution goes through the shared registry; an
     // unknown method reports whatever is actually registered.

@@ -8,6 +8,9 @@ use txallo_workload::{read_ethereum_etl_csv, write_ledger_csv};
 
 use crate::args::ArgMap;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &["etl", "out"];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let input = args.required("etl")?;

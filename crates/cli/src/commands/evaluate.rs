@@ -9,6 +9,9 @@ use crate::args::ArgMap;
 use crate::commands::load_dataset;
 use crate::mapping::read_mapping;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &["trace", "mapping", "eta"];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let dataset = load_dataset(args)?;

@@ -7,6 +7,18 @@ use txallo_workload::{write_ledger_csv, EthereumLikeGenerator, WorkloadConfig};
 
 use crate::args::ArgMap;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &[
+    "out",
+    "accounts",
+    "transactions",
+    "block-size",
+    "groups",
+    "hot-share",
+    "intra-prob",
+    "seed",
+];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let out = args.required("out")?;
@@ -21,7 +33,7 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
         ..defaults
     };
     let seed: u64 = args.parsed_or("seed", 42)?;
-    config.validate();
+    config.check()?;
 
     let mut generator = EthereumLikeGenerator::new(config, seed);
     let ledger = generator.default_ledger();

@@ -15,6 +15,27 @@ use txallo_workload::read_ledger_csv;
 
 use crate::args::ArgMap;
 
+/// A subcommand: its entry point and the flags it reads.
+pub type Command = (fn(&ArgMap) -> Result<(), String>, &'static [&'static str]);
+
+/// Every subcommand by name, in usage order.
+pub const COMMANDS: &[(&str, Command)] = &[
+    ("generate", (generate::run, generate::FLAGS)),
+    ("stats", (stats::run, stats::FLAGS)),
+    ("allocate", (allocate::run, allocate::FLAGS)),
+    ("evaluate", (evaluate::run, evaluate::FLAGS)),
+    ("simulate", (simulate::run, simulate::FLAGS)),
+    ("convert", (convert::run, convert::FLAGS)),
+];
+
+/// The subcommand called `name`, if there is one.
+pub fn lookup(name: &str) -> Option<Command> {
+    COMMANDS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|&(_, command)| command)
+}
+
 /// Loads `--trace <path>` into a dataset.
 pub fn load_dataset(args: &ArgMap) -> Result<Dataset, String> {
     let path = args.required("trace")?;

@@ -7,6 +7,21 @@ use txallo_workload::{EthereumLikeGenerator, StreamingWorkload, WorkloadConfig};
 
 use crate::args::ArgMap;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &[
+    "method",
+    "shards",
+    "epochs",
+    "epoch-blocks",
+    "gap",
+    "seed",
+    "eta",
+    "decay",
+    "stream",
+    "window",
+    "accounts",
+];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let shards: usize = args.parsed_or("shards", 12)?;
@@ -15,9 +30,6 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let gap: u64 = args.parsed_or("gap", 10)?;
     let seed: u64 = args.parsed_or("seed", 42)?;
     let eta: f64 = args.parsed_or("eta", 2.0)?;
-    // Sweep worker threads: 1 = serial, 0 = one per core. Never changes
-    // the allocation, only wall-clock time.
-    let threads: usize = args.parsed_or("threads", txallo_graph::par::threads_from_env())?;
     // Out-of-core replay: synthesize blocks on demand (`--stream true`)
     // instead of materializing the whole ledger up front, and optionally
     // evict graph rows idle for more than `--window W` epochs.
@@ -47,6 +59,7 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
         new_account_prob: 0.004,
         ..WorkloadConfig::default()
     };
+    config.check()?;
 
     let schedule = if gap == 0 {
         HybridSchedule::AlwaysAdaptive
@@ -57,14 +70,13 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let decay_per_epoch = if decay < 1.0 { Some(decay) } else { None };
     let residency = (window > 0).then(|| ResidencyConfig::in_memory(window));
     let mut sim = ShardedChainSim::new(SimConfig {
-        shards,
         eta,
         epoch_blocks,
         method: method.to_string(),
         schedule,
         decay_per_epoch,
-        threads,
         residency,
+        ..SimConfig::new(shards)
     });
 
     let warm_blocks = epoch_blocks as u64 * epochs;

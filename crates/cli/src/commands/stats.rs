@@ -5,6 +5,9 @@ use txallo_graph::GraphStats;
 use crate::args::ArgMap;
 use crate::commands::load_dataset;
 
+/// The flags [`run`] reads.
+pub const FLAGS: &[&str] = &["trace"];
+
 /// Runs the command.
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let dataset = load_dataset(args)?;

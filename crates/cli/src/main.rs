@@ -2,14 +2,19 @@
 //!
 //! ```text
 //! txallo generate  --out trace.csv [--accounts N] [--transactions N] [--seed S]
+//!                  [--block-size N] [--groups N] [--hot-share F] [--intra-prob F]
 //! txallo stats     --trace trace.csv
 //! txallo allocate  --trace trace.csv --method <name>
-//!                  [-k N] [--eta F] [--threads N] [--out mapping.csv]
+//!                  [-k N] [--eta F] [--out mapping.csv]
 //! txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
-//! txallo simulate  [--method <name>] [--shards N] [--epochs N] [--gap N] [--seed S]
-//!                  [--threads N] [--stream true] [--window W] [--accounts N]
+//! txallo simulate  [--method <name>] [--shards N] [--epochs N]
+//!                  [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
+//!                  [--stream true] [--window W] [--accounts N]
 //! txallo convert   --etl transactions.csv --out trace.csv
 //! ```
+//!
+//! Each command accepts exactly the flags listed for it; any other flag
+//! is an error (exit code 2) naming the flag.
 //!
 //! Method names come from `txallo_core::AllocatorRegistry::builtin()`;
 //! the usage text enumerates them at runtime.
@@ -30,20 +35,14 @@ fn main() {
         Ok(a) => a,
         Err(e) => fail(&e),
     };
-    let result = match command.as_str() {
-        "generate" => commands::generate::run(&args),
-        "stats" => commands::stats::run(&args),
-        "allocate" => commands::allocate::run(&args),
-        "convert" => commands::convert::run(&args),
-        "evaluate" => commands::evaluate::run(&args),
-        "simulate" => commands::simulate::run(&args),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            return;
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return;
+    }
+    let Some((run, flags)) = commands::lookup(&command) else {
+        fail(&format!("unknown command {command:?}\n{}", usage()));
     };
-    if let Err(e) = result {
+    if let Err(e) = args.reject_unknown(flags).and_then(|()| run(&args)) {
         fail(&e);
     }
 }
@@ -60,21 +59,50 @@ fn usage() -> String {
 
 USAGE:
   txallo generate  --out trace.csv [--accounts N] [--transactions N] [--seed S]
+                   [--block-size N] [--groups N] [--hot-share F] [--intra-prob F]
   txallo stats     --trace trace.csv
   txallo allocate  --trace trace.csv --method {methods} \\
-                   [-k N] [--eta F] [--threads N] [--out mapping.csv]
+                   [-k N] [--eta F] [--out mapping.csv]
   txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
-  txallo simulate  [--method {methods}] [--shards N] [--epochs N] [--gap N] [--seed S]
-                   [--threads N] [--stream true] [--window W] [--accounts N]
+  txallo simulate  [--method {methods}] [--shards N] [--epochs N]
+                   [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
+                   [--stream true] [--window W] [--accounts N]
   txallo convert   --etl transactions.csv --out trace.csv
 
---threads N selects the sweep worker count (1 = serial, 0 = one per
-core; default: the TXALLO_THREADS environment variable, unset = 1).
-The count never changes an allocation, only how fast it is computed.
+Each command accepts exactly the flags listed for it.
 
 --stream true synthesizes simulate's blocks on demand (out-of-core
 replay, any --accounts scale) instead of materializing the ledger;
 --window W additionally evicts graph rows idle for more than W epochs.
 Both are bit-transparent: they change memory use, never an allocation."
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag a command accepts appears in that command's block of
+    /// `usage()` (its `txallo <name>` line and the indented lines after it).
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        let text = usage();
+        for &(name, (_, flags)) in commands::COMMANDS {
+            let head = format!("  txallo {name} ");
+            let start = text.find(&head).expect("every command has a usage line");
+            let block: String = text[start..]
+                .lines()
+                .enumerate()
+                .take_while(|(i, line)| *i == 0 || line.starts_with("                   "))
+                .map(|(_, line)| format!("{line}\n"))
+                .collect();
+            for flag in flags {
+                let shown = format!("{} ", args::dashed(flag));
+                assert!(
+                    block.contains(&shown),
+                    "usage of {name} does not show {shown:?}:\n{block}"
+                );
+            }
+        }
+    }
 }

@@ -241,3 +241,65 @@ fn convert_etl_export_roundtrip() {
         "stats: {stdout}"
     );
 }
+
+/// A flag the command does not read is an error naming it, not a silent
+/// run on the default (`--shard` for `--shards` ran on 12 shards).
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    let out = txallo_bin()
+        .args(["simulate", "--shard", "4", "--epochs", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --shard "), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+
+    let trace = tmp("unknown_flag_trace.csv");
+    let out = txallo_bin()
+        .args([
+            "allocate",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--method",
+            "txallo",
+            "--threads",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --threads "), "{stderr}");
+}
+
+/// Out-of-range workload flags are reported as CLI errors (exit 2), not
+/// as a panic inside the generator (exit 101).
+#[test]
+fn invalid_workload_flags_exit_2() {
+    let trace = tmp("invalid_workload_trace.csv");
+    let trace = trace.to_str().unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["generate", "--out", trace, "--accounts", "1"],
+            "need at least two accounts",
+        ),
+        (
+            &["generate", "--out", trace, "--hot-share", "1.5"],
+            "probabilities must lie in [0, 1]",
+        ),
+        (
+            &["simulate", "--accounts", "1"],
+            "need at least two accounts",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = txallo_bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {message}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}

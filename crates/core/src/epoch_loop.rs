@@ -57,7 +57,7 @@ pub struct EpochLoop {
 
 impl EpochLoop {
     /// An empty loop serving `method` (resolved through `registry`) with
-    /// `params`' `k`, `η` and thread count. `decay_per_epoch` rescales
+    /// `params`' `k` and `η`. `decay_per_epoch` rescales
     /// edge weights at each epoch's first block; `residency` evicts idle
     /// rows between epochs.
     pub fn new(

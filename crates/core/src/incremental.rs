@@ -24,7 +24,7 @@
 //! is identical to re-gathering every node every sweep, which the golden
 //! tests assert against a cache-free reference.
 
-use txallo_graph::{par, DeltaCsr, DenseAccumulator};
+use txallo_graph::{DeltaCsr, DenseAccumulator};
 use txallo_louvain::GAIN_EPS;
 
 use crate::state::{gather_labels_blocked, CommunityState, UNASSIGNED};
@@ -59,9 +59,6 @@ pub(crate) struct SweepScratch {
     /// Cached candidate lists; inner vectors keep their capacity across
     /// epochs.
     cand_cache: Vec<Vec<(u32, f64)>>,
-    /// One accumulator per worker chunk of the multi-core pre-gather
-    /// (empty until a sweep actually runs with `threads > 1`).
-    pool: Vec<DenseAccumulator>,
 }
 
 impl SweepScratch {
@@ -81,8 +78,7 @@ impl SweepScratch {
     }
 
     /// Approximate resident bytes across every retained buffer
-    /// (capacity-based), including the per-worker accumulator pool and the
-    /// candidate-cache inner vectors.
+    /// (capacity-based), including the candidate-cache inner vectors.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let stamps = (self.last_eval.capacity()
@@ -96,8 +92,7 @@ impl SweepScratch {
                 .iter()
                 .map(|c| c.capacity() * size_of::<(u32, f64)>())
                 .sum::<usize>();
-        let pool = self.pool.iter().map(|a| a.approx_bytes()).sum::<usize>();
-        self.acc.approx_bytes() + stamps + caches + pool
+        self.acc.approx_bytes() + stamps + caches
     }
 }
 
@@ -129,30 +124,8 @@ fn gather_row(snap: &DeltaCsr, local: usize, labels: &[u32], k: usize, acc: &mut
 /// `labels` (global node-id space) and `state`.
 ///
 /// `epsilon`/`max_sweeps` bound the phase-2 loop exactly as in the classic
-/// implementation. `threads` only chooses *how* the candidate gathers are
-/// computed: `<= 1` takes the exact serial code path, larger counts run
-/// the multi-core variant — bit-identical labels, gains and sweep counts
-/// at any count (pinned by the `parallel_invariance` suite).
+/// implementation.
 pub(crate) fn epoch_sweep(
-    snap: &DeltaCsr,
-    labels: &mut [u32],
-    state: &mut CommunityState,
-    epsilon: f64,
-    max_sweeps: usize,
-    scratch: &mut SweepScratch,
-    threads: usize,
-) -> EpochSweepOutcome {
-    let threads = par::resolve_threads(threads);
-    if threads <= 1 {
-        epoch_sweep_serial(snap, labels, state, epsilon, max_sweeps, scratch)
-    } else {
-        epoch_sweep_parallel(snap, labels, state, epsilon, max_sweeps, scratch, threads)
-    }
-}
-
-/// The serial epoch sweep — the `threads == 1` code path, byte for byte
-/// the kernel that predates the multi-core sweep engine.
-fn epoch_sweep_serial(
     snap: &DeltaCsr,
     labels: &mut [u32],
     state: &mut CommunityState,
@@ -170,7 +143,6 @@ fn epoch_sweep_serial(
         links_dirty,
         comm_stamp,
         cand_cache,
-        ..
     } = scratch;
     let mut out = EpochSweepOutcome::default();
 
@@ -256,210 +228,6 @@ fn epoch_sweep_serial(
                     // link weights that just went stale. The `local_of`
                     // lookup is paid per committed move, not per edge of
                     // the snapshot build.
-                    let (targets, _) = snap.row(i);
-                    for &u in targets {
-                        if let Some(lt) = snap.local_of(u) {
-                            links_dirty[lt as usize] = move_stamp;
-                        }
-                    }
-                }
-            }
-        }
-        out.sweeps += 1;
-        if delta < epsilon || out.sweeps >= max_sweeps {
-            break;
-        }
-    }
-
-    out
-}
-
-/// The multi-core epoch sweep.
-///
-/// **Why this is bit-identical to [`epoch_sweep_serial`].** A row's
-/// candidate gather is a pure function of (row, neighbor labels), and the
-/// kernel already tracks exactly when that input changes: every committed
-/// move dirties the snapshot rows adjacent to the mover (`links_dirty`),
-/// and only snapshot rows ever change labels during an epoch. The
-/// parallel variant therefore refreshes all *stale* gathers concurrently
-/// whenever the labels are frozen — once before the placement loop, once
-/// at each phase-2 sweep boundary — partitioned by canonical row ranges
-/// ([`par::entry_balanced_split`] over [`DeltaCsr::offsets`]), each chunk
-/// writing only its own `cand_cache` window with its own accumulator. The
-/// decision loops that follow are the serial ones: same visit order, same
-/// cached bits (a cache invalidated by an earlier in-loop commit is
-/// re-gathered serially at its turn, exactly as before), hence the same
-/// move sequence, float by float. No gain or accounting update ever
-/// crosses a chunk boundary.
-#[allow(clippy::too_many_arguments)]
-fn epoch_sweep_parallel(
-    snap: &DeltaCsr,
-    labels: &mut [u32],
-    state: &mut CommunityState,
-    epsilon: f64,
-    max_sweeps: usize,
-    scratch: &mut SweepScratch,
-    threads: usize,
-) -> EpochSweepOutcome {
-    let t = snap.len();
-    let k = state.community_count();
-    scratch.reset(t, k);
-    let bounds = par::entry_balanced_split(snap.offsets(), threads.min(t.max(1)));
-    let chunks = bounds.len() - 1;
-    if scratch.pool.len() < chunks {
-        scratch.pool.resize_with(chunks, DenseAccumulator::default);
-    }
-    let SweepScratch {
-        acc,
-        last_eval,
-        gathered_at,
-        links_dirty,
-        comm_stamp,
-        cand_cache,
-        pool,
-    } = scratch;
-    let mut out = EpochSweepOutcome::default();
-
-    // ---- Phase 1 (lines 1–8): place brand-new nodes.
-    // Pre-gather every unassigned row against the pre-placement labels,
-    // in parallel; rows whose gather is invalidated by an earlier
-    // placement re-gather serially at their turn below.
-    {
-        let labels_ro: &[u32] = labels;
-        par::for_each_chunk_mut(&bounds, &mut cand_cache[..t], pool, |lo, caches, acc| {
-            for (idx, cache) in caches.iter_mut().enumerate() {
-                let i = lo + idx;
-                if labels_ro[snap.global_id(i) as usize] != UNASSIGNED {
-                    continue;
-                }
-                gather_row(snap, i, labels_ro, k, acc);
-                cache.clear();
-                cache.extend(acc.entries());
-            }
-        });
-    }
-    let mut stamp: u64 = 1; // phase-1 local; reset before phase 2
-    for i in 0..t {
-        if labels[snap.global_id(i) as usize] == UNASSIGNED {
-            gathered_at[i] = stamp;
-        }
-    }
-    for i in 0..t {
-        let g = snap.global_id(i) as usize;
-        if labels[g] != UNASSIGNED {
-            continue;
-        }
-        out.new_nodes += 1;
-        if links_dirty[i] > gathered_at[i] {
-            gather_row(snap, i, labels, k, acc);
-            gathered_at[i] = stamp;
-            cand_cache[i].clear();
-            cand_cache[i].extend(acc.entries());
-        }
-        let cand = &cand_cache[i];
-        let self_w = snap.self_loop(i);
-        let d_v = snap.incident_weight(i);
-        let q = state.best_join(self_w, d_v, cand.iter().copied());
-        // Equals the serial `acc.get(q)`: the cache holds exactly the
-        // touched buckets and `get` reads 0.0 for untouched ones.
-        let w_vq = cand.iter().find(|&&(c, _)| c == q).map_or(0.0, |&(_, w)| w);
-        state.apply_join(q, self_w, d_v, w_vq);
-        labels[g] = q;
-        out.moves += 1;
-        stamp += 1;
-        let (targets, _) = snap.row(i);
-        for &u in targets {
-            if let Some(lt) = snap.local_of(u) {
-                links_dirty[lt as usize] = stamp;
-            }
-        }
-    }
-    // Restore the stamp state phase 2 starts from in the serial kernel:
-    // every row stale (so the first sweep-boundary pre-gather refreshes
-    // all caches against the post-placement labels), no evaluations seen.
-    links_dirty.iter_mut().for_each(|x| *x = 1);
-    gathered_at.iter_mut().for_each(|x| *x = 0);
-
-    // ---- Phase 2 (lines 9–17): optimize over V̂ with stamp skipping.
-    let mut move_stamp: u64 = 1; // bumped on every committed move
-    loop {
-        // Refresh every stale gather against the sweep-boundary labels.
-        {
-            let labels_ro: &[u32] = labels;
-            let ld: &[u64] = links_dirty;
-            let ga: &[u64] = gathered_at;
-            par::for_each_chunk_mut(&bounds, &mut cand_cache[..t], pool, |lo, caches, acc| {
-                for (idx, cache) in caches.iter_mut().enumerate() {
-                    let i = lo + idx;
-                    if ld[i] <= ga[i] {
-                        continue;
-                    }
-                    gather_row(snap, i, labels_ro, k, acc);
-                    cache.clear();
-                    cache.extend(acc.entries());
-                }
-            });
-        }
-        for i in 0..t {
-            if links_dirty[i] > gathered_at[i] {
-                gathered_at[i] = move_stamp;
-            }
-        }
-
-        let mut delta = 0.0;
-        for i in 0..t {
-            let g = snap.global_id(i) as usize;
-            let p = labels[g];
-            let links_fresh = links_dirty[i] <= gathered_at[i];
-            if links_fresh {
-                let seen = last_eval[i];
-                if comm_stamp[p as usize] <= seen
-                    && cand_cache[i]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
-                gather_row(snap, i, labels, k, acc);
-                gathered_at[i] = move_stamp;
-                cand_cache[i].clear();
-                cand_cache[i].extend(acc.entries());
-            }
-            last_eval[i] = move_stamp;
-            let cand = &cand_cache[i];
-            if cand.is_empty() || (cand.len() == 1 && cand[0].0 == p) {
-                continue; // C_v = ∅ or v only touches its own community.
-            }
-            let self_w = snap.self_loop(i);
-            let d_v = snap.incident_weight(i);
-            let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
-            let leave = state.leave_gain(p, self_w, d_v, w_vp);
-
-            // Candidates are sorted ascending; a later candidate must beat
-            // the best by > GAIN_EPS.
-            let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
-            for &(q, w_vq) in cand {
-                if q == p {
-                    continue;
-                }
-                let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                match best {
-                    Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
-                    _ => best = Some((q, gain, w_vq)),
-                }
-            }
-            if let Some((q, gain, w_vq)) = best {
-                if gain > 0.0 {
-                    state.apply_leave(p, self_w, d_v, w_vp);
-                    state.apply_join(q, self_w, d_v, w_vq);
-                    labels[g] = q;
-                    delta += gain;
-                    out.total_gain += gain;
-                    out.moves += 1;
-                    move_stamp += 1;
-                    comm_stamp[p as usize] = move_stamp;
-                    comm_stamp[q as usize] = move_stamp;
                     let (targets, _) = snap.row(i);
                     for &u in targets {
                         if let Some(lt) = snap.local_of(u) {

@@ -9,7 +9,6 @@ use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
-use crate::params::TxAlloParams;
 use crate::Allocator;
 use txallo_graph::TxGraph;
 
@@ -37,16 +36,6 @@ impl MetisAllocator {
         Self {
             config: MetisConfig::new(shards),
             recursive: true,
-        }
-    }
-
-    /// Creates the allocator for `params.shards` shards whose partitioner
-    /// runs on `params.threads` workers (the partition is the same at
-    /// every count): direct k-way, or recursive bisection when `recursive`.
-    pub fn for_params(params: &TxAlloParams, recursive: bool) -> Self {
-        Self {
-            config: MetisConfig::new(params.shards).with_threads(params.threads),
-            recursive,
         }
     }
 
@@ -83,6 +72,7 @@ impl Allocator for MetisAllocator {
 mod tests {
     use super::*;
     use crate::metrics::MetricsReport;
+    use crate::params::TxAlloParams;
     use txallo_model::{AccountId, Transaction};
 
     #[test]
@@ -118,33 +108,5 @@ mod tests {
         let a = MetisAllocator::new(4).allocate_graph(&g);
         let b = MetisAllocator::new(4).allocate_graph(&g);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn params_constructor_carries_the_thread_count() {
-        let mut g = TxGraph::new();
-        for i in 0..60u64 {
-            g.ingest_transaction(&Transaction::transfer(
-                AccountId(i),
-                AccountId((i * 7 + 1) % 60),
-            ));
-        }
-        let serial = TxAlloParams::for_graph(&g, 4).with_threads(1);
-        for recursive in [false, true] {
-            let expected = if recursive {
-                MetisAllocator::recursive(4)
-            } else {
-                MetisAllocator::new(4)
-            }
-            .allocate_graph(&g);
-            for threads in [1usize, 3] {
-                let params = serial.clone().with_threads(threads);
-                let alloc = MetisAllocator::for_params(&params, recursive);
-                assert_eq!(alloc.config.threads, threads);
-                assert_eq!(alloc.config.parts, 4);
-                assert_eq!(alloc.recursive, recursive);
-                assert_eq!(alloc.allocate_graph(&g), expected, "{threads} threads");
-            }
-        }
     }
 }

@@ -31,17 +31,6 @@ pub struct TxAlloParams {
     /// most of the graph is touched. Route choice never changes the
     /// result — both produce byte-identical allocations.
     pub incremental_threshold: f64,
-    /// Worker threads of the sweep kernels (the A-TxAllo epoch sweep;
-    /// the Louvain gather pass has its own copy in [`Self::louvain`],
-    /// kept in lockstep by [`Self::with_threads`]). `1` is the exact
-    /// serial code path, `0` means one per core. The count never changes
-    /// an allocation — the partition layer (`txallo_graph::par`) is
-    /// bit-identical at any thread count — only how fast it is computed,
-    /// which is also why the knob is deliberately *not* part of
-    /// checkpoint images: a checkpoint written under `N` threads resumes
-    /// identically under `M`. Defaults to the `TXALLO_THREADS`
-    /// environment variable (unset = `1`).
-    pub threads: usize,
 }
 
 impl TxAlloParams {
@@ -63,7 +52,6 @@ impl TxAlloParams {
             louvain: LouvainConfig::default(),
             max_sweeps: 64,
             incremental_threshold: 0.5,
-            threads: txallo_graph::par::threads_from_env(),
         }
     }
 
@@ -101,13 +89,10 @@ impl TxAlloParams {
         self
     }
 
-    /// Returns a copy with a different sweep thread count (`1` = serial,
-    /// `0` = one per core), applied to both the epoch-sweep kernel and
-    /// the Louvain initialization. Never changes the allocation, only
-    /// wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self.louvain.threads = threads;
+    /// Returns the copy unchanged. Every allocation kernel is
+    /// single-threaded, so there is no thread count to set; the method is
+    /// kept, ignored, only so that existing callers still build.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -145,20 +130,6 @@ mod tests {
             .with_capacity(30.0);
         assert!((p.eta - 6.0).abs() < 1e-12);
         assert!((p.capacity - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threads_knob_reaches_the_louvain_init_and_survives_rescaling() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-        let p = TxAlloParams::for_graph(&g, 2).with_threads(3);
-        assert_eq!(p.threads, 3);
-        assert_eq!(
-            p.louvain.threads, 3,
-            "G-TxAllo's init must inherit the knob"
-        );
-        let rescaled = p.rescaled_for_graph(&g);
-        assert_eq!(rescaled.threads, 3);
-        assert_eq!(rescaled.louvain.threads, 3);
     }
 
     #[test]

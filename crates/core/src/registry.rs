@@ -115,23 +115,23 @@ impl AllocatorRegistry {
         );
         registry.register(
             "metis",
-            Box::new(|params| Box::new(MetisAllocator::for_params(params, false))),
+            Box::new(|params| Box::new(MetisAllocator::new(params.shards))),
             Box::new(|params, _| {
                 Box::new(GlobalStream::new(
                     "Metis",
                     params.clone(),
-                    Box::new(|graph, p| MetisAllocator::for_params(p, false).allocate_graph(graph)),
+                    Box::new(|graph, p| MetisAllocator::new(p.shards).allocate_graph(graph)),
                 ))
             }),
         );
         registry.register(
             "metis-recursive",
-            Box::new(|params| Box::new(MetisAllocator::for_params(params, true))),
+            Box::new(|params| Box::new(MetisAllocator::recursive(params.shards))),
             Box::new(|params, _| {
                 Box::new(GlobalStream::new(
                     "Metis (recursive bisection)",
                     params.clone(),
-                    Box::new(|graph, p| MetisAllocator::for_params(p, true).allocate_graph(graph)),
+                    Box::new(|graph, p| MetisAllocator::recursive(p.shards).allocate_graph(graph)),
                 ))
             }),
         );

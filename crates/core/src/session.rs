@@ -244,113 +244,6 @@ impl AtxAlloSession {
         }
     }
 
-    /// [`AtxAlloSession::apply_block_nodes`] with a thread-count knob
-    /// (determinism rule D5): `threads <= 1` is the exact serial code
-    /// path; more threads expand the clique deltas over **canonical
-    /// transaction chunks** (boundaries balanced by per-transaction pair
-    /// counts — a pure function of the block, never the thread count),
-    /// concatenate the per-chunk tagged emissions through
-    /// `par::reduce_tree` (order-preserving, so every aggregate slot's
-    /// contributions arrive in serial transaction order), and fold the
-    /// merged list serially. Bit-identical to the serial fold at every
-    /// thread count, pinned by the tests below and the
-    /// `parallel_invariance` suite.
-    pub fn apply_block_nodes_threaded(&mut self, nodes: &BlockNodes, threads: usize) {
-        self.apply_block_nodes_chunked(nodes, threads, None);
-    }
-
-    /// The chunked fold behind [`AtxAlloSession::apply_block_nodes_threaded`],
-    /// with a test hook forcing the chunk count — the emission is
-    /// shape-independent (any partition reproduces the serial bits), so
-    /// tests exercise many shapes on blocks far below the production
-    /// chunk quantum.
-    fn apply_block_nodes_chunked(
-        &mut self,
-        nodes: &BlockNodes,
-        threads: usize,
-        forced_chunks: Option<usize>,
-    ) {
-        use txallo_graph::par::{
-            canonical_chunk_count, entry_balanced_split, fold_chunks, reduce_tree, resolve_threads,
-        };
-        /// Pair-count work quantum per canonical ingestion chunk.
-        const CHUNK_QUANTUM: usize = 2048;
-        /// Hard ceiling on the canonical chunk count.
-        const MAX_CHUNKS: usize = 64;
-
-        let workers = resolve_threads(threads);
-        let tx_count = nodes.tx_count();
-        if workers <= 1 || tx_count == 0 {
-            return self.apply_block_nodes(nodes);
-        }
-        // Canonical chunk shape: transaction ranges balanced by clique
-        // pair counts, both derived from the block alone.
-        let mut work_prefix = vec![0u32; tx_count + 1];
-        for i in 0..tx_count {
-            let len = nodes.tx_nodes(i).len();
-            let pairs = if len <= 1 { 1 } else { len * (len - 1) / 2 };
-            work_prefix[i + 1] = work_prefix[i] + txallo_graph::fit_u32(pairs);
-        }
-        let chunk_target = forced_chunks.unwrap_or_else(|| {
-            canonical_chunk_count(work_prefix[tx_count] as usize, CHUNK_QUANTUM, MAX_CHUNKS)
-        });
-        let bounds = entry_balanced_split(&work_prefix, chunk_target);
-        if bounds.len() - 1 <= 1 {
-            return self.apply_block_nodes(nodes);
-        }
-
-        // Parallel emission: each canonical chunk expands its
-        // transactions' cliques into `(slot tag, w)` deltas in serial
-        // order, dropping unassigned endpoints exactly where the serial
-        // fold would (tag = community << 1, low bit = cut slot).
-        let labels: &[u32] = &self.labels;
-        let label_of = |node: NodeId| labels.get(node as usize).copied().unwrap_or(UNASSIGNED);
-        let partials: Vec<Vec<(u32, f64)>> = fold_chunks(workers, &bounds, |_, lo, hi| {
-            let mut out = Vec::new();
-            for i in lo..hi {
-                let set = nodes.tx_nodes(i);
-                if set.len() == 1 {
-                    let la = label_of(set[0]);
-                    if la != UNASSIGNED {
-                        out.push((la << 1, 1.0));
-                    }
-                    continue;
-                }
-                let w = 1.0 / (set.len() * (set.len() - 1) / 2) as f64;
-                for (a_idx, &a) in set.iter().enumerate() {
-                    let la = label_of(a);
-                    for &b in &set[(a_idx + 1)..] {
-                        let lb = label_of(b);
-                        if la == lb {
-                            if la != UNASSIGNED {
-                                out.push((la << 1, w));
-                            }
-                        } else {
-                            if la != UNASSIGNED {
-                                out.push(((la << 1) | 1, w));
-                            }
-                            if lb != UNASSIGNED {
-                                out.push(((lb << 1) | 1, w));
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        });
-
-        // Fixed-tree concatenation (order-preserving, exact under the
-        // tree's association) then one serial per-slot fold: every slot
-        // sees its contributions in global transaction order — the
-        // serial fold's order — so the aggregates come out bit-identical.
-        let merged = reduce_tree(partials, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
-        .unwrap_or_default();
-        self.state.fold_tagged_deltas(&merged);
-    }
-
     /// Runs the epoch update over `touched`, mutating the session's labels
     /// and aggregates in place and reporting the same outcome as the
     /// stateless [`AtxAllo::update`](crate::AtxAllo::update).
@@ -408,7 +301,6 @@ impl AtxAlloSession {
             params.epsilon,
             params.max_sweeps,
             &mut self.scratch,
-            params.threads,
         );
 
         AtxAlloOutcome {
@@ -561,72 +453,6 @@ mod tests {
         for c in 0..2u32 {
             assert_eq!(s1.state.intra(c).to_bits(), s2.state.intra(c).to_bits());
             assert_eq!(s1.state.cut(c).to_bits(), s2.state.cut(c).to_bits());
-        }
-    }
-
-    /// The canonical-chunk parallel fold is bit-identical to the serial
-    /// fold at every thread count and chunk shape — per-slot emissions
-    /// concatenate in chunk (= transaction) order through the fixed
-    /// reduction tree, so no float ever reassociates.
-    #[test]
-    fn threaded_block_fold_is_bit_identical_to_serial() {
-        let mut g = base_graph();
-        let params = TxAlloParams::for_graph(&g, 3);
-        let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-        let serial_base = AtxAlloSession::new(&g, &prev, &params);
-        // A messy block: transfers, self-transfers, multi-account cliques
-        // (non-dyadic 1/3 weights), and brand-new (unassigned) accounts.
-        let mut txs: Vec<Transaction> = Vec::new();
-        for i in 0..40u64 {
-            txs.push(Transaction::transfer(
-                AccountId(i % 13),
-                AccountId((i * 7 + 1) % 17),
-            ));
-            if i % 3 == 0 {
-                txs.push(
-                    Transaction::new(
-                        vec![AccountId(i % 11)],
-                        vec![AccountId((i + 5) % 19), AccountId(900 + i)],
-                    )
-                    .unwrap(),
-                );
-            }
-            if i % 7 == 0 {
-                txs.push(Transaction::transfer(AccountId(i), AccountId(i)));
-            }
-        }
-        let block = Block::new(0, txs);
-        let nodes = g.ingest_block_nodes(&block);
-
-        let mut serial = serial_base.clone();
-        serial.apply_block_nodes(&nodes);
-        for threads in [2usize, 3, 8] {
-            for chunks in [2usize, 3, 7, 16] {
-                let mut par = serial_base.clone();
-                par.apply_block_nodes_chunked(&nodes, threads, Some(chunks));
-                for c in 0..3u32 {
-                    assert_eq!(
-                        par.state.intra(c).to_bits(),
-                        serial.state.intra(c).to_bits(),
-                        "intra {c} t={threads} chunks={chunks}"
-                    );
-                    assert_eq!(
-                        par.state.cut(c).to_bits(),
-                        serial.state.cut(c).to_bits(),
-                        "cut {c} t={threads} chunks={chunks}"
-                    );
-                }
-            }
-        }
-        // The public wrapper on a block below the quantum degenerates to
-        // the serial path — still identical, by construction.
-        let mut wrapper = serial_base.clone();
-        wrapper.apply_block_nodes_threaded(&nodes, 8);
-        for c in 0..3u32 {
-            assert_eq!(
-                wrapper.state.intra(c).to_bits(),
-                serial.state.intra(c).to_bits()
-            );
         }
     }
 

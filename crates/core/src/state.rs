@@ -508,26 +508,6 @@ impl CommunityState {
         }
     }
 
-    /// Folds a tagged delta list produced by the parallel ingestion path
-    /// (tag = `community << 1`, low bit set = `cut` slot, clear = `intra`
-    /// slot; unassigned endpoints were dropped at emission). The list is
-    /// the chunk-order concatenation of per-canonical-chunk emissions, so
-    /// every slot's contributions arrive in the serial application order
-    /// and the folded aggregates are bit-identical to a serial
-    /// `apply_edge_delta`/`apply_self_loop_delta` replay. Same staleness
-    /// contract as those: close the batch with
-    /// [`CommunityState::refresh_throughput`].
-    pub(crate) fn fold_tagged_deltas(&mut self, deltas: &[(u32, f64)]) {
-        for &(tag, w) in deltas {
-            let c = (tag >> 1) as usize;
-            if tag & 1 == 0 {
-                self.intra[c] += w;
-            } else {
-                self.cut[c] += w;
-            }
-        }
-    }
-
     /// Recomputes every cached scalar (`σ`, `Λ̂`, capped throughput and
     /// saturation regime) from the current `intra`/`cut` (`O(k)`), closing
     /// a batch of `apply_*_delta` calls.

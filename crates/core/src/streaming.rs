@@ -614,9 +614,8 @@ impl StreamingAllocator for AdaptiveStream {
         for &v in nodes.touched() {
             self.touched.mark(v);
         }
-        let threads = self.params.threads;
         if let Some(session) = self.session.as_mut() {
-            session.apply_block_nodes_threaded(nodes, threads);
+            session.apply_block_nodes(nodes);
         }
     }
 

@@ -25,8 +25,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use txallo_core::state::{capped_throughput, UNASSIGNED};
 use txallo_core::{
-    Allocation, AtxAllo, AtxAlloSession, CommunityState, GTxAllo, TxAlloParams, UpdatePath,
-    GAIN_EPS,
+    AdaptiveStream, Allocation, AtxAllo, AtxAlloSession, CommunityState, EpochKind, GTxAllo,
+    StreamingAllocator, TxAlloParams, UpdatePath, GAIN_EPS,
 };
 use txallo_graph::{DeltaCsr, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
@@ -330,6 +330,44 @@ proptest! {
                 h
             );
             prev = got.allocation;
+        }
+    }
+
+    /// The stream's two ingestion surfaces agree: blocks entering through
+    /// the interned `on_block_nodes` route and through the re-hashing
+    /// `on_block` route yield identical updates (kind, path, carry, every
+    /// move) and mappings, across adaptive and forced-global closes.
+    #[test]
+    fn interned_and_rehashing_ingestion_agree(stream in stream_strategy()) {
+        let (base, epochs, k) = stream;
+        let mut g_nodes = build_graph(&base);
+        let mut g_accounts = build_graph(&base);
+        let params = TxAlloParams::for_graph(&g_nodes, k);
+        let mut by_nodes = AdaptiveStream::new(params.clone());
+        let mut by_accounts = AdaptiveStream::new(params.clone());
+        let _ = by_nodes.begin(&g_nodes, &params);
+        let _ = by_accounts.begin(&g_accounts, &params);
+        for (h, pairs) in epochs.iter().enumerate() {
+            let block = block_of(h as u64, pairs);
+            let nodes = g_nodes.ingest_block_nodes(&block);
+            by_nodes.on_block_nodes(&g_nodes, &block, &nodes);
+            g_accounts.ingest_block(&block);
+            by_accounts.on_block(&g_accounts, &block);
+            let kind = if h % 2 == 0 { EpochKind::Adaptive } else { EpochKind::Global };
+            let via_nodes = by_nodes.end_epoch(&g_nodes, kind);
+            let via_accounts = by_accounts.end_epoch(&g_accounts, kind);
+            prop_assert_eq!(
+                format!("{via_nodes:?}"),
+                format!("{via_accounts:?}"),
+                "epoch {}: updates",
+                h
+            );
+            prop_assert_eq!(
+                by_nodes.allocation(),
+                by_accounts.allocation(),
+                "epoch {}: mapping",
+                h
+            );
         }
     }
 }

@@ -285,10 +285,8 @@ impl DeltaCsr {
     }
 
     /// The row-boundary array (`len() + 1` entries; row `i` covers
-    /// `offsets[i]..offsets[i + 1]` of the entry arrays) — the input the
-    /// deterministic partitioner
-    /// ([`par::entry_balanced_split`](crate::par::entry_balanced_split))
-    /// needs to split the sweep by canonical row ranges.
+    /// `offsets[i]..offsets[i + 1]` of the entry arrays); its last entry
+    /// is the snapshot's total entry count.
     #[inline]
     pub fn offsets(&self) -> &[u32] {
         &self.offsets

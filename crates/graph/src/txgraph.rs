@@ -228,6 +228,17 @@ impl TxGraph {
         }
     }
 
+    /// Debug check of the [residency read invariant](crate::residency): a
+    /// cold row reads as empty, so no reader may see one before it is
+    /// rehydrated. Compiled out of release builds.
+    #[inline]
+    fn debug_assert_resident(&self, v: NodeId) {
+        debug_assert!(
+            self.residency.as_deref().is_none_or(|r| !r.is_cold(v)),
+            "row {v} is cold: rehydrate it (ensure_resident) before reading"
+        );
+    }
+
     /// The current memory accounting of the graph (see
     /// [`MemoryFootprint`]).
     pub fn memory_footprint(&self) -> MemoryFootprint {
@@ -468,6 +479,7 @@ impl TxGraph {
         if a == b {
             return self.self_loops[a as usize];
         }
+        self.debug_assert_resident(a);
         self.adjacency.get(a as usize, b).unwrap_or(0.0)
     }
 
@@ -481,6 +493,7 @@ impl TxGraph {
         out_ids: &mut Vec<NodeId>,
         out_ws: &mut Vec<f64>,
     ) -> f64 {
+        self.debug_assert_resident(v);
         self.adjacency.copy_row_into(v as usize, out_ids, out_ws)
     }
 
@@ -517,14 +530,17 @@ impl WeightedGraph for TxGraph {
     /// invariant), so order-dependent float folds over the mutable graph
     /// agree with the frozen CSR forms.
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId, f64)) {
+        self.debug_assert_resident(v);
         self.adjacency.for_each(v as usize, f);
     }
 
     fn neighbor_count(&self, v: NodeId) -> usize {
+        self.debug_assert_resident(v);
         self.adjacency.row_len(v as usize)
     }
 
     fn row_view(&self, v: NodeId) -> Option<RowView<'_>> {
+        self.debug_assert_resident(v);
         let (run_ids, run_ws, tail_ids, tail_ws) = self.adjacency.row_parts(v as usize);
         Some(RowView {
             run_ids,
@@ -809,6 +825,21 @@ mod tests {
         g.apply_decay(0.5);
         r.apply_decay(0.5);
         same(&g, &r);
+    }
+
+    /// Reading an evicted row is a caller bug (the row would read as
+    /// empty), so debug builds stop at the read.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "row 0 is cold")]
+    fn reading_a_cold_row_panics_in_debug_builds() {
+        let mut g = TxGraph::new();
+        g.enable_residency(&ResidencyConfig::in_memory(1));
+        g.ingest_transaction(&Transaction::transfer(a(0), a(1)));
+        g.advance_residency_epoch();
+        g.advance_residency_epoch();
+        assert_eq!(g.memory_footprint().cold_rows, 2, "both rows evicted");
+        let _ = g.neighbor_count(0);
     }
 
     #[test]

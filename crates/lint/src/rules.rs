@@ -45,13 +45,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "D5-thread-spawn",
-        summary: "no thread spawning or shared-state sync primitives outside txallo_graph::par",
+        summary: "no thread spawning or shared-state sync primitives outside txallo_graph::par; allocation kernels are single-threaded",
         contract: "D5 parallel reduction",
         check: d5_thread_spawn,
     },
     Rule {
         id: "D5-adhoc-reduction",
-        summary: "no ad-hoc float folds over per-chunk/per-worker partials; exact combines go through txallo_graph::par::reduce_tree",
+        summary: "no ad-hoc float folds over per-chunk/per-worker partials; fold serially in canonical order",
         contract: "D5 parallel reduction",
         check: d5_adhoc_reduction,
     },
@@ -467,9 +467,9 @@ fn d5_thread_spawn(view: &FileView, out: &mut Vec<RawFinding>) {
                     lineno,
                     "D5-thread-spawn",
                     format!(
-                        "`{}` outside txallo_graph::par — worker partitioning and \
-                         cross-thread state live only in the par layer (D5); shared \
-                         mutation and cross-chunk float folds are forbidden in workers",
+                        "`{}` outside txallo_graph::par — every allocation kernel is \
+                         single-threaded (D5: one kernel per phase); the only threaded \
+                         code is the CSR chunked fill, whose chunks write disjoint rows",
                         tok.trim_end_matches('<')
                     ),
                 ));
@@ -528,7 +528,7 @@ fn d5_adhoc_reduction(view: &FileView, out: &mut Vec<RawFinding>) {
             i += 1;
         }
         if stmt.contains("reduce_tree") {
-            continue; // the sanctioned combiner itself
+            continue; // a fixed-tree combiner names its merge order
         }
         let floaty = ["f64", "f32"].iter().any(|t| has_token(&stmt, t)) || stmt.contains("0.0");
         if !floaty {
@@ -546,9 +546,8 @@ fn d5_adhoc_reduction(view: &FileView, out: &mut Vec<RawFinding>) {
                 "D5-adhoc-reduction",
                 format!(
                     "float `{}..)` over per-chunk partials — a cross-chunk float fold's \
-                     bits depend on the chunk shape; combine through \
-                     txallo_graph::par::reduce_tree with an exact merge, or fold serially \
-                     in canonical order in caller code (D5)",
+                     bits depend on the chunk shape; fold serially in canonical order \
+                     instead (D5)",
                     reducer.trim_end_matches(['(', ':', '<'])
                 ),
             ));

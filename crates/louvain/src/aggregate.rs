@@ -23,23 +23,7 @@
 //! pinned byte-identical against a stable-sorted reference merge in the
 //! tests below.
 
-use txallo_graph::par::{
-    canonical_chunk_count, entry_balanced_split, fold_chunks, reduce_tree, resolve_threads,
-};
 use txallo_graph::{fit_u32, AdjacencyGraph, CsrGraph, NodeId, WeightedGraph};
-
-/// Work quantum of the parallel aggregation: one canonical chunk per this
-/// many adjacency entries. A pure constant — never derived from the
-/// thread count — so the chunk shape is an invariant of the input.
-const CHUNK_QUANTUM: usize = 8192;
-
-/// Byte budget for the per-chunk community histograms (`chunks × C × 4`
-/// bytes), capping the canonical chunk count on partitions with many
-/// communities. Data-derived, thread-count-independent.
-const HIST_BUDGET_BYTES: usize = 1 << 22;
-
-/// Hard ceiling on the canonical chunk count.
-const MAX_CHUNKS: usize = 64;
 
 /// Reusable buffers of the counting-sort aggregation — one set per Louvain
 /// run, reused across every level (high-water mark set by level 0).
@@ -191,265 +175,6 @@ pub fn aggregate_graph_into(
         }
         final_offsets[row + 1] = fit_u32(targets.len());
     }
-
-    CsrGraph::from_sorted_rows(final_offsets, targets, weights, self_loops, total)
-}
-
-/// One canonical chunk's staged aggregation state: the level-walk
-/// contributions in walk order, the chunk's community degree histogram,
-/// and the chunk-local pass-A counting sort (oriented entries grouped by
-/// target community, staging order preserved inside every bucket).
-struct ChunkStage {
-    /// `(community, w)` float contributions in walk order; `u32::MAX`
-    /// tags a cross-community edge (contributes to the total only).
-    contrib: Vec<(u32, f64)>,
-    /// Per-community oriented-entry counts (both endpoints per edge).
-    hist: Vec<u32>,
-    /// Bucket boundaries of `sorted`: prefix sums of `hist` (`C + 1`).
-    bucket_offsets: Vec<u32>,
-    /// `(row, w)` oriented entries, bucket-major by target community.
-    sorted: Vec<(u32, f64)>,
-}
-
-/// [`aggregate_graph_into`] with a thread-count knob: `threads <= 1`
-/// (after [`resolve_threads`]) takes the exact serial code path above;
-/// more threads run the same counting-sort pipeline over **canonical
-/// chunks** (boundaries a pure function of the adjacency data, per
-/// [`canonical_chunk_count`] / [`entry_balanced_split`]) and merge the
-/// per-chunk partials through [`reduce_tree`] — integer histogram adds
-/// and order-preserving bucket concatenation only, with every float fold
-/// kept per-slot in chunk order (the serial walk order). The result is
-/// bit-identical to the serial build at every thread count, which the
-/// tests below and the Louvain golden suite pin.
-pub fn aggregate_graph_threaded(
-    graph: &(impl WeightedGraph + Sync),
-    communities: &[u32],
-    community_count: usize,
-    scratch: &mut AggregateScratch,
-    threads: usize,
-) -> AdjacencyGraph {
-    aggregate_impl(graph, communities, community_count, scratch, threads, None)
-}
-
-/// The chunked pipeline behind [`aggregate_graph_threaded`], with a test
-/// hook forcing the chunk count: the build is *shape-independent* — any
-/// chunk partition reproduces the serial bits — so the tests exercise
-/// many shapes on graphs far below the production [`CHUNK_QUANTUM`].
-fn aggregate_impl(
-    graph: &(impl WeightedGraph + Sync),
-    communities: &[u32],
-    community_count: usize,
-    scratch: &mut AggregateScratch,
-    threads: usize,
-    forced_chunks: Option<usize>,
-) -> AdjacencyGraph {
-    assert_eq!(communities.len(), graph.node_count());
-    let n = graph.node_count();
-    let c = community_count;
-    let workers = resolve_threads(threads);
-    if workers <= 1 || n == 0 || c == 0 {
-        return aggregate_graph_into(graph, communities, community_count, scratch);
-    }
-
-    // Canonical chunk shape: entry-balanced node ranges, count capped by
-    // the histogram budget. Both depend on the data alone.
-    let mut deg_prefix = vec![0u32; n + 1];
-    for v in 0..n {
-        deg_prefix[v + 1] = deg_prefix[v] + fit_u32(graph.neighbor_count(v as NodeId));
-    }
-    let level_entries = deg_prefix[n] as usize;
-    let hist_cap = (HIST_BUDGET_BYTES / (4 * c.max(1))).min(MAX_CHUNKS);
-    let chunk_target = forced_chunks
-        .unwrap_or_else(|| canonical_chunk_count(level_entries, CHUNK_QUANTUM, hist_cap));
-    let bounds = entry_balanced_split(&deg_prefix, chunk_target);
-    if bounds.len() - 1 <= 1 {
-        return aggregate_graph_into(graph, communities, community_count, scratch);
-    }
-
-    // Stage 1+2 (parallel, one partial per canonical chunk): walk the
-    // chunk's rows staging contributions and cross edges, then counting-
-    // sort the chunk's own oriented entries by target — all chunk-local,
-    // so the partial is a pure function of the chunk range.
-    let stages: Vec<ChunkStage> = fold_chunks(workers, &bounds, |_, lo, hi| {
-        let mut contrib = Vec::new();
-        let mut edges = Vec::new();
-        let mut hist = vec![0u32; c];
-        for v in lo..hi {
-            let cv = communities[v];
-            let loop_w = graph.self_loop(v as NodeId);
-            if loop_w > 0.0 {
-                contrib.push((cv, loop_w));
-            }
-            graph.for_each_neighbor(v as NodeId, |u, w| {
-                if (v as NodeId) < u {
-                    let cu = communities[u as usize];
-                    if cu == cv {
-                        contrib.push((cv, w));
-                    } else {
-                        contrib.push((u32::MAX, w));
-                        hist[cv.min(cu) as usize] += 1;
-                        hist[cv.max(cu) as usize] += 1;
-                        edges.push((cv.min(cu), cv.max(cu), w));
-                    }
-                }
-            });
-        }
-        let mut bucket_offsets = vec![0u32; c + 1];
-        for q in 0..c {
-            bucket_offsets[q + 1] = bucket_offsets[q] + hist[q];
-        }
-        let mut cursor: Vec<u32> = bucket_offsets[..c].to_vec();
-        let mut sorted = vec![(0u32, 0.0f64); edges.len() * 2];
-        for &(a, b, w) in &edges {
-            let slot = cursor[b as usize] as usize;
-            cursor[b as usize] += 1;
-            sorted[slot] = (a, w);
-            let slot = cursor[a as usize] as usize;
-            cursor[a as usize] += 1;
-            sorted[slot] = (b, w);
-        }
-        ChunkStage {
-            contrib,
-            hist,
-            bucket_offsets,
-            sorted,
-        }
-    });
-
-    // Serial float folds over the chunk-ordered contributions — chunk
-    // order is the walk order, so these bits equal the serial build's.
-    let mut self_loops = vec![0.0f64; c];
-    let mut total = 0.0f64;
-    for stage in &stages {
-        for &(tag, w) in &stage.contrib {
-            total += w;
-            if tag != u32::MAX {
-                self_loops[tag as usize] += w;
-            }
-        }
-    }
-
-    // Global community degree histogram: per-chunk histograms merged by
-    // the fixed reduction tree (elementwise integer adds are exact under
-    // any association).
-    let merged_hist = reduce_tree(
-        stages.iter().map(|s| s.hist.clone()).collect(),
-        |mut left, right| {
-            for (a, b) in left.iter_mut().zip(&right) {
-                *a += b;
-            }
-            left
-        },
-    )
-    .expect("at least two chunks exist on this path"); // txallo-lint: allow(lib-unwrap) — bounds.len() - 1 > 1 was checked above, so `stages` is non-empty
-    let mut offsets = vec![0u32; c + 1];
-    for q in 0..c {
-        offsets[q + 1] = offsets[q] + merged_hist[q];
-    }
-    let entries = offsets[c] as usize;
-
-    // Stage 3 (parallel over canonical target ranges): the logical global
-    // pass-A sequence is "targets ascending, chunks ascending within a
-    // target, staging order within a chunk" — exactly the serial scatter
-    // order. Each worker walks its target range of that sequence and
-    // counting-sorts it stably by *row*, yielding per-(range, row)
-    // buckets whose concatenation in range order reproduces the serial
-    // pass-B output bit-for-bit.
-    let target_bounds = entry_balanced_split(&offsets, chunk_target);
-    // One target range's output: row-sorted (target, weight) entries plus
-    // the per-row bucket offsets into them.
-    type RangeBuckets = (Vec<(u32, f64)>, Vec<u32>);
-    let row_sorted: Vec<RangeBuckets> = fold_chunks(workers, &target_bounds, |_, clo, chi| {
-        let mut hist = vec![0u32; c];
-        for q in clo..chi {
-            for stage in &stages {
-                let (s, e) = (
-                    stage.bucket_offsets[q] as usize,
-                    stage.bucket_offsets[q + 1] as usize,
-                );
-                for &(row, _) in &stage.sorted[s..e] {
-                    hist[row as usize] += 1;
-                }
-            }
-        }
-        let mut local_offsets = vec![0u32; c + 1];
-        for r in 0..c {
-            local_offsets[r + 1] = local_offsets[r] + hist[r];
-        }
-        let mut cursor: Vec<u32> = local_offsets[..c].to_vec();
-        let range_entries = (offsets[chi] - offsets[clo]) as usize;
-        let mut out = vec![(0u32, 0.0f64); range_entries];
-        for q in clo..chi {
-            for stage in &stages {
-                let (s, e) = (
-                    stage.bucket_offsets[q] as usize,
-                    stage.bucket_offsets[q + 1] as usize,
-                );
-                for &(row, w) in &stage.sorted[s..e] {
-                    let slot = cursor[row as usize] as usize;
-                    cursor[row as usize] += 1;
-                    out[slot] = (fit_u32(q), w);
-                }
-            }
-        }
-        (out, local_offsets)
-    });
-
-    // Stage 4 (parallel over canonical row ranges): each row's final
-    // sequence is the range-order concatenation of its per-range buckets
-    // — targets ascending (ranges partition the target space), parallel
-    // occurrences adjacent and still in staging order — merged exactly
-    // like the serial build's last pass.
-    struct MergedRows {
-        row_counts: Vec<u32>,
-        targets: Vec<NodeId>,
-        weights: Vec<f64>,
-    }
-    let merged: Vec<MergedRows> = fold_chunks(workers, &target_bounds, |_, rlo, rhi| {
-        let mut row_counts = Vec::with_capacity(rhi - rlo);
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for r in rlo..rhi {
-            let row_start = targets.len();
-            for (out, local_offsets) in &row_sorted {
-                let (s, e) = (local_offsets[r] as usize, local_offsets[r + 1] as usize);
-                for &(t, w) in &out[s..e] {
-                    match targets.last() {
-                        Some(&last) if targets.len() > row_start && last == t => {
-                            let slot = weights.len() - 1;
-                            weights[slot] += w;
-                        }
-                        _ => {
-                            targets.push(t);
-                            weights.push(w);
-                        }
-                    }
-                }
-            }
-            row_counts.push(fit_u32(targets.len() - row_start));
-        }
-        MergedRows {
-            row_counts,
-            targets,
-            weights,
-        }
-    });
-
-    // Serial assembly in range order (= row order): merged row lengths
-    // prefix into the final offsets, merged rows concatenate verbatim.
-    let mut final_offsets = vec![0u32; c + 1];
-    let mut targets: Vec<NodeId> = Vec::with_capacity(entries);
-    let mut weights: Vec<f64> = Vec::with_capacity(entries);
-    let mut row = 0usize;
-    for part in merged {
-        for count in part.row_counts {
-            final_offsets[row + 1] = final_offsets[row] + count;
-            row += 1;
-        }
-        targets.extend_from_slice(&part.targets);
-        weights.extend_from_slice(&part.weights);
-    }
-    debug_assert_eq!(row, c);
 
     CsrGraph::from_sorted_rows(final_offsets, targets, weights, self_loops, total)
 }
@@ -622,68 +347,24 @@ mod tests {
         }
     }
 
-    /// Bitwise equality of two condensed graphs, every observable field.
-    fn assert_same_graph(a: &AdjacencyGraph, b: &AdjacencyGraph, ctx: &str) {
-        assert_eq!(a.node_count(), b.node_count(), "{ctx}");
-        assert_eq!(
-            a.total_weight().to_bits(),
-            b.total_weight().to_bits(),
-            "{ctx}"
-        );
-        for v in 0..a.node_count() as NodeId {
-            assert_eq!(
-                a.self_loop(v).to_bits(),
-                b.self_loop(v).to_bits(),
-                "{ctx} loop {v}"
-            );
-            assert_eq!(a.neighbor_ids(v), b.neighbor_ids(v), "{ctx} row {v}");
-            let wa: Vec<u64> = a.neighbor_weights(v).iter().map(|w| w.to_bits()).collect();
-            let wb: Vec<u64> = b.neighbor_weights(v).iter().map(|w| w.to_bits()).collect();
-            assert_eq!(wa, wb, "{ctx} weights {v}");
-            assert_eq!(
-                a.incident_weight(v).to_bits(),
-                b.incident_weight(v).to_bits(),
-                "{ctx} incident {v}"
-            );
-        }
-    }
-
-    /// The canonical-chunk parallel build is bit-identical to the serial
-    /// counting sort at every thread count — the chunk shape is a pure
-    /// function of the data, every float fold runs per-slot in chunk
-    /// (= walk) order, and the tree merges are integer-exact.
+    /// Degenerate shapes through one reused scratch: an empty graph
+    /// condenses to an empty graph, and a single community folds every
+    /// edge into one self-loop, bit for bit as the stable reference does.
     #[test]
-    fn threaded_aggregation_is_bit_identical_to_serial() {
-        for (n, c) in [(60usize, 4usize), (150, 9), (240, 2), (90, 40), (300, 17)] {
-            let (g, labels, c) = scrambled(n, c);
-            let serial = aggregate_graph(&g, &labels, c);
-            for threads in [2usize, 3, 8, 61] {
-                for chunks in [2usize, 3, 5, 16] {
-                    let mut scratch = AggregateScratch::default();
-                    let par = aggregate_impl(&g, &labels, c, &mut scratch, threads, Some(chunks));
-                    assert_same_graph(
-                        &par,
-                        &serial,
-                        &format!("n={n} c={c} t={threads} chunks={chunks}"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Degenerate shapes fall back to (or reproduce) the serial path:
-    /// empty graphs, single community, graphs below the chunk quantum.
-    #[test]
-    fn threaded_aggregation_degenerate_shapes() {
+    fn aggregation_degenerate_shapes() {
         let g = AdjacencyGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
         let mut scratch = AggregateScratch::default();
-        let agg = aggregate_graph_threaded(&g, &[], 0, &mut scratch, 8);
+        let agg = aggregate_graph_into(&g, &[], 0, &mut scratch);
         assert_eq!(agg.node_count(), 0);
 
         let (g, labels, _) = scrambled(40, 1);
-        let serial = aggregate_graph(&g, &labels, 1);
-        let par = aggregate_graph_threaded(&g, &labels, 1, &mut scratch, 8);
-        assert_same_graph(&par, &serial, "single community");
+        let agg = aggregate_graph_into(&g, &labels, 1, &mut scratch);
+        let (ref_loops, ref_total, ref_rows) = reference_aggregate(&g, &labels, 1);
+        assert_eq!(agg.node_count(), 1);
+        assert_eq!(agg.edge_count(), 0);
+        assert!(ref_rows[0].is_empty());
+        assert_eq!(agg.total_weight().to_bits(), ref_total.to_bits());
+        assert_eq!(agg.self_loop(0).to_bits(), ref_loops[0].to_bits());
     }
 
     /// Agreement with the old edge-list pipeline on duplicate-free inputs

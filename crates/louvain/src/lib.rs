@@ -23,9 +23,7 @@ pub mod local_move;
 pub mod modularity;
 pub mod refine;
 
-pub use aggregate::{
-    aggregate_graph, aggregate_graph_into, aggregate_graph_threaded, AggregateScratch,
-};
+pub use aggregate::{aggregate_graph, aggregate_graph_into, AggregateScratch};
 pub use local_move::{local_moving_pass, LocalMoveOutcome};
 pub use modularity::modularity;
 pub use refine::{count_disconnected, split_disconnected};
@@ -59,14 +57,6 @@ pub struct LouvainConfig {
     pub min_gain: f64,
     /// Resolution parameter γ of generalized modularity (1.0 = classic).
     pub resolution: f64,
-    /// Worker threads of the local-moving gather pass (`1` = the exact
-    /// serial code path; `0` = one per core). The count never changes the
-    /// result — the parallel pass partitions rows by canonical ranges and
-    /// is bit-identical to the serial sweep (see
-    /// [`local_moving_pass`]) — only how fast it runs. Defaults to the
-    /// `TXALLO_THREADS` environment variable
-    /// ([`txallo_graph::par::threads_from_env`]), i.e. `1` when unset.
-    pub threads: usize,
 }
 
 impl Default for LouvainConfig {
@@ -76,17 +66,7 @@ impl Default for LouvainConfig {
             max_sweeps: 64,
             min_gain: 1e-9,
             resolution: 1.0,
-            threads: txallo_graph::par::threads_from_env(),
         }
-    }
-}
-
-impl LouvainConfig {
-    /// Returns a copy with a different thread count (`1` = serial,
-    /// `0` = one per core).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -140,8 +120,7 @@ pub fn louvain_csr(graph: &AdjacencyGraph, config: &LouvainConfig) -> LouvainRes
     for _ in 0..config.max_levels {
         let level_graph = owned_level.as_ref().unwrap_or(graph);
         // Every level — the borrowed level-0 graph and the owned
-        // aggregated ones — runs the same cached re-gather pass (serial or
-        // multi-core per `config.threads`, bit-identical either way).
+        // aggregated ones — runs the same cached re-gather pass.
         let outcome = local_moving_pass(level_graph, config);
         levels += 1;
         if !outcome.moved_any {
@@ -155,17 +134,11 @@ pub fn louvain_csr(graph: &AdjacencyGraph, config: &LouvainConfig) -> LouvainRes
         if compact.count == level_graph.node_count() {
             break; // No coarsening happened: converged.
         }
-        // Aggregation runs the canonical-chunk parallel counting sort
-        // (`threads <= 1` is the exact serial build): chunk boundaries
-        // are a pure function of the level data and every float fold
-        // stays in chunk (= walk) order, so the condensed level is
-        // bit-identical at every thread count.
-        let next = aggregate_graph_threaded(
+        let next = aggregate_graph_into(
             level_graph,
             &compact.labels,
             compact.count,
             &mut agg_scratch,
-            config.threads,
         );
         let done = compact.count <= 1;
         owned_level = Some(next);
@@ -317,45 +290,6 @@ mod tests {
         assert_eq!(groups[0], vec![0, 2]);
         assert_eq!(groups[1], vec![1, 4]);
         assert_eq!(groups[2], vec![3]);
-    }
-
-    /// Golden thread-invariance test over the *whole* pipeline: local
-    /// moving at the configured thread count, label compaction, and the
-    /// counting-sort aggregation (parallel over canonical chunks whose
-    /// boundaries are a pure function of the level data, float folds
-    /// kept in chunk = walk order — so neither first-seen label order
-    /// nor any fold order can depend on scheduling) must give
-    /// bitwise-equal coarse levels, final labels and modularity at
-    /// every thread count.
-    #[test]
-    fn louvain_csr_is_bit_identical_at_every_thread_count() {
-        // Ring of cliques + cross-chords: several aggregation levels.
-        let (r, s) = (8u32, 5u32);
-        let mut edges = Vec::new();
-        for c in 0..r {
-            let base = c * s;
-            for a in 0..s {
-                for b in (a + 1)..s {
-                    edges.push((base + a, base + b, 1.0));
-                }
-            }
-            let next_base = ((c + 1) % r) * s;
-            edges.push((base, next_base, 0.05));
-            edges.push((base + 1, ((c + 3) % r) * s + 2, 0.02));
-        }
-        let g = AdjacencyGraph::from_edges((r * s) as usize, edges);
-        let serial = louvain_csr(&g, &LouvainConfig::default().with_threads(1));
-        for threads in [2usize, 3, 8] {
-            let par = louvain_csr(&g, &LouvainConfig::default().with_threads(threads));
-            assert_eq!(par.communities, serial.communities, "{threads} threads");
-            assert_eq!(par.community_count, serial.community_count);
-            assert_eq!(par.levels, serial.levels, "{threads} threads");
-            assert_eq!(
-                par.modularity.to_bits(),
-                serial.modularity.to_bits(),
-                "{threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The local-moving phase of Louvain.
 
-use txallo_graph::{fit_u32, par, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
+use txallo_graph::{fit_u32, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
 use crate::{LouvainConfig, GAIN_EPS};
 
@@ -28,26 +28,7 @@ pub struct LocalMoveOutcome {
 /// [`DenseAccumulator`] indexed by community id — no hashing, no per-node
 /// allocation; only the touched-list (the node's distinct neighboring
 /// communities) is sorted to fix the deterministic candidate order.
-///
-/// `config.threads` only chooses *how* the gathers are computed:
-/// `threads <= 1` runs the exact serial code path; larger counts run the
-/// multi-core variant, which refreshes stale candidate caches in parallel
-/// over canonical row ranges at each sweep boundary and then executes the
-/// identical serial decision loop — bit-identical labels, sweep counts and
-/// move trajectory at any thread count (pinned by the golden tests).
-pub fn local_moving_pass(
-    graph: &(impl WeightedGraph + Sync),
-    config: &LouvainConfig,
-) -> LocalMoveOutcome {
-    if par::resolve_threads(config.threads) <= 1 {
-        local_moving_serial(graph, config)
-    } else {
-        local_moving_parallel(graph, config)
-    }
-}
-
-/// The serial local-moving pass — the `threads == 1` code path.
-fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> LocalMoveOutcome {
+pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> LocalMoveOutcome {
     let n = graph.node_count();
     let m = graph.total_weight();
     let mut communities: Vec<u32> = (0..n as u32).collect();
@@ -144,168 +125,6 @@ fn local_moving_serial(graph: &impl WeightedGraph, config: &LouvainConfig) -> Lo
                 moved_any = true;
                 cache.commit_move(current, best_comm);
                 graph.for_each_neighbor(v, |u, _| cache.invalidate(u as usize));
-            }
-        }
-
-        if !moved_this_sweep {
-            break;
-        }
-    }
-
-    LocalMoveOutcome {
-        communities,
-        moved_any,
-        sweeps,
-    }
-}
-
-/// The multi-core local-moving pass.
-///
-/// **Why this is bit-identical to the serial sweep.** A node's cached
-/// candidate list is a pure function of its row and its neighbors'
-/// labels; the serial pass already reuses it until a neighbor moves
-/// (`links_dirty` vs `gathered_at`). The parallel variant exploits
-/// exactly that: at each sweep boundary — when the labels are frozen —
-/// every *stale* row's gather is refreshed concurrently, partitioned by
-/// canonical row ranges ([`par::entry_balanced_split`]), each chunk
-/// writing only its own cache window with its own accumulator. The
-/// decision loop that follows applies the serial rule to every node in
-/// the same order (the serial pass's active set only leaves out nodes
-/// whose evaluation would be a no-op), sees caches whose bits equal what
-/// a visit-time gather would have produced (any cache invalidated by an
-/// earlier in-sweep move is re-gathered serially at its turn), and
-/// therefore commits the identical move sequence, float by float. No
-/// gain, Σ_tot update or modularity fold ever crosses a chunk boundary.
-fn local_moving_parallel(
-    graph: &(impl WeightedGraph + Sync),
-    config: &LouvainConfig,
-) -> LocalMoveOutcome {
-    let n = graph.node_count();
-    let m = graph.total_weight();
-    let mut communities: Vec<u32> = (0..n as u32).collect();
-    if n == 0 || m <= 0.0 {
-        return LocalMoveOutcome {
-            communities,
-            moved_any: false,
-            sweeps: 0,
-        };
-    }
-
-    let strength: Vec<f64> = (0..n as NodeId).map(|v| graph.strength(v)).collect();
-    let mut sigma_tot: Vec<f64> = strength.clone();
-    let mut moved_any = false;
-    let mut sweeps = 0usize;
-    let mut link = DenseAccumulator::new();
-
-    let mut move_stamp: u64 = 1;
-    let mut last_eval: Vec<u64> = vec![0; n];
-    let mut gathered_at: Vec<u64> = vec![0; n];
-    let mut links_dirty: Vec<u64> = vec![1; n];
-    let mut comm_stamp: Vec<u64> = vec![1; n];
-    let mut cand_cache: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-
-    // Canonical row ranges, balanced by degree (the graph trait has no
-    // offsets array, so one O(n) prefix builds it).
-    let threads = par::resolve_threads(config.threads).min(n);
-    let mut deg_prefix: Vec<u32> = vec![0; n + 1];
-    for v in 0..n {
-        deg_prefix[v + 1] = deg_prefix[v] + graph.neighbor_count(v as NodeId) as u32;
-    }
-    let bounds = par::entry_balanced_split(&deg_prefix, threads);
-    let mut pool: Vec<DenseAccumulator> = Vec::new();
-    pool.resize_with(bounds.len() - 1, DenseAccumulator::default);
-
-    for _ in 0..config.max_sweeps {
-        sweeps += 1;
-
-        // Refresh every stale gather against the sweep-boundary labels.
-        {
-            let communities = &communities;
-            let links_dirty = &links_dirty;
-            let gathered_at_r = &gathered_at;
-            par::for_each_chunk_mut(&bounds, &mut cand_cache, &mut pool, |lo, caches, acc| {
-                for (idx, cache) in caches.iter_mut().enumerate() {
-                    let vi = lo + idx;
-                    if links_dirty[vi] <= gathered_at_r[vi] {
-                        continue;
-                    }
-                    acc.begin(n);
-                    graph.for_each_neighbor(vi as NodeId, |u, w| {
-                        acc.add(communities[u as usize], w);
-                    });
-                    acc.sort_touched();
-                    cache.clear();
-                    cache.extend(acc.entries());
-                }
-            });
-        }
-        for vi in 0..n {
-            if links_dirty[vi] > gathered_at[vi] {
-                gathered_at[vi] = move_stamp;
-            }
-        }
-
-        let mut moved_this_sweep = false;
-        for v in 0..n as NodeId {
-            let vi = v as usize;
-            let current = communities[vi];
-            let links_fresh = links_dirty[vi] <= gathered_at[vi];
-            if links_fresh {
-                let seen = last_eval[vi];
-                if comm_stamp[current as usize] <= seen
-                    && cand_cache[vi]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
-                link.begin(n);
-                graph.for_each_neighbor(v, |u, w| {
-                    link.add(communities[u as usize], w);
-                });
-                link.sort_touched();
-                gathered_at[vi] = move_stamp;
-                cand_cache[vi].clear();
-                cand_cache[vi].extend(link.entries());
-            }
-            last_eval[vi] = move_stamp;
-
-            let k_v = strength[vi];
-            let cand = &cand_cache[vi];
-            let sig_cur = sigma_tot[current as usize] - k_v;
-            let w_current = cand
-                .iter()
-                .find(|&&(c, _)| c == current)
-                .map_or(0.0, |&(_, w)| w);
-            let gain_stay = w_current / m - config.resolution * sig_cur * k_v / (2.0 * m * m);
-
-            let mut best_comm = current;
-            let mut best_gain = gain_stay;
-            for &(c, w_vc) in cand {
-                if c == current {
-                    continue;
-                }
-                let gain =
-                    w_vc / m - config.resolution * sigma_tot[c as usize] * k_v / (2.0 * m * m);
-                if gain > best_gain + GAIN_EPS {
-                    best_gain = gain;
-                    best_comm = c;
-                }
-            }
-
-            if best_comm != current {
-                sigma_tot[current as usize] = sig_cur;
-                sigma_tot[best_comm as usize] += k_v;
-                communities[vi] = best_comm;
-                moved_this_sweep = true;
-                moved_any = true;
-                move_stamp += 1;
-                comm_stamp[current as usize] = move_stamp;
-                comm_stamp[best_comm as usize] = move_stamp;
-                graph.for_each_neighbor(v, |u, _| {
-                    links_dirty[u as usize] = move_stamp;
-                });
             }
         }
 
@@ -481,7 +300,7 @@ mod tests {
     /// local-moving pass — dense community-to-community rows plus the
     /// self-loops that carry each community's internal weight.
     fn aggregated_level(graph: &AdjacencyGraph) -> AdjacencyGraph {
-        let level0 = local_moving_pass(graph, &LouvainConfig::default().with_threads(1));
+        let level0 = local_moving_pass(graph, &LouvainConfig::default());
         let compact = crate::compact_labels(&level0.communities);
         crate::aggregate_graph(graph, &compact.labels, compact.count)
     }
@@ -499,38 +318,13 @@ mod tests {
         inputs.extend((0..5u64).map(|seed| weighted_mess(seed, 48)));
         inputs.push(AdjacencyGraph::from_edges(0, Vec::new()));
         inputs.push(AdjacencyGraph::from_edges(3, Vec::new()));
-        for config in [
-            LouvainConfig::default().with_threads(1),
-            LouvainConfig::default(),
-        ] {
-            for (i, g) in inputs.iter().enumerate() {
-                let dense = local_moving_pass(g, &config);
-                let reference = reference_local_moving(g, &config);
-                assert_eq!(dense.communities, reference.communities, "input {i}");
-                assert_eq!(dense.sweeps, reference.sweeps, "input {i}");
-                assert_eq!(dense.moved_any, reference.moved_any, "input {i}");
-            }
-        }
-    }
-
-    /// Golden thread-invariance test: the multi-core pass must reproduce
-    /// the serial pass — and through it the seed's hash-map reference —
-    /// byte for byte at every thread count, including counts far above
-    /// the machine's core count and above the node count.
-    #[test]
-    fn parallel_pass_is_bit_identical_to_serial_and_reference() {
-        let g = messy_graph();
-        let serial_cfg = LouvainConfig::default().with_threads(1);
-        let serial = local_moving_pass(&g, &serial_cfg);
-        let reference = reference_local_moving(&g, &serial_cfg);
-        assert_eq!(serial.communities, reference.communities);
-        assert_eq!(serial.sweeps, reference.sweeps);
-        for threads in [2usize, 3, 8, 61] {
-            let cfg = LouvainConfig::default().with_threads(threads);
-            let par = local_moving_pass(&g, &cfg);
-            assert_eq!(par.communities, serial.communities, "{threads} threads");
-            assert_eq!(par.sweeps, serial.sweeps, "{threads} threads");
-            assert_eq!(par.moved_any, serial.moved_any, "{threads} threads");
+        let config = LouvainConfig::default();
+        for (i, g) in inputs.iter().enumerate() {
+            let dense = local_moving_pass(g, &config);
+            let reference = reference_local_moving(g, &config);
+            assert_eq!(dense.communities, reference.communities, "input {i}");
+            assert_eq!(dense.sweeps, reference.sweeps, "input {i}");
+            assert_eq!(dense.moved_any, reference.moved_any, "input {i}");
         }
     }
 }

@@ -7,9 +7,9 @@
 
 use txallo_graph::{AdjacencyGraph, DenseIndexMap, NodeId, WeightedGraph};
 
-use crate::coarsen::coarsen_threaded;
+use crate::coarsen::coarsen;
 use crate::frontier::{heaviest_first, GrowFrontier};
-use crate::refine::fm_refine_with_targets_threaded;
+use crate::refine::fm_refine_with_targets;
 use crate::MetisConfig;
 
 /// Grows one region to `frac` of the total vertex weight (2-way greedy
@@ -61,19 +61,18 @@ fn multilevel_bisect(
     let total: f64 = vertex_weights.iter().sum();
     let targets = [total * frac, total * (1.0 - frac)];
     let floor = config.coarsen_target.clamp(40, 4_000);
-    let mut hierarchy = coarsen_threaded(graph, vertex_weights, floor, config.threads);
+    let mut hierarchy = coarsen(graph, vertex_weights, floor);
     let mut level = hierarchy.pop().expect("base level exists"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
 
     let mut parts = grow_bisection(&level.graph, &level.vertex_weights, frac);
     loop {
-        fm_refine_with_targets_threaded(
+        fm_refine_with_targets(
             &level.graph,
             &level.vertex_weights,
             &mut parts,
             &targets,
             config.balance_factor,
             config.refine_passes,
-            config.threads,
         );
         let Some(fine) = hierarchy.pop() else { break };
         parts = crate::project(&parts, level.fine_to_coarse);

@@ -1,19 +1,6 @@
 //! Coarsening phase: heavy-edge matching and hierarchy construction.
-//!
-//! ## Parallel matching (determinism rule D5)
-//!
-//! [`heavy_edge_matching_threaded`] precomputes, in parallel over
-//! canonical row ranges, each node's heaviest neighbor over its *whole*
-//! row (matched state ignored — a pure per-row function under the serial
-//! tie-break), then runs the exact serial matching loop consulting that
-//! table: when the precomputed candidate is still unmatched it is
-//! provably the serial scan's pick (the argmax over a superset that
-//! still contains it), otherwise the loop falls back to the serial
-//! rescan. The mate array — and with it the whole hierarchy — is
-//! byte-identical to the serial matching at every thread count.
 
-use txallo_graph::par::{entry_balanced_split, for_each_chunk_mut, resolve_threads};
-use txallo_graph::{fit_u32, AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
 
 /// One level of the multilevel hierarchy.
 #[derive(Debug, Clone)]
@@ -92,13 +79,6 @@ pub fn heavy_edge_matching_in(
         }
     }
 
-    coarse_ids_first_seen(&arena.mate)
-}
-
-/// Dense coarse ids from a completed mate array, assigned in first-seen
-/// order (deterministic).
-fn coarse_ids_first_seen(mate: &[NodeId]) -> (Vec<u32>, usize) {
-    let n = mate.len();
     let mut coarse_of: Vec<u32> = vec![u32::MAX; n];
     let mut next = 0u32;
     for v in 0..n {
@@ -113,106 +93,12 @@ fn coarse_ids_first_seen(mate: &[NodeId]) -> (Vec<u32>, usize) {
     (coarse_of, next as usize)
 }
 
-/// [`heavy_edge_matching_in`] with a thread-count knob (see the module
-/// docs): `threads <= 1` is the exact serial code path; more threads
-/// precompute the per-row heaviest-neighbor table over canonical row
-/// ranges and replay the identical serial matching sequence.
-pub fn heavy_edge_matching_threaded(
-    graph: &AdjacencyGraph,
-    arena: &mut CoarsenArena,
-    threads: usize,
-) -> (Vec<u32>, usize) {
-    let workers = resolve_threads(threads);
-    let n = graph.node_count();
-    if workers <= 1 || n == 0 {
-        return heavy_edge_matching_in(graph, arena);
-    }
-
-    // Parallel precompute: the heaviest neighbor of each row under the
-    // serial tie-break (heavier wins; equal weight → smaller id),
-    // ignoring matched state — a pure function of the row, written into
-    // its own slot.
-    let mut deg_prefix = vec![0u32; n + 1];
-    for v in 0..n {
-        deg_prefix[v + 1] = deg_prefix[v] + fit_u32(graph.neighbor_count(v as NodeId));
-    }
-    let bounds = entry_balanced_split(&deg_prefix, workers);
-    let mut best_all: Vec<Option<(NodeId, f64)>> = vec![None; n];
-    let mut scratch = vec![(); bounds.len() - 1];
-    for_each_chunk_mut(&bounds, &mut best_all, &mut scratch, |lo, window, _| {
-        for (i, slot) in window.iter_mut().enumerate() {
-            let v = (lo + i) as NodeId;
-            let mut best: Option<(NodeId, f64)> = None;
-            graph.for_each_neighbor(v, |u, w| {
-                if u == v {
-                    return;
-                }
-                match best {
-                    Some((bu, bw)) if w < bw || (w == bw && u > bu) => {}
-                    _ => best = Some((u, w)),
-                }
-            });
-            *slot = best;
-        }
-    });
-
-    // Serial matching loop. When the precomputed heaviest neighbor is
-    // still unmatched it is exactly the serial scan's pick: every other
-    // unmatched candidate loses to it under the tie-break. Otherwise
-    // rescan the row the serial way.
-    arena.mate.clear();
-    arena.mate.resize(n, CoarsenArena::UNMATCHED);
-    let mate = &mut arena.mate;
-    for v in 0..n as NodeId {
-        if mate[v as usize] != CoarsenArena::UNMATCHED {
-            continue;
-        }
-        let pick = match best_all[v as usize] {
-            None => None,
-            Some((u, _)) if mate[u as usize] == CoarsenArena::UNMATCHED => Some(u),
-            Some(_) => {
-                let mut best: Option<(NodeId, f64)> = None;
-                graph.for_each_neighbor(v, |u, w| {
-                    if mate[u as usize] != CoarsenArena::UNMATCHED || u == v {
-                        return;
-                    }
-                    match best {
-                        Some((bu, bw)) if w < bw || (w == bw && u > bu) => {}
-                        _ => best = Some((u, w)),
-                    }
-                });
-                best.map(|(u, _)| u)
-            }
-        };
-        if let Some(u) = pick {
-            mate[v as usize] = u;
-            mate[u as usize] = v;
-        } else {
-            mate[v as usize] = v; // matched with itself
-        }
-    }
-    coarse_ids_first_seen(&arena.mate)
-}
-
 /// Builds the coarsening hierarchy, starting at `base`, until the graph has
 /// at most `floor` nodes or matching stops shrinking it.
 ///
 /// Level 0 is the base graph; each subsequent level stores the projection
 /// map from the previous level.
 pub fn coarsen(base: AdjacencyGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<CoarseLevel> {
-    coarsen_threaded(base, vertex_weights, floor, 1)
-}
-
-/// [`coarsen`] with a thread-count knob: every level's heavy-edge
-/// matching runs through [`heavy_edge_matching_threaded`], so the whole
-/// hierarchy is byte-identical at every thread count (`threads <= 1` is
-/// the exact serial path).
-pub fn coarsen_threaded(
-    base: AdjacencyGraph,
-    vertex_weights: Vec<f64>,
-    floor: usize,
-    threads: usize,
-) -> Vec<CoarseLevel> {
     assert_eq!(vertex_weights.len(), base.node_count());
     let mut levels = vec![CoarseLevel {
         graph: base,
@@ -226,7 +112,7 @@ pub fn coarsen_threaded(
         if n <= floor {
             break;
         }
-        let (map, coarse_n) = heavy_edge_matching_threaded(&current.graph, &mut arena, threads);
+        let (map, coarse_n) = heavy_edge_matching_in(&current.graph, &mut arena);
         // Matching that barely shrinks the graph (e.g. star graphs) would
         // loop forever — METIS stops when the reduction is under ~5-10%.
         if coarse_n as f64 > n as f64 * 0.95 {
@@ -289,61 +175,6 @@ mod tests {
         let (map, n) = heavy_edge_matching(&g);
         assert!((15..=30).contains(&n));
         assert!(map.iter().all(|&c| (c as usize) < n));
-    }
-
-    /// The precomputed-argmax parallel matching replays the serial mate
-    /// array byte-for-byte at every thread count, across messy weighted
-    /// graphs where the unmatched-fallback rescan genuinely fires.
-    #[test]
-    fn threaded_matching_matches_serial_byte_for_byte() {
-        for n in [30usize, 64, 111] {
-            let mut edges = Vec::new();
-            let mut x = 0x9e3779b97f4a7c15u64;
-            for a in 0..n as NodeId {
-                for hop in [1usize, 2, 5, 9] {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let b = ((a as usize + hop) % n) as NodeId;
-                    if a != b {
-                        // Few distinct weights → many exact ties, so the
-                        // tie-break and the fallback path both exercise.
-                        edges.push((a, b, 1.0 + ((x >> 60) % 3) as f64));
-                    }
-                }
-            }
-            let g = AdjacencyGraph::from_edges(n, edges);
-            let (serial_map, serial_n) = heavy_edge_matching(&g);
-            for threads in [2usize, 3, 8] {
-                let mut arena = CoarsenArena::new();
-                let (map, coarse_n) = heavy_edge_matching_threaded(&g, &mut arena, threads);
-                assert_eq!(map, serial_map, "n={n} threads={threads}");
-                assert_eq!(coarse_n, serial_n);
-            }
-        }
-    }
-
-    /// The threaded hierarchy equals the serial one level by level.
-    #[test]
-    fn threaded_coarsening_matches_serial() {
-        let mut edges = Vec::new();
-        for a in 0..96u32 {
-            edges.push((a, (a + 1) % 96, 1.0 + (a % 4) as f64 * 0.5));
-            edges.push((a, (a + 11) % 96, 0.75));
-        }
-        let g = AdjacencyGraph::from_edges(96, edges);
-        let serial = coarsen(g.clone(), vec![1.0; 96], 8);
-        for threads in [2usize, 8] {
-            let par = coarsen_threaded(g.clone(), vec![1.0; 96], 8, threads);
-            assert_eq!(par.len(), serial.len(), "{threads} threads");
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.fine_to_coarse, b.fine_to_coarse);
-                assert_eq!(a.graph.node_count(), b.graph.node_count());
-                let wa: Vec<u64> = a.vertex_weights.iter().map(|w| w.to_bits()).collect();
-                let wb: Vec<u64> = b.vertex_weights.iter().map(|w| w.to_bits()).collect();
-                assert_eq!(wa, wb, "{threads} threads");
-            }
-        }
     }
 
     #[test]

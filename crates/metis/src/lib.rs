@@ -29,14 +29,10 @@ pub mod refine;
 
 pub use bisection::recursive_bisection_partition;
 pub use coarsen::{
-    coarsen, coarsen_threaded, heavy_edge_matching, heavy_edge_matching_in,
-    heavy_edge_matching_threaded, CoarseLevel, CoarsenArena,
+    coarsen, heavy_edge_matching, heavy_edge_matching_in, CoarseLevel, CoarsenArena,
 };
 pub use initial::greedy_growing_partition;
-pub use refine::{
-    edge_cut, fm_refine, fm_refine_threaded, fm_refine_with_targets,
-    fm_refine_with_targets_threaded,
-};
+pub use refine::{edge_cut, fm_refine, fm_refine_with_targets};
 
 use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
 
@@ -93,11 +89,6 @@ pub struct MetisConfig {
     pub refine_passes: usize,
     /// Vertex weighting scheme.
     pub weighting: VertexWeighting,
-    /// Worker threads for matching and refinement (determinism rule D5:
-    /// a performance knob, never an algorithm input — the partition is
-    /// bit-identical at every count, `<= 1` is the exact serial path).
-    /// Defaults to the `TXALLO_THREADS` override.
-    pub threads: usize,
 }
 
 impl MetisConfig {
@@ -109,14 +100,7 @@ impl MetisConfig {
             coarsen_target: 2_000,
             refine_passes: 8,
             weighting: VertexWeighting::default(),
-            threads: txallo_graph::par::threads_from_env(),
         }
-    }
-
-    /// Returns the config with the worker-thread knob set.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -155,7 +139,7 @@ pub fn metis_partition(graph: &(impl WeightedGraph + Sync), config: &MetisConfig
 
     // Phase 1: coarsen.
     let coarsen_floor = config.coarsen_target.max(20 * config.parts);
-    let mut hierarchy = coarsen_threaded(base, vertex_weights, coarsen_floor, config.threads);
+    let mut hierarchy = coarsen(base, vertex_weights, coarsen_floor);
     let levels = hierarchy.len();
     let mut level = hierarchy
         .pop()
@@ -171,14 +155,13 @@ pub fn metis_partition(graph: &(impl WeightedGraph + Sync), config: &MetisConfig
     // Phase 3: refine, then project one level finer, down to the base
     // graph. Each coarse level is dropped once its partition is projected.
     loop {
-        fm_refine_threaded(
+        fm_refine(
             &level.graph,
             &level.vertex_weights,
             &mut parts,
             config.parts,
             config.balance_factor,
             config.refine_passes,
-            config.threads,
         );
         let Some(fine) = hierarchy.pop() else { break };
         parts = project(&parts, level.fine_to_coarse);

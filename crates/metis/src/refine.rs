@@ -1,20 +1,5 @@
 //! Boundary FM refinement and the edge-cut objective.
-//!
-//! ## Parallel refinement (determinism rule D5)
-//!
-//! [`fm_refine_with_targets_threaded`] parallelizes the expensive part of
-//! the boundary pass — gathering each vertex's per-part link weights —
-//! without touching the decision sequence: at every pass boundary the
-//! stale per-vertex link caches are rebuilt concurrently over canonical
-//! row ranges (each cache a pure function of the vertex's row and the
-//! frozen parts, written into its own slot), per-chunk boundary counts
-//! merge through `par::reduce_tree` (integer adds, exact under any
-//! association), and the move loop itself stays serial, re-gathering
-//! inline exactly where an earlier in-pass move dirtied a cache. The
-//! selected move sequence is therefore byte-identical to the serial
-//! pass at every thread count, and `threads <= 1` *is* the serial code.
 
-use txallo_graph::par::{entry_balanced_split, for_each_chunk_mut, reduce_tree, resolve_threads};
 use txallo_graph::{fit_u32, AdjacencyGraph, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
 /// Minimum cut improvement for an FM move to count as a gain. A
@@ -57,14 +42,15 @@ pub fn fm_refine(
     balance_factor: f64,
     max_passes: usize,
 ) {
-    fm_refine_threaded(
+    let total: f64 = vertex_weights.iter().sum();
+    let targets = vec![total / k.max(1) as f64; k];
+    fm_refine_with_targets(
         graph,
         vertex_weights,
         parts,
-        k,
+        &targets,
         balance_factor,
         max_passes,
-        1,
     );
 }
 
@@ -183,166 +169,6 @@ fn best_move(
         }
     }
     best.map(|(to, _)| to)
-}
-
-/// [`fm_refine`] with a thread-count knob (see the module docs):
-/// `threads <= 1` is the exact serial code path, more threads rebuild
-/// the per-vertex link caches in parallel at every pass boundary and
-/// replay the identical serial move sequence.
-pub fn fm_refine_threaded(
-    graph: &AdjacencyGraph,
-    vertex_weights: &[f64],
-    parts: &mut [u32],
-    k: usize,
-    balance_factor: f64,
-    max_passes: usize,
-    threads: usize,
-) {
-    let total: f64 = vertex_weights.iter().sum();
-    let targets = vec![total / k.max(1) as f64; k];
-    fm_refine_with_targets_threaded(
-        graph,
-        vertex_weights,
-        parts,
-        &targets,
-        balance_factor,
-        max_passes,
-        threads,
-    );
-}
-
-/// [`fm_refine_with_targets`] with a thread-count knob — the parallel
-/// boundary pass of the module docs. Byte-identical to the serial
-/// refinement at every thread count (pinned by the tests below and the
-/// metis proptests); `threads <= 1` *is* [`fm_refine_with_targets`].
-pub fn fm_refine_with_targets_threaded(
-    graph: &AdjacencyGraph,
-    vertex_weights: &[f64],
-    parts: &mut [u32],
-    targets: &[f64],
-    balance_factor: f64,
-    max_passes: usize,
-    threads: usize,
-) {
-    let workers = resolve_threads(threads);
-    if workers <= 1 {
-        return fm_refine_with_targets(
-            graph,
-            vertex_weights,
-            parts,
-            targets,
-            balance_factor,
-            max_passes,
-        );
-    }
-    let n = graph.node_count();
-    let k = targets.len();
-    if n == 0 || k <= 1 {
-        return;
-    }
-    let mut part_weight = part_weights(parts, vertex_weights, k);
-
-    // Canonical row ranges for the cache refresh (house pattern: the
-    // cache slots are position-identical pure functions of row + frozen
-    // parts, so any partition reproduces the serial bits).
-    let mut deg_prefix = vec![0u32; n + 1];
-    for v in 0..n {
-        deg_prefix[v + 1] = deg_prefix[v] + fit_u32(graph.neighbor_count(v as NodeId));
-    }
-    let bounds = entry_balanced_split(&deg_prefix, workers);
-    let chunks = bounds.len() - 1;
-
-    // Per-vertex link cache: `(part, weight)` entries ascending by part,
-    // exactly what the serial gather sees. Stamps track staleness: a
-    // cache is valid while no neighbor has moved since it was built.
-    let mut cache: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    let mut cached_at = vec![0u64; n];
-    let mut dirty = vec![1u64; n];
-    let mut stamp: u64 = 1;
-
-    let mut link = DenseAccumulator::new();
-    let mut chunk_scratch: Vec<(DenseAccumulator, u64)> =
-        (0..chunks).map(|_| (DenseAccumulator::new(), 0)).collect();
-
-    for _ in 0..max_passes {
-        // Pass-boundary refresh: rebuild every stale cache in parallel,
-        // and count the boundary vertices per chunk while we are there.
-        for s in &mut chunk_scratch {
-            s.1 = 0;
-        }
-        {
-            let parts_ref: &[u32] = parts;
-            let cached_at_ref: &[u64] = &cached_at;
-            let dirty_ref: &[u64] = &dirty;
-            for_each_chunk_mut(
-                &bounds,
-                &mut cache,
-                &mut chunk_scratch,
-                |lo, window, (acc, boundary)| {
-                    for (i, slot) in window.iter_mut().enumerate() {
-                        let v = lo + i;
-                        if dirty_ref[v] > cached_at_ref[v] {
-                            acc.begin(k);
-                            graph.for_each_neighbor(v as NodeId, |u, w| {
-                                acc.add(parts_ref[u as usize], w);
-                            });
-                            acc.sort_touched();
-                            slot.clear();
-                            slot.extend(acc.entries());
-                        }
-                        let from = parts_ref[v];
-                        if slot.iter().any(|&(p, _)| p != from) {
-                            *boundary += 1;
-                        }
-                    }
-                },
-            );
-        }
-        for v in 0..n {
-            if dirty[v] > cached_at[v] {
-                cached_at[v] = stamp;
-            }
-        }
-        // Exact early exit through the fixed reduction tree: with no
-        // boundary vertex anywhere, the serial pass would scan, move
-        // nothing and stop — skipping the scan leaves identical state.
-        let boundary_total =
-            reduce_tree(chunk_scratch.iter().map(|s| s.1).collect(), |a, b| a + b).unwrap_or(0);
-        if boundary_total == 0 {
-            break;
-        }
-
-        let mut improved = false;
-        for v in 0..n {
-            let from = parts[v];
-            if dirty[v] > cached_at[v] {
-                // An earlier move this pass touched a neighbor: re-gather
-                // inline — the exact serial gather at the current parts.
-                link.begin(k);
-                graph.for_each_neighbor(v as NodeId, |u, w| link.add(parts[u as usize], w));
-                link.sort_touched();
-                cache[v].clear();
-                cache[v].extend(link.entries());
-                cached_at[v] = stamp;
-            }
-            let entries = &cache[v];
-            if !entries.iter().any(|&(p, _)| p != from) {
-                continue;
-            }
-            let w_v = vertex_weights[v];
-            if let Some(to) = best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
-                parts[v] = to;
-                part_weight[from as usize] -= w_v;
-                part_weight[to as usize] += w_v;
-                stamp += 1;
-                graph.for_each_neighbor(v as NodeId, |u, _| dirty[u as usize] = stamp);
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -560,65 +386,15 @@ mod tests {
         }
     }
 
-    /// A messy refinement instance shared by the parallel-equality tests:
-    /// multi-part, noisy chords, varied vertex weights, bad start.
-    fn messy_instance(seed: u32) -> (AdjacencyGraph, Vec<f64>, Vec<f64>, Vec<u32>) {
-        let mut edges = Vec::new();
-        for c in 0..4u32 {
-            let b = c * 12;
-            for i in 0..12 {
-                for j in (i + 1)..12 {
-                    if !(i + j + seed).is_multiple_of(3) {
-                        edges.push((b + i, b + j, 1.0 + (i as f64) * 0.1));
-                    }
-                }
-            }
-            edges.push((b, ((c + 1) % 4) * 12 + 3, 0.7));
-            edges.push((b + 5, ((c + 2) % 4) * 12 + 1, 0.3));
-            edges.push((b + 7, ((c + 3) % 4) * 12 + 9, 0.45));
-        }
-        let g = AdjacencyGraph::from_edges(48, edges);
-        let weights: Vec<f64> = (0..48)
-            .map(|v| 1.0 + ((v + seed as usize) % 5) as f64 * 0.25)
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let targets = vec![total / 4.0; 4];
-        let start: Vec<u32> = (0..48).map(|v| ((v + seed as usize) % 4) as u32).collect();
-        (g, weights, targets, start)
-    }
-
-    /// The cached parallel boundary pass replays the serial move sequence
-    /// byte-for-byte at every thread count — pass-boundary refreshes plus
-    /// inline re-gathers must be indistinguishable from the always-fresh
-    /// serial gather.
+    /// Degenerate shapes are no-ops: an empty graph, and a single part
+    /// (no destination to move to).
     #[test]
-    fn threaded_refine_matches_serial_byte_for_byte() {
-        for seed in [0u32, 1, 2] {
-            let (g, weights, targets, start) = messy_instance(seed);
-            let mut serial = start.clone();
-            fm_refine_with_targets(&g, &weights, &mut serial, &targets, 1.1, 12);
-            for threads in [2usize, 3, 8, 61] {
-                let mut par = start.clone();
-                fm_refine_with_targets_threaded(&g, &weights, &mut par, &targets, 1.1, 12, threads);
-                assert_eq!(par, serial, "seed={seed} threads={threads}");
-            }
-        }
-    }
-
-    /// The uniform-target wrapper dispatches identically too, including
-    /// the degenerate shapes (empty graph, one part).
-    #[test]
-    fn threaded_refine_wrapper_and_degenerate_shapes() {
-        let (g, weights, _, start) = messy_instance(1);
-        let mut serial = start.clone();
-        fm_refine(&g, &weights, &mut serial, 4, 1.2, 8);
-        let mut par = start.clone();
-        fm_refine_threaded(&g, &weights, &mut par, 4, 1.2, 8, 3);
-        assert_eq!(par, serial);
-
+    fn refine_degenerate_shapes_are_noops() {
         let empty = AdjacencyGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
-        fm_refine_threaded(&empty, &[], &mut [], 2, 1.1, 4, 4);
-        let mut one_part = start;
-        fm_refine_threaded(&g, &weights, &mut one_part, 1, 1.1, 4, 4);
+        fm_refine(&empty, &[], &mut [], 2, 1.1, 4);
+        let (g, weights, start) = random_instance(30, 4, 1);
+        let mut one_part = start.clone();
+        fm_refine(&g, &weights, &mut one_part, 1, 1.1, 4);
+        assert_eq!(one_part, start);
     }
 }

@@ -103,59 +103,3 @@ proptest! {
         prop_assert_eq!(a.parts, b.parts);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Determinism rule D5 on the whole multilevel pipeline: parallel
-    /// heavy-edge matching and parallel FM refinement must reproduce the
-    /// serial partition — labels, cut bits and level count — at every
-    /// thread count (serial, even, odd, oversubscribed).
-    #[test]
-    fn partition_is_bit_identical_at_every_thread_count(
-        edges in edges_strategy(48, 160),
-        k in 2usize..6,
-    ) {
-        let g = AdjacencyGraph::from_edges(48, edges);
-        let serial = metis_partition(&g, &MetisConfig::new(k).with_threads(1));
-        for threads in [2usize, 3, 8] {
-            let par = metis_partition(&g, &MetisConfig::new(k).with_threads(threads));
-            prop_assert_eq!(&par.parts, &serial.parts, "{} threads", threads);
-            prop_assert_eq!(
-                par.edge_cut.to_bits(),
-                serial.edge_cut.to_bits(),
-                "{} threads",
-                threads
-            );
-            prop_assert_eq!(par.levels, serial.levels, "{} threads", threads);
-        }
-    }
-
-    /// The refinement entry point alone, on raw random partitions (not
-    /// just the projections the pipeline produces): parts vector and
-    /// returned cut must match the serial pass bit for bit.
-    #[test]
-    fn refinement_is_bit_identical_at_every_thread_count(
-        edges in edges_strategy(36, 110),
-        raw_parts in prop::collection::vec(0u32..4, 36),
-        k in 2usize..5,
-    ) {
-        let g = AdjacencyGraph::from_edges(36, edges);
-        let weights: Vec<f64> = (0..36u32).map(|v| g.strength(v).max(1e-3)).collect();
-        let base: Vec<u32> = raw_parts.iter().map(|&p| p % k as u32).collect();
-        let mut serial = base.clone();
-        fm_refine(&g, &weights, &mut serial, k, 1.08, 6);
-        let serial_cut = edge_cut(&g, &serial);
-        for threads in [2usize, 3, 8] {
-            let mut par = base.clone();
-            txallo_metis::fm_refine_threaded(&g, &weights, &mut par, k, 1.08, 6, threads);
-            prop_assert_eq!(&par, &serial, "{} threads", threads);
-            prop_assert_eq!(
-                edge_cut(&g, &par).to_bits(),
-                serial_cut.to_bits(),
-                "{} threads",
-                threads
-            );
-        }
-    }
-}

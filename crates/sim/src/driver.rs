@@ -36,10 +36,8 @@ pub struct SimConfig {
     /// `txallo_graph::decay` — recency weighting per §VI-A's "recent
     /// history" recommendation.
     pub decay_per_epoch: Option<f64>,
-    /// Worker threads of the allocation sweep kernels (`1` = serial,
-    /// `0` = one per core; never changes an allocation, only wall-clock
-    /// time). Defaults to the `TXALLO_THREADS` environment variable
-    /// (unset = `1`).
+    /// Ignored: every allocation kernel is single-threaded. Kept only so
+    /// that existing struct literals still build; nothing reads it.
     pub threads: usize,
     /// Out-of-core mode: evict graph rows of accounts idle for more than
     /// the configured window of epochs (see `txallo_graph::residency`).
@@ -59,7 +57,7 @@ impl SimConfig {
             method: "txallo".to_string(),
             schedule: HybridSchedule::Hybrid { global_gap: 20 },
             decay_per_epoch: None,
-            threads: txallo_graph::par::threads_from_env(),
+            threads: 1,
             residency: None,
         }
     }
@@ -99,9 +97,7 @@ impl ShardedChainSim {
         // Placeholder hyper-parameters until warm-up: every stream
         // re-derives the weight-dependent fields from the graph it is
         // begun on.
-        let params = TxAlloParams::for_total_weight(0.0, config.shards)
-            .with_eta(config.eta)
-            .with_threads(config.threads);
+        let params = TxAlloParams::for_total_weight(0.0, config.shards).with_eta(config.eta);
         let epochs = EpochLoop::new(
             registry,
             &config.method,

@@ -80,20 +80,37 @@ impl WorkloadConfig {
         (self.transactions / self.block_size.max(1)) as u64
     }
 
-    /// Panics if the configuration is internally inconsistent.
+    /// Checks that the configuration is internally consistent, naming
+    /// the first rule it breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let probabilities = [
+            self.hot_account_share,
+            self.intra_group_prob,
+            self.self_loop_prob,
+            self.multi_io_prob,
+            self.new_account_prob,
+        ];
+        if self.accounts < 2 {
+            Err("need at least two accounts")
+        } else if self.block_size < 1 {
+            Err("blocks must hold transactions")
+        } else if self.groups < 1 {
+            Err("need at least one group")
+        } else if !probabilities.iter().all(|p| (0.0..=1.0).contains(p)) {
+            Err("probabilities must lie in [0, 1]")
+        } else if self.activity_exponent >= 0.0 && self.group_size_exponent >= 0.0 {
+            Ok(())
+        } else {
+            Err("Zipf exponents must be non-negative")
+        }
+    }
+
+    /// Panics if the configuration is internally inconsistent (the
+    /// message is [`WorkloadConfig::check`]'s).
     pub fn validate(&self) {
-        assert!(self.accounts >= 2, "need at least two accounts");
-        assert!(self.block_size >= 1, "blocks must hold transactions");
-        assert!(self.groups >= 1, "need at least one group");
-        assert!(
-            (0.0..=1.0).contains(&self.hot_account_share)
-                && (0.0..=1.0).contains(&self.intra_group_prob)
-                && (0.0..=1.0).contains(&self.self_loop_prob)
-                && (0.0..=1.0).contains(&self.multi_io_prob)
-                && (0.0..=1.0).contains(&self.new_account_prob),
-            "probabilities must lie in [0, 1]"
-        );
-        assert!(self.activity_exponent >= 0.0 && self.group_size_exponent >= 0.0);
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 }
 
@@ -123,6 +140,26 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.block_count(), 10);
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        assert_eq!(WorkloadConfig::default().check(), Ok(()));
+        let one_account = WorkloadConfig {
+            accounts: 1,
+            ..Default::default()
+        };
+        assert_eq!(one_account.check(), Err("need at least two accounts"));
+        let hot = WorkloadConfig {
+            hot_account_share: 1.5,
+            ..Default::default()
+        };
+        assert_eq!(hot.check(), Err("probabilities must lie in [0, 1]"));
+        let nan = WorkloadConfig {
+            activity_exponent: f64::NAN,
+            ..Default::default()
+        };
+        assert!(nan.check().is_err());
     }
 
     #[test]
