@@ -25,10 +25,10 @@ use txallo_bench::seed_ref::{
     SeedDeltaRows, SeedTxGraph,
 };
 use txallo_core::{
-    AdaptiveStream, AtxAllo, AtxAlloSession, CommunityState, EpochKind, GTxAllo, GTxAlloPlan,
-    MoveScratch, StreamingAllocator, TxAlloParams,
+    AdaptiveStream, AtxAlloSession, CommunityState, EpochKind, GTxAllo, GTxAlloPlan, MoveScratch,
+    StreamingAllocator, TxAlloParams,
 };
-use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{BlockNodes, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
 use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
 use txallo_model::FxHashMap;
@@ -175,10 +175,14 @@ fn bench_components(_: &mut Criterion) {
     });
     let mut graph2 = graph.clone();
     let new_blocks = generator.blocks(10);
-    let mut touched = Vec::new();
-    for b in &new_blocks {
-        touched.extend(graph2.ingest_block(b));
-    }
+    let new_nodes: Vec<BlockNodes> = new_blocks
+        .iter()
+        .map(|b| graph2.ingest_block_nodes(b))
+        .collect();
+    let mut touched: Vec<NodeId> = new_nodes
+        .iter()
+        .flat_map(|n| n.touched().iter().copied())
+        .collect();
     touched.sort_unstable();
     touched.dedup();
     let params2 = TxAlloParams::for_graph(&graph2, k);
@@ -214,8 +218,8 @@ fn bench_components(_: &mut Criterion) {
     c.bench_function("atxallo/epoch_update", |b| {
         b.iter(|| {
             let mut session = warm.clone();
-            for blk in &new_blocks {
-                session.apply_block(&graph2, blk);
+            for nodes in &new_nodes {
+                session.apply_block_nodes(nodes);
             }
             black_box(session.update(&graph2, &touched, &params2))
         });
@@ -231,23 +235,28 @@ fn bench_components(_: &mut Criterion) {
     c.bench_function("atxallo/epoch_update_stream", |b| {
         b.iter(|| {
             let mut stream = stream_warm.clone();
-            for blk in &new_blocks {
-                stream.on_block(&graph2, blk);
+            for (blk, nodes) in new_blocks.iter().zip(&new_nodes) {
+                stream.on_block_nodes(&graph2, blk, nodes);
             }
             black_box(stream.end_epoch(&graph2, EpochKind::Scheduled))
         });
     });
-    // The stateless one-shot paths, both snapshot routes pinned: delta-CSR
-    // over V̂'s neighborhood vs. the full-graph CSR fallback. These rebuild
-    // the community aggregates from the whole graph every call.
-    c.bench_function("atxallo/epoch_update_incremental", |b| {
-        let atx = AtxAllo::new(params2.clone());
-        b.iter(|| atx.update_incremental(&graph2, &prev, &touched));
-    });
-    c.bench_function("atxallo/epoch_update_full", |b| {
-        let atx = AtxAllo::new(params2.clone());
-        b.iter(|| atx.update_full(&graph2, &prev, &touched));
-    });
+    // One-shot updates (a fresh session per call, so the community
+    // aggregates are rebuilt from the whole graph), both snapshot routes
+    // forced: delta-CSR over V̂'s neighborhood vs. the full-graph CSR
+    // fallback.
+    for (name, threshold) in [
+        ("atxallo/epoch_update_incremental", 1.0),
+        ("atxallo/epoch_update_full", 0.0),
+    ] {
+        let params = params2.clone().with_incremental_threshold(threshold);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut session = AtxAlloSession::new(&graph2, &prev, &params);
+                black_box(session.update(&graph2, &touched, &params))
+            });
+        });
+    }
     // The seed implementation preserved as a same-run baseline (the
     // `gather/hashmap` of this refactor).
     c.bench_function("atxallo/epoch_update_seed", |b| {

@@ -612,7 +612,7 @@ pub fn recency(scale: ExperimentScale) {
 /// median of `reps` runs, in milliseconds.
 pub fn bench_snapshot(out_path: &str) {
     use std::time::Instant;
-    use txallo_core::{AtxAllo, GTxAllo, GTxAlloPlan};
+    use txallo_core::{AtxAlloSession, GTxAllo, GTxAlloPlan};
     use txallo_graph::CsrGraph;
     use txallo_louvain::{louvain_csr, LouvainConfig};
 
@@ -719,10 +719,14 @@ pub fn bench_snapshot(out_path: &str) {
     };
     let mut graph2 = graph.clone();
     let new_blocks = generator.blocks(10);
-    let mut touched = Vec::new();
-    for b in &new_blocks {
-        touched.extend(graph2.ingest_block(b));
-    }
+    let new_nodes: Vec<txallo_graph::BlockNodes> = new_blocks
+        .iter()
+        .map(|b| graph2.ingest_block_nodes(b))
+        .collect();
+    let mut touched: Vec<u32> = new_nodes
+        .iter()
+        .flat_map(|n| n.touched().iter().copied())
+        .collect();
     touched.sort_unstable();
     touched.dedup();
     let params2 = TxAlloParams::for_graph(&graph2, k);
@@ -751,17 +755,17 @@ pub fn bench_snapshot(out_path: &str) {
     };
     // Serving configuration: warm session (aggregates carried across
     // epochs), delta folding + delta-CSR sweep per epoch.
-    let warm = txallo_core::AtxAlloSession::new(&graph, &prev, &params2);
+    let warm = AtxAlloSession::new(&graph, &prev, &params2);
     let atxallo_epoch = median_ms(reps, || {
         let mut session = warm.clone();
-        for blk in &new_blocks {
-            session.apply_block(&graph2, blk);
+        for nodes in &new_nodes {
+            session.apply_block_nodes(nodes);
         }
         std::hint::black_box(session.update(&graph2, &touched, &params2));
     });
     // The public serving surface: the same warm session driven through
-    // the `StreamingAllocator` API (`on_block` + `end_epoch`), including
-    // the move-diff construction the service layer adds.
+    // the `StreamingAllocator` API (`on_block_nodes` + `end_epoch`),
+    // including the move-diff construction the service layer adds.
     let stream_warm = {
         use txallo_core::StreamingAllocator;
         let mut stream = txallo_core::AdaptiveStream::new(params2.clone());
@@ -771,19 +775,22 @@ pub fn bench_snapshot(out_path: &str) {
     let atxallo_epoch_stream = median_ms(reps, || {
         use txallo_core::StreamingAllocator;
         let mut stream = stream_warm.clone();
-        for blk in &new_blocks {
-            stream.on_block(&graph2, blk);
+        for (blk, nodes) in new_blocks.iter().zip(&new_nodes) {
+            stream.on_block_nodes(&graph2, blk, nodes);
         }
         std::hint::black_box(stream.end_epoch(&graph2, txallo_core::EpochKind::Scheduled));
     });
-    // Stateless one-shot paths (aggregates rebuilt per call), both routes.
-    let atx = AtxAllo::new(params2.clone());
-    let atxallo_incremental = median_ms(reps, || {
-        std::hint::black_box(atx.update_incremental(&graph2, &prev, &touched));
-    });
-    let atxallo_full = median_ms(reps, || {
-        std::hint::black_box(atx.update_full(&graph2, &prev, &touched));
-    });
+    // One-shot updates (a fresh session per call, so the aggregates are
+    // rebuilt from the graph), both snapshot routes forced.
+    let one_shot = |threshold: f64| {
+        let params = params2.clone().with_incremental_threshold(threshold);
+        median_ms(reps, || {
+            let mut session = AtxAlloSession::new(&graph2, &prev, &params);
+            std::hint::black_box(session.update(&graph2, &touched, &params));
+        })
+    };
+    let atxallo_incremental = one_shot(1.0);
+    let atxallo_full = one_shot(0.0);
     // The seed implementation, same-run: the honest baseline for the
     // speedup claim regardless of machine drift between PR snapshots.
     let atxallo_seed = median_ms(reps, || {

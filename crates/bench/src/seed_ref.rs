@@ -401,7 +401,7 @@ pub fn seed_atxallo_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_core::{AtxAllo, GTxAllo};
+    use txallo_core::{AtxAlloSession, GTxAllo};
     use txallo_model::{AccountId, Block, Transaction};
 
     /// The preserved edge-list CSR build and the production counting-sort
@@ -514,12 +514,13 @@ mod tests {
         );
         let touched = g.ingest_block(&block);
         let seed = seed_atxallo_update(&params, &g, &prev, &touched);
-        let new = AtxAllo::new(params).update(&g, &prev, &touched);
+        let mut session = AtxAlloSession::new(&g, &prev, &params);
+        session.update(&g, &touched, &params);
         let n100 = g.node_of(AccountId(100)).unwrap() as usize;
         let n0 = g.node_of(AccountId(0)).unwrap() as usize;
         assert_eq!(seed[n100], seed[n0], "seed places 100 with cluster 0");
         assert_eq!(
-            new.allocation.labels()[n100],
+            session.labels()[n100],
             seed[n100],
             "both implementations agree on the placement"
         );

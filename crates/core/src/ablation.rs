@@ -139,29 +139,13 @@ pub fn gtxallo_full_scan(params: &TxAlloParams, graph: &TxGraph) -> Allocation {
         for &v in &order {
             let p = labels[v as usize];
             state.gather_links(graph, &labels, v, &mut scratch);
-            let self_w = graph.self_loop(v);
-            let d_v = graph.incident_weight(v);
-            let w_vp = scratch.weight_to(p);
-            let leave = state.leave_gain(p, self_w, d_v, w_vp);
-            let mut best: Option<(u32, f64, f64)> = None;
-            for q in 0..k as u32 {
-                if q == p {
-                    continue;
-                }
-                let w_vq = scratch.weight_to(q);
-                let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                match best {
-                    Some((_, bg, _)) if gain <= bg + txallo_louvain::GAIN_EPS => {}
-                    _ => best = Some((q, gain, w_vq)),
-                }
-            }
-            if let Some((q, gain, w_vq)) = best {
-                if gain > 0.0 {
-                    state.apply_leave(p, self_w, d_v, w_vp);
-                    state.apply_join(q, self_w, d_v, w_vq);
-                    labels[v as usize] = q;
-                    delta += gain;
-                }
+            let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
+            // Every community is a candidate, connected or not.
+            let every = (0..k as u32).map(|q| (q, scratch.weight_to(q)));
+            if let Some(mv) = state.best_move(p, self_w, d_v, every) {
+                state.apply_move(&mv);
+                labels[v as usize] = mv.to;
+                delta += mv.gain;
             }
         }
         if delta < params.epsilon {

@@ -1,35 +1,22 @@
 //! A-TxAllo — the adaptive allocation algorithm (Algorithm 2).
-
-use txallo_graph::{NodeId, TxGraph};
-
-use crate::allocation::Allocation;
-use crate::params::TxAlloParams;
-use crate::session::AtxAlloSession;
-
-/// The adaptive TxAllo algorithm: starting from the previous allocation, it
-/// (1) places the brand-new accounts of the freshly committed blocks and
-/// (2) re-optimizes only the touched node set `V̂`, giving `O(|V̂|·k)`
-/// running time — constant in chain length (§V-C).
-///
-/// The epoch sweep never runs on the mutable hash-map adjacency: the
-/// touched-set neighborhood is frozen into a
-/// [`DeltaCsr`](txallo_graph::DeltaCsr) snapshot first
-/// and all sweeps iterate flat rows with stamp-based skipping (see
-/// `crate::incremental`). Two snapshot routes exist — the incremental
-/// delta build and the full-graph CSR fallback — chosen by
-/// [`TxAlloParams::incremental_threshold`] on the touched fraction.
-/// Both routes produce byte-identical allocations (golden-tested).
-///
-/// This type is the *stateless* entry point: each call rebuilds the
-/// community aggregates from the whole graph (`O(n + m)`). A serving
-/// system processing an epoch stream should hold an
-/// [`AtxAlloSession`] instead, which carries the
-/// aggregates across epochs; every method here simply opens a throwaway
-/// session and runs one update through it.
-#[derive(Debug, Clone)]
-pub struct AtxAllo {
-    params: TxAlloParams,
-}
+//!
+//! Starting from the previous allocation, A-TxAllo (1) places the
+//! brand-new accounts of the freshly committed blocks and (2) re-optimizes
+//! only the touched node set `V̂`, giving `O(|V̂|·k)` running time —
+//! constant in chain length (§V-C). Its one entry point is
+//! [`AtxAlloSession`](crate::AtxAlloSession), which carries the community
+//! aggregates across epochs; a one-shot update is a session opened on the
+//! previous allocation and updated once.
+//!
+//! The epoch sweep never runs on the mutable adjacency: the touched-set
+//! neighborhood is frozen into a [`DeltaCsr`](txallo_graph::DeltaCsr)
+//! snapshot first, and the sweep iterates its flat rows on the shared
+//! [`SweepCache`](txallo_graph::SweepCache) (see `crate::incremental`).
+//! Two snapshot routes exist — the incremental delta build and the
+//! full-graph CSR fallback — chosen by
+//! [`TxAlloParams::incremental_threshold`](crate::TxAlloParams::incremental_threshold)
+//! on the touched fraction. Both routes produce byte-identical allocations
+//! (golden-tested).
 
 /// Which snapshot route an adaptive update took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +29,11 @@ pub enum UpdatePath {
     Full,
 }
 
-/// Outcome of an adaptive update.
+/// The counters of one adaptive update. The updated labels stay in the
+/// session ([`AtxAlloSession::labels`](crate::AtxAlloSession::labels)),
+/// so an epoch copies no `O(n)` label vector.
 #[derive(Debug, Clone)]
 pub struct AtxAlloOutcome {
-    /// The updated account-shard mapping (covers every node of the graph).
-    pub allocation: Allocation,
     /// How many brand-new accounts were placed (phase 1).
     pub new_nodes: usize,
     /// Optimization sweeps over `V̂` (phase 2).
@@ -59,80 +46,14 @@ pub struct AtxAlloOutcome {
     pub path: UpdatePath,
 }
 
-impl AtxAllo {
-    /// Creates the adaptive allocator.
-    pub fn new(params: TxAlloParams) -> Self {
-        Self { params }
-    }
-
-    /// The hyper-parameters in use.
-    pub fn params(&self) -> &TxAlloParams {
-        &self.params
-    }
-
-    /// Updates `previous` after the graph has ingested new blocks.
-    ///
-    /// * `graph` — the transaction graph *after* ingestion;
-    /// * `previous` — the allocation produced for the graph before
-    ///   ingestion (its labels cover a prefix of the node ids, because the
-    ///   interner only appends);
-    /// * `touched` — the node set `V̂` returned by
-    ///   [`TxGraph::ingest_block`] for the new blocks.
-    ///
-    /// Dispatches between [`AtxAllo::update_incremental`] and
-    /// [`AtxAllo::update_full`] on the touched fraction
-    /// `|V̂| / |V| ≤` [`TxAlloParams::incremental_threshold`]; the choice
-    /// affects running time only, never the result.
-    pub fn update(
-        &self,
-        graph: &TxGraph,
-        previous: &Allocation,
-        touched: &[NodeId],
-    ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update(graph, touched, &self.params)
-    }
-
-    /// [`AtxAllo::update`] forced onto the incremental delta-CSR route:
-    /// only `V̂` and its incident edges are snapshotted.
-    pub fn update_incremental(
-        &self,
-        graph: &TxGraph,
-        previous: &Allocation,
-        touched: &[NodeId],
-    ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update_with_route(
-            graph,
-            touched,
-            &self.params,
-            UpdatePath::Incremental,
-        )
-    }
-
-    /// [`AtxAllo::update`] forced onto the full-recompute route: the whole
-    /// graph is frozen into a CSR in global id space (the same
-    /// `CsrGraph::from_graph` machinery G-TxAllo snapshots with — no
-    /// renumbering, because labels are indexed by global ids), and the
-    /// touched rows are extracted and swept in canonical order.
-    pub fn update_full(
-        &self,
-        graph: &TxGraph,
-        previous: &Allocation,
-        touched: &[NodeId],
-    ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update_with_route(
-            graph,
-            touched,
-            &self.params,
-            UpdatePath::Full,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::Allocation;
     use crate::gtxallo::GTxAllo;
-    use txallo_graph::WeightedGraph;
+    use crate::params::TxAlloParams;
+    use crate::session::AtxAlloSession;
+    use txallo_graph::{NodeId, TxGraph, WeightedGraph};
     use txallo_model::{AccountId, Block, Transaction};
 
     fn base_graph() -> TxGraph {
@@ -151,6 +72,19 @@ mod tests {
         g
     }
 
+    /// One adaptive update from `prev`: a session opened on it, updated
+    /// once over `touched`.
+    fn update(
+        g: &TxGraph,
+        prev: &Allocation,
+        touched: &[NodeId],
+        params: &TxAlloParams,
+    ) -> (AtxAlloOutcome, Allocation) {
+        let mut session = AtxAlloSession::new(g, prev, params);
+        let out = session.update(g, touched, params);
+        (out, session.allocation())
+    }
+
     #[test]
     fn new_account_joins_its_cluster() {
         let mut g = base_graph();
@@ -167,13 +101,13 @@ mod tests {
             ],
         );
         let touched = g.ingest_block(&block);
-        let out = AtxAllo::new(params).update(&g, &prev, &touched);
+        let (out, allocation) = update(&g, &prev, &touched, &params);
         assert_eq!(out.new_nodes, 1);
         let n100 = g.node_of(AccountId(100)).unwrap();
         let n0 = g.node_of(AccountId(0)).unwrap();
         assert_eq!(
-            out.allocation.shard_of(n100),
-            out.allocation.shard_of(n0),
+            allocation.shard_of(n100),
+            allocation.shard_of(n0),
             "account 100 must join cluster 0's shard"
         );
     }
@@ -188,14 +122,10 @@ mod tests {
             vec![Transaction::transfer(AccountId(200), AccountId(201))],
         );
         let touched = g.ingest_block(&block);
-        let out = AtxAllo::new(params).update(&g, &prev, &touched);
+        let (_, allocation) = update(&g, &prev, &touched, &params);
         // Every pre-existing node keeps its shard (none were touched).
         for v in 0..prev.len() as NodeId {
-            assert_eq!(
-                out.allocation.shard_of(v),
-                prev.shard_of(v),
-                "node {v} moved"
-            );
+            assert_eq!(allocation.shard_of(v), prev.shard_of(v), "node {v} moved");
         }
     }
 
@@ -218,11 +148,10 @@ mod tests {
             .collect();
         let block = Block::new(0, txs);
         let touched = g.ingest_block(&block);
-        let out = AtxAllo::new(params).update(&g, &prev, &touched);
-        let n0_shard = out.allocation.shard_of(n0);
+        let (out, allocation) = update(&g, &prev, &touched, &params);
         assert_eq!(
-            n0_shard,
-            out.allocation.shard_of(n10),
+            allocation.shard_of(n0),
+            allocation.shard_of(n10),
             "account 0 must migrate"
         );
         assert!(out.total_gain > 0.0);
@@ -238,10 +167,10 @@ mod tests {
             vec![Transaction::transfer(AccountId(500), AccountId(500))],
         );
         let touched = g.ingest_block(&block);
-        let out = AtxAllo::new(params).update(&g, &prev, &touched);
+        let (_, allocation) = update(&g, &prev, &touched, &params);
         let n = g.node_of(AccountId(500)).unwrap();
-        assert!(out.allocation.shard_of(n).index() < 2);
-        assert_eq!(out.allocation.len(), g.node_count());
+        assert!(allocation.shard_of(n).index() < 2);
+        assert_eq!(allocation.len(), g.node_count());
     }
 
     #[test]
@@ -258,9 +187,9 @@ mod tests {
             ],
         );
         let touched = g.ingest_block(&block);
-        let a = AtxAllo::new(params.clone()).update(&g, &prev, &touched);
-        let b = AtxAllo::new(params).update(&g, &prev, &touched);
-        assert_eq!(a.allocation, b.allocation);
+        let (_, a) = update(&g, &prev, &touched, &params);
+        let (_, b) = update(&g, &prev, &touched, &params);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -270,13 +199,18 @@ mod tests {
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
         let block = Block::new(0, vec![Transaction::transfer(AccountId(100), AccountId(0))]);
         let touched = g.ingest_block(&block); // 2 of 11 nodes
-        let inc = AtxAllo::new(params.clone().with_incremental_threshold(1.0))
-            .update(&g, &prev, &touched);
+        let (inc, inc_labels) = update(
+            &g,
+            &prev,
+            &touched,
+            &params.clone().with_incremental_threshold(1.0),
+        );
         assert_eq!(inc.path, UpdatePath::Incremental);
-        let full = AtxAllo::new(params.with_incremental_threshold(0.0)).update(&g, &prev, &touched);
+        let (full, full_labels) =
+            update(&g, &prev, &touched, &params.with_incremental_threshold(0.0));
         assert_eq!(full.path, UpdatePath::Full);
         assert_eq!(
-            inc.allocation, full.allocation,
+            inc_labels, full_labels,
             "route choice must not change the result"
         );
         assert_eq!(
@@ -290,8 +224,8 @@ mod tests {
         let g = base_graph();
         let params = TxAlloParams::for_graph(&g, 2);
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-        let out = AtxAllo::new(params).update(&g, &prev, &[]);
-        assert_eq!(out.allocation, prev);
+        let (out, allocation) = update(&g, &prev, &[], &params);
+        assert_eq!(allocation, prev);
         assert_eq!(out.new_nodes, 0);
         assert_eq!(out.moves, 0);
     }

@@ -1,7 +1,7 @@
 //! G-TxAllo — the global allocation algorithm (Algorithm 1).
 
 use txallo_graph::{fit_u32, CsrGraph, NodeId, SweepCache, TxGraph, WeightedGraph};
-use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult, GAIN_EPS};
+use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
@@ -234,35 +234,15 @@ impl GTxAllo {
                 let Some(cand) = cache.evaluate(i, p) else {
                     continue; // C_v = ∅: v only touches its own community.
                 };
-                let self_w = graph.self_loop(v);
-                let d_v = graph.incident_weight(v);
-                let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
-                let leave = state.leave_gain(p, self_w, d_v, w_vp);
-
-                // Candidates are sorted ascending; a later candidate must
-                // beat the best by > GAIN_EPS.
-                let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
-                for &(q, w_vq) in cand {
-                    if q == p {
-                        continue;
-                    }
-                    let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                    match best {
-                        Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
-                        _ => best = Some((q, gain, w_vq)),
-                    }
-                }
-                if let Some((q, gain, w_vq)) = best {
-                    if gain > 0.0 {
-                        state.apply_leave(p, self_w, d_v, w_vp);
-                        state.apply_join(q, self_w, d_v, w_vq);
-                        labels[vi] = q;
-                        delta += gain;
-                        total_gain += gain;
-                        moves += 1;
-                        cache.commit_move(p, q);
-                        graph.for_each_neighbor(v, |u, _| cache.invalidate(position[u as usize]));
-                    }
+                let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
+                if let Some(mv) = state.best_move(p, self_w, d_v, cand.iter().copied()) {
+                    state.apply_move(&mv);
+                    labels[vi] = mv.to;
+                    delta += mv.gain;
+                    total_gain += mv.gain;
+                    moves += 1;
+                    cache.commit_move(p, mv.to);
+                    graph.for_each_neighbor(v, |u, _| cache.invalidate(position[u as usize]));
                 }
             }
             sweeps += 1;

@@ -12,20 +12,22 @@
 //!    sweep drops below `ε`, moving each node to its best-gain community
 //!    (Eq. 8).
 //!
-//! Phase 2 reuses the exact stamp-based skipping scheme proven out on the
-//! G-TxAllo optimization sweep (see `gtxallo.rs`): a node's decision
-//! depends on (a) its per-community link weights — which change only when
-//! a *snapshot neighbor* moves, external neighbors being frozen for the
-//! epoch — and (b) the accounting state of the communities it touches
-//! (Lemma 1). Candidate lists are cached until a snapshot neighbor moves
-//! (`DeltaCsr::local_of` identifies the propagation edges), and a node
-//! whose candidates *and* touched communities are unchanged since its last
-//! evaluation is skipped outright. All reuse is bit-exact: the trajectory
-//! is identical to re-gathering every node every sweep, which the golden
+//! Phase 2 runs on the same [`SweepCache`] as the other three sweep
+//! kernels (Louvain local moving, the G-TxAllo optimizer, METIS FM), with
+//! snapshot rows as positions and communities as buckets. A node's
+//! decision depends on (a) its per-community link weights — which change
+//! only when a *snapshot neighbor* moves, external neighbors being frozen
+//! for the epoch — and (b) the accounting state of the communities it
+//! touches (Lemma 1). Candidate lists are cached until a snapshot
+//! neighbor moves (`DeltaCsr::local_of` identifies the propagation
+//! edges), a node whose candidates *and* touched communities are
+//! unchanged since its last evaluation is skipped outright, and a node
+//! whose candidates list no rival community leaves the active set until a
+//! snapshot neighbor moves. All reuse is bit-exact: the trajectory is
+//! identical to re-gathering every node every sweep, which the golden
 //! tests assert against a cache-free reference.
 
-use txallo_graph::{DeltaCsr, DenseAccumulator};
-use txallo_louvain::GAIN_EPS;
+use txallo_graph::{DeltaCsr, DenseAccumulator, SweepCache};
 
 use crate::state::{gather_labels_blocked, CommunityState, UNASSIGNED};
 
@@ -42,64 +44,23 @@ pub(crate) struct EpochSweepOutcome {
     pub moves: usize,
 }
 
-/// Reusable buffers of the epoch sweep — the per-row stamp arrays, the
-/// candidate caches and the dense gather accumulator. A serving session
-/// carries one of these across epochs so the per-epoch cost contains no
-/// buffer allocation at all once capacities have warmed up (the satellite
-/// of the delta-CSR buffer reuse, same contract: a warm scratch is
-/// observationally identical to fresh ones — every array is re-initialized
-/// to the values a fresh allocation would hold, only capacity survives).
+/// Reusable buffers of the epoch sweep: the dense gather accumulator and
+/// the sweep cache. A serving session carries one across epochs, so once
+/// capacities have warmed up an epoch allocates nothing here;
+/// [`SweepCache::reset`] makes a warm cache observationally identical to
+/// a fresh one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
     acc: DenseAccumulator,
-    last_eval: Vec<u64>,
-    gathered_at: Vec<u64>,
-    links_dirty: Vec<u64>,
-    comm_stamp: Vec<u64>,
-    /// Cached candidate lists; inner vectors keep their capacity across
-    /// epochs.
-    cand_cache: Vec<Vec<(u32, f64)>>,
+    cache: SweepCache,
 }
 
 impl SweepScratch {
-    /// Re-initializes every buffer for a sweep over `t` snapshot rows and
-    /// `k` communities.
-    fn reset(&mut self, t: usize, k: usize) {
-        reset_fill(&mut self.last_eval, t, 0);
-        reset_fill(&mut self.gathered_at, t, 0);
-        reset_fill(&mut self.links_dirty, t, 1);
-        reset_fill(&mut self.comm_stamp, k, 1);
-        for cache in self.cand_cache.iter_mut().take(t) {
-            cache.clear();
-        }
-        if self.cand_cache.len() < t {
-            self.cand_cache.resize_with(t, Vec::new);
-        }
-    }
-
     /// Approximate resident bytes across every retained buffer
-    /// (capacity-based), including the candidate-cache inner vectors.
+    /// (capacity-based).
     pub(crate) fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let stamps = (self.last_eval.capacity()
-            + self.gathered_at.capacity()
-            + self.links_dirty.capacity()
-            + self.comm_stamp.capacity())
-            * size_of::<u64>();
-        let caches = self.cand_cache.capacity() * size_of::<Vec<(u32, f64)>>()
-            + self
-                .cand_cache
-                .iter()
-                .map(|c| c.capacity() * size_of::<(u32, f64)>())
-                .sum::<usize>();
-        self.acc.approx_bytes() + stamps + caches
+        self.acc.approx_bytes() + self.cache.approx_bytes()
     }
-}
-
-/// `vec![value; len]` semantics over a retained buffer.
-fn reset_fill(buf: &mut Vec<u64>, len: usize, value: u64) {
-    buf.clear();
-    buf.resize(len, value);
 }
 
 /// Gathers row `local`'s per-community link weights into `acc` (sorted
@@ -135,15 +96,7 @@ pub(crate) fn epoch_sweep(
 ) -> EpochSweepOutcome {
     let t = snap.len();
     let k = state.community_count();
-    scratch.reset(t, k);
-    let SweepScratch {
-        acc,
-        last_eval,
-        gathered_at,
-        links_dirty,
-        comm_stamp,
-        cand_cache,
-    } = scratch;
+    let SweepScratch { acc, cache } = scratch;
     let mut out = EpochSweepOutcome::default();
 
     // ---- Phase 1 (lines 1–8): place brand-new nodes.
@@ -164,75 +117,39 @@ pub(crate) fn epoch_sweep(
         out.moves += 1;
     }
 
-    // ---- Phase 2 (lines 9–17): optimize over V̂ with stamp skipping.
-    // (The stamp arrays and the candidate caches — ascending community
-    // order, straight from the gather, reused until a snapshot neighbor
-    // moves — live in the caller-provided scratch.)
-    let mut move_stamp: u64 = 1; // bumped on every committed move
+    // ---- Phase 2 (lines 9–17): optimize over V̂ on the sweep cache.
+    cache.reset(k, snap.offsets().windows(2).map(|w| (w[1] - w[0]) as usize));
     loop {
         let mut delta = 0.0;
-        for i in 0..t {
+        let mut next = 0;
+        while let Some(i) = cache.next_active(next) {
+            next = i + 1;
             let g = snap.global_id(i) as usize;
             let p = labels[g];
-            let links_fresh = links_dirty[i] <= gathered_at[i];
-            if links_fresh {
-                let seen = last_eval[i];
-                if comm_stamp[p as usize] <= seen
-                    && cand_cache[i]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
+            if cache.is_stale(i) {
                 gather_row(snap, i, labels, k, acc);
-                gathered_at[i] = move_stamp;
-                cand_cache[i].clear();
-                cand_cache[i].extend(acc.entries());
+                cache.store(i, acc.entries());
+            } else if cache.unchanged_since_eval(i, p) {
+                continue; // Inputs unchanged: evaluation would no-op.
             }
-            last_eval[i] = move_stamp;
-            let cand = &cand_cache[i];
-            if cand.is_empty() || (cand.len() == 1 && cand[0].0 == p) {
+            let Some(cand) = cache.evaluate(i, p) else {
                 continue; // C_v = ∅ or v only touches its own community.
-            }
-            let self_w = snap.self_loop(i);
-            let d_v = snap.incident_weight(i);
-            let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
-            let leave = state.leave_gain(p, self_w, d_v, w_vp);
-
-            // Candidates are sorted ascending; a later candidate must beat
-            // the best by > GAIN_EPS.
-            let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
-            for &(q, w_vq) in cand {
-                if q == p {
-                    continue;
-                }
-                let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                match best {
-                    Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
-                    _ => best = Some((q, gain, w_vq)),
-                }
-            }
-            if let Some((q, gain, w_vq)) = best {
-                if gain > 0.0 {
-                    state.apply_leave(p, self_w, d_v, w_vp);
-                    state.apply_join(q, self_w, d_v, w_vq);
-                    labels[g] = q;
-                    delta += gain;
-                    out.total_gain += gain;
-                    out.moves += 1;
-                    move_stamp += 1;
-                    comm_stamp[p as usize] = move_stamp;
-                    comm_stamp[q as usize] = move_stamp;
-                    // Only snapshot members can move, so only they cache
-                    // link weights that just went stale. The `local_of`
-                    // lookup is paid per committed move, not per edge of
-                    // the snapshot build.
-                    let (targets, _) = snap.row(i);
-                    for &u in targets {
-                        if let Some(lt) = snap.local_of(u) {
-                            links_dirty[lt as usize] = move_stamp;
-                        }
+            };
+            let (self_w, d_v) = (snap.self_loop(i), snap.incident_weight(i));
+            if let Some(mv) = state.best_move(p, self_w, d_v, cand.iter().copied()) {
+                state.apply_move(&mv);
+                labels[g] = mv.to;
+                delta += mv.gain;
+                out.total_gain += mv.gain;
+                out.moves += 1;
+                cache.commit_move(p, mv.to);
+                // Only snapshot members can move, so only they cache link
+                // weights that just went stale. The `local_of` lookup is
+                // paid per committed move, not per edge of the snapshot
+                // build.
+                for &u in snap.row(i).0 {
+                    if let Some(lt) = snap.local_of(u) {
+                        cache.invalidate(lt as usize);
                     }
                 }
             }

@@ -8,7 +8,7 @@
 //! * the per-community accounting and the throughput-gain delta formulas
 //!   of §V-B ([`state`]);
 //! * the two TxAllo algorithms — global [`GTxAllo`] (Algorithm 1) and
-//!   adaptive [`AtxAllo`] (Algorithm 2);
+//!   adaptive A-TxAllo (Algorithm 2), served by an [`AtxAlloSession`];
 //! * the evaluation baselines: hash-based random allocation
 //!   ([`HashAllocator`]), the METIS-backed graph partitioner
 //!   ([`MetisAllocator`]) and the transaction-level
@@ -19,10 +19,10 @@
 //! * **batch** (§V-B): every algorithm implements [`Allocator`] over a
 //!   [`Dataset`] (ledger + transaction graph), for one-shot allocation;
 //! * **streaming** (§V-C): [`StreamingAllocator`] serves an epoch-driven
-//!   chain — `begin` on the warm-up history, `on_block` per committed
-//!   block, `end_epoch` returning the [`AllocationUpdate`] *diff* of moved
-//!   accounts (see [`streaming`]), served by the one [`EpochLoop`] every
-//!   consumer drives.
+//!   chain — `begin` on the warm-up history, `on_block_nodes` per
+//!   committed block, `end_epoch` returning the [`AllocationUpdate`]
+//!   *diff* of moved accounts (see [`streaming`]), served by the one
+//!   [`EpochLoop`] every consumer drives.
 //!
 //! Consumers resolve either entry point by name through the
 //! [`AllocatorRegistry`] instead of constructing algorithms directly.
@@ -51,7 +51,7 @@ pub mod streaming;
 
 pub use ablation::{gtxallo_full_scan, gtxallo_with_init_strategy, InitStrategy};
 pub use allocation::Allocation;
-pub use atxallo::{AtxAllo, AtxAlloOutcome, UpdatePath};
+pub use atxallo::{AtxAlloOutcome, UpdatePath};
 pub use broker::{
     allocate_with_brokers, evaluate_with_brokers, select_split_accounts, BrokerConfig,
     BrokeredReport, MaskedGraph,

@@ -1,31 +1,31 @@
 //! A long-lived A-TxAllo serving session: community accounting carried
 //! across epochs instead of re-derived per update.
 //!
-//! The stateless [`AtxAllo::update`](crate::AtxAllo::update) rebuilds the
-//! per-community `intra`/`cut` aggregates from the whole graph on every
-//! call — an `O(n + m)` hash-adjacency walk that dwarfs the actual sweep
-//! once the chain is long and epochs touch only a small `V̂`. A serving
-//! allocator processes an unbounded stream of epochs over one growing
-//! graph, so the aggregates should be *maintained*, not recomputed:
+//! This is the one A-TxAllo entry point (Algorithm 2). Rebuilding the
+//! per-community `intra`/`cut` aggregates from the whole graph is an
+//! `O(n + m)` walk that dwarfs the actual sweep once the chain is long and
+//! epochs touch only a small `V̂`. A serving allocator processes an
+//! unbounded stream of epochs over one growing graph, so the aggregates
+//! are *maintained*, not recomputed:
 //!
 //! 1. [`AtxAlloSession::new`] pays the full walk once (warm-up);
-//! 2. each epoch, [`AtxAlloSession::apply_block`] folds the freshly
+//! 2. each block, [`AtxAlloSession::apply_block_nodes`] folds the freshly
 //!    ingested transaction deltas into the aggregates in `O(block edges)`
-//!    — the same clique-expansion weights [`TxGraph::ingest_block`] just
-//!    added to the graph, classified by the *current* labels;
-//! 3. [`AtxAlloSession::update`] then runs the same delta-CSR epoch sweep
-//!    as the stateless path (the private `incremental` kernel), which
-//!    keeps the aggregates in lock-step via `apply_join`/`apply_leave` as
-//!    it moves nodes.
+//!    — the same clique-expansion weights [`TxGraph::ingest_block_nodes`]
+//!    just added to the graph, classified by the *current* labels;
+//! 3. [`AtxAlloSession::update`] then runs the delta-CSR epoch sweep (the
+//!    private `incremental` kernel), which keeps the aggregates in
+//!    lock-step via `apply_join`/`apply_leave` as it moves nodes.
 //!
 //! The per-epoch cost becomes `O(|V̂| log |V̂| + Σ_{v∈V̂} deg v)` — fully
 //! independent of chain length, which is the §V-C promise A-TxAllo makes
-//! on paper.
+//! on paper. A one-shot update is a session opened on the previous
+//! allocation and updated once.
 //!
 //! ## Consistency contract
 //!
-//! After every `apply_block`/`update` cycle the aggregates equal (up to
-//! float rounding of the different summation order) what
+//! After every `apply_block_nodes`/`update` cycle the aggregates equal (up
+//! to float rounding of the different summation order) what
 //! `CommunityState::from_labels` would recompute from scratch;
 //! [`AtxAlloSession::consistency_error`] measures the drift and the sim
 //! tests bound it. Out-of-band graph edits split in two:
@@ -40,7 +40,6 @@
 //!   G-TxAllo refresh, do exactly that).
 
 use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
-use txallo_model::Block;
 
 use crate::allocation::Allocation;
 use crate::atxallo::{AtxAlloOutcome, UpdatePath};
@@ -58,7 +57,7 @@ pub struct AtxAlloSession {
     /// Snapshot buffer, refilled per epoch ([`DeltaCsr::refill_touched`])
     /// so row storage is allocated once per session, not once per epoch.
     snap: DeltaCsr,
-    /// Sweep-kernel buffers (stamp arrays, candidate caches), same deal.
+    /// Sweep-kernel buffers (gather accumulator, sweep cache), same deal.
     scratch: SweepScratch,
 }
 
@@ -172,61 +171,17 @@ impl AtxAlloSession {
             .unwrap_or(UNASSIGNED)
     }
 
-    /// Folds one freshly-ingested block into the aggregates.
-    ///
-    /// Call *after* [`TxGraph::ingest_block`] for the same block (the
-    /// accounts must be interned) and *before* [`AtxAlloSession::update`]
-    /// for the epoch. Replays the exact clique-expansion weights ingestion
-    /// used, classified by the current labels, in `O(block edges)`.
-    ///
-    /// Only the `intra`/`cut` aggregates are folded here; the cached
-    /// capped throughputs go stale and are refreshed once per epoch by
-    /// [`AtxAlloSession::update`] (via the `set_limits` parameter
-    /// refresh), not once per block.
-    pub fn apply_block(&mut self, graph: &TxGraph, block: &Block) {
-        for tx in block.transactions() {
-            // Plain transfers — the overwhelming share of a block — fold
-            // without the `account_set` allocation/sort: a 1↔1 transaction
-            // is one unit edge (or one unit self-loop), exactly what the
-            // general clique-expansion path below computes for it.
-            if let ([a], [b]) = (tx.inputs(), tx.outputs()) {
-                let na = graph.node_of(*a).expect("block accounts are interned"); // txallo-lint: allow(lib-unwrap) — on_block's contract: ingest_block interned every account of this block first
-                if a == b {
-                    self.state.apply_self_loop_delta(self.label_of(na), 1.0);
-                } else {
-                    let nb = graph.node_of(*b).expect("block accounts are interned"); // txallo-lint: allow(lib-unwrap) — on_block's contract: ingest_block interned every account of this block first
-                    self.state
-                        .apply_edge_delta(self.label_of(na), self.label_of(nb), 1.0);
-                }
-                continue;
-            }
-            let set = tx.account_set();
-            if set.len() == 1 {
-                let n = graph.node_of(set[0]).expect("block accounts are interned"); // txallo-lint: allow(lib-unwrap) — on_block's contract: ingest_block interned every account of this block first
-                self.state.apply_self_loop_delta(self.label_of(n), 1.0);
-                continue;
-            }
-            let w = 1.0 / (set.len() * (set.len() - 1) / 2) as f64;
-            for (i, &acct_a) in set.iter().enumerate() {
-                let a = graph.node_of(acct_a).expect("block accounts are interned"); // txallo-lint: allow(lib-unwrap) — on_block's contract: ingest_block interned every account of this block first
-                let la = self.label_of(a);
-                for &acct_b in &set[(i + 1)..] {
-                    let b = graph.node_of(acct_b).expect("block accounts are interned"); // txallo-lint: allow(lib-unwrap) — on_block's contract: ingest_block interned every account of this block first
-                    self.state.apply_edge_delta(la, self.label_of(b), w);
-                }
-            }
-        }
-    }
-
-    /// [`AtxAlloSession::apply_block`] over the interned view
-    /// [`TxGraph::ingest_block_nodes`] returned for the same block: the
+    /// Folds one freshly-ingested block into the aggregates, from the
+    /// interned view [`TxGraph::ingest_block_nodes`] returned for it: the
     /// per-transaction dense node ids are already resolved, so the fold
-    /// pays zero interner (account-hash) lookups. Bit-identical to
-    /// [`AtxAlloSession::apply_block`]: the per-transaction weights and
-    /// the delta application order are exactly the clique expansion over
-    /// `account_set`, which is what `tx_nodes` mirrors (a plain 1↔1
-    /// transfer is a 2-element set with pair weight exactly `1.0`, the
-    /// same delta the transfer fast path applied).
+    /// pays zero interner (account-hash) lookups. It replays the exact
+    /// clique expansion ingestion performed over `account_set`, classified
+    /// by the current labels, in `O(block edges)`.
+    ///
+    /// Call before [`AtxAlloSession::update`] for the epoch. Only the
+    /// `intra`/`cut` aggregates are folded here; the cached capped
+    /// throughputs go stale and are refreshed once per epoch by `update`
+    /// (via the `set_limits` parameter refresh), not once per block.
     pub fn apply_block_nodes(&mut self, nodes: &BlockNodes) {
         for i in 0..nodes.tx_count() {
             let set = nodes.tx_nodes(i);
@@ -244,20 +199,26 @@ impl AtxAlloSession {
         }
     }
 
-    /// Runs the epoch update over `touched`, mutating the session's labels
-    /// and aggregates in place and reporting the same outcome as the
-    /// stateless [`AtxAllo::update`](crate::AtxAllo::update).
+    /// Runs the epoch update over `touched` (the epoch's deduplicated
+    /// `V̂`), mutating the session's labels and aggregates in place and
+    /// returning the sweep's counters; read the labels through
+    /// [`AtxAlloSession::labels`].
     ///
     /// `params` is taken fresh each epoch because `λ = |T|/k` and `ε`
-    /// scale with the accumulated weight; the snapshot route follows
-    /// [`TxAlloParams::incremental_threshold`] exactly like the stateless
-    /// path.
+    /// scale with the accumulated weight. The snapshot route follows
+    /// [`TxAlloParams::incremental_threshold`] on the touched fraction
+    /// `|V̂| / |V|`; the choice affects running time only, never the
+    /// result.
     pub fn update(
         &mut self,
         graph: &TxGraph,
         touched: &[NodeId],
         params: &TxAlloParams,
     ) -> AtxAlloOutcome {
+        assert_eq!(
+            params.shards, self.shards,
+            "shard count is fixed per session"
+        );
         let n = graph.node_count();
         let frac = if n == 0 {
             0.0
@@ -269,25 +230,7 @@ impl AtxAlloSession {
         } else {
             UpdatePath::Full
         };
-        self.update_with_route(graph, touched, params, path)
-    }
-
-    /// [`AtxAlloSession::update`] with the snapshot route forced — the
-    /// single epoch-update driver behind both the session and the
-    /// stateless [`AtxAllo`](crate::AtxAllo) entry points (and the golden
-    /// tests' route-equivalence comparisons).
-    pub(crate) fn update_with_route(
-        &mut self,
-        graph: &TxGraph,
-        touched: &[NodeId],
-        params: &TxAlloParams,
-        path: UpdatePath,
-    ) -> AtxAlloOutcome {
-        assert_eq!(
-            params.shards, self.shards,
-            "shard count is fixed per session"
-        );
-        self.labels.resize(graph.node_count(), UNASSIGNED);
+        self.labels.resize(n, UNASSIGNED);
         self.state.set_limits(params.eta, params.capacity);
 
         match path {
@@ -304,7 +247,6 @@ impl AtxAlloSession {
         );
 
         AtxAlloOutcome {
-            allocation: Allocation::new(self.labels.clone(), self.shards),
             new_nodes: out.new_nodes,
             sweeps: out.sweeps,
             total_gain: out.total_gain,
@@ -340,9 +282,45 @@ impl AtxAlloSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atxallo::AtxAllo;
     use crate::gtxallo::GTxAllo;
-    use txallo_model::{AccountId, Transaction};
+    use txallo_model::{AccountId, Block, Transaction};
+
+    /// The re-hashing block fold: [`AtxAlloSession::apply_block_nodes`]
+    /// resolved through the interner instead of the ids ingestion
+    /// returned, with a fast path for plain transfers. Kept only as the
+    /// bitwise reference the interned fold is pinned against. Call after
+    /// [`TxGraph::ingest_block`] for the same block.
+    fn apply_block(session: &mut AtxAlloSession, graph: &TxGraph, block: &Block) {
+        let node = |a: &AccountId| graph.node_of(*a).expect("block accounts are interned");
+        for tx in block.transactions() {
+            // A 1↔1 transaction is one unit edge (or one unit self-loop),
+            // exactly what the clique expansion below computes for it.
+            if let ([a], [b]) = (tx.inputs(), tx.outputs()) {
+                let la = session.label_of(node(a));
+                if a == b {
+                    session.state.apply_self_loop_delta(la, 1.0);
+                } else {
+                    let lb = session.label_of(node(b));
+                    session.state.apply_edge_delta(la, lb, 1.0);
+                }
+                continue;
+            }
+            let set = tx.account_set();
+            if set.len() == 1 {
+                let la = session.label_of(node(&set[0]));
+                session.state.apply_self_loop_delta(la, 1.0);
+                continue;
+            }
+            let w = 1.0 / (set.len() * (set.len() - 1) / 2) as f64;
+            for (i, a) in set.iter().enumerate() {
+                let la = session.label_of(node(a));
+                for b in &set[(i + 1)..] {
+                    let lb = session.label_of(node(b));
+                    session.state.apply_edge_delta(la, lb, w);
+                }
+            }
+        }
+    }
 
     fn base_graph() -> TxGraph {
         let mut g = TxGraph::new();
@@ -369,6 +347,22 @@ mod tests {
         )
     }
 
+    /// A block mixing intra, cross, new-account and self-loop transfers
+    /// with a multi-account transaction.
+    fn mixed_block() -> Block {
+        let mut txs: Vec<Transaction> = vec![
+            Transaction::transfer(AccountId(0), AccountId(1)),
+            Transaction::transfer(AccountId(0), AccountId(10)),
+            Transaction::transfer(AccountId(300), AccountId(301)),
+            Transaction::transfer(AccountId(4), AccountId(4)),
+        ];
+        txs.push(Transaction::new(vec![AccountId(0)], vec![AccountId(11), AccountId(12)]).unwrap());
+        Block::new(0, txs)
+    }
+
+    /// A warm session carried across epochs matches a session opened
+    /// fresh on the previous epoch's labels every epoch (the one-shot
+    /// update, which rebuilds the aggregates from the graph).
     #[test]
     fn session_matches_stateless_across_epochs() {
         let mut g = base_graph();
@@ -383,23 +377,24 @@ mod tests {
             vec![(0, 10), (101, 11), (200, 200)],
         ];
         for (h, pairs) in epochs.iter().enumerate() {
-            let block = epoch_block(h as u64, pairs);
-            let touched = g.ingest_block(&block);
+            let nodes = g.ingest_block_nodes(&epoch_block(h as u64, pairs));
             let params = TxAlloParams::for_graph(&g, 2);
 
-            session.apply_block(&g, &block);
-            let from_session = session.update(&g, &touched, &params);
-            let from_stateless = AtxAllo::new(params).update(&g, &stateless_prev, &touched);
+            session.apply_block_nodes(&nodes);
+            session.update(&g, nodes.touched(), &params);
+            let mut stateless = AtxAlloSession::new(&g, &stateless_prev, &params);
+            stateless.update(&g, nodes.touched(), &params);
 
             assert_eq!(
-                from_session.allocation, from_stateless.allocation,
+                session.allocation(),
+                stateless.allocation(),
                 "epoch {h}: session diverged from stateless"
             );
             assert!(
                 session.consistency_error(&g) < 1e-9,
                 "epoch {h}: aggregates drifted"
             );
-            stateless_prev = from_stateless.allocation;
+            stateless_prev = stateless.allocation();
         }
     }
 
@@ -409,18 +404,8 @@ mod tests {
         let params = TxAlloParams::for_graph(&g, 2);
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
         let mut session = AtxAlloSession::new(&g, &prev, &params);
-        // Mix of intra, cross, new-account and self-loop transactions, plus
-        // a multi-account transfer.
-        let mut txs: Vec<Transaction> = vec![
-            Transaction::transfer(AccountId(0), AccountId(1)),
-            Transaction::transfer(AccountId(0), AccountId(10)),
-            Transaction::transfer(AccountId(300), AccountId(301)),
-            Transaction::transfer(AccountId(4), AccountId(4)),
-        ];
-        txs.push(Transaction::new(vec![AccountId(0)], vec![AccountId(11), AccountId(12)]).unwrap());
-        let block = Block::new(0, txs);
-        g.ingest_block(&block);
-        session.apply_block(&g, &block);
+        let nodes = g.ingest_block_nodes(&mixed_block());
+        session.apply_block_nodes(&nodes);
         assert!(
             session.consistency_error(&g) < 1e-12,
             "delta accounting must match recomputation"
@@ -438,18 +423,11 @@ mod tests {
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g1);
         let mut s1 = AtxAlloSession::new(&g1, &prev, &params);
         let mut s2 = AtxAlloSession::new(&g2, &prev, &params);
-        let mut txs: Vec<Transaction> = vec![
-            Transaction::transfer(AccountId(0), AccountId(1)),
-            Transaction::transfer(AccountId(0), AccountId(10)),
-            Transaction::transfer(AccountId(300), AccountId(301)),
-            Transaction::transfer(AccountId(4), AccountId(4)),
-        ];
-        txs.push(Transaction::new(vec![AccountId(0)], vec![AccountId(11), AccountId(12)]).unwrap());
-        let block = Block::new(0, txs);
+        let block = mixed_block();
         let nodes = g1.ingest_block_nodes(&block);
         g2.ingest_block(&block);
         s1.apply_block_nodes(&nodes);
-        s2.apply_block(&g2, &block);
+        apply_block(&mut s2, &g2, &block);
         for c in 0..2u32 {
             assert_eq!(s1.state.intra(c).to_bits(), s2.state.intra(c).to_bits());
             assert_eq!(s1.state.cut(c).to_bits(), s2.state.cut(c).to_bits());
@@ -463,7 +441,7 @@ mod tests {
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
         let mut session = AtxAlloSession::new(&g, &prev, &params);
         let out = session.update(&g, &[], &params);
-        assert_eq!(out.allocation, prev);
+        assert_eq!(session.allocation(), prev);
         assert_eq!(out.moves, 0);
     }
 }

@@ -54,6 +54,23 @@ pub struct CommunityState {
 // so the fast path is byte-identical to the formula path (golden-tested
 // in `tests/golden.rs` and `tests/atxallo_golden.rs`).
 
+/// One node's move out of its community, chosen by
+/// [`CommunityState::best_move`] and committed by
+/// [`CommunityState::apply_move`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Move {
+    /// The community the node leaves (`p`).
+    pub(crate) from: u32,
+    /// The community the node joins (`q`).
+    pub(crate) to: u32,
+    /// The move's throughput gain `Δ_{(v,p,q)}Λ` (Eq. 8), positive.
+    pub(crate) gain: f64,
+    self_w: f64,
+    d_v: f64,
+    w_from: f64,
+    w_to: f64,
+}
+
 /// Scratch buffers for evaluating one node's candidate moves, reused across
 /// the sweep.
 ///
@@ -448,6 +465,64 @@ impl CommunityState {
     pub fn move_gain(&self, p: u32, q: u32, self_w: f64, d_v: f64, w_vp: f64, w_vq: f64) -> f64 {
         debug_assert_ne!(p, q);
         self.leave_gain(p, self_w, d_v, w_vp) + self.join_gain(q, self_w, d_v, w_vq)
+    }
+
+    /// The move rule (Eq. 8) shared by every optimization sweep: G-TxAllo's
+    /// phase 2, A-TxAllo's phase 2 and the full-scan ablation. `v` sits in
+    /// community `p`; `candidates` lists `(community, w_vq)` in ascending
+    /// community order, and an entry for `p` itself only supplies `w_vp`.
+    ///
+    /// Each rival's gain is the leave gain of `p` plus its join gain. A
+    /// later rival must beat the best so far by more than [`GAIN_EPS`], so
+    /// ties go to the earlier rival. The best move is returned only when
+    /// its gain is positive; commit it with [`CommunityState::apply_move`].
+    ///
+    /// Always inlined: it runs once per evaluated row, and the G-TxAllo
+    /// and A-TxAllo kernels share one instantiation, which the compiler
+    /// otherwise keeps as an out-of-line call.
+    #[inline(always)]
+    pub(crate) fn best_move(
+        &self,
+        p: u32,
+        self_w: f64,
+        d_v: f64,
+        candidates: impl IntoIterator<Item = (u32, f64)> + Clone,
+    ) -> Option<Move> {
+        let w_vp = candidates
+            .clone()
+            .into_iter()
+            .find(|&(c, _)| c == p)
+            .map_or(0.0, |(_, w)| w);
+        let leave = self.leave_gain(p, self_w, d_v, w_vp);
+        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
+        for (q, w_vq) in candidates {
+            if q == p {
+                continue;
+            }
+            let gain = leave + self.join_gain(q, self_w, d_v, w_vq);
+            match best {
+                Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
+                _ => best = Some((q, gain, w_vq)),
+            }
+        }
+        let (to, gain, w_to) = best?;
+        (gain > 0.0).then_some(Move {
+            from: p,
+            to,
+            gain,
+            self_w,
+            d_v,
+            w_from: w_vp,
+            w_to,
+        })
+    }
+
+    /// Commits a move chosen by [`CommunityState::best_move`]: `v` leaves
+    /// `from` and joins `to`. The caller updates the label vector.
+    #[inline]
+    pub(crate) fn apply_move(&mut self, mv: &Move) {
+        self.apply_leave(mv.from, mv.self_w, mv.d_v, mv.w_from);
+        self.apply_join(mv.to, mv.self_w, mv.d_v, mv.w_to);
     }
 
     /// Commits `v` joining community `q` (updates `intra`/`cut`). The caller

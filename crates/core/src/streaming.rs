@@ -4,10 +4,11 @@
 //! sharded chain consults every epoch, not a one-shot batch call. This
 //! module is that service's contract: a [`StreamingAllocator`] is opened
 //! once on the warm-up history ([`StreamingAllocator::begin`]), observes
-//! every freshly committed block ([`StreamingAllocator::on_block`]), and
-//! at each epoch boundary emits an [`AllocationUpdate`] — the *diff* of
-//! moved accounts ([`StreamingAllocator::end_epoch`]) — so consumers can
-//! account migration cost instead of relabelling wholesale.
+//! every freshly committed block
+//! ([`StreamingAllocator::on_block_nodes`]), and at each epoch boundary
+//! emits an [`AllocationUpdate`] — the *diff* of moved accounts
+//! ([`StreamingAllocator::end_epoch`]) — so consumers can account
+//! migration cost instead of relabelling wholesale.
 //!
 //! Four implementations cover the paper's §VI comparison end to end:
 //!
@@ -28,12 +29,13 @@
 //!
 //! ## Epoch-loop contract
 //!
-//! For each epoch: ingest a block into the [`TxGraph`], *then* hand it to
-//! `on_block` (accounts must be interned); at the boundary call
-//! `end_epoch` and fold the returned diff into your [`Allocation`] with
-//! [`Allocation::apply_update`]. Out-of-band uniform reweighting (decay)
-//! must be announced through [`StreamingAllocator::on_reweight`] *before*
-//! the epoch's blocks are ingested.
+//! For each epoch: ingest a block with [`TxGraph::ingest_block_nodes`],
+//! *then* hand the block and its interned view to `on_block_nodes`; at
+//! the boundary call `end_epoch` and fold the returned diff into your
+//! [`Allocation`] with [`Allocation::apply_update`]. Out-of-band uniform
+//! reweighting (decay) must be announced through
+//! [`StreamingAllocator::on_reweight`] *before* the epoch's blocks are
+//! ingested.
 //!
 //! ```
 //! use txallo_core::{AllocatorRegistry, EpochKind, HybridSchedule, TxAlloParams};
@@ -60,8 +62,8 @@
 //!
 //! // One served epoch: ingest, observe, close, apply the diff.
 //! let block = Block::new(0, vec![Transaction::transfer(AccountId(100), AccountId(0))]);
-//! graph.ingest_block(&block);
-//! stream.on_block(&graph, &block);
+//! let nodes = graph.ingest_block_nodes(&block);
+//! stream.on_block_nodes(&graph, &block, &nodes);
 //! let update = stream.end_epoch(&graph, EpochKind::Scheduled);
 //! allocation.apply_update(&update);
 //!
@@ -254,20 +256,12 @@ pub trait StreamingAllocator: std::fmt::Debug {
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation;
 
     /// Observes one freshly committed block. Call *after*
-    /// [`TxGraph::ingest_block`] for the same block, so its accounts are
-    /// interned.
-    fn on_block(&mut self, graph: &TxGraph, block: &Block);
-
-    /// [`on_block`](StreamingAllocator::on_block) with the interned view
-    /// [`TxGraph::ingest_block_nodes`] produced for the same block, so the
-    /// stream can reuse the dense node ids ingestion already resolved
-    /// instead of re-hashing every `AccountId`. The default delegates to
-    /// `on_block`; stateful streams override it with the zero-rehash path
-    /// (behaviour must be identical either way).
-    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes) {
-        let _ = nodes;
-        self.on_block(graph, block);
-    }
+    /// [`TxGraph::ingest_block_nodes`] for the same block, with the
+    /// interned view it returned: stateful streams reuse the dense node
+    /// ids ingestion already resolved instead of re-hashing every
+    /// `AccountId`, and the transaction-level scheduler reads the block
+    /// itself.
+    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes);
 
     /// Announces an out-of-band uniform rescale of every edge weight by
     /// `factor` (exponential decay). Stateful implementations must either
@@ -433,20 +427,6 @@ fn diff_full(old: &[u32], new: &[u32]) -> Vec<AccountMove> {
     moves
 }
 
-/// Collects the touched node ids of a block's transactions (the same set
-/// [`TxGraph::ingest_block`] reports), through the interner — the
-/// fallback for callers without a [`BlockNodes`] view.
-fn collect_touched(graph: &TxGraph, block: &Block, touched: &mut EpochTouched) {
-    for tx in block.transactions() {
-        for account in tx.account_set() {
-            let node = graph
-                .node_of(account)
-                .expect("on_block requires the block to be ingested first"); // txallo-lint: allow(lib-unwrap) — documented on_block precondition: the driver ingests the block before notifying
-            touched.mark(node);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AdaptiveStream
 // ---------------------------------------------------------------------------
@@ -594,26 +574,17 @@ impl StreamingAllocator for AdaptiveStream {
         initial
     }
 
-    fn on_block(&mut self, graph: &TxGraph, block: &Block) {
+    fn on_block_nodes(&mut self, _graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
         assert!(self.began, "call begin() before serving blocks");
-        collect_touched(graph, block, &mut self.touched);
+        // The touched ids and every transaction's dense node set come
+        // straight from ingestion — no account re-hashing at all.
+        for &v in nodes.touched() {
+            self.touched.mark(v);
+        }
         // A warm session folds the block's clique-expansion deltas into
         // its aggregates; an invalidated one rebuilds from the
         // post-ingestion graph at the boundary, where the deltas are
         // already counted.
-        if let Some(session) = self.session.as_mut() {
-            session.apply_block(graph, block);
-        }
-    }
-
-    fn on_block_nodes(&mut self, _graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
-        assert!(self.began, "call begin() before serving blocks");
-        // The interned fast path: the touched ids and every transaction's
-        // dense node set come straight from ingestion — no account
-        // re-hashing on the serving surface at all.
-        for &v in nodes.touched() {
-            self.touched.mark(v);
-        }
         if let Some(session) = self.session.as_mut() {
             session.apply_block_nodes(nodes);
         }
@@ -799,7 +770,7 @@ impl StreamingAllocator for GlobalStream {
         self.solve(graph)
     }
 
-    fn on_block(&mut self, _graph: &TxGraph, _block: &Block) {
+    fn on_block_nodes(&mut self, _graph: &TxGraph, _block: &Block, _nodes: &BlockNodes) {
         // Stateless: everything is re-derived from the graph at the
         // boundary.
     }
@@ -915,19 +886,11 @@ impl StreamingAllocator for HybridStream {
         self.inner.begin(graph, params)
     }
 
-    fn on_block(&mut self, graph: &TxGraph, block: &Block) {
+    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes) {
         // A global boundary replaces labels and session wholesale, so
         // folding this epoch's deltas into the session would be wasted
         // work — skip it (the touched set is not needed either) and
         // remember that only a global close is now sound.
-        if self.schedule.is_global_epoch(self.epoch) {
-            self.blocks_withheld = true;
-            return;
-        }
-        self.inner.on_block(graph, block);
-    }
-
-    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes) {
         if self.schedule.is_global_epoch(self.epoch) {
             self.blocks_withheld = true;
             return;
@@ -1013,8 +976,9 @@ impl StreamingAllocator for HybridStream {
 
 /// The Shard Scheduler baseline served epoch-wise. The scheduler is
 /// transaction-level by design, so streaming is its native mode:
-/// [`on_block`](StreamingAllocator::on_block) runs the published decision
-/// rules on every transaction as it arrives.
+/// [`on_block_nodes`](StreamingAllocator::on_block_nodes) runs the
+/// published decision rules on every transaction of the block as it
+/// arrives.
 ///
 /// [`begin`](StreamingAllocator::begin) has no transaction history (only
 /// the warm-up *graph*), so it warm-starts with a deterministic
@@ -1068,8 +1032,8 @@ impl StreamingAllocator for SchedulerStream {
         allocation
     }
 
-    fn on_block(&mut self, graph: &TxGraph, block: &Block) {
-        let state = self.state.as_mut().expect("call begin() first"); // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block/end_epoch
+    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, _nodes: &BlockNodes) {
+        let state = self.state.as_mut().expect("call begin() first"); // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block_nodes/end_epoch
         for tx in block.transactions() {
             state.process_transaction(graph, tx);
         }
@@ -1086,7 +1050,7 @@ impl StreamingAllocator for SchedulerStream {
     }
 
     fn end_epoch(&mut self, graph: &TxGraph, _kind: EpochKind) -> AllocationUpdate {
-        // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block/end_epoch
+        // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block_nodes/end_epoch
         let state = self.state.as_mut().expect("call begin() first");
         // λ = |T|/k grows with the accumulated history; refresh the
         // migration capacity buffer once per epoch, like the other
@@ -1142,6 +1106,12 @@ mod tests {
         )
     }
 
+    /// Ingests `block` into `g` and hands its interned view to `stream`.
+    fn feed(g: &mut TxGraph, stream: &mut impl StreamingAllocator, block: &Block) {
+        let nodes = g.ingest_block_nodes(block);
+        stream.on_block_nodes(g, block, &nodes);
+    }
+
     #[test]
     fn hybrid_schedule_fires_like_the_paper() {
         let s = HybridSchedule::Hybrid { global_gap: 20 };
@@ -1176,62 +1146,18 @@ mod tests {
         ];
         for (h, pairs) in epochs.iter().enumerate() {
             let block = epoch_block(h as u64, pairs);
-            g1.ingest_block(&block);
-            stream.on_block(&g1, &block);
+            feed(&mut g1, &mut stream, &block);
             let update = stream.end_epoch(&g1, EpochKind::Scheduled);
             mirror.apply_update(&update);
 
-            let touched = g2.ingest_block(&block);
-            session.apply_block(&g2, &block);
+            let nodes = g2.ingest_block_nodes(&block);
+            session.apply_block_nodes(&nodes);
             let params = TxAlloParams::for_graph(&g2, 2);
-            let expect = session.update(&g2, &touched, &params);
+            session.update(&g2, nodes.touched(), &params);
 
-            assert_eq!(mirror, expect.allocation, "epoch {h} diverged");
+            assert_eq!(mirror, session.allocation(), "epoch {h} diverged");
             assert_eq!(mirror, stream.allocation(), "diffs out of sync");
             assert_eq!(update.carry, StateCarry::Warm);
-        }
-    }
-
-    #[test]
-    fn interned_block_path_matches_rehashing_path_exactly() {
-        // `on_block_nodes` (dense ids from ingestion, stamp-set touched
-        // collection, zero re-hashing) must reproduce `on_block`'s
-        // trajectory exactly — same diffs, same labels, same carry — for
-        // both the adaptive and the hybrid stream.
-        for schedule in [
-            HybridSchedule::AlwaysAdaptive,
-            HybridSchedule::Hybrid { global_gap: 2 },
-        ] {
-            let mut g1 = clique_graph();
-            let mut g2 = clique_graph();
-            let params = TxAlloParams::for_graph(&g1, 2);
-            let mut by_nodes = HybridStream::new(params.clone(), schedule);
-            let mut by_accounts = HybridStream::new(params.clone(), schedule);
-            let mut m1 = by_nodes.begin(&g1, &params);
-            let mut m2 = by_accounts.begin(&g2, &params);
-
-            let epochs: Vec<Vec<(u64, u64)>> = vec![
-                vec![(100, 0), (100, 1), (3, 12), (40, 40)],
-                vec![(100, 2), (101, 100), (13, 14)],
-                vec![(0, 10), (101, 11), (200, 200)],
-                vec![(200, 0), (200, 14)],
-            ];
-            for (h, pairs) in epochs.iter().enumerate() {
-                let block = epoch_block(h as u64, pairs);
-                let nodes = g1.ingest_block_nodes(&block);
-                by_nodes.on_block_nodes(&g1, &block, &nodes);
-                g2.ingest_block(&block);
-                by_accounts.on_block(&g2, &block);
-
-                let u1 = by_nodes.end_epoch(&g1, EpochKind::Scheduled);
-                let u2 = by_accounts.end_epoch(&g2, EpochKind::Scheduled);
-                assert_eq!(u1.moves, u2.moves, "epoch {h} ({schedule:?}) diffs");
-                assert_eq!(u1.kind, u2.kind);
-                assert_eq!(u1.carry, u2.carry);
-                m1.apply_update(&u1);
-                m2.apply_update(&u2);
-                assert_eq!(m1, m2, "epoch {h} ({schedule:?}) labels diverged");
-            }
         }
     }
 
@@ -1245,8 +1171,7 @@ mod tests {
 
         for h in 0..5u64 {
             let block = epoch_block(h, &[(300 + h, h), (h, h + 10)]);
-            g.ingest_block(&block);
-            stream.on_block(&g, &block);
+            feed(&mut g, &mut stream, &block);
             let update = stream.end_epoch(&g, EpochKind::Scheduled);
             let expected_kind = if h > 0 && h % 2 == 0 {
                 UpdateKind::Global
@@ -1276,8 +1201,7 @@ mod tests {
         let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysGlobal);
         let mut mirror = stream.begin(&g, &params);
         let block = epoch_block(0, &[(900, 0), (901, 902)]);
-        g.ingest_block(&block);
-        stream.on_block(&g, &block); // withheld (global epoch)
+        feed(&mut g, &mut stream, &block); // withheld (global epoch)
         let update = stream.end_epoch(&g, EpochKind::Adaptive);
         assert_eq!(update.kind, UpdateKind::Global, "must escalate");
         mirror.apply_update(&update);
@@ -1297,8 +1221,7 @@ mod tests {
             g.apply_decay(0.3);
             stream.on_reweight(0.3);
             let block = epoch_block(h, &[(700, 701); 6]);
-            g.ingest_block(&block);
-            stream.on_block(&g, &block);
+            feed(&mut g, &mut stream, &block);
             let update = stream.end_epoch(&g, EpochKind::Scheduled);
             mirror.apply_update(&update);
         }
@@ -1321,8 +1244,7 @@ mod tests {
         g.apply_decay(0.5);
         stream.on_reweight(0.5);
         let block = epoch_block(0, &[(100, 0), (100, 1)]);
-        g.ingest_block(&block);
-        stream.on_block(&g, &block);
+        feed(&mut g, &mut stream, &block);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(
             update.carry,
@@ -1331,8 +1253,7 @@ mod tests {
         );
         // And the folded aggregates must still track a recomputation.
         let next = epoch_block(1, &[(5, 6)]);
-        g.ingest_block(&next);
-        stream.on_block(&g, &next);
+        feed(&mut g, &mut stream, &next);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(update.carry, StateCarry::Warm);
     }
@@ -1346,8 +1267,7 @@ mod tests {
         stream.invalidate();
         assert_eq!(stream.allocation(), before, "labels survive invalidation");
         let block = epoch_block(0, &[(100, 0)]);
-        g.ingest_block(&block);
-        stream.on_block(&g, &block);
+        feed(&mut g, &mut stream, &block);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(update.carry, StateCarry::Rebuilt);
     }
@@ -1363,8 +1283,7 @@ mod tests {
         );
         let mut mirror = stream.begin(&g, &params);
         let block = epoch_block(0, &[(500, 0), (501, 502)]);
-        g.ingest_block(&block);
-        stream.on_block(&g, &block);
+        feed(&mut g, &mut stream, &block);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(update.kind, UpdateKind::Global);
         assert_eq!(update.carry, StateCarry::Stateless);
@@ -1387,8 +1306,7 @@ mod tests {
         // A new pair transacting heavily lands together eventually.
         for h in 0..3u64 {
             let block = epoch_block(h, &[(700, 701), (700, 701), (700, 701)]);
-            g.ingest_block(&block);
-            stream.on_block(&g, &block);
+            feed(&mut g, &mut stream, &block);
             let update = stream.end_epoch(&g, EpochKind::Scheduled);
             mirror.apply_update(&update);
             assert_eq!(mirror, stream.allocation(), "epoch {h}");
@@ -1415,8 +1333,7 @@ mod tests {
         live.begin(&g, &params);
         for h in 0..2u64 {
             let block = epoch_block(h, &[(100 + h, h), (h, h + 10)]);
-            g.ingest_block(&block);
-            live.on_block(&g, &block);
+            feed(&mut g, &mut live, &block);
             live.end_epoch(&g, EpochKind::Scheduled);
         }
 
@@ -1435,9 +1352,9 @@ mod tests {
         // Epoch 3 is the scheduled global refresh: phase must be preserved.
         for h in 2..6u64 {
             let block = epoch_block(h, &[(200 + h, h), (h, 2 * h + 1)]);
-            g.ingest_block(&block);
-            live.on_block(&g, &block);
-            resumed.on_block(&g, &block);
+            let nodes = g.ingest_block_nodes(&block);
+            live.on_block_nodes(&g, &block, &nodes);
+            resumed.on_block_nodes(&g, &block, &nodes);
             let a = live.end_epoch(&g, EpochKind::Scheduled);
             let b = resumed.end_epoch(&g, EpochKind::Scheduled);
             assert_eq!(a.moves, b.moves, "epoch {h} diffs diverged");
@@ -1470,8 +1387,7 @@ mod tests {
         assert_eq!(resumed.allocation().labels(), state.labels.as_slice());
         // The next boundary rebuilds the aggregates and reports it.
         let block = epoch_block(0, &[(100, 0)]);
-        g.ingest_block(&block);
-        resumed.on_block(&g, &block);
+        feed(&mut g, &mut resumed, &block);
         let update = resumed.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(update.carry, StateCarry::Rebuilt);
     }
@@ -1521,8 +1437,7 @@ mod tests {
         let mut stream = GlobalStream::new("Random", params.clone(), Box::new(solver));
         stream.begin(&g, &params);
         let block = epoch_block(0, &[(600, 0)]);
-        g.ingest_block(&block);
-        stream.on_block(&g, &block);
+        feed(&mut g, &mut stream, &block);
         stream.end_epoch(&g, EpochKind::Scheduled);
 
         let state = stream.export_state().unwrap();

@@ -19,17 +19,57 @@
 //! 3. **Threshold boundary** — dispatch at exactly `|V̂|/|V| = threshold`
 //!    takes the incremental route, just above it the full route, and both
 //!    sides of the boundary agree on the allocation.
+//! 4. **Counters** — a seeded multi-epoch serving stream reproduces the
+//!    recorded per-epoch counters (placements, sweeps, moves and the
+//!    gain's bits), which pins the sweep's `ε` stopping path, not only the
+//!    labels.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use txallo_core::state::{capped_throughput, UNASSIGNED};
 use txallo_core::{
-    AdaptiveStream, Allocation, AtxAllo, AtxAlloSession, CommunityState, EpochKind, GTxAllo,
-    StreamingAllocator, TxAlloParams, UpdatePath, GAIN_EPS,
+    Allocation, AtxAlloOutcome, AtxAlloSession, CommunityState, GTxAllo, TxAlloParams, UpdatePath,
+    GAIN_EPS,
 };
 use txallo_graph::{DeltaCsr, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
+use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+
+/// One adaptive update from `prev`: a session opened on it and updated
+/// once, returning the counters and the updated allocation.
+fn update(
+    params: &TxAlloParams,
+    graph: &TxGraph,
+    prev: &Allocation,
+    touched: &[NodeId],
+) -> (AtxAlloOutcome, Allocation) {
+    let mut session = AtxAlloSession::new(graph, prev, params);
+    let out = session.update(graph, touched, params);
+    (out, session.allocation())
+}
+
+/// [`update`] forced onto the incremental delta-CSR route.
+fn update_incremental(
+    params: &TxAlloParams,
+    graph: &TxGraph,
+    prev: &Allocation,
+    touched: &[NodeId],
+) -> (AtxAlloOutcome, Allocation) {
+    let params = params.clone().with_incremental_threshold(1.0);
+    update(&params, graph, prev, touched)
+}
+
+/// [`update`] forced onto the full-graph route (any non-empty `touched`).
+fn update_full(
+    params: &TxAlloParams,
+    graph: &TxGraph,
+    prev: &Allocation,
+    touched: &[NodeId],
+) -> (AtxAlloOutcome, Allocation) {
+    let params = params.clone().with_incremental_threshold(0.0);
+    update(&params, graph, prev, touched)
+}
 
 fn build_graph(pairs: &[(u64, u64)]) -> TxGraph {
     let mut g = TxGraph::new();
@@ -247,23 +287,22 @@ proptest! {
         for (h, pairs) in epochs.iter().enumerate() {
             let touched = g.ingest_block(&block_of(h as u64, pairs));
             let params = TxAlloParams::for_graph(&g, k);
-            let atx = AtxAllo::new(params);
-            let inc = atx.update_incremental(&g, &prev, &touched);
-            let full = atx.update_full(&g, &prev, &touched);
+            let (inc, inc_labels) = update_incremental(&params, &g, &prev, &touched);
+            let (full, full_labels) = update_full(&params, &g, &prev, &touched);
             prop_assert_eq!(
-                inc.allocation.labels(),
-                full.allocation.labels(),
+                inc_labels.labels(),
+                full_labels.labels(),
                 "routes diverged at epoch {}",
                 h
             );
             prop_assert_eq!(
-                (inc.new_nodes, inc.sweeps, inc.moves),
-                (full.new_nodes, full.sweeps, full.moves)
+                (inc.new_nodes, inc.sweeps, inc.moves, inc.total_gain.to_bits()),
+                (full.new_nodes, full.sweeps, full.moves, full.total_gain.to_bits())
             );
-            // The dispatching entry point picks one of the two.
-            let dispatched = atx.update(&g, &prev, &touched);
-            prop_assert_eq!(dispatched.allocation.labels(), inc.allocation.labels());
-            prev = inc.allocation;
+            // The dispatching default picks one of the two.
+            let (_, dispatched) = update(&params, &g, &prev, &touched);
+            prop_assert_eq!(dispatched.labels(), inc_labels.labels());
+            prev = inc_labels;
         }
     }
 
@@ -286,17 +325,15 @@ proptest! {
         for (h, pairs) in epochs.iter().enumerate() {
             g.apply_decay(0.7);
             folded.apply_decay(0.7);
-            let block = block_of(h as u64, pairs);
-            let touched = g.ingest_block(&block);
-            folded.apply_block(&g, &block);
+            let nodes = g.ingest_block_nodes(&block_of(h as u64, pairs));
+            folded.apply_block_nodes(&nodes);
             let params = TxAlloParams::for_graph(&g, k);
-            let from_folded = folded.update(&g, &touched, &params);
+            folded.update(&g, nodes.touched(), &params);
             // The rebuild path: fresh aggregates from the decayed graph.
-            let mut rebuilt = AtxAlloSession::new(&g, &rebuild_prev, &params);
-            let from_rebuilt = rebuilt.update(&g, &touched, &params);
+            let (_, from_rebuilt) = update(&params, &g, &rebuild_prev, nodes.touched());
             prop_assert_eq!(
-                from_folded.allocation.labels(),
-                from_rebuilt.allocation.labels(),
+                folded.labels(),
+                from_rebuilt.labels(),
                 "folded decay diverged from rebuild at epoch {}",
                 h
             );
@@ -305,7 +342,7 @@ proptest! {
                 "aggregates drifted beyond the incremental contract at epoch {}",
                 h
             );
-            rebuild_prev = from_rebuilt.allocation;
+            rebuild_prev = from_rebuilt;
         }
     }
 
@@ -322,52 +359,14 @@ proptest! {
             let touched = g.ingest_block(&block_of(h as u64, pairs));
             let params = TxAlloParams::for_graph(&g, k);
             let expected = reference_update(&params, &g, &prev, &touched);
-            let got = AtxAllo::new(params).update_incremental(&g, &prev, &touched);
+            let (_, got) = update_incremental(&params, &g, &prev, &touched);
             prop_assert_eq!(
-                got.allocation.labels(),
+                got.labels(),
                 expected.labels(),
                 "kernel diverged from reference at epoch {}",
                 h
             );
-            prev = got.allocation;
-        }
-    }
-
-    /// The stream's two ingestion surfaces agree: blocks entering through
-    /// the interned `on_block_nodes` route and through the re-hashing
-    /// `on_block` route yield identical updates (kind, path, carry, every
-    /// move) and mappings, across adaptive and forced-global closes.
-    #[test]
-    fn interned_and_rehashing_ingestion_agree(stream in stream_strategy()) {
-        let (base, epochs, k) = stream;
-        let mut g_nodes = build_graph(&base);
-        let mut g_accounts = build_graph(&base);
-        let params = TxAlloParams::for_graph(&g_nodes, k);
-        let mut by_nodes = AdaptiveStream::new(params.clone());
-        let mut by_accounts = AdaptiveStream::new(params.clone());
-        let _ = by_nodes.begin(&g_nodes, &params);
-        let _ = by_accounts.begin(&g_accounts, &params);
-        for (h, pairs) in epochs.iter().enumerate() {
-            let block = block_of(h as u64, pairs);
-            let nodes = g_nodes.ingest_block_nodes(&block);
-            by_nodes.on_block_nodes(&g_nodes, &block, &nodes);
-            g_accounts.ingest_block(&block);
-            by_accounts.on_block(&g_accounts, &block);
-            let kind = if h % 2 == 0 { EpochKind::Adaptive } else { EpochKind::Global };
-            let via_nodes = by_nodes.end_epoch(&g_nodes, kind);
-            let via_accounts = by_accounts.end_epoch(&g_accounts, kind);
-            prop_assert_eq!(
-                format!("{via_nodes:?}"),
-                format!("{via_accounts:?}"),
-                "epoch {}: updates",
-                h
-            );
-            prop_assert_eq!(
-                by_nodes.allocation(),
-                by_accounts.allocation(),
-                "epoch {}: mapping",
-                h
-            );
+            prev = got;
         }
     }
 }
@@ -396,18 +395,15 @@ fn threshold_boundary_is_inclusive_and_consistent() {
     assert_eq!(n, 8);
 
     let exact = touched.len() as f64 / n as f64; // 0.25, exactly representable
-    let at =
-        AtxAllo::new(params.clone().with_incremental_threshold(exact)).update(&g, &prev, &touched);
+    let at_params = params.clone().with_incremental_threshold(exact);
+    let (at, at_labels) = update(&at_params, &g, &prev, &touched);
     assert_eq!(at.path, UpdatePath::Incremental, "boundary is inclusive");
 
-    let below = AtxAllo::new(params.clone().with_incremental_threshold(exact / 2.0))
-        .update(&g, &prev, &touched);
+    let below_params = params.clone().with_incremental_threshold(exact / 2.0);
+    let (below, below_labels) = update(&below_params, &g, &prev, &touched);
     assert_eq!(below.path, UpdatePath::Full);
 
-    assert_eq!(
-        at.allocation, below.allocation,
-        "boundary must not change results"
-    );
+    assert_eq!(at_labels, below_labels, "boundary must not change results");
 }
 
 /// The decay fold held to a *long* stream: ≥100 folds (with small blocks
@@ -437,15 +433,14 @@ fn long_decay_stream_matches_rebuild() {
         // accounts, all re-weight existing edges).
         let a = epoch % 24;
         let block = block_of(epoch, &[(a, (a + 7) % 24), (a, 300 + epoch / 10)]);
-        let touched = g.ingest_block(&block);
-        folded.apply_block(&g, &block);
+        let nodes = g.ingest_block_nodes(&block);
+        folded.apply_block_nodes(&nodes);
         let params = TxAlloParams::for_graph(&g, 3);
-        let from_folded = folded.update(&g, &touched, &params);
-        let mut rebuilt = AtxAlloSession::new(&g, &rebuild_prev, &params);
-        let from_rebuilt = rebuilt.update(&g, &touched, &params);
+        folded.update(&g, nodes.touched(), &params);
+        let (_, from_rebuilt) = update(&params, &g, &rebuild_prev, nodes.touched());
         assert_eq!(
-            from_folded.allocation.labels(),
-            from_rebuilt.allocation.labels(),
+            folded.labels(),
+            from_rebuilt.labels(),
             "fold diverged from rebuild at epoch {epoch}"
         );
         // The rebuild recomputes non-negative aggregates from the graph;
@@ -453,7 +448,7 @@ fn long_decay_stream_matches_rebuild() {
         // to the usual incremental drift) after a hundred-plus rescales.
         let err = folded.consistency_error(&g);
         assert!(err < 1e-9, "epoch {epoch}: aggregates drifted by {err}");
-        rebuild_prev = from_rebuilt.allocation;
+        rebuild_prev = from_rebuilt;
     }
 }
 
@@ -484,9 +479,7 @@ fn threshold_boundary_with_isolated_new_account() {
     );
     let prev = {
         let t = g.ingest_block(&pad);
-        AtxAllo::new(params.clone())
-            .update(&g, &prev, &t)
-            .allocation
+        update(&params, &g, &prev, &t).1
     };
     let epoch = Block::new(
         1,
@@ -506,15 +499,15 @@ fn threshold_boundary_with_isolated_new_account() {
     let frac = touched.len() as f64 / g.node_count() as f64;
     assert_eq!(g.node_count(), 17);
 
-    let at =
-        AtxAllo::new(params.clone().with_incremental_threshold(frac)).update(&g, &prev, &touched);
+    let at_params = params.clone().with_incremental_threshold(frac);
+    let (at, at_labels) = update(&at_params, &g, &prev, &touched);
     assert_eq!(at.path, UpdatePath::Incremental, "boundary is inclusive");
-    let below = AtxAllo::new(params.clone().with_incremental_threshold(frac / 2.0))
-        .update(&g, &prev, &touched);
+    let below_params = params.clone().with_incremental_threshold(frac / 2.0);
+    let (below, below_labels) = update(&below_params, &g, &prev, &touched);
     assert_eq!(below.path, UpdatePath::Full);
-    assert_eq!(at.allocation, below.allocation, "routes agree at boundary");
+    assert_eq!(at_labels, below_labels, "routes agree at boundary");
     assert_eq!(at.new_nodes, 1, "the isolated account is placed");
-    assert!(at.allocation.shard_of(n777).index() < 3);
+    assert!(at_labels.shard_of(n777).index() < 3);
 }
 
 /// An epoch whose block only touches brand-new accounts: phase 1 places
@@ -525,12 +518,76 @@ fn all_new_accounts_epoch() {
     let params = TxAlloParams::for_graph(&g, 2);
     let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
     let touched = g.ingest_block(&block_of(0, &[(100, 101), (101, 102)]));
-    let atx = AtxAllo::new(params);
-    let inc = atx.update_incremental(&g, &prev, &touched);
-    let full = atx.update_full(&g, &prev, &touched);
-    assert_eq!(inc.allocation, full.allocation);
+    let (inc, inc_labels) = update_incremental(&params, &g, &prev, &touched);
+    let (_, full_labels) = update_full(&params, &g, &prev, &touched);
+    assert_eq!(inc_labels, full_labels);
     assert_eq!(inc.new_nodes, 3);
     for v in 0..prev.len() as NodeId {
-        assert_eq!(inc.allocation.shard_of(v), prev.shard_of(v));
+        assert_eq!(inc_labels.shard_of(v), prev.shard_of(v));
+    }
+}
+
+/// The per-epoch counters of a warm session serving a seeded stream
+/// (3k accounts, k = 8, 12 epochs of 10 blocks, decay every third epoch).
+/// `(new_nodes, sweeps, moves, total_gain bits, |V̂|)`, recorded before the
+/// epoch sweep moved onto the shared `SweepCache`; every epoch takes the
+/// incremental route.
+#[test]
+fn session_counters_are_pinned() {
+    const EXPECTED: [(usize, usize, usize, u64, usize); 12] = [
+        (37, 5, 80, 4631787468209792256, 868),
+        (25, 5, 73, 4633556997353331296, 915),
+        (28, 3, 88, 4635926382035870704, 899),
+        (16, 5, 73, 4634549327310523968, 884),
+        (18, 3, 66, 4632565103725250432, 911),
+        (19, 3, 57, 4632696130269209184, 901),
+        (19, 3, 53, 4630816543648368512, 932),
+        (16, 2, 42, 4627983276730538112, 875),
+        (19, 4, 68, 4633812357978265024, 899),
+        (11, 3, 51, 4631472006856327392, 922),
+        (11, 3, 45, 4631774169515208672, 915),
+        (12, 4, 48, 4629623144729970496, 887),
+    ];
+    let config = WorkloadConfig {
+        accounts: 3_000,
+        transactions: 100_000,
+        block_size: 100,
+        groups: 40,
+        new_account_prob: 0.01,
+        drift_interval: 20,
+        ..WorkloadConfig::default()
+    };
+    let k = 8;
+    let mut generator = EthereumLikeGenerator::new(config, 42);
+    let mut g = TxGraph::new();
+    for b in generator.blocks(150) {
+        g.ingest_block(&b);
+    }
+    let params = TxAlloParams::for_graph(&g, k);
+    let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
+    let mut session = AtxAlloSession::new(&g, &prev, &params);
+    for (epoch, expected) in EXPECTED.iter().enumerate() {
+        if epoch % 3 == 2 {
+            g.apply_decay(0.9);
+            session.apply_decay(0.9);
+        }
+        let mut touched = Vec::new();
+        for b in generator.blocks(10) {
+            let nodes = g.ingest_block_nodes(&b);
+            session.apply_block_nodes(&nodes);
+            touched.extend_from_slice(nodes.touched());
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let out = session.update(&g, &touched, &TxAlloParams::for_graph(&g, k));
+        assert_eq!(out.path, UpdatePath::Incremental, "epoch {epoch}");
+        let got = (
+            out.new_nodes,
+            out.sweeps,
+            out.moves,
+            out.total_gain.to_bits(),
+            touched.len(),
+        );
+        assert_eq!(&got, expected, "epoch {epoch} counters");
     }
 }

@@ -85,8 +85,8 @@ fn streaming_run(registry: &AllocatorRegistry, name: &str, epochs: u64) -> Vec<u
 
     for epoch in 0..epochs {
         for block in make_blocks(100 + epoch, 10 + epoch * 5, 5, 30) {
-            graph.ingest_block(&block);
-            stream.on_block(&graph, &block);
+            let nodes = graph.ingest_block_nodes(&block);
+            stream.on_block_nodes(&graph, &block, &nodes);
         }
         let update = stream.end_epoch(&graph, EpochKind::Scheduled);
         assert_eq!(update.shard_count, K, "{name}: update k");

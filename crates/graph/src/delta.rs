@@ -27,8 +27,8 @@
 //! in `V̂`, and at which row?" in `O(log |V̂|)`. Only touched nodes can
 //! change community during the sweep, so that query defines the exact edge
 //! set along which "your cached link weights are stale" invalidations
-//! propagate; the stamp-based skipping of the epoch sweep pays it only
-//! when a node actually moves.
+//! propagate; the epoch sweep (on [`SweepCache`](crate::SweepCache)) pays
+//! it only when a node actually moves.
 //!
 //! ## Determinism contract
 //!
@@ -105,33 +105,22 @@ pub struct DeltaCsr {
 /// public API regardless of scratch contents).
 #[derive(Debug, Clone, Default)]
 struct RefillScratch {
-    /// `(canonical key, node)` sort buffer of `fill_canonical_nodes`.
-    keyed: Vec<((u64, u64), NodeId)>,
+    /// `(address hash, node)` sort buffer of `fill_canonical_nodes`.
+    keyed: Vec<(u64, NodeId)>,
     /// `(node, local row)` sort buffer for the `local_of` lookup arrays.
     pairs: Vec<(NodeId, u32)>,
 }
 
-/// The canonical sweep key of §V-B: nodes sort by account address hash,
-/// ties by raw account id.
-#[inline]
-fn canonical_key(graph: &TxGraph, v: NodeId) -> (u64, u64) {
-    let a = graph.account(v);
-    (a.address_hash(), a.0)
-}
-
 /// Fills the snapshot's node-order arrays: touched nodes in canonical
-/// sweep order (`node`), plus the ascending-id lookup arrays for
-/// [`DeltaCsr::local_of`] — shared by both snapshot routes so their
-/// orderings agree exactly. The canonical keys are materialized once into
-/// the sort buffer instead of re-deriving `(hash, id)` through the
-/// interner on every comparison.
+/// sweep order (`node`, through [`TxGraph::sort_canonical`]), plus the
+/// ascending-id lookup arrays for [`DeltaCsr::local_of`] — shared by both
+/// snapshot routes so their orderings agree exactly.
 fn fill_canonical_nodes(snap: &mut DeltaCsr, graph: &TxGraph, touched: &[NodeId]) {
-    let keyed = &mut snap.scratch.keyed;
-    keyed.clear();
-    keyed.extend(touched.iter().map(|&v| (canonical_key(graph, v), v)));
-    keyed.sort_unstable();
-    snap.node.clear();
-    snap.node.extend(keyed.iter().map(|&(_, v)| v));
+    graph.sort_canonical(
+        touched.iter().copied(),
+        &mut snap.scratch.keyed,
+        &mut snap.node,
+    );
     let pairs = &mut snap.scratch.pairs;
     pairs.clear();
     pairs.extend(snap.node.iter().enumerate().map(|(i, &v)| (v, i as u32)));
@@ -316,7 +305,7 @@ impl DeltaCsr {
             + self.incident.capacity() * size_of::<f64>()
             + self.id_keys.capacity() * size_of::<NodeId>()
             + self.id_vals.capacity() * size_of::<u32>()
-            + self.scratch.keyed.capacity() * size_of::<((u64, u64), NodeId)>()
+            + self.scratch.keyed.capacity() * size_of::<(u64, NodeId)>()
             + self.scratch.pairs.capacity() * size_of::<(NodeId, u32)>()
     }
 }

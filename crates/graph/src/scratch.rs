@@ -125,9 +125,10 @@ impl DenseAccumulator {
     }
 }
 
-/// Per-row candidate cache and active set of the serial incremental
-/// sweeps (Louvain local moving, the G-TxAllo optimization phase, the
-/// METIS FM boundary pass with parts as buckets).
+/// Per-row candidate cache and active set of the four incremental sweeps:
+/// Louvain local moving, the G-TxAllo optimization phase, the A-TxAllo
+/// epoch sweep (snapshot rows as positions, communities as buckets) and
+/// the METIS FM boundary pass (parts as buckets).
 ///
 /// A row's move decision depends on two inputs: its gathered
 /// `(bucket, weight)` candidate list, which changes only when a neighbor
@@ -151,12 +152,14 @@ impl DenseAccumulator {
 /// bitset word on every call: a row re-activated ahead of the cursor is
 /// still visited in the same sweep, one behind it in the next — exactly
 /// when a full scan of every row would first see it stale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepCache {
     /// Row `r`'s arena window is `start[r]..start[r + 1]`.
     start: Vec<usize>,
     /// Cached candidates per row (a prefix of the row's window).
     filled: Vec<u32>,
+    /// Grow-only: slots past `start[rows]` are left over from a larger
+    /// shape and never read.
     arena: Vec<(u32, f64)>,
     last_eval: Vec<u64>,
     gathered_at: Vec<u64>,
@@ -170,28 +173,55 @@ impl SweepCache {
     /// A cache over one row per entry of `degrees` (in sweep position
     /// order) and buckets `0..buckets`. Every row starts active and stale.
     pub fn new(buckets: usize, degrees: impl IntoIterator<Item = usize>) -> Self {
-        let mut start = vec![0usize];
+        let mut cache = Self::default();
+        cache.reset(buckets, degrees);
+        cache
+    }
+
+    /// Re-shapes the cache in place, observationally equal to
+    /// [`SweepCache::new`] with the same arguments. Every buffer keeps its
+    /// capacity, so a cache carried across epochs allocates nothing once
+    /// warm. The arena only grows and is not cleared: a row's cached
+    /// candidates are read only after [`SweepCache::store`] wrote its
+    /// window, and every row starts stale.
+    pub fn reset(&mut self, buckets: usize, degrees: impl IntoIterator<Item = usize>) {
+        self.start.clear();
+        self.start.push(0);
+        let mut slots = 0;
         for d in degrees {
-            start.push(start[start.len() - 1] + d.min(buckets));
+            slots += d.min(buckets);
+            self.start.push(slots);
         }
-        let rows = start.len() - 1;
-        let mut active = vec![u64::MAX; rows.div_ceil(64)];
-        if let Some(last) = active.last_mut() {
-            if rows % 64 != 0 {
+        let rows = self.start.len() - 1;
+        if self.arena.len() < slots {
+            self.arena.resize(slots, (0, 0.0));
+        }
+        refill(&mut self.filled, rows, 0);
+        refill(&mut self.last_eval, rows, 0);
+        refill(&mut self.gathered_at, rows, 0);
+        refill(&mut self.links_dirty, rows, 1);
+        refill(&mut self.bucket_stamp, buckets, 1);
+        self.move_stamp = 1;
+        refill(&mut self.active, rows.div_ceil(64), u64::MAX);
+        if let Some(last) = self.active.last_mut() {
+            if !rows.is_multiple_of(64) {
                 *last = (1u64 << (rows % 64)) - 1;
             }
         }
-        Self {
-            arena: vec![(0, 0.0); start[rows]],
-            start,
-            filled: vec![0; rows],
-            last_eval: vec![0; rows],
-            gathered_at: vec![0; rows],
-            links_dirty: vec![1; rows],
-            bucket_stamp: vec![1; buckets],
-            move_stamp: 1,
-            active,
-        }
+    }
+
+    /// Approximate resident bytes (capacity, not length, of each buffer).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.start.capacity() * size_of::<usize>()
+            + self.filled.capacity() * size_of::<u32>()
+            + self.arena.capacity() * size_of::<(u32, f64)>()
+            + (self.last_eval.capacity()
+                + self.gathered_at.capacity()
+                + self.links_dirty.capacity()
+                + self.bucket_stamp.capacity()
+                + self.active.capacity())
+                * size_of::<u64>()
     }
 
     /// The first active row at position `from` or later.
@@ -276,6 +306,12 @@ impl SweepCache {
         self.links_dirty[r] = self.move_stamp;
         self.active[r / 64] |= 1u64 << (r % 64);
     }
+}
+
+/// `vec![value; len]` over a retained buffer.
+fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
 }
 
 /// A reusable `u32 → u32` map over dense keys, invalidated in O(1) —
@@ -510,6 +546,117 @@ mod tests {
         assert!(!cache.unchanged_since_eval(0, 0), "own bucket 0 moved");
         cache.commit_move(2, 3); // listed bucket 2 moved
         assert!(!cache.unchanged_since_eval(0, 1));
+    }
+
+    /// Row degrees of a test shape: windows of 0..=4 slots, clipped to
+    /// `buckets` by the cache.
+    fn degrees(rows: usize) -> Vec<usize> {
+        (0..rows).map(|r| r % 5).collect()
+    }
+
+    /// Three scripted sweeps that store, evaluate, move and invalidate,
+    /// logging everything a sweep loop can observe.
+    fn scripted_sweeps(cache: &mut SweepCache, rows: usize, buckets: usize) -> Vec<String> {
+        let mut log = Vec::new();
+        for _ in 0..3 {
+            let visited = sweep(cache, |c, r| {
+                let own = (r % buckets) as u32;
+                let stale = c.is_stale(r);
+                if stale {
+                    let window = (r % 5).min(buckets);
+                    let mut cands: Vec<(u32, f64)> = (0..window)
+                        .map(|j| (((r + j) % buckets) as u32, (r * 7 + j) as f64 * 0.5))
+                        .collect();
+                    cands.sort_unstable_by_key(|&(b, _)| b);
+                    c.store(r, cands);
+                } else if c.unchanged_since_eval(r, own) {
+                    log.push(format!("{r} skipped"));
+                    return;
+                }
+                let listed = c.evaluate(r, own).map(<[_]>::to_vec);
+                log.push(format!("{r} stale={stale} {listed:?}"));
+                if let Some(rival) = listed.and_then(|l| l.into_iter().find(|&(b, _)| b != own)) {
+                    if r % 3 == 0 {
+                        c.commit_move(own, rival.0);
+                        c.invalidate((r + 1) % rows);
+                        c.invalidate((r + 5) % rows);
+                    }
+                }
+            });
+            log.push(format!("visited {visited:?}"));
+        }
+        log
+    }
+
+    /// Every field a sweep reads, except the arena's contents (a reset
+    /// arena may keep stale slots past the new shape and in unwritten
+    /// windows; they are never read).
+    fn observable(cache: &SweepCache) -> String {
+        let rows = cache.start.len() - 1;
+        assert!(
+            cache.arena.len() >= cache.start[rows],
+            "arena covers every window"
+        );
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} {} {:?}",
+            cache.start,
+            cache.filled,
+            cache.last_eval,
+            cache.gathered_at,
+            cache.links_dirty,
+            cache.bucket_stamp,
+            cache.move_stamp,
+            cache.active
+        )
+    }
+
+    #[test]
+    fn reset_after_a_dirty_sweep_matches_new() {
+        // (rows, buckets) before → after: more rows, fewer rows, another
+        // bucket count, and row counts on either side of a 64-bit word.
+        for ((rows0, buckets0), (rows1, buckets1)) in [
+            ((10, 4), (130, 4)),
+            ((130, 4), (10, 4)),
+            ((40, 4), (40, 7)),
+            ((40, 7), (40, 2)),
+            ((63, 3), (65, 3)),
+            ((65, 3), (63, 3)),
+            ((64, 5), (128, 5)),
+            ((70, 4), (0, 4)),
+        ] {
+            let shape = format!("{rows0}x{buckets0} -> {rows1}x{buckets1}");
+            let mut reused = SweepCache::new(buckets0, degrees(rows0));
+            scripted_sweeps(&mut reused, rows0.max(1), buckets0);
+            reused.reset(buckets1, degrees(rows1));
+            let mut fresh = SweepCache::new(buckets1, degrees(rows1));
+            assert_eq!(
+                observable(&reused),
+                observable(&fresh),
+                "{shape}: reset state"
+            );
+            assert_eq!(
+                scripted_sweeps(&mut reused, rows1.max(1), buckets1),
+                scripted_sweeps(&mut fresh, rows1.max(1), buckets1),
+                "{shape}: sweeps after reset"
+            );
+            assert_eq!(
+                observable(&reused),
+                observable(&fresh),
+                "{shape}: end state"
+            );
+        }
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_arena() {
+        let small = SweepCache::new(4, vec![4; 10]);
+        let big = SweepCache::new(4, vec![4; 1000]);
+        assert!(big.approx_bytes() >= 1000 * 4 * std::mem::size_of::<(u32, f64)>());
+        assert!(small.approx_bytes() < big.approx_bytes());
+        let mut shrunk = big;
+        let before = shrunk.approx_bytes();
+        shrunk.reset(4, vec![4; 10]);
+        assert_eq!(shrunk.approx_bytes(), before, "capacity survives a reset");
     }
 
     #[test]

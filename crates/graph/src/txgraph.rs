@@ -500,12 +500,34 @@ impl TxGraph {
     /// Nodes sorted by the canonical account-hash order the paper prescribes
     /// for deterministic sweeps (§V-B).
     pub fn nodes_in_canonical_order(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
-        nodes.sort_unstable_by_key(|&n| {
-            let a = self.interner.account(n);
-            (a.address_hash(), a.0)
-        });
+        let mut nodes = Vec::new();
+        let all = 0..self.node_count() as NodeId;
+        self.sort_canonical(all, &mut Vec::new(), &mut nodes);
         nodes
+    }
+
+    /// Writes `nodes` into `out` in canonical sweep order (§V-B): by
+    /// account address hash, ties by raw account id. Each node's hash is
+    /// derived through the interner once, into `keyed`, instead of inside
+    /// every comparison. The address hash is a bijection of the account
+    /// id, so the tie-break never reads the interner for distinct
+    /// accounts; it keeps the order total by definition.
+    pub(crate) fn sort_canonical(
+        &self,
+        nodes: impl IntoIterator<Item = NodeId>,
+        keyed: &mut Vec<(u64, NodeId)>,
+        out: &mut Vec<NodeId>,
+    ) {
+        let id = |v: NodeId| self.interner.account(v).0;
+        keyed.clear();
+        keyed.extend(
+            nodes
+                .into_iter()
+                .map(|v| (self.interner.account(v).address_hash(), v)),
+        );
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| id(a.1).cmp(&id(b.1))));
+        out.clear();
+        out.extend(keyed.iter().map(|&(_, v)| v));
     }
 }
 
@@ -736,6 +758,14 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..g.node_count() as NodeId).collect::<Vec<_>>());
         assert_eq!(order, g.nodes_in_canonical_order());
+        let keys: Vec<(u64, u64)> = order
+            .iter()
+            .map(|&v| (g.account(v).address_hash(), g.account(v).0))
+            .collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "strictly ascending (address hash, account id)"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! This is the §V-C serving story at its barest: resolve a stream from
 //! the registry, `begin` it on the warm-up history, then per epoch feed
-//! blocks through `on_block` and close with `end_epoch`, folding each
+//! blocks through `on_block_nodes` and close with `end_epoch`, folding each
 //! returned `AllocationUpdate` *diff* into a locally held mapping with
 //! `Allocation::apply_update`. The diff is the point — migrations are
 //! enumerated, not hidden inside a wholesale relabel, so the loop can
@@ -58,8 +58,8 @@ fn main() {
         // Serve one epoch: ingest each block, then let the stream see it.
         let blocks = generator.blocks(epoch_blocks as u64);
         for block in &blocks {
-            graph.ingest_block(block);
-            stream.on_block(&graph, block);
+            let nodes = graph.ingest_block_nodes(block);
+            stream.on_block_nodes(&graph, block, &nodes);
         }
         let update = stream.end_epoch(&graph, EpochKind::Scheduled);
         allocation.apply_update(&update);

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use txallo::core::latency_of_normalized_load;
 use txallo::core::state::{capped_throughput, CommunityState, MoveScratch};
-use txallo::core::{AtxAllo, GTxAllo, HashAllocator, MetisAllocator};
+use txallo::core::{AtxAlloSession, GTxAllo, HashAllocator, MetisAllocator};
 use txallo::model::Block;
 use txallo::prelude::*;
 
@@ -138,9 +138,11 @@ proptest! {
             .collect();
         let block = Block::new(0, txs);
         let touched = g.ingest_block(&block);
-        let out = AtxAllo::new(TxAlloParams::for_graph(&g, k)).update(&g, &prev, &touched);
-        prop_assert_eq!(out.allocation.len(), g.node_count());
-        prop_assert!(out.allocation.labels().iter().all(|&l| (l as usize) < k));
+        let params = TxAlloParams::for_graph(&g, k);
+        let mut session = AtxAlloSession::new(&g, &prev, &params);
+        session.update(&g, &touched, &params);
+        prop_assert_eq!(session.labels().len(), g.node_count());
+        prop_assert!(session.labels().iter().all(|&l| (l as usize) < k));
     }
 
     /// Graph ingestion: total weight always equals the transaction count.
