@@ -544,7 +544,8 @@ pub fn broker(scale: ExperimentScale) {
 /// exponentially-decayed graphs by the quality of the allocation they
 /// produce *for the next epoch* of a drifting workload.
 pub fn recency(scale: ExperimentScale) {
-    use txallo_graph::{DecayingGraph, SlidingWindowGraph, TxGraph};
+    use txallo_graph::{fit_u32, TxGraph, WeightedGraph};
+    use txallo_model::Block;
 
     let mut w = ResultWriter::new("recency");
     let (k, eta) = (16usize, 2.0);
@@ -558,18 +559,25 @@ pub fn recency(scale: ExperimentScale) {
     let history = generator.blocks(600);
     let future = generator.blocks(50);
 
-    // Build the three views of history.
-    let mut full = TxGraph::new();
-    for b in &history {
-        full.ingest_block(b);
-    }
-    let mut window = SlidingWindowGraph::new(200);
-    for b in &history {
-        window.push_block(b.clone());
-    }
-    let mut decayed = DecayingGraph::new(0.8, 1e-4);
+    // Build the three views of history: everything, the last 200 blocks,
+    // and every block decayed by 0.8 per 50-block epoch (decay, prune the
+    // dust, then ingest the epoch).
+    let ingest = |blocks: &[Block]| {
+        let mut g = TxGraph::new();
+        for b in blocks {
+            g.ingest_block(b);
+        }
+        g
+    };
+    let full = ingest(&history);
+    let window = ingest(&history[history.len() - 200..]);
+    let mut decayed = TxGraph::new();
     for chunk in history.chunks(50) {
-        decayed.push_epoch(chunk);
+        decayed.apply_decay(0.8);
+        decayed.prune_dust(1e-4);
+        for b in chunk {
+            decayed.ingest_block(b);
+        }
     }
 
     // The scoring graph must contain the future accounts too.
@@ -581,8 +589,8 @@ pub fn recency(scale: ExperimentScale) {
     w.note("# columns: history_view,gamma_next_epoch,throughput_next_epoch");
     let views: Vec<(&str, &TxGraph)> = vec![
         ("full-history", &full),
-        ("window-200", window.graph()),
-        ("decay-0.8", decayed.graph()),
+        ("window-200", &window),
+        ("decay-0.8", &decayed),
     ];
     for (name, graph) in views {
         let params = TxAlloParams::for_graph(graph, k).with_eta(eta);
@@ -591,12 +599,16 @@ pub fn recency(scale: ExperimentScale) {
         let alloc = GTxAlloPlan::new(graph, &params.louvain)
             .allocate(&params)
             .allocation;
-        // Extend labels to cover future-only accounts via hash fallback.
-        let mut labels = alloc.labels().to_vec();
-        use txallo_graph::WeightedGraph;
-        for v in labels.len()..scoring.node_count() {
-            labels.push(scoring.account(v as u32).hash_shard(k).0);
-        }
+        // Label every scoring account through the view's own node ids;
+        // accounts the view never saw fall back to their hash shard.
+        let labels: Vec<u32> = (0..fit_u32(scoring.node_count()))
+            .map(|v| {
+                let account = scoring.account(v);
+                graph
+                    .node_of(account)
+                    .map_or(account.hash_shard(k).0, |n| alloc.labels()[n as usize])
+            })
+            .collect();
         let extended = txallo_core::Allocation::new(labels, k);
         let m = txallo_sim::epoch_metrics(&future, &scoring, &extended, k, eta);
         w.row(&format!(

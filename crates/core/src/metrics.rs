@@ -145,7 +145,7 @@ pub fn throughput_share(mu: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::{AdjacencyGraph, TxGraph};
+    use txallo_graph::{CsrGraph, TxGraph};
     use txallo_model::{AccountId, Block, Ledger, Transaction};
 
     #[test]
@@ -175,7 +175,7 @@ mod tests {
     /// Two shards, one cross edge: γ = 1/3, throughput accounting by hand.
     #[test]
     fn report_on_tiny_graph() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]);
         let alloc = Allocation::new(vec![0, 0, 1, 1], 2);
         let params = TxAlloParams::for_graph(&g, 2); // λ = 1.5, η = 2
         let r = MetricsReport::compute(&g, &alloc, &params);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn all_intra_allocation_is_ideal() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 2.0), (2, 3, 2.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 2.0), (2, 3, 2.0)]);
         let alloc = Allocation::new(vec![0, 0, 1, 1], 2);
         let params = TxAlloParams::for_graph(&g, 2); // λ = 2
         let r = MetricsReport::compute(&g, &alloc, &params);
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn single_shard_throughput_is_capacity_bound() {
         // Everything in one shard of a k=2 system: σ₀ = 2m > λ.
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0)]);
         let alloc = Allocation::new(vec![0, 0, 0], 2);
         let params = TxAlloParams::for_graph(&g, 2); // λ = 1
         let r = MetricsReport::compute(&g, &alloc, &params);

@@ -111,11 +111,11 @@ impl TxAlloParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
+    use txallo_graph::CsrGraph;
 
     #[test]
     fn defaults_follow_the_paper() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
         let p = TxAlloParams::for_graph(&g, 3);
         assert_eq!(p.shards, 3);
         assert!((p.capacity - 1.0).abs() < 1e-12, "λ = |T|/k = 3/3");

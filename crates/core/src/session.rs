@@ -34,7 +34,7 @@
 //!   [`AtxAlloSession::apply_decay`] scales the aggregates by the same
 //!   factor, exactly, because they are linear in the edge weights
 //!   (golden-tested against the rebuild path);
-//! * **non-uniform edits** (sliding-window eviction, edge dropping)
+//! * **non-uniform edits** (edge dropping, e.g. `TxGraph::prune_dust`)
 //!   cannot be folded: drop the session and build a fresh one (the
 //!   streaming layer's `AdaptiveStream::invalidate`, and every global
 //!   G-TxAllo refresh, do exactly that).

@@ -695,11 +695,11 @@ pub fn capped_throughput(sigma: f64, lambda_hat: f64, capacity: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
+    use txallo_graph::CsrGraph;
 
     /// Line graph 0-1-2-3 plus a self-loop on 0; labels {0,1} per pair.
-    fn fixture() -> (AdjacencyGraph, Vec<u32>) {
-        let g = AdjacencyGraph::from_edges(
+    fn fixture() -> (CsrGraph, Vec<u32>) {
+        let g = CsrGraph::from_edges(
             4,
             vec![(0u32, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (0, 0, 0.5)],
         );
@@ -920,7 +920,7 @@ mod tests {
     #[test]
     fn lemma1_only_two_communities_change() {
         // Three communities; moving a node between 0 and 1 must not touch 2.
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             6,
             vec![
                 (0u32, 1, 1.0),

@@ -159,7 +159,7 @@ impl CsrGraph {
 
     /// Snapshots any [`WeightedGraph`] into CSR form (used to freeze the
     /// mutable `TxGraph` before the repeated sweeps of G-TxAllo and METIS).
-    pub fn from_graph(g: &(impl WeightedGraph + Sync)) -> Self {
+    pub fn from_graph(g: &impl WeightedGraph) -> Self {
         Self::snapshot(g, None)
     }
 
@@ -167,13 +167,13 @@ impl CsrGraph {
     /// `new_id` (a bijection onto `0..node_count`). Used to renumber a
     /// graph into canonical sweep order so that the sweeps walk rows
     /// sequentially.
-    pub fn from_graph_relabeled(g: &(impl WeightedGraph + Sync), new_id: &[NodeId]) -> Self {
+    pub fn from_graph_relabeled(g: &impl WeightedGraph, new_id: &[NodeId]) -> Self {
         assert_eq!(new_id.len(), g.node_count(), "one new id per node");
         Self::snapshot(g, Some(new_id))
     }
 
     /// Snapshot behind both constructors (`new_id = None` keeps the source
-    /// ids). Two strategies, both free of per-row comparison sorts:
+    /// ids). Two serial fills, both free of per-row comparison sorts:
     ///
     /// * **Straight row copy** — when the ids are kept *and* the source
     ///   stores sorted rows ([`WeightedGraph::row_view`], i.e. the mutable
@@ -188,20 +188,8 @@ impl CsrGraph {
     ///
     /// Relies on the [`WeightedGraph`] contract that `for_each_neighbor`
     /// reports each neighbor exactly once (all implementors accumulate
-    /// parallel edges at ingestion). Large fills are chunked across
-    /// threads — each thread owns a contiguous row range, so the output is
-    /// bit-identical regardless of thread count (`row_split` below).
-    fn snapshot<G: WeightedGraph + Sync>(g: &G, new_id: Option<&[NodeId]>) -> Self {
-        Self::snapshot_impl(g, new_id, None)
-    }
-
-    /// [`CsrGraph::snapshot`] with the chunk count overridable (tests force
-    /// the parallel fill on small graphs to pin serial/parallel equality).
-    fn snapshot_impl<G: WeightedGraph + Sync>(
-        g: &G,
-        new_id: Option<&[NodeId]>,
-        forced_chunks: Option<usize>,
-    ) -> Self {
+    /// parallel edges at ingestion).
+    fn snapshot<G: WeightedGraph>(g: &G, new_id: Option<&[NodeId]>) -> Self {
         let n = g.node_count();
         let map = |v: NodeId| new_id.map_or(v, |ids| ids[v as usize]);
         // Pass 1 is O(n), no adjacency iteration at all: `neighbor_count`
@@ -230,61 +218,13 @@ impl CsrGraph {
         let entries = offsets[n] as usize;
         let mut targets = vec![0 as NodeId; entries];
         let mut weights = vec![0.0f64; entries];
-        let splits = row_split(&offsets, entries, forced_chunks);
         // Identity mapping over a sorted-row source: straight copies (the
         // `row_view` contract is uniform across nodes, so probing one row
         // decides for the build; the loop debug-asserts the rest).
-        let direct = new_id.is_none() && n > 0 && g.row_view(0).is_some();
-        if direct {
-            if splits.len() == 2 {
-                copy_rows(g, 0, n, &offsets, &mut targets, &mut weights);
-            } else {
-                // txallo-lint: allow(D5-thread-spawn) — data-parallel straight copies into disjoint &mut chunks, no cross-chunk float fold; bit-identity at every chunk count is pinned by chunked_fill_matches_serial_fill
-                std::thread::scope(|scope| {
-                    let mut rest_t = &mut targets[..];
-                    let mut rest_w = &mut weights[..];
-                    for pair in splits.windows(2) {
-                        let (lo, hi) = (pair[0], pair[1]);
-                        let len = offsets[hi] as usize - offsets[lo] as usize;
-                        let (chunk_t, tail_t) = rest_t.split_at_mut(len);
-                        let (chunk_w, tail_w) = rest_w.split_at_mut(len);
-                        rest_t = tail_t;
-                        rest_w = tail_w;
-                        let offsets = &offsets;
-                        scope.spawn(move || {
-                            copy_rows(g, lo, hi, offsets, chunk_t, chunk_w);
-                        });
-                    }
-                });
-            }
-        } else if splits.len() == 2 {
-            fill_rows(g, &inv, map, 0, n, &offsets, &mut targets, &mut weights);
+        if new_id.is_none() && n > 0 && g.row_view(0).is_some() {
+            copy_rows(g, &offsets, &mut targets, &mut weights);
         } else {
-            // Chunked parallel fill: thread t owns rows lo..hi, which map
-            // to the contiguous entry range offsets[lo]..offsets[hi] — the
-            // arrays split into disjoint &mut slices, every slot has
-            // exactly one writer, and each thread appends in the same
-            // ascending source order the serial fill uses.
-            // txallo-lint: allow(D5-thread-spawn) — each thread writes its own disjoint entry range in serial order, no shared mutation or cross-chunk float fold; pinned by chunked_fill_matches_serial_fill
-            std::thread::scope(|scope| {
-                let mut rest_t = &mut targets[..];
-                let mut rest_w = &mut weights[..];
-                let mut consumed = 0usize;
-                for pair in splits.windows(2) {
-                    let (lo, hi) = (pair[0], pair[1]);
-                    let len = offsets[hi] as usize - offsets[lo] as usize;
-                    let (chunk_t, tail_t) = rest_t.split_at_mut(len);
-                    let (chunk_w, tail_w) = rest_w.split_at_mut(len);
-                    rest_t = tail_t;
-                    rest_w = tail_w;
-                    debug_assert_eq!(consumed, offsets[lo] as usize);
-                    consumed += len;
-                    let (offsets, inv) = (&offsets, &inv);
-                    scope.spawn(move || {
-                        fill_rows(g, inv, map, lo, hi, offsets, chunk_t, chunk_w);
-                    });
-                }
-            });
+            fill_rows(g, &inv, map, &offsets, &mut targets, &mut weights);
         }
 
         let mut incident = vec![0.0f64; n];
@@ -409,26 +349,21 @@ impl CsrGraph {
     }
 }
 
-/// The straight-copy fill of [`CsrGraph::snapshot`] over the row range
-/// `lo..hi` (identity mapping): each source row is already an ascending-id
-/// sorted run pair ([`WeightedGraph::row_view`]), so the fill is one
-/// two-run merge copy per row — sequential reads, sequential writes, no
-/// scatter. `targets`/`weights` cover exactly the entry range
-/// `offsets[lo]..offsets[hi]` (chunk-relative indexing).
+/// The straight-copy fill of [`CsrGraph::snapshot`] (identity mapping):
+/// each source row is already an ascending-id sorted run pair
+/// ([`WeightedGraph::row_view`]), so the fill is one two-run merge copy per
+/// row — sequential reads, sequential writes, no scatter.
 fn copy_rows<G: WeightedGraph>(
     g: &G,
-    lo: usize,
-    hi: usize,
     offsets: &[u32],
     targets: &mut [NodeId],
     weights: &mut [f64],
 ) {
-    let base = offsets[lo] as usize;
-    for v in lo..hi {
+    for v in 0..g.node_count() {
         let view = g
             .row_view(v as NodeId)
             .expect("row_view is uniform across nodes"); // txallo-lint: allow(lib-unwrap) — the direct path is taken only after probing row_view(0), and the trait contract makes the answer uniform across nodes
-        let mut pos = offsets[v] as usize - base;
+        let mut pos = offsets[v] as usize;
         debug_assert_eq!(
             offsets[v + 1] as usize - offsets[v] as usize,
             view.run_ids.len() + view.tail_ids.len(),
@@ -462,62 +397,28 @@ fn copy_rows<G: WeightedGraph>(
     }
 }
 
-/// The counting-sort fill of [`CsrGraph::snapshot`] over the row range
-/// `lo..hi` (mapped ids): visits *mapped* source ids ascending and appends
-/// each to its neighbors' rows, so rows come out sorted by construction.
-/// `targets`/`weights` cover exactly the entry range
-/// `offsets[lo]..offsets[hi]` (chunk-relative indexing).
-#[allow(clippy::too_many_arguments)]
+/// The counting-sort fill of [`CsrGraph::snapshot`] (mapped ids): visits
+/// *mapped* source ids ascending and appends each to its neighbors' rows,
+/// so rows come out sorted by construction.
 fn fill_rows<G: WeightedGraph>(
     g: &G,
     inv: &[NodeId],
     map: impl Fn(NodeId) -> NodeId,
-    lo: usize,
-    hi: usize,
     offsets: &[u32],
     targets: &mut [NodeId],
     weights: &mut [f64],
 ) {
-    let base = offsets[lo] as usize;
-    let mut cursor: Vec<u32> = offsets[lo..hi].to_vec();
+    let mut cursor: Vec<u32> = offsets[..inv.len()].to_vec();
     for i in 0..inv.len() as NodeId {
         let v = inv[i as usize];
         g.for_each_neighbor(v, |u, w| {
             let row = map(u) as usize;
-            if (lo..hi).contains(&row) {
-                let pos = cursor[row - lo] as usize - base;
-                targets[pos] = i;
-                weights[pos] = w;
-                cursor[row - lo] += 1;
-            }
+            let pos = cursor[row] as usize;
+            targets[pos] = i;
+            weights[pos] = w;
+            cursor[row] += 1;
         });
     }
-}
-
-/// Row-range boundaries for the chunked fill: `[0, b₁, …, n]` with roughly
-/// equal entry counts per chunk (the shared
-/// [`entry_balanced_split`](crate::par::entry_balanced_split) rule).
-/// Returns the single range `[0, n]` (serial fill) for small graphs, where
-/// each extra thread re-reads the whole adjacency for a fraction of the
-/// writes and spawn overhead dominates.
-fn row_split(offsets: &[u32], entries: usize, forced_chunks: Option<usize>) -> Vec<usize> {
-    /// Entry count below which the fill stays serial.
-    const PAR_THRESHOLD: usize = 1 << 19;
-    /// Each chunk re-scans the full adjacency, so the read traffic grows
-    /// linearly with the chunk count — past a few threads the re-reads eat
-    /// the parallel-write win.
-    const MAX_CHUNKS: usize = 4;
-    let n = offsets.len() - 1;
-    let chunks = forced_chunks.unwrap_or_else(|| {
-        // txallo-lint: allow(D5-thread-spawn) — reads core count only to size chunks; the fill output is bit-identical at every chunk count, so parallelism never leaks into results
-        std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(MAX_CHUNKS)
-    });
-    if (entries < PAR_THRESHOLD && forced_chunks.is_none()) || chunks < 2 || n < chunks {
-        return vec![0, n];
-    }
-    crate::par::entry_balanced_split(offsets, chunks)
 }
 
 impl WeightedGraph for CsrGraph {
@@ -687,46 +588,6 @@ mod tests {
             let ids = relabeled.neighbor_ids(nv);
             assert!(ids.windows(2).all(|p| p[0] < p[1]), "row {nv} sorted");
         }
-    }
-
-    /// The chunked (parallel) fill must produce exactly the serial arrays —
-    /// forced onto a small graph so the test exercises real thread chunks.
-    #[test]
-    fn chunked_fill_matches_serial_fill() {
-        let g = scrambled_graph(150);
-        let n = g.node_count();
-        let reversed: Vec<NodeId> = (0..n as NodeId).map(|v| (n - 1) as NodeId - v).collect();
-        for new_id in [None, Some(&reversed[..])] {
-            let serial = CsrGraph::snapshot_impl(&g, new_id, None);
-            for chunks in [2usize, 3, 5] {
-                let chunked = CsrGraph::snapshot_impl(&g, new_id, Some(chunks));
-                assert_eq!(chunked.offsets, serial.offsets, "{chunks} chunks");
-                assert_eq!(chunked.targets, serial.targets, "{chunks} chunks");
-                assert_eq!(chunked.weights, serial.weights, "{chunks} chunks");
-                assert_eq!(chunked.incident, serial.incident, "{chunks} chunks");
-            }
-        }
-    }
-
-    #[test]
-    fn row_split_covers_all_rows_with_balanced_chunks() {
-        // Fabricated offsets: 10 rows, skewed entry counts.
-        let offsets: Vec<u32> = vec![0, 50, 50, 60, 200, 210, 220, 400, 410, 420, 500];
-        let splits = row_split(&offsets, 500, Some(4));
-        assert_eq!(*splits.first().unwrap(), 0);
-        assert_eq!(*splits.last().unwrap(), 10);
-        assert!(
-            splits.windows(2).all(|p| p[0] < p[1]),
-            "strictly increasing"
-        );
-        // Serial fallbacks.
-        assert_eq!(
-            row_split(&offsets, 500, None),
-            vec![0, 10],
-            "below threshold"
-        );
-        assert_eq!(row_split(&offsets, 500, Some(1)), vec![0, 10]);
-        assert_eq!(row_split(&[0], 0, Some(4)), vec![0, 0], "empty graph");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Usage: call [`TxGraph::apply_decay`] once per epoch before ingesting
 //! the epoch's blocks; occasionally [`TxGraph::prune_dust`] to drop edges
-//! that have decayed to noise (bounding memory over long horizons).
+//! that have decayed to noise (bounding memory over long horizons). The
+//! graph then holds `Σ decay^age · weight(block)`. There is no wrapper
+//! type: callers such as the epoch loop apply the decay themselves.
 
-use crate::traits::NodeId;
 use crate::txgraph::TxGraph;
 
 impl TxGraph {
@@ -41,61 +42,10 @@ impl TxGraph {
     }
 }
 
-/// A convenience wrapper driving decay per block batch: `push_blocks`
-/// first decays the existing weights, then ingests the new blocks, so the
-/// graph always holds `Σ decay^age · weight(block)`.
-#[derive(Debug, Clone)]
-pub struct DecayingGraph {
-    graph: TxGraph,
-    decay_per_epoch: f64,
-    prune_threshold: f64,
-    epochs: u64,
-}
-
-impl DecayingGraph {
-    /// Creates the wrapper. `decay_per_epoch ∈ (0, 1]`; `prune_threshold`
-    /// of 0 disables pruning.
-    pub fn new(decay_per_epoch: f64, prune_threshold: f64) -> Self {
-        assert!(decay_per_epoch > 0.0 && decay_per_epoch <= 1.0);
-        Self {
-            graph: TxGraph::new(),
-            decay_per_epoch,
-            prune_threshold,
-            epochs: 0,
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &TxGraph {
-        &self.graph
-    }
-
-    /// Epochs ingested so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Decays, then ingests one epoch of blocks; returns touched nodes.
-    pub fn push_epoch(&mut self, blocks: &[txallo_model::Block]) -> Vec<NodeId> {
-        self.graph.apply_decay(self.decay_per_epoch);
-        if self.prune_threshold > 0.0 {
-            self.graph.prune_dust(self.prune_threshold);
-        }
-        let mut touched = Vec::new();
-        for b in blocks {
-            touched.extend(self.graph.ingest_block(b));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        self.epochs += 1;
-        touched
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::WeightedGraph;
+    use crate::traits::{NodeId, WeightedGraph};
     use txallo_model::{AccountId, Block, Transaction};
 
     fn tx(a: u64, b: u64) -> Transaction {
@@ -158,16 +108,24 @@ mod tests {
         assert!(g.incident_weight(n3).abs() < 1e-12);
     }
 
+    /// Decays, then ingests one epoch of blocks — the per-epoch call order
+    /// the epoch loop uses.
+    fn push_epoch(g: &mut TxGraph, factor: f64, blocks: &[Block]) {
+        g.apply_decay(factor);
+        for b in blocks {
+            g.ingest_block(b);
+        }
+    }
+
     #[test]
     fn decaying_graph_prefers_recent_patterns() {
         // Epoch 1: account 1 trades heavily with 2. Epoch 2: with 3.
         // After strong decay, edge (1,3) must dominate (1,2).
-        let mut dg = DecayingGraph::new(0.2, 0.0);
+        let mut g = TxGraph::new();
         let old: Vec<Transaction> = (0..10).map(|_| tx(1, 2)).collect();
-        dg.push_epoch(&[Block::new(0, old)]);
+        push_epoch(&mut g, 0.2, &[Block::new(0, old)]);
         let new: Vec<Transaction> = (0..4).map(|_| tx(1, 3)).collect();
-        dg.push_epoch(&[Block::new(1, new)]);
-        let g = dg.graph();
+        push_epoch(&mut g, 0.2, &[Block::new(1, new)]);
         let n1 = g.node_of(AccountId(1)).unwrap();
         let n2 = g.node_of(AccountId(2)).unwrap();
         let n3 = g.node_of(AccountId(3)).unwrap();
@@ -177,7 +135,7 @@ mod tests {
             w_new > w_old,
             "recent pattern must dominate: old {w_old} vs new {w_new}"
         );
-        assert_eq!(dg.epochs(), 2);
+        assert_eq!(g.transaction_count(), 14);
     }
 
     #[test]
@@ -186,15 +144,15 @@ mod tests {
         // decayed graph re-weights toward the new partner. This is the
         // behavioural difference that matters for allocation.
         let mut raw = TxGraph::new();
-        let mut dg = DecayingGraph::new(0.1, 0.0);
+        let mut decayed = TxGraph::new();
         let old: Vec<Transaction> = (0..20).map(|_| tx(1, 2)).collect();
         let old_block = Block::new(0, old);
         raw.ingest_block(&old_block);
-        dg.push_epoch(&[old_block]);
+        push_epoch(&mut decayed, 0.1, &[old_block]);
         let new: Vec<Transaction> = (0..5).map(|_| tx(1, 3)).collect();
         let new_block = Block::new(1, new);
         raw.ingest_block(&new_block);
-        dg.push_epoch(&[new_block]);
+        push_epoch(&mut decayed, 0.1, &[new_block]);
 
         let stronger = |g: &TxGraph| {
             let n1 = g.node_of(AccountId(1)).unwrap();
@@ -206,6 +164,6 @@ mod tests {
             !stronger(&raw),
             "raw history is dominated by the stale edge"
         );
-        assert!(stronger(dg.graph()), "decayed history follows the drift");
+        assert!(stronger(&decayed), "decayed history follows the drift");
     }
 }

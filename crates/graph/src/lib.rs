@@ -27,8 +27,7 @@
 //!   build time. Every repeated-sweep consumer — Louvain levels, the
 //!   G-TxAllo optimization phase, METIS coarsening/refinement — snapshots
 //!   into this form once ([`CsrGraph::from_graph`]) and then iterates flat
-//!   memory. Also implements [`WeightedGraph`]; [`AdjacencyGraph`] is a
-//!   compatibility alias of this type.
+//!   memory. Also implements [`WeightedGraph`].
 //! * [`DeltaCsr`] — *epoch-update form*. A compact CSR over just the
 //!   epoch's touched node set `V̂` and its incident edges, rows in the
 //!   canonical sweep order, built either incrementally by straight run
@@ -43,27 +42,27 @@
 //! lets the sweep kernels enumerate candidate communities deterministically
 //! from a [`scratch::DenseAccumulator`] without per-node hashing, allocation
 //! or full candidate sorts.
+//!
+//! Recency weighting (§VI-A) is not a fourth form: it is
+//! [`TxGraph::apply_decay`] and [`TxGraph::prune_dust`] on the ingestion
+//! form (see [`decay`]). Every builder here is serial; the crate starts no
+//! threads.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
-pub mod adjacency;
 pub mod csr;
 pub mod decay;
 pub mod delta;
 pub mod interner;
-pub mod par;
 pub mod residency;
 pub mod scratch;
 pub mod slab;
 pub mod stats;
 pub mod traits;
 pub mod txgraph;
-pub mod window;
 
-pub use adjacency::AdjacencyGraph;
 pub use csr::CsrGraph;
-pub use decay::DecayingGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
 pub use residency::{MemoryFootprint, ResidencyConfig, SpillTarget};
@@ -72,4 +71,3 @@ pub use slab::SortedRunStore;
 pub use stats::GraphStats;
 pub use traits::{fit_u32, NodeId, RowView, WeightedGraph};
 pub use txgraph::{BlockNodes, TxGraph};
-pub use window::SlidingWindowGraph;

@@ -30,7 +30,10 @@
 //! same ingestion complexity as the hash map. Repeated pairs — the common
 //! case for transaction traffic — resolve by binary search and accumulate
 //! in place, in chronological order, so per-edge weights are bit-identical
-//! to what the hash adjacency accumulated.
+//! to what the hash adjacency accumulated. Membership is decided by those
+//! searches alone, with no per-row filter in front of them: a membership
+//! byte per row did not pay for itself on the million-account replay's
+//! ingest.
 //!
 //! A row that outgrows its capacity is relocated to the end of the arena
 //! with doubled capacity; the abandoned range is dead space, reclaimed by
@@ -103,15 +106,6 @@ pub struct SortedRunStore {
     ids: Vec<NodeId>,
     ws: Vec<f64>,
     rows: Vec<RowMeta>,
-    /// One membership fingerprint byte per row: bit `id & 7` is set when
-    /// an id with that residue was ever inserted. A clear bit proves the
-    /// id is absent, letting [`SortedRunStore::add`] skip both membership
-    /// binary searches on the brand-new-neighbor path (the common case
-    /// early in a trace, when rows are still meeting fresh peers).
-    /// Removals leave the byte stale-but-safe: a set bit only ever means
-    /// "maybe present", which degrades the shortcut, never correctness —
-    /// and the filter never changes a stored weight's bits either way.
-    fps: Vec<u8>,
     /// Abandoned entries from row relocations (compaction trigger).
     dead: usize,
     /// Merge scratch: the tail is copied here before the backward merge.
@@ -134,7 +128,6 @@ impl SortedRunStore {
     /// Appends an empty row (capacity is allocated lazily on first insert).
     pub fn push_row(&mut self) {
         self.rows.push(RowMeta::default());
-        self.fps.push(0);
     }
 
     /// Grows the entry arena for `extra` more slots. Small arenas keep
@@ -189,13 +182,6 @@ impl SortedRunStore {
             len,
             run: len,
         });
-        // Rebuild the membership fingerprint from scratch — a restored
-        // row starts with an exact (no stale bits) filter.
-        let mut fp = 0u8;
-        for &id in ids {
-            fp |= 1 << (id & 7);
-        }
-        self.fps.push(fp);
     }
 
     /// Number of live entries in row `r`.
@@ -274,9 +260,6 @@ impl SortedRunStore {
     /// Position of `id` in row `r` as an arena index, if present.
     #[inline]
     fn find(&self, r: usize, id: NodeId) -> Option<usize> {
-        if self.fps[r] & (1 << (id & 7)) == 0 {
-            return None; // Fingerprint proves absence.
-        }
         let m = self.rows[r];
         let (s, run, len) = (m.start as usize, m.run as usize, m.len as usize);
         let i = lower_bound(&self.ids[s..s + run], id);
@@ -297,12 +280,6 @@ impl SortedRunStore {
         self.find(r, id).map(|i| self.ws[i])
     }
 
-    /// Mutable access to the weight stored for `id` in row `r`.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, id: NodeId) -> Option<&mut f64> {
-        self.find(r, id).map(|i| &mut self.ws[i])
-    }
-
     /// Adds `w` to the entry `(r, id)`, creating it if absent. Returns
     /// `true` when a new entry was created (a brand-new neighbor).
     ///
@@ -310,42 +287,35 @@ impl SortedRunStore {
     /// per-pair accumulation, the same float trajectory a hash-map entry
     /// would produce.
     pub fn add(&mut self, r: usize, id: NodeId, w: f64) -> bool {
-        let bit = 1u8 << (id & 7);
-        if self.fps[r] & bit != 0 {
-            // Fast path for the hottest ingest case: the pair already
-            // exists and sits in the main run (where merges put it), or
-            // the row's last live entry is the pair itself (immediately
-            // repeated traffic). One probe + one binary search instead of
-            // two searches. A clear fingerprint bit proves the id absent
-            // and skips all of this — straight to the insert below.
-            let m = self.rows[r];
-            let (s, run, len) = (m.start as usize, m.run as usize, m.len as usize);
-            if len > 0 && self.ids[s + len - 1] == id {
-                self.ws[s + len - 1] += w;
-                return false;
-            }
-            let i = lower_bound(&self.ids[s..s + run], id);
-            if i < run && self.ids[s + i] == id {
-                self.ws[s + i] += w;
-                return false;
-            }
-            let j = lower_bound(&self.ids[s + run..s + len], id);
-            if run + j < len && self.ids[s + run + j] == id {
-                self.ws[s + run + j] += w;
-                return false;
-            }
-        }
-        self.fps[r] |= bit;
+        // Fast paths for the hottest ingest cases: the row's last live
+        // entry is the pair itself (immediately repeated traffic), or the
+        // pair sits in the main run (where merges put it). One probe + one
+        // binary search before the tail search.
         let m = self.rows[r];
+        let (s, run, len) = (m.start as usize, m.run as usize, m.len as usize);
+        if len > 0 && self.ids[s + len - 1] == id {
+            self.ws[s + len - 1] += w;
+            return false;
+        }
+        let i = lower_bound(&self.ids[s..s + run], id);
+        if i < run && self.ids[s + i] == id {
+            self.ws[s + i] += w;
+            return false;
+        }
+        let j = lower_bound(&self.ids[s + run..s + len], id);
+        if run + j < len && self.ids[s + run + j] == id {
+            self.ws[s + run + j] += w;
+            return false;
+        }
         if m.len == m.cap {
             self.grow_row(r);
         }
-        let m = self.rows[r];
-        let (s, run, len) = (m.start as usize, m.run as usize, m.len as usize);
         // Insert into the sorted tail (short memmove — the tail is small by
-        // the merge policy). The id is absent (checked above), so the lower
-        // bound is its insertion slot.
-        let pos = s + run + lower_bound(&self.ids[s + run..s + len], id);
+        // the merge policy). The id is absent, so the tail's lower bound
+        // `j` is its insertion slot; a relocation moves the row's start,
+        // not its layout.
+        let s = self.rows[r].start as usize;
+        let pos = s + run + j;
         self.ids.copy_within(pos..s + len, pos + 1);
         self.ws.copy_within(pos..s + len, pos + 1);
         self.ids[pos] = id;
@@ -461,9 +431,9 @@ impl SortedRunStore {
 
     /// Extracts row `r` merged (ascending ids) into `out_ids`/`out_ws` and
     /// releases its arena range — the cold-row eviction hook. The row
-    /// becomes empty (`len == cap == 0`) with an exact-empty fingerprint;
-    /// its abandoned capacity is dead space until the next compaction,
-    /// same as a relocation's. Returns the number of entries extracted.
+    /// becomes empty (`len == cap == 0`); its abandoned capacity is dead
+    /// space until the next compaction, same as a relocation's. Returns the
+    /// number of entries extracted.
     ///
     /// Pair with [`SortedRunStore::restore_row`] to bring the row back;
     /// the extracted form is the same merged copy the snapshot builders
@@ -478,7 +448,6 @@ impl SortedRunStore {
         self.copy_row_into(r, out_ids, out_ws);
         self.dead += self.rows[r].cap as usize;
         self.rows[r] = RowMeta::default();
-        self.fps[r] = 0;
         if self.dead > self.ids.len() / 2 && self.ids.len() > 4096 {
             self.compact();
         }
@@ -487,10 +456,10 @@ impl SortedRunStore {
 
     /// Re-fills an evicted (empty) row from an ascending-id sorted
     /// `(ids, ws)` pair. The row lands fully merged at the end of the
-    /// arena (`run == len == cap`) with an exact fingerprint — the same
-    /// landed state [`SortedRunStore::push_row_from_sorted`] produces, so
-    /// a rehydrated row is bitwise-indistinguishable from a
-    /// checkpoint-restored one and accumulates identically from there on.
+    /// arena (`run == len == cap`) — the same landed state
+    /// [`SortedRunStore::push_row_from_sorted`] produces, so a rehydrated
+    /// row is bitwise-indistinguishable from a checkpoint-restored one and
+    /// accumulates identically from there on.
     pub fn restore_row(&mut self, r: usize, ids: &[NodeId], ws: &[f64]) {
         assert_eq!(ids.len(), ws.len(), "parallel row arrays");
         assert_eq!(self.rows[r].len, 0, "restore targets an evicted row");
@@ -516,11 +485,6 @@ impl SortedRunStore {
             len,
             run: len,
         };
-        let mut fp = 0u8;
-        for &id in ids {
-            fp |= 1 << (id & 7);
-        }
-        self.fps[r] = fp;
     }
 
     /// Arena bytes currently allocated (entry storage plus per-row
@@ -529,7 +493,6 @@ impl SortedRunStore {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.ws.capacity() * std::mem::size_of::<f64>()
             + self.rows.capacity() * std::mem::size_of::<RowMeta>()
-            + self.fps.capacity()
             + self.scratch_ids.capacity() * std::mem::size_of::<NodeId>()
             + self.scratch_ws.capacity() * std::mem::size_of::<f64>()
     }
@@ -548,12 +511,6 @@ impl SortedRunStore {
             assert!(tail_ids.windows(2).all(|p| p[0] < p[1]), "tail of row {r}");
             for t in tail_ids {
                 assert!(run_ids.binary_search(t).is_err(), "dup across runs");
-            }
-            for id in run_ids.iter().chain(tail_ids) {
-                assert!(
-                    self.fps[r] & (1 << (id & 7)) != 0,
-                    "fingerprint of row {r} must cover live id {id}"
-                );
             }
         }
     }
@@ -707,11 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_filter_is_bitwise_transparent() {
-        // Interleaved adds and removes against a reference map: the
-        // membership fingerprint (including stale bits left by removes)
-        // must never change what is stored — same freshness verdicts,
-        // same bit-exact weights, same ascending iteration.
+    fn interleaved_add_remove_get_match_a_map_bitwise() {
+        // Interleaved adds and removes (the `prune_dust` path) against a
+        // reference map: same freshness verdicts, same bit-exact weights,
+        // same ascending iteration, same lookups.
         let mut store = SortedRunStore::new();
         store.push_row();
         let mut reference: BTreeMap<NodeId, f64> = BTreeMap::new();
@@ -720,7 +676,6 @@ mod tests {
             let id = (lcg(&mut x) % 64) as NodeId; // dense residue reuse
             match lcg(&mut x) % 5 {
                 0 => {
-                    // Remove leaves the fingerprint bit stale on purpose.
                     assert_eq!(
                         store.remove(0, id),
                         reference.remove(&id),
@@ -744,11 +699,10 @@ mod tests {
         let expect: Vec<(NodeId, u64)> =
             reference.iter().map(|(&u, &w)| (u, w.to_bits())).collect();
         assert_eq!(seen, expect);
-        // Absent ids answer through the filter exactly like before.
         for id in 0..64u32 {
             assert_eq!(store.get(0, id), reference.get(&id).copied(), "get {id}");
         }
-        assert_eq!(store.get(0, 1_000), None, "never-seen residue class");
+        assert_eq!(store.get(0, 1_000), None, "never-seen id");
     }
 
     #[test]

@@ -88,14 +88,14 @@ impl GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::AdjacencyGraph;
+    use crate::csr::CsrGraph;
 
     #[test]
     fn uniform_graph_has_low_gini() {
         // Ring: everyone has identical incident weight.
         let n = 10u32;
         let edges: Vec<_> = (0..n).map(|v| (v, (v + 1) % n, 1.0)).collect();
-        let g = AdjacencyGraph::from_edges(n as usize, edges);
+        let g = CsrGraph::from_edges(n as usize, edges);
         let s = GraphStats::compute(&g);
         assert!(
             s.gini.abs() < 1e-9,
@@ -109,7 +109,7 @@ mod tests {
     fn star_graph_is_concentrated() {
         // Hub node 0 touches every transaction.
         let edges: Vec<_> = (1..100u32).map(|v| (0u32, v, 1.0)).collect();
-        let g = AdjacencyGraph::from_edges(100, edges);
+        let g = CsrGraph::from_edges(100, edges);
         let s = GraphStats::compute(&g);
         assert!(
             s.gini > 0.4,
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_all_zero() {
-        let g = AdjacencyGraph::from_edges(0, Vec::new());
+        let g = CsrGraph::from_edges(0, Vec::new());
         let s = GraphStats::compute(&g);
         assert_eq!(s.node_count, 0);
         assert_eq!(s.gini, 0.0);

@@ -105,15 +105,6 @@ impl TxGraph {
         g
     }
 
-    /// Builds the graph from a flat transaction slice.
-    pub fn from_transactions<'a>(txs: impl IntoIterator<Item = &'a Transaction>) -> Self {
-        let mut g = Self::new();
-        for tx in txs {
-            g.ingest_transaction(tx);
-        }
-        g
-    }
-
     /// Rebuilds a graph from checkpointed parts: the interned accounts in
     /// node order, the adjacency as one flat CSR triple
     /// (`row_offsets[v]..row_offsets[v + 1]` indexes node `v`'s ascending
@@ -258,45 +249,19 @@ impl TxGraph {
         }
     }
 
-    /// Adds raw weight between two accounts (interning them as needed).
-    /// `a == b` adds self-loop weight.
-    pub fn add_weight(&mut self, a: AccountId, b: AccountId, w: f64) {
-        let na = self.ensure_node(a);
-        let nb = self.ensure_node(b);
-        self.add_weight_nodes(na, nb, w);
-    }
-
-    /// [`TxGraph::add_weight`] over already-interned nodes — the ingestion
-    /// hot path (one interner lookup per account per transaction, not one
-    /// per clique pair).
+    /// Adds weight `w` between two distinct already-interned nodes — one
+    /// clique pair of [`TxGraph::ingest_interned`], so each transaction pays
+    /// one interner lookup per account, not one per pair.
     fn add_weight_nodes(&mut self, na: NodeId, nb: NodeId, w: f64) {
         debug_assert!(w > 0.0, "edge weights must be positive");
+        debug_assert_ne!(na, nb, "self-loops are ingested by ingest_interned");
         self.total_weight += w;
-        if na == nb {
-            self.self_loops[na as usize] += w;
-            self.incident[na as usize] += w;
-            return;
-        }
         if self.adjacency.add(na as usize, nb, w) {
             self.edge_count += 1;
         }
         self.adjacency.add(nb as usize, na, w);
         self.incident[na as usize] += w;
         self.incident[nb as usize] += w;
-    }
-
-    /// Subtracts self-loop weight from a node (sliding-window eviction).
-    pub(crate) fn subtract_self_loop(&mut self, n: NodeId, w: f64) {
-        let slot = &mut self.self_loops[n as usize];
-        *slot = (*slot - w).max(0.0);
-        self.incident[n as usize] = (self.incident[n as usize] - w).max(0.0);
-        self.total_weight = (self.total_weight - w).max(0.0);
-    }
-
-    /// Decrements the ingested-transaction counter (used by
-    /// [`TxGraph::remove_transaction`]).
-    pub(crate) fn note_transaction_removed(&mut self) {
-        self.transaction_count = self.transaction_count.saturating_sub(1);
     }
 
     /// Multiplies every stored weight by `factor` (decay support).
@@ -352,39 +317,6 @@ impl TxGraph {
             }
         }
         dropped
-    }
-
-    /// Subtracts edge weight between two distinct nodes, dropping the edge
-    /// when its weight reaches zero (up to float dust).
-    pub(crate) fn subtract_edge(&mut self, a: NodeId, b: NodeId, w: f64) {
-        // txallo-lint: allow(D2-eps-literal) — named, documented weight-dust floor for edge removal, not a tie-break tolerance; value pinned by the decay/unlearn golden tests
-        const DUST: f64 = 1e-9;
-        debug_assert_ne!(a, b, "use subtract_self_loop for loops");
-        // Both endpoint rows must be resident: the subtraction is
-        // symmetric and a cold side would rehydrate stale weights later.
-        self.ensure_resident(a);
-        self.ensure_resident(b);
-        let mut drop_edge = false;
-        if let Some(entry) = self.adjacency.get_mut(a as usize, b) {
-            *entry -= w;
-            if *entry <= DUST {
-                drop_edge = true;
-            }
-        } else {
-            debug_assert!(false, "subtracting a non-existent edge");
-            return;
-        }
-        if let Some(entry) = self.adjacency.get_mut(b as usize, a) {
-            *entry -= w;
-        }
-        if drop_edge {
-            self.adjacency.remove(a as usize, b);
-            self.adjacency.remove(b as usize, a);
-            self.edge_count -= 1;
-        }
-        self.incident[a as usize] = (self.incident[a as usize] - w).max(0.0);
-        self.incident[b as usize] = (self.incident[b as usize] - w).max(0.0);
-        self.total_weight = (self.total_weight - w).max(0.0);
     }
 
     /// Distributes one transaction's unit weight over the clique expansion

@@ -1,8 +1,8 @@
 //! Property-based tests of the transaction graph invariants.
 
 use proptest::prelude::*;
-use txallo_graph::{AdjacencyGraph, NodeId, SlidingWindowGraph, TxGraph, WeightedGraph};
-use txallo_model::{AccountId, Block, Transaction};
+use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
+use txallo_model::{AccountId, Transaction};
 
 fn txs_strategy(max_acct: u64, len: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0..max_acct, 0..max_acct), 1..len)
@@ -38,73 +38,11 @@ proptest! {
         prop_assert!((incident_sum - (2.0 * non_loop + loop_sum)).abs() < 1e-6);
     }
 
-    /// Removing the same transactions that were added restores the empty
-    /// weight state (node ids persist).
-    #[test]
-    fn add_remove_roundtrip(pairs in txs_strategy(30, 40)) {
-        let mut g = build(&pairs);
-        for &(a, b) in &pairs {
-            g.remove_transaction(&Transaction::transfer(AccountId(a), AccountId(b)));
-        }
-        prop_assert!(g.total_weight().abs() < 1e-6);
-        prop_assert_eq!(g.transaction_count(), 0);
-        for v in 0..g.node_count() as NodeId {
-            prop_assert!(g.incident_weight(v).abs() < 1e-6);
-            prop_assert!(g.self_loop(v).abs() < 1e-6);
-        }
-    }
-
-    /// A sliding window over blocks equals a fresh graph over the same
-    /// retained suffix.
-    #[test]
-    fn window_equals_fresh_suffix(
-        blocks in prop::collection::vec(txs_strategy(20, 10), 2..8),
-        window in 1usize..4,
-    ) {
-        let mut win = SlidingWindowGraph::new(window);
-        let all: Vec<Block> = blocks
-            .iter()
-            .enumerate()
-            .map(|(h, pairs)| {
-                Block::new(
-                    h as u64,
-                    pairs
-                        .iter()
-                        .map(|&(a, b)| Transaction::transfer(AccountId(a), AccountId(b)))
-                        .collect(),
-                )
-            })
-            .collect();
-        for b in &all {
-            win.push_block(b.clone());
-        }
-        let start = all.len().saturating_sub(window);
-        let mut fresh = TxGraph::new();
-        for b in &all[start..] {
-            fresh.ingest_block(b);
-        }
-        prop_assert!((win.graph().total_weight() - fresh.total_weight()).abs() < 1e-6);
-        prop_assert_eq!(win.graph().transaction_count(), fresh.transaction_count());
-        // Compare all surviving pair weights through account identity.
-        for v in 0..fresh.node_count() as NodeId {
-            let acct_v = fresh.account(v);
-            let wv = win.graph().node_of(acct_v).expect("account interned in window");
-            fresh.for_each_neighbor(v, |u, w| {
-                let acct_u = fresh.account(u);
-                let wu = win.graph().node_of(acct_u).expect("interned");
-                assert!(
-                    (win.graph().weight_between(wv, wu) - w).abs() < 1e-6,
-                    "weight mismatch {acct_v}-{acct_u}"
-                );
-            });
-        }
-    }
-
-    /// AdjacencyGraph::from_graph is weight-preserving for arbitrary input.
+    /// CsrGraph::from_graph is weight-preserving for arbitrary input.
     #[test]
     fn adjacency_snapshot_preserves(pairs in txs_strategy(25, 50)) {
         let g = build(&pairs);
-        let snap = AdjacencyGraph::from_graph(&g);
+        let snap = CsrGraph::from_graph(&g);
         prop_assert_eq!(snap.node_count(), g.node_count());
         prop_assert!((snap.total_weight() - g.total_weight()).abs() < 1e-9);
         for v in 0..g.node_count() as NodeId {

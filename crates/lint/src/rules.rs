@@ -45,7 +45,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "D5-thread-spawn",
-        summary: "no thread spawning or shared-state sync primitives outside txallo_graph::par; allocation kernels are single-threaded",
+        summary: "no thread spawning or shared-state sync primitives; the workspace is single-threaded",
         contract: "D5 parallel reduction",
         check: d5_thread_spawn,
     },
@@ -436,9 +436,6 @@ fn d2_eps_literal(view: &FileView, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The one sanctioned home for thread spawning and work partitioning.
-const PAR_HOME: &str = "crates/graph/src/par.rs";
-
 const THREAD_TOKENS: &[&str] = &[
     "std::thread",
     "thread::spawn",
@@ -457,9 +454,6 @@ const THREAD_TOKENS: &[&str] = &[
 ];
 
 fn d5_thread_spawn(view: &FileView, out: &mut Vec<RawFinding>) {
-    if view.path == PAR_HOME {
-        return;
-    }
     for (lineno, code) in code_lines(view) {
         for tok in THREAD_TOKENS {
             if has_token(code, tok) {
@@ -467,9 +461,8 @@ fn d5_thread_spawn(view: &FileView, out: &mut Vec<RawFinding>) {
                     lineno,
                     "D5-thread-spawn",
                     format!(
-                        "`{}` outside txallo_graph::par — every allocation kernel is \
-                         single-threaded (D5: one kernel per phase); the only threaded \
-                         code is the CSR chunked fill, whose chunks write disjoint rows",
+                        "`{}` — the workspace starts no threads (D5: one serial kernel \
+                         per phase)",
                         tok.trim_end_matches('<')
                     ),
                 ));
@@ -491,7 +484,7 @@ const PARTIAL_FRAGMENTS: &[&str] = &[
 const REDUCER_TOKENS: &[&str] = &[".sum(", ".sum::<", ".product(", ".product::<", ".fold("];
 
 fn d5_adhoc_reduction(view: &FileView, out: &mut Vec<RawFinding>) {
-    if !in_scope(view, KERNEL_PREFIXES) || view.path == PAR_HOME {
+    if !in_scope(view, KERNEL_PREFIXES) {
         return;
     }
     for (lineno, code) in code_lines(view) {
@@ -526,9 +519,6 @@ fn d5_adhoc_reduction(view: &FileView, out: &mut Vec<RawFinding>) {
                 break;
             }
             i += 1;
-        }
-        if stmt.contains("reduce_tree") {
-            continue; // a fixed-tree combiner names its merge order
         }
         let floaty = ["f64", "f32"].iter().any(|t| has_token(&stmt, t)) || stmt.contains("0.0");
         if !floaty {
@@ -798,11 +788,13 @@ mod tests {
     #[test]
     fn d5_flags_thread_outside_par() {
         let src = "fn f() { std::thread::scope(|s| {}); }";
-        assert_eq!(
-            run_rule("D5-thread-spawn", "crates/graph/src/csr.rs", src).len(),
-            1
-        );
-        assert!(run_rule("D5-thread-spawn", "crates/graph/src/par.rs", src).is_empty());
+        for path in [
+            "crates/graph/src/csr.rs",
+            "crates/graph/src/par.rs",
+            "src/lib.rs",
+        ] {
+            assert_eq!(run_rule("D5-thread-spawn", path, src).len(), 1, "{path}");
+        }
     }
 
     #[test]
@@ -826,18 +818,24 @@ mod tests {
 
     #[test]
     fn adhoc_reduction_allows_sanctioned_and_exact_folds() {
-        // Through the canonical tree: fine.
-        let tree = "let total = reduce_tree(partials, |a, b| a + b);";
-        assert!(run_rule("D5-adhoc-reduction", "crates/core/src/x.rs", tree).is_empty());
         // Integer folds are exact in any order.
         let ints = "let n: usize = chunk_counts.iter().sum();";
         assert!(run_rule("D5-adhoc-reduction", "crates/core/src/x.rs", ints).is_empty());
         // Float folds over non-chunk data are ordinary serial code.
         let serial = "let m: f64 = weights.iter().sum();";
         assert!(run_rule("D5-adhoc-reduction", "crates/core/src/x.rs", serial).is_empty());
-        // Out of kernel scope, and the par layer itself.
+        // Out of kernel scope.
         assert!(run_rule("D5-adhoc-reduction", "crates/chain/src/x.rs", bad()).is_empty());
-        assert!(run_rule("D5-adhoc-reduction", "crates/graph/src/par.rs", bad()).is_empty());
+        // No kernel file and no combiner name is exempt.
+        assert_eq!(
+            run_rule("D5-adhoc-reduction", "crates/graph/src/par.rs", bad()).len(),
+            1
+        );
+        let named = "let total: f64 = reduce_tree(partials, |a, b| a + b).iter().sum();";
+        assert_eq!(
+            run_rule("D5-adhoc-reduction", "crates/core/src/x.rs", named).len(),
+            1
+        );
     }
 
     fn bad() -> &'static str {

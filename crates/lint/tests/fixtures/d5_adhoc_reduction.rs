@@ -1,7 +1,6 @@
 //@ path: crates/core/src/fixture_d5_reduction.rs
 // Fixture: D5-adhoc-reduction — float folds over per-chunk partials must
-// go through txallo_graph::par::reduce_tree (exact combine) or stay in
-// serial caller code in canonical order.
+// stay in serial caller code in canonical order; no combiner is exempt.
 
 fn trigger_sum(partials: Vec<f64>) -> f64 {
     let total: f64 = partials.iter().sum();
@@ -22,16 +21,6 @@ fn suppressed_documented(shard_weights: &[f64]) -> f64 {
     let total: f64 = shard_weights.iter().sum();
     //~^ SUPPRESSED D5-adhoc-reduction
     total
-}
-
-fn negative_tree(partials: Vec<Vec<u32>>) -> Option<Vec<u32>> {
-    // The sanctioned combiner: exact elementwise merge in fixed tree order.
-    txallo_graph::par::reduce_tree(partials, |mut a, b| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x += y;
-        }
-        a
-    })
 }
 
 fn negative_integer_counts(chunk_counts: &[usize]) -> usize {

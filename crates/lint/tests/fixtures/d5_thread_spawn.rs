@@ -1,6 +1,6 @@
 //@ path: crates/graph/src/fixture_d5.rs
-// Fixture: D5-thread-spawn — threading primitives outside the sanctioned
-// txallo_graph::par layer.
+// Fixture: D5-thread-spawn — threading primitives anywhere; the workspace
+// starts no threads.
 
 fn trigger(chunks: Vec<Vec<u32>>) {
     std::thread::scope(|scope| {
@@ -18,7 +18,7 @@ fn trigger_sync_primitive() {
 }
 
 fn suppressed_core_count() -> usize {
-    // txallo-lint: allow(D5-thread-spawn) — reads core count only to size chunks; output is bit-identical at every chunk count
+    // txallo-lint: allow(D5-thread-spawn) — reads the core count only to report it next to a timing; no result depends on it
     std::thread::available_parallelism().map_or(1, |p| p.get())
     //~^ SUPPRESSED D5-thread-spawn
 }

@@ -23,7 +23,7 @@
 //! pinned byte-identical against a stable-sorted reference merge in the
 //! tests below.
 
-use txallo_graph::{fit_u32, AdjacencyGraph, CsrGraph, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
 /// Reusable buffers of the counting-sort aggregation — one set per Louvain
 /// run, reused across every level (high-water mark set by level 0).
@@ -53,7 +53,7 @@ pub fn aggregate_graph(
     graph: &impl WeightedGraph,
     communities: &[u32],
     community_count: usize,
-) -> AdjacencyGraph {
+) -> CsrGraph {
     let mut scratch = AggregateScratch::default();
     aggregate_graph_into(graph, communities, community_count, &mut scratch)
 }
@@ -66,7 +66,7 @@ pub fn aggregate_graph_into(
     communities: &[u32],
     community_count: usize,
     scratch: &mut AggregateScratch,
-) -> AdjacencyGraph {
+) -> CsrGraph {
     assert_eq!(communities.len(), graph.node_count());
     let c = community_count;
 
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn preserves_total_weight() {
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             4,
             vec![(0u32, 1, 2.0), (2, 3, 1.0), (1, 2, 0.5), (0, 0, 0.25)],
         );
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn identity_partition_keeps_structure() {
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 3.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 3.0)]);
         let agg = aggregate_graph(&g, &[0, 1, 2], 3);
         assert_eq!(agg.node_count(), 3);
         assert!((agg.weight_between(0, 1) - 1.0).abs() < 1e-12);
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn collapse_to_single_node() {
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let agg = aggregate_graph(&g, &[0, 0, 0], 1);
         assert_eq!(agg.node_count(), 1);
         assert!((agg.self_loop(0) - 3.0).abs() < 1e-12);
@@ -220,7 +220,7 @@ mod tests {
     /// weights, self-loops, and — crucially — many parallel cross edges
     /// per community pair, so the duplicate-merge order is genuinely
     /// exercised.
-    fn scrambled(n: usize, communities: usize) -> (AdjacencyGraph, Vec<u32>, usize) {
+    fn scrambled(n: usize, communities: usize) -> (CsrGraph, Vec<u32>, usize) {
         let mut edges = Vec::new();
         let mut x = 0x243f6a8885a308d3u64;
         for a in 0..n as NodeId {
@@ -240,7 +240,7 @@ mod tests {
         let labels: Vec<u32> = (0..n as u32)
             .map(|v| (v * 7 + 3) % communities as u32)
             .collect();
-        (AdjacencyGraph::from_edges(n, edges), labels, communities)
+        (CsrGraph::from_edges(n, edges), labels, communities)
     }
 
     /// A merged reference row: `(target, weight bits)` pairs.
@@ -352,7 +352,7 @@ mod tests {
     /// edge into one self-loop, bit for bit as the stable reference does.
     #[test]
     fn aggregation_degenerate_shapes() {
-        let g = AdjacencyGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
+        let g = CsrGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
         let mut scratch = AggregateScratch::default();
         let agg = aggregate_graph_into(&g, &[], 0, &mut scratch);
         assert_eq!(agg.node_count(), 0);
@@ -389,7 +389,7 @@ mod tests {
                 }
             });
         }
-        let old = AdjacencyGraph::from_edges(n, edges);
+        let old = CsrGraph::from_edges(n, edges);
         for v in 0..n as NodeId {
             assert_eq!(agg.neighbor_ids(v), old.neighbor_ids(v));
             assert_eq!(agg.neighbor_weights(v), old.neighbor_weights(v));

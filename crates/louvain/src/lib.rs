@@ -28,7 +28,7 @@ pub use local_move::{local_moving_pass, LocalMoveOutcome};
 pub use modularity::modularity;
 pub use refine::{count_disconnected, split_disconnected};
 
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
 
 /// Gain tie-break tolerance shared by every sweep in the workspace.
 ///
@@ -87,17 +87,16 @@ pub struct LouvainResult {
 ///
 /// The graph is snapshotted into flat CSR form once; every sweep and every
 /// aggregation level then runs on packed rows. Callers that already hold a
-/// [`CsrGraph`](txallo_graph::CsrGraph) should use [`louvain_csr`] to skip
-/// the copy.
-pub fn louvain(graph: &(impl WeightedGraph + Sync), config: &LouvainConfig) -> LouvainResult {
-    let csr = AdjacencyGraph::from_graph(graph);
+/// [`CsrGraph`] should use [`louvain_csr`] to skip the copy.
+pub fn louvain(graph: &impl WeightedGraph, config: &LouvainConfig) -> LouvainResult {
+    let csr = CsrGraph::from_graph(graph);
     louvain_csr(&csr, config)
 }
 
 /// [`louvain`] over an existing CSR snapshot — no copying at all: level 0
 /// sweeps the borrowed graph, later levels own their (much smaller)
 /// aggregated graphs.
-pub fn louvain_csr(graph: &AdjacencyGraph, config: &LouvainConfig) -> LouvainResult {
+pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> LouvainResult {
     let n = graph.node_count();
     if n == 0 {
         return LouvainResult {
@@ -110,7 +109,7 @@ pub fn louvain_csr(graph: &AdjacencyGraph, config: &LouvainConfig) -> LouvainRes
 
     // Mapping from original node to current-level super-node.
     let mut membership: Vec<u32> = (0..n as u32).collect();
-    let mut owned_level: Option<AdjacencyGraph> = None;
+    let mut owned_level: Option<CsrGraph> = None;
     let mut levels = 0usize;
     // One set of cross-level aggregation buffers (edge staging + counting
     // scatter arrays): reused every level, so the high-water mark (set by
@@ -187,7 +186,7 @@ pub fn compact_labels(labels: &[u32]) -> CompactLabels {
 }
 
 /// Convenience: run Louvain with default configuration.
-pub fn louvain_default(graph: &(impl WeightedGraph + Sync)) -> LouvainResult {
+pub fn louvain_default(graph: &impl WeightedGraph) -> LouvainResult {
     louvain(graph, &LouvainConfig::default())
 }
 
@@ -203,10 +202,9 @@ pub fn group_by_community(communities: &[u32], count: usize) -> Vec<Vec<NodeId>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
 
     /// Two 5-cliques joined by a single weak edge.
-    fn two_cliques() -> AdjacencyGraph {
+    fn two_cliques() -> CsrGraph {
         let mut edges = Vec::new();
         for a in 0..5u32 {
             for b in (a + 1)..5 {
@@ -215,7 +213,7 @@ mod tests {
             }
         }
         edges.push((0, 5, 0.1));
-        AdjacencyGraph::from_edges(10, edges)
+        CsrGraph::from_edges(10, edges)
     }
 
     #[test]
@@ -248,7 +246,7 @@ mod tests {
 
     #[test]
     fn singleton_graph() {
-        let g = AdjacencyGraph::from_edges(1, vec![(0u32, 0u32, 3.0)]);
+        let g = CsrGraph::from_edges(1, vec![(0u32, 0u32, 3.0)]);
         let r = louvain_default(&g);
         assert_eq!(r.community_count, 1);
         assert_eq!(r.communities, vec![0]);
@@ -256,7 +254,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = AdjacencyGraph::from_edges(0, Vec::new());
+        let g = CsrGraph::from_edges(0, Vec::new());
         let r = louvain_default(&g);
         assert_eq!(r.community_count, 0);
         assert!(r.communities.is_empty());
@@ -272,7 +270,7 @@ mod tests {
             edges.push((b + 1, b + 2, 1.0));
             edges.push((b, b + 2, 1.0));
         }
-        let g = AdjacencyGraph::from_edges(9, edges);
+        let g = CsrGraph::from_edges(9, edges);
         let r = louvain_default(&g);
         assert_eq!(r.community_count, 3);
     }
@@ -307,7 +305,7 @@ mod tests {
             let next_base = ((c + 1) % r) * s;
             edges.push((base, next_base, 0.05));
         }
-        let g = AdjacencyGraph::from_edges((r * s) as usize, edges);
+        let g = CsrGraph::from_edges((r * s) as usize, edges);
         let res = louvain_default(&g);
         assert_eq!(
             res.community_count, r as usize,

@@ -143,12 +143,12 @@ pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
+    use txallo_graph::CsrGraph;
     use txallo_model::FxHashMap;
 
     #[test]
     fn merges_a_triangle() {
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let out = local_moving_pass(&g, &LouvainConfig::default());
         assert!(out.moved_any);
         assert_eq!(out.communities[0], out.communities[1]);
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn keeps_disconnected_nodes_apart() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
         let out = local_moving_pass(&g, &LouvainConfig::default());
         assert_eq!(out.communities[0], out.communities[1]);
         assert_eq!(out.communities[2], out.communities[3]);
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn no_move_on_empty_graph() {
-        let g = AdjacencyGraph::from_edges(0, Vec::new());
+        let g = CsrGraph::from_edges(0, Vec::new());
         let out = local_moving_pass(&g, &LouvainConfig::default());
         assert!(!out.moved_any);
         assert!(out.communities.is_empty());
@@ -179,7 +179,7 @@ mod tests {
             edges.push((a, (a + 1) % 20, 1.0));
             edges.push((a, (a + 2) % 20, 0.5));
         }
-        let g = AdjacencyGraph::from_edges(20, edges);
+        let g = CsrGraph::from_edges(20, edges);
         let a = local_moving_pass(&g, &LouvainConfig::default());
         let b = local_moving_pass(&g, &LouvainConfig::default());
         assert_eq!(a.communities, b.communities);
@@ -259,7 +259,7 @@ mod tests {
     }
 
     /// A messy graph: ring + chords + self-loops + heavy hubs.
-    fn messy_graph() -> AdjacencyGraph {
+    fn messy_graph() -> CsrGraph {
         let mut edges = Vec::new();
         for a in 0..60u32 {
             edges.push((a, (a + 1) % 60, 1.0));
@@ -269,12 +269,12 @@ mod tests {
                 edges.push((a, (a + 30) % 60, 0.1));
             }
         }
-        AdjacencyGraph::from_edges(60, edges)
+        CsrGraph::from_edges(60, edges)
     }
 
     /// A weighted mess with exercised self-loops and hubs, scrambled per
     /// seed so the pass sees varied float folds and tie shapes.
-    fn weighted_mess(seed: u64, n: u32) -> AdjacencyGraph {
+    fn weighted_mess(seed: u64, n: u32) -> CsrGraph {
         let mut edges = Vec::new();
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = || {
@@ -293,13 +293,13 @@ mod tests {
                 edges.push((a, (a + n / 2) % n, 0.1));
             }
         }
-        AdjacencyGraph::from_edges(n as usize, edges)
+        CsrGraph::from_edges(n as usize, edges)
     }
 
     /// A deep Louvain level: `graph` collapsed through its own first
     /// local-moving pass — dense community-to-community rows plus the
     /// self-loops that carry each community's internal weight.
-    fn aggregated_level(graph: &AdjacencyGraph) -> AdjacencyGraph {
+    fn aggregated_level(graph: &CsrGraph) -> CsrGraph {
         let level0 = local_moving_pass(graph, &LouvainConfig::default());
         let compact = crate::compact_labels(&level0.communities);
         crate::aggregate_graph(graph, &compact.labels, compact.count)
@@ -316,8 +316,8 @@ mod tests {
         assert!(deep.node_count() > 1 && deep.node_count() < wide.node_count());
         let mut inputs = vec![messy_graph(), wide, deep];
         inputs.extend((0..5u64).map(|seed| weighted_mess(seed, 48)));
-        inputs.push(AdjacencyGraph::from_edges(0, Vec::new()));
-        inputs.push(AdjacencyGraph::from_edges(3, Vec::new()));
+        inputs.push(CsrGraph::from_edges(0, Vec::new()));
+        inputs.push(CsrGraph::from_edges(3, Vec::new()));
         let config = LouvainConfig::default();
         for (i, g) in inputs.iter().enumerate() {
             let dense = local_moving_pass(g, &config);

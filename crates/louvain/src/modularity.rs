@@ -42,12 +42,12 @@ pub fn modularity(graph: &impl WeightedGraph, communities: &[u32], resolution: f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
+    use txallo_graph::CsrGraph;
 
     #[test]
     fn single_community_has_zero_ish_modularity() {
         // All nodes in one community: Q = 1 - 1 = 0 for any connected graph.
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let q = modularity(&g, &[0, 0, 0], 1.0);
         assert!(
             q.abs() < 1e-12,
@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn all_singletons_give_negative_modularity() {
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let q = modularity(&g, &[0, 1, 2], 1.0);
         assert!(
             q < 0.0,
@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn good_partition_beats_bad_partition() {
         // Two triangles plus one bridging edge.
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             6,
             vec![
                 (0u32, 1, 1.0),
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn self_loops_count_toward_intra_weight() {
-        let g = AdjacencyGraph::from_edges(2, vec![(0u32, 0u32, 1.0), (0, 1, 1.0)]);
+        let g = CsrGraph::from_edges(2, vec![(0u32, 0u32, 1.0), (0, 1, 1.0)]);
         // m = 2; community {0,1}: intra = 2 => Q = 2/2 - (4/4)^2 = 0
         let q = modularity(&g, &[0, 0], 1.0);
         assert!(q.abs() < 1e-12, "got {q}");
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn resolution_shifts_the_balance() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
         let split = |gamma: f64| modularity(&g, &[0, 0, 1, 1], gamma);
         assert!(
             split(1.0) > split(2.0),

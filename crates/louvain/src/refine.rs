@@ -72,12 +72,12 @@ pub fn count_disconnected(graph: &impl WeightedGraph, labels: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::AdjacencyGraph;
+    use txallo_graph::CsrGraph;
 
     #[test]
     fn connected_partition_is_preserved() {
         // Two triangles, correctly labelled: nothing to split.
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             6,
             vec![
                 (0u32, 1, 1.0),
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn disconnected_community_is_split() {
         // One label covering two disjoint edges → two fragments.
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
         let labels = vec![0, 0, 0, 0];
         let split = split_disconnected(&g, &labels);
         assert_eq!(split.count, 2, "fragments must separate");
@@ -114,7 +114,7 @@ mod tests {
     fn hub_departure_fragments_are_detected() {
         // Star 0-{1,2,3} plus pair (4,5). Label the leaves + pair as one
         // community *without* the hub — the classic Louvain artifact.
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             6,
             vec![(0u32, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 5, 1.0)],
         );
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_become_singletons() {
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0)]);
         let labels = vec![0, 0, 0];
         let split = split_disconnected(&g, &labels);
         assert_eq!(split.count, 2);
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let g = AdjacencyGraph::from_edges(
+        let g = CsrGraph::from_edges(
             8,
             vec![(0u32, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)],
         );

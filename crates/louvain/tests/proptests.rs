@@ -1,7 +1,7 @@
 //! Property-based tests of Louvain and modularity.
 
 use proptest::prelude::*;
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
 use txallo_louvain::{aggregate_graph, compact_labels, louvain_default, modularity};
 
 fn edges_strategy(n: u32, len: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
@@ -15,7 +15,7 @@ proptest! {
         edges in edges_strategy(20, 60),
         labels in prop::collection::vec(0u32..5, 20),
     ) {
-        let g = AdjacencyGraph::from_edges(20, edges);
+        let g = CsrGraph::from_edges(20, edges);
         let q = modularity(&g, &labels, 1.0);
         prop_assert!((-1.0..=1.0).contains(&q), "Q = {q}");
     }
@@ -24,7 +24,7 @@ proptest! {
     /// (intra = m and (Σ_tot/2m)² = 1).
     #[test]
     fn trivial_partition_zero(edges in edges_strategy(15, 40)) {
-        let g = AdjacencyGraph::from_edges(15, edges);
+        let g = CsrGraph::from_edges(15, edges);
         let q = modularity(&g, &[0u32; 15], 1.0);
         prop_assert!(q.abs() < 1e-9, "Q = {q}");
     }
@@ -34,7 +34,7 @@ proptest! {
     /// partition.
     #[test]
     fn louvain_beats_baselines(edges in edges_strategy(24, 80)) {
-        let g = AdjacencyGraph::from_edges(24, edges);
+        let g = CsrGraph::from_edges(24, edges);
         let result = louvain_default(&g);
         prop_assert_eq!(result.communities.len(), g.node_count());
         prop_assert!(result.communities.iter().all(|&c| (c as usize) < result.community_count));
@@ -53,7 +53,7 @@ proptest! {
         edges in edges_strategy(18, 50),
         raw_labels in prop::collection::vec(0u32..6, 18),
     ) {
-        let g = AdjacencyGraph::from_edges(18, edges);
+        let g = CsrGraph::from_edges(18, edges);
         let compact = compact_labels(&raw_labels);
         let agg = aggregate_graph(&g, &compact.labels, compact.count);
         prop_assert!((agg.total_weight() - g.total_weight()).abs() < 1e-9);
@@ -85,7 +85,7 @@ proptest! {
     /// Louvain is deterministic on arbitrary graphs.
     #[test]
     fn louvain_deterministic(edges in edges_strategy(16, 40)) {
-        let g = AdjacencyGraph::from_edges(16, edges);
+        let g = CsrGraph::from_edges(16, edges);
         let a = louvain_default(&g);
         let b = louvain_default(&g);
         prop_assert_eq!(a.communities, b.communities);
@@ -98,7 +98,7 @@ proptest! {
 fn modularity_hand_computed() {
     // Two disjoint edges, m = 2. Partition = the two pairs:
     // Q = Σ [w_in/m − (Σ_tot/2m)²] = 2·(1/2 − (2/4)²) = 2·(0.5−0.25) = 0.5.
-    let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
+    let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
     let q = modularity(&g, &[0, 0, 1, 1], 1.0);
     assert!((q - 0.5).abs() < 1e-12, "Q = {q}");
     let _ = (0..4 as NodeId).count();

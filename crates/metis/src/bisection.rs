@@ -5,7 +5,7 @@
 //! `⌈log₂ k⌉` full multilevel passes, which is what gives real METIS its
 //! characteristic running-time growth with `k` (§VI-B6 of the paper).
 
-use txallo_graph::{AdjacencyGraph, DenseIndexMap, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, DenseIndexMap, NodeId, WeightedGraph};
 
 use crate::coarsen::coarsen;
 use crate::frontier::{heaviest_first, GrowFrontier};
@@ -16,11 +16,7 @@ use crate::MetisConfig;
 /// graph growing, same frontier as the k-way grower); everything else is
 /// part 1. When the frontier runs dry (a disconnected graph), the next
 /// heaviest unassigned vertex joins the region; the first one is the seed.
-pub(crate) fn grow_bisection(
-    graph: &AdjacencyGraph,
-    vertex_weights: &[f64],
-    frac: f64,
-) -> Vec<u32> {
+pub(crate) fn grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64) -> Vec<u32> {
     let n = graph.node_count();
     let mut parts = vec![1u32; n];
     let total: f64 = vertex_weights.iter().sum();
@@ -53,7 +49,7 @@ pub(crate) fn grow_bisection(
 /// Multilevel 2-way partition of `graph` with proportional targets
 /// `frac : (1 − frac)`.
 fn multilevel_bisect(
-    graph: AdjacencyGraph,
+    graph: CsrGraph,
     vertex_weights: Vec<f64>,
     frac: f64,
     config: &MetisConfig,
@@ -85,7 +81,7 @@ fn multilevel_bisect(
 /// graph. Part ids `offset..offset + k` are written into `out`.
 #[allow(clippy::too_many_arguments)] // internal recursion plumbing, not an API
 fn recurse(
-    base: &AdjacencyGraph,
+    base: &CsrGraph,
     vertex_weights: &[f64],
     nodes: Vec<NodeId>,
     k: usize,
@@ -122,7 +118,7 @@ fn recurse(
             }
         });
     }
-    let induced = AdjacencyGraph::from_edges(nodes.len(), edges);
+    let induced = CsrGraph::from_edges(nodes.len(), edges);
 
     let k_left = k.div_ceil(2);
     let frac = k_left as f64 / k as f64;
@@ -161,7 +157,7 @@ fn recurse(
 
 /// K-way partitioning by recursive bisection (pmetis-style).
 pub fn recursive_bisection_partition(
-    graph: &(impl WeightedGraph + Sync),
+    graph: &impl WeightedGraph,
     config: &MetisConfig,
 ) -> crate::MetisResult {
     assert!(config.parts > 0, "parts must be positive");
@@ -173,7 +169,7 @@ pub fn recursive_bisection_partition(
             levels: 0,
         };
     }
-    let base = AdjacencyGraph::from_graph(graph);
+    let base = CsrGraph::from_graph(graph);
     let vertex_weights = config.weighting.of(graph);
     let mut parts = vec![0u32; n];
     let nodes: Vec<NodeId> = (0..n as NodeId).collect();
@@ -202,7 +198,7 @@ mod tests {
     use super::*;
     use crate::metis_partition;
 
-    fn cliques(count: u32, size: u32, bridge: f64) -> AdjacencyGraph {
+    fn cliques(count: u32, size: u32, bridge: f64) -> CsrGraph {
         let mut edges = Vec::new();
         for c in 0..count {
             let b = c * size;
@@ -213,7 +209,7 @@ mod tests {
             }
             edges.push((b, ((c + 1) % count) * size, bridge));
         }
-        AdjacencyGraph::from_edges((count * size) as usize, edges)
+        CsrGraph::from_edges((count * size) as usize, edges)
     }
 
     #[test]
@@ -273,7 +269,7 @@ mod tests {
         let g = cliques(2, 4, 0.1);
         let r = recursive_bisection_partition(&g, &MetisConfig::new(1));
         assert!(r.parts.iter().all(|&p| p == 0));
-        let empty = AdjacencyGraph::from_edges(0, Vec::new());
+        let empty = CsrGraph::from_edges(0, Vec::new());
         let r = recursive_bisection_partition(&empty, &MetisConfig::new(4));
         assert!(r.parts.is_empty());
     }

@@ -1,12 +1,12 @@
 //! Coarsening phase: heavy-edge matching and hierarchy construction.
 
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
 
 /// One level of the multilevel hierarchy.
 #[derive(Debug, Clone)]
 pub struct CoarseLevel {
     /// The graph at this level.
-    pub graph: AdjacencyGraph,
+    pub graph: CsrGraph,
     /// Vertex weight per node of this level.
     pub vertex_weights: Vec<f64>,
     /// For non-base levels: maps each node of the *previous (finer)* level
@@ -43,16 +43,13 @@ impl CoarsenArena {
 /// its heaviest unmatched neighbor (ties broken toward the smaller id).
 /// Returns a dense map `fine node → coarse node`, assigning coarse ids in
 /// first-seen order (deterministic).
-pub fn heavy_edge_matching(graph: &AdjacencyGraph) -> (Vec<u32>, usize) {
+pub fn heavy_edge_matching(graph: &CsrGraph) -> (Vec<u32>, usize) {
     heavy_edge_matching_in(graph, &mut CoarsenArena::new())
 }
 
 /// [`heavy_edge_matching`] with a caller-owned [`CoarsenArena`], reusing
 /// its mate buffer across invocations.
-pub fn heavy_edge_matching_in(
-    graph: &AdjacencyGraph,
-    arena: &mut CoarsenArena,
-) -> (Vec<u32>, usize) {
+pub fn heavy_edge_matching_in(graph: &CsrGraph, arena: &mut CoarsenArena) -> (Vec<u32>, usize) {
     let n = graph.node_count();
     arena.mate.clear();
     arena.mate.resize(n, CoarsenArena::UNMATCHED);
@@ -98,7 +95,7 @@ pub fn heavy_edge_matching_in(
 ///
 /// Level 0 is the base graph; each subsequent level stores the projection
 /// map from the previous level.
-pub fn coarsen(base: AdjacencyGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<CoarseLevel> {
+pub fn coarsen(base: CsrGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<CoarseLevel> {
     assert_eq!(vertex_weights.len(), base.node_count());
     let mut levels = vec![CoarseLevel {
         graph: base,
@@ -141,7 +138,7 @@ pub fn coarsen(base: AdjacencyGraph, vertex_weights: Vec<f64>, floor: usize) -> 
                 }
             });
         }
-        let coarse_graph = AdjacencyGraph::from_edges(coarse_n, edges.iter().copied());
+        let coarse_graph = CsrGraph::from_edges(coarse_n, edges.iter().copied());
         levels.push(CoarseLevel {
             graph: coarse_graph,
             vertex_weights: coarse_weights,
@@ -158,7 +155,7 @@ mod tests {
     #[test]
     fn matching_pairs_heavy_edges_first() {
         // 0-1 heavy, 1-2 light: HEM must pair (0,1) and leave 2 alone.
-        let g = AdjacencyGraph::from_edges(3, vec![(0u32, 1, 10.0), (1, 2, 1.0)]);
+        let g = CsrGraph::from_edges(3, vec![(0u32, 1, 10.0), (1, 2, 1.0)]);
         let (map, n) = heavy_edge_matching(&g);
         assert_eq!(n, 2);
         assert_eq!(map[0], map[1]);
@@ -171,7 +168,7 @@ mod tests {
         for a in 0..30u32 {
             edges.push((a, (a + 1) % 30, 1.0 + (a % 3) as f64));
         }
-        let g = AdjacencyGraph::from_edges(30, edges);
+        let g = CsrGraph::from_edges(30, edges);
         let (map, n) = heavy_edge_matching(&g);
         assert!((15..=30).contains(&n));
         assert!(map.iter().all(|&c| (c as usize) < n));
@@ -184,7 +181,7 @@ mod tests {
             edges.push((a, (a + 1) % 64, 1.0));
             edges.push((a, (a + 7) % 64, 0.5));
         }
-        let g = AdjacencyGraph::from_edges(64, edges);
+        let g = CsrGraph::from_edges(64, edges);
         let total = g.total_weight();
         let levels = coarsen(g, vec![1.0; 64], 8);
         assert!(levels.len() > 1, "must coarsen at least once");
@@ -199,7 +196,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_survive_coarsening() {
-        let g = AdjacencyGraph::from_edges(5, vec![(0u32, 1, 1.0)]);
+        let g = CsrGraph::from_edges(5, vec![(0u32, 1, 1.0)]);
         let levels = coarsen(g, vec![1.0; 5], 1);
         // Nodes 2,3,4 have no edges; matching self-matches them and the
         // reduction stalls, terminating the loop.
@@ -217,7 +214,7 @@ mod tests {
                 }
             }
         }
-        let g = AdjacencyGraph::from_edges(40, edges);
+        let g = CsrGraph::from_edges(40, edges);
         let levels = coarsen(g, vec![1.0; 40], 5);
         for i in 1..levels.len() {
             let map = levels[i].fine_to_coarse.as_ref().unwrap();

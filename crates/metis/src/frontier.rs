@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
 
 /// Vertex ids by descending weight, ties toward the smaller id: the order
 /// in which the growers seed regions.
@@ -87,7 +87,7 @@ impl GrowFrontier {
 
     /// Adds `v`'s edges to the region: each unassigned neighbor gains the
     /// edge weight and becomes a member.
-    pub(crate) fn absorb(&mut self, graph: &AdjacencyGraph, parts: &[u32], v: NodeId) {
+    pub(crate) fn absorb(&mut self, graph: &CsrGraph, parts: &[u32], v: NodeId) {
         graph.for_each_neighbor(v, |u, w| {
             let i = u as usize;
             if parts[i] != self.unassigned {
@@ -141,7 +141,7 @@ mod tests {
     /// growers' selection rule (largest gain, then gain/strength, then
     /// smallest id), skipping entries `live` rejects.
     fn scan_best(
-        graph: &AdjacencyGraph,
+        graph: &CsrGraph,
         frontier: &[NodeId],
         gain: &[f64],
         live: impl Fn(NodeId) -> bool,
@@ -170,7 +170,7 @@ mod tests {
     /// per-node gain and membership, rescanned for every pick. The heap
     /// frontier must grow byte-identical partitions.
     fn reference_greedy_growing(
-        graph: &AdjacencyGraph,
+        graph: &CsrGraph,
         vertex_weights: &[f64],
         k: usize,
         balance_factor: f64,
@@ -240,11 +240,7 @@ mod tests {
 
     /// Linear-scan reference of the bisection grower: membership is never
     /// reset, and a dry frontier pulls the next heaviest unassigned vertex.
-    fn reference_grow_bisection(
-        graph: &AdjacencyGraph,
-        vertex_weights: &[f64],
-        frac: f64,
-    ) -> Vec<u32> {
+    fn reference_grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64) -> Vec<u32> {
         let n = graph.node_count();
         let mut parts = vec![1u32; n];
         let target = vertex_weights.iter().sum::<f64>() * frac;
@@ -299,7 +295,7 @@ mod tests {
         seed: u64,
         k: usize,
         hub_share: f64,
-    ) -> (AdjacencyGraph, Vec<f64>) {
+    ) -> (CsrGraph, Vec<f64>) {
         let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = move || {
             x = x
@@ -328,7 +324,7 @@ mod tests {
         for c in 0..components {
             weights[c * block] = hub_share * target;
         }
-        (AdjacencyGraph::from_edges(n, edges), weights)
+        (CsrGraph::from_edges(n, edges), weights)
     }
 
     #[test]

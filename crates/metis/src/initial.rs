@@ -1,6 +1,6 @@
 //! Initial partitioning via greedy graph growing (GGGP).
 
-use txallo_graph::{AdjacencyGraph, WeightedGraph};
+use txallo_graph::{CsrGraph, WeightedGraph};
 
 use crate::frontier::{heaviest_first, GrowFrontier};
 
@@ -17,7 +17,7 @@ const UNASSIGNED: u32 = u32::MAX;
 /// `target × balance_factor` is left for later parts. Unreached vertices
 /// are swept into the currently lightest parts at the end.
 pub fn greedy_growing_partition(
-    graph: &AdjacencyGraph,
+    graph: &CsrGraph,
     vertex_weights: &[f64],
     k: usize,
     balance_factor: f64,
@@ -88,7 +88,7 @@ mod tests {
         for a in 0..50u32 {
             edges.push((a, (a + 1) % 50, 1.0));
         }
-        let g = AdjacencyGraph::from_edges(50, edges);
+        let g = CsrGraph::from_edges(50, edges);
         let parts = greedy_growing_partition(&g, &vec![1.0; 50], 5, 1.1);
         assert!(parts.iter().all(|&p| p < 5));
     }
@@ -100,7 +100,7 @@ mod tests {
             edges.push((a, (a + 1) % 60, 1.0));
             edges.push((a, (a + 2) % 60, 1.0));
         }
-        let g = AdjacencyGraph::from_edges(60, edges);
+        let g = CsrGraph::from_edges(60, edges);
         let parts = greedy_growing_partition(&g, &vec![1.0; 60], 3, 1.1);
         let mut counts = [0usize; 3];
         for &p in &parts {
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn k_equals_one() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 1.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0)]);
         assert_eq!(greedy_growing_partition(&g, &[1.0; 4], 1, 1.05), vec![0; 4]);
     }
 
@@ -123,7 +123,7 @@ mod tests {
         for a in 0..40u32 {
             edges.push((a, (a * 7 + 3) % 40, 1.0 + (a % 4) as f64));
         }
-        let g = AdjacencyGraph::from_edges(40, edges);
+        let g = CsrGraph::from_edges(40, edges);
         let w: Vec<f64> = (0..40).map(|i| 1.0 + (i % 3) as f64).collect();
         let a = greedy_growing_partition(&g, &w, 4, 1.05);
         let b = greedy_growing_partition(&g, &w, 4, 1.05);

@@ -34,7 +34,7 @@ pub use coarsen::{
 pub use initial::greedy_growing_partition;
 pub use refine::{edge_cut, fm_refine, fm_refine_with_targets};
 
-use txallo_graph::{AdjacencyGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
 
 /// Floor applied to vertex strengths when they become balance weights, so
 /// isolated (zero-strength) nodes keep a nonzero weight and ratio
@@ -116,7 +116,7 @@ pub struct MetisResult {
 }
 
 /// Partitions `graph` into `config.parts` parts.
-pub fn metis_partition(graph: &(impl WeightedGraph + Sync), config: &MetisConfig) -> MetisResult {
+pub fn metis_partition(graph: &impl WeightedGraph, config: &MetisConfig) -> MetisResult {
     assert!(config.parts > 0, "parts must be positive");
     let n = graph.node_count();
     if n == 0 {
@@ -134,7 +134,7 @@ pub fn metis_partition(graph: &(impl WeightedGraph + Sync), config: &MetisConfig
         };
     }
 
-    let base = AdjacencyGraph::from_graph(graph);
+    let base = CsrGraph::from_graph(graph);
     let vertex_weights = config.weighting.of(graph);
 
     // Phase 1: coarsen.
@@ -190,7 +190,7 @@ fn project(coarse_parts: &[u32], fine_to_coarse: Option<Vec<u32>>) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    fn two_cliques(bridge: f64) -> AdjacencyGraph {
+    fn two_cliques(bridge: f64) -> CsrGraph {
         let mut edges = Vec::new();
         for a in 0..6u32 {
             for b in (a + 1)..6 {
@@ -199,7 +199,7 @@ mod tests {
             }
         }
         edges.push((0, 6, bridge));
-        AdjacencyGraph::from_edges(12, edges)
+        CsrGraph::from_edges(12, edges)
     }
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
         for a in 0..100u32 {
             edges.push((a, (a + 1) % 100, 1.0));
         }
-        let g = AdjacencyGraph::from_edges(100, edges);
+        let g = CsrGraph::from_edges(100, edges);
         for k in [2usize, 3, 5, 8] {
             let r = metis_partition(&g, &MetisConfig::new(k));
             let used: std::collections::HashSet<u32> = r.parts.iter().copied().collect();
@@ -261,7 +261,7 @@ mod tests {
             }
             edges.push((b, ((c + 1) % 4) * 8, 0.1));
         }
-        let g = AdjacencyGraph::from_edges(32, edges);
+        let g = CsrGraph::from_edges(32, edges);
         let mut cfg = MetisConfig::new(4);
         cfg.weighting = VertexWeighting::Unit;
         let r = metis_partition(&g, &cfg);
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = AdjacencyGraph::from_edges(0, Vec::new());
+        let g = CsrGraph::from_edges(0, Vec::new());
         let r = metis_partition(&g, &MetisConfig::new(4));
         assert!(r.parts.is_empty());
     }

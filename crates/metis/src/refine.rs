@@ -1,6 +1,6 @@
 //! Boundary FM refinement and the edge-cut objective.
 
-use txallo_graph::{fit_u32, AdjacencyGraph, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
 /// Minimum cut improvement for an FM move to count as a gain. A
 /// magnitude floor against float dust from the link accumulator, not a
@@ -10,7 +10,7 @@ use txallo_graph::{fit_u32, AdjacencyGraph, DenseAccumulator, NodeId, SweepCache
 const FM_GAIN_MIN: f64 = 1e-12;
 
 /// Total weight of edges whose endpoints lie in different parts.
-pub fn edge_cut(graph: &AdjacencyGraph, parts: &[u32]) -> f64 {
+pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
     let mut cut = 0.0;
     for v in 0..graph.node_count() as NodeId {
         graph.for_each_neighbor(v, |u, w| {
@@ -35,7 +35,7 @@ pub fn edge_cut(graph: &AdjacencyGraph, parts: &[u32]) -> f64 {
 /// sizes the blockchain baseline works on, greedy boundary passes converge
 /// to comparable cuts and stay deterministic.
 pub fn fm_refine(
-    graph: &AdjacencyGraph,
+    graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
     k: usize,
@@ -57,7 +57,7 @@ pub fn fm_refine(
 /// [`fm_refine`] generalized to per-part weight targets (used by the
 /// recursive-bisection driver, where a 2-way split may be `⌈k/2⌉ : ⌊k/2⌋`).
 pub fn fm_refine_with_targets(
-    graph: &AdjacencyGraph,
+    graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
     targets: &[f64],
@@ -175,7 +175,7 @@ fn best_move(
 mod tests {
     use super::*;
 
-    fn two_cliques_graph() -> AdjacencyGraph {
+    fn two_cliques_graph() -> CsrGraph {
         let mut edges = Vec::new();
         for a in 0..4u32 {
             for b in (a + 1)..4 {
@@ -184,12 +184,12 @@ mod tests {
             }
         }
         edges.push((0, 4, 0.1));
-        AdjacencyGraph::from_edges(8, edges)
+        CsrGraph::from_edges(8, edges)
     }
 
     #[test]
     fn edge_cut_counts_cross_edges_once() {
-        let g = AdjacencyGraph::from_edges(4, vec![(0u32, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0)]);
+        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0)]);
         assert_eq!(edge_cut(&g, &[0, 0, 1, 1]), 3.0);
         assert_eq!(edge_cut(&g, &[0, 0, 0, 0]), 0.0);
         assert_eq!(edge_cut(&g, &[0, 1, 0, 1]), 9.0);
@@ -218,7 +218,7 @@ mod tests {
         // Star: center 0 + 6 leaves; k=2 with tight balance. Refinement must
         // not dump everything into one part.
         let edges: Vec<_> = (1..7u32).map(|v| (0u32, v, 1.0)).collect();
-        let g = AdjacencyGraph::from_edges(7, edges);
+        let g = CsrGraph::from_edges(7, edges);
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1];
         fm_refine(&g, &[1.0; 7], &mut parts, 2, 1.2, 8);
         let heavy = parts.iter().filter(|&&p| p == 0).count();
@@ -239,7 +239,7 @@ mod tests {
     /// rules and tie-breaks, `BTreeMap` gathering. The dense-scratch
     /// implementation must produce byte-identical parts.
     fn reference_refine(
-        graph: &AdjacencyGraph,
+        graph: &CsrGraph,
         vertex_weights: &[f64],
         parts: &mut [u32],
         targets: &[f64],
@@ -318,7 +318,7 @@ mod tests {
     /// on a ring (so an early vertex's neighbor can sit far ahead of it)
     /// plus random chords, edge weights from {0.5, 1, 1.5, 2}, vertex
     /// weights from {1, 2, 3}, and a random start over `k` parts.
-    fn random_instance(n: usize, k: usize, seed: u64) -> (AdjacencyGraph, Vec<f64>, Vec<u32>) {
+    fn random_instance(n: usize, k: usize, seed: u64) -> (CsrGraph, Vec<f64>, Vec<u32>) {
         let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7);
         let mut next = move || {
             x = x
@@ -338,7 +338,7 @@ mod tests {
         }
         let weights = (0..n).map(|_| (1 + next() % 3) as f64).collect();
         let start = (0..n).map(|_| (next() % k) as u32).collect();
-        (AdjacencyGraph::from_edges(n, edges), weights, start)
+        (CsrGraph::from_edges(n, edges), weights, start)
     }
 
     /// The cached boundary pass against the ordered-map full scan. Beyond
@@ -364,7 +364,7 @@ mod tests {
             edges.push((b, ((c + 1) % 4) * 10 + 3, 0.7));
             edges.push((b + 5, ((c + 2) % 4) * 10 + 1, 0.3));
         }
-        let g = AdjacencyGraph::from_edges(40, edges);
+        let g = CsrGraph::from_edges(40, edges);
         let weights: Vec<f64> = (0..40).map(|v| 1.0 + (v % 5) as f64 * 0.25).collect();
         let start: Vec<u32> = (0..40).map(|v| (v % 4) as u32).collect();
         let mut instances = vec![(g, weights, start, 4, 1.1)];
@@ -390,7 +390,7 @@ mod tests {
     /// (no destination to move to).
     #[test]
     fn refine_degenerate_shapes_are_noops() {
-        let empty = AdjacencyGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
+        let empty = CsrGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
         fm_refine(&empty, &[], &mut [], 2, 1.1, 4);
         let (g, weights, start) = random_instance(30, 4, 1);
         let mut one_part = start.clone();

@@ -1,7 +1,7 @@
 //! Property-based tests of the multilevel partitioner.
 
 use proptest::prelude::*;
-use txallo_graph::{AdjacencyGraph, WeightedGraph};
+use txallo_graph::{CsrGraph, WeightedGraph};
 use txallo_metis::{
     coarsen, edge_cut, fm_refine, greedy_growing_partition, heavy_edge_matching, metis_partition,
     MetisConfig, VertexWeighting,
@@ -16,7 +16,7 @@ proptest! {
     /// total non-loop weight.
     #[test]
     fn partition_validity(edges in edges_strategy(30, 90), k in 1usize..8) {
-        let g = AdjacencyGraph::from_edges(30, edges);
+        let g = CsrGraph::from_edges(30, edges);
         let r = metis_partition(&g, &MetisConfig::new(k));
         prop_assert_eq!(r.parts.len(), 30);
         prop_assert!(r.parts.iter().all(|&p| (p as usize) < k));
@@ -29,7 +29,7 @@ proptest! {
     /// most two fine nodes per coarse node.
     #[test]
     fn matching_groups_at_most_two(edges in edges_strategy(25, 60)) {
-        let g = AdjacencyGraph::from_edges(25, edges);
+        let g = CsrGraph::from_edges(25, edges);
         let (map, coarse_n) = heavy_edge_matching(&g);
         prop_assert_eq!(map.len(), 25);
         let mut counts = vec![0usize; coarse_n];
@@ -44,7 +44,7 @@ proptest! {
     /// level, and levels shrink monotonically.
     #[test]
     fn coarsening_conservation(edges in edges_strategy(40, 120)) {
-        let g = AdjacencyGraph::from_edges(40, edges);
+        let g = CsrGraph::from_edges(40, edges);
         let total_edge = g.total_weight();
         let levels = coarsen(g, vec![1.0; 40], 4);
         let mut prev_n = usize::MAX;
@@ -60,7 +60,7 @@ proptest! {
     /// FM refinement never increases the cut.
     #[test]
     fn refinement_monotone(edges in edges_strategy(20, 60), k in 2usize..5) {
-        let g = AdjacencyGraph::from_edges(20, edges);
+        let g = CsrGraph::from_edges(20, edges);
         let w = vec![1.0; 20];
         let mut parts = greedy_growing_partition(&g, &w, k, 1.2);
         let before = edge_cut(&g, &parts);
@@ -79,7 +79,7 @@ proptest! {
         // Deterministic connected ring, sized well above k.
         let n = 8 * k as u32;
         let edges: Vec<_> = (0..n).map(|v| (v, (v + 1) % n, 1.0)).collect();
-        let g = AdjacencyGraph::from_edges(n as usize, edges);
+        let g = CsrGraph::from_edges(n as usize, edges);
         let mut cfg = MetisConfig::new(k);
         cfg.weighting = VertexWeighting::Unit;
         let r = metis_partition(&g, &cfg);
@@ -97,7 +97,7 @@ proptest! {
     /// Determinism on arbitrary inputs.
     #[test]
     fn partitioning_deterministic(edges in edges_strategy(22, 50), k in 2usize..5) {
-        let g = AdjacencyGraph::from_edges(22, edges);
+        let g = CsrGraph::from_edges(22, edges);
         let a = metis_partition(&g, &MetisConfig::new(k));
         let b = metis_partition(&g, &MetisConfig::new(k));
         prop_assert_eq!(a.parts, b.parts);

@@ -16,9 +16,8 @@
 pub mod driver;
 pub mod epoch;
 pub mod queue;
-pub mod schedule;
 
 pub use driver::{ShardedChainSim, SimConfig};
 pub use epoch::{epoch_metrics, EpochMetrics, EpochReport, UpdateKind};
 pub use queue::{QueueStats, ShardQueueSim};
-pub use schedule::HybridSchedule;
+pub use txallo_core::HybridSchedule;

@@ -71,7 +71,7 @@ pub mod prelude {
         Allocation, AllocationUpdate, Allocator, AllocatorRegistry, Dataset, EpochKind,
         MetricsReport, StateCarry, StreamingAllocator, TxAlloParams, UpdateKind,
     };
-    pub use txallo_graph::{AdjacencyGraph, GraphStats, NodeId, TxGraph, WeightedGraph};
+    pub use txallo_graph::{CsrGraph, GraphStats, NodeId, TxGraph, WeightedGraph};
     pub use txallo_model::{AccountId, Block, Ledger, ShardId, Transaction};
     pub use txallo_sim::{EpochReport, HybridSchedule, ShardedChainSim, SimConfig};
     pub use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
