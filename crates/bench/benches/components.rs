@@ -25,8 +25,8 @@ use txallo_bench::seed_ref::{
     SeedDeltaRows, SeedTxGraph,
 };
 use txallo_core::{
-    AdaptiveStream, AtxAlloSession, CommunityState, EpochKind, GTxAllo, GTxAlloPlan, MoveScratch,
-    StreamingAllocator, TxAlloParams,
+    AtxAlloSession, CommunityState, EpochKind, GTxAllo, GTxAlloPlan, HybridSchedule, HybridStream,
+    MoveScratch, StreamingAllocator, TxAlloParams,
 };
 use txallo_graph::{BlockNodes, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
@@ -228,7 +228,7 @@ fn bench_components(_: &mut Criterion) {
     // `StreamingAllocator` API — measures what the service layer adds on
     // top of the raw session (touched-set collection + move-diffing).
     let stream_warm = {
-        let mut stream = AdaptiveStream::new(params2.clone());
+        let mut stream = HybridStream::new(params2.clone(), HybridSchedule::AlwaysAdaptive);
         stream.begin(&graph, &params2);
         stream
     };

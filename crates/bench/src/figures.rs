@@ -780,7 +780,10 @@ pub fn bench_snapshot(out_path: &str) {
     // including the move-diff construction the service layer adds.
     let stream_warm = {
         use txallo_core::StreamingAllocator;
-        let mut stream = txallo_core::AdaptiveStream::new(params2.clone());
+        let mut stream = txallo_core::HybridStream::new(
+            params2.clone(),
+            txallo_core::HybridSchedule::AlwaysAdaptive,
+        );
         stream.begin(&graph, &params2);
         stream
     };

@@ -14,8 +14,7 @@
 
 use txallo_core::checkpoint::decode_checkpoint;
 use txallo_core::{
-    Allocation, AllocationUpdate, AllocatorRegistry, Degradation, EpochLoop, HybridSchedule,
-    StateCarry, TxAlloParams,
+    Allocation, AllocationUpdate, Degradation, EpochLoop, HybridSchedule, StateCarry, TxAlloParams,
 };
 use txallo_graph::TxGraph;
 use txallo_model::Block;
@@ -32,7 +31,7 @@ pub struct ChainServiceConfig {
     /// Epoch length `τ₁` in blocks.
     pub epoch_blocks: usize,
     /// Allocation method, resolved through
-    /// [`AllocatorRegistry::builtin`].
+    /// [`AllocatorRegistry`](txallo_core::AllocatorRegistry).
     pub method: String,
     /// TxAllo's global-refresh policy (ignored by schedule-free methods).
     pub schedule: HybridSchedule,
@@ -74,18 +73,11 @@ impl ChainService {
     /// Builds the service.
     ///
     /// # Panics
-    /// Panics on a structurally invalid configuration, including a
-    /// `method` the builtin registry does not know.
+    /// Panics where [`ChainService::try_new`] errors: on a structurally
+    /// invalid configuration, including a `method` the registry does not
+    /// know.
     pub fn new(config: ChainServiceConfig) -> Self {
-        Self::with_registry(config, &AllocatorRegistry::builtin())
-    }
-
-    /// [`ChainService::new`] with a caller-supplied registry.
-    ///
-    /// # Panics
-    /// Panics where [`ChainService::try_with_registry`] errors.
-    pub fn with_registry(config: ChainServiceConfig, registry: &AllocatorRegistry) -> Self {
-        Self::try_with_registry(config, registry).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`ChainService::new`]: every structurally invalid
@@ -93,26 +85,11 @@ impl ChainService {
     /// an invalid validator population — is a typed [`ChainError`]
     /// instead of a panic.
     pub fn try_new(config: ChainServiceConfig) -> Result<Self, ChainError> {
-        Self::try_with_registry(config, &AllocatorRegistry::builtin())
-    }
-
-    /// [`ChainService::try_new`] with a caller-supplied registry.
-    pub fn try_with_registry(
-        config: ChainServiceConfig,
-        registry: &AllocatorRegistry,
-    ) -> Result<Self, ChainError> {
         if config.epoch_blocks == 0 {
             return Err(ChainError::EmptyEpoch);
         }
         let params = TxAlloParams::for_total_weight(0.0, config.engine.shards).with_eta(config.eta);
-        let epochs = EpochLoop::new(
-            registry,
-            &config.method,
-            config.schedule,
-            params,
-            None,
-            None,
-        )?;
+        let epochs = EpochLoop::new(&config.method, config.schedule, params, None, None)?;
         Ok(Self {
             engine: ChainEngine::try_new(config.engine.clone())?,
             config,
@@ -218,15 +195,6 @@ impl ChainService {
     /// cold start pays). Otherwise it degrades to a labels-only or cold
     /// resume and reports that through [`ChainService::resume_carry`].
     pub fn resume(config: ChainServiceConfig, image: &[u8]) -> Result<Self, ChainError> {
-        Self::resume_with_registry(config, image, &AllocatorRegistry::builtin())
-    }
-
-    /// [`ChainService::resume`] with a caller-supplied registry.
-    pub fn resume_with_registry(
-        config: ChainServiceConfig,
-        image: &[u8],
-        registry: &AllocatorRegistry,
-    ) -> Result<Self, ChainError> {
         let cp = decode_checkpoint(image)?;
         if cp.stream.shards != config.engine.shards {
             return Err(ChainError::ShardMismatch {
@@ -234,7 +202,7 @@ impl ChainService {
                 found: cp.stream.shards,
             });
         }
-        let mut service = Self::try_with_registry(config, registry)?;
+        let mut service = Self::try_new(config)?;
         let (engine_blob, carry) = service.epochs.restore(cp)?;
         service.engine.import_state(&engine_blob)?;
         service.resume_carry = Some(carry);

@@ -8,7 +8,9 @@
 //! * each block ([`EpochLoop::ingest`]): decay at the epoch's first block
 //!   → ingest → fold → transient hash labels for new accounts;
 //! * each close ([`EpochLoop::close`]): rehydrate if the close reads the
-//!   whole graph → `end_epoch` (the only timed call) → substrate hook →
+//!   whole graph (the stream says so:
+//!   [`StreamingAllocator::close_reads_whole_graph`]) → `end_epoch` (the
+//!   only timed call) → substrate hook →
 //!   [`Allocation::apply_update`] → health audit and ladder → residency
 //!   advance.
 
@@ -42,8 +44,6 @@ pub struct EpochLoop {
     placed: usize,
     /// Weight-independent parameters, rescaled to the graph at every use.
     params: TxAlloParams,
-    method: String,
-    schedule: HybridSchedule,
     decay_per_epoch: Option<f64>,
     epoch: u64,
     blocks_in_epoch: usize,
@@ -56,12 +56,11 @@ pub struct EpochLoop {
 }
 
 impl EpochLoop {
-    /// An empty loop serving `method` (resolved through `registry`) with
-    /// `params`' `k` and `η`. `decay_per_epoch` rescales
-    /// edge weights at each epoch's first block; `residency` evicts idle
-    /// rows between epochs.
+    /// An empty loop serving `method` (resolved through
+    /// [`AllocatorRegistry`]) with `params`' `k` and `η`. `decay_per_epoch`
+    /// rescales edge weights at each epoch's first block; `residency`
+    /// evicts idle rows between epochs.
     pub fn new(
-        registry: &AllocatorRegistry,
         method: &str,
         schedule: HybridSchedule,
         params: TxAlloParams,
@@ -81,15 +80,13 @@ impl EpochLoop {
             }
             None => params,
         };
-        let stream = registry.streaming(method, &params, schedule)?;
+        let stream = AllocatorRegistry.streaming(method, &params, schedule)?;
         Ok(Self {
             graph,
             stream,
             allocation: Allocation::new(Vec::new(), params.shards),
             placed: 0,
             params,
-            method: method.to_string(),
-            schedule,
             decay_per_epoch,
             epoch: 0,
             blocks_in_epoch: 0,
@@ -190,18 +187,13 @@ impl EpochLoop {
     }
 
     /// Rehydrates every cold row ahead of a close that will read the whole
-    /// graph (the residency read invariant — `txallo_graph::residency`): a
-    /// non-adaptive method (the batch baselines re-read the full graph at
-    /// every boundary), a scheduled global re-solve, any degraded state
-    /// (whose rebuild/fallback paths re-solve globally), or a consistency
-    /// audit. Purely-adaptive epochs skip this: their incremental snapshot
-    /// only reads rows ingestion just rehydrated.
+    /// graph (the residency read invariant — `txallo_graph::residency`):
+    /// whenever the stream says its close does
+    /// ([`StreamingAllocator::close_reads_whole_graph`]), or the close runs
+    /// a consistency audit. Warm adaptive closes skip this: their
+    /// incremental snapshot only reads rows ingestion just rehydrated.
     fn rehydrate_for_boundary(&mut self) {
-        let full_read = self.method != "txallo"
-            || self.schedule.is_global_epoch(self.epoch)
-            || self.degradation != Degradation::None
-            || self.audits_this_close();
-        if full_read {
+        if self.stream.close_reads_whole_graph() || self.audits_this_close() {
             self.graph.ensure_all_resident();
         }
     }
@@ -359,12 +351,13 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Stable wire code of a [`Degradation`] rung (checkpoint format).
+/// Stable wire code of a [`Degradation`] rung (checkpoint format). Code 2
+/// is unused (no image holds it); the others keep their values so that
+/// every existing image still decodes.
 fn degradation_code(d: Degradation) -> u8 {
     match d {
         Degradation::None => 0,
         Degradation::Invalidated => 1,
-        Degradation::Rebuilt => 2,
         Degradation::HashFallback => 3,
     }
 }
@@ -373,8 +366,28 @@ fn degradation_from_code(code: u8) -> Result<Degradation, CheckpointError> {
     Ok(match code {
         0 => Degradation::None,
         1 => Degradation::Invalidated,
-        2 => Degradation::Rebuilt,
         3 => Degradation::HashFallback,
         _ => return Err(CheckpointError::Malformed("degradation rung")),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rung_codes_round_trip_and_retired_code_2_is_malformed() {
+        for rung in [
+            Degradation::None,
+            Degradation::Invalidated,
+            Degradation::HashFallback,
+        ] {
+            assert_eq!(degradation_from_code(degradation_code(rung)), Ok(rung));
+        }
+        assert_eq!(degradation_code(Degradation::HashFallback), 3);
+        assert_eq!(
+            degradation_from_code(2),
+            Err(CheckpointError::Malformed("degradation rung"))
+        );
+    }
 }

@@ -72,8 +72,8 @@ pub use scheduler::{SchedulerConfig, SchedulerState, ShardScheduler};
 pub use session::AtxAlloSession;
 pub use state::{CommunityState, MoveScratch};
 pub use streaming::{
-    AccountMove, AdaptiveStream, AllocationUpdate, Degradation, EpochKind, GlobalStream,
-    HybridSchedule, HybridStream, SchedulerStream, StateCarry, StreamingAllocator, UpdateKind,
+    AccountMove, AllocationUpdate, Degradation, EpochKind, GlobalStream, HybridSchedule,
+    HybridStream, SchedulerStream, StateCarry, StreamingAllocator, UpdateKind,
 };
 // The shared gain tie-break tolerance: one constant across Louvain and the
 // TxAllo sweeps (see its docs in `txallo_louvain` for the determinism

@@ -1,40 +1,33 @@
 //! Name-based construction of allocators — the single wiring point for
 //! every consumer (CLI, bench harness, simulator, chain engine, examples).
 //!
-//! Each registered name resolves to *both* entry points of the two-level
-//! allocation API: a batch [`Allocator`] (the one-shot §V-B call) and a
+//! Each name resolves to *both* entry points of the two-level allocation
+//! API: a batch [`Allocator`] (the one-shot §V-B call) and a
 //! [`StreamingAllocator`] (the epoch-driven §V-C service). Consumers stop
 //! hand-maintaining `match method { "txallo" | "hash" | ... }` lists: they
-//! look names up here, and unknown-name errors enumerate what is actually
-//! registered.
+//! look names up here, and unknown-name errors enumerate what the table
+//! holds.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::params::TxAlloParams;
 use crate::scheduler::{SchedulerConfig, ShardScheduler};
 use crate::streaming::{
-    AdaptiveStream, GlobalStream, HybridSchedule, HybridStream, SchedulerStream, StreamingAllocator,
+    BatchSolver, GlobalStream, HybridSchedule, HybridStream, SchedulerStream, StreamingAllocator,
 };
 use crate::{Allocator, GTxAllo, HashAllocator, MetisAllocator};
 
-/// Builds the batch entry point for one registered allocator.
-pub type BatchBuilder = Box<dyn Fn(&TxAlloParams) -> Box<dyn Allocator> + Send + Sync>;
+/// Every name the table holds, sorted.
+const NAMES: [&str; 5] = ["hash", "metis", "metis-recursive", "scheduler", "txallo"];
 
-/// Builds the streaming entry point for one registered allocator. The
-/// [`HybridSchedule`] parameterizes TxAllo's global-refresh policy;
-/// schedule-free allocators ignore it.
-pub type StreamBuilder =
-    Box<dyn Fn(&TxAlloParams, HybridSchedule) -> Box<dyn StreamingAllocator> + Send + Sync>;
-
-/// Lookup failure: the requested name is not registered. The display
-/// message enumerates the registered names, so CLI errors stay accurate
-/// as registrations change.
+/// Lookup failure: the requested name is not in the table. The display
+/// message enumerates the known names, so CLI errors stay accurate as the
+/// table changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownAllocator {
     /// The name that failed to resolve.
     pub requested: String,
-    /// Every registered name, sorted.
+    /// Every known name, sorted.
     pub registered: Vec<String>,
 }
 
@@ -51,133 +44,41 @@ impl fmt::Display for UnknownAllocator {
 
 impl std::error::Error for UnknownAllocator {}
 
-struct Entry {
-    batch: BatchBuilder,
-    streaming: StreamBuilder,
-}
-
-/// The name → builder table (see the [module docs](self)).
+/// The closed name → allocator table (see the [module docs](self)): the
+/// methods of the paper's comparison (legend of Figs. 2–8), plus the
+/// recursive-bisection METIS variant of the §VI-B6 running-time table.
 ///
-/// [`AllocatorRegistry::builtin`] registers the paper's four methods;
-/// [`AllocatorRegistry::register`] adds custom ones (e.g. experimental
-/// allocators in downstream crates) without touching any consumer.
-pub struct AllocatorRegistry {
-    entries: BTreeMap<String, Entry>,
-}
-
-impl fmt::Debug for AllocatorRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AllocatorRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
+/// | name              | batch              | streaming                       |
+/// |-------------------|--------------------|---------------------------------|
+/// | `txallo`          | [`GTxAllo`]        | [`HybridStream`] (per schedule) |
+/// | `hash`            | [`HashAllocator`]  | [`GlobalStream`] re-hash        |
+/// | `metis`           | [`MetisAllocator`] | [`GlobalStream`] re-partition   |
+/// | `metis-recursive` | [`MetisAllocator::recursive`] | [`GlobalStream`]     |
+/// | `scheduler`       | [`ShardScheduler`] | [`SchedulerStream`] (tx-level)  |
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AllocatorRegistry;
 
 impl AllocatorRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The methods of the paper's comparison (legend of Figs. 2–8), plus
-    /// the recursive-bisection METIS variant of the §VI-B6 running-time
-    /// table:
-    ///
-    /// | name              | batch              | streaming                       |
-    /// |-------------------|--------------------|---------------------------------|
-    /// | `txallo`          | [`GTxAllo`]        | [`HybridStream`] (per schedule) |
-    /// | `hash`            | [`HashAllocator`]  | [`GlobalStream`] re-hash        |
-    /// | `metis`           | [`MetisAllocator`] | [`GlobalStream`] re-partition   |
-    /// | `metis-recursive` | [`MetisAllocator::recursive`] | [`GlobalStream`]     |
-    /// | `scheduler`       | [`ShardScheduler`] | [`SchedulerStream`] (tx-level)  |
+    /// The table.
     pub fn builtin() -> Self {
-        let mut registry = Self::new();
-        registry.register(
-            "txallo",
-            Box::new(|params| Box::new(GTxAllo::new(params.clone()))),
-            Box::new(|params, schedule| match schedule {
-                HybridSchedule::AlwaysAdaptive => Box::new(AdaptiveStream::new(params.clone())),
-                _ => Box::new(HybridStream::new(params.clone(), schedule)),
-            }),
-        );
-        registry.register(
-            "hash",
-            Box::new(|params| Box::new(HashAllocator::new(params.shards))),
-            Box::new(|params, _| {
-                Box::new(GlobalStream::new(
-                    "Random",
-                    params.clone(),
-                    Box::new(|graph, p| HashAllocator::new(p.shards).allocate_graph(graph)),
-                ))
-            }),
-        );
-        registry.register(
-            "metis",
-            Box::new(|params| Box::new(MetisAllocator::new(params.shards))),
-            Box::new(|params, _| {
-                Box::new(GlobalStream::new(
-                    "Metis",
-                    params.clone(),
-                    Box::new(|graph, p| MetisAllocator::new(p.shards).allocate_graph(graph)),
-                ))
-            }),
-        );
-        registry.register(
-            "metis-recursive",
-            Box::new(|params| Box::new(MetisAllocator::recursive(params.shards))),
-            Box::new(|params, _| {
-                Box::new(GlobalStream::new(
-                    "Metis (recursive bisection)",
-                    params.clone(),
-                    Box::new(|graph, p| MetisAllocator::recursive(p.shards).allocate_graph(graph)),
-                ))
-            }),
-        );
-        registry.register(
-            "scheduler",
-            Box::new(|params| {
-                // `λ = |T|/k` is exactly `params.capacity`, so the
-                // scheduler's paper configuration derives from the shared
-                // hyper-parameters without a separate total-weight plumb.
-                Box::new(ShardScheduler::new(SchedulerConfig {
-                    shards: params.shards,
-                    eta: params.eta,
-                    capacity: params.capacity,
-                    buffer_ratio: 1.0,
-                }))
-            }),
-            Box::new(|_, _| Box::new(SchedulerStream::new())),
-        );
-        registry
+        Self
     }
 
-    /// Registers (or replaces) `name` with its two builders.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        batch: BatchBuilder,
-        streaming: StreamBuilder,
-    ) {
-        self.entries.insert(name.into(), Entry { batch, streaming });
-    }
-
-    /// Every registered name, sorted.
+    /// Every name, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
+        NAMES.iter().map(|name| name.to_string()).collect()
     }
 
-    /// Whether `name` is registered.
+    /// Whether `name` is in the table.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        NAMES.contains(&name)
     }
 
-    fn entry(&self, name: &str) -> Result<&Entry, UnknownAllocator> {
-        self.entries.get(name).ok_or_else(|| UnknownAllocator {
+    fn unknown(&self, name: &str) -> UnknownAllocator {
+        UnknownAllocator {
             requested: name.to_string(),
             registered: self.names(),
-        })
+        }
     }
 
     /// Builds the batch entry point for `name`.
@@ -186,7 +87,22 @@ impl AllocatorRegistry {
         name: &str,
         params: &TxAlloParams,
     ) -> Result<Box<dyn Allocator>, UnknownAllocator> {
-        Ok((self.entry(name)?.batch)(params))
+        Ok(match name {
+            "txallo" => Box::new(GTxAllo::new(params.clone())),
+            "hash" => Box::new(HashAllocator::new(params.shards)),
+            "metis" => Box::new(MetisAllocator::new(params.shards)),
+            "metis-recursive" => Box::new(MetisAllocator::recursive(params.shards)),
+            // `λ = |T|/k` is exactly `params.capacity`, so the scheduler's
+            // paper configuration derives from the shared hyper-parameters
+            // without a separate total-weight plumb.
+            "scheduler" => Box::new(ShardScheduler::new(SchedulerConfig {
+                shards: params.shards,
+                eta: params.eta,
+                capacity: params.capacity,
+                buffer_ratio: 1.0,
+            })),
+            _ => return Err(self.unknown(name)),
+        })
     }
 
     /// Builds the streaming entry point for `name` with the given
@@ -197,13 +113,24 @@ impl AllocatorRegistry {
         params: &TxAlloParams,
         schedule: HybridSchedule,
     ) -> Result<Box<dyn StreamingAllocator>, UnknownAllocator> {
-        Ok((self.entry(name)?.streaming)(params, schedule))
-    }
-}
-
-impl Default for AllocatorRegistry {
-    fn default() -> Self {
-        Self::builtin()
+        let (label, solver): (&str, BatchSolver) = match name {
+            "txallo" => return Ok(Box::new(HybridStream::new(params.clone(), schedule))),
+            "scheduler" => return Ok(Box::new(SchedulerStream::new())),
+            "hash" => (
+                "Random",
+                Box::new(|graph, p| HashAllocator::new(p.shards).allocate_graph(graph)),
+            ),
+            "metis" => (
+                "Metis",
+                Box::new(|graph, p| MetisAllocator::new(p.shards).allocate_graph(graph)),
+            ),
+            "metis-recursive" => (
+                "Metis (recursive bisection)",
+                Box::new(|graph, p| MetisAllocator::recursive(p.shards).allocate_graph(graph)),
+            ),
+            _ => return Err(self.unknown(name)),
+        };
+        Ok(Box::new(GlobalStream::new(label, params.clone(), solver)))
     }
 }
 
@@ -246,33 +173,6 @@ mod tests {
             "error must enumerate dynamically: {message}"
         );
     }
-
-    #[test]
-    fn custom_registration_resolves() {
-        let mut registry = AllocatorRegistry::builtin();
-        registry.register(
-            "always-zero",
-            Box::new(|params| Box::new(HashAllocator::new(params.shards.min(1)))),
-            Box::new(|params, _| {
-                Box::new(GlobalStream::new(
-                    "always-zero",
-                    params.clone(),
-                    Box::new(|graph, _| {
-                        Allocation::new(vec![0; txallo_graph::WeightedGraph::node_count(graph)], 1)
-                    }),
-                ))
-            }),
-        );
-        assert!(registry.contains("always-zero"));
-        assert_eq!(registry.names().len(), 6);
-        let dataset = tiny_dataset();
-        let params = TxAlloParams::for_graph(dataset.graph(), 1);
-        let mut batch = registry.batch("always-zero", &params).unwrap();
-        let allocation = batch.allocate(&dataset);
-        assert!(allocation.labels().iter().all(|&l| l == 0));
-    }
-
-    use crate::allocation::Allocation;
 
     #[test]
     fn batch_builders_match_direct_construction() {

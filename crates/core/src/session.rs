@@ -36,8 +36,9 @@
 //!   (golden-tested against the rebuild path);
 //! * **non-uniform edits** (edge dropping, e.g. `TxGraph::prune_dust`)
 //!   cannot be folded: drop the session and build a fresh one (the
-//!   streaming layer's `AdaptiveStream::invalidate`, and every global
-//!   G-TxAllo refresh, do exactly that).
+//!   streaming layer's `HybridStream` does exactly that after
+//!   `StreamingAllocator::invalidate_state`, and at every global
+//!   G-TxAllo refresh).
 
 use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
 

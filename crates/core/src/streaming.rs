@@ -10,16 +10,16 @@
 //! ([`StreamingAllocator::end_epoch`]) — so consumers can account
 //! migration cost instead of relabelling wholesale.
 //!
-//! Four implementations cover the paper's §VI comparison end to end:
+//! Three implementations cover the paper's §VI comparison end to end:
 //!
-//! * [`AdaptiveStream`] — A-TxAllo serving: a long-lived
+//! * [`HybridStream`] — TxAllo serving under a [`HybridSchedule`]:
+//!   G-TxAllo every `τ₂` epochs, A-TxAllo otherwise, where a long-lived
 //!   [`AtxAlloSession`] carries the community aggregates across epochs
 //!   (the delta-CSR fast path stays the engine; this type only owns the
-//!   session lifecycle and the diffing).
+//!   schedule, the session lifecycle and the diffing). `AlwaysGlobal`
+//!   and `AlwaysAdaptive` are the two ends of the same schedule.
 //! * [`GlobalStream`] — a batch solver re-run at every epoch boundary
-//!   (G-TxAllo, hash, METIS — anything expressible as graph → labels).
-//! * [`HybridStream`] — the paper's hybrid schedule as a combinator:
-//!   G-TxAllo every `τ₂` epochs, A-TxAllo otherwise.
+//!   (hash, METIS — anything expressible as graph → labels).
 //! * [`SchedulerStream`] — the transaction-level Shard Scheduler baseline,
 //!   which is *naturally* streaming (it decides per incoming transaction).
 //!
@@ -94,18 +94,13 @@ pub enum UpdateKind {
 }
 
 /// The driver's request for how to close an epoch
-/// ([`StreamingAllocator::end_epoch`]).
-///
-/// Streams that lack the requested path fall back to their native one; the
-/// returned [`AllocationUpdate::kind`] always reports what actually ran.
+/// ([`StreamingAllocator::end_epoch`]): every stream follows its own
+/// policy (e.g. [`HybridStream`]'s schedule), and the returned
+/// [`AllocationUpdate::kind`] reports what actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochKind {
-    /// Follow the stream's own policy (e.g. [`HybridStream`]'s schedule).
+    /// Follow the stream's own policy.
     Scheduled,
-    /// Force the incremental path where one exists.
-    Adaptive,
-    /// Force a full re-solve where one exists.
-    Global,
 }
 
 /// How a stream's incremental serving state crossed an epoch boundary.
@@ -138,10 +133,6 @@ pub enum Degradation {
     /// dropped and rebuilt from its labels at the boundary
     /// ([`StateCarry::Rebuilt`]).
     Invalidated,
-    /// Resume (or repeated divergence) could not produce a warm session;
-    /// the stream is serving from labels only until the next boundary
-    /// rebuild.
-    Rebuilt,
     /// Final rung: the stream was replaced by deterministic hash
     /// allocation — allocation quality is sacrificed, epochs still close.
     HashFallback,
@@ -152,7 +143,6 @@ impl std::fmt::Display for Degradation {
         f.write_str(match self {
             Degradation::None => "none",
             Degradation::Invalidated => "invalidated",
-            Degradation::Rebuilt => "rebuilt",
             Degradation::HashFallback => "hash-fallback",
         })
     }
@@ -275,6 +265,17 @@ pub trait StreamingAllocator: std::fmt::Debug {
     /// Closes the epoch: updates the mapping and returns the diff of
     /// moved accounts.
     fn end_epoch(&mut self, graph: &TxGraph, kind: EpochKind) -> AllocationUpdate;
+
+    /// Whether the next [`end_epoch`](StreamingAllocator::end_epoch)
+    /// reads the whole graph rather than only the rows this epoch's blocks
+    /// touched, so that a residency-enabled driver must rehydrate every
+    /// cold row first (the residency read invariant —
+    /// `txallo_graph::residency`). The default `true` is sound for any
+    /// stream; only a close that reads just the touched rows may say
+    /// `false`.
+    fn close_reads_whole_graph(&self) -> bool {
+        true
+    }
 
     /// The current full account-shard mapping (equal to folding every
     /// emitted [`AllocationUpdate`] into the [`begin`] allocation — the
@@ -428,26 +429,39 @@ fn diff_full(old: &[u32], new: &[u32]) -> Vec<AccountMove> {
 }
 
 // ---------------------------------------------------------------------------
-// AdaptiveStream
+// HybridStream
 // ---------------------------------------------------------------------------
 
-/// A-TxAllo as a service: a long-lived [`AtxAlloSession`] carries the
-/// community aggregates across epochs, and each boundary emits the diff of
-/// the touched nodes only (`O(|V̂|)` — never a full-graph walk).
+/// TxAllo as a service (§V-C): G-TxAllo every `τ₂` epochs per the
+/// [`HybridSchedule`], A-TxAllo otherwise. A long-lived [`AtxAlloSession`]
+/// carries the community aggregates across adaptive epochs, and each
+/// adaptive boundary emits the diff of the touched nodes only (`O(|V̂|)` —
+/// never a full-graph walk).
 ///
-/// Lifecycle rules (previously open-coded in the simulation driver):
+/// Lifecycle rules:
 ///
 /// * [`begin`](StreamingAllocator::begin) pays one global G-TxAllo run and
 ///   opens the session on its labels;
 /// * decay is *folded* into the session by exact linear rescaling
 ///   ([`AtxAlloSession::apply_decay`]) — the session survives, reported as
 ///   [`StateCarry::WarmRescaled`];
-/// * a forced [`EpochKind::Global`] re-solve (or [`HybridStream`]'s
-///   schedule firing) replaces the labels wholesale, so the session is
-///   rebuilt from the new mapping — reported as [`StateCarry::Rebuilt`].
+/// * a scheduled global re-solve replaces the labels wholesale, so the
+///   session is rebuilt from the new mapping — reported as
+///   [`StateCarry::Rebuilt`]. Its epoch's blocks are not folded into the
+///   session, which the re-solve replaces anyway;
+/// * [`invalidate_state`](StreamingAllocator::invalidate_state) (after a
+///   failed audit, or a *non-uniform* out-of-band graph edit such as
+///   [`TxGraph::prune_dust`], which
+///   [`on_reweight`](StreamingAllocator::on_reweight) cannot fold) drops
+///   the session and keeps its labels; the next boundary rebuilds the
+///   aggregates from the graph ([`StateCarry::Rebuilt`]).
 #[derive(Debug, Clone)]
-pub struct AdaptiveStream {
+pub struct HybridStream {
     params: TxAlloParams,
+    schedule: HybridSchedule,
+    /// Epochs closed since [`begin`](StreamingAllocator::begin): the
+    /// schedule's phase.
+    epoch: u64,
     session: Option<AtxAlloSession>,
     /// Labels to rebuild the session from when it was invalidated
     /// out-of-band (always `Some` exactly when `session` is `None` after
@@ -458,12 +472,15 @@ pub struct AdaptiveStream {
     began: bool,
 }
 
-impl AdaptiveStream {
-    /// Creates the stream; [`begin`](StreamingAllocator::begin) must run
-    /// before epochs are served.
-    pub fn new(params: TxAlloParams) -> Self {
+impl HybridStream {
+    /// Creates the stream with the given refresh policy;
+    /// [`begin`](StreamingAllocator::begin) must run before epochs are
+    /// served.
+    pub fn new(params: TxAlloParams, schedule: HybridSchedule) -> Self {
         Self {
             params,
+            schedule,
+            epoch: 0,
             session: None,
             fallback: None,
             touched: EpochTouched::default(),
@@ -472,19 +489,9 @@ impl AdaptiveStream {
         }
     }
 
-    /// Drops the serving session (e.g. after a *non-uniform* out-of-band
-    /// graph edit such as [`TxGraph::prune_dust`], which
-    /// [`on_reweight`](StreamingAllocator::on_reweight) cannot fold). The
-    /// labels survive; the aggregates are rebuilt at the next epoch
-    /// boundary ([`StateCarry::Rebuilt`]).
-    pub fn invalidate(&mut self) {
-        if let Some(session) = self.session.take() {
-            self.fallback = Some(session.allocation());
-        }
-    }
-
-    fn sorted_touched(&mut self) -> Vec<NodeId> {
-        self.touched.drain_sorted()
+    /// Whether the open epoch closes with a global re-solve.
+    fn global_now(&self) -> bool {
+        self.schedule.is_global_epoch(self.epoch)
     }
 
     /// The adaptive epoch path: ensure a session, sweep `V̂`, diff the
@@ -496,11 +503,11 @@ impl AdaptiveStream {
             StateCarry::Warm
         };
         if self.session.is_none() {
-            let prev = self.fallback.take().expect("invalidate stored the labels"); // txallo-lint: allow(lib-unwrap) — invalidate() is the only path that clears the session, and it stores fallback first
+            let prev = self.fallback.take().expect("invalidate stored the labels"); // txallo-lint: allow(lib-unwrap) — invalidate_state() and a labels-only import_state() are the only paths that clear the session, and both store fallback first
             self.session = Some(AtxAlloSession::new(graph, &prev, params));
             carry = StateCarry::Rebuilt;
         }
-        let touched = self.sorted_touched();
+        let touched = self.touched.drain_sorted();
         // txallo-lint: allow(lib-unwrap) — the branch directly above rebuilds the session when it is None
         let session = self.session.as_mut().expect("ensured above");
         // Only snapshot rows (touched ∪ new) can move, so diffing the
@@ -538,8 +545,8 @@ impl AdaptiveStream {
         }
     }
 
-    /// The forced-global path: re-solve with G-TxAllo, rebuild the
-    /// session, diff everything.
+    /// The global path: re-solve with G-TxAllo, rebuild the session, diff
+    /// everything.
     fn global_epoch(&mut self, graph: &TxGraph, params: &TxAlloParams) -> AllocationUpdate {
         let old = self.allocation();
         let fresh = GTxAllo::new(params.clone()).allocate_graph(graph);
@@ -558,9 +565,13 @@ impl AdaptiveStream {
     }
 }
 
-impl StreamingAllocator for AdaptiveStream {
+impl StreamingAllocator for HybridStream {
     fn name(&self) -> &str {
-        "A-TxAllo"
+        match self.schedule {
+            HybridSchedule::AlwaysGlobal => "G-TxAllo",
+            HybridSchedule::AlwaysAdaptive => "A-TxAllo",
+            HybridSchedule::Hybrid { .. } => "TxAllo",
+        }
     }
 
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
@@ -569,6 +580,7 @@ impl StreamingAllocator for AdaptiveStream {
         self.session = Some(AtxAlloSession::new(graph, &initial, params));
         self.fallback = None;
         self.touched.clear();
+        self.epoch = 0;
         self.rescaled_this_epoch = false;
         self.began = true;
         initial
@@ -576,6 +588,12 @@ impl StreamingAllocator for AdaptiveStream {
 
     fn on_block_nodes(&mut self, _graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
         assert!(self.began, "call begin() before serving blocks");
+        // A global boundary replaces labels and session wholesale, so
+        // folding this epoch's deltas would be wasted work; the touched
+        // set is not needed either.
+        if self.global_now() {
+            return;
+        }
         // The touched ids and every transaction's dense node set come
         // straight from ingestion — no account re-hashing at all.
         for &v in nodes.touched() {
@@ -591,22 +609,33 @@ impl StreamingAllocator for AdaptiveStream {
     }
 
     fn on_reweight(&mut self, factor: f64) {
+        if self.global_now() {
+            return;
+        }
         if let Some(session) = self.session.as_mut() {
             session.apply_decay(factor);
             self.rescaled_this_epoch = true;
         }
     }
 
-    fn end_epoch(&mut self, graph: &TxGraph, kind: EpochKind) -> AllocationUpdate {
+    fn end_epoch(&mut self, graph: &TxGraph, _kind: EpochKind) -> AllocationUpdate {
         assert!(self.began, "call begin() before closing epochs");
         self.params = self.params.rescaled_for_graph(graph);
         let params = self.params.clone();
-        let update = match kind {
-            EpochKind::Global => self.global_epoch(graph, &params),
-            EpochKind::Scheduled | EpochKind::Adaptive => self.adaptive_epoch(graph, &params),
+        let update = if self.global_now() {
+            self.global_epoch(graph, &params)
+        } else {
+            self.adaptive_epoch(graph, &params)
         };
+        self.epoch += 1;
         self.rescaled_this_epoch = false;
         update
+    }
+
+    fn close_reads_whole_graph(&self) -> bool {
+        // A warm adaptive close snapshots only the touched rows; a global
+        // re-solve and a session rebuild read every row.
+        self.global_now() || self.session.is_none()
     }
 
     fn allocation(&self) -> Allocation {
@@ -632,7 +661,7 @@ impl StreamingAllocator for AdaptiveStream {
             }
         });
         Some(StreamState {
-            epoch: 0,
+            epoch: self.epoch,
             shards,
             labels: self.allocation().labels().to_vec(),
             community,
@@ -650,6 +679,10 @@ impl StreamingAllocator for AdaptiveStream {
         }
         self.params = params.clone();
         self.touched = EpochTouched::default();
+        // The epoch counter is what phases the schedule's global
+        // refreshes; restoring it keeps them on the same absolute epochs
+        // as the uninterrupted run.
+        self.epoch = state.epoch;
         self.rescaled_this_epoch = false;
         self.began = true;
         match &state.community {
@@ -689,9 +722,11 @@ impl StreamingAllocator for AdaptiveStream {
     }
 
     fn invalidate_state(&mut self) -> bool {
-        let had_session = self.session.is_some();
-        self.invalidate();
-        had_session
+        let Some(session) = self.session.take() else {
+            return false;
+        };
+        self.fallback = Some(session.allocation());
+        true
     }
 
     fn state_bytes(&self) -> usize {
@@ -714,8 +749,9 @@ pub type BatchSolver = Box<dyn Fn(&TxGraph, &TxAlloParams) -> Allocation + Send 
 /// A batch allocator served epoch-wise: re-solve on the whole accumulated
 /// graph at every boundary and emit the diff against the previous labels.
 ///
-/// This is how the stateless baselines (hash, METIS) and the pure
-/// "Global Method" curve of Fig. 9 join the epoch-driven comparison.
+/// This is how the stateless baselines (hash, METIS) join the
+/// epoch-driven comparison; Fig. 9's "Global Method" curve is
+/// [`HybridStream`] under [`HybridSchedule::AlwaysGlobal`].
 pub struct GlobalStream {
     name: String,
     solver: BatchSolver,
@@ -826,147 +862,6 @@ impl StreamingAllocator for GlobalStream {
 
     fn state_bytes(&self) -> usize {
         self.labels.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HybridStream
-// ---------------------------------------------------------------------------
-
-/// The paper's hybrid serving policy as a combinator: G-TxAllo every `τ₂`
-/// epochs (per the [`HybridSchedule`]), A-TxAllo otherwise — subsuming the
-/// schedule logic the simulation driver used to interpret by hand.
-#[derive(Debug, Clone)]
-pub struct HybridStream {
-    inner: AdaptiveStream,
-    schedule: HybridSchedule,
-    epoch: u64,
-    /// Whether this epoch's blocks were withheld from the inner adaptive
-    /// stream (scheduled-global epochs skip the fold as an optimization).
-    /// While true, only a global close is sound — a forced
-    /// [`EpochKind::Adaptive`] escalates to global, per the trait's
-    /// fall-back-to-native contract.
-    blocks_withheld: bool,
-}
-
-impl HybridStream {
-    /// Creates the stream with the given refresh policy.
-    pub fn new(params: TxAlloParams, schedule: HybridSchedule) -> Self {
-        Self {
-            inner: AdaptiveStream::new(params),
-            schedule,
-            epoch: 0,
-            blocks_withheld: false,
-        }
-    }
-
-    /// The refresh policy in use.
-    pub fn schedule(&self) -> HybridSchedule {
-        self.schedule
-    }
-
-    /// Epochs closed since [`begin`](StreamingAllocator::begin).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-impl StreamingAllocator for HybridStream {
-    fn name(&self) -> &str {
-        match self.schedule {
-            HybridSchedule::AlwaysGlobal => "G-TxAllo",
-            HybridSchedule::AlwaysAdaptive => "A-TxAllo",
-            HybridSchedule::Hybrid { .. } => "TxAllo",
-        }
-    }
-
-    fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
-        self.epoch = 0;
-        self.blocks_withheld = false;
-        self.inner.begin(graph, params)
-    }
-
-    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes) {
-        // A global boundary replaces labels and session wholesale, so
-        // folding this epoch's deltas into the session would be wasted
-        // work — skip it (the touched set is not needed either) and
-        // remember that only a global close is now sound.
-        if self.schedule.is_global_epoch(self.epoch) {
-            self.blocks_withheld = true;
-            return;
-        }
-        self.inner.on_block_nodes(graph, block, nodes);
-    }
-
-    fn on_reweight(&mut self, factor: f64) {
-        if self.schedule.is_global_epoch(self.epoch) {
-            self.blocks_withheld = true;
-            return;
-        }
-        self.inner.on_reweight(factor);
-    }
-
-    fn end_epoch(&mut self, graph: &TxGraph, kind: EpochKind) -> AllocationUpdate {
-        let effective = match kind {
-            EpochKind::Scheduled => {
-                if self.schedule.is_global_epoch(self.epoch) {
-                    EpochKind::Global
-                } else {
-                    EpochKind::Adaptive
-                }
-            }
-            // The inner stream never saw this epoch's blocks (they were
-            // withheld anticipating a scheduled global close), so an
-            // adaptive sweep would run on a stale session with an empty
-            // touched set. Fall back to the native path for this state —
-            // a global re-solve — and report it in `update.kind`.
-            EpochKind::Adaptive if self.blocks_withheld => EpochKind::Global,
-            forced => forced,
-        };
-        let update = self.inner.end_epoch(graph, effective);
-        self.epoch += 1;
-        self.blocks_withheld = false;
-        update
-    }
-
-    fn allocation(&self) -> Allocation {
-        self.inner.allocation()
-    }
-
-    fn export_state(&self) -> Option<StreamState> {
-        // Checkpoints happen at epoch boundaries, never inside a
-        // withheld-blocks window.
-        debug_assert!(!self.blocks_withheld, "export only at epoch boundaries");
-        let mut state = self.inner.export_state()?;
-        state.epoch = self.epoch;
-        Some(state)
-    }
-
-    fn import_state(
-        &mut self,
-        state: &StreamState,
-        graph: &TxGraph,
-        params: &TxAlloParams,
-    ) -> Option<StateCarry> {
-        let carry = self.inner.import_state(state, graph, params)?;
-        // The epoch counter is what phases the schedule's global
-        // refreshes; restoring it keeps `is_global_epoch` firing on the
-        // same absolute epochs as the uninterrupted run.
-        self.epoch = state.epoch;
-        self.blocks_withheld = false;
-        Some(carry)
-    }
-
-    fn consistency_error(&self, graph: &TxGraph) -> Option<f64> {
-        self.inner.consistency_error(graph)
-    }
-
-    fn invalidate_state(&mut self) -> bool {
-        self.inner.invalidate_state()
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.inner.state_bytes()
     }
 }
 
@@ -1134,7 +1029,7 @@ mod tests {
         let mut g2 = clique_graph();
         let params = TxAlloParams::for_graph(&g1, 2);
 
-        let mut stream = AdaptiveStream::new(params.clone());
+        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         let initial = stream.begin(&g1, &params);
         let mut session = AtxAlloSession::new(&g2, &initial, &params);
         let mut mirror = initial;
@@ -1172,7 +1067,9 @@ mod tests {
         for h in 0..5u64 {
             let block = epoch_block(h, &[(300 + h, h), (h, h + 10)]);
             feed(&mut g, &mut stream, &block);
+            let global = stream.close_reads_whole_graph();
             let update = stream.end_epoch(&g, EpochKind::Scheduled);
+            assert_eq!(global, update.kind == UpdateKind::Global, "epoch {h}");
             let expected_kind = if h > 0 && h % 2 == 0 {
                 UpdateKind::Global
             } else {
@@ -1188,24 +1085,6 @@ mod tests {
             mirror.apply_update(&update);
             assert_eq!(mirror, stream.allocation(), "epoch {h} diff broken");
         }
-    }
-
-    #[test]
-    fn forced_adaptive_on_a_withheld_global_epoch_escalates() {
-        // On a scheduled-global epoch the hybrid stream withholds blocks
-        // from its inner session; a forced Adaptive close would then run
-        // on a stale session with an empty touched set, so the stream
-        // must fall back to its sound native path and say so.
-        let mut g = clique_graph();
-        let params = TxAlloParams::for_graph(&g, 2);
-        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysGlobal);
-        let mut mirror = stream.begin(&g, &params);
-        let block = epoch_block(0, &[(900, 0), (901, 902)]);
-        feed(&mut g, &mut stream, &block); // withheld (global epoch)
-        let update = stream.end_epoch(&g, EpochKind::Adaptive);
-        assert_eq!(update.kind, UpdateKind::Global, "must escalate");
-        mirror.apply_update(&update);
-        assert_eq!(mirror, stream.allocation(), "new accounts all labelled");
     }
 
     #[test]
@@ -1238,7 +1117,7 @@ mod tests {
     fn decay_is_folded_not_rebuilt() {
         let mut g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 2);
-        let mut stream = AdaptiveStream::new(params.clone());
+        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         stream.begin(&g, &params);
 
         g.apply_decay(0.5);
@@ -1262,14 +1141,23 @@ mod tests {
     fn invalidate_forces_rebuild() {
         let mut g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 2);
-        let mut stream = AdaptiveStream::new(params.clone());
+        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         let before = stream.begin(&g, &params);
-        stream.invalidate();
+        assert!(!stream.close_reads_whole_graph(), "warm adaptive close");
+        assert!(stream.invalidate_state());
         assert_eq!(stream.allocation(), before, "labels survive invalidation");
+        assert!(
+            stream.close_reads_whole_graph(),
+            "the rebuild reads every row"
+        );
         let block = epoch_block(0, &[(100, 0)]);
         feed(&mut g, &mut stream, &block);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
         assert_eq!(update.carry, StateCarry::Rebuilt);
+        assert!(
+            !stream.close_reads_whole_graph(),
+            "warm again after the rebuild"
+        );
     }
 
     #[test]
@@ -1322,48 +1210,55 @@ mod tests {
 
     #[test]
     fn exported_state_resumes_bit_identically() {
-        // Run a hybrid stream for two epochs, checkpoint at the boundary,
-        // restore into a fresh stream, then drive both side by side: every
-        // later epoch must produce identical diffs and identical labels —
-        // the warm-resume contract the chain service builds on.
-        let mut g = clique_graph();
-        let params = TxAlloParams::for_graph(&g, 2);
-        let schedule = HybridSchedule::Hybrid { global_gap: 3 };
-        let mut live = HybridStream::new(params.clone(), schedule);
-        live.begin(&g, &params);
-        for h in 0..2u64 {
-            let block = epoch_block(h, &[(100 + h, h), (h, h + 10)]);
-            feed(&mut g, &mut live, &block);
-            live.end_epoch(&g, EpochKind::Scheduled);
-        }
+        // Run a stream for two epochs, checkpoint at the boundary, restore
+        // into a fresh stream, then drive both side by side: every later
+        // epoch must produce identical diffs and identical labels — the
+        // warm-resume contract the chain service builds on. Every schedule
+        // exports its epoch count, `AlwaysAdaptive` included.
+        for schedule in [
+            HybridSchedule::Hybrid { global_gap: 3 },
+            HybridSchedule::AlwaysAdaptive,
+        ] {
+            let mut g = clique_graph();
+            let params = TxAlloParams::for_graph(&g, 2);
+            let mut live = HybridStream::new(params.clone(), schedule);
+            live.begin(&g, &params);
+            for h in 0..2u64 {
+                let block = epoch_block(h, &[(100 + h, h), (h, h + 10)]);
+                feed(&mut g, &mut live, &block);
+                live.end_epoch(&g, EpochKind::Scheduled);
+            }
 
-        let state = live.export_state().expect("adaptive streams checkpoint");
-        assert_eq!(state.epoch, 2);
-        assert!(state.community.is_some(), "warm session exports aggregates");
+            let state = live.export_state().expect("adaptive streams checkpoint");
+            assert_eq!(state.epoch, 2, "{schedule:?}");
+            assert!(state.community.is_some(), "warm session exports aggregates");
 
-        let mut resumed = HybridStream::new(params.clone(), schedule);
-        let carry = resumed
-            .import_state(&state, &g, &params.rescaled_for_graph(&g))
-            .expect("state fits the graph");
-        assert_eq!(carry, StateCarry::Warm);
-        let err = resumed.consistency_error(&g).expect("session restored");
-        assert!(err < 1e-9, "restored aggregates diverge by {err}");
+            let mut resumed = HybridStream::new(params.clone(), schedule);
+            let carry = resumed
+                .import_state(&state, &g, &params.rescaled_for_graph(&g))
+                .expect("state fits the graph");
+            assert_eq!(carry, StateCarry::Warm);
+            let err = resumed.consistency_error(&g).expect("session restored");
+            assert!(err < 1e-9, "restored aggregates diverge by {err}");
 
-        // Epoch 3 is the scheduled global refresh: phase must be preserved.
-        for h in 2..6u64 {
-            let block = epoch_block(h, &[(200 + h, h), (h, 2 * h + 1)]);
-            let nodes = g.ingest_block_nodes(&block);
-            live.on_block_nodes(&g, &block, &nodes);
-            resumed.on_block_nodes(&g, &block, &nodes);
-            let a = live.end_epoch(&g, EpochKind::Scheduled);
-            let b = resumed.end_epoch(&g, EpochKind::Scheduled);
-            assert_eq!(a.moves, b.moves, "epoch {h} diffs diverged");
-            assert_eq!(a.kind, b.kind, "epoch {h} schedule phase diverged");
-            assert_eq!(
-                live.allocation().labels(),
-                resumed.allocation().labels(),
-                "epoch {h} labels diverged"
-            );
+            // Under the hybrid schedule epoch 3 is the global refresh:
+            // phase must be preserved.
+            for h in 2..6u64 {
+                let block = epoch_block(h, &[(200 + h, h), (h, 2 * h + 1)]);
+                let nodes = g.ingest_block_nodes(&block);
+                live.on_block_nodes(&g, &block, &nodes);
+                resumed.on_block_nodes(&g, &block, &nodes);
+                let a = live.end_epoch(&g, EpochKind::Scheduled);
+                let b = resumed.end_epoch(&g, EpochKind::Scheduled);
+                assert_eq!(a.moves, b.moves, "{schedule:?} epoch {h} diffs diverged");
+                assert_eq!(a.kind, b.kind, "{schedule:?} epoch {h} phase diverged");
+                assert_eq!(
+                    live.allocation().labels(),
+                    resumed.allocation().labels(),
+                    "{schedule:?} epoch {h} labels diverged"
+                );
+            }
+            assert_eq!(live.export_state().unwrap().epoch, 6, "{schedule:?}");
         }
     }
 
@@ -1371,7 +1266,7 @@ mod tests {
     fn labels_only_state_resumes_as_rebuilt() {
         let mut g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 2);
-        let mut stream = AdaptiveStream::new(params.clone());
+        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         stream.begin(&g, &params);
         assert!(stream.invalidate_state(), "warm session was dropped");
         assert!(!stream.invalidate_state(), "second drop is a no-op");
@@ -1379,7 +1274,7 @@ mod tests {
         assert!(state.community.is_none(), "invalidated ⇒ labels only");
         assert!(stream.consistency_error(&g).is_none());
 
-        let mut resumed = AdaptiveStream::new(params.clone());
+        let mut resumed = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         let carry = resumed
             .import_state(&state, &g, &params.rescaled_for_graph(&g))
             .unwrap();
@@ -1396,18 +1291,18 @@ mod tests {
     fn mismatched_state_is_rejected_not_adopted() {
         let g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 2);
-        let mut stream = AdaptiveStream::new(params.clone());
+        let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         stream.begin(&g, &params);
         let state = stream.export_state().unwrap();
 
         // Wrong shard count.
         let other = TxAlloParams::for_graph(&g, 3);
-        let mut fresh = AdaptiveStream::new(other.clone());
+        let mut fresh = HybridStream::new(other.clone(), HybridSchedule::AlwaysAdaptive);
         assert!(fresh.import_state(&state, &g, &other).is_none());
         // Wrong node count (stale labels for a grown graph).
         let mut grown = clique_graph();
         grown.ingest_transaction(&Transaction::transfer(AccountId(500), AccountId(0)));
-        let mut fresh = AdaptiveStream::new(params.clone());
+        let mut fresh = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         assert!(fresh
             .import_state(&state, &grown, &params.rescaled_for_graph(&grown))
             .is_none());
@@ -1421,8 +1316,8 @@ mod tests {
     #[test]
     fn degradation_ladder_is_ordered_and_printable() {
         assert!(Degradation::None < Degradation::Invalidated);
-        assert!(Degradation::Invalidated < Degradation::Rebuilt);
-        assert!(Degradation::Rebuilt < Degradation::HashFallback);
+        assert!(Degradation::Invalidated < Degradation::HashFallback);
+        assert_eq!(Degradation::Invalidated.to_string(), "invalidated");
         assert_eq!(Degradation::HashFallback.to_string(), "hash-fallback");
         assert_eq!(Degradation::None.to_string(), "none");
     }

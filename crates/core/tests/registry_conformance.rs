@@ -1,8 +1,8 @@
-//! Registry conformance suite: every registered allocator — whatever is
-//! in the registry, including future additions — must satisfy the
+//! Registry conformance suite: every allocator in the registry — whatever
+//! the table holds, including future additions — must satisfy the
 //! contracts of both entry points of the two-level allocation API.
 //!
-//! For each name:
+//! For each name (streaming: under every [`HybridSchedule`]):
 //! 1. batch and streaming entry points produce in-range labels covering
 //!    every node;
 //! 2. both are deterministic across two runs;
@@ -18,6 +18,13 @@ use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Ledger, Transaction};
 
 const K: usize = 4;
+
+/// Every global-refresh policy; schedule-free streams ignore it.
+const SCHEDULES: [HybridSchedule; 3] = [
+    HybridSchedule::AlwaysGlobal,
+    HybridSchedule::Hybrid { global_gap: 2 },
+    HybridSchedule::AlwaysAdaptive,
+];
 
 /// Deterministic pseudo-random transfer blocks: clustered traffic over a
 /// bounded universe plus a trickle of brand-new accounts, so streams see
@@ -71,15 +78,21 @@ fn assert_valid(allocation: &Allocation, graph: &TxGraph, context: &str) {
 /// One full streaming run: begin on the warm graph, then `epochs` epochs,
 /// applying every diff to a mirror and checking it against the stream.
 /// Returns the final label vector.
-fn streaming_run(registry: &AllocatorRegistry, name: &str, epochs: u64) -> Vec<u32> {
+fn streaming_run(
+    registry: &AllocatorRegistry,
+    name: &str,
+    schedule: HybridSchedule,
+    epochs: u64,
+) -> Vec<u32> {
     let mut graph = TxGraph::new();
     for b in make_blocks(7, 0, 10, 40) {
         graph.ingest_block(&b);
     }
     let params = TxAlloParams::for_graph(&graph, K);
     let mut stream = registry
-        .streaming(name, &params, HybridSchedule::Hybrid { global_gap: 2 })
+        .streaming(name, &params, schedule)
         .expect("registered");
+    let name = format!("{name} {schedule:?}");
     let mut mirror = stream.begin(&graph, &params);
     assert_valid(&mirror, &graph, &format!("{name}/begin"));
 
@@ -130,9 +143,14 @@ fn batch_entry_points_are_valid_and_deterministic() {
 fn streaming_entry_points_are_valid_deterministic_and_diff_lossless() {
     let registry = AllocatorRegistry::builtin();
     for name in registry.names() {
-        let first = streaming_run(&registry, &name, 4);
-        let second = streaming_run(&registry, &name, 4);
-        assert_eq!(first, second, "{name}: streaming must be deterministic");
+        for schedule in SCHEDULES {
+            let first = streaming_run(&registry, &name, schedule, 4);
+            let second = streaming_run(&registry, &name, schedule, 4);
+            assert_eq!(
+                first, second,
+                "{name} {schedule:?}: streaming must be deterministic"
+            );
+        }
     }
 }
 
@@ -149,14 +167,17 @@ fn empty_graph_is_handled_by_both_entry_points() {
             .allocate(&empty_dataset);
         assert!(batch.is_empty(), "{name}: empty dataset → empty allocation");
 
-        let mut stream = registry
-            .streaming(&name, &params, HybridSchedule::AlwaysAdaptive)
-            .expect("registered");
-        let mut mirror = stream.begin(&empty_graph, &params);
-        assert!(mirror.is_empty(), "{name}: empty begin");
-        let update = stream.end_epoch(&empty_graph, EpochKind::Scheduled);
-        assert!(update.moves.is_empty(), "{name}: empty epoch has no moves");
-        mirror.apply_update(&update);
-        assert!(mirror.is_empty(), "{name}: still empty after empty epoch");
+        for schedule in SCHEDULES {
+            let mut stream = registry
+                .streaming(&name, &params, schedule)
+                .expect("registered");
+            let name = format!("{name} {schedule:?}");
+            let mut mirror = stream.begin(&empty_graph, &params);
+            assert!(mirror.is_empty(), "{name}: empty begin");
+            let update = stream.end_epoch(&empty_graph, EpochKind::Scheduled);
+            assert!(update.moves.is_empty(), "{name}: empty epoch has no moves");
+            mirror.apply_update(&update);
+            assert!(mirror.is_empty(), "{name}: still empty after empty epoch");
+        }
     }
 }

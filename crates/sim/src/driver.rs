@@ -7,9 +7,7 @@
 //! [`AllocationUpdate`](txallo_core::AllocationUpdate) diff into the
 //! mapping — and scores the epoch's transactions under the result.
 
-use txallo_core::{
-    Allocation, AllocatorRegistry, Degradation, EpochLoop, HybridSchedule, TxAlloParams,
-};
+use txallo_core::{Allocation, Degradation, EpochLoop, HybridSchedule, TxAlloParams};
 use txallo_graph::{MemoryFootprint, ResidencyConfig, TxGraph};
 use txallo_model::Block;
 
@@ -25,8 +23,8 @@ pub struct SimConfig {
     /// Epoch length `τ₁` in blocks (paper: 300 ≈ one hour).
     pub epoch_blocks: usize,
     /// The allocation method, resolved through
-    /// [`AllocatorRegistry::builtin`] (`txallo`, `hash`, `metis`,
-    /// `scheduler`).
+    /// [`AllocatorRegistry`](txallo_core::AllocatorRegistry) (`txallo`,
+    /// `hash`, `metis`, `metis-recursive`, `scheduler`).
     pub method: String,
     /// The reallocation schedule (`txallo`'s global-refresh policy;
     /// schedule-free methods ignore it).
@@ -74,8 +72,8 @@ impl SimConfig {
 pub struct ShardedChainSim {
     config: SimConfig,
     /// The epoch loop serving the configured method (for `txallo` the
-    /// hybrid/adaptive stream whose warm `AtxAlloSession` carries the
-    /// community aggregates across epochs).
+    /// `HybridStream` whose warm `AtxAlloSession` carries the community
+    /// aggregates across epochs).
     epochs: EpochLoop,
 }
 
@@ -84,14 +82,8 @@ impl ShardedChainSim {
     ///
     /// # Panics
     /// Panics on a structurally invalid configuration, including a
-    /// `method` the builtin registry does not know.
+    /// `method` the registry does not know.
     pub fn new(config: SimConfig) -> Self {
-        Self::with_registry(config, &AllocatorRegistry::builtin())
-    }
-
-    /// [`ShardedChainSim::new`] with a caller-supplied registry (for
-    /// experimental allocators).
-    pub fn with_registry(config: SimConfig, registry: &AllocatorRegistry) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         assert!(config.epoch_blocks > 0, "epochs must contain blocks");
         // Placeholder hyper-parameters until warm-up: every stream
@@ -99,7 +91,6 @@ impl ShardedChainSim {
         // begun on.
         let params = TxAlloParams::for_total_weight(0.0, config.shards).with_eta(config.eta);
         let epochs = EpochLoop::new(
-            registry,
             &config.method,
             config.schedule,
             params,
@@ -339,7 +330,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unknown method")]
-    fn unknown_method_panics_with_registry_names() {
+    fn unknown_method_panics_listing_the_names() {
         let _ = ShardedChainSim::new(SimConfig {
             method: "nope".into(),
             ..SimConfig::new(2)
@@ -501,13 +492,22 @@ mod tests {
         let w = StreamingWorkload::new(cfg, 77);
         // A batch baseline re-reads the whole graph at every boundary, and
         // an impossible tolerance walks the recovery ladder down to the
-        // hash fallback: both must rehydrate before they close.
-        for method in ["txallo", "metis"] {
+        // hash fallback: both must rehydrate before they close. Under
+        // `AlwaysAdaptive` that ladder invalidates the session at epoch 2
+        // and rebuilds it at epoch 3, so epoch 4 is a warm adaptive close
+        // under eviction that reads only its touched rows (the gap-4 case
+        // re-solves globally there).
+        let hybrid = HybridSchedule::Hybrid { global_gap: 4 };
+        for (method, schedule) in [
+            ("txallo", hybrid),
+            ("txallo", HybridSchedule::AlwaysAdaptive),
+            ("metis", hybrid),
+        ] {
             for tolerance in [1e-6, -1.0] {
                 let base = SimConfig {
                     method: method.into(),
                     decay_per_epoch: Some(0.8),
-                    ..config(4, 10, HybridSchedule::Hybrid { global_gap: 4 })
+                    ..config(4, 10, schedule)
                 };
                 let run = |residency: Option<ResidencyConfig>| {
                     let mut sim = ShardedChainSim::new(SimConfig {
@@ -526,13 +526,18 @@ mod tests {
                     "the window must actually evict"
                 );
                 assert_eq!(plain.len(), evicted.len());
+                if schedule == HybridSchedule::AlwaysAdaptive && tolerance < 0.0 {
+                    assert_eq!(evicted[2].degradation, Degradation::Invalidated);
+                    assert_eq!(evicted[3].carry, StateCarry::Rebuilt);
+                    assert_eq!(evicted[4].carry, StateCarry::WarmRescaled);
+                }
                 for (a, b) in plain.iter().zip(&evicted) {
                     assert_eq!(a.update, b.update, "epoch {}", a.epoch);
                     assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
                     assert_eq!(
                         a.metrics.throughput_normalized.to_bits(),
                         b.metrics.throughput_normalized.to_bits(),
-                        "{method}, tolerance {tolerance}, epoch {}: \
+                        "{method} {schedule:?}, tolerance {tolerance}, epoch {}: \
                          out-of-core replay must be bit-identical",
                         a.epoch
                     );
