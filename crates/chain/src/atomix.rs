@@ -12,6 +12,11 @@
 //! exactly why the paper charges a cross-shard transaction `η > 1` per
 //! involved shard: processing it costs ≈ 2 consensus rounds instead of a
 //! share of one batched round, plus the client's proof relay messages.
+//!
+//! There is one commit, [`AtomixProtocol::run`], and it always runs under
+//! a [`FaultInjector`]. The fault-free protocol is that commit under
+//! [`FaultPlan::none`](crate::fault::FaultPlan::none), which draws
+//! nothing: same code, no faults.
 
 use crate::fault::FaultInjector;
 use crate::pbft::PbftShard;
@@ -26,7 +31,8 @@ pub struct AtomixOutcome {
     /// Consensus rounds executed across all involved shards.
     pub rounds: u32,
     /// Timeout-driven retries across all rounds and the proof relay
-    /// (always 0 on the fault-free path).
+    /// (always 0 under [`FaultPlan::none`](crate::fault::FaultPlan::none),
+    /// which drops nothing).
     pub retries: u32,
 }
 
@@ -37,55 +43,15 @@ pub struct AtomixProtocol;
 
 impl AtomixProtocol {
     /// Runs lock + commit for a transaction involving `shards` (indices
-    /// into `instances`). Aborts — still costing the unlock round — when
-    /// any lock round fails to commit.
-    pub fn run(instances: &mut [PbftShard], shards: &[u32]) -> AtomixOutcome {
-        assert!(
-            shards.len() >= 2,
-            "Atomix is only for cross-shard transactions"
-        );
-        let mut messages = 0u64;
-        let mut rounds = 0u32;
-        let mut all_locked = true;
-
-        // Phase 1: lock in every involved shard.
-        for &s in shards {
-            let out = instances[s as usize].run_round();
-            messages += out.messages;
-            rounds += 1;
-            if !out.committed {
-                all_locked = false;
-            }
-        }
-        // Client relays µ proofs to every involved shard.
-        messages += (shards.len() * shards.len()) as u64;
-
-        // Phase 2: commit (or unlock) everywhere.
-        for &s in shards {
-            let out = instances[s as usize].run_round();
-            messages += out.messages;
-            rounds += 1;
-            if !out.committed {
-                all_locked = false;
-            }
-        }
-
-        AtomixOutcome {
-            committed: all_locked,
-            messages,
-            rounds,
-            retries: 0,
-        }
-    }
-
-    /// [`AtomixProtocol::run`] under fault injection: each per-shard
+    /// into `instances`) under `inj`'s fault regime. Each per-shard
     /// consensus round runs with timeouts/retries
-    /// ([`PbftShard::run_round_faulty`]), and the client's proof-relay
-    /// bundle can itself be dropped, forcing a rebroadcast. Atomicity is
-    /// preserved by construction: any failed lock (including one that
-    /// exhausted its retries) turns phase 2 into the unlock round, so no
-    /// shard ever applies a partially-locked transaction.
-    pub fn run_faulty(
+    /// ([`PbftShard::run_round`]), and the client's proof-relay bundle can
+    /// itself be dropped, forcing a rebroadcast. Atomicity is preserved by
+    /// construction: any failed lock (including one that exhausted its
+    /// retries) turns phase 2 into the unlock round, so no shard ever
+    /// applies a partially-locked transaction — an abort still costs the
+    /// unlock round.
+    pub fn run(
         instances: &mut [PbftShard],
         shards: &[u32],
         inj: &mut FaultInjector,
@@ -94,46 +60,41 @@ impl AtomixProtocol {
             shards.len() >= 2,
             "Atomix is only for cross-shard transactions"
         );
-        let mut messages = 0u64;
-        let mut rounds = 0u32;
-        let mut retries = 0u32;
-        let mut all_locked = true;
-
+        let mut out = AtomixOutcome {
+            committed: true,
+            messages: 0,
+            rounds: 0,
+            retries: 0,
+        };
         // Phase 1: lock in every involved shard.
-        for &s in shards {
-            let out = instances[s as usize].run_round_faulty(inj);
-            messages += out.messages;
-            rounds += 1;
-            retries += out.retries;
-            if !out.committed {
-                all_locked = false;
-            }
-        }
+        Self::phase(instances, shards, inj, &mut out);
         // Client relays µ proofs to every involved shard; a lost bundle is
         // re-sent in full (the client cannot tell which copy made it).
         let relay = (shards.len() * shards.len()) as u64;
-        messages += relay;
+        out.messages += relay;
         if inj.drop_message() {
-            messages += relay;
-            retries += 1;
+            out.messages += relay;
+            out.retries += 1;
         }
-
         // Phase 2: commit (or unlock) everywhere.
-        for &s in shards {
-            let out = instances[s as usize].run_round_faulty(inj);
-            messages += out.messages;
-            rounds += 1;
-            retries += out.retries;
-            if !out.committed {
-                all_locked = false;
-            }
-        }
+        Self::phase(instances, shards, inj, &mut out);
+        out
+    }
 
-        AtomixOutcome {
-            committed: all_locked,
-            messages,
-            rounds,
-            retries,
+    /// One consensus round in every involved shard, its cost added to
+    /// `out`; a round that fails to commit marks the transaction aborted.
+    fn phase(
+        instances: &mut [PbftShard],
+        shards: &[u32],
+        inj: &mut FaultInjector,
+        out: &mut AtomixOutcome,
+    ) {
+        for &s in shards {
+            let round = instances[s as usize].run_round(inj);
+            out.messages += round.messages;
+            out.rounds += 1;
+            out.retries += round.retries;
+            out.committed &= round.committed;
         }
     }
 }
@@ -141,7 +102,12 @@ impl AtomixProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::validator::Validator;
+
+    fn no_faults() -> FaultInjector {
+        FaultInjector::new(FaultPlan::none())
+    }
 
     fn healthy_shard(n: usize) -> PbftShard {
         PbftShard::new(
@@ -169,7 +135,7 @@ mod tests {
     #[test]
     fn two_shard_commit() {
         let mut shards = vec![healthy_shard(4), healthy_shard(4)];
-        let out = AtomixProtocol::run(&mut shards, &[0, 1]);
+        let out = AtomixProtocol::run(&mut shards, &[0, 1], &mut no_faults());
         assert!(out.committed);
         assert_eq!(out.rounds, 4, "2 shards × 2 phases");
     }
@@ -177,7 +143,7 @@ mod tests {
     #[test]
     fn any_failed_lock_aborts_atomically() {
         let mut shards = vec![healthy_shard(4), broken_shard(4)];
-        let out = AtomixProtocol::run(&mut shards, &[0, 1]);
+        let out = AtomixProtocol::run(&mut shards, &[0, 1], &mut no_faults());
         assert!(
             !out.committed,
             "atomicity: one rejecting shard aborts the whole tx"
@@ -190,7 +156,7 @@ mod tests {
         let run_mu = |mu: usize| {
             let mut shards: Vec<PbftShard> = (0..mu).map(|_| healthy_shard(4)).collect();
             let ids: Vec<u32> = (0..mu as u32).collect();
-            AtomixProtocol::run(&mut shards, &ids).messages
+            AtomixProtocol::run(&mut shards, &ids, &mut no_faults()).messages
         };
         let m2 = run_mu(2);
         let m4 = run_mu(4);
@@ -204,12 +170,30 @@ mod tests {
     #[should_panic(expected = "cross-shard")]
     fn rejects_single_shard_use() {
         let mut shards = vec![healthy_shard(4)];
-        let _ = AtomixProtocol::run(&mut shards, &[0]);
+        let _ = AtomixProtocol::run(&mut shards, &[0], &mut no_faults());
+    }
+
+    #[test]
+    fn fault_free_run_costs_the_plain_protocol_and_draws_nothing() {
+        // Two healthy 4-replica shards: 2 phases × 2 shards × 27-message
+        // rounds, plus the client's 2² proof relay.
+        let mut inj = no_faults();
+        let mut shards = vec![healthy_shard(4), healthy_shard(4)];
+        let out = AtomixProtocol::run(&mut shards, &[0, 1], &mut inj);
+        assert_eq!(
+            out,
+            AtomixOutcome {
+                committed: true,
+                messages: 112,
+                rounds: 4,
+                retries: 0,
+            }
+        );
+        assert_eq!(inj.counter(), 0, "FaultPlan::none() draws nothing");
     }
 
     #[test]
     fn faulty_run_preserves_atomicity_and_is_deterministic() {
-        use crate::fault::{FaultInjector, FaultPlan};
         let plan = FaultPlan {
             seed: 3,
             drop_rate: 0.35,
@@ -222,11 +206,7 @@ mod tests {
             let mut outs = Vec::new();
             for _ in 0..100 {
                 let mut shards = vec![healthy_shard(4), healthy_shard(4), healthy_shard(4)];
-                outs.push(AtomixProtocol::run_faulty(
-                    &mut shards,
-                    &[0, 1, 2],
-                    &mut inj,
-                ));
+                outs.push(AtomixProtocol::run(&mut shards, &[0, 1, 2], &mut inj));
             }
             outs
         };
@@ -242,17 +222,5 @@ mod tests {
             "unlock phase still runs"
         );
         assert!(outs.iter().any(|o| o.retries > 0));
-    }
-
-    #[test]
-    fn faultless_injector_matches_plain_run() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let mut inj = FaultInjector::new(FaultPlan::none());
-        let mut a = vec![healthy_shard(4), broken_shard(4)];
-        let mut b = vec![healthy_shard(4), broken_shard(4)];
-        let fa = AtomixProtocol::run_faulty(&mut a, &[0, 1], &mut inj);
-        let fb = AtomixProtocol::run(&mut b, &[0, 1]);
-        assert_eq!(fa, fb);
-        assert_eq!(inj.counter(), 0);
     }
 }

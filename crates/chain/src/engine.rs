@@ -73,8 +73,10 @@ pub struct EngineReport {
     /// Timeout-driven consensus retries (non-zero only under fault
     /// injection); their message/phase cost is in `total_messages`.
     pub retries: u64,
-    /// Migration accounts whose Atomix batch aborted even after
-    /// exhausting the fault plan's retry budget.
+    /// Migration accounts whose Atomix batch could not commit — a shard
+    /// below quorum, or a lost round after the fault plan's retry budget
+    /// (zero under [`FaultPlan::none`]) ran out. They stay on their
+    /// source shard, with or without faults.
     pub migrations_aborted: u64,
     /// Validator-epochs lost to injected crashes (a validator down for
     /// one reshuffle epoch counts once).
@@ -103,8 +105,9 @@ pub struct ChainEngine {
     validators: ValidatorSet,
     instances: Vec<PbftShard>,
     report: EngineReport,
-    /// Installed fault regime; `None` is the exact fault-free fast path.
-    fault: Option<FaultInjector>,
+    /// The fault regime every round runs under; [`FaultPlan::none`] is
+    /// the fault-free run (same code, zero draws).
+    fault: FaultInjector,
     // Work accumulators for the η measurement.
     intra_shard_tx_units: f64,
     intra_messages: f64,
@@ -132,7 +135,7 @@ impl ChainEngine {
             validators,
             instances,
             report: EngineReport::default(),
-            fault: None,
+            fault: FaultInjector::new(FaultPlan::none()),
             intra_shard_tx_units: 0.0,
             intra_messages: 0.0,
             cross_shard_tx_units: 0.0,
@@ -140,28 +143,25 @@ impl ChainEngine {
         })
     }
 
-    /// Builds the engine with a fault regime installed from block 0.
-    pub fn with_faults(config: ChainEngineConfig, plan: FaultPlan) -> Self {
-        let mut engine = Self::new(config);
-        engine.set_fault_plan(plan);
-        engine
-    }
-
     /// Installs (or clears, with [`FaultPlan::none`]) the fault regime
     /// and re-derives the shard instances, since the plan's crash
-    /// schedule may silence validators in the current epoch.
+    /// schedule may silence validators in the current epoch. A plan that
+    /// injects nothing ([`FaultPlan::is_none`]) is installed as
+    /// [`FaultPlan::none`], so its seed and retry budget are dropped.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = if plan.is_none() {
-            None
+        let plan = if plan.is_none() {
+            FaultPlan::none()
         } else {
-            Some(FaultInjector::new(plan))
+            plan
         };
+        self.fault = FaultInjector::new(plan);
         self.rebuild_instances();
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|inj| inj.plan())
+    /// The installed fault plan ([`FaultPlan::none`] until a plan that
+    /// injects something is set).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        self.fault.plan()
     }
 
     fn build_instances(validators: &ValidatorSet, shards: usize) -> Vec<PbftShard> {
@@ -184,11 +184,9 @@ impl ChainEngine {
                     .shard_members(s)
                     .into_iter()
                     .map(|mut v| {
-                        if let Some(inj) = &self.fault {
-                            if !v.byzantine && inj.is_crashed(v.id, epoch) {
-                                v.byzantine = true;
-                                outages += 1;
-                            }
+                        if !v.byzantine && self.fault.is_crashed(v.id, epoch) {
+                            v.byzantine = true;
+                            outages += 1;
                         }
                         v
                     })
@@ -218,10 +216,10 @@ impl ChainEngine {
             self.report.reshuffles += 1;
         }
 
-        // Partition the block: intra batches per shard; cross grouped by
+        // Partition the block: intra counted per shard; cross grouped by
         // their exact shard set (real deployments batch Atomix by shard
         // pair, which is what keeps η near 2 instead of 2×batch size).
-        let mut intra: Vec<Vec<u32>> = vec![Vec::new(); self.config.shards]; // tx counts only
+        let mut intra = vec![0u64; self.config.shards];
         let mut cross: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         let mut scratch: Vec<u32> = Vec::with_capacity(8);
         for tx in block.transactions() {
@@ -235,28 +233,16 @@ impl ChainEngine {
             scratch.sort_unstable();
             scratch.dedup();
             if scratch.len() == 1 {
-                intra[scratch[0] as usize].push(0);
+                intra[scratch[0] as usize] += 1;
             } else {
                 *cross.entry(scratch.clone()).or_insert(0) += 1;
             }
         }
 
         // Intra: per shard, ceil(n/batch) consensus rounds.
-        for (shard, txs) in intra.iter().enumerate() {
-            let n = txs.len() as u64;
-            if n == 0 {
-                continue;
-            }
-            let batch = self.config.batch_size.max(1) as u64;
-            let rounds = n.div_ceil(batch);
-            let mut remaining = n;
-            for _ in 0..rounds {
-                let in_round = remaining.min(batch);
-                remaining -= in_round;
-                let out = match self.fault.as_mut() {
-                    Some(inj) => self.instances[shard].run_round_faulty(inj),
-                    None => self.instances[shard].run_round(),
-                };
+        for (shard, &count) in intra.iter().enumerate() {
+            for in_round in batches(count, self.config.batch_size) {
+                let out = self.instances[shard].run_round(&mut self.fault);
                 self.report.total_messages += out.messages;
                 self.report.retries += out.retries as u64;
                 if out.committed {
@@ -275,16 +261,8 @@ impl ChainEngine {
         let mut groups: Vec<(Vec<u32>, u64)> = cross.into_iter().collect();
         groups.sort_unstable(); // determinism
         for (shards, count) in groups {
-            let batch = self.config.batch_size.max(1) as u64;
-            let runs = count.div_ceil(batch);
-            let mut remaining = count;
-            for _ in 0..runs {
-                let in_run = remaining.min(batch);
-                remaining -= in_run;
-                let out = match self.fault.as_mut() {
-                    Some(inj) => AtomixProtocol::run_faulty(&mut self.instances, &shards, inj),
-                    None => AtomixProtocol::run(&mut self.instances, &shards),
-                };
+            for in_run in batches(count, self.config.batch_size) {
+                let out = AtomixProtocol::run(&mut self.instances, &shards, &mut self.fault);
                 self.report.total_messages += out.messages;
                 self.report.retries += out.retries as u64;
                 if out.committed {
@@ -317,44 +295,22 @@ impl ChainEngine {
         }
         let mut pairs: Vec<((u32, u32), u64)> = pairs.into_iter().collect();
         pairs.sort_unstable(); // determinism
-        let batch = self.config.batch_size.max(1) as u64;
-        let retry_budget = self
-            .fault
-            .as_ref()
-            .map(|inj| inj.plan().max_retries)
-            .unwrap_or(0);
+
+        // A batch whose Atomix instance cannot commit is re-run up to the
+        // plan's retry budget (none under `FaultPlan::none()`); one that
+        // still cannot commit stays on its source shard, counted in
+        // `migrations_aborted`, never silently applied.
+        let retry_budget = self.fault.plan().max_retries;
         for ((from, to), count) in pairs {
             let shards = if from < to { [from, to] } else { [to, from] };
-            let runs = count.div_ceil(batch);
-            if self.fault.is_none() {
-                self.report.migrations += count;
-                for _ in 0..runs {
-                    let out = AtomixProtocol::run(&mut self.instances, &shards);
-                    self.report.total_messages += out.messages;
-                    self.report.migration_messages += out.messages;
-                }
-                continue;
-            }
-            // Under faults a migration batch can abort; the whole Atomix
-            // instance is re-run up to the plan's retry budget, and a
-            // batch that still cannot commit stays on its source shard
-            // (counted in `migrations_aborted`, never silently applied).
-            let mut remaining = count;
-            for _ in 0..runs {
-                let in_run = remaining.min(batch);
-                remaining -= in_run;
-                let mut committed = false;
-                for _ in 0..=retry_budget {
-                    let inj = self.fault.as_mut().expect("fault path"); // txallo-lint: allow(lib-unwrap) — this loop only runs on the faulty branch, which is gated on fault.is_some() by the caller
-                    let out = AtomixProtocol::run_faulty(&mut self.instances, &shards, inj);
+            for in_run in batches(count, self.config.batch_size) {
+                let committed = (0..=retry_budget).any(|_| {
+                    let out = AtomixProtocol::run(&mut self.instances, &shards, &mut self.fault);
                     self.report.total_messages += out.messages;
                     self.report.migration_messages += out.messages;
                     self.report.retries += out.retries as u64;
-                    if out.committed {
-                        committed = true;
-                        break;
-                    }
-                }
+                    out.committed
+                });
                 if committed {
                     self.report.migrations += in_run;
                 } else {
@@ -367,7 +323,8 @@ impl ChainEngine {
     /// Serializes the engine's resumable state: report counters, the η
     /// accumulators (raw bits — they are chronological float sums), the
     /// reshuffle epoch, per-shard view cursors, and the fault injector's
-    /// plan + decision counter.
+    /// plan + decision counter (marker byte 0 alone stands for
+    /// [`FaultPlan::none`], which never draws).
     pub fn export_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         let r = &self.report;
@@ -399,20 +356,19 @@ impl ChainEngine {
         for inst in &self.instances {
             e.u64(inst.view() as u64);
         }
-        match &self.fault {
-            None => e.u8(0),
-            Some(inj) => {
-                e.u8(1);
-                let p = inj.plan();
-                e.u64(p.seed);
-                e.f64(p.drop_rate);
-                e.f64(p.delay_rate);
-                e.f64(p.duplicate_rate);
-                e.u32(p.max_retries);
-                e.f64(p.crash_rate);
-                e.u64(p.rejoin_after);
-                e.u64(inj.counter());
-            }
+        let p = self.fault.plan();
+        if *p == FaultPlan::none() {
+            e.u8(0);
+        } else {
+            e.u8(1);
+            e.u64(p.seed);
+            e.f64(p.drop_rate);
+            e.f64(p.delay_rate);
+            e.f64(p.duplicate_rate);
+            e.u32(p.max_retries);
+            e.f64(p.crash_rate);
+            e.u64(p.rejoin_after);
+            e.u64(self.fault.counter());
         }
         e.finish()
     }
@@ -448,7 +404,7 @@ impl ChainEngine {
         }
         let views: Vec<u64> = (0..instances).map(|_| d.u64()).collect::<Result<_, _>>()?;
         let fault = match d.u8()? {
-            0 => None,
+            0 => FaultInjector::new(FaultPlan::none()),
             1 => {
                 let plan = FaultPlan {
                     seed: d.u64()?,
@@ -459,7 +415,7 @@ impl ChainEngine {
                     crash_rate: d.f64()?,
                     rejoin_after: d.u64()?,
                 };
-                Some(FaultInjector::restore(plan, d.u64()?))
+                FaultInjector::restore(plan, d.u64()?)
             }
             _ => return Err(CheckpointError::Malformed("engine fault marker")),
         };
@@ -497,6 +453,13 @@ impl ChainEngine {
         };
         r
     }
+}
+
+/// The sizes of the batches that carry `count` transactions, up to
+/// `batch_size` each (0 counts as 1): full batches, then the remainder.
+fn batches(count: u64, batch_size: usize) -> impl Iterator<Item = u64> {
+    let batch = batch_size.max(1) as u64;
+    (0..count.div_ceil(batch)).map(move |i| batch.min(count - i * batch))
 }
 
 #[cfg(test)]
@@ -640,16 +603,14 @@ mod tests {
         );
         let plan = FaultPlan::mixed(21);
         let run = |plan: FaultPlan| {
-            let mut e = ChainEngine::with_faults(
-                ChainEngineConfig {
-                    shards: 3,
-                    validators: 24,
-                    byzantine: 0,
-                    batch_size: 4,
-                    reshuffle_interval: 10,
-                },
-                plan,
-            );
+            let mut e = ChainEngine::new(ChainEngineConfig {
+                shards: 3,
+                validators: 24,
+                byzantine: 0,
+                batch_size: 4,
+                reshuffle_interval: 10,
+            });
+            e.set_fault_plan(plan);
             for b in &blocks {
                 e.process_block(b, &g, &alloc);
             }
@@ -696,12 +657,14 @@ mod tests {
         };
         let plan = FaultPlan::mixed(5);
         // Uninterrupted reference run.
-        let mut full = ChainEngine::with_faults(config.clone(), plan);
+        let mut full = ChainEngine::new(config.clone());
+        full.set_fault_plan(plan);
         for b in &blocks {
             full.process_block(b, &g, &alloc);
         }
         // Crash after 20 blocks, export, import into a fresh engine.
-        let mut first = ChainEngine::with_faults(config.clone(), plan);
+        let mut first = ChainEngine::new(config.clone());
+        first.set_fault_plan(plan);
         for b in &blocks[..20] {
             first.process_block(b, &g, &alloc);
         }
@@ -717,6 +680,77 @@ mod tests {
             "resume must be indistinguishable from never stopping"
         );
         assert_eq!(full.fault_plan(), resumed.fault_plan());
+    }
+
+    #[test]
+    fn inert_fault_plan_is_installed_as_none_across_a_checkpoint() {
+        use crate::fault::FaultPlan;
+        // A plan that injects nothing carries no seed or retry budget into
+        // the engine, so a live engine and its resumed copy agree on both.
+        let config = ChainEngineConfig::new(2);
+        let mut live = ChainEngine::new(config.clone());
+        live.set_fault_plan(FaultPlan {
+            seed: 9,
+            max_retries: 3,
+            ..FaultPlan::none()
+        });
+        assert_eq!(live.fault_plan(), &FaultPlan::none());
+        let state = live.export_state();
+        assert_eq!(state.last(), Some(&0), "marker byte 0: no fault plan");
+        let mut resumed = ChainEngine::new(config);
+        resumed.set_fault_plan(FaultPlan::mixed(1));
+        resumed.import_state(&state).unwrap();
+        assert_eq!(resumed.fault_plan(), &FaultPlan::none());
+        assert_eq!(resumed.export_state(), state);
+    }
+
+    /// Without faults, a migration batch whose Atomix instance cannot
+    /// commit (a reshuffle left a shard below quorum) stays on its source
+    /// shard and is counted as aborted, exactly as under a fault plan.
+    #[test]
+    fn fault_free_migration_that_cannot_commit_is_aborted() {
+        use txallo_core::{AccountMove, StateCarry, UpdateKind};
+        use txallo_model::ShardId;
+        let mut e = ChainEngine::new(ChainEngineConfig {
+            shards: 2,
+            validators: 8,
+            byzantine: 2,
+            batch_size: 8,
+            reshuffle_interval: 1,
+        });
+        let g = TxGraph::new();
+        let alloc = Allocation::new(Vec::new(), 2);
+        for h in 0..3 {
+            e.process_block(&Block::new(h, Vec::new()), &g, &alloc);
+        }
+        assert_eq!(
+            e.validators().byzantine_in_shard(1),
+            2,
+            "premise: the epoch-2 reshuffle leaves shard 1 below quorum"
+        );
+        e.apply_reallocation(&AllocationUpdate {
+            shard_count: 2,
+            len: 1,
+            kind: UpdateKind::Adaptive,
+            path: None,
+            carry: StateCarry::Warm,
+            moves: vec![AccountMove {
+                node: 0,
+                from: Some(ShardId(0)),
+                to: ShardId(1),
+            }],
+        });
+        let r = e.report();
+        assert_eq!(r.migrations, 0);
+        assert_eq!(r.migrations_aborted, 1);
+        assert_eq!(r.migration_messages, 96);
+    }
+
+    #[test]
+    fn batches_split_counts_into_full_batches_then_the_remainder() {
+        assert_eq!(batches(0, 8).count(), 0);
+        assert_eq!(batches(17, 8).collect::<Vec<_>>(), [8, 8, 1]);
+        assert_eq!(batches(3, 0).collect::<Vec<_>>(), [1, 1, 1]);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! `2f + 1` of `n = 3f + 1` replicas are honest and vote. Byzantine
 //! replicas are silent (worst case for liveness; safety is never violated
 //! because we only count real votes).
+//!
+//! There is one round, [`PbftShard::run_round`], and it always runs under
+//! a [`FaultInjector`]. The fault-free protocol is that round under
+//! [`FaultPlan::none`](crate::fault::FaultPlan::none), which draws
+//! nothing: same code, no faults.
 
 use crate::fault::FaultInjector;
 use crate::validator::Validator;
@@ -19,7 +24,9 @@ pub struct ConsensusOutcome {
     pub messages: u64,
     /// Communication phases executed (3 on success path).
     pub phases: u32,
-    /// Timeout-driven retries taken (always 0 on the fault-free path).
+    /// Timeout-driven retries taken (always 0 under
+    /// [`FaultPlan::none`](crate::fault::FaultPlan::none), which drops
+    /// nothing).
     pub retries: u32,
 }
 
@@ -63,105 +70,81 @@ impl PbftShard {
         self.members.iter().filter(|v| !v.byzantine).count()
     }
 
-    /// Runs one 3-phase round on a batch. A Byzantine leader proposes
-    /// nothing (a view change rotates the leader and retries, costing an
-    /// extra phase of `n` view-change messages each time, up to `n` tries).
-    pub fn run_round(&mut self) -> ConsensusOutcome {
+    /// Runs one round on a batch under `inj`'s fault regime. Once an
+    /// attempt reaches quorum the network may still duplicate the commit
+    /// broadcast (extra messages), delay it one timeout phase, or lose it
+    /// outright — a loss forces a view-change-priced timeout and a full
+    /// retry, bounded by the plan's `max_retries`, after which the batch
+    /// aborts. Every cost lands in the outcome's message/phase tallies so
+    /// faults are *protocol cost*, never free. Under
+    /// [`FaultPlan::none`](crate::fault::FaultPlan::none) nothing is drawn
+    /// and the round is one fault-free attempt.
+    pub fn run_round(&mut self, inj: &mut FaultInjector) -> ConsensusOutcome {
         let n = self.n() as u64;
-        let mut messages = 0u64;
-        let mut phases = 0u32;
+        let mut out = ConsensusOutcome {
+            committed: false,
+            messages: 0,
+            phases: 0,
+            retries: 0,
+        };
+        loop {
+            if !self.attempt(&mut out) {
+                // Quorum failure: faults cannot resurrect it, no retry.
+                return out;
+            }
+            if inj.duplicate_message() {
+                out.messages += n.saturating_sub(1); // duplicated broadcast
+            }
+            if inj.delay_message() {
+                out.phases += 1; // timeout-length wait, nothing lost
+            }
+            if !inj.drop_message() {
+                out.committed = true;
+                return out;
+            }
+            // Lost commit certificate: timeout, view change, retry.
+            out.messages += n;
+            out.phases += 1;
+            if out.retries >= inj.plan().max_retries {
+                return out;
+            }
+            out.retries += 1;
+        }
+    }
 
+    /// One fault-free 3-phase attempt, its messages and phases added to
+    /// `out`; returns whether it reached quorum. A Byzantine leader
+    /// proposes nothing (a view change rotates the leader and retries,
+    /// costing an extra phase of `n` view-change messages each time, up
+    /// to `n` tries).
+    fn attempt(&mut self, out: &mut ConsensusOutcome) -> bool {
+        let n = self.n() as u64;
         // Rotate past silent leaders (view change).
-        let mut attempts = 0;
-        while self.leader().byzantine && attempts < self.n() {
-            messages += n; // view-change broadcast
-            phases += 1;
+        let mut view_changes = 0;
+        while self.leader().byzantine && view_changes < self.n() {
+            out.messages += n; // view-change broadcast
+            out.phases += 1;
             self.view += 1;
-            attempts += 1;
+            view_changes += 1;
         }
         if self.leader().byzantine {
             // Every replica is Byzantine: nothing can commit.
-            return ConsensusOutcome {
-                committed: false,
-                messages,
-                phases,
-                retries: 0,
-            };
+            return false;
         }
 
         // Pre-prepare: leader → all.
-        messages += n - 1;
-        phases += 1;
+        out.messages += n - 1;
+        out.phases += 1;
         // Prepare + commit: every honest replica broadcasts to all others.
         let honest = self.honest() as u64;
-        messages += 2 * honest * (n - 1);
-        phases += 2;
+        out.messages += 2 * honest * (n - 1);
+        out.phases += 2;
 
         let committed = self.honest() >= self.quorum();
         if committed {
             self.view += 1; // stable leader rotation per committed batch
         }
-        ConsensusOutcome {
-            committed,
-            messages,
-            phases,
-            retries: 0,
-        }
-    }
-
-    /// [`PbftShard::run_round`] under fault injection: after a round
-    /// reaches quorum, the network may still duplicate the commit
-    /// broadcast (extra messages), delay it one timeout phase, or lose it
-    /// outright — a loss forces a view-change-priced timeout and a full
-    /// retry round, bounded by the plan's `max_retries`, after which the
-    /// batch aborts. Every cost lands in the outcome's message/phase
-    /// tallies so faults are *protocol cost*, never free.
-    pub fn run_round_faulty(&mut self, inj: &mut FaultInjector) -> ConsensusOutcome {
-        let n = self.n() as u64;
-        let mut messages = 0u64;
-        let mut phases = 0u32;
-        let mut retries = 0u32;
-        loop {
-            let out = self.run_round();
-            messages += out.messages;
-            phases += out.phases;
-            if !out.committed {
-                // Quorum failure: faults cannot resurrect it, no retry.
-                return ConsensusOutcome {
-                    committed: false,
-                    messages,
-                    phases,
-                    retries,
-                };
-            }
-            if inj.duplicate_message() {
-                messages += n.saturating_sub(1); // duplicated broadcast
-            }
-            if inj.delay_message() {
-                phases += 1; // timeout-length wait, nothing lost
-            }
-            if inj.drop_message() {
-                // Lost commit certificate: timeout, view change, retry.
-                messages += n;
-                phases += 1;
-                if retries >= inj.plan().max_retries {
-                    return ConsensusOutcome {
-                        committed: false,
-                        messages,
-                        phases,
-                        retries,
-                    };
-                }
-                retries += 1;
-                continue;
-            }
-            return ConsensusOutcome {
-                committed: true,
-                messages,
-                phases,
-                retries,
-            };
-        }
+        committed
     }
 
     /// The round-robin view cursor (for checkpointing).
@@ -178,11 +161,16 @@ impl PbftShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::validator::ValidatorSet;
 
     fn shard_with(total: usize, byzantine: usize) -> PbftShard {
         let set = ValidatorSet::new(total, byzantine, 1);
         PbftShard::new(set.shard_members(0))
+    }
+
+    fn no_faults() -> FaultInjector {
+        FaultInjector::new(FaultPlan::none())
     }
 
     #[test]
@@ -199,7 +187,7 @@ mod tests {
     fn commits_with_f_faults() {
         // n = 4, f = 1: one Byzantine replica must not block commitment.
         let mut s = shard_with(4, 1);
-        let out = s.run_round();
+        let out = s.run_round(&mut no_faults());
         assert!(out.committed);
         assert!(out.messages > 0);
     }
@@ -211,13 +199,32 @@ mod tests {
         // build it through the unchecked escape hatch.
         let set = ValidatorSet::new_unchecked(4, 2, 1);
         let mut s = PbftShard::new(set.shard_members(0));
-        let out = s.run_round();
+        let out = s.run_round(&mut no_faults());
         assert!(!out.committed, "safety: no quorum, no commit");
     }
 
     #[test]
+    fn fault_free_round_costs_the_plain_protocol_and_draws_nothing() {
+        // n = 4, no Byzantine: pre-prepare 3 + prepare 4·3 + commit 4·3.
+        let mut inj = no_faults();
+        let mut s = shard_with(4, 0);
+        for _ in 0..5 {
+            let out = s.run_round(&mut inj);
+            assert_eq!(
+                out,
+                ConsensusOutcome {
+                    committed: true,
+                    messages: 27,
+                    phases: 3,
+                    retries: 0,
+                }
+            );
+        }
+        assert_eq!(inj.counter(), 0, "FaultPlan::none() draws nothing");
+    }
+
+    #[test]
     fn faulty_round_retries_then_commits_or_aborts() {
-        use crate::fault::{FaultInjector, FaultPlan};
         // A heavy drop rate with bounded retries: over many rounds we must
         // see both committed rounds with retries > 0 and aborted rounds
         // that exhausted the budget — each deterministically reproducible.
@@ -232,7 +239,7 @@ mod tests {
             let mut outs = Vec::new();
             let mut s = shard_with(4, 0);
             for _ in 0..200 {
-                outs.push(s.run_round_faulty(&mut inj));
+                outs.push(s.run_round(&mut inj));
             }
             outs
         };
@@ -253,20 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn faultless_injector_matches_plain_rounds() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let mut inj = FaultInjector::new(FaultPlan::none());
-        let mut a = shard_with(7, 2);
-        let mut b = shard_with(7, 2);
-        for _ in 0..10 {
-            assert_eq!(a.run_round_faulty(&mut inj), b.run_round());
-        }
-        assert_eq!(inj.counter(), 0);
-    }
-
-    #[test]
     fn message_complexity_is_quadratic() {
-        let m = |n: usize| shard_with(n, 0).run_round().messages;
+        let m = |n: usize| shard_with(n, 0).run_round(&mut no_faults()).messages;
         let m10 = m(10);
         let m20 = m(20);
         // Doubling n should roughly quadruple messages (2n(n−1) dominates).
@@ -299,7 +294,7 @@ mod tests {
         ];
         let mut s = PbftShard::new(members);
         assert!(s.leader().byzantine);
-        let out = s.run_round();
+        let out = s.run_round(&mut no_faults());
         assert!(
             out.committed,
             "view change must route around the faulty leader"
@@ -316,7 +311,7 @@ mod tests {
             })
             .collect();
         let mut s = PbftShard::new(members);
-        let out = s.run_round();
+        let out = s.run_round(&mut no_faults());
         assert!(!out.committed);
     }
 
@@ -324,7 +319,7 @@ mod tests {
     fn leader_rotates_after_commit() {
         let mut s = shard_with(4, 0);
         let l1 = s.leader().id;
-        s.run_round();
+        s.run_round(&mut no_faults());
         let l2 = s.leader().id;
         assert_ne!(l1, l2, "leader must rotate between batches");
     }

@@ -10,6 +10,10 @@ use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
+fn no_faults() -> FaultInjector {
+    FaultInjector::new(FaultPlan::none())
+}
+
 fn members(n: usize, byz: usize) -> Vec<Validator> {
     (0..n as u32)
         .map(|id| Validator {
@@ -26,7 +30,7 @@ proptest! {
         let byz = ((n as f64) * byz_frac) as usize;
         let mut shard = PbftShard::new(members(n, byz));
         let expected = (n - byz) >= shard.quorum();
-        let out = shard.run_round();
+        let out = shard.run_round(&mut no_faults());
         prop_assert_eq!(out.committed, expected, "n={} byz={} quorum={}", n, byz, shard.quorum());
     }
 
@@ -63,7 +67,7 @@ proptest! {
             })
             .collect();
         let ids: Vec<u32> = (0..shards.len() as u32).collect();
-        let out = AtomixProtocol::run(&mut shards, &ids);
+        let out = AtomixProtocol::run(&mut shards, &ids, &mut no_faults());
         prop_assert_eq!(out.committed, healthy.iter().all(|&h| h));
         prop_assert_eq!(out.rounds as usize, 2 * healthy.len());
     }
@@ -223,7 +227,7 @@ proptest! {
 
         let mut shards = build();
         let mut inj = FaultInjector::new(plan);
-        let out = AtomixProtocol::run_faulty(&mut shards, &ids, &mut inj);
+        let out = AtomixProtocol::run(&mut shards, &ids, &mut inj);
 
         // Atomicity: the unlock/commit phase runs everywhere even after
         // an abort decision, so every shard always executes both rounds.
@@ -242,7 +246,7 @@ proptest! {
         // the identical outcome and draw count.
         let mut shards2 = build();
         let mut inj2 = FaultInjector::new(plan);
-        let out2 = AtomixProtocol::run_faulty(&mut shards2, &ids, &mut inj2);
+        let out2 = AtomixProtocol::run(&mut shards2, &ids, &mut inj2);
         prop_assert_eq!(out, out2);
         prop_assert_eq!(inj.counter(), inj2.counter());
     }

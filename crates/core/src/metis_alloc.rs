@@ -39,14 +39,6 @@ impl MetisAllocator {
         }
     }
 
-    /// Creates the allocator with a custom partitioner configuration.
-    pub fn with_config(config: MetisConfig) -> Self {
-        Self {
-            config,
-            recursive: false,
-        }
-    }
-
     /// Partitions the accounts of `graph`.
     pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
         let result = if self.recursive {

@@ -53,8 +53,6 @@ pub struct LouvainConfig {
     pub max_levels: usize,
     /// Maximum local-moving sweeps per level.
     pub max_sweeps: usize,
-    /// Minimum total modularity gain for a sweep to count as progress.
-    pub min_gain: f64,
     /// Resolution parameter γ of generalized modularity (1.0 = classic).
     pub resolution: f64,
 }
@@ -64,7 +62,6 @@ impl Default for LouvainConfig {
         Self {
             max_levels: 32,
             max_sweeps: 64,
-            min_gain: 1e-9,
             resolution: 1.0,
         }
     }
