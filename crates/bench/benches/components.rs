@@ -241,22 +241,14 @@ fn bench_components(_: &mut Criterion) {
             black_box(stream.end_epoch(&graph2, EpochKind::Scheduled))
         });
     });
-    // One-shot updates (a fresh session per call, so the community
-    // aggregates are rebuilt from the whole graph), both snapshot routes
-    // forced: delta-CSR over V̂'s neighborhood vs. the full-graph CSR
-    // fallback.
-    for (name, threshold) in [
-        ("atxallo/epoch_update_incremental", 1.0),
-        ("atxallo/epoch_update_full", 0.0),
-    ] {
-        let params = params2.clone().with_incremental_threshold(threshold);
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut session = AtxAlloSession::new(&graph2, &prev, &params);
-                black_box(session.update(&graph2, &touched, &params))
-            });
+    // A one-shot update: a fresh session per call, so the community
+    // aggregates are rebuilt from the whole graph.
+    c.bench_function("atxallo/epoch_update_incremental", |b| {
+        b.iter(|| {
+            let mut session = AtxAlloSession::new(&graph2, &prev, &params2);
+            black_box(session.update(&graph2, &touched, &params2))
         });
-    }
+    });
     // The seed implementation preserved as a same-run baseline (the
     // `gather/hashmap` of this refactor).
     c.bench_function("atxallo/epoch_update_seed", |b| {

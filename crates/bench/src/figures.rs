@@ -795,17 +795,12 @@ pub fn bench_snapshot(out_path: &str) {
         }
         std::hint::black_box(stream.end_epoch(&graph2, txallo_core::EpochKind::Scheduled));
     });
-    // One-shot updates (a fresh session per call, so the aggregates are
-    // rebuilt from the graph), both snapshot routes forced.
-    let one_shot = |threshold: f64| {
-        let params = params2.clone().with_incremental_threshold(threshold);
-        median_ms(reps, || {
-            let mut session = AtxAlloSession::new(&graph2, &prev, &params);
-            std::hint::black_box(session.update(&graph2, &touched, &params));
-        })
-    };
-    let atxallo_incremental = one_shot(1.0);
-    let atxallo_full = one_shot(0.0);
+    // A one-shot update: a fresh session per call, so the aggregates are
+    // rebuilt from the graph.
+    let atxallo_incremental = median_ms(reps, || {
+        let mut session = AtxAlloSession::new(&graph2, &prev, &params2);
+        std::hint::black_box(session.update(&graph2, &touched, &params2));
+    });
     // The seed implementation, same-run: the honest baseline for the
     // speedup claim regardless of machine drift between PR snapshots.
     let atxallo_seed = median_ms(reps, || {
@@ -947,7 +942,6 @@ pub fn bench_snapshot(out_path: &str) {
          \"atxallo_epoch_update\": {atxallo_epoch:.3},\n  \
          \"atxallo_epoch_update_stream\": {atxallo_epoch_stream:.3},\n  \
          \"atxallo_epoch_update_incremental\": {atxallo_incremental:.3},\n  \
-         \"atxallo_epoch_update_full\": {atxallo_full:.3},\n  \
          \"atxallo_epoch_update_seed\": {atxallo_seed:.3},\n  \
          \"atxallo_touched_fraction\": {touched_fraction:.4},\n  \
          \"scale_workload\": {{\"accounts\": 50000, \"transactions\": 400000, \"k\": 40, \"seed\": 42}},\n  \

@@ -16,7 +16,7 @@
 //! rewrite.
 
 use txallo_core::state::UNASSIGNED;
-use txallo_core::{Allocation, CommunityState, MoveScratch, TxAlloParams, GAIN_EPS};
+use txallo_core::{Allocation, CommunityState, MoveScratch, TxAlloParams, GAIN_EPS, MAX_SWEEPS};
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, FxHashMap, FxHashSet, Ledger, Transaction};
 
@@ -236,7 +236,7 @@ pub fn gain_sweep_fast(
 /// from `intra`/`cut` on every evaluation and both sides of the gain going
 /// through Eq. 3 (two `capped_throughput` calls — two divisions in the
 /// saturated regime — per candidate). Bit-identical results; this is the
-/// per-candidate cost the σ/Λ̂/regime caches removed.
+/// per-candidate cost the σ/Λ̂/Λ caches removed.
 pub fn gain_sweep_seed(
     graph: &CsrGraph,
     labels: &[u32],
@@ -390,7 +390,7 @@ pub fn seed_atxallo_update(
             }
         }
         sweeps += 1;
-        if delta < params.epsilon || sweeps >= params.max_sweeps {
+        if delta < params.epsilon || sweeps >= MAX_SWEEPS {
             break;
         }
     }

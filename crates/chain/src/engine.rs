@@ -223,15 +223,7 @@ impl ChainEngine {
         let mut cross: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         let mut scratch: Vec<u32> = Vec::with_capacity(8);
         for tx in block.transactions() {
-            scratch.clear();
-            for account in tx.account_set() {
-                let node = graph
-                    .node_of(account)
-                    .expect("accounts ingested before processing"); // txallo-lint: allow(lib-unwrap) — the engine ingests every block before routing it, so all accounts are interned
-                scratch.push(allocation.shard_of(node).0);
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
+            allocation.tx_shards_into(graph, tx, &mut scratch);
             if scratch.len() == 1 {
                 intra[scratch[0] as usize] += 1;
             } else {

@@ -17,7 +17,7 @@ use txallo_louvain::{louvain, LouvainResult};
 
 use crate::allocation::Allocation;
 use crate::gtxallo::{GTxAllo, GTxAlloOutcome};
-use crate::params::TxAlloParams;
+use crate::params::{TxAlloParams, MAX_SWEEPS};
 
 /// How the optimization phase is seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +134,7 @@ pub fn gtxallo_full_scan(params: &TxAlloParams, graph: &TxGraph) -> Allocation {
     // …then run extra full-scan sweeps on top.
     let mut state = CommunityState::from_labels(graph, &labels, k, params.eta, params.capacity);
     let mut scratch = MoveScratch::default();
-    for _ in 0..params.max_sweeps {
+    for _ in 0..MAX_SWEEPS {
         let mut delta = 0.0;
         for &v in &order {
             let p = labels[v as usize];

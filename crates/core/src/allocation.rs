@@ -1,7 +1,7 @@
 //! The account-shard mapping (Definition 1).
 
 use txallo_graph::{NodeId, TxGraph};
-use txallo_model::{AccountId, ShardId};
+use txallo_model::{AccountId, ShardId, Transaction};
 
 use crate::streaming::AllocationUpdate;
 
@@ -181,14 +181,37 @@ impl Allocation {
     /// given the graph used to intern them. Accounts missing from the graph
     /// are ignored (they have no assigned shard yet).
     pub fn shards_touched(&self, graph: &TxGraph, accounts: &[AccountId]) -> usize {
-        let mut shards: Vec<u32> = accounts
-            .iter()
-            .filter_map(|&a| graph.node_of(a))
-            .map(|n| self.labels[n as usize])
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
+        let mut shards = Vec::new();
+        self.shard_set_into(
+            accounts.iter().filter_map(|&a| graph.node_of(a)),
+            &mut shards,
+        );
         shards.len()
+    }
+
+    /// The distinct shards `tx` touches, ascending, written into `out`
+    /// (cleared first); `out.len()` is `µ(Tx)` (§III-B). A caller that
+    /// routes, scores or queues a whole block passes one reused buffer, so
+    /// nothing is allocated per transaction.
+    ///
+    /// # Panics
+    /// Panics if an account of `tx` is not interned in `graph`: every
+    /// caller ingests a block before it reads the block's shard sets.
+    pub fn tx_shards_into(&self, graph: &TxGraph, tx: &Transaction, out: &mut Vec<u32>) {
+        let node = |a: &AccountId| {
+            graph
+                .node_of(*a)
+                .expect("accounts are ingested before their shards are read") // txallo-lint: allow(lib-unwrap) — every caller (the chain engine, epoch scoring, the shard queues) ingests the block before reading its shard sets, so all accounts are interned
+        };
+        self.shard_set_into(tx.inputs().iter().chain(tx.outputs()).map(node), out);
+    }
+
+    /// The distinct shards of `nodes`, ascending, into `out`.
+    fn shard_set_into(&self, nodes: impl Iterator<Item = NodeId>, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(nodes.map(|n| self.labels[n as usize]));
+        out.sort_unstable();
+        out.dedup();
     }
 }
 

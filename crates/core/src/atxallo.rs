@@ -8,24 +8,23 @@
 //! aggregates across epochs; a one-shot update is a session opened on the
 //! previous allocation and updated once.
 //!
-//! The epoch sweep never runs on the mutable adjacency: the touched-set
-//! neighborhood is frozen into a [`DeltaCsr`](txallo_graph::DeltaCsr)
-//! snapshot first, and the sweep iterates its flat rows on the shared
+//! The epoch sweep never runs on the mutable adjacency: the touched rows
+//! are frozen into a [`DeltaCsr`](txallo_graph::DeltaCsr) snapshot first
+//! (the one snapshot route; nothing outside `V̂` is read), and the sweep
+//! iterates its flat rows on the shared
 //! [`SweepCache`](txallo_graph::SweepCache) (see `crate::incremental`).
-//! Two snapshot routes exist — the incremental delta build and the
-//! full-graph CSR fallback — chosen by
-//! [`TxAlloParams::incremental_threshold`](crate::TxAlloParams::incremental_threshold)
-//! on the touched fraction. Both routes produce byte-identical allocations
-//! (golden-tested).
 
-/// Which snapshot route an adaptive update took.
+/// The snapshot route of an adaptive update, as reported in
+/// [`AllocationUpdate::path`](crate::AllocationUpdate::path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdatePath {
-    /// Delta-CSR snapshot of the touched neighborhood only
-    /// ([`DeltaCsr::snapshot_touched`](txallo_graph::DeltaCsr::snapshot_touched)).
+    /// Delta-CSR snapshot of the touched rows
+    /// ([`DeltaCsr::refill_touched`](txallo_graph::DeltaCsr::refill_touched)):
+    /// the route of every adaptive update.
     Incremental,
-    /// Whole graph frozen into a CSR, touched rows extracted
-    /// ([`DeltaCsr::snapshot_full`](txallo_graph::DeltaCsr::snapshot_full)).
+    /// Never produced. The full-graph route is gone; the variant is kept
+    /// only because the frozen benchmark harness (`perfbench/`) still
+    /// matches on it.
     Full,
 }
 
@@ -42,8 +41,6 @@ pub struct AtxAlloOutcome {
     pub total_gain: f64,
     /// Node moves committed across both phases.
     pub moves: usize,
-    /// Which snapshot route produced this outcome.
-    pub path: UpdatePath,
 }
 
 #[cfg(test)]
@@ -190,33 +187,6 @@ mod tests {
         let (_, a) = update(&g, &prev, &touched, &params);
         let (_, b) = update(&g, &prev, &touched, &params);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dispatch_follows_the_touched_fraction() {
-        let mut g = base_graph();
-        let params = TxAlloParams::for_graph(&g, 2);
-        let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-        let block = Block::new(0, vec![Transaction::transfer(AccountId(100), AccountId(0))]);
-        let touched = g.ingest_block(&block); // 2 of 11 nodes
-        let (inc, inc_labels) = update(
-            &g,
-            &prev,
-            &touched,
-            &params.clone().with_incremental_threshold(1.0),
-        );
-        assert_eq!(inc.path, UpdatePath::Incremental);
-        let (full, full_labels) =
-            update(&g, &prev, &touched, &params.with_incremental_threshold(0.0));
-        assert_eq!(full.path, UpdatePath::Full);
-        assert_eq!(
-            inc_labels, full_labels,
-            "route choice must not change the result"
-        );
-        assert_eq!(
-            (inc.new_nodes, inc.sweeps, inc.moves),
-            (full.new_nodes, full.sweeps, full.moves)
-        );
     }
 
     #[test]

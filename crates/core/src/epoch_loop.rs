@@ -68,18 +68,9 @@ impl EpochLoop {
         residency: Option<&ResidencyConfig>,
     ) -> Result<Self, UnknownAllocator> {
         let mut graph = TxGraph::new();
-        let params = match residency {
-            Some(res) => {
-                graph.enable_residency(res);
-                // Cold rows read as empty through `&TxGraph`, so the
-                // adaptive update must take the touched-rows-only snapshot
-                // route — exactly the rows ingestion just rehydrated.
-                // (Route choice is result-identical either way; see
-                // `TxAlloParams`.)
-                params.with_incremental_threshold(1.0)
-            }
-            None => params,
-        };
+        if let Some(res) = residency {
+            graph.enable_residency(res);
+        }
         let stream = AllocatorRegistry.streaming(method, &params, schedule)?;
         Ok(Self {
             graph,

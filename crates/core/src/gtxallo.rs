@@ -5,7 +5,7 @@ use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
-use crate::params::TxAlloParams;
+use crate::params::{TxAlloParams, MAX_SWEEPS};
 use crate::state::{CommunityState, MoveScratch, UNASSIGNED};
 use crate::Allocator;
 
@@ -246,7 +246,7 @@ impl GTxAllo {
                 }
             }
             sweeps += 1;
-            if delta < self.params.epsilon || sweeps >= self.params.max_sweeps {
+            if delta < self.params.epsilon || sweeps >= MAX_SWEEPS {
                 break;
             }
         }

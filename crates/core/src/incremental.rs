@@ -1,9 +1,7 @@
 //! The shared epoch-update sweep kernel behind A-TxAllo (Algorithm 2).
 //!
-//! Both A-TxAllo paths — the incremental delta-CSR snapshot and the
-//! full-graph fallback — produce the same [`DeltaCsr`] row layout, so one
-//! kernel serves both. It runs the two phases of Algorithm 2 over the
-//! snapshot rows:
+//! It runs the two phases of Algorithm 2 over the rows of the epoch's
+//! [`DeltaCsr`] snapshot (the touched set `V̂` only):
 //!
 //! 1. **Placement** (lines 1–8): brand-new accounts join the community
 //!    with the best join gain (Eq. 6), ties toward the least-loaded
@@ -29,6 +27,7 @@
 
 use txallo_graph::{DeltaCsr, DenseAccumulator, SweepCache};
 
+use crate::params::MAX_SWEEPS;
 use crate::state::{gather_labels_blocked, CommunityState, UNASSIGNED};
 
 /// Counters reported by one epoch sweep.
@@ -84,14 +83,13 @@ fn gather_row(snap: &DeltaCsr, local: usize, labels: &[u32], k: usize, acc: &mut
 /// Runs both phases of Algorithm 2 over `snap`, committing moves into
 /// `labels` (global node-id space) and `state`.
 ///
-/// `epsilon`/`max_sweeps` bound the phase-2 loop exactly as in the classic
-/// implementation.
+/// `epsilon` and [`MAX_SWEEPS`] bound the phase-2 loop exactly as in the
+/// classic implementation.
 pub(crate) fn epoch_sweep(
     snap: &DeltaCsr,
     labels: &mut [u32],
     state: &mut CommunityState,
     epsilon: f64,
-    max_sweeps: usize,
     scratch: &mut SweepScratch,
 ) -> EpochSweepOutcome {
     let t = snap.len();
@@ -155,7 +153,7 @@ pub(crate) fn epoch_sweep(
             }
         }
         out.sweeps += 1;
-        if delta < epsilon || out.sweeps >= max_sweeps {
+        if delta < epsilon || out.sweeps >= MAX_SWEEPS {
             break;
         }
     }

@@ -66,7 +66,7 @@ pub use gtxallo::{GTxAllo, GTxAlloOutcome, GTxAlloPlan};
 pub use hash_alloc::HashAllocator;
 pub use metis_alloc::MetisAllocator;
 pub use metrics::{latency_of_normalized_load, MetricsReport};
-pub use params::TxAlloParams;
+pub use params::{TxAlloParams, MAX_SWEEPS};
 pub use registry::{AllocatorRegistry, UnknownAllocator};
 pub use scheduler::{SchedulerConfig, SchedulerState, ShardScheduler};
 pub use session::AtxAlloSession;

@@ -99,7 +99,6 @@ impl AllocatorRegistry {
                 shards: params.shards,
                 eta: params.eta,
                 capacity: params.capacity,
-                buffer_ratio: 1.0,
             })),
             _ => return Err(self.unknown(name)),
         })

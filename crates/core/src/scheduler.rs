@@ -17,7 +17,7 @@
 //!    account may migrate to the least-loaded shard among the transaction's
 //!    shards, provided its historical affinity to the destination is at
 //!    least its affinity to its current shard and the destination stays
-//!    within the capacity buffer (`capacity × buffer_ratio`, buffer 1 per
+//!    within the capacity buffer (`capacity × BUFFER_RATIO`, buffer 1 per
 //!    the paper's setting §VI-B1).
 
 use txallo_graph::{NodeId, TxGraph, WeightedGraph};
@@ -26,6 +26,10 @@ use txallo_model::{FxHashMap, Transaction};
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
 use crate::Allocator;
+
+/// Buffer ratio: a migration may not push a shard's accumulated load past
+/// `capacity × BUFFER_RATIO`. The paper's comparison uses 1.0 (§VI-B1).
+const BUFFER_RATIO: f64 = 1.0;
 
 /// Configuration of the Shard Scheduler baseline.
 #[derive(Debug, Clone)]
@@ -36,21 +40,17 @@ pub struct SchedulerConfig {
     pub eta: f64,
     /// Per-shard capacity `λ` (same convention as [`crate::TxAlloParams`]).
     pub capacity: f64,
-    /// Buffer ratio: migrations may not push a shard's accumulated load
-    /// past `capacity × buffer_ratio`. The paper's comparison uses 1.0.
-    pub buffer_ratio: f64,
 }
 
 impl SchedulerConfig {
     /// Paper-default configuration for `total_weight` transactions over
-    /// `shards` shards (`λ = |T|/k`, buffer 1, η = 2).
+    /// `shards` shards (`λ = |T|/k`, η = 2).
     pub fn new(shards: usize, total_weight: f64) -> Self {
         assert!(shards > 0);
         Self {
             shards,
             eta: 2.0,
             capacity: total_weight / shards as f64,
-            buffer_ratio: 1.0,
         }
     }
 
@@ -102,8 +102,6 @@ impl ShardScheduler {
 #[derive(Debug, Clone)]
 pub struct SchedulerState {
     config: SchedulerConfig,
-    /// Migration headroom: `capacity × buffer_ratio`.
-    cap: f64,
     shard_of: Vec<u32>,
     load: Vec<f64>,
     /// Historical affinity: per account, accumulated interaction weight
@@ -114,11 +112,9 @@ pub struct SchedulerState {
 impl SchedulerState {
     /// Fresh state with no accounts placed.
     pub fn new(config: SchedulerConfig) -> Self {
-        let cap = config.capacity * config.buffer_ratio;
         let load = vec![0.0f64; config.shards];
         Self {
             config,
-            cap,
             shard_of: Vec::new(),
             load,
             affinity: Vec::new(),
@@ -138,7 +134,6 @@ impl SchedulerState {
     /// per epoch as `|T|` grows; the batch replay keeps it fixed).
     pub fn set_capacity(&mut self, capacity: f64) {
         self.config.capacity = capacity;
-        self.cap = capacity * self.config.buffer_ratio;
     }
 
     /// Scales the accumulated history — per-shard loads and per-account
@@ -235,6 +230,7 @@ impl SchedulerState {
             // is what makes the method O(|T|·k) and the slowest in
             // Fig. 8): highest historical affinity wins, ties broken
             // toward the lighter shard, respecting the capacity buffer.
+            let cap = self.config.capacity * BUFFER_RATIO;
             for &v in &nodes {
                 let current = self.shard_of[v as usize];
                 let mut best = current;
@@ -244,7 +240,7 @@ impl SchedulerState {
                     .unwrap_or(0.0);
                 let mut best_load = self.load[current as usize];
                 for s in 0..k as u32 {
-                    if s == current || self.load[s as usize] >= self.cap {
+                    if s == current || self.load[s as usize] >= cap {
                         continue;
                     }
                     let a = self.affinity[v as usize].get(&s).copied().unwrap_or(0.0);

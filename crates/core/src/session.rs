@@ -13,7 +13,8 @@
 //!    ingested transaction deltas into the aggregates in `O(block edges)`
 //!    — the same clique-expansion weights [`TxGraph::ingest_block_nodes`]
 //!    just added to the graph, classified by the *current* labels;
-//! 3. [`AtxAlloSession::update`] then runs the delta-CSR epoch sweep (the
+//! 3. [`AtxAlloSession::update`] then freezes the touched rows into the
+//!    session's [`DeltaCsr`] and runs the epoch sweep over them (the
 //!    private `incremental` kernel), which keeps the aggregates in
 //!    lock-step via `apply_join`/`apply_leave` as it moves nodes.
 //!
@@ -43,7 +44,7 @@
 use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
 
 use crate::allocation::Allocation;
-use crate::atxallo::{AtxAlloOutcome, UpdatePath};
+use crate::atxallo::AtxAlloOutcome;
 use crate::incremental::{epoch_sweep, SweepScratch};
 use crate::params::TxAlloParams;
 use crate::state::{CommunityState, UNASSIGNED};
@@ -206,10 +207,9 @@ impl AtxAlloSession {
     /// [`AtxAlloSession::labels`].
     ///
     /// `params` is taken fresh each epoch because `λ = |T|/k` and `ε`
-    /// scale with the accumulated weight. The snapshot route follows
-    /// [`TxAlloParams::incremental_threshold`] on the touched fraction
-    /// `|V̂| / |V|`; the choice affects running time only, never the
-    /// result.
+    /// scale with the accumulated weight. The snapshot holds the touched
+    /// rows only ([`DeltaCsr::refill_touched`]), so the update never
+    /// reads an untouched row — under residency those may be cold.
     pub fn update(
         &mut self,
         graph: &TxGraph,
@@ -220,39 +220,21 @@ impl AtxAlloSession {
             params.shards, self.shards,
             "shard count is fixed per session"
         );
-        let n = graph.node_count();
-        let frac = if n == 0 {
-            0.0
-        } else {
-            touched.len() as f64 / n as f64
-        };
-        let path = if frac <= params.incremental_threshold {
-            UpdatePath::Incremental
-        } else {
-            UpdatePath::Full
-        };
-        self.labels.resize(n, UNASSIGNED);
+        self.labels.resize(graph.node_count(), UNASSIGNED);
         self.state.set_limits(params.eta, params.capacity);
-
-        match path {
-            UpdatePath::Incremental => self.snap.refill_touched(graph, touched),
-            UpdatePath::Full => self.snap.refill_full(graph, touched),
-        }
+        self.snap.refill_touched(graph, touched);
         let out = epoch_sweep(
             &self.snap,
             &mut self.labels,
             &mut self.state,
             params.epsilon,
-            params.max_sweeps,
             &mut self.scratch,
         );
-
         AtxAlloOutcome {
             new_nodes: out.new_nodes,
             sweeps: out.sweeps,
             total_gain: out.total_gain,
             moves: out.moves,
-            path,
         }
     }
 

@@ -33,21 +33,15 @@ pub struct CommunityState {
     /// Cached capped throughput per community, kept in lock-step with
     /// `intra`/`cut` (recomputed for the touched community on every
     /// mutation — bit-identical to computing it on demand, but read
-    /// thousands of times per sweep in the gain formulas).
+    /// thousands of times per sweep in the gain formulas). In the
+    /// uncapped regime (`σ_c ≤ λ`) it is bit-for-bit `lambda_hat[c]`.
     throughput: Vec<f64>,
-    /// Cached saturation regime: `saturated[c]` is true exactly when
-    /// [`capped_throughput`] did *not* take the identity branch for `c`
-    /// (i.e. `σ_c > λ`, or the capacity itself is degenerate). In the
-    /// common uncapped regime `throughput[c]` is bit-for-bit equal to
-    /// `lambda_hat[c]`, which is what lets the gain fast path subtract a
-    /// value already in a register instead of re-deriving Eq. 3.
-    saturated: Vec<bool>,
 }
 // Cache invariant (determinism contract, see ARCHITECTURE.md): after every
 // mutation that closes a batch (`apply_join`/`apply_leave` per move,
 // `refresh_throughput` after `apply_*_delta` folds, `set_limits`,
-// `scale_aggregates`), each cached `sigma[c]`, `lambda_hat[c]`,
-// `throughput[c]` and `saturated[c]` equals — bit-for-bit — what
+// `scale_aggregates`), each cached `sigma[c]`, `lambda_hat[c]` and
+// `throughput[c]` equals — bit-for-bit — what
 // recomputing it from `intra[c]`/`cut[c]` with the exact expressions of
 // `recompute_community` would produce. The gain formulas below only ever
 // *read* the caches with the same expressions the pre-cache code inlined,
@@ -169,7 +163,6 @@ impl CommunityState {
             sigma: vec![0.0; community_count],
             lambda_hat: vec![0.0; community_count],
             throughput: vec![0.0; community_count],
-            saturated: vec![false; community_count],
         };
         state.refresh_throughput();
         state
@@ -195,7 +188,6 @@ impl CommunityState {
             sigma: vec![0.0; k],
             lambda_hat: vec![0.0; k],
             throughput: vec![0.0; k],
-            saturated: vec![false; k],
         };
         state.refresh_throughput();
         state
@@ -209,15 +201,9 @@ impl CommunityState {
         let ci = c as usize;
         let sigma = self.intra[ci] + self.eta * self.cut[ci];
         let hat = self.intra[ci] + self.cut[ci] / 2.0;
-        let uncapped = self.capacity > 0.0 && sigma <= self.capacity;
         self.sigma[ci] = sigma;
         self.lambda_hat[ci] = hat;
-        self.saturated[ci] = !uncapped;
-        self.throughput[ci] = if uncapped {
-            hat
-        } else {
-            capped_throughput(sigma, hat, self.capacity)
-        };
+        self.throughput[ci] = capped_throughput(sigma, hat, self.capacity);
     }
 
     /// Number of communities tracked.
@@ -258,14 +244,6 @@ impl CommunityState {
         self.lambda_hat[c as usize]
     }
 
-    /// Whether `c` is in the saturated regime (`σ_c > λ`, or a degenerate
-    /// capacity): its cached throughput went through the Eq. 3 scaling
-    /// instead of the identity branch.
-    #[inline]
-    pub fn is_saturated(&self, c: u32) -> bool {
-        self.saturated[c as usize]
-    }
-
     /// Capacity-capped throughput of `c` (Eq. 3).
     #[inline]
     pub fn throughput(&self, c: u32) -> f64 {
@@ -280,16 +258,14 @@ impl CommunityState {
     }
 
     /// Approximate resident bytes of the per-community aggregate arrays
-    /// (capacity-based; all six caches are `O(communities)`).
+    /// (capacity-based; all five are `O(communities)`).
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
         (self.intra.capacity()
             + self.cut.capacity()
             + self.sigma.capacity()
             + self.lambda_hat.capacity()
             + self.throughput.capacity())
-            * size_of::<f64>()
-            + self.saturated.capacity() * size_of::<bool>()
+            * std::mem::size_of::<f64>()
     }
 
     /// Gathers the per-community link weights of `v` into `scratch`
@@ -439,26 +415,14 @@ impl CommunityState {
         (sigma_new, hat_new)
     }
 
-    /// `Λ(σ', Λ̂') − Λ_c`: the capped throughput of the hypothetical state
-    /// minus the community's cached current throughput.
-    ///
-    /// Fast path: when `σ' ≤ λ` (and `λ` is non-degenerate), Eq. 3 is the
-    /// identity, and when `c` is additionally in the uncapped regime its
-    /// cached throughput *is* `Λ̂_c` bit-for-bit — so the whole gain is one
-    /// compare and one subtraction of a value already loaded for `Λ̂'`.
-    /// Every other case defers to [`capped_throughput`] unchanged.
+    /// `Λ(σ', Λ̂') − Λ_c`: Eq. 3 on the hypothetical state minus the
+    /// community's cached current throughput. One select: when `σ' ≤ λ`,
+    /// Eq. 3 is the identity, so the common case is one compare and one
+    /// subtraction, with no division. `Λ_c` needs no regime test of its
+    /// own: in the uncapped regime the cache holds `Λ̂_c`, bit for bit.
     #[inline]
     fn gain_vs_current(&self, c: u32, sigma_new: f64, hat_new: f64) -> f64 {
-        let ci = c as usize;
-        if self.capacity > 0.0 && sigma_new <= self.capacity {
-            if self.saturated[ci] {
-                hat_new - self.throughput[ci]
-            } else {
-                hat_new - self.lambda_hat[ci]
-            }
-        } else {
-            capped_throughput(sigma_new, hat_new, self.capacity) - self.throughput[ci]
-        }
+        capped_throughput(sigma_new, hat_new, self.capacity) - self.throughput[c as usize]
     }
 
     /// Full move gain `Δ_{(i,p,q)}Λ = Δ_{leave}Λ_p + Δ_{join}Λ_q` (Eq. 8).
@@ -583,8 +547,8 @@ impl CommunityState {
         }
     }
 
-    /// Recomputes every cached scalar (`σ`, `Λ̂`, capped throughput and
-    /// saturation regime) from the current `intra`/`cut` (`O(k)`), closing
+    /// Recomputes every cached scalar (`σ`, `Λ̂`, capped throughput) from
+    /// the current `intra`/`cut` (`O(k)`), closing
     /// a batch of `apply_*_delta` calls.
     pub fn refresh_throughput(&mut self) {
         for c in 0..fit_u32(self.intra.len()) {
@@ -798,11 +762,6 @@ mod tests {
                     s.throughput(c).to_bits(),
                     capped_throughput(sigma, hat, cap).to_bits(),
                     "Λ cache"
-                );
-                assert_eq!(
-                    s.is_saturated(c),
-                    !(cap > 0.0 && sigma <= cap),
-                    "regime cache"
                 );
             }
         }

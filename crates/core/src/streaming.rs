@@ -176,7 +176,10 @@ pub struct AllocationUpdate {
     pub len: usize,
     /// Which algorithm class ran.
     pub kind: UpdateKind,
-    /// For adaptive updates, the snapshot route A-TxAllo took.
+    /// `Some(UpdatePath::Incremental)` on an adaptive close, `None`
+    /// otherwise. A-TxAllo has one snapshot route, so this says nothing
+    /// that [`AllocationUpdate::kind`] does not; it is kept only because
+    /// the frozen benchmark harness (`perfbench/`) still reads it.
     pub path: Option<UpdatePath>,
     /// How the stream's serving state crossed this boundary.
     pub carry: StateCarry,
@@ -522,7 +525,7 @@ impl HybridStream {
                     .unwrap_or(UNASSIGNED)
             })
             .collect();
-        let outcome = session.update(graph, &touched, params);
+        session.update(graph, &touched, params);
         let after = session.labels();
         let mut moves = Vec::new();
         for (&v, &old) in touched.iter().zip(&before) {
@@ -539,7 +542,7 @@ impl HybridStream {
             shard_count: params.shards,
             len: graph.node_count(),
             kind: UpdateKind::Adaptive,
-            path: Some(outcome.path),
+            path: Some(UpdatePath::Incremental),
             carry,
             moves,
         }
@@ -916,7 +919,6 @@ impl StreamingAllocator for SchedulerStream {
             shards: params.shards,
             eta: params.eta,
             capacity: params.capacity,
-            buffer_ratio: 1.0,
         };
         let mut state = SchedulerState::new(config);
         state.seed_from_graph(graph);
@@ -1078,9 +1080,6 @@ mod tests {
             assert_eq!(update.kind, expected_kind, "epoch {h}");
             if update.kind == UpdateKind::Global {
                 assert_eq!(update.carry, StateCarry::Rebuilt);
-                assert!(update.path.is_none());
-            } else {
-                assert!(update.path.is_some());
             }
             mirror.apply_update(&update);
             assert_eq!(mirror, stream.allocation(), "epoch {h} diff broken");

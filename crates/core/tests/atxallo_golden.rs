@@ -2,24 +2,19 @@
 //!
 //! Three pins, mirroring the G-TxAllo golden suite in `golden.rs`:
 //!
-//! 1. **Route equivalence** — the incremental delta-CSR snapshot
-//!    ([`DeltaCsr::snapshot_touched`]) and the full-graph
-//!    canonical-renumbering fallback ([`DeltaCsr::snapshot_full`]) must
-//!    produce **byte-identical** allocations across a proptest-generated
-//!    multi-epoch delta stream. The threshold that picks between them is a
-//!    pure performance knob.
-//! 2. **Reference equivalence** — a from-scratch re-implementation of the
+//! 1. **Reference equivalence** — a from-scratch re-implementation of the
 //!    epoch sweep with ordered-map (`BTreeMap`) gathering, no candidate
 //!    caching, no stamp-based skipping, and every gain evaluated through
 //!    the *raw Eq. 3/6/8 formulas* (recomputing `σ`/`Λ̂`/`Λ` from
 //!    `intra`/`cut` per evaluation instead of reading the cached-scalar
 //!    fast path) must match the production kernel byte-for-byte: the
-//!    caching — including the gain-path σ/Λ̂/saturation-regime caches — is
-//!    an optimization, not a semantic change.
-//! 3. **Threshold boundary** — dispatch at exactly `|V̂|/|V| = threshold`
-//!    takes the incremental route, just above it the full route, and both
-//!    sides of the boundary agree on the allocation.
-//! 4. **Counters** — a seeded multi-epoch serving stream reproduces the
+//!    caching — including the gain-path σ/Λ̂/Λ caches — is an
+//!    optimization, not a semantic change. The snapshot rows themselves
+//!    are pinned against a whole-graph `CsrGraph` extraction in
+//!    `txallo-graph`'s `delta` tests.
+//! 2. **Decay folding** — a warm session whose aggregates are rescaled
+//!    on decay epochs matches a session rebuilt from the decayed graph.
+//! 3. **Counters** — a seeded multi-epoch serving stream reproduces the
 //!    recorded per-epoch counters (placements, sweeps, moves and the
 //!    gain's bits), which pins the sweep's `ε` stopping path, not only the
 //!    labels.
@@ -29,8 +24,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use txallo_core::state::{capped_throughput, UNASSIGNED};
 use txallo_core::{
-    Allocation, AtxAlloOutcome, AtxAlloSession, CommunityState, GTxAllo, TxAlloParams, UpdatePath,
-    GAIN_EPS,
+    Allocation, AtxAlloOutcome, AtxAlloSession, CommunityState, GTxAllo, TxAlloParams, GAIN_EPS,
+    MAX_SWEEPS,
 };
 use txallo_graph::{DeltaCsr, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
@@ -49,28 +44,6 @@ fn update(
     (out, session.allocation())
 }
 
-/// [`update`] forced onto the incremental delta-CSR route.
-fn update_incremental(
-    params: &TxAlloParams,
-    graph: &TxGraph,
-    prev: &Allocation,
-    touched: &[NodeId],
-) -> (AtxAlloOutcome, Allocation) {
-    let params = params.clone().with_incremental_threshold(1.0);
-    update(&params, graph, prev, touched)
-}
-
-/// [`update`] forced onto the full-graph route (any non-empty `touched`).
-fn update_full(
-    params: &TxAlloParams,
-    graph: &TxGraph,
-    prev: &Allocation,
-    touched: &[NodeId],
-) -> (AtxAlloOutcome, Allocation) {
-    let params = params.clone().with_incremental_threshold(0.0);
-    update(&params, graph, prev, touched)
-}
-
 fn build_graph(pairs: &[(u64, u64)]) -> TxGraph {
     let mut g = TxGraph::new();
     for &(a, b) in pairs {
@@ -82,8 +55,8 @@ fn build_graph(pairs: &[(u64, u64)]) -> TxGraph {
 /// Every third entry becomes a 3-account transaction so edge weights
 /// include non-dyadic rationals (1/3): plain transfers only ever produce
 /// weight sums that are exact in binary, which would let summation-order
-/// bugs (e.g. a wrong incident-weight fold between the two snapshot
-/// routes) slip through the byte-identity assertions undetected.
+/// bugs (e.g. a wrong incident-weight fold in the snapshot) slip through
+/// the byte-identity assertions undetected.
 fn block_of(height: u64, pairs: &[(u64, u64)]) -> Block {
     Block::new(
         height,
@@ -251,7 +224,7 @@ fn reference_update(
             }
         }
         sweeps += 1;
-        if delta < params.epsilon || sweeps >= params.max_sweeps {
+        if delta < params.epsilon || sweeps >= MAX_SWEEPS {
             break;
         }
     }
@@ -275,36 +248,6 @@ fn stream_strategy() -> impl Strategy<Value = DeltaStream> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Incremental and full snapshot routes are byte-identical across a
-    /// whole delta stream, with each epoch's allocation feeding the next.
-    #[test]
-    fn incremental_equals_full_across_stream(stream in stream_strategy()) {
-        let (base, epochs, k) = stream;
-        let mut g = build_graph(&base);
-        let params = TxAlloParams::for_graph(&g, k);
-        let mut prev = GTxAllo::new(params).allocate_graph(&g);
-        for (h, pairs) in epochs.iter().enumerate() {
-            let touched = g.ingest_block(&block_of(h as u64, pairs));
-            let params = TxAlloParams::for_graph(&g, k);
-            let (inc, inc_labels) = update_incremental(&params, &g, &prev, &touched);
-            let (full, full_labels) = update_full(&params, &g, &prev, &touched);
-            prop_assert_eq!(
-                inc_labels.labels(),
-                full_labels.labels(),
-                "routes diverged at epoch {}",
-                h
-            );
-            prop_assert_eq!(
-                (inc.new_nodes, inc.sweeps, inc.moves, inc.total_gain.to_bits()),
-                (full.new_nodes, full.sweeps, full.moves, full.total_gain.to_bits())
-            );
-            // The dispatching default picks one of the two.
-            let (_, dispatched) = update(&params, &g, &prev, &touched);
-            prop_assert_eq!(dispatched.labels(), inc_labels.labels());
-            prev = inc_labels;
-        }
-    }
 
     /// Decay folding: a warm session whose aggregates are *rescaled* on a
     /// decay epoch ([`AtxAlloSession::apply_decay`]) produces the same
@@ -359,7 +302,7 @@ proptest! {
             let touched = g.ingest_block(&block_of(h as u64, pairs));
             let params = TxAlloParams::for_graph(&g, k);
             let expected = reference_update(&params, &g, &prev, &touched);
-            let (_, got) = update_incremental(&params, &g, &prev, &touched);
+            let (_, got) = update(&params, &g, &prev, &touched);
             prop_assert_eq!(
                 got.labels(),
                 expected.labels(),
@@ -369,41 +312,6 @@ proptest! {
             prev = got;
         }
     }
-}
-
-/// Dispatch at the exact threshold boundary: `|V̂|/|V| == threshold` is
-/// still incremental, one node more tips to the full route, and the two
-/// sides agree bit-for-bit.
-#[test]
-fn threshold_boundary_is_inclusive_and_consistent() {
-    // 8 base accounts in two 4-cliques.
-    let mut pairs = Vec::new();
-    for base in [0u64, 4] {
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                pairs.push((base + i, base + j));
-            }
-        }
-    }
-    let mut g = build_graph(&pairs);
-    let params = TxAlloParams::for_graph(&g, 2);
-    let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-    // One epoch touching 2 of the (then) 8 nodes... plus 0 new accounts.
-    let touched = g.ingest_block(&block_of(0, &[(0, 1)]));
-    assert_eq!(touched.len(), 2);
-    let n = g.node_count();
-    assert_eq!(n, 8);
-
-    let exact = touched.len() as f64 / n as f64; // 0.25, exactly representable
-    let at_params = params.clone().with_incremental_threshold(exact);
-    let (at, at_labels) = update(&at_params, &g, &prev, &touched);
-    assert_eq!(at.path, UpdatePath::Incremental, "boundary is inclusive");
-
-    let below_params = params.clone().with_incremental_threshold(exact / 2.0);
-    let (below, below_labels) = update(&below_params, &g, &prev, &touched);
-    assert_eq!(below.path, UpdatePath::Full);
-
-    assert_eq!(at_labels, below_labels, "boundary must not change results");
 }
 
 /// The decay fold held to a *long* stream: ≥100 folds (with small blocks
@@ -452,86 +360,34 @@ fn long_decay_stream_matches_rebuild() {
     }
 }
 
-/// Touched fraction exactly at `incremental_threshold` while `V̂` contains
-/// an isolated (degree-0, self-loop-only) brand-new account: the boundary
-/// stays inclusive, the isolated row places identically on both routes.
-#[test]
-fn threshold_boundary_with_isolated_new_account() {
-    let mut pairs = Vec::new();
-    for base in [0u64, 4, 8] {
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                pairs.push((base + i, base + j));
-            }
-        }
-    }
-    let mut g = build_graph(&pairs); // 12 accounts
-    let params = TxAlloParams::for_graph(&g, 3);
-    let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-    // Warm the allocation over a padding epoch first so the boundary
-    // epoch's fraction is computed against a settled 16-account graph.
-    let pad = Block::new(
-        0,
-        vec![
-            Transaction::transfer(AccountId(100), AccountId(101)),
-            Transaction::transfer(AccountId(102), AccountId(103)),
-        ],
-    );
-    let prev = {
-        let t = g.ingest_block(&pad);
-        update(&params, &g, &prev, &t).1
-    };
-    let epoch = Block::new(
-        1,
-        vec![
-            Transaction::transfer(AccountId(0), AccountId(1)),
-            Transaction::transfer(AccountId(4), AccountId(5)),
-            Transaction::transfer(AccountId(777), AccountId(777)), // isolated
-        ],
-    );
-    let touched = g.ingest_block(&epoch);
-    assert_eq!(touched.len(), 5);
-    use txallo_graph::WeightedGraph as _;
-    let n777 = g.node_of(AccountId(777)).unwrap();
-    assert_eq!(g.neighbor_count(n777), 0, "fixture: isolated newcomer");
-    // The same expression the dispatcher evaluates, so `threshold == frac`
-    // exercises the exact inclusive boundary whatever the rounding.
-    let frac = touched.len() as f64 / g.node_count() as f64;
-    assert_eq!(g.node_count(), 17);
-
-    let at_params = params.clone().with_incremental_threshold(frac);
-    let (at, at_labels) = update(&at_params, &g, &prev, &touched);
-    assert_eq!(at.path, UpdatePath::Incremental, "boundary is inclusive");
-    let below_params = params.clone().with_incremental_threshold(frac / 2.0);
-    let (below, below_labels) = update(&below_params, &g, &prev, &touched);
-    assert_eq!(below.path, UpdatePath::Full);
-    assert_eq!(at_labels, below_labels, "routes agree at boundary");
-    assert_eq!(at.new_nodes, 1, "the isolated account is placed");
-    assert!(at_labels.shard_of(n777).index() < 3);
-}
-
-/// An epoch whose block only touches brand-new accounts: phase 1 places
-/// them identically on both routes, nothing else moves.
+/// An epoch whose block only touches brand-new accounts, one of them
+/// isolated (a self-transfer: degree 0, self-loop only): phase 1 places
+/// every one as the cache-free reference does, nothing else moves.
 #[test]
 fn all_new_accounts_epoch() {
     let mut g = build_graph(&[(0, 1), (1, 2), (0, 2)]);
     let params = TxAlloParams::for_graph(&g, 2);
     let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
-    let touched = g.ingest_block(&block_of(0, &[(100, 101), (101, 102)]));
-    let (inc, inc_labels) = update_incremental(&params, &g, &prev, &touched);
-    let (_, full_labels) = update_full(&params, &g, &prev, &touched);
-    assert_eq!(inc_labels, full_labels);
-    assert_eq!(inc.new_nodes, 3);
+    let mut block = block_of(0, &[(100, 101), (101, 102)])
+        .transactions()
+        .to_vec();
+    block.push(Transaction::transfer(AccountId(777), AccountId(777)));
+    let touched = g.ingest_block(&Block::new(0, block));
+    let n777 = g.node_of(AccountId(777)).unwrap();
+    assert_eq!(g.neighbor_count(n777), 0, "fixture: isolated newcomer");
+    let (out, labels) = update(&params, &g, &prev, &touched);
+    assert_eq!(labels, reference_update(&params, &g, &prev, &touched));
+    assert_eq!(out.new_nodes, 4, "the isolated account is placed too");
+    assert!(labels.shard_of(n777).index() < 2);
     for v in 0..prev.len() as NodeId {
-        assert_eq!(inc_labels.shard_of(v), prev.shard_of(v));
+        assert_eq!(labels.shard_of(v), prev.shard_of(v));
     }
 }
 
 /// The per-epoch counters of a warm session serving a seeded stream
 /// (3k accounts, k = 8, 12 epochs of 10 blocks, decay every third epoch).
 /// `(new_nodes, sweeps, moves, total_gain bits, |V̂|)`, recorded before the
-/// epoch sweep moved onto the shared `SweepCache`; every epoch takes the
-/// incremental route.
+/// epoch sweep moved onto the shared `SweepCache`.
 #[test]
 fn session_counters_are_pinned() {
     const EXPECTED: [(usize, usize, usize, u64, usize); 12] = [
@@ -580,7 +436,6 @@ fn session_counters_are_pinned() {
         touched.sort_unstable();
         touched.dedup();
         let out = session.update(&g, &touched, &TxAlloParams::for_graph(&g, k));
-        assert_eq!(out.path, UpdatePath::Incremental, "epoch {epoch}");
         let got = (
             out.new_nodes,
             out.sweeps,

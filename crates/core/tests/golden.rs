@@ -10,7 +10,7 @@
 //!    touching the cached-scalar fast path) must produce **byte-identical**
 //!    labels to the production path. This is the proof that the dense
 //!    scratch, the cached candidate lists, the stamp-based skip logic *and
-//!    the σ/Λ̂/saturation-regime gain caches* are pure optimizations, not
+//!    the σ/Λ̂/Λ gain caches* are pure optimizations, not
 //!    semantic changes.
 //! 2. **Determinism locks** — label fingerprints on seeded workloads catch
 //!    accidental trajectory changes in future refactors (update the
@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use txallo_core::state::capped_throughput;
-use txallo_core::{CommunityState, GTxAllo, GTxAlloPlan, TxAlloParams, GAIN_EPS};
+use txallo_core::{CommunityState, GTxAllo, GTxAlloPlan, TxAlloParams, GAIN_EPS, MAX_SWEEPS};
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
@@ -192,7 +192,7 @@ fn reference_allocate(
             }
         }
         sweeps += 1;
-        if delta < params.epsilon || sweeps >= params.max_sweeps {
+        if delta < params.epsilon || sweeps >= MAX_SWEEPS {
             break;
         }
     }

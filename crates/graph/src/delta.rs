@@ -36,20 +36,19 @@
 //! §V-B (`(address_hash, account id)` — the same total order behind
 //! `GTxAlloPlan`'s canonical renumbering), so the epoch sweep visits `V̂`
 //! exactly as the paper prescribes. *Within* a row, neighbors sort
-//! ascending by global node id — [`CsrGraph`]'s native row order — and the
-//! per-node `incident` scalar is re-derived as `self_loop + Σ row` in that
-//! order. Consequently the two constructors are interchangeable
-//! bit-for-bit: [`DeltaCsr::snapshot_touched`] copies rows straight out of
-//! the mutable graph's sorted-run adjacency (cost
+//! ascending by global node id — the native row order of
+//! [`CsrGraph`](crate::CsrGraph) — and the per-node `incident` scalar is
+//! re-derived as `self_loop + Σ row` in that order. So every snapshot row
+//! is bit-for-bit the row a whole-graph
+//! [`CsrGraph::from_graph`](crate::CsrGraph::from_graph) freeze would
+//! hold, yet [`DeltaCsr::refill_touched`] copies it straight out of the
+//! mutable graph's sorted-run adjacency, at cost
 //! `O(|V̂| log |V̂| + Σ_{v∈V̂} deg v)` — a run copy/merge per row, no
-//! per-row sort — independent of graph size), while
-//! [`DeltaCsr::snapshot_full`] freezes
-//! the whole graph through [`CsrGraph::from_graph`] and extracts the
-//! touched rows (cost `O(n + m)`, the better deal once `V̂` is a large
-//! fraction of the graph). The golden tests in `txallo-core` hold the two
-//! routes to byte-identical allocations.
+//! per-row sort — independent of graph size. It reads no row outside
+//! `V̂`, so under residency it reads only rows that ingestion just made
+//! resident. The tests pin every snapshot array against an extraction
+//! from `CsrGraph::from_graph`.
 
-use crate::csr::CsrGraph;
 use crate::traits::{fit_u32, NodeId, WeightedGraph};
 use crate::txgraph::TxGraph;
 
@@ -113,8 +112,7 @@ struct RefillScratch {
 
 /// Fills the snapshot's node-order arrays: touched nodes in canonical
 /// sweep order (`node`, through [`TxGraph::sort_canonical`]), plus the
-/// ascending-id lookup arrays for [`DeltaCsr::local_of`] — shared by both
-/// snapshot routes so their orderings agree exactly.
+/// ascending-id lookup arrays for [`DeltaCsr::local_of`].
 fn fill_canonical_nodes(snap: &mut DeltaCsr, graph: &TxGraph, touched: &[NodeId]) {
     graph.sort_canonical(
         touched.iter().copied(),
@@ -124,6 +122,7 @@ fn fill_canonical_nodes(snap: &mut DeltaCsr, graph: &TxGraph, touched: &[NodeId]
     let pairs = &mut snap.scratch.pairs;
     pairs.clear();
     pairs.extend(snap.node.iter().enumerate().map(|(i, &v)| (v, i as u32)));
+    // txallo-lint: allow(no-unstable-float-sort) — the keys are the touched node ids, which are distinct, so no two pairs compare equal
     pairs.sort_unstable_by_key(|&(v, _)| v);
     snap.id_keys.clear();
     snap.id_keys.extend(pairs.iter().map(|&(v, _)| v));
@@ -133,8 +132,7 @@ fn fill_canonical_nodes(snap: &mut DeltaCsr, graph: &TxGraph, touched: &[NodeId]
 
 impl DeltaCsr {
     /// Builds the snapshot directly from the mutable graph's sorted-run
-    /// adjacency, touching only `touched` and its incident edges — the
-    /// incremental path.
+    /// adjacency, touching only `touched` and its incident edges.
     ///
     /// `touched` may arrive in any order and must not contain duplicates
     /// (the contract of [`TxGraph::ingest_block`]).
@@ -172,8 +170,7 @@ impl DeltaCsr {
             // in ascending order, *then* added to the self-loop: exactly
             // the incident fold shape `CsrGraph` uses for the same rows
             // (seeding the accumulator with `self_w` instead would round
-            // differently and break the bit-identical `snapshot_full`
-            // equivalence).
+            // differently and break bit-identity with `CsrGraph`'s rows).
             let row_sum = graph.copy_row_into(v, &mut self.targets, &mut self.weights);
             self.offsets.push(fit_u32(self.targets.len()));
             self.self_loops.push(self_w);
@@ -181,50 +178,13 @@ impl DeltaCsr {
         }
     }
 
-    /// Builds the same snapshot through the full-graph route: the whole
-    /// graph is frozen into a [`CsrGraph`] (the same machinery G-TxAllo's
-    /// plan uses to leave the mutable hash adjacency behind) and the
-    /// touched rows are extracted — the fallback when `V̂` is a large
-    /// fraction of the graph and the per-row assembly of
-    /// [`DeltaCsr::snapshot_touched`] stops paying for itself.
-    ///
-    /// Byte-identical to the incremental route by construction: the row
-    /// sequence follows the same canonical sweep order, rows share
-    /// [`CsrGraph`]'s ascending-id internal order with the same weights,
-    /// and the incident weights are the same left-to-right row sums.
-    pub fn snapshot_full(graph: &TxGraph, touched: &[NodeId]) -> Self {
-        let mut snap = Self::default();
-        snap.refill_full(graph, touched);
-        snap
-    }
-
-    /// [`DeltaCsr::snapshot_full`] into `self`, reusing the row buffers
-    /// (the intermediate [`CsrGraph`] freeze is still paid — it is the
-    /// point of this route).
+    /// Forwards to [`DeltaCsr::refill_touched`]. The full-graph snapshot
+    /// route is gone (it froze the whole graph into a
+    /// [`CsrGraph`](crate::CsrGraph) and extracted the same rows, bit for
+    /// bit); the method is kept only because the frozen benchmark harness
+    /// (`perfbench/`) still calls it.
     pub fn refill_full(&mut self, graph: &TxGraph, touched: &[NodeId]) {
-        let csr = CsrGraph::from_graph(graph);
-        fill_canonical_nodes(self, graph, touched);
-        let t = self.node.len();
-        let entry_count: usize = self.node.iter().map(|&v| csr.neighbor_count(v)).sum();
-        self.offsets.clear();
-        self.offsets.reserve(t + 1);
-        self.offsets.push(0u32);
-        self.targets.clear();
-        self.targets.reserve(entry_count);
-        self.weights.clear();
-        self.weights.reserve(entry_count);
-        self.self_loops.clear();
-        self.self_loops.reserve(t);
-        self.incident.clear();
-        self.incident.reserve(t);
-        for i in 0..t {
-            let v = self.node[i];
-            self.targets.extend_from_slice(csr.neighbor_ids(v));
-            self.weights.extend_from_slice(csr.neighbor_weights(v));
-            self.offsets.push(fit_u32(self.targets.len()));
-            self.self_loops.push(csr.self_loop(v));
-            self.incident.push(csr.incident_weight(v));
-        }
+        self.refill_touched(graph, touched);
     }
 
     /// Number of snapshot rows (= touched nodes).
@@ -313,7 +273,58 @@ impl DeltaCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrGraph;
     use txallo_model::{AccountId, Transaction};
+
+    /// The reference snapshot: the whole graph frozen through
+    /// [`CsrGraph::from_graph`] and the touched rows extracted in
+    /// canonical order, with the lookup arrays built independently of
+    /// `fill_canonical_nodes`.
+    fn extract_from_csr(g: &TxGraph, touched: &[NodeId]) -> DeltaCsr {
+        let csr = CsrGraph::from_graph(g);
+        let node: Vec<NodeId> = g
+            .nodes_in_canonical_order()
+            .into_iter()
+            .filter(|v| touched.contains(v))
+            .collect();
+        let mut by_id: Vec<(NodeId, u32)> = node
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, fit_u32(i)))
+            .collect();
+        by_id.sort();
+        let mut snap = DeltaCsr {
+            offsets: vec![0],
+            id_keys: by_id.iter().map(|&(v, _)| v).collect(),
+            id_vals: by_id.iter().map(|&(_, i)| i).collect(),
+            ..DeltaCsr::default()
+        };
+        for &v in &node {
+            snap.targets.extend_from_slice(csr.neighbor_ids(v));
+            snap.weights.extend_from_slice(csr.neighbor_weights(v));
+            snap.offsets.push(fit_u32(snap.targets.len()));
+            snap.self_loops.push(csr.self_loop(v));
+            snap.incident.push(csr.incident_weight(v));
+        }
+        snap.node = node;
+        snap
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every observable array of `a` equals `b`'s, floats bit for bit.
+    fn assert_same(a: &DeltaCsr, b: &DeltaCsr) {
+        assert_eq!(a.node, b.node, "row order");
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.targets, b.targets);
+        assert_eq!(bits(&a.weights), bits(&b.weights), "weights bit-for-bit");
+        assert_eq!(bits(&a.self_loops), bits(&b.self_loops));
+        assert_eq!(bits(&a.incident), bits(&b.incident), "incident bit-for-bit");
+        assert_eq!(a.id_keys, b.id_keys);
+        assert_eq!(a.id_vals, b.id_vals);
+    }
 
     fn graph() -> TxGraph {
         let mut g = TxGraph::new();
@@ -341,6 +352,8 @@ mod tests {
         g
     }
 
+    /// The touched-rows snapshot equals the rows a whole-graph
+    /// `CsrGraph` freeze holds, bit for bit.
     #[test]
     fn touched_and_full_routes_agree() {
         let g = graph();
@@ -352,16 +365,8 @@ mod tests {
         ];
         let everyone: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
         for touched in [subset, everyone] {
-            let a = DeltaCsr::snapshot_touched(&g, &touched);
-            let b = DeltaCsr::snapshot_full(&g, &touched);
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.offsets, b.offsets);
-            assert_eq!(a.targets, b.targets);
-            assert_eq!(a.weights, b.weights, "weights must match bit-for-bit");
-            assert_eq!(a.self_loops, b.self_loops);
-            assert_eq!(a.incident, b.incident, "incident must match bit-for-bit");
-            assert_eq!(a.id_keys, b.id_keys);
-            assert_eq!(a.id_vals, b.id_vals);
+            let snap = DeltaCsr::snapshot_touched(&g, &touched);
+            assert_same(&snap, &extract_from_csr(&g, &touched));
         }
     }
 
@@ -416,7 +421,7 @@ mod tests {
     /// `V̂` containing isolated accounts — degree-0 nodes whose only weight
     /// is a self-loop (a transfer-to-self is how such accounts enter the
     /// graph) — must produce empty rows with the self-loop carried in the
-    /// scalars, identically on both routes.
+    /// scalars, exactly as the whole-graph `CsrGraph` extraction does.
     #[test]
     fn isolated_new_accounts_have_empty_rows_on_both_routes() {
         let mut g = graph();
@@ -428,10 +433,7 @@ mod tests {
         assert_eq!(g.neighbor_count(i50), 0, "fixture: degree 0");
         let touched: Vec<NodeId> = vec![i50, g.node_of(AccountId(2)).unwrap(), i51];
         let a = DeltaCsr::snapshot_touched(&g, &touched);
-        let b = DeltaCsr::snapshot_full(&g, &touched);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.targets, b.targets);
-        assert_eq!(a.incident, b.incident, "bit-for-bit incident");
+        assert_same(&a, &extract_from_csr(&g, &touched));
         for &iso in &[i50, i51] {
             let local = a.local_of(iso).expect("isolated node is a row") as usize;
             let (targets, weights) = a.row(local);
@@ -446,8 +448,9 @@ mod tests {
     }
 
     /// Refilling a warm snapshot must be indistinguishable from building a
-    /// fresh one — for both routes, across differently-shaped epochs
-    /// (shrinking and growing touched sets).
+    /// fresh one and from the `CsrGraph` extraction, across
+    /// differently-shaped epochs (shrinking and growing touched sets);
+    /// `refill_full` forwards to the same refill.
     #[test]
     fn refill_reuses_buffers_without_changing_results() {
         let g = graph();
@@ -458,22 +461,12 @@ mod tests {
         ];
         let mut warm = DeltaCsr::default();
         for touched in [&everyone, &small, &everyone] {
+            let reference = extract_from_csr(&g, touched);
             warm.refill_touched(&g, touched);
-            let fresh = DeltaCsr::snapshot_touched(&g, touched);
-            assert_eq!(warm.node, fresh.node);
-            assert_eq!(warm.offsets, fresh.offsets);
-            assert_eq!(warm.targets, fresh.targets);
-            assert_eq!(warm.weights, fresh.weights);
-            assert_eq!(warm.self_loops, fresh.self_loops);
-            assert_eq!(warm.incident, fresh.incident);
-            assert_eq!(warm.id_keys, fresh.id_keys);
-            assert_eq!(warm.id_vals, fresh.id_vals);
-
+            assert_same(&warm, &DeltaCsr::snapshot_touched(&g, touched));
+            assert_same(&warm, &reference);
             warm.refill_full(&g, touched);
-            let full = DeltaCsr::snapshot_full(&g, touched);
-            assert_eq!(warm.targets, full.targets);
-            assert_eq!(warm.weights, full.weights);
-            assert_eq!(warm.incident, full.incident);
+            assert_same(&warm, &reference);
         }
     }
 
@@ -484,7 +477,6 @@ mod tests {
         assert!(snap.is_empty());
         assert_eq!(snap.len(), 0);
         assert_eq!(snap.local_of(0), None);
-        let full = DeltaCsr::snapshot_full(&g, &[]);
-        assert!(full.is_empty());
+        assert_same(&snap, &extract_from_csr(&g, &[]));
     }
 }

@@ -30,10 +30,9 @@
 //!   memory. Also implements [`WeightedGraph`].
 //! * [`DeltaCsr`] — *epoch-update form*. A compact CSR over just the
 //!   epoch's touched node set `V̂` and its incident edges, rows in the
-//!   canonical sweep order, built either incrementally by straight run
-//!   copies out of the slab adjacency or by extraction from a full
-//!   [`CsrGraph`] (see [`delta`] for the byte-identical-routes contract).
-//!   This is what A-TxAllo's epoch sweep runs on.
+//!   canonical sweep order, built by straight run copies out of the slab
+//!   adjacency; each row equals the full [`CsrGraph`]'s row bit for bit
+//!   (see [`delta`]). This is what A-TxAllo's epoch sweep runs on.
 //!
 //! The split matters because the sweeps dominate running time (§VI-B6 of
 //! the paper: Louvain initialization alone is 67.6 s of G-TxAllo's

@@ -63,7 +63,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "no-unstable-float-sort",
-        summary: "no sort_unstable with a float comparator and no integer tie-break (equal keys scramble)",
+        summary: "no sort_unstable with a float comparator and no integer tie-break, nor with a key closure that drops part of the element (equal keys scramble)",
         contract: "D2 GAIN_EPS tie-breaking",
         check: no_unstable_float_sort,
     },
@@ -603,8 +603,41 @@ fn no_unstable_float_sort(view: &FileView, out: &mut Vec<RawFinding>) {
                  across platforms/toolchains (the PR 5 Louvain aggregation bug)"
                     .to_owned(),
             ));
+        } else if key_drops_payload(&stmt) {
+            out.push((
+                lineno,
+                "no-unstable-float-sort",
+                "sort_unstable_by_key whose key closure drops part of the element \
+                 — equal keys reorder the dropped payload in whatever order the \
+                 std sort leaves them (a later float sum over it then depends on \
+                 the toolchain); sort stably, key on the whole element, or show \
+                 the keys are unique"
+                    .to_owned(),
+            ));
         }
     }
+}
+
+/// Whether an unstable keyed sort's key closure drops part of the
+/// element: its parameter pattern ignores a component (`|&(u, _)| u`,
+/// `|&(u, _w)| u`, `|(u, ..)| u`). Equal keys then leave the ignored
+/// payload in an order the standard library does not specify.
+fn key_drops_payload(stmt: &str) -> bool {
+    const CALL: &str = "sort_unstable_by_key(";
+    let Some(at) = stmt.find(CALL) else {
+        return false;
+    };
+    let Some(params) = stmt[at + CALL.len()..].trim_start().strip_prefix('|') else {
+        return false;
+    };
+    let Some(end) = params.find('|') else {
+        return false;
+    };
+    let pattern = &params[..end];
+    pattern.contains("..")
+        || pattern
+            .split(|c: char| !(c == '_' || c.is_ascii_alphanumeric()))
+            .any(|ident| ident.starts_with('_'))
 }
 
 /// Identifier fragments that mark a value as an id/count on the checked-
@@ -853,6 +886,36 @@ mod tests {
         assert!(run_rule("no-unstable-float-sort", "crates/core/src/x.rs", good).is_empty());
         let ints = "v.sort_unstable();";
         assert!(run_rule("no-unstable-float-sort", "crates/core/src/x.rs", ints).is_empty());
+    }
+
+    #[test]
+    fn keyed_sort_that_drops_payload_is_flagged() {
+        for bad in [
+            "row.sort_unstable_by_key(|&(u, _)| u);",
+            "row.sort_unstable_by_key(|&(u, _w)| u);",
+            "row.sort_unstable_by_key(|(u, ..)| *u);",
+            "row.sort_unstable_by_key(\n    |&(u, _)| u,\n);",
+        ] {
+            assert_eq!(
+                run_rule("no-unstable-float-sort", "crates/graph/src/x.rs", bad).len(),
+                1,
+                "{bad}"
+            );
+        }
+        for good in [
+            // Stable: equal keys keep their input order.
+            "row.sort_by_key(|&(u, _)| u);",
+            // The key is the whole element.
+            "ids.sort_unstable_by_key(|&v| mix(v));",
+            "row.sort_unstable_by_key(|&(u, w)| (u, w.to_bits()));",
+            // A wildcard in the body, not the pattern.
+            "ids.sort_unstable_by_key(|&v| match v { 0 => 1, _ => 0 });",
+        ] {
+            assert!(
+                run_rule("no-unstable-float-sort", "crates/graph/src/x.rs", good).is_empty(),
+                "{good}"
+            );
+        }
     }
 
     #[test]

@@ -161,7 +161,6 @@ impl ShardedChainSim {
             epoch,
             height_range: (blocks[0].height(), blocks[blocks.len() - 1].height()),
             update: update.kind,
-            update_path: update.path,
             carry: update.carry,
             update_time,
             new_accounts: update.placements(),
@@ -262,7 +261,6 @@ mod tests {
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.epoch, i as u64);
             assert_eq!(r.update, UpdateKind::Adaptive);
-            assert!(r.update_path.is_some(), "adaptive epochs record the route");
             assert_eq!(r.carry, StateCarry::Warm, "session must stay warm");
             assert_eq!(r.metrics.transactions, 20 * 50);
             assert!(r.metrics.throughput_normalized > 1.0, "sharding must help");
@@ -288,10 +286,6 @@ mod tests {
             reports[2].update,
             UpdateKind::Global,
             "epoch 2 hits the gap"
-        );
-        assert!(
-            reports[2].update_path.is_none(),
-            "global epochs have no route"
         );
         assert_eq!(
             reports[2].carry,

@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 
-use txallo_core::{Allocation, Degradation, StateCarry, UpdatePath};
+use txallo_core::state::capped_throughput;
+use txallo_core::{Allocation, Degradation, StateCarry};
 use txallo_graph::TxGraph;
 use txallo_model::Block;
 
@@ -59,15 +60,7 @@ pub fn epoch_metrics(
     for block in blocks {
         for tx in block.transactions() {
             tx_count += 1;
-            shard_scratch.clear();
-            for account in tx.account_set() {
-                let node = graph
-                    .node_of(account)
-                    .expect("epoch accounts are ingested before scoring"); // txallo-lint: allow(lib-unwrap) — the epoch loop ingests every block before scoring it, so all accounts are interned
-                shard_scratch.push(allocation.shard_of(node).0);
-            }
-            shard_scratch.sort_unstable();
-            shard_scratch.dedup();
+            allocation.tx_shards_into(graph, tx, &mut shard_scratch);
             let mu = shard_scratch.len();
             let unit = if mu > 1 { eta } else { 1.0 };
             if mu > 1 {
@@ -86,13 +79,7 @@ pub fn epoch_metrics(
         tx_count as f64 / shards as f64
     };
     let throughput: f64 = (0..shards)
-        .map(|s| {
-            if workloads[s] <= capacity {
-                hat[s]
-            } else {
-                capacity / workloads[s] * hat[s]
-            }
-        })
+        .map(|s| capped_throughput(workloads[s], hat[s], capacity))
         .sum();
 
     EpochMetrics {
@@ -119,9 +106,6 @@ pub struct EpochReport {
     pub height_range: (u64, u64),
     /// Which algorithm ran at this boundary.
     pub update: UpdateKind,
-    /// For adaptive updates, which snapshot route A-TxAllo took
-    /// (delta-CSR vs. full recompute); `None` for global epochs.
-    pub update_path: Option<UpdatePath>,
     /// How the stream's serving state crossed the boundary — in
     /// particular, whether a decay epoch *folded* into the warm session's
     /// aggregates ([`StateCarry::WarmRescaled`]) or forced a rebuild

@@ -90,15 +90,7 @@ impl ShardQueueSim {
         let mut shards_scratch: Vec<u32> = Vec::with_capacity(8);
         for tx in block.transactions() {
             let id = fit_u32(self.remaining.len());
-            shards_scratch.clear();
-            for account in tx.account_set() {
-                let node = graph
-                    .node_of(account)
-                    .expect("accounts ingested before simulation"); // txallo-lint: allow(lib-unwrap) — step_block's contract: the caller ingests the block before stepping the queue
-                shards_scratch.push(allocation.shard_of(node).0);
-            }
-            shards_scratch.sort_unstable();
-            shards_scratch.dedup();
+            allocation.tx_shards_into(graph, tx, &mut shards_scratch);
             let mu = shards_scratch.len();
             let cost = if mu > 1 { self.eta } else { 1.0 };
             self.remaining.push(mu as u32);
