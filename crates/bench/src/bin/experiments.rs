@@ -16,7 +16,8 @@
 //!   recency         full-history vs window vs decayed training graphs
 //!   headline        γ at k = 60 (98% / 28% / 12% in the paper)
 //!   scale-stream    out-of-core streaming replay (--accounts/--epochs/--window;
-//!                   --max-resident-mib F exits nonzero on a ceiling breach)
+//!                   --max-resident-mib F exits nonzero on a ceiling breach,
+//!                   or when a nonzero window evicted or restored no row)
 //!   bench-snapshot  hot-path component timings -> BENCH_pr8.json (or --out FILE)
 //!   all             everything above
 //! ```
@@ -154,16 +155,21 @@ fn main() {
             let report = run_stream_bench(&config);
             println!("{}", report.to_json());
             let peak_mib = report.peak_resident_bytes as f64 / (1024.0 * 1024.0);
+            let fp = &report.final_footprint;
             eprintln!(
                 "# peak resident {peak_mib:.1} MiB ({} distinct accounts, {} evictions, \
-                 {:.1} MiB spilled)",
+                 {} restores, {:.1} MiB spilled)",
                 report.distinct_accounts,
-                report.final_footprint.evicted_rows,
-                report.final_footprint.spill_bytes as f64 / (1024.0 * 1024.0),
+                fp.evicted_rows,
+                fp.restored_rows,
+                fp.spill_bytes as f64 / (1024.0 * 1024.0),
             );
             if let Some(ceiling) = max_resident_mib {
-                if config.window > 0 && report.final_footprint.evicted_rows == 0 {
+                if config.window > 0 && fp.evicted_rows == 0 {
                     die("residency window evicted nothing — eviction layer inactive");
+                }
+                if config.window > 0 && fp.restored_rows == 0 {
+                    die("no evicted row was restored — rehydration path unexercised");
                 }
                 if peak_mib > ceiling {
                     die(&format!(

@@ -560,8 +560,8 @@ pub fn recency(scale: ExperimentScale) {
     let future = generator.blocks(50);
 
     // Build the three views of history: everything, the last 200 blocks,
-    // and every block decayed by 0.8 per 50-block epoch (decay, prune the
-    // dust, then ingest the epoch).
+    // and every block decayed by 0.8 per 50-block epoch (decay, then
+    // ingest the epoch).
     let ingest = |blocks: &[Block]| {
         let mut g = TxGraph::new();
         for b in blocks {
@@ -574,7 +574,6 @@ pub fn recency(scale: ExperimentScale) {
     let mut decayed = TxGraph::new();
     for chunk in history.chunks(50) {
         decayed.apply_decay(0.8);
-        decayed.prune_dust(1e-4);
         for b in chunk {
             decayed.ingest_block(b);
         }

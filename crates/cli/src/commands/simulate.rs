@@ -126,7 +126,7 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
         let fp = sim.memory_footprint();
         eprintln!(
             "residency: {} resident / {} cold rows, {} evictions, \
-             {:.1} MiB resident graph + {:.1} MiB allocator state, \
+             {:.1} MiB resident graph (spill log included) + {:.1} MiB allocator state, \
              {:.1} MiB spilled",
             fp.resident_rows,
             fp.cold_rows,

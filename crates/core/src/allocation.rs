@@ -1,7 +1,7 @@
 //! The account-shard mapping (Definition 1).
 
 use txallo_graph::{NodeId, TxGraph};
-use txallo_model::{AccountId, ShardId, Transaction};
+use txallo_model::{ShardId, Transaction};
 
 use crate::streaming::AllocationUpdate;
 
@@ -27,50 +27,15 @@ impl Allocation {
         }
     }
 
-    /// All-zero allocation of `n` nodes into one shard (the unsharded
-    /// baseline `k = 1`).
-    pub fn single_shard(n: usize) -> Self {
-        Self {
-            labels: vec![0; n],
-            shard_count: 1,
-        }
-    }
-
     /// Shard of a graph node.
     #[inline]
     pub fn shard_of(&self, node: NodeId) -> ShardId {
         ShardId(self.labels[node as usize])
     }
 
-    /// Shard of an account, resolved through the graph's interner.
-    /// Returns `None` for accounts absent from the history.
-    pub fn shard_of_account(&self, graph: &TxGraph, account: AccountId) -> Option<ShardId> {
-        graph.node_of(account).map(|n| self.shard_of(n))
-    }
-
     /// The raw label vector (index = node id).
     pub fn labels(&self) -> &[u32] {
         &self.labels
-    }
-
-    /// Moves one node to `shard`, upholding the Definition 1 invariants.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range or `shard` is not `< shard_count`
-    /// — unlike the raw label vector, a validated mutation can never leave
-    /// the allocation inconsistent.
-    pub fn set_shard(&mut self, node: NodeId, shard: ShardId) {
-        assert!(
-            (node as usize) < self.labels.len(),
-            "node {node} outside the allocation (len {})",
-            self.labels.len()
-        );
-        assert!(
-            (shard.0 as usize) < self.shard_count,
-            "shard {shard} out of range (k = {})",
-            self.shard_count
-        );
-        self.labels[node as usize] = shard.0;
     }
 
     /// Appends the label of the next freshly interned node (node ids are
@@ -159,36 +124,6 @@ impl Allocation {
         self.labels.is_empty()
     }
 
-    /// Nodes grouped per shard (index = shard id).
-    pub fn groups(&self) -> Vec<Vec<NodeId>> {
-        let mut groups = vec![Vec::new(); self.shard_count];
-        for (v, &s) in self.labels.iter().enumerate() {
-            groups[s as usize].push(v as NodeId);
-        }
-        groups
-    }
-
-    /// Number of accounts per shard.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.shard_count];
-        for &s in &self.labels {
-            sizes[s as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Number of shards a transaction over `accounts` touches (`µ(Tx)`),
-    /// given the graph used to intern them. Accounts missing from the graph
-    /// are ignored (they have no assigned shard yet).
-    pub fn shards_touched(&self, graph: &TxGraph, accounts: &[AccountId]) -> usize {
-        let mut shards = Vec::new();
-        self.shard_set_into(
-            accounts.iter().filter_map(|&a| graph.node_of(a)),
-            &mut shards,
-        );
-        shards.len()
-    }
-
     /// The distinct shards `tx` touches, ascending, written into `out`
     /// (cleared first); `out.len()` is `µ(Tx)` (§III-B). A caller that
     /// routes, scores or queues a whole block passes one reused buffer, so
@@ -198,18 +133,13 @@ impl Allocation {
     /// Panics if an account of `tx` is not interned in `graph`: every
     /// caller ingests a block before it reads the block's shard sets.
     pub fn tx_shards_into(&self, graph: &TxGraph, tx: &Transaction, out: &mut Vec<u32>) {
-        let node = |a: &AccountId| {
-            graph
-                .node_of(*a)
-                .expect("accounts are ingested before their shards are read") // txallo-lint: allow(lib-unwrap) — every caller (the chain engine, epoch scoring, the shard queues) ingests the block before reading its shard sets, so all accounts are interned
-        };
-        self.shard_set_into(tx.inputs().iter().chain(tx.outputs()).map(node), out);
-    }
-
-    /// The distinct shards of `nodes`, ascending, into `out`.
-    fn shard_set_into(&self, nodes: impl Iterator<Item = NodeId>, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(nodes.map(|n| self.labels[n as usize]));
+        for &a in tx.inputs().iter().chain(tx.outputs()) {
+            let node = graph
+                .node_of(a)
+                .expect("accounts are ingested before their shards are read"); // txallo-lint: allow(lib-unwrap) — every caller (the chain engine, epoch scoring, the shard queues, the ledger-level γ over a dataset's graph) ingests the transactions before reading their shard sets, so all accounts are interned
+            out.push(self.labels[node as usize]);
+        }
         out.sort_unstable();
         out.dedup();
     }
@@ -218,67 +148,20 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_model::Transaction;
+    use txallo_model::AccountId;
 
     #[test]
-    fn groups_and_sizes_are_consistent() {
-        let a = Allocation::new(vec![0, 1, 0, 2, 1, 0], 3);
-        assert_eq!(a.shard_sizes(), vec![3, 2, 1]);
-        let groups = a.groups();
-        assert_eq!(groups[0], vec![0, 2, 5]);
-        assert_eq!(groups[1], vec![1, 4]);
-        assert_eq!(groups[2], vec![3]);
-        assert_eq!(a.len(), 6);
-        assert_eq!(a.shard_count(), 3);
-    }
-
-    #[test]
-    fn account_resolution() {
-        let mut g = TxGraph::new();
-        g.ingest_transaction(&Transaction::transfer(AccountId(10), AccountId(20)));
-        let alloc = Allocation::new(vec![1, 0], 2);
-        assert_eq!(alloc.shard_of_account(&g, AccountId(10)), Some(ShardId(1)));
-        assert_eq!(alloc.shard_of_account(&g, AccountId(20)), Some(ShardId(0)));
-        assert_eq!(alloc.shard_of_account(&g, AccountId(99)), None);
-    }
-
-    #[test]
-    fn shards_touched_counts_distinct() {
+    fn tx_shards_into_counts_distinct() {
         let mut g = TxGraph::new();
         g.ingest_transaction(&Transaction::transfer(AccountId(1), AccountId(2)));
         g.ingest_transaction(&Transaction::transfer(AccountId(3), AccountId(4)));
         let alloc = Allocation::new(vec![0, 0, 1, 1], 2);
-        assert_eq!(alloc.shards_touched(&g, &[AccountId(1), AccountId(2)]), 1);
-        assert_eq!(alloc.shards_touched(&g, &[AccountId(1), AccountId(3)]), 2);
-        assert_eq!(alloc.shards_touched(&g, &[AccountId(1), AccountId(99)]), 1);
-    }
-
-    #[test]
-    fn single_shard_helper() {
-        let a = Allocation::single_shard(4);
-        assert_eq!(a.shard_count(), 1);
-        assert!(a.labels().iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn set_shard_validates() {
-        let mut a = Allocation::new(vec![0, 1, 0], 2);
-        a.set_shard(2, ShardId(1));
-        assert_eq!(a.labels(), &[0, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_shard_rejects_bad_shard() {
-        let mut a = Allocation::new(vec![0, 1], 2);
-        a.set_shard(0, ShardId(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the allocation")]
-    fn set_shard_rejects_bad_node() {
-        let mut a = Allocation::new(vec![0, 1], 2);
-        a.set_shard(9, ShardId(0));
+        let mut shards = vec![7];
+        let transfer = |a, b| Transaction::transfer(AccountId(a), AccountId(b));
+        alloc.tx_shards_into(&g, &transfer(1, 2), &mut shards);
+        assert_eq!(shards, [0], "one shard, buffer cleared first");
+        alloc.tx_shards_into(&g, &transfer(3, 1), &mut shards);
+        assert_eq!(shards, [0, 1], "distinct shards, ascending");
     }
 
     mod apply_update {

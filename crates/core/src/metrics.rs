@@ -121,24 +121,19 @@ impl MetricsReport {
         if total == 0 {
             return 0.0;
         }
+        // The dataset's graph interns every account of its ledger, so
+        // `tx_shards_into` resolves each one.
         let graph = dataset.graph();
+        let mut shards = Vec::new();
         let cross = dataset
             .ledger()
             .transactions()
-            .filter(|tx| allocation.shards_touched(graph, &tx.account_set()) > 1)
+            .filter(|tx| {
+                allocation.tx_shards_into(graph, tx, &mut shards);
+                shards.len() > 1
+            })
             .count();
         cross as f64 / total as f64
-    }
-}
-
-/// Computes `µ(Tx)`-weighted throughput shares for a single transaction:
-/// each involved shard counts `1/µ(Tx)` (§III-B). Exposed for tests and
-/// the simulator.
-pub fn throughput_share(mu: usize) -> f64 {
-    if mu == 0 {
-        0.0
-    } else {
-        1.0 / mu as f64
     }
 }
 
@@ -240,12 +235,5 @@ mod tests {
         let alloc = Allocation::new(labels, 2);
         let gamma = MetricsReport::transaction_level_cross_ratio(&ds, &alloc);
         assert!((gamma - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_share_is_reciprocal() {
-        assert_eq!(throughput_share(1), 1.0);
-        assert_eq!(throughput_share(2), 0.5);
-        assert_eq!(throughput_share(0), 0.0);
     }
 }

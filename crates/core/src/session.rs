@@ -29,17 +29,15 @@
 //! to float rounding of the different summation order) what
 //! `CommunityState::from_labels` would recompute from scratch;
 //! [`AtxAlloSession::consistency_error`] measures the drift and the sim
-//! tests bound it. Out-of-band graph edits split in two:
-//!
-//! * **uniform rescaling** (exponential decay) *folds* into the session —
-//!   [`AtxAlloSession::apply_decay`] scales the aggregates by the same
-//!   factor, exactly, because they are linear in the edge weights
-//!   (golden-tested against the rebuild path);
-//! * **non-uniform edits** (edge dropping, e.g. `TxGraph::prune_dust`)
-//!   cannot be folded: drop the session and build a fresh one (the
-//!   streaming layer's `HybridStream` does exactly that after
-//!   `StreamingAllocator::invalidate_state`, and at every global
-//!   G-TxAllo refresh).
+//! tests bound it. The graph's one out-of-band edit, **uniform
+//! rescaling** (exponential decay), *folds* into the session:
+//! [`AtxAlloSession::apply_decay`] scales the aggregates by the same
+//! factor, exactly, because they are linear in the edge weights
+//! (golden-tested against the rebuild path). The graph never drops
+//! edges. Anything the session cannot fold means building a fresh one:
+//! the streaming layer's `HybridStream` does exactly that after
+//! `StreamingAllocator::invalidate_state` (a failed audit), and at every
+//! global G-TxAllo refresh.
 
 use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
 
@@ -152,9 +150,6 @@ impl AtxAlloSession {
     /// [`AtxAlloSession::consistency_error`] bounds; the decay golden
     /// tests assert the resulting *allocations* match the rebuild path
     /// exactly.
-    ///
-    /// Non-uniform edits (e.g. [`TxGraph::prune_dust`] dropping edges)
-    /// cannot be folded — drop the session and rebuild instead.
     pub fn apply_decay(&mut self, factor: f64) {
         assert!(
             factor > 0.0 && factor <= 1.0,

@@ -453,11 +453,9 @@ fn diff_full(old: &[u32], new: &[u32]) -> Vec<AccountMove> {
 ///   [`StateCarry::Rebuilt`]. Its epoch's blocks are not folded into the
 ///   session, which the re-solve replaces anyway;
 /// * [`invalidate_state`](StreamingAllocator::invalidate_state) (after a
-///   failed audit, or a *non-uniform* out-of-band graph edit such as
-///   [`TxGraph::prune_dust`], which
-///   [`on_reweight`](StreamingAllocator::on_reweight) cannot fold) drops
-///   the session and keeps its labels; the next boundary rebuilds the
-///   aggregates from the graph ([`StateCarry::Rebuilt`]).
+///   failed audit) drops the session and keeps its labels; the next
+///   boundary rebuilds the aggregates from the graph
+///   ([`StateCarry::Rebuilt`]).
 #[derive(Debug, Clone)]
 pub struct HybridStream {
     params: TxAlloParams,

@@ -8,10 +8,10 @@
 //! recency-weighted estimate of the *next* epoch's pattern.
 //!
 //! Usage: call [`TxGraph::apply_decay`] once per epoch before ingesting
-//! the epoch's blocks; occasionally [`TxGraph::prune_dust`] to drop edges
-//! that have decayed to noise (bounding memory over long horizons). The
-//! graph then holds `Σ decay^age · weight(block)`. There is no wrapper
-//! type: callers such as the epoch loop apply the decay themselves.
+//! the epoch's blocks. The graph then holds `Σ decay^age · weight(block)`.
+//! Decayed edges are never dropped, so node ids and edge counts only grow.
+//! There is no wrapper type: callers such as the epoch loop apply the
+//! decay themselves.
 
 use crate::txgraph::TxGraph;
 
@@ -31,14 +31,6 @@ impl TxGraph {
             return;
         }
         self.scale_all_weights(factor);
-    }
-
-    /// Removes edges whose decayed weight fell below `threshold`,
-    /// returning how many were dropped. Self-loops below the threshold are
-    /// zeroed as well. Node ids remain stable.
-    pub fn prune_dust(&mut self, threshold: f64) -> usize {
-        assert!(threshold >= 0.0);
-        self.drop_edges_below(threshold)
     }
 }
 
@@ -84,28 +76,6 @@ mod tests {
     #[should_panic(expected = "decay factor")]
     fn zero_decay_panics() {
         TxGraph::new().apply_decay(0.0);
-    }
-
-    #[test]
-    fn prune_drops_faded_edges() {
-        let mut g = TxGraph::new();
-        g.ingest_transaction(&tx(1, 2));
-        g.ingest_transaction(&tx(3, 4));
-        g.apply_decay(0.01); // both edges at 0.01
-        g.ingest_transaction(&tx(1, 2)); // edge (1,2) back to 1.01
-        let dropped = g.prune_dust(0.1);
-        assert_eq!(dropped, 1, "only the faded (3,4) edge goes");
-        let (n1, n2) = (
-            g.node_of(AccountId(1)).unwrap(),
-            g.node_of(AccountId(2)).unwrap(),
-        );
-        assert!(g.weight_between(n1, n2) > 1.0);
-        let (n3, n4) = (
-            g.node_of(AccountId(3)).unwrap(),
-            g.node_of(AccountId(4)).unwrap(),
-        );
-        assert_eq!(g.weight_between(n3, n4), 0.0);
-        assert!(g.incident_weight(n3).abs() < 1e-12);
     }
 
     /// Decays, then ingests one epoch of blocks — the per-epoch call order

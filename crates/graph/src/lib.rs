@@ -43,9 +43,10 @@
 //! or full candidate sorts.
 //!
 //! Recency weighting (§VI-A) is not a fourth form: it is
-//! [`TxGraph::apply_decay`] and [`TxGraph::prune_dust`] on the ingestion
-//! form (see [`decay`]). Every builder here is serial; the crate starts no
-//! threads.
+//! [`TxGraph::apply_decay`] on the ingestion form (see [`decay`]). Nor is
+//! out-of-core replay: [`residency`] evicts idle rows of the ingestion
+//! form to an in-memory spill log behind one `u32` slot per account.
+//! Every builder here is serial; the crate starts no threads.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -64,7 +65,7 @@ pub mod txgraph;
 pub use csr::CsrGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
-pub use residency::{MemoryFootprint, ResidencyConfig, SpillTarget};
+pub use residency::{MemoryFootprint, ResidencyConfig};
 pub use scratch::{DenseAccumulator, DenseIndexMap, SweepCache};
 pub use slab::SortedRunStore;
 pub use stats::GraphStats;

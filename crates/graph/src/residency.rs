@@ -5,9 +5,25 @@
 //! *writes* the rows of accounts that transacted recently — the decay
 //! window already encodes that recency. This module retires the adjacency
 //! rows of accounts untouched for more than `window` completed epochs to
-//! an append-only spill (in memory or on disk) and rehydrates them
-//! **bitwise-transparently** when traffic returns, keeping resident slab
-//! bytes `O(active set)` instead of `O(all accounts ever seen)`.
+//! an append-only in-memory spill log and rehydrates them
+//! **bitwise-transparently** when traffic returns, keeping slab bytes
+//! `O(active set)` instead of `O(all accounts ever seen)`. The spill log
+//! is resident memory too, and it keeps every superseded record, so
+//! eviction bounds the slab, not the process.
+//!
+//! ## One slot per account
+//!
+//! The index is one `u32` per account. While the row is resident the
+//! slot holds the epoch of its last write; while it is evicted it holds
+//! `COLD | offset / 4`, where `COLD` is the top bit and `offset` is where
+//! the row's spill record starts (records are `8 + 12·len` bytes, so
+//! every offset is a multiple of 4). The epoch count and `offset / 4`
+//! must each stay below 2³¹, which caps the spill at 8 GiB; both are
+//! checked. A rehydrate overwrites the offset, so a write rehydrates the
+//! row *before* stamping it, and a rehydrate with no write resets the
+//! slot to 0. The row was evicted because its last write is more than
+//! `window` epochs old, so 0 keeps it just as evictable: it goes cold
+//! again at the next boundary, as it would have had its stamp survived.
 //!
 //! ## The determinism story
 //!
@@ -26,12 +42,11 @@
 //!
 //! Reads take `&self` and cannot rehydrate, so a cold row reads as
 //! *empty* (`neighbor_count == 0`, no entries). Correctness rests on one
-//! invariant: **a cold row is never read**. The write paths uphold it
+//! invariant: **a cold row is never read**. The write path upholds it
 //! internally — every ingestion touch rehydrates through
-//! [`TxGraph::ensure_node`], and edge removal rehydrates both endpoints —
-//! but whole-graph readers (a global G-TxAllo re-solve, a session
-//! rebuild, a consistency audit, a checkpoint, dust pruning) must call
-//! [`TxGraph::ensure_all_resident`] first. The simulator driver does so at
+//! [`TxGraph::ensure_node`] — but whole-graph readers (a global G-TxAllo
+//! re-solve, a session rebuild, a consistency audit, a checkpoint) must
+//! call [`TxGraph::ensure_all_resident`] first. The epoch loop does so at
 //! exactly those boundaries; per-node scalars (self-loops, incident
 //! weight, `total_weight`) always stay resident, so epoch parameter
 //! rescaling and metrics need no rehydration at all.
@@ -41,25 +56,8 @@
 //! [`TxGraph::ensure_node`]: crate::TxGraph
 //! [`TxGraph::ensure_all_resident`]: crate::TxGraph::ensure_all_resident
 
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-
 use crate::slab::SortedRunStore;
 use crate::traits::{fit_u32, NodeId};
-
-/// Where evicted rows spill.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpillTarget {
-    /// An in-memory byte log — bounds the *slab* (the structure whose
-    /// per-entry overhead and compaction passes scale with residency)
-    /// while keeping everything in RAM; the right choice for tests and
-    /// mid-size runs.
-    Memory,
-    /// An append-only file — true out-of-core operation for replays whose
-    /// cold history exceeds RAM. Created (truncated) on enable.
-    File(PathBuf),
-}
 
 /// Configuration of the residency layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,160 +66,60 @@ pub struct ResidencyConfig {
     /// epochs without a write. Must be ≥ 1 (an account's row always
     /// survives the epoch it transacted in plus `window` full epochs).
     pub window: u32,
-    /// Where evicted rows go.
-    pub spill: SpillTarget,
 }
 
 impl ResidencyConfig {
-    /// In-memory spill with the given eviction window.
+    /// Residency with the given eviction window; evicted rows spill to an
+    /// in-memory log.
     pub fn in_memory(window: u32) -> Self {
-        Self {
-            window,
-            spill: SpillTarget::Memory,
-        }
-    }
-
-    /// File-backed spill with the given eviction window.
-    pub fn file(window: u32, path: impl Into<PathBuf>) -> Self {
-        Self {
-            window,
-            spill: SpillTarget::File(path.into()),
-        }
+        Self { window }
     }
 }
 
-/// The append-only spill log. Records are self-describing: an 8-byte
-/// header (`len: u32` entry count, `scale_mark: u32` decay-tape position
-/// at eviction time) followed by `len × 4` id bytes and `len × 8` weight
-/// bytes, all little-endian. Keeping the per-row metadata in the record
-/// means the in-RAM cold directory stores one `u64` offset per cold row
-/// and nothing else — the header rides the rehydration read the row pays
-/// anyway. Re-evicting a row appends a fresh record; superseded ranges
-/// are dead log space, acceptable for a replay log (the log grows with
-/// eviction *traffic*, not with live state).
-#[derive(Debug)]
-enum Spill {
-    Memory(Vec<u8>),
-    File { file: fs::File, len: u64 },
+/// The top bit of a slot: set while the row is evicted.
+const COLD: u32 = 1 << 31;
+
+/// `value` as a slot payload, which must stay below [`COLD`].
+fn slot_payload(value: usize, what: &str) -> u32 {
+    assert!(
+        value < COLD as usize,
+        "{what} reached 2^31, the limit of a residency slot"
+    );
+    fit_u32(value)
 }
 
-impl Spill {
-    fn open(target: &SpillTarget) -> Self {
-        match target {
-            SpillTarget::Memory => Spill::Memory(Vec::new()),
-            SpillTarget::File(path) => {
-                let file = fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(path)
-                    .expect("open residency spill file"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                Spill::File { file, len: 0 }
-            }
-        }
-    }
-
-    /// Appends `bytes`, returning their offset.
-    fn append(&mut self, bytes: &[u8]) -> u64 {
-        match self {
-            Spill::Memory(buf) => {
-                let off = buf.len() as u64;
-                buf.extend_from_slice(bytes);
-                off
-            }
-            Spill::File { file, len } => {
-                let off = *len;
-                file.seek(SeekFrom::Start(off)).expect("seek spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                file.write_all(bytes).expect("write spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                *len += bytes.len() as u64;
-                off
-            }
-        }
-    }
-
-    fn read_at(&mut self, offset: u64, out: &mut [u8]) {
-        match self {
-            Spill::Memory(buf) => {
-                let s = offset as usize;
-                out.copy_from_slice(&buf[s..s + out.len()]);
-            }
-            Spill::File { file, .. } => {
-                file.seek(SeekFrom::Start(offset)).expect("seek spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                file.read_exact(out).expect("read spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-            }
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        match self {
-            Spill::Memory(buf) => buf.len() as u64,
-            Spill::File { len, .. } => *len,
-        }
-    }
-}
-
-impl Clone for Spill {
-    /// Cloning a file-backed spill materializes it in memory: the log is
-    /// self-contained, and sharing one append-only file between two
-    /// diverging graphs would corrupt both. Clones of residency-enabled
-    /// graphs are a test/checkpoint convenience, not a hot path.
-    fn clone(&self) -> Self {
-        match self {
-            Spill::Memory(buf) => Spill::Memory(buf.clone()),
-            Spill::File { file, len } => {
-                let mut buf = vec![0u8; *len as usize];
-                let mut f = file;
-                f.seek(SeekFrom::Start(0)).expect("seek spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                f.read_exact(&mut buf).expect("read spill"); // txallo-lint: allow(lib-unwrap) — spill I/O failure leaves no consistent half-spilled state to roll back; aborting is the residency contract
-                Spill::Memory(buf)
-            }
-        }
-    }
+/// The first `N` bytes of `bytes`, as an array for `from_le_bytes`.
+fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[..N]);
+    out
 }
 
 /// Per-graph residency state (owned by `TxGraph` when enabled).
-///
-/// The index is keyed on **cold rows only**: always-resident accounts cost
-/// one touch stamp (4 B) plus one residency bit. A cold row costs 12 B
-/// (its id plus a `u64` spill offset — entry count and decay-tape mark
-/// live in the spill record's header, read back with the row). The cold
-/// directory (`cold_ids`/`cold_offsets`, ascending by node id) is
-/// consulted only after the bit test says a row is cold, so the hot
-/// resident path never searches it; rehydration just clears the bit and
-/// leaves a dead directory entry behind, and the next epoch boundary
-/// merges dead entries out together with the freshly evicted rows.
 #[derive(Debug, Clone)]
 pub(crate) struct Residency {
     window: u32,
     /// Completed epochs since residency was enabled.
     epoch: u32,
-    /// Last epoch stamp each node's row was written.
-    last_touch: Vec<u32>,
-    /// One bit per node, set while the row is cold (O(1) residency test).
-    cold_bits: Vec<u64>,
-    /// Node ids of the cold directory, ascending. Entries whose bit has
-    /// been cleared since the last merge are dead (superseded).
-    cold_ids: Vec<NodeId>,
-    /// Spill record offsets parallel to `cold_ids`.
-    cold_offsets: Vec<u64>,
-    /// Dead entries in the directory since the last epoch merge.
-    dead: usize,
+    /// One slot per node: the epoch of the row's last write while it is
+    /// resident, `COLD | offset / 4` while it is evicted.
+    slots: Vec<u32>,
     /// Every decay factor applied since enable, in order — the replay
     /// tape for cold rows (8 bytes per decay epoch).
     scale_log: Vec<f64>,
-    spill: Spill,
+    /// The append-only spill log. A record is an 8-byte header (`len: u32`
+    /// entry count, `scale_mark: u32` decay-tape position at eviction)
+    /// followed by `len × 4` id bytes and `len × 8` weight bytes, all
+    /// little-endian. Re-evicting a row appends a fresh record; the one it
+    /// supersedes stays as dead log space (the log grows with eviction
+    /// *traffic*, not with live state).
+    spill: Vec<u8>,
     cold_rows: usize,
     evicted_total: u64,
     restored_total: u64,
-    // Serialization scratch, reused across evictions/rehydrations.
-    buf: Vec<u8>,
+    // Row scratch, reused across evictions and rehydrations.
     ids_scratch: Vec<NodeId>,
     ws_scratch: Vec<f64>,
-    // Directory-merge scratch: this epoch's staged evictions, freed after
-    // each merge so its capacity never lingers in the footprint.
-    merge_ids: Vec<NodeId>,
-    merge_offsets: Vec<u64>,
 }
 
 impl Residency {
@@ -230,41 +128,32 @@ impl Residency {
         Self {
             window: config.window,
             epoch: 0,
-            last_touch: vec![0; nodes],
-            cold_bits: vec![0; nodes.div_ceil(64)],
-            cold_ids: Vec::new(),
-            cold_offsets: Vec::new(),
-            dead: 0,
+            slots: vec![0; nodes],
             scale_log: Vec::new(),
-            spill: Spill::open(&config.spill),
+            spill: Vec::new(),
             cold_rows: 0,
             evicted_total: 0,
             restored_total: 0,
-            buf: Vec::new(),
             ids_scratch: Vec::new(),
             ws_scratch: Vec::new(),
-            merge_ids: Vec::new(),
-            merge_offsets: Vec::new(),
         }
     }
 
     /// Registers a brand-new node (resident, touched now).
     pub(crate) fn push_node(&mut self) {
-        self.last_touch.push(self.epoch);
-        if self.last_touch.len() > self.cold_bits.len() * 64 {
-            self.cold_bits.push(0);
-        }
+        self.slots.push(self.epoch);
     }
 
-    /// Stamps a write touch on `v`'s row.
+    /// Stamps a write touch on `v`'s row, which must be resident.
     #[inline]
     pub(crate) fn touch(&mut self, v: NodeId) {
-        self.last_touch[v as usize] = self.epoch;
+        debug_assert!(!self.is_cold(v), "rehydrate before stamping a write");
+        self.slots[v as usize] = self.epoch;
     }
 
     #[inline]
     pub(crate) fn is_cold(&self, v: NodeId) -> bool {
-        (self.cold_bits[v as usize / 64] >> (v as usize % 64)) & 1 == 1
+        self.slots[v as usize] & COLD != 0
     }
 
     pub(crate) fn cold_rows(&self) -> usize {
@@ -280,7 +169,11 @@ impl Residency {
     }
 
     pub(crate) fn spill_bytes(&self) -> u64 {
-        self.spill.bytes()
+        self.spill.len() as u64
+    }
+
+    pub(crate) fn spill_capacity(&self) -> usize {
+        self.spill.capacity()
     }
 
     /// Records a decay factor every cold row still owes.
@@ -288,33 +181,24 @@ impl Residency {
         self.scale_log.push(factor);
     }
 
-    /// Brings `v`'s row back into the slab, bitwise-transparently. No-op
-    /// when already resident.
+    /// Brings `v`'s row back into the slab, bitwise-transparently, and
+    /// resets its slot to 0 (a caller that writes the row stamps it
+    /// afterwards). No-op when already resident.
     pub(crate) fn rehydrate(&mut self, adjacency: &mut SortedRunStore, v: NodeId) {
-        if !self.is_cold(v) {
+        let slot = self.slots[v as usize];
+        if slot & COLD == 0 {
             return;
         }
-        let at = self
-            .cold_ids
-            .binary_search(&v)
-            .expect("cold bit set but row missing from the cold directory"); // txallo-lint: allow(lib-unwrap) — the bit and the directory are updated together (evict sets both, rehydrate clears the bit and leaves the entry for the next merge), so a set bit always has its entry
-        let offset = self.cold_offsets[at];
-        let mut header = [0u8; 8];
-        self.spill.read_at(offset, &mut header);
-        let n = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize; // txallo-lint: allow(lib-unwrap) — a 4-byte slice of an 8-byte array converts infallibly
-        let scale_mark = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize; // txallo-lint: allow(lib-unwrap) — a 4-byte slice of an 8-byte array converts infallibly
-        self.buf.resize(n * 12, 0);
-        self.spill.read_at(offset + 8, &mut self.buf);
+        let record = &self.spill[(slot & !COLD) as usize * 4..];
+        let n = u32::from_le_bytes(word(record)) as usize;
+        let scale_mark = u32::from_le_bytes(word(&record[4..])) as usize;
+        let (ids, ws) = record[8..8 + n * 12].split_at(n * 4);
         self.ids_scratch.clear();
+        self.ids_scratch
+            .extend(ids.chunks_exact(4).map(|c| NodeId::from_le_bytes(word(c))));
         self.ws_scratch.clear();
-        for c in self.buf[..n * 4].chunks_exact(4) {
-            self.ids_scratch
-                .push(NodeId::from_le_bytes(c.try_into().unwrap())); // txallo-lint: allow(lib-unwrap) — chunks_exact(4) yields exactly 4 bytes per chunk, so the array conversion is infallible
-        }
-        for c in self.buf[n * 4..].chunks_exact(8) {
-            self.ws_scratch
-                .push(f64::from_le_bytes(c.try_into().unwrap())); // txallo-lint: allow(lib-unwrap) — chunks_exact(8) yields exactly 8 bytes per chunk, so the array conversion is infallible
-        }
+        self.ws_scratch
+            .extend(ws.chunks_exact(8).map(|c| f64::from_le_bytes(word(c))));
         // Replay the decay factors the row missed while cold — stepwise,
         // in application order, matching the in-place multiplies its
         // resident twin received (a combined product would not be
@@ -325,121 +209,59 @@ impl Residency {
             }
         }
         adjacency.restore_row(v as usize, &self.ids_scratch, &self.ws_scratch);
-        self.cold_bits[v as usize / 64] &= !(1u64 << (v as usize % 64));
-        self.dead += 1;
+        self.slots[v as usize] = 0;
         self.cold_rows -= 1;
         self.restored_total += 1;
     }
 
     /// Marks an epoch boundary: evicts every resident, non-empty row whose
     /// account has gone more than `window` completed epochs without a
-    /// write, then compacts the cold directory (freshly evicted rows merge
-    /// in, entries rehydrated since the last boundary merge out). Returns
-    /// the number of rows evicted.
+    /// write. Returns the number of rows evicted.
     pub(crate) fn advance_epoch(&mut self, adjacency: &mut SortedRunStore) -> usize {
-        self.epoch += 1;
-        // Stage this epoch's evictions in the merge scratch: the loop runs
-        // ascending, so the staged ids arrive sorted.
-        self.merge_ids.clear();
-        self.merge_offsets.clear();
-        for v in 0..self.last_touch.len() {
-            if self.is_cold(v as NodeId)
-                || self.epoch - self.last_touch[v] <= self.window
-                || adjacency.row_len(v) == 0
-            {
+        self.epoch = slot_payload(self.epoch as usize + 1, "the residency epoch");
+        let mut evicted = 0;
+        for v in 0..self.slots.len() {
+            let slot = self.slots[v];
+            if slot & COLD != 0 || self.epoch - slot <= self.window || adjacency.row_len(v) == 0 {
                 continue;
             }
+            self.slots[v] = COLD | slot_payload(self.spill.len() / 4, "the spill offset / 4");
             self.ids_scratch.clear();
             self.ws_scratch.clear();
             let n = adjacency.evict_row(v, &mut self.ids_scratch, &mut self.ws_scratch);
-            self.buf.clear();
-            self.buf.extend_from_slice(&fit_u32(n).to_le_bytes());
-            self.buf
+            let record = 8 + n * 12;
+            if self.spill.len() + record > self.spill.capacity() {
+                // Grow by a quarter, not `Vec`'s doubling: the log's
+                // capacity counts as resident, so it stays within 25% of
+                // the bytes written.
+                self.spill.reserve_exact(record.max(self.spill.len() / 4));
+            }
+            self.spill.extend_from_slice(&fit_u32(n).to_le_bytes());
+            self.spill
                 .extend_from_slice(&fit_u32(self.scale_log.len()).to_le_bytes());
             for id in &self.ids_scratch {
-                self.buf.extend_from_slice(&id.to_le_bytes());
+                self.spill.extend_from_slice(&id.to_le_bytes());
             }
             for w in &self.ws_scratch {
-                self.buf.extend_from_slice(&w.to_le_bytes());
+                self.spill.extend_from_slice(&w.to_le_bytes());
             }
-            let offset = self.spill.append(&self.buf);
-            self.merge_ids.push(v as NodeId);
-            self.merge_offsets.push(offset);
-            self.cold_bits[v / 64] |= 1u64 << (v % 64);
-            self.cold_rows += 1;
-            self.evicted_total += 1;
+            evicted += 1;
         }
-        let evicted = self.merge_ids.len();
-        if evicted > 0 || self.dead > 0 {
-            self.merge_directory();
-        }
+        self.cold_rows += evicted;
+        self.evicted_total += evicted as u64;
         evicted
     }
 
-    /// Merges the staged evictions (in `merge_*`) with the surviving old
-    /// directory entries, dropping dead ones, then ping-pongs the merged
-    /// directory back into `cold_*`. A staged entry supersedes an old
-    /// entry with the same id (the old one is necessarily dead: the row
-    /// was rehydrated before it could be evicted again).
-    fn merge_directory(&mut self) {
-        let mut merged_ids = Vec::with_capacity(self.cold_ids.len() + self.merge_ids.len());
-        let mut merged_offsets = Vec::with_capacity(merged_ids.capacity());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.cold_ids.len() || j < self.merge_ids.len() {
-            let take_old = match (self.cold_ids.get(i), self.merge_ids.get(j)) {
-                (Some(&o), Some(&s)) => {
-                    if o == s {
-                        i += 1; // superseded: the staged entry wins
-                        false
-                    } else {
-                        o < s
-                    }
-                }
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_old {
-                let v = self.cold_ids[i];
-                if self.is_cold(v) {
-                    merged_ids.push(v);
-                    merged_offsets.push(self.cold_offsets[i]);
-                }
-                i += 1;
-            } else {
-                merged_ids.push(self.merge_ids[j]);
-                merged_offsets.push(self.merge_offsets[j]);
-                j += 1;
-            }
-        }
-        // The with_capacity above is an upper bound (dead and superseded
-        // entries never land); shrink so the footprint tracks the live
-        // directory, and free the staging scratch outright — both are
-        // rebuilt from scratch next boundary, one realloc per epoch.
-        merged_ids.shrink_to_fit();
-        merged_offsets.shrink_to_fit();
-        self.cold_ids = merged_ids;
-        self.cold_offsets = merged_offsets;
-        self.merge_ids = Vec::new();
-        self.merge_offsets = Vec::new();
-        self.dead = 0;
-    }
-
     pub(crate) fn node_count(&self) -> usize {
-        self.last_touch.len()
+        self.slots.len()
     }
 
-    /// Resident bytes of the residency index itself (stamps, the cold
-    /// bitmap, the cold-row directory, the decay tape and scratch) —
-    /// reported so the accounting surface can't hide its own overhead.
+    /// Bytes of the residency index itself (slots, the decay tape and
+    /// scratch) — reported so the accounting surface can't hide its own
+    /// overhead.
     pub(crate) fn index_bytes(&self) -> usize {
-        self.last_touch.capacity() * 4
-            + self.cold_bits.capacity() * 8
-            + self.cold_ids.capacity() * 4
-            + self.cold_offsets.capacity() * 8
-            + self.merge_ids.capacity() * 4
-            + self.merge_offsets.capacity() * 8
+        self.slots.capacity() * 4
             + self.scale_log.capacity() * 8
-            + self.buf.capacity()
             + self.ids_scratch.capacity() * 4
             + self.ws_scratch.capacity() * 8
     }
@@ -459,11 +281,13 @@ pub struct MemoryFootprint {
     pub node_scalar_bytes: usize,
     /// Account interner (id vector + hash map estimate).
     pub interner_bytes: usize,
-    /// Residency bookkeeping (touch stamps, cold slots, decay tape), zero
-    /// when residency is disabled.
+    /// Residency bookkeeping (one slot per account, decay tape, scratch),
+    /// zero when residency is disabled.
     pub residency_index_bytes: usize,
-    /// Bytes in the spill log (not resident when file-backed).
+    /// Bytes written to the spill log.
     pub spill_bytes: u64,
+    /// Allocated spill log bytes (by vector capacity).
+    pub spill_capacity_bytes: usize,
     /// Rows currently resident in the slab.
     pub resident_rows: usize,
     /// Rows currently evicted to the spill.
@@ -481,13 +305,13 @@ impl MemoryFootprint {
         self.slab_live_entries * 12
     }
 
-    /// Total resident bytes of the graph: slab arena, scalars, interner
-    /// and residency index (the spill is excluded — it is the part that
-    /// left residency).
+    /// Total resident bytes of the graph: slab arena, scalars, interner,
+    /// residency index and spill log, each by allocated capacity.
     pub fn resident_bytes(&self) -> usize {
         self.slab_arena_bytes
             + self.node_scalar_bytes
             + self.interner_bytes
             + self.residency_index_bytes
+            + self.spill_capacity_bytes
     }
 }

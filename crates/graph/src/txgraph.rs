@@ -163,15 +163,16 @@ impl TxGraph {
                 res.push_node();
             }
         }
-        // Residency hook on the ingestion hot path: stamp the write touch
-        // and rehydrate first if traffic returned to a cold account, so
-        // the clique expansion below only ever writes resident rows. One
+        // Residency hook on the ingestion hot path: if traffic returned to
+        // a cold account, rehydrate first (the cold slot holds the spill
+        // offset the stamp overwrites), then stamp the write touch, so the
+        // clique expansion below only ever writes resident rows. One
         // predictable branch when residency is off.
         if let Some(res) = self.residency.as_deref_mut() {
-            res.touch(n);
             if res.is_cold(n) {
                 res.rehydrate(&mut self.adjacency, n);
             }
+            res.touch(n);
         }
         n
     }
@@ -200,17 +201,11 @@ impl TxGraph {
         }
     }
 
-    /// Rehydrates `v`'s row if it is cold (no-op otherwise, or when
-    /// residency is disabled). Does not count as a write touch.
-    pub fn ensure_resident(&mut self, v: NodeId) {
-        if let Some(res) = self.residency.as_deref_mut() {
-            res.rehydrate(&mut self.adjacency, v);
-        }
-    }
-
     /// Rehydrates every cold row — required before any whole-graph read
-    /// (global re-solve, session rebuild, consistency audit, checkpoint,
-    /// dust pruning); see the [residency read invariant](crate::residency).
+    /// (global re-solve, session rebuild, consistency audit, checkpoint);
+    /// see the [residency read invariant](crate::residency). Does not count
+    /// as a write touch: a row that sees no write goes cold again at the
+    /// next boundary.
     pub fn ensure_all_resident(&mut self) {
         if let Some(res) = self.residency.as_deref_mut() {
             for v in 0..res.node_count() as NodeId {
@@ -226,7 +221,7 @@ impl TxGraph {
     fn debug_assert_resident(&self, v: NodeId) {
         debug_assert!(
             self.residency.as_deref().is_none_or(|r| !r.is_cold(v)),
-            "row {v} is cold: rehydrate it (ensure_resident) before reading"
+            "row {v} is cold: rehydrate it (ensure_all_resident) before reading"
         );
     }
 
@@ -242,6 +237,7 @@ impl TxGraph {
             interner_bytes: self.interner.approx_bytes(),
             residency_index_bytes: self.residency.as_deref().map_or(0, |r| r.index_bytes()),
             spill_bytes: self.residency.as_deref().map_or(0, |r| r.spill_bytes()),
+            spill_capacity_bytes: self.residency.as_deref().map_or(0, |r| r.spill_capacity()),
             resident_rows: self.node_count() - cold,
             cold_rows: cold,
             evicted_rows: self.residency.as_deref().map_or(0, |r| r.evicted_total()),
@@ -281,42 +277,6 @@ impl TxGraph {
             *w *= factor;
         }
         self.total_weight *= factor;
-    }
-
-    /// Drops edges (and zeroes self-loops) lighter than `threshold`,
-    /// updating all derived weights. Returns the number of edges dropped.
-    pub(crate) fn drop_edges_below(&mut self, threshold: f64) -> usize {
-        // Pruning reads and mutates every row symmetrically; a cold row
-        // would silently desync from its resident partners.
-        self.ensure_all_resident();
-        let mut dropped = 0usize;
-        let mut doomed: Vec<(NodeId, f64)> = Vec::new();
-        for a in 0..self.adjacency.rows() {
-            doomed.clear();
-            self.adjacency.for_each(a, |b, w| {
-                if (a as NodeId) < b && w < threshold {
-                    doomed.push((b, w));
-                }
-            });
-            for &(b, w) in &doomed {
-                self.adjacency.remove(a, b);
-                self.adjacency.remove(b as usize, a as NodeId);
-                self.incident[a] = (self.incident[a] - w).max(0.0);
-                self.incident[b as usize] = (self.incident[b as usize] - w).max(0.0);
-                self.total_weight = (self.total_weight - w).max(0.0);
-                self.edge_count -= 1;
-                dropped += 1;
-            }
-        }
-        for n in 0..self.self_loops.len() {
-            let w = self.self_loops[n];
-            if w > 0.0 && w < threshold {
-                self.self_loops[n] = 0.0;
-                self.incident[n] = (self.incident[n] - w).max(0.0);
-                self.total_weight = (self.total_weight - w).max(0.0);
-            }
-        }
-        dropped
     }
 
     /// Distributes one transaction's unit weight over the clique expansion
@@ -716,6 +676,28 @@ mod tests {
         }
     }
 
+    /// Every account, row, scalar, count and total of `x` equals `y`'s,
+    /// floats by bits, and so does the canonical order.
+    fn assert_bitwise_equal(x: &TxGraph, y: &TxGraph) {
+        assert_eq!(x.node_count(), y.node_count());
+        assert_eq!(x.edge_count(), y.edge_count());
+        assert_eq!(x.transaction_count(), y.transaction_count());
+        assert_eq!(x.total_weight().to_bits(), y.total_weight().to_bits());
+        for v in 0..x.node_count() as NodeId {
+            assert_eq!(x.account(v), y.account(v));
+            assert_eq!(x.self_loop(v).to_bits(), y.self_loop(v).to_bits());
+            assert_eq!(
+                x.incident_weight(v).to_bits(),
+                y.incident_weight(v).to_bits()
+            );
+            let (mut xr, mut yr) = (Vec::new(), Vec::new());
+            x.for_each_neighbor(v, |u, w| xr.push((u, w.to_bits())));
+            y.for_each_neighbor(v, |u, w| yr.push((u, w.to_bits())));
+            assert_eq!(xr, yr, "row {v}");
+        }
+        assert_eq!(x.nodes_in_canonical_order(), y.nodes_in_canonical_order());
+    }
+
     #[test]
     fn checkpoint_parts_round_trip_bitwise_and_keep_ingesting() {
         // Build a messy graph, dismantle it into checkpoint parts, rebuild,
@@ -752,27 +734,7 @@ mod tests {
             g.transaction_count(),
         );
 
-        let same = |x: &TxGraph, y: &TxGraph| {
-            assert_eq!(x.node_count(), y.node_count());
-            assert_eq!(x.edge_count(), y.edge_count());
-            assert_eq!(x.transaction_count(), y.transaction_count());
-            assert_eq!(x.total_weight().to_bits(), y.total_weight().to_bits());
-            for v in 0..x.node_count() as NodeId {
-                assert_eq!(x.account(v), y.account(v));
-                assert_eq!(x.self_loop(v).to_bits(), y.self_loop(v).to_bits());
-                assert_eq!(
-                    x.incident_weight(v).to_bits(),
-                    y.incident_weight(v).to_bits()
-                );
-                let mut xr = Vec::new();
-                let mut yr = Vec::new();
-                x.for_each_neighbor(v, |u, w| xr.push((u, w.to_bits())));
-                y.for_each_neighbor(v, |u, w| yr.push((u, w.to_bits())));
-                assert_eq!(xr, yr, "row {v}");
-            }
-            assert_eq!(x.nodes_in_canonical_order(), y.nodes_in_canonical_order());
-        };
-        same(&g, &r);
+        assert_bitwise_equal(&g, &r);
 
         // The futures coincide too: new accounts, repeats, decay.
         let block = Block::new(
@@ -786,7 +748,7 @@ mod tests {
         assert_eq!(g.ingest_block(&block), r.ingest_block(&block));
         g.apply_decay(0.5);
         r.apply_decay(0.5);
-        same(&g, &r);
+        assert_bitwise_equal(&g, &r);
     }
 
     /// Reading an evicted row is a caller bug (the row would read as
@@ -842,27 +804,77 @@ mod tests {
 
         evicting.ensure_all_resident();
         assert_eq!(evicting.memory_footprint().cold_rows, 0);
-        assert_eq!(plain.node_count(), evicting.node_count());
-        assert_eq!(plain.edge_count(), evicting.edge_count());
-        assert_eq!(
-            plain.total_weight().to_bits(),
-            evicting.total_weight().to_bits()
-        );
-        for v in 0..plain.node_count() as NodeId {
-            assert_eq!(
-                plain.self_loop(v).to_bits(),
-                evicting.self_loop(v).to_bits()
-            );
-            assert_eq!(
-                plain.incident_weight(v).to_bits(),
-                evicting.incident_weight(v).to_bits()
-            );
-            let mut pr = Vec::new();
-            let mut er = Vec::new();
-            plain.for_each_neighbor(v, |u, w| pr.push((u, w.to_bits())));
-            evicting.for_each_neighbor(v, |u, w| er.push((u, w.to_bits())));
-            assert_eq!(pr, er, "row {v}");
+        assert_bitwise_equal(&plain, &evicting);
+    }
+
+    /// `(cold_rows, evicted_rows, restored_rows, spill_bytes)`.
+    fn residency_counts(g: &TxGraph) -> (usize, u64, u64, u64) {
+        let fp = g.memory_footprint();
+        (
+            fp.cold_rows,
+            fp.evicted_rows,
+            fp.restored_rows,
+            fp.spill_bytes,
+        )
+    }
+
+    #[test]
+    fn rehydrating_without_a_write_keeps_the_eviction_boundary() {
+        let mut plain = TxGraph::new();
+        let mut g = TxGraph::new();
+        g.enable_residency(&ResidencyConfig::in_memory(1));
+        let tx = Transaction::transfer(a(0), a(1));
+        plain.ingest_transaction(&tx);
+        g.ingest_transaction(&tx);
+        assert_eq!(g.advance_residency_epoch(), 0, "within the window");
+        // One 20-byte record per one-entry row: 8-byte header + 12.
+        assert_eq!(g.advance_residency_epoch(), 2);
+        assert_eq!(residency_counts(&g), (2, 2, 0, 40));
+        for graph in [&mut plain, &mut g] {
+            graph.apply_decay(0.5);
         }
+        g.ensure_all_resident();
+        assert_eq!(residency_counts(&g), (0, 2, 2, 40));
+        // No write came, so both rows go cold again at the next boundary,
+        // each as a fresh record.
+        assert_eq!(g.advance_residency_epoch(), 2);
+        assert_eq!(residency_counts(&g), (2, 4, 2, 80));
+        for graph in [&mut plain, &mut g] {
+            graph.apply_decay(0.5);
+        }
+        g.ensure_all_resident();
+        assert_eq!(residency_counts(&g), (0, 4, 4, 80));
+        assert_bitwise_equal(&plain, &g);
+    }
+
+    #[test]
+    fn a_write_to_a_cold_row_restarts_its_window() {
+        let mut plain = TxGraph::new();
+        let mut g = TxGraph::new();
+        g.enable_residency(&ResidencyConfig::in_memory(2));
+        for tx in [
+            Transaction::transfer(a(0), a(1)),
+            Transaction::transfer(a(2), a(3)),
+        ] {
+            plain.ingest_transaction(&tx);
+            g.ingest_transaction(&tx);
+        }
+        let evicted: Vec<usize> = (0..3).map(|_| g.advance_residency_epoch()).collect();
+        assert_eq!(evicted, [0, 0, 4]);
+        assert_eq!(residency_counts(&g), (4, 4, 0, 80));
+        // The write rehydrates row 0 and then stamps it, so it stays
+        // resident for `window` more boundaries.
+        let tx = Transaction::transfer(a(0), a(4));
+        plain.ingest_transaction(&tx);
+        g.ingest_transaction(&tx);
+        assert_eq!(residency_counts(&g), (3, 4, 1, 80));
+        let evicted: Vec<usize> = (0..3).map(|_| g.advance_residency_epoch()).collect();
+        assert_eq!(evicted, [0, 0, 2], "rows 0 and 4 go cold together");
+        // Row 0's record holds two entries (32 bytes), row 4's one (20).
+        assert_eq!(residency_counts(&g), (5, 6, 1, 132));
+        g.ensure_all_resident();
+        assert_eq!(residency_counts(&g), (0, 6, 6, 132));
+        assert_bitwise_equal(&plain, &g);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use local_move::{local_moving_pass, LocalMoveOutcome};
 pub use modularity::modularity;
 pub use refine::{count_disconnected, split_disconnected};
 
-use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
+use txallo_graph::{CsrGraph, WeightedGraph};
 
 /// Gain tie-break tolerance shared by every sweep in the workspace.
 ///
@@ -187,15 +187,6 @@ pub fn louvain_default(graph: &impl WeightedGraph) -> LouvainResult {
     louvain(graph, &LouvainConfig::default())
 }
 
-/// Returns nodes grouped by community (index = community id).
-pub fn group_by_community(communities: &[u32], count: usize) -> Vec<Vec<NodeId>> {
-    let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); count];
-    for (v, &c) in communities.iter().enumerate() {
-        groups[c as usize].push(v as NodeId);
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,14 +268,6 @@ mod tests {
         let c = compact_labels(&[7, 7, 2, 7, 2, 5]);
         assert_eq!(c.labels, vec![0, 0, 1, 0, 1, 2]);
         assert_eq!(c.count, 3);
-    }
-
-    #[test]
-    fn group_by_community_partitions_nodes() {
-        let groups = group_by_community(&[0, 1, 0, 2, 1], 3);
-        assert_eq!(groups[0], vec![0, 2]);
-        assert_eq!(groups[1], vec![1, 4]);
-        assert_eq!(groups[2], vec![3]);
     }
 
     #[test]
