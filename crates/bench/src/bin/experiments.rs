@@ -15,9 +15,8 @@
 //!   broker          BrokerChain-style hot-account splitting on TxAllo
 //!   recency         full-history vs window vs decayed training graphs
 //!   headline        γ at k = 60 (98% / 28% / 12% in the paper)
-//!   scale-stream    out-of-core streaming replay (--accounts/--epochs/--window;
-//!                   --max-resident-mib F exits nonzero on a ceiling breach,
-//!                   or when a nonzero window evicted or restored no row)
+//!   scale-stream    streaming replay (--accounts/--epochs; --max-resident-mib F
+//!                   exits nonzero when the accounted peak breaches F MiB)
 //!   bench-snapshot  hot-path component timings -> BENCH_pr8.json (or --out FILE)
 //!   all             everything above
 //! ```
@@ -40,7 +39,6 @@ fn main() {
     // `scale-stream` knobs.
     let mut stream_accounts: usize = 1_000_000;
     let mut stream_epochs: u64 = 60;
-    let mut stream_window: u32 = 4;
     let mut max_resident_mib: Option<f64> = None;
 
     let mut it = args.iter().peekable();
@@ -76,12 +74,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--epochs needs an integer"));
-            }
-            "--window" => {
-                stream_window = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--window needs an integer"));
             }
             "--max-resident-mib" => {
                 max_resident_mib = Some(
@@ -144,33 +136,21 @@ fn main() {
             let config = StreamBenchConfig {
                 accounts: stream_accounts,
                 epochs: stream_epochs,
-                window: stream_window,
                 seed: scale.seed,
                 ..StreamBenchConfig::at_scale(stream_accounts)
             };
             eprintln!(
-                "# out-of-core replay: {} accounts, {} epochs, window {}...",
-                config.accounts, config.epochs, config.window
+                "# streaming replay: {} accounts, {} epochs...",
+                config.accounts, config.epochs
             );
             let report = run_stream_bench(&config);
             println!("{}", report.to_json());
             let peak_mib = report.peak_resident_bytes as f64 / (1024.0 * 1024.0);
-            let fp = &report.final_footprint;
             eprintln!(
-                "# peak resident {peak_mib:.1} MiB ({} distinct accounts, {} evictions, \
-                 {} restores, {:.1} MiB spilled)",
+                "# peak resident {peak_mib:.1} MiB ({} distinct accounts)",
                 report.distinct_accounts,
-                fp.evicted_rows,
-                fp.restored_rows,
-                fp.spill_bytes as f64 / (1024.0 * 1024.0),
             );
             if let Some(ceiling) = max_resident_mib {
-                if config.window > 0 && fp.evicted_rows == 0 {
-                    die("residency window evicted nothing — eviction layer inactive");
-                }
-                if config.window > 0 && fp.restored_rows == 0 {
-                    die("no evicted row was restored — rehydration path unexercised");
-                }
                 if peak_mib > ceiling {
                     die(&format!(
                         "peak resident {peak_mib:.1} MiB exceeds the {ceiling:.1} MiB ceiling"

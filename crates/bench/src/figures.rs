@@ -911,11 +911,10 @@ pub fn bench_snapshot(out_path: &str) {
     let footprint = graph2.memory_footprint();
     let session_bytes = warm.approx_bytes();
 
-    // Out-of-core streaming replay (PR 8): a million-account epoch loop
-    // through the full service surface, ledger never materialized, cold
-    // rows evicted past the residency window. Per-phase decomposition in
-    // seconds (§VI-B6 style).
-    eprintln!("# running out-of-core stream replay (1M accounts; this is the slow part)...");
+    // Streaming replay: a million-account epoch loop through the full
+    // service surface, ledger never materialized, every graph row in core.
+    // Per-phase decomposition in seconds (§VI-B6 style).
+    eprintln!("# running streaming replay (1M accounts; this is the slow part)...");
     let stream_replay = crate::stream_bench::run_stream_bench(
         &crate::stream_bench::StreamBenchConfig::at_scale(1_000_000),
     )

@@ -1,18 +1,18 @@
-//! Out-of-core streaming replay benchmark: million-account epochs through
+//! Streaming replay benchmark: million-account epochs through
 //! [`txallo_sim::ShardedChainSim`] without ever materializing the ledger,
 //! with wall-clock totals and peak-resident-memory accounting.
 //!
-//! The replay drives the simulator's own epoch loop (residency window,
-//! decay, the `txallo` stream), so it is bit-identical to an in-core
-//! replay of the same workload. It times block synthesis, the served
-//! epochs as a whole and, from each [`txallo_sim::EpochReport`], the
-//! `end_epoch` calls inside them; `perfbench --workload stream_1m
-//! --trace 1` splits the same kind of replay layer by layer.
+//! The replay drives the simulator's own epoch loop (decay, the `txallo`
+//! stream), so it is bit-identical to a materialized replay of the same
+//! workload. It times block synthesis, the served epochs as a whole and,
+//! from each [`txallo_sim::EpochReport`], the `end_epoch` calls inside
+//! them; `perfbench --workload stream_1m --trace 1` splits the same kind
+//! of replay layer by layer.
 
 use std::time::Instant;
 
 use txallo_core::HybridSchedule;
-use txallo_graph::{MemoryFootprint, ResidencyConfig, WeightedGraph};
+use txallo_graph::{MemoryFootprint, WeightedGraph};
 use txallo_sim::{ShardedChainSim, SimConfig};
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
@@ -31,8 +31,6 @@ pub struct StreamBenchConfig {
     pub block_size: usize,
     /// Number of shards `k`.
     pub shards: usize,
-    /// Residency window in epochs (0 = keep every row in core).
-    pub window: u32,
     /// Per-epoch edge-weight decay (1.0 = none).
     pub decay: f64,
     /// Global-refresh gap (0 = adaptive-only epochs; warm-up always runs
@@ -54,7 +52,6 @@ impl StreamBenchConfig {
             epoch_blocks: 50,
             block_size: 1_000,
             shards: 20,
-            window: 4,
             decay: 0.9,
             global_gap: 0,
             seed: 42,
@@ -76,7 +73,7 @@ pub struct StreamBenchReport {
     /// Wall clock of synthesizing the served epochs' blocks.
     pub generate_seconds: f64,
     /// Wall clock of serving the epochs (`ShardedChainSim::run_epoch`:
-    /// decay, ingest, fold, close, score, evict).
+    /// decay, ingest, fold, close, score).
     pub serve_seconds: f64,
     /// The part of `serve_seconds` spent in `end_epoch`
     /// (Σ [`txallo_sim::EpochReport::update_time`]).
@@ -99,24 +96,21 @@ impl StreamBenchReport {
     /// embeds it verbatim).
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let f = &self.final_footprint;
         format!(
             "{{\"workload\": {{\"accounts\": {}, \"epochs\": {}, \"epoch_blocks\": {}, \
-             \"block_size\": {}, \"k\": {}, \"window\": {}, \"decay\": {}, \"seed\": {}}}, \
+             \"block_size\": {}, \"k\": {}, \"decay\": {}, \"seed\": {}}}, \
              \"distinct_accounts\": {}, \"transactions\": {}, \
              \"warmup_seconds\": {:.3}, \
              \"phase_seconds\": {{\"generate\": {:.3}, \"serve\": {:.3}, \"update\": {:.3}, \
              \"total\": {:.3}}}, \
              \"peak_resident_mib\": {:.1}, \"peak_graph_mib\": {:.1}, \
-             \"spilled_mib\": {:.1}, \"evicted_rows\": {}, \"restored_rows\": {}, \
-             \"final_cold_rows\": {}, \"final_resident_rows\": {}, \
-             \"final_allocator_mib\": {:.1}, \"avg_throughput_times\": {:.3}}}",
+             \"final_graph_mib\": {:.1}, \"final_allocator_mib\": {:.1}, \
+             \"avg_throughput_times\": {:.3}}}",
             c.accounts,
             c.epochs,
             c.epoch_blocks,
             c.block_size,
             c.shards,
-            c.window,
             c.decay,
             c.seed,
             self.distinct_accounts,
@@ -128,11 +122,7 @@ impl StreamBenchReport {
             self.generate_seconds + self.serve_seconds,
             self.peak_resident_bytes as f64 / MIB,
             self.peak_graph_bytes as f64 / MIB,
-            f.spill_bytes as f64 / MIB,
-            f.evicted_rows,
-            f.restored_rows,
-            f.cold_rows,
-            f.resident_rows,
+            self.final_footprint.resident_bytes() as f64 / MIB,
             self.final_allocator_bytes as f64 / MIB,
             self.avg_throughput,
         )
@@ -141,7 +131,7 @@ impl StreamBenchReport {
 
 const MIB: f64 = 1024.0 * 1024.0;
 
-/// Runs the out-of-core replay and returns its measurements.
+/// Runs the streaming replay and returns its measurements.
 pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
     let warm_blocks = cfg.warm_epochs * cfg.epoch_blocks;
     let wl = WorkloadConfig {
@@ -162,7 +152,6 @@ pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
         epoch_blocks: cfg.epoch_blocks as usize,
         schedule,
         decay_per_epoch: (cfg.decay < 1.0).then_some(cfg.decay),
-        residency: (cfg.window > 0).then(|| ResidencyConfig::in_memory(cfg.window)),
         ..SimConfig::new(cfg.shards)
     });
 
@@ -215,7 +204,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_replay_reports_and_evicts() {
+    fn small_replay_reports() {
         let cfg = StreamBenchConfig {
             accounts: 3_000,
             warm_epochs: 2,
@@ -223,7 +212,6 @@ mod tests {
             epoch_blocks: 5,
             block_size: 100,
             shards: 4,
-            window: 1,
             decay: 0.9,
             global_gap: 3,
             seed: 7,
@@ -234,18 +222,15 @@ mod tests {
         // id space).
         assert!(report.distinct_accounts > 1_000);
         assert_eq!(report.transactions, 8 * 5 * 100);
-        // Exact residency counters. The hybrid schedule rehydrates every
-        // row without a write at each global epoch, so these also pin when
-        // such rows are evicted again.
+        // Every row stays in core.
         let fp = &report.final_footprint;
-        assert_eq!(fp.evicted_rows, 3_029);
-        assert_eq!(fp.restored_rows, 1_618);
-        assert_eq!(fp.spill_bytes, 90_040);
-        assert_eq!(fp.cold_rows, 1_411);
+        assert_eq!(fp.resident_rows, report.distinct_accounts);
+        assert!(report.peak_graph_bytes >= fp.resident_bytes());
         assert!(report.peak_resident_bytes >= report.peak_graph_bytes);
         assert!(report.avg_throughput > 1.0, "sharding must help");
         let json = report.to_json();
         assert!(json.contains("\"phase_seconds\""));
         assert!(json.contains("\"peak_resident_mib\""));
+        assert!(json.contains("\"final_graph_mib\""));
     }
 }

@@ -89,7 +89,7 @@ impl ChainService {
             return Err(ChainError::EmptyEpoch);
         }
         let params = TxAlloParams::for_total_weight(0.0, config.engine.shards).with_eta(config.eta);
-        let epochs = EpochLoop::new(&config.method, config.schedule, params, None, None)?;
+        let epochs = EpochLoop::new(&config.method, config.schedule, params, None)?;
         Ok(Self {
             engine: ChainEngine::try_new(config.engine.clone())?,
             config,
@@ -168,9 +168,7 @@ impl ChainService {
     /// Checkpoints are only defined at epoch boundaries: mid-epoch the
     /// stream's touched-set and the engine's batch state are in flight
     /// and not serializable, so the call returns
-    /// [`ChainError::MidEpochCheckpoint`] instead of a torn image. A state
-    /// the image format cannot hold (a graph with evicted rows) is
-    /// [`ChainError::Unencodable`].
+    /// [`ChainError::MidEpochCheckpoint`] instead of a torn image.
     pub fn checkpoint(&self) -> Result<Vec<u8>, ChainError> {
         if !self.epochs.is_warmed_up() {
             return Err(ChainError::NotWarmedUp);
@@ -179,9 +177,7 @@ impl ChainService {
         if blocks_into_epoch != 0 {
             return Err(ChainError::MidEpochCheckpoint { blocks_into_epoch });
         }
-        self.epochs
-            .checkpoint(&self.engine.export_state())
-            .map_err(ChainError::Unencodable)
+        Ok(self.epochs.checkpoint(&self.engine.export_state()))
     }
 
     /// Reopens a service from a [`ChainService::checkpoint`] image under

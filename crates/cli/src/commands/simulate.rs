@@ -1,7 +1,7 @@
 //! `txallo simulate` — run the epoch simulator on a synthetic stream.
 
 use txallo_core::AllocatorRegistry;
-use txallo_graph::{ResidencyConfig, WeightedGraph};
+use txallo_graph::WeightedGraph;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
 use txallo_workload::{EthereumLikeGenerator, StreamingWorkload, WorkloadConfig};
 
@@ -18,7 +18,6 @@ pub const FLAGS: &[&str] = &[
     "eta",
     "decay",
     "stream",
-    "window",
     "accounts",
 ];
 
@@ -30,18 +29,13 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let gap: u64 = args.parsed_or("gap", 10)?;
     let seed: u64 = args.parsed_or("seed", 42)?;
     let eta: f64 = args.parsed_or("eta", 2.0)?;
-    // Out-of-core replay: synthesize blocks on demand (`--stream true`)
-    // instead of materializing the whole ledger up front, and optionally
-    // evict graph rows idle for more than `--window W` epochs.
+    // Streamed replay: synthesize blocks on demand (`--stream true`)
+    // instead of materializing the whole ledger up front.
     let stream_mode: bool = args.parsed_or("stream", false)?;
-    let window: u32 = args.parsed_or("window", 0)?;
     let accounts: usize = args.parsed_or("accounts", WorkloadConfig::default().accounts)?;
     let method = args.get("method").unwrap_or("txallo");
     if shards == 0 || epochs == 0 || epoch_blocks == 0 {
         return Err("--shards, --epochs and --epoch-blocks must be positive".into());
-    }
-    if window > 0 && !stream_mode {
-        return Err("--window needs --stream true (out-of-core replay)".into());
     }
     // Validate the method up front (the simulator would panic later);
     // unknown names report the registered set.
@@ -68,14 +62,12 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     };
     let decay: f64 = args.parsed_or("decay", 1.0)?;
     let decay_per_epoch = if decay < 1.0 { Some(decay) } else { None };
-    let residency = (window > 0).then(|| ResidencyConfig::in_memory(window));
     let mut sim = ShardedChainSim::new(SimConfig {
         eta,
         epoch_blocks,
         method: method.to_string(),
         schedule,
         decay_per_epoch,
-        residency,
         ..SimConfig::new(shards)
     });
 
@@ -122,19 +114,5 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
         "average throughput: {:.3}× unsharded",
         sum_tp / reports.len().max(1) as f64
     );
-    if window > 0 {
-        let fp = sim.memory_footprint();
-        eprintln!(
-            "residency: {} resident / {} cold rows, {} evictions, \
-             {:.1} MiB resident graph (spill log included) + {:.1} MiB allocator state, \
-             {:.1} MiB spilled",
-            fp.resident_rows,
-            fp.cold_rows,
-            fp.evicted_rows,
-            fp.resident_bytes() as f64 / (1024.0 * 1024.0),
-            sim.allocator_state_bytes() as f64 / (1024.0 * 1024.0),
-            fp.spill_bytes as f64 / (1024.0 * 1024.0),
-        );
-    }
     Ok(())
 }

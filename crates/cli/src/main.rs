@@ -9,7 +9,7 @@
 //! txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
 //! txallo simulate  [--method <name>] [--shards N] [--epochs N]
 //!                  [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
-//!                  [--stream true] [--window W] [--accounts N]
+//!                  [--stream true] [--accounts N]
 //! txallo convert   --etl transactions.csv --out trace.csv
 //! ```
 //!
@@ -66,15 +66,14 @@ USAGE:
   txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
   txallo simulate  [--method {methods}] [--shards N] [--epochs N]
                    [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
-                   [--stream true] [--window W] [--accounts N]
+                   [--stream true] [--accounts N]
   txallo convert   --etl transactions.csv --out trace.csv
 
 Each command accepts exactly the flags listed for it.
 
---stream true synthesizes simulate's blocks on demand (out-of-core
-replay, any --accounts scale) instead of materializing the ledger;
---window W additionally evicts graph rows idle for more than W epochs.
-Both are bit-transparent: they change memory use, never an allocation."
+--stream true synthesizes simulate's blocks on demand (streamed replay,
+any --accounts scale) instead of materializing the ledger. It is
+bit-transparent: it changes memory use, never an allocation."
     )
 }
 

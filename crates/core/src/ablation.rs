@@ -81,7 +81,6 @@ fn synthetic_init(graph: &TxGraph, k: usize, strategy: InitStrategy) -> LouvainR
         communities,
         community_count: k.min(n.max(1)),
         levels: 0,
-        modularity: f64::NAN, // not meaningful for synthetic starts
     }
 }
 

@@ -19,13 +19,15 @@
 //!
 //! ```text
 //! magic u64 | version u32 | graph section | stream section
-//!           | consumer len u64 + bytes | fnv1a-64 checksum u64
+//!           | consumer len u64 + bytes | checksum u64
 //! ```
 //!
 //! All integers little-endian. The checksum covers every preceding byte
 //! (magic and version included), so truncation, bit rot, and
 //! wrong-file-entirely all surface as a typed [`CheckpointError`] instead
-//! of a silently wrong resume.
+//! of a silently wrong resume. Decoding reads the magic and the version
+//! before it verifies the checksum, so an image of another format version
+//! is refused by name ([`CheckpointError::UnsupportedVersion`]).
 
 use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
 use txallo_model::AccountId;
@@ -35,15 +37,13 @@ const MAGIC: u64 = u64::from_le_bytes(*b"TXALLOCP");
 
 /// Current format version. Bumped on any layout change; old images are
 /// rejected with [`CheckpointError::UnsupportedVersion`] rather than
-/// misread.
-pub const FORMAT_VERSION: u32 = 1;
+/// misread. Version 2 replaced version 1's byte-wise FNV-1a checksum with
+/// a word-wise one over four lanes of little-endian `u64` words.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Why a checkpoint image could not be encoded or failed to decode.
+/// Why a checkpoint image failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The graph holds this many evicted (cold) rows, which it would read
-    /// as empty: rehydrate them with `TxGraph::ensure_all_resident` first.
-    ColdRows(usize),
     /// The image ended before the declared content did.
     Truncated,
     /// The leading magic is not a TxAllo checkpoint's.
@@ -59,10 +59,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::ColdRows(n) => write!(
-                f,
-                "cannot checkpoint a graph with {n} evicted row(s); rehydrate them first"
-            ),
             CheckpointError::Truncated => write!(f, "checkpoint image is truncated"),
             CheckpointError::BadMagic => write!(f, "not a TxAllo checkpoint (bad magic)"),
             CheckpointError::UnsupportedVersion(v) => {
@@ -83,15 +79,52 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a 64 over a byte slice — tiny, dependency-free, and plenty for
-/// integrity (this guards against corruption, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The FNV-1a 64 offset basis and prime.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-style step over a whole word: xor, then multiply by the FNV
+/// prime. The prime is odd, so the step is a bijection of `h` for a fixed
+/// word and of the word for a fixed `h`.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The little-endian `u64` of an 8-byte chunk.
+#[inline]
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(chunk);
+    u64::from_le_bytes(word)
+}
+
+/// The image checksum: FNV-style mixing a little-endian `u64` word at a
+/// time over four independent lanes (32 bytes per round, so the four
+/// multiply chains overlap), then the lanes, the tail words, the
+/// zero-padded last bytes and the length folded into one hash. Every step
+/// is a bijection of the state it updates, so any change confined to one
+/// word — every single-byte flip — always changes the result. Tiny,
+/// dependency-free, and plenty for integrity: it guards against
+/// corruption, not adversaries.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_BASIS, FNV_BASIS ^ 1, FNV_BASIS ^ 2, FNV_BASIS ^ 3];
+    let mut rounds = bytes.chunks_exact(32);
+    for round in &mut rounds {
+        for (lane, chunk) in lanes.iter_mut().zip(round.chunks_exact(8)) {
+            *lane = mix(*lane, le_word(chunk));
+        }
     }
-    h
+    let mut h = lanes.into_iter().fold(FNV_BASIS, mix);
+    let mut words = rounds.remainder().chunks_exact(8);
+    for chunk in &mut words {
+        h = mix(h, le_word(chunk));
+    }
+    let rest = words.remainder();
+    let mut last = [0; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    h = mix(h, u64::from_le_bytes(last));
+    mix(h, bytes.len() as u64)
 }
 
 /// Little-endian primitive writer for checkpoint sections.
@@ -180,7 +213,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap())) // txallo-lint: allow(lib-unwrap) — take(8) returned exactly 8 bytes, so the array conversion is infallible
+        Ok(le_word(self.take(8)?))
     }
 
     /// Reads an `f64` from its raw IEEE-754 bits.
@@ -416,19 +449,7 @@ fn decode_stream(d: &mut Decoder<'_>, node_count: usize) -> Result<StreamState, 
 
 /// Serializes one epoch-boundary checkpoint image (see the
 /// [module docs](self) for the layout).
-///
-/// Refuses a graph with evicted rows ([`CheckpointError::ColdRows`]): the
-/// residency read invariant says a cold row is never read, and encoding
-/// one would write it as an empty row under a valid checksum.
-pub fn encode_checkpoint(
-    graph: &TxGraph,
-    stream: &StreamState,
-    consumer: &[u8],
-) -> Result<Vec<u8>, CheckpointError> {
-    let cold = graph.memory_footprint().cold_rows;
-    if cold > 0 {
-        return Err(CheckpointError::ColdRows(cold));
-    }
+pub fn encode_checkpoint(graph: &TxGraph, stream: &StreamState, consumer: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u64(MAGIC);
     e.u32(FORMAT_VERSION);
@@ -437,9 +458,9 @@ pub fn encode_checkpoint(
     e.u64(consumer.len() as u64);
     e.bytes(consumer);
     let mut buf = e.finish();
-    let sum = fnv1a(&buf);
+    let sum = checksum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
-    Ok(buf)
+    buf
 }
 
 /// Decodes and validates a checkpoint image produced by
@@ -453,10 +474,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         return Err(CheckpointError::Truncated);
     }
     let (content, footer) = bytes.split_at(bytes.len() - FOOTER);
-    let stored = u64::from_le_bytes(footer.try_into().unwrap()); // txallo-lint: allow(lib-unwrap) — split_at(len - FOOTER) makes footer exactly FOOTER == 8 bytes
-    if fnv1a(content) != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
     let mut d = Decoder::new(content);
     if d.u64()? != MAGIC {
         return Err(CheckpointError::BadMagic);
@@ -464,6 +481,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let version = d.u32()?;
     if version != FORMAT_VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
+    }
+    if checksum(content) != le_word(footer) {
+        return Err(CheckpointError::ChecksumMismatch);
     }
     let graph = decode_graph(&mut d)?;
     let stream = decode_stream(&mut d, graph.node_count())?;
@@ -517,7 +537,7 @@ mod tests {
         let g = sample_graph();
         let stream = sample_stream(&g);
         let consumer = vec![1u8, 2, 3, 250, 0, 9];
-        let image = encode_checkpoint(&g, &stream, &consumer).unwrap();
+        let image = encode_checkpoint(&g, &stream, &consumer);
         let cp = decode_checkpoint(&image).unwrap();
         assert_eq!(cp.stream, stream);
         assert_eq!(cp.consumer, consumer);
@@ -539,57 +559,16 @@ mod tests {
         // Re-encoding the restored state reproduces the image byte-for-byte
         // (stability: checkpoints of resumed runs match the original's).
         assert_eq!(
-            encode_checkpoint(&cp.graph, &cp.stream, &cp.consumer).unwrap(),
+            encode_checkpoint(&cp.graph, &cp.stream, &cp.consumer),
             image
         );
-    }
-
-    /// A graph with evicted rows would encode them as empty rows under a
-    /// valid checksum, so encoding refuses it until every row is
-    /// rehydrated — after which the image equals that of a twin graph
-    /// that never evicted.
-    #[test]
-    fn cold_rows_are_refused_until_rehydrated() {
-        use txallo_graph::ResidencyConfig;
-        use txallo_model::Block;
-
-        let mut plain = TxGraph::new();
-        let mut evicting = TxGraph::new();
-        evicting.enable_residency(&ResidencyConfig::in_memory(1));
-        for e in 0..12u64 {
-            // Traffic pocket `e % 3` is active; the other two idle.
-            let base = (e % 3) * 10;
-            let txs = (0..12)
-                .map(|i| {
-                    Transaction::transfer(AccountId(base + i % 5), AccountId(base + (i * 3) % 7))
-                })
-                .collect();
-            let block = Block::new(e, txs);
-            plain.ingest_block(&block);
-            evicting.ingest_block(&block);
-            evicting.advance_residency_epoch();
-        }
-        let stream = sample_stream(&plain);
-        let cold = evicting.memory_footprint().cold_rows;
-        assert!(cold > 0, "the 1-epoch window must have evicted rows");
-        assert_eq!(
-            encode_checkpoint(&evicting, &stream, &[]),
-            Err(CheckpointError::ColdRows(cold))
-        );
-
-        evicting.ensure_all_resident();
-        let image = encode_checkpoint(&evicting, &stream, &[]).unwrap();
-        assert_eq!(image, encode_checkpoint(&plain, &stream, &[]).unwrap());
-        let cp = decode_checkpoint(&image).unwrap();
-        assert_eq!(cp.stream, stream);
-        assert_eq!(cp.graph.edge_count(), plain.edge_count());
     }
 
     #[test]
     fn every_corruption_is_a_typed_error() {
         let g = sample_graph();
         let stream = sample_stream(&g);
-        let image = encode_checkpoint(&g, &stream, &[7u8; 16]).unwrap();
+        let image = encode_checkpoint(&g, &stream, &[7u8; 16]);
 
         assert_eq!(
             decode_checkpoint(&[]).err(),
@@ -611,7 +590,7 @@ mod tests {
         // reached: rewrite the header and re-seal.
         let reseal = |mut bytes: Vec<u8>| {
             let len = bytes.len();
-            let sum = fnv1a(&bytes[..len - 8]);
+            let sum = checksum(&bytes[..len - 8]);
             bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
             bytes
         };
@@ -638,12 +617,58 @@ mod tests {
         );
     }
 
+    /// Version 1 sealed its images with byte-wise FNV-1a. Such an image is
+    /// refused by its version, not misread or reported as corrupt.
+    #[test]
+    fn a_version_1_image_is_refused() {
+        let fnv1a = |bytes: &[u8]| bytes.iter().fold(FNV_BASIS, |h, &b| mix(h, u64::from(b)));
+        let g = sample_graph();
+        let mut v1 = encode_checkpoint(&g, &sample_stream(&g), &[]);
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let len = v1.len();
+        let sum = fnv1a(&v1[..len - 8]);
+        v1[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v1).err(),
+            Some(CheckpointError::UnsupportedVersion(1))
+        );
+    }
+
+    /// Every single-byte flip and every proper prefix of a small image is
+    /// refused with a typed error.
+    #[test]
+    fn every_byte_flip_and_truncation_is_refused() {
+        let mut g = TxGraph::new();
+        for i in 0..6u64 {
+            g.ingest_transaction(&Transaction::transfer(AccountId(i), AccountId((i * 5) % 7)));
+        }
+        let image = encode_checkpoint(&g, &sample_stream(&g), &[1, 2, 3]);
+        assert!(decode_checkpoint(&image).is_ok());
+        for at in 0..image.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = image.clone();
+                bad[at] ^= mask;
+                assert!(
+                    decode_checkpoint(&bad).is_err(),
+                    "flip {mask:#04x} at byte {at} of {}",
+                    image.len()
+                );
+            }
+        }
+        for len in 0..image.len() {
+            assert!(
+                decode_checkpoint(&image[..len]).is_err(),
+                "prefix of {len} bytes"
+            );
+        }
+    }
+
     #[test]
     fn labels_must_cover_the_graph_and_respect_k() {
         let g = sample_graph();
         let mut stream = sample_stream(&g);
         stream.labels.pop();
-        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
+        let image = encode_checkpoint(&g, &stream, &[]);
         assert_eq!(
             decode_checkpoint(&image).err(),
             Some(CheckpointError::Malformed("label count"))
@@ -651,7 +676,7 @@ mod tests {
 
         let mut stream = sample_stream(&g);
         stream.labels[0] = 3; // == shards
-        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
+        let image = encode_checkpoint(&g, &stream, &[]);
         assert_eq!(
             decode_checkpoint(&image).err(),
             Some(CheckpointError::Malformed("label out of range"))
@@ -663,7 +688,7 @@ mod tests {
         let g = sample_graph();
         let mut stream = sample_stream(&g);
         stream.community = None;
-        let image = encode_checkpoint(&g, &stream, &[]).unwrap();
+        let image = encode_checkpoint(&g, &stream, &[]);
         let cp = decode_checkpoint(&image).unwrap();
         assert_eq!(cp.stream, stream);
         assert!(cp.consumer.is_empty());
@@ -697,9 +722,6 @@ mod tests {
 
     #[test]
     fn error_display_names_the_failure() {
-        assert!(CheckpointError::ColdRows(14)
-            .to_string()
-            .contains("14 evicted"));
         assert!(CheckpointError::Truncated.to_string().contains("truncated"));
         assert!(CheckpointError::ChecksumMismatch
             .to_string()

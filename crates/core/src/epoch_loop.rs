@@ -7,17 +7,17 @@
 //!
 //! * each block ([`EpochLoop::ingest`]): decay at the epoch's first block
 //!   → ingest → fold → transient hash labels for new accounts;
-//! * each close ([`EpochLoop::close`]): rehydrate if the close reads the
-//!   whole graph (the stream says so:
-//!   [`StreamingAllocator::close_reads_whole_graph`]) → `end_epoch` (the
-//!   only timed call) → substrate hook →
-//!   [`Allocation::apply_update`] → health audit and ladder → residency
-//!   advance.
+//! * each close ([`EpochLoop::close`]): `end_epoch` (the only timed
+//!   call) → substrate hook → [`Allocation::apply_update`] → health audit
+//!   and ladder.
+//!
+//! The graph stays in core: every close, audit and checkpoint reads it as
+//! ingestion left it.
 
 use std::borrow::Borrow;
 use std::time::Duration;
 
-use txallo_graph::{ResidencyConfig, TxGraph, WeightedGraph};
+use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::Block;
 
 use crate::allocation::Allocation;
@@ -58,22 +58,16 @@ pub struct EpochLoop {
 impl EpochLoop {
     /// An empty loop serving `method` (resolved through
     /// [`AllocatorRegistry`]) with `params`' `k` and `η`. `decay_per_epoch`
-    /// rescales edge weights at each epoch's first block; `residency`
-    /// evicts idle rows between epochs.
+    /// rescales edge weights at each epoch's first block.
     pub fn new(
         method: &str,
         schedule: HybridSchedule,
         params: TxAlloParams,
         decay_per_epoch: Option<f64>,
-        residency: Option<&ResidencyConfig>,
     ) -> Result<Self, UnknownAllocator> {
-        let mut graph = TxGraph::new();
-        if let Some(res) = residency {
-            graph.enable_residency(res);
-        }
         let stream = AllocatorRegistry.streaming(method, &params, schedule)?;
         Ok(Self {
-            graph,
+            graph: TxGraph::new(),
             stream,
             allocation: Allocation::new(Vec::new(), params.shards),
             placed: 0,
@@ -157,7 +151,6 @@ impl EpochLoop {
         &mut self,
         substrate: impl FnOnce(&AllocationUpdate, &Allocation),
     ) -> (AllocationUpdate, Duration) {
-        self.rehydrate_for_boundary();
         let (update, update_time) =
             timed(|| self.stream.end_epoch(&self.graph, EpochKind::Scheduled));
         substrate(&update, &self.allocation);
@@ -166,32 +159,15 @@ impl EpochLoop {
         self.allocation.apply_update(&update);
         self.placed = self.allocation.len();
         self.run_health_check();
-        self.graph.advance_residency_epoch();
         self.epoch += 1;
         self.blocks_in_epoch = 0;
         (update, update_time)
     }
 
-    /// Whether this epoch's close runs the health audit.
-    fn audits_this_close(&self) -> bool {
-        self.health_interval != 0 && (self.epoch + 1).is_multiple_of(self.health_interval)
-    }
-
-    /// Rehydrates every cold row ahead of a close that will read the whole
-    /// graph (the residency read invariant — `txallo_graph::residency`):
-    /// whenever the stream says its close does
-    /// ([`StreamingAllocator::close_reads_whole_graph`]), or the close runs
-    /// a consistency audit. Warm adaptive closes skip this: their
-    /// incremental snapshot only reads rows ingestion just rehydrated.
-    fn rehydrate_for_boundary(&mut self) {
-        if self.stream.close_reads_whole_graph() || self.audits_this_close() {
-            self.graph.ensure_all_resident();
-        }
-    }
-
-    /// The epoch-boundary health audit and its recovery ladder.
+    /// The epoch-boundary health audit and its recovery ladder, every
+    /// `health_interval` closes.
     fn run_health_check(&mut self) {
-        if !self.audits_this_close() {
+        if self.health_interval == 0 || !(self.epoch + 1).is_multiple_of(self.health_interval) {
             return;
         }
         let Some(err) = self.stream.consistency_error(&self.graph) else {
@@ -219,7 +195,7 @@ impl EpochLoop {
     /// Serializes the graph, stream state, epoch count, rung and the
     /// `consumer` blob into one boundary checkpoint image (see
     /// [`crate::checkpoint`]).
-    pub fn checkpoint(&self, consumer: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+    pub fn checkpoint(&self, consumer: &[u8]) -> Vec<u8> {
         // Streams without checkpoint support still get a labels-only
         // state: resume then rebuilds their internals from the graph.
         let stream_state = self.stream.export_state().unwrap_or_else(|| StreamState {
@@ -343,8 +319,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Stable wire code of a [`Degradation`] rung (checkpoint format). Code 2
-/// is unused (no image holds it); the others keep their values so that
-/// every existing image still decodes.
+/// is unused (no image holds it); the others keep the values they had in
+/// format version 1.
 fn degradation_code(d: Degradation) -> u8 {
     match d {
         Degradation::None => 0,

@@ -45,8 +45,6 @@ pub struct GTxAlloOutcome {
     pub allocation: Allocation,
     /// Number of communities Louvain produced before truncation (`l`).
     pub initial_communities: usize,
-    /// Modularity of the Louvain initialization.
-    pub louvain_modularity: f64,
     /// Optimization sweeps executed until `ΔΛ < ε`.
     pub sweeps: usize,
     /// Total throughput gain accumulated by the optimization phase.
@@ -140,7 +138,6 @@ impl GTxAllo {
             return GTxAlloOutcome {
                 allocation: Allocation::new(Vec::new(), k),
                 initial_communities: 0,
-                louvain_modularity: init.modularity,
                 sweeps: 0,
                 total_gain: 0.0,
                 moves: 0,
@@ -254,7 +251,6 @@ impl GTxAllo {
         GTxAlloOutcome {
             allocation: Allocation::new(labels, k),
             initial_communities: init.community_count,
-            louvain_modularity: init.modularity,
             sweeps,
             total_gain,
             moves,

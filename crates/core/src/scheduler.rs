@@ -21,7 +21,7 @@
 //!    the paper's setting §VI-B1).
 
 use txallo_graph::{NodeId, TxGraph, WeightedGraph};
-use txallo_model::{FxHashMap, Transaction};
+use txallo_model::FxHashMap;
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
@@ -79,8 +79,20 @@ impl ShardScheduler {
         let graph = dataset.graph();
         let mut state = SchedulerState::new(self.config.clone());
         state.ensure_nodes(graph.node_count());
+        let (mut accounts, mut nodes) = (Vec::new(), Vec::new());
         for tx in dataset.ledger().transactions() {
-            state.process_transaction(graph, tx);
+            // `tx.account_set()` through the interner, in reused buffers.
+            accounts.clear();
+            accounts.extend(tx.inputs().iter().chain(tx.outputs()));
+            accounts.sort_unstable();
+            accounts.dedup();
+            nodes.clear();
+            nodes.extend(
+                accounts
+                    .iter()
+                    .map(|&a| graph.node_of(a).expect("account in graph")), // txallo-lint: allow(lib-unwrap) — a dataset's graph is built from its own ledger, so it interns every ledger account
+            );
+            state.process_nodes(&nodes);
         }
         // Accounts never seen in the ledger cannot exist (graph is built
         // from the same ledger), so every label is set.
@@ -95,10 +107,11 @@ impl ShardScheduler {
 /// streaming adapter ([`crate::SchedulerStream`]) is its native mode
 /// rather than a per-epoch re-solve.
 ///
-/// [`SchedulerState::process_transaction`] applies the two published
-/// decision rules (placement + migration, see the [module docs](self)) to
-/// one transaction; the batch [`ShardScheduler::allocate_dataset`] is a
-/// fresh state replayed over the whole ledger.
+/// [`SchedulerState::process_nodes`] applies the two published decision
+/// rules (placement + migration, see the [module docs](self)) to one
+/// transaction's interned account set; the batch
+/// [`ShardScheduler::allocate_dataset`] is a fresh state replayed over the
+/// whole ledger.
 #[derive(Debug, Clone)]
 pub struct SchedulerState {
     config: SchedulerConfig,
@@ -107,6 +120,9 @@ pub struct SchedulerState {
     /// Historical affinity: per account, accumulated interaction weight
     /// with each shard (by partner placement at interaction time).
     affinity: Vec<FxHashMap<u32, f64>>,
+    /// The distinct shards of the transaction in progress (scratch,
+    /// reused so that a transaction allocates nothing).
+    shards: Vec<u32>,
 }
 
 impl SchedulerState {
@@ -118,6 +134,7 @@ impl SchedulerState {
             shard_of: Vec::new(),
             load,
             affinity: Vec::new(),
+            shards: Vec::new(),
         }
     }
 
@@ -201,37 +218,31 @@ impl SchedulerState {
         }
     }
 
-    /// Runs the placement + migration rules on one transaction. Its
-    /// accounts must already be interned in `graph`.
-    pub fn process_transaction(&mut self, graph: &TxGraph, tx: &Transaction) {
-        self.ensure_nodes(graph.node_count());
+    /// Runs the placement + migration rules on one transaction, given as
+    /// its account set's node ids in `account_set` order (what
+    /// [`BlockNodes::tx_nodes`](txallo_graph::BlockNodes::tx_nodes)
+    /// holds). Every node must be below the last
+    /// [`SchedulerState::ensure_nodes`] count.
+    pub fn process_nodes(&mut self, nodes: &[NodeId]) {
         let k = self.config.shards;
-        let accounts = tx.account_set();
-        let nodes: Vec<NodeId> = accounts
-            .iter()
-            .map(|&a| graph.node_of(a).expect("account in graph")) // txallo-lint: allow(lib-unwrap) — callers schedule only accounts already ingested into the graph this epoch
-            .collect();
-
         // Place new accounts into the least-loaded shard (rule 1).
-        for &v in &nodes {
+        for &v in nodes {
             if self.shard_of[v as usize] == u32::MAX {
                 self.shard_of[v as usize] = self.least_loaded();
             }
         }
 
         // Distinct shards the transaction currently touches.
-        let mut shards: Vec<u32> = nodes.iter().map(|&v| self.shard_of[v as usize]).collect();
-        shards.sort_unstable();
-        shards.dedup();
+        distinct_shards(&self.shard_of, nodes, &mut self.shards);
 
-        if shards.len() > 1 {
+        if self.shards.len() > 1 {
             // Cross-shard: each affected account is scored against
             // *every* shard (as the original scheduler does — this scan
             // is what makes the method O(|T|·k) and the slowest in
             // Fig. 8): highest historical affinity wins, ties broken
             // toward the lighter shard, respecting the capacity buffer.
             let cap = self.config.capacity * BUFFER_RATIO;
-            for &v in &nodes {
+            for &v in nodes {
                 let current = self.shard_of[v as usize];
                 let mut best = current;
                 let mut best_aff = self.affinity[v as usize]
@@ -253,24 +264,22 @@ impl SchedulerState {
                 self.shard_of[v as usize] = best;
             }
             // Re-evaluate µ after migrations.
-            shards = nodes.iter().map(|&v| self.shard_of[v as usize]).collect();
-            shards.sort_unstable();
-            shards.dedup();
+            distinct_shards(&self.shard_of, nodes, &mut self.shards);
         }
 
         // Charge the workload to every involved shard.
-        let unit = if shards.len() > 1 {
+        let unit = if self.shards.len() > 1 {
             self.config.eta
         } else {
             1.0
         };
-        for &s in &shards {
+        for &s in &self.shards {
             self.load[s as usize] += unit;
         }
 
         // Update pairwise affinities (each account ↔ partners' shards).
-        for &v in &nodes {
-            for &u in &nodes {
+        for &v in nodes {
+            for &u in nodes {
                 if u == v {
                     continue;
                 }
@@ -279,6 +288,15 @@ impl SchedulerState {
             }
         }
     }
+}
+
+/// Writes the distinct shards of `nodes` under `shard_of` into `out`,
+/// ascending.
+fn distinct_shards(shard_of: &[u32], nodes: &[NodeId], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(nodes.iter().map(|&v| shard_of[v as usize]));
+    out.sort_unstable();
+    out.dedup();
 }
 
 impl Allocator for ShardScheduler {

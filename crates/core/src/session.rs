@@ -204,7 +204,7 @@ impl AtxAlloSession {
     /// `params` is taken fresh each epoch because `λ = |T|/k` and `ε`
     /// scale with the accumulated weight. The snapshot holds the touched
     /// rows only ([`DeltaCsr::refill_touched`]), so the update never
-    /// reads an untouched row — under residency those may be cold.
+    /// reads an untouched row.
     pub fn update(
         &mut self,
         graph: &TxGraph,

@@ -250,10 +250,9 @@ pub trait StreamingAllocator: std::fmt::Debug {
 
     /// Observes one freshly committed block. Call *after*
     /// [`TxGraph::ingest_block_nodes`] for the same block, with the
-    /// interned view it returned: stateful streams reuse the dense node
-    /// ids ingestion already resolved instead of re-hashing every
-    /// `AccountId`, and the transaction-level scheduler reads the block
-    /// itself.
+    /// interned view it returned: stateful streams, the transaction-level
+    /// scheduler included, reuse the dense node ids ingestion already
+    /// resolved instead of re-hashing every `AccountId`.
     fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, nodes: &BlockNodes);
 
     /// Announces an out-of-band uniform rescale of every edge weight by
@@ -268,17 +267,6 @@ pub trait StreamingAllocator: std::fmt::Debug {
     /// Closes the epoch: updates the mapping and returns the diff of
     /// moved accounts.
     fn end_epoch(&mut self, graph: &TxGraph, kind: EpochKind) -> AllocationUpdate;
-
-    /// Whether the next [`end_epoch`](StreamingAllocator::end_epoch)
-    /// reads the whole graph rather than only the rows this epoch's blocks
-    /// touched, so that a residency-enabled driver must rehydrate every
-    /// cold row first (the residency read invariant —
-    /// `txallo_graph::residency`). The default `true` is sound for any
-    /// stream; only a close that reads just the touched rows may say
-    /// `false`.
-    fn close_reads_whole_graph(&self) -> bool {
-        true
-    }
 
     /// The current full account-shard mapping (equal to folding every
     /// emitted [`AllocationUpdate`] into the [`begin`] allocation — the
@@ -335,7 +323,7 @@ pub trait StreamingAllocator: std::fmt::Debug {
 
     /// Approximate resident bytes of the allocator's own state (session
     /// aggregates, snapshot buffers, scratch) — the allocator-side half of
-    /// the out-of-core memory story, alongside
+    /// the memory accounting, alongside
     /// [`TxGraph::memory_footprint`](txallo_graph::TxGraph). Diagnostics
     /// only; the default reports `0` for stateless allocators.
     fn state_bytes(&self) -> usize {
@@ -633,12 +621,6 @@ impl StreamingAllocator for HybridStream {
         update
     }
 
-    fn close_reads_whole_graph(&self) -> bool {
-        // A warm adaptive close snapshots only the touched rows; a global
-        // re-solve and a session rebuild read every row.
-        self.global_now() || self.session.is_none()
-    }
-
     fn allocation(&self) -> Allocation {
         match (&self.session, &self.fallback) {
             (Some(session), _) => session.allocation(),
@@ -927,10 +909,13 @@ impl StreamingAllocator for SchedulerStream {
         allocation
     }
 
-    fn on_block_nodes(&mut self, graph: &TxGraph, block: &Block, _nodes: &BlockNodes) {
+    fn on_block_nodes(&mut self, graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
+        // Ingestion already interned each transaction's account set: the
+        // rules run on those node ids, with no lookup or allocation.
         let state = self.state.as_mut().expect("call begin() first"); // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block_nodes/end_epoch
-        for tx in block.transactions() {
-            state.process_transaction(graph, tx);
+        state.ensure_nodes(graph.node_count());
+        for i in 0..nodes.tx_count() {
+            state.process_nodes(nodes.tx_nodes(i));
         }
     }
 
@@ -1067,18 +1052,20 @@ mod tests {
         for h in 0..5u64 {
             let block = epoch_block(h, &[(300 + h, h), (h, h + 10)]);
             feed(&mut g, &mut stream, &block);
-            let global = stream.close_reads_whole_graph();
             let update = stream.end_epoch(&g, EpochKind::Scheduled);
-            assert_eq!(global, update.kind == UpdateKind::Global, "epoch {h}");
             let expected_kind = if h > 0 && h % 2 == 0 {
                 UpdateKind::Global
             } else {
                 UpdateKind::Adaptive
             };
             assert_eq!(update.kind, expected_kind, "epoch {h}");
-            if update.kind == UpdateKind::Global {
-                assert_eq!(update.carry, StateCarry::Rebuilt);
-            }
+            // A global re-solve rebuilds the session; every adaptive close
+            // between them serves from the warm one.
+            let expected_carry = match update.kind {
+                UpdateKind::Global => StateCarry::Rebuilt,
+                UpdateKind::Adaptive => StateCarry::Warm,
+            };
+            assert_eq!(update.carry, expected_carry, "epoch {h}");
             mirror.apply_update(&update);
             assert_eq!(mirror, stream.allocation(), "epoch {h} diff broken");
         }
@@ -1140,21 +1127,19 @@ mod tests {
         let params = TxAlloParams::for_graph(&g, 2);
         let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
         let before = stream.begin(&g, &params);
-        assert!(!stream.close_reads_whole_graph(), "warm adaptive close");
         assert!(stream.invalidate_state());
         assert_eq!(stream.allocation(), before, "labels survive invalidation");
-        assert!(
-            stream.close_reads_whole_graph(),
-            "the rebuild reads every row"
-        );
         let block = epoch_block(0, &[(100, 0)]);
         feed(&mut g, &mut stream, &block);
         let update = stream.end_epoch(&g, EpochKind::Scheduled);
+        assert_eq!(update.kind, UpdateKind::Adaptive);
         assert_eq!(update.carry, StateCarry::Rebuilt);
-        assert!(
-            !stream.close_reads_whole_graph(),
-            "warm again after the rebuild"
-        );
+        // The rebuilt session serves the next close warm.
+        let block = epoch_block(1, &[(101, 1)]);
+        feed(&mut g, &mut stream, &block);
+        let update = stream.end_epoch(&g, EpochKind::Scheduled);
+        assert_eq!(update.kind, UpdateKind::Adaptive);
+        assert_eq!(update.carry, StateCarry::Warm);
     }
 
     #[test]

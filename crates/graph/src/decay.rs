@@ -10,8 +10,9 @@
 //! Usage: call [`TxGraph::apply_decay`] once per epoch before ingesting
 //! the epoch's blocks. The graph then holds `Σ decay^age · weight(block)`.
 //! Decayed edges are never dropped, so node ids and edge counts only grow.
-//! There is no wrapper type: callers such as the epoch loop apply the
-//! decay themselves.
+//! Every row is in core, so one pass over the slab arena rescales the
+//! whole graph. There is no wrapper type: callers such as the epoch loop
+//! apply the decay themselves.
 
 use crate::txgraph::TxGraph;
 

@@ -45,9 +45,8 @@
 //! mutable graph's sorted-run adjacency, at cost
 //! `O(|V̂| log |V̂| + Σ_{v∈V̂} deg v)` — a run copy/merge per row, no
 //! per-row sort — independent of graph size. It reads no row outside
-//! `V̂`, so under residency it reads only rows that ingestion just made
-//! resident. The tests pin every snapshot array against an extraction
-//! from `CsrGraph::from_graph`.
+//! `V̂`. The tests pin every snapshot array against an extraction from
+//! `CsrGraph::from_graph`.
 
 use crate::traits::{fit_u32, NodeId, WeightedGraph};
 use crate::txgraph::TxGraph;

@@ -43,9 +43,9 @@
 //! or full candidate sorts.
 //!
 //! Recency weighting (§VI-A) is not a fourth form: it is
-//! [`TxGraph::apply_decay`] on the ingestion form (see [`decay`]). Nor is
-//! out-of-core replay: [`residency`] evicts idle rows of the ingestion
-//! form to an in-memory spill log behind one `u32` slot per account.
+//! [`TxGraph::apply_decay`] on the ingestion form (see [`decay`]). Every
+//! row of the ingestion form stays in core, and
+//! [`TxGraph::memory_footprint`] accounts for it ([`MemoryFootprint`]).
 //! Every builder here is serial; the crate starts no threads.
 
 #![forbid(unsafe_code)]
@@ -55,7 +55,6 @@ pub mod csr;
 pub mod decay;
 pub mod delta;
 pub mod interner;
-pub mod residency;
 pub mod scratch;
 pub mod slab;
 pub mod stats;
@@ -65,9 +64,8 @@ pub mod txgraph;
 pub use csr::CsrGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
-pub use residency::{MemoryFootprint, ResidencyConfig};
 pub use scratch::{DenseAccumulator, DenseIndexMap, SweepCache};
 pub use slab::SortedRunStore;
 pub use stats::GraphStats;
 pub use traits::{fit_u32, NodeId, RowView, WeightedGraph};
-pub use txgraph::{BlockNodes, TxGraph};
+pub use txgraph::{BlockNodes, MemoryFootprint, ResidencyConfig, TxGraph};

@@ -414,64 +414,6 @@ impl SortedRunStore {
         self.dead = 0;
     }
 
-    /// Extracts row `r` merged (ascending ids) into `out_ids`/`out_ws` and
-    /// releases its arena range — the cold-row eviction hook. The row
-    /// becomes empty (`len == cap == 0`); its abandoned capacity is dead
-    /// space until the next compaction, same as a relocation's. Returns the
-    /// number of entries extracted.
-    ///
-    /// Pair with [`SortedRunStore::restore_row`] to bring the row back;
-    /// the extracted form is the same merged copy the snapshot builders
-    /// read, so the round trip is bitwise-lossless.
-    pub fn evict_row(
-        &mut self,
-        r: usize,
-        out_ids: &mut Vec<NodeId>,
-        out_ws: &mut Vec<f64>,
-    ) -> usize {
-        let before = out_ids.len();
-        self.copy_row_into(r, out_ids, out_ws);
-        self.dead += self.rows[r].cap as usize;
-        self.rows[r] = RowMeta::default();
-        if self.dead > self.ids.len() / 2 && self.ids.len() > 4096 {
-            self.compact();
-        }
-        out_ids.len() - before
-    }
-
-    /// Re-fills an evicted (empty) row from an ascending-id sorted
-    /// `(ids, ws)` pair. The row lands fully merged at the end of the
-    /// arena (`run == len == cap`) — the same landed state
-    /// [`SortedRunStore::push_row_from_sorted`] produces, so a rehydrated
-    /// row is bitwise-indistinguishable from a checkpoint-restored one and
-    /// accumulates identically from there on.
-    pub fn restore_row(&mut self, r: usize, ids: &[NodeId], ws: &[f64]) {
-        assert_eq!(ids.len(), ws.len(), "parallel row arrays");
-        assert_eq!(self.rows[r].len, 0, "restore targets an evicted row");
-        debug_assert!(
-            ids.windows(2).all(|p| p[0] < p[1]),
-            "restored rows must be strictly ascending"
-        );
-        // Release any leftover capacity of the empty row before relocating.
-        self.dead += self.rows[r].cap as usize;
-        let start = self.ids.len();
-        let len = ids.len();
-        assert!(
-            start + len <= u32::MAX as usize,
-            "adjacency arena exceeds u32 addressing"
-        );
-        self.reserve_arena(len);
-        self.ids.extend_from_slice(ids);
-        self.ws.extend_from_slice(ws);
-        let len = fit_u32(len);
-        self.rows[r] = RowMeta {
-            start: start as u32,
-            cap: len,
-            len,
-            run: len,
-        };
-    }
-
     /// Arena bytes currently allocated (entry storage plus per-row
     /// metadata), by vector capacity — what the process actually holds.
     pub fn arena_bytes(&self) -> usize {
@@ -690,55 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_then_restore_is_bitwise_lossless() {
-        let mut store = SortedRunStore::new();
-        let mut twin = SortedRunStore::new();
-        store.push_row();
-        store.push_row();
-        twin.push_row();
-        twin.push_row();
-        let mut x = 55u64;
-        fn feed(x: &mut u64, s: &mut SortedRunStore, t: &mut SortedRunStore, steps: usize) {
-            for _ in 0..steps {
-                let r = (lcg(x) % 2) as usize;
-                let id = (lcg(x) % 500) as NodeId;
-                let w = 0.5 + (lcg(x) % 31) as f64 / 9.0;
-                s.add(r, id, w);
-                t.add(r, id, w);
-            }
-        }
-        feed(&mut x, &mut store, &mut twin, 2_000);
-
-        // Evict row 0, keep feeding row 1 in both stores, then restore.
-        let (mut ids, mut ws) = (Vec::new(), Vec::new());
-        let n = store.evict_row(0, &mut ids, &mut ws);
-        assert_eq!(n, ids.len());
-        assert_eq!(store.row_len(0), 0);
-        assert_eq!(store.get(0, ids[0]), None, "evicted rows read empty");
-        for _ in 0..500 {
-            let id = (lcg(&mut x) % 500) as NodeId;
-            let w = (lcg(&mut x) % 7) as f64;
-            store.add(1, id, w);
-            twin.add(1, id, w);
-        }
-        store.restore_row(0, &ids, &ws);
-        store.assert_sorted();
-
-        // Both rows bitwise-match the never-evicted twin, and future adds
-        // keep matching.
-        feed(&mut x, &mut store, &mut twin, 2_000);
-        store.assert_sorted();
-        for r in 0..2 {
-            let collect = |s: &SortedRunStore| {
-                let mut out = Vec::new();
-                s.for_each(r, |u, w| out.push((u, w.to_bits())));
-                out
-            };
-            assert_eq!(collect(&store), collect(&twin), "row {r}");
-        }
-    }
-
-    #[test]
     fn footprint_accessors_track_the_arena() {
         let mut store = SortedRunStore::new();
         store.push_row();
@@ -748,9 +641,8 @@ mod tests {
         }
         assert_eq!(store.live_entries(), 100);
         assert!(store.arena_bytes() >= 100 * 12);
-        let (mut ids, mut ws) = (Vec::new(), Vec::new());
-        store.evict_row(0, &mut ids, &mut ws);
-        assert_eq!(store.live_entries(), 0);
+        store.push_row_from_sorted(&[0, 1], &[1.0, 2.0]);
+        assert_eq!(store.live_entries(), 102);
     }
 
     #[test]

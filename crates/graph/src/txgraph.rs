@@ -1,9 +1,14 @@
-//! The incremental transaction graph.
+//! The incremental transaction graph and its memory accounting.
+//!
+//! Every row of a [`TxGraph`] stays in core for the graph's whole life:
+//! ingestion, decay, snapshots and checkpoints all read and write the one
+//! slab, and [`MemoryFootprint`] reports what it holds. A long replay's
+//! graph grows with the accounts it has seen; `experiments scale-stream`
+//! measures that at a million accounts.
 
 use txallo_model::{AccountId, Block, Ledger, Transaction};
 
 use crate::interner::AccountInterner;
-use crate::residency::{MemoryFootprint, Residency, ResidencyConfig};
 use crate::slab::SortedRunStore;
 use crate::traits::{fit_u32, NodeId, RowView, WeightedGraph};
 
@@ -83,9 +88,6 @@ pub struct TxGraph {
     total_weight: f64,
     edge_count: usize,
     transaction_count: usize,
-    /// Cold-row eviction state (out-of-core replay); `None` keeps every
-    /// row resident forever — the historical behavior.
-    residency: Option<Box<Residency>>,
 }
 
 impl TxGraph {
@@ -149,7 +151,6 @@ impl TxGraph {
             total_weight,
             edge_count,
             transaction_count,
-            residency: None,
         }
     }
 
@@ -159,89 +160,41 @@ impl TxGraph {
             self.adjacency.push_row();
             self.self_loops.push(0.0);
             self.incident.push(0.0);
-            if let Some(res) = self.residency.as_deref_mut() {
-                res.push_node();
-            }
-        }
-        // Residency hook on the ingestion hot path: if traffic returned to
-        // a cold account, rehydrate first (the cold slot holds the spill
-        // offset the stamp overwrites), then stamp the write touch, so the
-        // clique expansion below only ever writes resident rows. One
-        // predictable branch when residency is off.
-        if let Some(res) = self.residency.as_deref_mut() {
-            if res.is_cold(n) {
-                res.rehydrate(&mut self.adjacency, n);
-            }
-            res.touch(n);
         }
         n
     }
 
-    /// Enables cold-row eviction (see [`crate::residency`]). Call once,
-    /// before or after ingestion starts; existing rows count as touched
-    /// now. [`TxGraph::advance_residency_epoch`] drives the window.
-    pub fn enable_residency(&mut self, config: &ResidencyConfig) {
-        assert!(self.residency.is_none(), "residency already enabled");
-        self.residency = Some(Box::new(Residency::new(config, self.node_count())));
-    }
+    /// Does nothing: every row stays in core. Kept, ignored, only because
+    /// the frozen `perfbench/` calls it.
+    pub fn enable_residency(&mut self, _config: &ResidencyConfig) {}
 
-    /// Whether cold-row eviction is active.
+    /// Always `false`: every row stays in core. Kept, ignored, only
+    /// because the frozen `perfbench/` calls it.
     pub fn residency_enabled(&self) -> bool {
-        self.residency.is_some()
+        false
     }
 
-    /// Marks an epoch boundary for the residency window, evicting rows of
-    /// accounts untouched for more than the configured number of completed
-    /// epochs. Returns the number of rows evicted. No-op when residency is
-    /// disabled.
+    /// Always `0`: every row stays in core. Kept, ignored, only because
+    /// the frozen `perfbench/` calls it.
     pub fn advance_residency_epoch(&mut self) -> usize {
-        match self.residency.as_deref_mut() {
-            Some(res) => res.advance_epoch(&mut self.adjacency),
-            None => 0,
-        }
+        0
     }
 
-    /// Rehydrates every cold row — required before any whole-graph read
-    /// (global re-solve, session rebuild, consistency audit, checkpoint);
-    /// see the [residency read invariant](crate::residency). Does not count
-    /// as a write touch: a row that sees no write goes cold again at the
-    /// next boundary.
-    pub fn ensure_all_resident(&mut self) {
-        if let Some(res) = self.residency.as_deref_mut() {
-            for v in 0..res.node_count() as NodeId {
-                res.rehydrate(&mut self.adjacency, v);
-            }
-        }
-    }
-
-    /// Debug check of the [residency read invariant](crate::residency): a
-    /// cold row reads as empty, so no reader may see one before it is
-    /// rehydrated. Compiled out of release builds.
-    #[inline]
-    fn debug_assert_resident(&self, v: NodeId) {
-        debug_assert!(
-            self.residency.as_deref().is_none_or(|r| !r.is_cold(v)),
-            "row {v} is cold: rehydrate it (ensure_all_resident) before reading"
-        );
-    }
+    /// Does nothing: every row stays in core. Kept, ignored, only because
+    /// the frozen `perfbench/` calls it.
+    pub fn ensure_all_resident(&mut self) {}
 
     /// The current memory accounting of the graph (see
     /// [`MemoryFootprint`]).
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        let cold = self.residency.as_deref().map_or(0, |r| r.cold_rows());
         MemoryFootprint {
             slab_arena_bytes: self.adjacency.arena_bytes(),
             slab_live_entries: self.adjacency.live_entries(),
             node_scalar_bytes: (self.self_loops.capacity() + self.incident.capacity())
                 * std::mem::size_of::<f64>(),
             interner_bytes: self.interner.approx_bytes(),
-            residency_index_bytes: self.residency.as_deref().map_or(0, |r| r.index_bytes()),
-            spill_bytes: self.residency.as_deref().map_or(0, |r| r.spill_bytes()),
-            spill_capacity_bytes: self.residency.as_deref().map_or(0, |r| r.spill_capacity()),
-            resident_rows: self.node_count() - cold,
-            cold_rows: cold,
-            evicted_rows: self.residency.as_deref().map_or(0, |r| r.evicted_total()),
-            restored_rows: self.residency.as_deref().map_or(0, |r| r.restored_total()),
+            resident_rows: self.node_count(),
+            ..MemoryFootprint::default()
         }
     }
 
@@ -261,14 +214,7 @@ impl TxGraph {
     }
 
     /// Multiplies every stored weight by `factor` (decay support).
-    ///
-    /// Cold rows are not touched here: the factor is logged and replayed
-    /// stepwise on rehydration, which produces the identical multiply
-    /// sequence (and therefore identical bits) their resident twins got.
     pub(crate) fn scale_all_weights(&mut self, factor: f64) {
-        if let Some(res) = self.residency.as_deref_mut() {
-            res.on_scale(factor);
-        }
         self.adjacency.scale_all(factor);
         for w in &mut self.self_loops {
             *w *= factor;
@@ -371,7 +317,6 @@ impl TxGraph {
         if a == b {
             return self.self_loops[a as usize];
         }
-        self.debug_assert_resident(a);
         self.adjacency.get(a as usize, b).unwrap_or(0.0)
     }
 
@@ -385,7 +330,6 @@ impl TxGraph {
         out_ids: &mut Vec<NodeId>,
         out_ws: &mut Vec<f64>,
     ) -> f64 {
-        self.debug_assert_resident(v);
         self.adjacency.copy_row_into(v as usize, out_ids, out_ws)
     }
 
@@ -444,17 +388,14 @@ impl WeightedGraph for TxGraph {
     /// invariant), so order-dependent float folds over the mutable graph
     /// agree with the frozen CSR forms.
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId, f64)) {
-        self.debug_assert_resident(v);
         self.adjacency.for_each(v as usize, f);
     }
 
     fn neighbor_count(&self, v: NodeId) -> usize {
-        self.debug_assert_resident(v);
         self.adjacency.row_len(v as usize)
     }
 
     fn row_view(&self, v: NodeId) -> Option<RowView<'_>> {
-        self.debug_assert_resident(v);
         let (run_ids, run_ws, tail_ids, tail_ws) = self.adjacency.row_parts(v as usize);
         Some(RowView {
             run_ids,
@@ -462,6 +403,57 @@ impl WeightedGraph for TxGraph {
             tail_ids,
             tail_ws,
         })
+    }
+}
+
+/// A point-in-time memory accounting of a [`TxGraph`] — the surface every
+/// BENCH snapshot reports, and what the streaming-replay smoke test
+/// asserts its resident-bytes ceiling against.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemoryFootprint {
+    /// Allocated slab arena bytes (entry storage + row metadata + merge
+    /// scratch, by vector capacity).
+    pub slab_arena_bytes: usize,
+    /// Live `(id, weight)` entries across all rows (12 bytes each: u32 id
+    /// + f64 weight).
+    pub slab_live_entries: usize,
+    /// Per-node scalar vectors (self-loops, incident weights).
+    pub node_scalar_bytes: usize,
+    /// Account interner (id vector + hash map estimate).
+    pub interner_bytes: usize,
+    /// Rows in the slab: every node's.
+    pub resident_rows: usize,
+    /// Always `0`. Kept, ignored, only because the frozen `perfbench/`
+    /// calls it.
+    pub spill_bytes: u64,
+    /// Always `0`. Kept, ignored, only because the frozen `perfbench/`
+    /// calls it.
+    pub cold_rows: usize,
+    /// Always `0`. Kept, ignored, only because the frozen `perfbench/`
+    /// calls it.
+    pub evicted_rows: u64,
+    /// Always `0`. Kept, ignored, only because the frozen `perfbench/`
+    /// calls it.
+    pub restored_rows: u64,
+}
+
+impl MemoryFootprint {
+    /// Total resident bytes of the graph: slab arena, scalars and
+    /// interner, each by allocated capacity.
+    pub fn resident_bytes(&self) -> usize {
+        self.slab_arena_bytes + self.node_scalar_bytes + self.interner_bytes
+    }
+}
+
+/// Kept, ignored, only because the frozen `perfbench/` calls it: every
+/// graph stays in core, so there is nothing to configure.
+#[derive(Debug, Clone, Copy)]
+pub struct ResidencyConfig;
+
+impl ResidencyConfig {
+    /// Kept, ignored, only because the frozen `perfbench/` calls it.
+    pub fn in_memory(_window: u32) -> Self {
+        Self
     }
 }
 
@@ -751,129 +743,40 @@ mod tests {
         assert_bitwise_equal(&g, &r);
     }
 
-    /// Reading an evicted row is a caller bug (the row would read as
-    /// empty), so debug builds stop at the read.
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "row 0 is cold")]
-    fn reading_a_cold_row_panics_in_debug_builds() {
+    fn residency_shims_are_inert() {
+        // A graph that calls every residency shim between epochs stays
+        // bitwise equal to a twin that never called them, and reports
+        // every row in core.
+        let mut plain = TxGraph::new();
         let mut g = TxGraph::new();
         g.enable_residency(&ResidencyConfig::in_memory(1));
-        g.ingest_transaction(&Transaction::transfer(a(0), a(1)));
-        g.advance_residency_epoch();
-        g.advance_residency_epoch();
-        assert_eq!(g.memory_footprint().cold_rows, 2, "both rows evicted");
-        let _ = g.neighbor_count(0);
-    }
-
-    #[test]
-    fn residency_eviction_is_bitwise_transparent_through_decay() {
-        use crate::residency::ResidencyConfig;
-        // Two graphs fed identical epochs; one evicts with a 1-epoch
-        // window and in-memory spill. After rehydrating everything, every
-        // row, scalar and total must match bitwise — including rows that
-        // sat cold through several decay epochs.
-        let mut plain = TxGraph::new();
-        let mut evicting = TxGraph::new();
-        evicting.enable_residency(&ResidencyConfig::in_memory(1));
-
-        let epoch_txs = |e: u64| -> Vec<Transaction> {
-            // Three disjoint traffic pockets that go hot and cold: pocket
-            // `e % 3` is active this epoch, everything else idles.
-            let base = (e % 3) * 10;
-            (0..12)
-                .map(|i| Transaction::transfer(a(base + i % 5), a(base + (i * 3) % 7)))
-                .collect()
-        };
+        assert!(!g.residency_enabled());
         for e in 0..12u64 {
-            let block = Block::new(e, epoch_txs(e));
-            plain.apply_decay(0.9);
-            evicting.apply_decay(0.9);
-            assert_eq!(plain.ingest_block(&block), evicting.ingest_block(&block));
-            let evicted = evicting.advance_residency_epoch();
-            if e >= 3 {
-                // By now at least one pocket has idled past the window.
-                let fp = evicting.memory_footprint();
-                assert!(fp.cold_rows > 0 || evicted == 0 || fp.restored_rows > 0);
+            // Three traffic pockets that go hot and idle in turn.
+            let base = (e % 3) * 10;
+            let txs = (0..12)
+                .map(|i| Transaction::transfer(a(base + i % 5), a(base + (i * 3) % 7)))
+                .collect();
+            let block = Block::new(e, txs);
+            for graph in [&mut plain, &mut g] {
+                graph.apply_decay(0.9);
             }
+            assert_eq!(plain.ingest_block(&block), g.ingest_block(&block));
+            assert_eq!(g.advance_residency_epoch(), 0);
+            g.ensure_all_resident();
         }
-        assert!(
-            evicting.memory_footprint().evicted_rows > 0,
-            "the eviction window must have fired"
-        );
-
-        evicting.ensure_all_resident();
-        assert_eq!(evicting.memory_footprint().cold_rows, 0);
-        assert_bitwise_equal(&plain, &evicting);
-    }
-
-    /// `(cold_rows, evicted_rows, restored_rows, spill_bytes)`.
-    fn residency_counts(g: &TxGraph) -> (usize, u64, u64, u64) {
         let fp = g.memory_footprint();
-        (
-            fp.cold_rows,
-            fp.evicted_rows,
-            fp.restored_rows,
-            fp.spill_bytes,
-        )
-    }
-
-    #[test]
-    fn rehydrating_without_a_write_keeps_the_eviction_boundary() {
-        let mut plain = TxGraph::new();
-        let mut g = TxGraph::new();
-        g.enable_residency(&ResidencyConfig::in_memory(1));
-        let tx = Transaction::transfer(a(0), a(1));
-        plain.ingest_transaction(&tx);
-        g.ingest_transaction(&tx);
-        assert_eq!(g.advance_residency_epoch(), 0, "within the window");
-        // One 20-byte record per one-entry row: 8-byte header + 12.
-        assert_eq!(g.advance_residency_epoch(), 2);
-        assert_eq!(residency_counts(&g), (2, 2, 0, 40));
-        for graph in [&mut plain, &mut g] {
-            graph.apply_decay(0.5);
-        }
-        g.ensure_all_resident();
-        assert_eq!(residency_counts(&g), (0, 2, 2, 40));
-        // No write came, so both rows go cold again at the next boundary,
-        // each as a fresh record.
-        assert_eq!(g.advance_residency_epoch(), 2);
-        assert_eq!(residency_counts(&g), (2, 4, 2, 80));
-        for graph in [&mut plain, &mut g] {
-            graph.apply_decay(0.5);
-        }
-        g.ensure_all_resident();
-        assert_eq!(residency_counts(&g), (0, 4, 4, 80));
-        assert_bitwise_equal(&plain, &g);
-    }
-
-    #[test]
-    fn a_write_to_a_cold_row_restarts_its_window() {
-        let mut plain = TxGraph::new();
-        let mut g = TxGraph::new();
-        g.enable_residency(&ResidencyConfig::in_memory(2));
-        for tx in [
-            Transaction::transfer(a(0), a(1)),
-            Transaction::transfer(a(2), a(3)),
-        ] {
-            plain.ingest_transaction(&tx);
-            g.ingest_transaction(&tx);
-        }
-        let evicted: Vec<usize> = (0..3).map(|_| g.advance_residency_epoch()).collect();
-        assert_eq!(evicted, [0, 0, 4]);
-        assert_eq!(residency_counts(&g), (4, 4, 0, 80));
-        // The write rehydrates row 0 and then stamps it, so it stays
-        // resident for `window` more boundaries.
-        let tx = Transaction::transfer(a(0), a(4));
-        plain.ingest_transaction(&tx);
-        g.ingest_transaction(&tx);
-        assert_eq!(residency_counts(&g), (3, 4, 1, 80));
-        let evicted: Vec<usize> = (0..3).map(|_| g.advance_residency_epoch()).collect();
-        assert_eq!(evicted, [0, 0, 2], "rows 0 and 4 go cold together");
-        // Row 0's record holds two entries (32 bytes), row 4's one (20).
-        assert_eq!(residency_counts(&g), (5, 6, 1, 132));
-        g.ensure_all_resident();
-        assert_eq!(residency_counts(&g), (0, 6, 6, 132));
+        assert_eq!(
+            (
+                fp.cold_rows,
+                fp.evicted_rows,
+                fp.restored_rows,
+                fp.spill_bytes
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(fp.resident_rows, g.node_count());
         assert_bitwise_equal(&plain, &g);
     }
 
@@ -885,12 +788,10 @@ mod tests {
         }
         let fp = g.memory_footprint();
         assert_eq!(fp.resident_rows, g.node_count());
-        assert_eq!(fp.cold_rows, 0);
         assert!(fp.slab_live_entries >= 100, "two entries per edge");
-        assert!(fp.slab_arena_bytes >= fp.slab_live_bytes());
+        assert!(fp.slab_arena_bytes >= fp.slab_live_entries * 12);
         assert!(fp.interner_bytes > 0);
         assert!(fp.resident_bytes() > 0);
-        assert_eq!(fp.spill_bytes, 0);
     }
 
     #[test]

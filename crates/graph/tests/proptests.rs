@@ -188,50 +188,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Cold-row eviction is bitwise transparent: a graph running under any
-    /// residency window, through any interleaving of ingestion epochs and
-    /// decay rescales, reads back — row weights, scalars, totals — exactly
-    /// the bits of a twin that never evicted anything.
-    #[test]
-    fn residency_eviction_is_bitwise_transparent(
-        epochs in prop::collection::vec(
-            (prop::collection::vec((0u64..30, 0u64..30), 1..20), 0.5f64..1.0),
-            2..12,
-        ),
-        window in 1u32..4,
-    ) {
-        use txallo_graph::ResidencyConfig;
-        let mut plain = TxGraph::new();
-        let mut evicting = TxGraph::new();
-        evicting.enable_residency(&ResidencyConfig::in_memory(window));
-        for (pairs, decay) in &epochs {
-            plain.apply_decay(*decay);
-            evicting.apply_decay(*decay);
-            for &(a, b) in pairs {
-                let tx = Transaction::transfer(AccountId(a), AccountId(b));
-                plain.ingest_transaction(&tx);
-                evicting.ingest_transaction(&tx);
-            }
-            evicting.advance_residency_epoch();
-        }
-        evicting.ensure_all_resident();
-        prop_assert_eq!(plain.node_count(), evicting.node_count());
-        prop_assert_eq!(plain.total_weight().to_bits(), evicting.total_weight().to_bits());
-        for v in 0..plain.node_count() as NodeId {
-            prop_assert_eq!(plain.self_loop(v).to_bits(), evicting.self_loop(v).to_bits());
-            prop_assert_eq!(
-                plain.incident_weight(v).to_bits(),
-                evicting.incident_weight(v).to_bits()
-            );
-            let mut want = Vec::new();
-            plain.for_each_neighbor(v, |u, w| want.push((u, w.to_bits())));
-            let mut got = Vec::new();
-            evicting.for_each_neighbor(v, |u, w| got.push((u, w.to_bits())));
-            prop_assert_eq!(want, got);
-        }
-    }
-}

@@ -37,10 +37,8 @@ pub struct SimConfig {
     /// Ignored: every allocation kernel is single-threaded. Kept only so
     /// that existing struct literals still build; nothing reads it.
     pub threads: usize,
-    /// Out-of-core mode: evict graph rows of accounts idle for more than
-    /// the configured window of epochs (see `txallo_graph::residency`).
-    /// Changes no allocation — eviction/rehydration is bit-transparent —
-    /// only the resident footprint. `None` keeps every row in the slab.
+    /// Kept, ignored, only because the frozen `perfbench/` calls it:
+    /// every graph row stays in core.
     pub residency: Option<ResidencyConfig>,
 }
 
@@ -95,7 +93,6 @@ impl ShardedChainSim {
             config.schedule,
             params,
             config.decay_per_epoch,
-            config.residency.as_ref(),
         )
         .unwrap_or_else(|e| panic!("{e}"));
         Self { config, epochs }
@@ -194,8 +191,7 @@ impl ShardedChainSim {
     /// Runs `epochs` epochs, synthesizing each epoch's blocks on demand
     /// via `epoch_blocks` (called with the absolute epoch index, i.e.
     /// continuing from [`ShardedChainSim::epoch`]). Only one epoch of
-    /// blocks is ever alive at a time — with a [`SimConfig::residency`]
-    /// window this is the full out-of-core replay loop.
+    /// blocks is ever alive at a time: the streamed replay loop.
     pub fn run_stream_with<F>(&mut self, epochs: u64, mut epoch_blocks: F) -> Vec<EpochReport>
     where
         F: FnMut(u64) -> Vec<Block>,
@@ -209,8 +205,7 @@ impl ShardedChainSim {
     }
 
     /// The graph's current memory accounting (see
-    /// [`MemoryFootprint`]) — slab arena, interner, residency index,
-    /// spill.
+    /// [`MemoryFootprint`]): slab arena, per-node scalars, interner.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         self.epochs.graph().memory_footprint()
     }
@@ -466,86 +461,6 @@ mod tests {
             r.metrics.migrated_accounts, 1,
             "the defection is exactly one migration"
         );
-    }
-
-    #[test]
-    fn residency_mode_reproduces_the_in_core_run() {
-        use txallo_graph::ResidencyConfig;
-        use txallo_workload::StreamingWorkload;
-        // Deterministic drifting workload, synthesized per epoch — the
-        // same generator feeds an in-core sim and an out-of-core twin
-        // (1-epoch window, decay, hybrid schedule with global refreshes
-        // and health audits, so every rehydration path runs).
-        let cfg = WorkloadConfig {
-            accounts: 1_200,
-            transactions: 60_000,
-            block_size: 50,
-            groups: 24,
-            ..WorkloadConfig::default()
-        };
-        let w = StreamingWorkload::new(cfg, 77);
-        // A batch baseline re-reads the whole graph at every boundary, and
-        // an impossible tolerance walks the recovery ladder down to the
-        // hash fallback: both must rehydrate before they close. Under
-        // `AlwaysAdaptive` that ladder invalidates the session at epoch 2
-        // and rebuilds it at epoch 3, so epoch 4 is a warm adaptive close
-        // under eviction that reads only its touched rows (the gap-4 case
-        // re-solves globally there).
-        let hybrid = HybridSchedule::Hybrid { global_gap: 4 };
-        for (method, schedule) in [
-            ("txallo", hybrid),
-            ("txallo", HybridSchedule::AlwaysAdaptive),
-            ("metis", hybrid),
-        ] {
-            for tolerance in [1e-6, -1.0] {
-                let base = SimConfig {
-                    method: method.into(),
-                    decay_per_epoch: Some(0.8),
-                    ..config(4, 10, schedule)
-                };
-                let run = |residency: Option<ResidencyConfig>| {
-                    let mut sim = ShardedChainSim::new(SimConfig {
-                        residency,
-                        ..base.clone()
-                    });
-                    sim.enable_health_check(3, tolerance);
-                    sim.warmup_streamed(w.blocks(0..40));
-                    let reports = sim.run_stream_with(12, |e| w.epoch_blocks(e + 4, 10));
-                    (reports, sim)
-                };
-                let (plain, plain_sim) = run(None);
-                let (evicted, evicted_sim) = run(Some(ResidencyConfig::in_memory(1)));
-                assert!(
-                    evicted_sim.memory_footprint().evicted_rows > 0,
-                    "the window must actually evict"
-                );
-                assert_eq!(plain.len(), evicted.len());
-                if schedule == HybridSchedule::AlwaysAdaptive && tolerance < 0.0 {
-                    assert_eq!(evicted[2].degradation, Degradation::Invalidated);
-                    assert_eq!(evicted[3].carry, StateCarry::Rebuilt);
-                    assert_eq!(evicted[4].carry, StateCarry::WarmRescaled);
-                }
-                for (a, b) in plain.iter().zip(&evicted) {
-                    assert_eq!(a.update, b.update, "epoch {}", a.epoch);
-                    assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
-                    assert_eq!(
-                        a.metrics.throughput_normalized.to_bits(),
-                        b.metrics.throughput_normalized.to_bits(),
-                        "{method} {schedule:?}, tolerance {tolerance}, epoch {}: \
-                         out-of-core replay must be bit-identical",
-                        a.epoch
-                    );
-                    assert_eq!(a.metrics.migrated_accounts, b.metrics.migrated_accounts);
-                    assert_eq!(a.degradation, b.degradation);
-                }
-                assert_eq!(
-                    plain_sim.allocation().labels(),
-                    evicted_sim.allocation().labels(),
-                    "final mappings must match label-for-label"
-                );
-                assert!(evicted_sim.allocator_state_bytes() > 0);
-            }
-        }
     }
 
     #[test]

@@ -87,22 +87,20 @@ proptest! {
     }
 }
 
-use txallo_graph::ResidencyConfig;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig};
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The out-of-core replay loop — blocks synthesized per epoch, with or
-    /// without cold-row eviction — reproduces the materialized-ledger run
+    /// The streamed replay loop — blocks synthesized per epoch, one epoch
+    /// of blocks alive at a time — reproduces the materialized-ledger run
     /// bit-for-bit: same update kinds, same cross-shard counts, same
     /// throughput bits, same final labels.
     #[test]
-    fn out_of_core_replay_matches_materialized(
+    fn streamed_replay_matches_materialized(
         seed in any::<u64>(),
         shards in 2usize..5,
-        window in 1u32..3,
     ) {
         let cfg = WorkloadConfig {
             accounts: 600,
@@ -113,36 +111,32 @@ proptest! {
         };
         let w = StreamingWorkload::new(cfg, seed);
         let (epoch_blocks, warm_epochs, epochs) = (5u64, 2u64, 6u64);
-        let sim_config = |residency| SimConfig {
+        let sim_config = || SimConfig {
             epoch_blocks: epoch_blocks as usize,
             schedule: HybridSchedule::Hybrid { global_gap: 3 },
             decay_per_epoch: Some(0.9),
-            residency,
             ..SimConfig::new(shards)
         };
         // Materialized reference: the whole ledger as slices up front.
-        let mut mat = ShardedChainSim::new(sim_config(None));
+        let mut mat = ShardedChainSim::new(sim_config());
         mat.warmup(&w.blocks(0..warm_epochs * epoch_blocks));
         let stream =
             w.blocks(warm_epochs * epoch_blocks..(warm_epochs + epochs) * epoch_blocks);
         let want = mat.run_stream(&stream);
-        // Streamed twins: one epoch of blocks alive at a time.
-        for residency in [None, Some(ResidencyConfig::in_memory(window))] {
-            let mut sim = ShardedChainSim::new(sim_config(residency));
-            sim.warmup_streamed(w.block_iter(0..warm_epochs * epoch_blocks));
-            let got =
-                sim.run_stream_with(epochs, |e| w.epoch_blocks(e + warm_epochs, epoch_blocks));
-            prop_assert_eq!(want.len(), got.len());
-            for (a, b) in want.iter().zip(&got) {
-                prop_assert_eq!(a.update, b.update);
-                prop_assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
-                prop_assert_eq!(
-                    a.metrics.throughput_normalized.to_bits(),
-                    b.metrics.throughput_normalized.to_bits()
-                );
-                prop_assert_eq!(a.metrics.migrated_accounts, b.metrics.migrated_accounts);
-            }
-            prop_assert_eq!(mat.allocation().labels(), sim.allocation().labels());
+        // Streamed twin: one epoch of blocks alive at a time.
+        let mut sim = ShardedChainSim::new(sim_config());
+        sim.warmup_streamed(w.block_iter(0..warm_epochs * epoch_blocks));
+        let got = sim.run_stream_with(epochs, |e| w.epoch_blocks(e + warm_epochs, epoch_blocks));
+        prop_assert_eq!(want.len(), got.len());
+        for (a, b) in want.iter().zip(&got) {
+            prop_assert_eq!(a.update, b.update);
+            prop_assert_eq!(a.metrics.cross_shard, b.metrics.cross_shard);
+            prop_assert_eq!(
+                a.metrics.throughput_normalized.to_bits(),
+                b.metrics.throughput_normalized.to_bits()
+            );
+            prop_assert_eq!(a.metrics.migrated_accounts, b.metrics.migrated_accounts);
         }
+        prop_assert_eq!(mat.allocation().labels(), sim.allocation().labels());
     }
 }

@@ -43,7 +43,6 @@ fn sim_and_chain_close_the_same_epochs() {
                 method: method.clone(),
                 schedule,
                 decay_per_epoch: None,
-                residency: None,
                 ..SimConfig::new(SHARDS)
             });
             sim.enable_health_check(AUDIT_EVERY, tolerance);
