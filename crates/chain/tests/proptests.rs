@@ -5,7 +5,7 @@ use txallo_chain::{
     AtomixProtocol, ChainEngine, ChainEngineConfig, ChainService, ChainServiceConfig,
     FaultInjector, FaultPlan, PbftShard, Validator, ValidatorSet,
 };
-use txallo_core::{Allocation, HybridSchedule};
+use txallo_core::{Allocation, HybridSchedule, StateCarry};
 use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
@@ -129,21 +129,46 @@ fn faulty_config(shards: usize) -> ChainServiceConfig {
     }
 }
 
-fn faulty_service(shards: usize, fault_seed: u64) -> ChainService {
-    let mut service = ChainService::new(faulty_config(shards));
-    service.set_fault_plan(FaultPlan::mixed(fault_seed));
+/// Every registry method, and whether its resume is warm. `scheduler`
+/// keeps transaction-level state that a checkpoint cannot hold, so it
+/// reopens cold (`StateCarry::Rebuilt`).
+const METHODS: [(&str, bool); 5] = [
+    ("txallo", true),
+    ("hash", true),
+    ("metis", true),
+    ("metis-recursive", true),
+    ("scheduler", false),
+];
+
+fn method_config(method: &str) -> ChainServiceConfig {
+    ChainServiceConfig {
+        method: method.to_string(),
+        ..faulty_config(3)
+    }
+}
+
+fn service(method: &str, plan: FaultPlan) -> ChainService {
+    let mut service = ChainService::new(method_config(method));
+    service.set_fault_plan(plan);
     service
 }
 
 proptest! {
-    // The end-to-end resume property drives two full chain services per
-    // case; keep the case count modest so the suite stays quick.
+    // Every case drives two full chain services per method and fault
+    // plan (20 in all); keep the case count modest so the suite stays
+    // quick.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// §IV-A determinism across restarts: crashing at *any* epoch
-    /// boundary and resuming from the checkpoint yields a run
+    /// §IV-A determinism across restarts, composed over every method and
+    /// both fault plans (`FaultPlan::none()` and `mixed`): crashing at
+    /// *any* epoch boundary and resuming from the checkpoint yields a run
     /// bit-identical to the uninterrupted one — same labels, same
-    /// substrate report — even with fault injection active.
+    /// substrate report. This also covers every per-close cache of the
+    /// allocators (the sweep cache's gathers and drift, the snapshot):
+    /// none of it may leak into the image or survive the restart. The
+    /// `scheduler` reopens cold, so its resumed run must only keep every
+    /// label in range and every epoch's diff consistent with the mapping
+    /// it applies to.
     #[test]
     fn crash_at_any_epoch_resumes_bit_identically(
         crash_after in 1u64..5,
@@ -152,41 +177,58 @@ proptest! {
     ) {
         let warm = small_trace(workload_seed, 90);
         let (warmup, live) = warm.split_at(40);
-
-        let mut reference = faulty_service(3, fault_seed);
-        reference.warmup(warmup);
-        let reference_updates = reference.run(live);
-
-        let mut crashed = faulty_service(3, fault_seed);
-        crashed.warmup(warmup);
         let crash_block = (crash_after * 10) as usize;
-        let before = crashed.run(&live[..crash_block]);
-        prop_assert_eq!(crashed.epochs_closed(), crash_after);
-        let image = crashed.checkpoint().expect("boundary checkpoint");
-        drop(crashed);
+        for (method, warm_resume) in METHODS {
+            for plan in [FaultPlan::none(), FaultPlan::mixed(fault_seed)] {
+                let mut reference = service(method, plan);
+                reference.warmup(warmup);
+                let reference_updates = reference.run(live);
 
-        let mut resumed = ChainService::resume(faulty_config(3), &image).expect("resume");
-        let after = resumed.run(&live[crash_block..]);
+                let mut crashed = service(method, plan);
+                crashed.warmup(warmup);
+                let before = crashed.run(&live[..crash_block]);
+                prop_assert_eq!(crashed.epochs_closed(), crash_after);
+                let image = crashed.checkpoint().expect("boundary checkpoint");
+                drop(crashed);
 
-        prop_assert_eq!(before.len() + after.len(), reference_updates.len());
-        for (i, (live_u, split_u)) in reference_updates
-            .iter()
-            .zip(before.iter().chain(after.iter()))
-            .enumerate()
-        {
-            prop_assert_eq!(live_u.kind, split_u.kind, "epoch {}", i);
-            prop_assert_eq!(live_u.migrations(), split_u.migrations(), "epoch {}", i);
+                let mut resumed = ChainService::resume(method_config(method), &image).expect("resume");
+                let at_resume = resumed.allocation().clone();
+                let after = resumed.run(&live[crash_block..]);
+                prop_assert_eq!(before.len() + after.len(), reference_updates.len(), "{}", method);
+
+                if !warm_resume {
+                    prop_assert_eq!(resumed.resume_carry(), Some(StateCarry::Rebuilt), "{}", method);
+                    let mut replayed = at_resume;
+                    for update in &after {
+                        replayed.apply_update(update);
+                    }
+                    prop_assert_eq!(&replayed, resumed.allocation(), "{}: diffs rebuild the mapping", method);
+                    prop_assert_eq!(replayed.len(), resumed.graph().node_count());
+                    prop_assert!(replayed.labels().iter().all(|&l| l < 3), "{}: labels in range", method);
+                    continue;
+                }
+                for (i, (live_u, split_u)) in reference_updates
+                    .iter()
+                    .zip(before.iter().chain(after.iter()))
+                    .enumerate()
+                {
+                    prop_assert_eq!(live_u.kind, split_u.kind, "{} epoch {}", method, i);
+                    prop_assert_eq!(live_u.migrations(), split_u.migrations(), "{} epoch {}", method, i);
+                }
+                prop_assert_eq!(
+                    reference.allocation().labels(),
+                    resumed.allocation().labels(),
+                    "{}: restart must not perturb the served mapping",
+                    method
+                );
+                prop_assert_eq!(
+                    format!("{:?}", reference.report()),
+                    format!("{:?}", resumed.report()),
+                    "{}: substrate tallies (messages, retries, aborts) must survive the restart",
+                    method
+                );
+            }
         }
-        prop_assert_eq!(
-            reference.allocation().labels(),
-            resumed.allocation().labels(),
-            "restart must not perturb the served mapping"
-        );
-        prop_assert_eq!(
-            format!("{:?}", reference.report()),
-            format!("{:?}", resumed.report()),
-            "substrate tallies (messages, retries, aborts) must survive the restart"
-        );
     }
 }
 

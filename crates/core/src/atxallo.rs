@@ -41,6 +41,15 @@ pub struct AtxAlloOutcome {
     pub total_gain: f64,
     /// Node moves committed across both phases.
     pub moves: usize,
+    /// Rows gathered by the phase-2 sweeps.
+    pub rows_gathered: usize,
+    /// Row entries gathered by the phase-2 sweeps.
+    pub entries_gathered: usize,
+    /// Row entries whose phase-2 re-gather a no-move certificate replaced.
+    /// With `entries_gathered` they sum to the gather work of a sweep
+    /// without certificates, plus the rare re-gather of a certified row
+    /// whose neighbors have not moved since its certificate.
+    pub entries_certified: usize,
 }
 
 #[cfg(test)]

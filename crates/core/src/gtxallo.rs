@@ -51,6 +51,13 @@ pub struct GTxAlloOutcome {
     pub total_gain: f64,
     /// Number of node moves committed across both phases.
     pub moves: usize,
+    /// Rows gathered by the optimization sweeps.
+    pub rows_gathered: usize,
+    /// Row entries gathered by the optimization sweeps.
+    pub entries_gathered: usize,
+    /// Row entries whose re-gather a no-move certificate replaced (see
+    /// [`AtxAlloOutcome::entries_certified`](crate::AtxAlloOutcome::entries_certified)).
+    pub entries_certified: usize,
 }
 
 impl GTxAllo {
@@ -141,6 +148,9 @@ impl GTxAllo {
                 sweeps: 0,
                 total_gain: 0.0,
                 moves: 0,
+                rows_gathered: 0,
+                entries_gathered: 0,
+                entries_certified: 0,
             };
         }
 
@@ -208,12 +218,14 @@ impl GTxAllo {
         // inputs are untouched since the node's last evaluation the node is
         // skipped outright: re-evaluating would provably repeat the
         // previous no-move. A node touching only its own community
-        // (`C_v = ∅`) sits out of the sweep until a neighbor moves. All
-        // reuse is bit-exact, so the trajectory is identical to
-        // re-gathering every node every sweep.
+        // (`C_v = ∅`) sits out of the sweep until a neighbor moves. A long
+        // stale row is re-gathered only when `certainly_stays` cannot
+        // prove from its cached list and the weight of its neighbors'
+        // moves since that the re-gather would leave it in place. All reuse is bit-exact, so the trajectory is
+        // identical to re-gathering every node every sweep.
         let mut cache = SweepCache::new(k, order.iter().map(|&v| graph.neighbor_count(v)));
-        let mut sweeps = 0usize;
-        let mut total_gain = 0.0;
+        let (mut sweeps, mut total_gain) = (0usize, 0.0);
+        let (mut rows_gathered, mut entries_gathered, mut entries_certified) = (0, 0, 0);
         loop {
             let mut delta = 0.0;
             let mut next = 0;
@@ -222,16 +234,25 @@ impl GTxAllo {
                 let v = order[i];
                 let vi = v as usize;
                 let p = labels[vi];
+                let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
                 if cache.is_stale(i) {
+                    let row_len = graph.neighbor_count(v);
+                    if let Some(entries) =
+                        state.certified_skip(&mut cache, i, p, self_w, d_v, row_len)
+                    {
+                        entries_certified += entries;
+                        continue; // A re-gather could not move v.
+                    }
                     state.gather_links(graph, &labels, v, &mut scratch);
                     cache.store(i, scratch.candidates());
+                    rows_gathered += 1;
+                    entries_gathered += row_len;
                 } else if cache.unchanged_since_eval(i, p) {
                     continue; // Inputs unchanged: evaluation would no-op.
                 }
                 let Some(cand) = cache.evaluate(i, p) else {
                     continue; // C_v = ∅: v only touches its own community.
                 };
-                let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
                 if let Some(mv) = state.best_move(p, self_w, d_v, cand.iter().copied()) {
                     state.apply_move(&mv);
                     labels[vi] = mv.to;
@@ -239,7 +260,7 @@ impl GTxAllo {
                     total_gain += mv.gain;
                     moves += 1;
                     cache.commit_move(p, mv.to);
-                    graph.for_each_neighbor(v, |u, _| cache.invalidate(position[u as usize]));
+                    graph.for_each_neighbor(v, |u, w| cache.invalidate(position[u as usize], w));
                 }
             }
             sweeps += 1;
@@ -254,6 +275,9 @@ impl GTxAllo {
             sweeps,
             total_gain,
             moves,
+            rows_gathered,
+            entries_gathered,
+            entries_certified,
         }
     }
 }

@@ -21,8 +21,12 @@
 //! edges), a node whose candidates *and* touched communities are
 //! unchanged since its last evaluation is skipped outright, and a node
 //! whose candidates list no rival community leaves the active set until a
-//! snapshot neighbor moves. All reuse is bit-exact: the trajectory is
-//! identical to re-gathering every node every sweep, which the golden
+//! snapshot neighbor moves. A long stale row is re-gathered only when
+//! `CommunityState::certainly_stays` cannot prove, from its cached
+//! candidates and the weight of its neighbors' moves since, that a
+//! re-gather would leave it in place; a certified row stays stale and is
+//! tested again at its next visit. All reuse is bit-exact: the trajectory
+//! is identical to re-gathering every node every sweep, which the golden
 //! tests assert against a cache-free reference.
 
 use txallo_graph::{DeltaCsr, DenseAccumulator, SweepCache};
@@ -41,6 +45,12 @@ pub(crate) struct EpochSweepOutcome {
     pub total_gain: f64,
     /// Node moves committed across both phases.
     pub moves: usize,
+    /// Rows gathered in phase 2.
+    pub rows_gathered: usize,
+    /// Row entries gathered in phase 2.
+    pub entries_gathered: usize,
+    /// Row entries whose phase-2 re-gather a no-move certificate replaced.
+    pub entries_certified: usize,
 }
 
 /// Reusable buffers of the epoch sweep: the dense gather accumulator and
@@ -124,16 +134,23 @@ pub(crate) fn epoch_sweep(
             next = i + 1;
             let g = snap.global_id(i) as usize;
             let p = labels[g];
+            let (self_w, d_v) = (snap.self_loop(i), snap.incident_weight(i));
             if cache.is_stale(i) {
+                let row_len = snap.row(i).0.len();
+                if let Some(entries) = state.certified_skip(cache, i, p, self_w, d_v, row_len) {
+                    out.entries_certified += entries;
+                    continue; // A re-gather could not move v.
+                }
                 gather_row(snap, i, labels, k, acc);
                 cache.store(i, acc.entries());
+                out.rows_gathered += 1;
+                out.entries_gathered += row_len;
             } else if cache.unchanged_since_eval(i, p) {
                 continue; // Inputs unchanged: evaluation would no-op.
             }
             let Some(cand) = cache.evaluate(i, p) else {
                 continue; // C_v = ∅ or v only touches its own community.
             };
-            let (self_w, d_v) = (snap.self_loop(i), snap.incident_weight(i));
             if let Some(mv) = state.best_move(p, self_w, d_v, cand.iter().copied()) {
                 state.apply_move(&mv);
                 labels[g] = mv.to;
@@ -145,9 +162,10 @@ pub(crate) fn epoch_sweep(
                 // weights that just went stale. The `local_of` lookup is
                 // paid per committed move, not per edge of the snapshot
                 // build.
-                for &u in snap.row(i).0 {
+                let (targets, weights) = snap.row(i);
+                for (&u, &w) in targets.iter().zip(weights) {
                     if let Some(lt) = snap.local_of(u) {
-                        cache.invalidate(lt as usize);
+                        cache.invalidate(lt as usize, w);
                     }
                 }
             }

@@ -230,6 +230,9 @@ impl AtxAlloSession {
             sweeps: out.sweeps,
             total_gain: out.total_gain,
             moves: out.moves,
+            rows_gathered: out.rows_gathered,
+            entries_gathered: out.entries_gathered,
+            entries_certified: out.entries_certified,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Per-community workload/throughput accounting and the §V-B gain formulas.
 
-use txallo_graph::{fit_u32, DenseAccumulator, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 use txallo_louvain::GAIN_EPS;
 
 /// Label value for nodes not yet assigned to any community.
@@ -47,6 +47,12 @@ pub struct CommunityState {
 // *read* the caches with the same expressions the pre-cache code inlined,
 // so the fast path is byte-identical to the formula path (golden-tested
 // in `tests/golden.rs` and `tests/atxallo_golden.rs`).
+
+/// Rounding slack of [`CommunityState::certainly_stays`], relative to the
+/// magnitudes a gain is computed from. Evaluating Eq. 8 at a link weight,
+/// against the current aggregates, rounds by at most a few ulps of them;
+/// 64 ulps leaves an eightfold margin over that bound.
+const CERTIFY_SLACK: f64 = 64.0 * f64::EPSILON;
 
 /// One node's move out of its community, chosen by
 /// [`CommunityState::best_move`] and committed by
@@ -481,6 +487,129 @@ impl CommunityState {
         })
     }
 
+    /// The certified skip of the two TxAllo sweeps: `Some(entries)` when
+    /// stale row `r` (`row_len` entries, `v` in `p`) need not be
+    /// re-gathered because [`CommunityState::certainly_stays`] proves it
+    /// stays, `None` when the caller must gather it. `entries` is
+    /// `row_len` when a cache without certificates would have re-gathered
+    /// the row at this visit, else 0. Only rows of at least `max(64, 3k)`
+    /// entries are tried, and only after their first gather: the test
+    /// costs about one gain evaluation per community, a gather one label
+    /// load per entry.
+    #[inline]
+    pub(crate) fn certified_skip(
+        &self,
+        cache: &mut SweepCache,
+        r: usize,
+        p: u32,
+        self_w: f64,
+        d_v: f64,
+        row_len: usize,
+    ) -> Option<usize> {
+        if row_len < (3 * self.community_count()).max(64) {
+            return None;
+        }
+        let (cached, drift) = cache.cached_with_drift(r)?;
+        if !self.certainly_stays(p, self_w, d_v, row_len, cached, drift) {
+            return None;
+        }
+        Some(if cache.certify(r) { row_len } else { 0 })
+    }
+
+    /// Whether a re-gather of a stale row could produce a move: `false`
+    /// unless [`CommunityState::best_move`] provably returns `None` for
+    /// every candidate list a re-gather could produce. `v` sits in `p`;
+    /// `cached` is its last gather of `row_len` entries (ascending
+    /// communities) and `drift` the summed weight of its neighbors' moves
+    /// since.
+    ///
+    /// Each community's link weight now lies within `drift` of its cached
+    /// one (0 when unlisted), so every community is a possible rival. The
+    /// interval is first widened by the re-summation rounding bound, then
+    /// clipped to `[0, d_v]`. Eq. 8 is the leave gain plus the join gain,
+    /// and each half is monotone in its link weight: `σ'` is affine in it,
+    /// `Λ̂'` does not depend on it, and Eq. 3 is non-increasing in `σ'`
+    /// when `λ > 0` and `Λ̂' ≥ 0`. So each half peaks at the end of its
+    /// interval that the sign of `2η − 1` picks, for any η, and the row
+    /// certainly stays when every rival's peak sum is below `−slack`, the
+    /// rounding slack of the gain arithmetic. When a precondition fails
+    /// (non-positive or NaN `λ`, a non-finite η, `Λ̂' < 0`) it answers
+    /// `false`, and the caller gathers.
+    pub(crate) fn certainly_stays(
+        &self,
+        p: u32,
+        self_w: f64,
+        d_v: f64,
+        row_len: usize,
+        cached: &[(u32, f64)],
+        drift: f64,
+    ) -> bool {
+        if self.capacity.is_nan() || self.capacity <= 0.0 || !self.eta.is_finite() {
+            return false;
+        }
+        // The cached and the re-gathered weight of a community each sum at
+        // most `row_len` entries of a row weighing at most `d_v`; the
+        // `drift` term covers the interval arithmetic's own rounding.
+        let resum = 2.0 * (row_len as f64 + 2.0) * f64::EPSILON * (d_v + drift);
+        let reach = drift + resum;
+        let top = d_v + resum;
+        let low = |w: f64| (w - reach).max(0.0);
+        let high = |w: f64| (w + reach).min(top);
+        // Eq. 3 is non-increasing in `σ'`, which moves with the link weight
+        // at slope `1 − 2η` on a join and `2η − 1` on a leave. So for
+        // η ≥ 1/2 a join gain peaks at the top of its interval and the
+        // leave gain at the bottom; for η < 1/2 the other way round.
+        let join_peaks_high = self.eta >= 0.5;
+        let w_p = cached
+            .iter()
+            .find(|&&(c, _)| c == p)
+            .map_or(0.0, |&(_, w)| w);
+        let w_p = if join_peaks_high { low(w_p) } else { high(w_p) };
+        let Some((leave, leave_scale)) =
+            self.gain_bound(p, d_v, top, self.left_state(p, self_w, d_v, w_p))
+        else {
+            return false;
+        };
+        let mut listed = cached.iter().peekable();
+        (0..fit_u32(self.community_count())).all(|q| {
+            let w_q = listed.next_if(|&&(c, _)| c == q).map_or(0.0, |&(_, w)| w);
+            let w_q = if join_peaks_high { high(w_q) } else { low(w_q) };
+            q == p
+                || self
+                    .gain_bound(q, d_v, top, self.joined_state(q, self_w, d_v, w_q))
+                    .is_some_and(|(join, scale)| {
+                        leave + join < -CERTIFY_SLACK * (leave_scale + scale)
+                    })
+        })
+    }
+
+    /// Community `c`'s gain at its peak state `(σ', Λ̂')` (Eq. 3 on it minus
+    /// the current throughput), with the magnitude its rounding error
+    /// scales with, or `None` when `Λ̂' < 0` (or NaN) voids the
+    /// monotonicity in the link weight. `top` bounds the link weight.
+    #[inline]
+    fn gain_bound(
+        &self,
+        c: u32,
+        d_v: f64,
+        top: f64,
+        (sigma_new, hat_new): (f64, f64),
+    ) -> Option<(f64, f64)> {
+        if hat_new.is_nan() || hat_new < 0.0 {
+            return None;
+        }
+        let gain = self.gain_vs_current(c, sigma_new, hat_new);
+        // `σ'` rounds against the sum of its terms, and the capped regime
+        // passes that error on with weight at most `Λ̂'/λ`.
+        let sigma_terms = self.sigma(c).abs() + (2.0 + 2.0 * self.eta.abs()) * (d_v + top);
+        let scale = self.lambda_hat(c).abs()
+            + 2.0 * d_v
+            + hat_new
+            + self.throughput(c).abs()
+            + hat_new / self.capacity * sigma_terms;
+        Some((gain, scale))
+    }
+
     /// Commits a move chosen by [`CommunityState::best_move`]: `v` leaves
     /// `from` and joins `to`. The caller updates the label vector.
     #[inline]
@@ -659,6 +788,7 @@ pub fn capped_throughput(sigma: f64, lambda_hat: f64, capacity: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use txallo_graph::CsrGraph;
 
     /// Line graph 0-1-2-3 plus a self-loop on 0; labels {0,1} per pair.
@@ -923,6 +1053,117 @@ mod tests {
             assert!((s.intra(c) - rebuilt.intra(c)).abs() < 1e-12, "intra({c})");
             assert!((s.cut(c) - rebuilt.cut(c)).abs() < 1e-12, "cut({c})");
         }
+    }
+
+    /// A seeded draw stream for the certificate cases.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        /// Uniform in `[lo, hi]`.
+        fn real(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * (self.next() % 4097) as f64 / 4096.0
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.next() as usize % items.len()]
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Soundness of the no-move certificate. Each case draws random
+        /// aggregates (λ below, near and above the mean σ, so both Eq. 3
+        /// regimes occur), η ∈ {0.5, 1, 2, 4}, and a row of `v` in `p`
+        /// with its cached list and drift. Whenever `certainly_stays`
+        /// certifies the row, `best_move` returns `None` on every drawn
+        /// candidate list whose weights lie within the drift of the cached
+        /// ones, new rivals of weight at most the drift included.
+        #[test]
+        fn certified_rows_never_move(seed in any::<u64>()) {
+            let mut draw = Draw(seed);
+            let k = 2 + draw.next() as usize % 5;
+            let eta = draw.pick(&[0.5, 1.0, 2.0, 4.0]);
+            let p = (draw.next() % k as u64) as u32;
+            let self_w = draw.real(0.0, 3.0) * (draw.next() % 2) as f64;
+            let cached_w: Vec<Option<f64>> = (0..k)
+                .map(|_| (!draw.next().is_multiple_of(3)).then(|| draw.real(0.0, 40.0)))
+                .collect();
+            let cached: Vec<(u32, f64)> = cached_w
+                .iter()
+                .enumerate()
+                .filter_map(|(c, w)| w.map(|w| (c as u32, w)))
+                .collect();
+            let unassigned = draw.real(0.0, 4.0) * (draw.next() % 2) as f64;
+            let d_v = self_w + cached.iter().map(|&(_, w)| w).sum::<f64>() + unassigned;
+            let row_len = cached.len() + draw.next() as usize % 200;
+            let reach = draw.pick(&[0.0, 1.0, 8.0]);
+            let drift = draw.real(0.0, reach);
+            // `v` belongs to `p`: its community holds at least its links.
+            let mut intra: Vec<f64> = (0..k).map(|_| draw.real(0.0, 100.0)).collect();
+            let cut: Vec<f64> = (0..k).map(|_| draw.real(0.0, 100.0)).collect();
+            intra[p as usize] += d_v;
+            let mean_sigma = (0..k).map(|c| intra[c] + eta * cut[c]).sum::<f64>() / k as f64;
+            let (lo, hi) = draw.pick(&[(0.2, 0.95), (0.95, 1.05), (1.05, 2.0)]);
+            let load = draw.real(lo, hi);
+            let state = CommunityState::from_raw(intra, cut, eta, load * mean_sigma);
+            if !state.certainly_stays(p, self_w, d_v, row_len, &cached, drift) {
+                return Ok(());
+            }
+            for _ in 0..64 {
+                let mut list = Vec::new();
+                for (c, listed) in cached_w.iter().enumerate() {
+                    let base = listed.unwrap_or(0.0);
+                    let (lo, hi) = ((base - drift).max(0.0), (base + drift).min(d_v));
+                    let w = match draw.next() % 4 {
+                        0 => lo,
+                        1 => hi,
+                        _ => draw.real(lo, hi),
+                    };
+                    if w > 0.0 || (listed.is_some() && draw.next().is_multiple_of(2)) {
+                        list.push((c as u32, w));
+                    }
+                }
+                let mv = state.best_move(p, self_w, d_v, list.iter().copied());
+                prop_assert!(
+                    mv.is_none(),
+                    "certified row moves: {:?} on {:?}",
+                    mv.map(|m| (m.to, m.gain)),
+                    list
+                );
+            }
+        }
+    }
+
+    /// A hub row firmly inside an over-capacity community is certified; a
+    /// drift as large as its whole row is not.
+    #[test]
+    fn certificate_holds_for_a_settled_row_and_fails_under_large_drift() {
+        // Community 0 is over capacity and holds `v`; 1 and 2 have room.
+        let state = CommunityState::from_raw(
+            vec![400.0, 150.0, 150.0],
+            vec![50.0, 60.0, 60.0],
+            2.0,
+            300.0,
+        );
+        let cached = [(0u32, 90.0), (1, 3.0), (2, 2.0)];
+        let d_v = 95.0;
+        assert!(state.certainly_stays(0, 0.0, d_v, 200, &cached, 1.0));
+        assert!(state
+            .best_move(0, 0.0, d_v, cached.iter().copied())
+            .is_none());
+        assert!(!state.certainly_stays(0, 0.0, d_v, 200, &cached, d_v));
+        // No limit, no certificate.
+        let unlimited = CommunityState::from_raw(vec![400.0, 150.0], vec![50.0, 60.0], 2.0, 0.0);
+        assert!(!unlimited.certainly_stays(0, 0.0, d_v, 200, &cached[..2], 0.0));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! 2. **Decay folding** — a warm session whose aggregates are rescaled
 //!    on decay epochs matches a session rebuilt from the decayed graph.
 //! 3. **Counters** — a seeded multi-epoch serving stream reproduces the
-//!    recorded per-epoch counters (placements, sweeps, moves and the
-//!    gain's bits), which pins the sweep's `ε` stopping path, not only the
-//!    labels.
+//!    recorded per-epoch counters (placements, sweeps, moves, the gain's
+//!    bits and the gather work), which pins the sweep's `ε` stopping path
+//!    and its certified skips, not only the labels.
 
 use std::collections::BTreeMap;
 
@@ -387,22 +387,27 @@ fn all_new_accounts_epoch() {
 /// The per-epoch counters of a warm session serving a seeded stream
 /// (3k accounts, k = 8, 12 epochs of 10 blocks, decay every third epoch).
 /// `(new_nodes, sweeps, moves, total_gain bits, |V̂|)`, recorded before the
-/// epoch sweep moved onto the shared `SweepCache`.
+/// epoch sweep moved onto the shared `SweepCache`, then the phase-2 gather
+/// work `(rows_gathered, entries_gathered, entries_certified)`, recorded
+/// when stale rows first skipped re-gathers a no-move certificate ruled
+/// out. Per epoch, gathered plus certified entries equal the entries the
+/// sweep gathered before certificates existed.
 #[test]
 fn session_counters_are_pinned() {
-    const EXPECTED: [(usize, usize, usize, u64, usize); 12] = [
-        (37, 5, 80, 4631787468209792256, 868),
-        (25, 5, 73, 4633556997353331296, 915),
-        (28, 3, 88, 4635926382035870704, 899),
-        (16, 5, 73, 4634549327310523968, 884),
-        (18, 3, 66, 4632565103725250432, 911),
-        (19, 3, 57, 4632696130269209184, 901),
-        (19, 3, 53, 4630816543648368512, 932),
-        (16, 2, 42, 4627983276730538112, 875),
-        (19, 4, 68, 4633812357978265024, 899),
-        (11, 3, 51, 4631472006856327392, 922),
-        (11, 3, 45, 4631774169515208672, 915),
-        (12, 4, 48, 4629623144729970496, 887),
+    type Counters = (usize, usize, usize, u64, usize, usize, usize, usize);
+    const EXPECTED: [Counters; 12] = [
+        (37, 5, 80, 4631787468209792256, 868, 898, 11223, 3300),
+        (25, 5, 73, 4633556997353331296, 915, 943, 11831, 4985),
+        (28, 3, 88, 4635926382035870704, 899, 975, 13368, 3558),
+        (16, 5, 73, 4634549327310523968, 884, 950, 13202, 5619),
+        (18, 3, 66, 4632565103725250432, 911, 952, 13397, 2751),
+        (19, 3, 57, 4632696130269209184, 901, 933, 13697, 2498),
+        (19, 3, 53, 4630816543648368512, 932, 962, 14456, 3062),
+        (16, 2, 42, 4627983276730538112, 875, 890, 14147, 876),
+        (19, 4, 68, 4633812357978265024, 899, 934, 14736, 4670),
+        (11, 3, 51, 4631472006856327392, 922, 957, 15573, 3077),
+        (11, 3, 45, 4631774169515208672, 915, 939, 15769, 3264),
+        (12, 4, 48, 4629623144729970496, 887, 917, 15880, 3150),
     ];
     let config = WorkloadConfig {
         accounts: 3_000,
@@ -442,6 +447,9 @@ fn session_counters_are_pinned() {
             out.moves,
             out.total_gain.to_bits(),
             touched.len(),
+            out.rows_gathered,
+            out.entries_gathered,
+            out.entries_certified,
         );
         assert_eq!(&got, expected, "epoch {epoch} counters");
     }

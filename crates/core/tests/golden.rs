@@ -367,3 +367,33 @@ fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
         assert_eq!(fingerprint(&rb.parts), recursive, "recursive, k = {k}");
     }
 }
+
+/// G-TxAllo's optimization work on the stalled-hierarchy graph, whose hub
+/// row has 3,451 entries: the trajectory (sweeps, moves, labels) and the
+/// gather counters `(rows_gathered, entries_gathered, entries_certified)`.
+/// The certified entries are re-gathers of stale rows that a no-move
+/// certificate ruled out; gathered plus certified entries, 275,004, are
+/// the entries the optimizer gathered before certificates existed.
+#[test]
+fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
+    let graph = workload_graph(10_000, 60_000, 7);
+    let params = TxAlloParams::for_graph(&graph, 20);
+    let plan = GTxAlloPlan::new(&graph, &params.louvain);
+    let hub = (0..plan.csr().node_count() as NodeId)
+        .map(|v| plan.csr().neighbor_count(v))
+        .max();
+    assert_eq!(hub, Some(3_451), "fixture: the hub row");
+    let out = GTxAllo::new(params).allocate_planned(&plan);
+    assert_eq!(
+        (out.sweeps, out.moves, fingerprint(out.allocation.labels())),
+        (28, 9_091, 0xc236_9d32_015b_b249)
+    );
+    assert_eq!(
+        (
+            out.rows_gathered,
+            out.entries_gathered,
+            out.entries_certified
+        ),
+        (14_298, 116_575, 158_429)
+    );
+}

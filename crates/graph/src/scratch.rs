@@ -143,6 +143,11 @@ impl DenseAccumulator {
 ///   stamps. A row whose neighbors moved since its gather is *stale*; a
 ///   fresh row whose listed buckets and own bucket are untouched since its
 ///   last evaluation would provably repeat that evaluation's no-move;
+/// * a per-row **drift**, written beside the `links_dirty` stamp: the
+///   summed edge weight of the neighbor moves since the row's gather,
+///   rounded up at every addition. No bucket's link weight can have moved
+///   further from the cached one than that, which is what lets a sweep
+///   certify that a stale row cannot move without re-gathering it;
 /// * an **active-position bitset**: a row whose candidates list no rival
 ///   bucket cannot move, so it leaves the set until a neighbor's move
 ///   re-activates it.
@@ -164,6 +169,7 @@ pub struct SweepCache {
     last_eval: Vec<u64>,
     gathered_at: Vec<u64>,
     links_dirty: Vec<u64>,
+    drift: Vec<f64>,
     bucket_stamp: Vec<u64>,
     move_stamp: u64,
     active: Vec<u64>,
@@ -200,6 +206,7 @@ impl SweepCache {
         refill(&mut self.last_eval, rows, 0);
         refill(&mut self.gathered_at, rows, 0);
         refill(&mut self.links_dirty, rows, 1);
+        refill(&mut self.drift, rows, 0.0);
         refill(&mut self.bucket_stamp, buckets, 1);
         self.move_stamp = 1;
         refill(&mut self.active, rows.div_ceil(64), u64::MAX);
@@ -216,6 +223,7 @@ impl SweepCache {
         self.start.capacity() * size_of::<usize>()
             + self.filled.capacity() * size_of::<u32>()
             + self.arena.capacity() * size_of::<(u32, f64)>()
+            + self.drift.capacity() * size_of::<f64>()
             + (self.last_eval.capacity()
                 + self.gathered_at.capacity()
                 + self.links_dirty.capacity()
@@ -267,6 +275,7 @@ impl SweepCache {
         }
         self.filled[r] = crate::fit_u32(filled);
         self.gathered_at[r] = self.move_stamp;
+        self.drift[r] = 0.0;
     }
 
     /// Row `r`'s cached candidates.
@@ -274,6 +283,32 @@ impl SweepCache {
     fn candidates(&self, r: usize) -> &[(u32, f64)] {
         let s = self.start[r];
         &self.arena[s..s + self.filled[r] as usize]
+    }
+
+    /// Row `r`'s cached candidates and its drift: the summed weight of the
+    /// neighbor moves since they were gathered, an upper bound on how far
+    /// any bucket's link weight has moved from the cached one (a bucket the
+    /// list lacks has cached weight 0). `None` before the row's first
+    /// gather since the last reset.
+    #[inline]
+    pub fn cached_with_drift(&self, r: usize) -> Option<(&[(u32, f64)], f64)> {
+        (self.gathered_at[r] > 0).then(|| (self.candidates(r), self.drift[r]))
+    }
+
+    /// Records a visit of stale row `r` that was certified not to move
+    /// without a re-gather. The row keeps its stale stamp, candidates,
+    /// drift and active bit, so its next visit tests it again. Returns
+    /// whether a neighbor moved since the row was last gathered, evaluated
+    /// or certified: whether a cache without certificates would have
+    /// re-gathered it at this visit.
+    #[inline]
+    pub fn certify(&mut self, r: usize) -> bool {
+        // `last_eval` of a stale row is free: it is read only for fresh
+        // rows, and the gather that ends the row's staleness is followed
+        // by `evaluate`, which overwrites it.
+        let regather = self.links_dirty[r] > self.last_eval[r];
+        self.last_eval[r] = self.move_stamp;
+        regather
     }
 
     /// Records an evaluation of row `r`, in bucket `own`, and returns its
@@ -299,11 +334,13 @@ impl SweepCache {
         self.bucket_stamp[to as usize] = self.move_stamp;
     }
 
-    /// Marks row `r`'s gather stale after a neighbor's move, and activates
-    /// it.
+    /// Marks row `r`'s gather stale after the move of a neighbor joined to
+    /// it by an edge of weight `w`, adds `w` to its drift and activates it.
     #[inline]
-    pub fn invalidate(&mut self, r: usize) {
+    pub fn invalidate(&mut self, r: usize, w: f64) {
         self.links_dirty[r] = self.move_stamp;
+        // Rounded up, so the drift never under-states the moved weight.
+        self.drift[r] = (self.drift[r] + w).next_up();
         self.active[r / 64] |= 1u64 << (r % 64);
     }
 }
@@ -490,14 +527,14 @@ mod tests {
         ] {
             let mut cache = idle_cache(200);
             cache.commit_move(1, 2); // some neighbor of `mover` moved
-            cache.invalidate(mover);
+            cache.invalidate(mover, 1.0);
             let visited = sweep(&mut cache, |c, r| {
                 assert!(c.is_stale(r), "row {r} is visited because it went stale");
                 if r == mover {
                     c.store(r, [(0, 1.0), (3, 2.0)]);
                     assert!(c.evaluate(r, 0).is_some());
                     c.commit_move(0, 3);
-                    c.invalidate(dirtied);
+                    c.invalidate(dirtied, 1.0);
                 } else {
                     idle(c, r);
                 }
@@ -516,8 +553,8 @@ mod tests {
                 c.store(r, [(0, 1.0), (1, 1.0)]);
                 assert!(c.evaluate(r, 0).is_some());
                 c.commit_move(0, 1);
-                c.invalidate(5);
-                c.invalidate(90);
+                c.invalidate(5, 1.0);
+                c.invalidate(90, 1.0);
             } else {
                 idle(c, r);
             }
@@ -546,6 +583,46 @@ mod tests {
         assert!(!cache.unchanged_since_eval(0, 0), "own bucket 0 moved");
         cache.commit_move(2, 3); // listed bucket 2 moved
         assert!(!cache.unchanged_since_eval(0, 1));
+    }
+
+    #[test]
+    fn drift_sums_neighbor_moves_since_the_gather() {
+        let mut cache = SweepCache::new(4, [3usize, 3]);
+        assert!(cache.cached_with_drift(0).is_none(), "never gathered");
+        cache.store(0, [(1, 2.0), (2, 1.0)]);
+        assert!(cache.evaluate(0, 1).is_some());
+        assert_eq!(
+            cache.cached_with_drift(0),
+            Some((&[(1, 2.0), (2, 1.0)][..], 0.0))
+        );
+        cache.commit_move(1, 3);
+        cache.invalidate(0, 0.5);
+        cache.commit_move(3, 2);
+        cache.invalidate(0, 0.25);
+        let (listed, drift) = cache.cached_with_drift(0).unwrap();
+        assert_eq!(listed, &[(1, 2.0), (2, 1.0)]);
+        assert!((0.75..0.75 + 1e-15).contains(&drift), "rounded up: {drift}");
+        assert!(cache.is_stale(0));
+        // Certified twice: only the first visit follows a neighbor's move.
+        assert!(cache.certify(0));
+        assert!(!cache.certify(0));
+        assert!(cache.is_stale(0), "a certified row stays stale");
+        cache.commit_move(0, 1);
+        cache.invalidate(0, 1.0);
+        assert!(cache.certify(0));
+        cache.store(0, [(2, 3.0)]);
+        assert_eq!(
+            cache.cached_with_drift(0).unwrap().1,
+            0.0,
+            "a gather zeroes it"
+        );
+        cache.invalidate(1, 2.0);
+        cache.reset(4, [3usize, 3]);
+        assert!(
+            cache.cached_with_drift(0).is_none(),
+            "a reset forgets gathers"
+        );
+        assert_eq!(cache.drift[1], 0.0, "and drift");
     }
 
     /// Row degrees of a test shape: windows of 0..=4 slots, clipped to
@@ -578,8 +655,8 @@ mod tests {
                 if let Some(rival) = listed.and_then(|l| l.into_iter().find(|&(b, _)| b != own)) {
                     if r % 3 == 0 {
                         c.commit_move(own, rival.0);
-                        c.invalidate((r + 1) % rows);
-                        c.invalidate((r + 5) % rows);
+                        c.invalidate((r + 1) % rows, 0.5);
+                        c.invalidate((r + 5) % rows, 0.25);
                     }
                 }
             });
@@ -598,12 +675,13 @@ mod tests {
             "arena covers every window"
         );
         format!(
-            "{:?} {:?} {:?} {:?} {:?} {:?} {} {:?}",
+            "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {} {:?}",
             cache.start,
             cache.filled,
             cache.last_eval,
             cache.gathered_at,
             cache.links_dirty,
+            cache.drift,
             cache.bucket_stamp,
             cache.move_stamp,
             cache.active

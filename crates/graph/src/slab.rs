@@ -216,15 +216,18 @@ impl SortedRunStore {
             }
             return;
         }
+        // The two runs interleave unpredictably, so each step selects its
+        // entry and advances a cursor arithmetically instead of branching.
         let (mut i, mut j) = (0usize, 0usize);
         while i < run_ids.len() && j < tail_ids.len() {
-            if run_ids[i] < tail_ids[j] {
-                f(run_ids[i], run_ws[i]);
-                i += 1;
-            } else {
-                f(tail_ids[j], tail_ws[j]);
-                j += 1;
-            }
+            let (ru, rw, tu, tw) = (run_ids[i], run_ws[i], tail_ids[j], tail_ws[j]);
+            let run_first = ru < tu;
+            f(
+                if run_first { ru } else { tu },
+                if run_first { rw } else { tw },
+            );
+            i += usize::from(run_first);
+            j += usize::from(!run_first);
         }
         for (&u, &w) in run_ids[i..].iter().zip(&run_ws[i..]) {
             f(u, w);
@@ -249,10 +252,17 @@ impl SortedRunStore {
             }
             return sum;
         }
+        let start = out_ids.len();
+        let len = run_ids.len() + tail_ids.len();
+        out_ids.resize(start + len, 0);
+        out_ws.resize(start + len, 0.0);
+        let (ids, ws) = (&mut out_ids[start..], &mut out_ws[start..]);
+        let mut k = 0usize;
         self.for_each(r, |u, w| {
-            out_ids.push(u);
-            out_ws.push(w);
+            ids[k] = u;
+            ws[k] = w;
             sum += w;
+            k += 1;
         });
         sum
     }
@@ -525,22 +535,37 @@ mod tests {
 
     #[test]
     fn copy_row_into_matches_iteration() {
+        // Row 0 is all tail; row 1 has a merged run with a tail whose ids
+        // interleave with it. Each copy appends after existing entries.
         let mut store = SortedRunStore::new();
+        store.push_row();
         store.push_row();
         for id in [40u32, 10, 30, 20, 50, 5, 45] {
             store.add(0, id, 1.0 / (id as f64 + 1.0));
         }
-        let (mut ids, mut ws) = (Vec::new(), Vec::new());
-        let sum = store.copy_row_into(0, &mut ids, &mut ws);
-        let mut it_ids = Vec::new();
-        let mut it_sum = 0.0;
-        store.for_each(0, |u, w| {
-            it_ids.push(u);
-            it_sum += w;
-        });
-        assert_eq!(ids, it_ids);
-        assert_eq!(sum.to_bits(), it_sum.to_bits());
-        assert!(ids.windows(2).all(|p| p[0] < p[1]));
+        for id in (0..30u32).step_by(3).chain([1, 31, 7, 4]) {
+            store.add(1, id, 1.0 / (id as f64 + 3.0));
+        }
+        let (run, _, tail, _) = store.row_parts(1);
+        assert!(!run.is_empty() && !tail.is_empty(), "fixture: run and tail");
+        for r in 0..2 {
+            let (mut ids, mut ws) = (vec![99u32], vec![0.5]);
+            let sum = store.copy_row_into(r, &mut ids, &mut ws);
+            let (mut it_ids, mut it_ws) = (vec![99u32], vec![0.5]);
+            let mut it_sum = 0.0;
+            store.for_each(r, |u, w| {
+                it_ids.push(u);
+                it_ws.push(w);
+                it_sum += w;
+            });
+            assert_eq!(ids, it_ids, "row {r}");
+            assert_eq!(ws, it_ws, "row {r}");
+            assert_eq!(sum.to_bits(), it_sum.to_bits(), "row {r}");
+            assert!(
+                ids[1..].windows(2).all(|p| p[0] < p[1]),
+                "row {r} ascending"
+            );
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> 
                 moved_this_sweep = true;
                 moved_any = true;
                 cache.commit_move(current, best_comm);
-                graph.for_each_neighbor(v, |u, _| cache.invalidate(u as usize));
+                graph.for_each_neighbor(v, |u, w| cache.invalidate(u as usize, w));
             }
         }
 

@@ -107,7 +107,7 @@ pub fn fm_refine_with_targets(
                 part_weight[to as usize] += w_v;
                 improved = true;
                 cache.commit_move(from, to);
-                graph.for_each_neighbor(v, |u, _| cache.invalidate(u as usize));
+                graph.for_each_neighbor(v, |u, w| cache.invalidate(u as usize, w));
             }
         }
         if !improved {
