@@ -126,8 +126,8 @@ fn bench_components(_: &mut Criterion) {
     });
 
     // The optimization phase as production runs it: sweeps over the shared
-    // renumbered CSR snapshot (the plan is built once in
-    // `allocate_detailed`, outside this timer).
+    // renumbered CSR snapshot (the plan is built once, by
+    // `GTxAlloPlan::new`, outside this timer).
     let init = louvain_csr(&csr, &LouvainConfig::default());
     let plan = GTxAlloPlan::new(&graph, &LouvainConfig::default());
     c.bench_function("gtxallo/optimize_only", |b| {

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use txallo_core::{Dataset, GTxAlloPlan, MetricsReport, TxAlloParams};
+use txallo_core::{Dataset, GTxAllo, GTxAlloPlan, MetricsReport, TxAlloParams};
 use txallo_graph::GraphStats;
 use txallo_louvain::louvain;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
@@ -363,7 +363,7 @@ pub fn headline(scale: ExperimentScale) {
     // Also report G-TxAllo's detailed counters at this setting (via the
     // reusable plan — the counters are not part of the `Allocator` trait).
     let plan = GTxAlloPlan::new(dataset.graph(), &params.louvain);
-    let outcome = plan.allocate(&params);
+    let outcome = GTxAllo::new(params.clone()).allocate_planned(&plan);
     w.note(&format!(
         "# G-TxAllo: louvain communities = {}, sweeps = {}, moves = {}",
         outcome.initial_communities, outcome.sweeps, outcome.moves
@@ -594,10 +594,8 @@ pub fn recency(scale: ExperimentScale) {
     for (name, graph) in views {
         let params = TxAlloParams::for_graph(graph, k).with_eta(eta);
         // Graph-only views have no ledger to form a `Dataset`, so this
-        // goes through the plan path of the same G-TxAllo pipeline.
-        let alloc = GTxAlloPlan::new(graph, &params.louvain)
-            .allocate(&params)
-            .allocation;
+        // runs the same G-TxAllo pipeline on the graph itself.
+        let alloc = GTxAllo::new(params.clone()).allocate_graph(graph);
         // Label every scoring account through the view's own node ids;
         // accounts the view never saw fall back to their hash shard.
         let labels: Vec<u32> = (0..fit_u32(scoring.node_count()))

@@ -6,7 +6,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use txallo_core::{Allocation, AllocatorRegistry, Dataset, GTxAlloPlan, TxAlloParams};
+use txallo_core::{Allocation, AllocatorRegistry, Dataset, GTxAllo, GTxAlloPlan, TxAlloParams};
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
 /// Scale knobs for the experiments (the paper runs 91.8M transactions on a
@@ -102,7 +102,9 @@ pub fn run_allocator(
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
     let start = Instant::now();
     let allocation = match (kind, cached_plan) {
-        (AllocatorKind::TxAllo, Some(plan)) => plan.allocate(&params).allocation,
+        (AllocatorKind::TxAllo, Some(plan)) => {
+            GTxAllo::new(params).allocate_planned(plan).allocation
+        }
         _ => AllocatorRegistry::builtin()
             .batch(kind.registry_name(), &params)
             .expect("builtin kinds are registered")

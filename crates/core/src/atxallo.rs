@@ -10,9 +10,9 @@
 //!
 //! The epoch sweep never runs on the mutable adjacency: the touched rows
 //! are frozen into a [`DeltaCsr`](txallo_graph::DeltaCsr) snapshot first
-//! (the one snapshot route; nothing outside `V̂` is read), and the sweep
-//! iterates its flat rows on the shared
-//! [`SweepCache`](txallo_graph::SweepCache) (see `crate::incremental`).
+//! (the one snapshot route; nothing outside `V̂` is read), and G-TxAllo's
+//! placement and optimization kernel sweeps its flat rows on the shared
+//! [`SweepCache`](txallo_graph::SweepCache) (see `crate::sweep`).
 
 /// The snapshot route of an adaptive update, as reported in
 /// [`AllocationUpdate::path`](crate::AllocationUpdate::path).
@@ -31,7 +31,7 @@ pub enum UpdatePath {
 /// The counters of one adaptive update. The updated labels stay in the
 /// session ([`AtxAlloSession::labels`](crate::AtxAlloSession::labels)),
 /// so an epoch copies no `O(n)` label vector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AtxAlloOutcome {
     /// How many brand-new accounts were placed (phase 1).
     pub new_nodes: usize,

@@ -1,12 +1,13 @@
 //! G-TxAllo — the global allocation algorithm (Algorithm 1).
 
-use txallo_graph::{fit_u32, CsrGraph, NodeId, SweepCache, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
-use crate::params::{TxAlloParams, MAX_SWEEPS};
-use crate::state::{CommunityState, MoveScratch, UNASSIGNED};
+use crate::params::TxAlloParams;
+use crate::state::{CommunityState, UNASSIGNED};
+use crate::sweep::{txallo_sweep, OrderedRows, SweepRows, SweepScratch};
 use crate::Allocator;
 
 /// The global TxAllo algorithm: Louvain initialization, truncation to the
@@ -72,20 +73,15 @@ impl GTxAllo {
     }
 
     /// Runs the full pipeline on a transaction graph.
-    pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
-        self.allocate_detailed(graph).allocation
-    }
-
-    /// Runs the full pipeline, returning counters as well.
     ///
     /// The mutable hash-adjacency `TxGraph` is snapshotted once into a flat
     /// [`CsrGraph`] *renumbered into canonical sweep order*, so every sweep
     /// — the Louvain initialization's local moving and all optimization
     /// passes — walks packed, sorted rows sequentially instead of hashing
     /// and pointer-chasing per node (see [`GTxAlloPlan`]).
-    pub fn allocate_detailed(&self, graph: &TxGraph) -> GTxAlloOutcome {
+    pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
         let plan = GTxAlloPlan::new(graph, &self.params.louvain);
-        self.allocate_planned(&plan)
+        self.allocate_planned(&plan).allocation
     }
 
     /// Runs truncation + optimization from a precomputed [`GTxAlloPlan`].
@@ -95,7 +91,8 @@ impl GTxAllo {
     /// how the paper reports initialization time separately: 67.6 s of the
     /// 122.3 s total).
     pub fn allocate_planned(&self, plan: &GTxAlloPlan) -> GTxAlloOutcome {
-        let out = self.allocate_with_init(&plan.csr, &plan.init, &plan.sequential);
+        // The renumbered snapshot is its own sweep order: row `r` is node `r`.
+        let out = self.optimize(&plan.csr, &plan.init, &plan.csr);
         // Map the permuted labels back to original node ids.
         let permuted = out.allocation.labels();
         let mut labels = vec![0u32; permuted.len()];
@@ -121,6 +118,18 @@ impl GTxAllo {
         init: &LouvainResult,
         order: &[NodeId],
     ) -> GTxAlloOutcome {
+        self.optimize(graph, init, &OrderedRows::new(graph, order))
+    }
+
+    /// Truncates `init` to `k` communities, then runs the placement and
+    /// optimization phases (Algorithm 1 lines 2–19) over `rows`, the nodes
+    /// of `graph` in sweep order.
+    fn optimize(
+        &self,
+        graph: &impl WeightedGraph,
+        init: &LouvainResult,
+        rows: &impl SweepRows,
+    ) -> GTxAlloOutcome {
         let n = graph.node_count();
         let k = self.params.shards;
         assert_eq!(
@@ -128,18 +137,6 @@ impl GTxAllo {
             n,
             "initialization must label every node"
         );
-        assert_eq!(order.len(), n, "sweep order must cover every node");
-        // Sweep position of each node: the optimization phase's cache and
-        // active set are indexed by position.
-        let mut position = vec![usize::MAX; n];
-        for (i, &v) in order.iter().enumerate() {
-            assert_eq!(
-                position[v as usize],
-                usize::MAX,
-                "sweep order repeats node {v}"
-            );
-            position[v as usize] = i;
-        }
 
         if n == 0 {
             return GTxAlloOutcome {
@@ -155,7 +152,6 @@ impl GTxAllo {
         }
 
         let l = init.community_count.max(1);
-        let mut moves = 0usize;
 
         // ---- Truncation: keep the k communities with the largest workload.
         let mut labels: Vec<u32> = init.communities.clone();
@@ -185,99 +181,27 @@ impl GTxAllo {
         // (If l <= k the Louvain labels already fit in 0..k, with the
         // remaining communities empty — the paper's "uncommon situation".)
 
+        // ---- Placement of V_small members (lines 2–9), then the
+        // optimization sweeps (lines 10–19): the one TxAllo sweep kernel.
         let mut state =
             CommunityState::from_labels(graph, &labels, k, self.params.eta, self.params.capacity);
-        let mut scratch = MoveScratch::default();
-
-        // ---- Initialization phase (lines 2–9): place V_small members.
-        for &v in order {
-            if labels[v as usize] != UNASSIGNED {
-                continue;
-            }
-            state.gather_links(graph, &labels, v, &mut scratch);
-            let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
-            let q = state.best_join(self_w, d_v, scratch.candidates());
-            let w_vq = scratch.weight_to(q);
-            state.apply_join(q, self_w, d_v, w_vq);
-            labels[v as usize] = q;
-            moves += 1;
-        }
-
-        // ---- Optimization phase (lines 10–19), incremental sweeps.
-        //
-        // A node's move decision depends on exactly two inputs: (a) its
-        // per-community link weights `w(v→c)` — which change only when a
-        // *neighbor* changes community — and (b) the accounting state of
-        // the communities it touches plus its own (Lemma 1: a move changes
-        // only its two endpoint communities). Input (a) is the expensive
-        // part (a CSR row walk plus a label load per neighbor), so each
-        // node caches its gathered `(community, weight)` candidate list and
-        // reuses it verbatim until a neighbor moves; the gains over that
-        // list — input (b), a handful of flops per candidate — are
-        // recomputed against fresh community state every visit. When *both*
-        // inputs are untouched since the node's last evaluation the node is
-        // skipped outright: re-evaluating would provably repeat the
-        // previous no-move. A node touching only its own community
-        // (`C_v = ∅`) sits out of the sweep until a neighbor moves. A long
-        // stale row is re-gathered only when `certainly_stays` cannot
-        // prove from its cached list and the weight of its neighbors'
-        // moves since that the re-gather would leave it in place. All reuse is bit-exact, so the trajectory is
-        // identical to re-gathering every node every sweep.
-        let mut cache = SweepCache::new(k, order.iter().map(|&v| graph.neighbor_count(v)));
-        let (mut sweeps, mut total_gain) = (0usize, 0.0);
-        let (mut rows_gathered, mut entries_gathered, mut entries_certified) = (0, 0, 0);
-        loop {
-            let mut delta = 0.0;
-            let mut next = 0;
-            while let Some(i) = cache.next_active(next) {
-                next = i + 1;
-                let v = order[i];
-                let vi = v as usize;
-                let p = labels[vi];
-                let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
-                if cache.is_stale(i) {
-                    let row_len = graph.neighbor_count(v);
-                    if let Some(entries) =
-                        state.certified_skip(&mut cache, i, p, self_w, d_v, row_len)
-                    {
-                        entries_certified += entries;
-                        continue; // A re-gather could not move v.
-                    }
-                    state.gather_links(graph, &labels, v, &mut scratch);
-                    cache.store(i, scratch.candidates());
-                    rows_gathered += 1;
-                    entries_gathered += row_len;
-                } else if cache.unchanged_since_eval(i, p) {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-                let Some(cand) = cache.evaluate(i, p) else {
-                    continue; // C_v = ∅: v only touches its own community.
-                };
-                if let Some(mv) = state.best_move(p, self_w, d_v, cand.iter().copied()) {
-                    state.apply_move(&mv);
-                    labels[vi] = mv.to;
-                    delta += mv.gain;
-                    total_gain += mv.gain;
-                    moves += 1;
-                    cache.commit_move(p, mv.to);
-                    graph.for_each_neighbor(v, |u, w| cache.invalidate(position[u as usize], w));
-                }
-            }
-            sweeps += 1;
-            if delta < self.params.epsilon || sweeps >= MAX_SWEEPS {
-                break;
-            }
-        }
+        let out = txallo_sweep(
+            rows,
+            &mut labels,
+            &mut state,
+            self.params.epsilon,
+            &mut SweepScratch::default(),
+        );
 
         GTxAlloOutcome {
             allocation: Allocation::new(labels, k),
             initial_communities: init.community_count,
-            sweeps,
-            total_gain,
-            moves,
-            rows_gathered,
-            entries_gathered,
-            entries_certified,
+            sweeps: out.sweeps,
+            total_gain: out.total_gain,
+            moves: out.moves,
+            rows_gathered: out.rows_gathered,
+            entries_gathered: out.entries_gathered,
+            entries_certified: out.entries_certified,
         }
     }
 }
@@ -296,8 +220,6 @@ impl GTxAllo {
 pub struct GTxAlloPlan {
     /// `order[i]` = original node id of compact node `i` (canonical order).
     order: Vec<NodeId>,
-    /// `0..n` — the sweep order in the renumbered space.
-    sequential: Vec<NodeId>,
     /// CSR snapshot in renumbered space.
     csr: CsrGraph,
     /// Louvain initialization over `csr`.
@@ -315,12 +237,7 @@ impl GTxAlloPlan {
         }
         let csr = CsrGraph::from_graph_relabeled(graph, &new_id);
         let init = louvain_csr(&csr, louvain);
-        Self {
-            order,
-            sequential: (0..n as NodeId).collect(),
-            csr,
-            init,
-        }
+        Self { order, csr, init }
     }
 
     /// The Louvain initialization (over the renumbered snapshot).
@@ -336,14 +253,6 @@ impl GTxAlloPlan {
     /// The renumbered CSR snapshot.
     pub fn csr(&self) -> &CsrGraph {
         &self.csr
-    }
-
-    /// Runs truncation + optimization on this plan for one `(k, η)` point
-    /// — the sweep-side entry of [`GTxAllo::allocate_planned`], shaped so
-    /// parameter-grid harnesses can reuse a plan without constructing the
-    /// allocator themselves.
-    pub fn allocate(&self, params: &TxAlloParams) -> GTxAlloOutcome {
-        GTxAllo::new(params.clone()).allocate_planned(self)
     }
 }
 
@@ -389,7 +298,8 @@ mod tests {
     fn recovers_clusters_as_shards() {
         let g = clustered_graph(4, 6, 4);
         let params = TxAlloParams::for_graph(&g, 4);
-        let out = GTxAllo::new(params.clone()).allocate_detailed(&g);
+        let out =
+            GTxAllo::new(params.clone()).allocate_planned(&GTxAlloPlan::new(&g, &params.louvain));
         let alloc = &out.allocation;
         assert_eq!(alloc.shard_count(), 4);
         // Each cluster must land in a single shard.
@@ -442,7 +352,8 @@ mod tests {
         // One dense cluster, k=4: Louvain finds ~1 community (l < k).
         let g = clustered_graph(1, 8, 0);
         let params = TxAlloParams::for_graph(&g, 4);
-        let out = GTxAllo::new(params).allocate_detailed(&g);
+        let out =
+            GTxAllo::new(params.clone()).allocate_planned(&GTxAlloPlan::new(&g, &params.louvain));
         assert_eq!(out.allocation.shard_count(), 4);
         assert_eq!(out.allocation.len(), 8);
         // All labels valid.
@@ -453,7 +364,8 @@ mod tests {
     fn empty_graph_yields_empty_allocation() {
         let g = TxGraph::new();
         let params = TxAlloParams::for_total_weight(1.0, 3);
-        let out = GTxAllo::new(params).allocate_detailed(&g);
+        let out =
+            GTxAllo::new(params.clone()).allocate_planned(&GTxAlloPlan::new(&g, &params.louvain));
         assert!(out.allocation.is_empty());
         assert_eq!(out.allocation.shard_count(), 3);
     }

@@ -39,7 +39,6 @@ pub mod dataset;
 pub mod epoch_loop;
 pub mod gtxallo;
 pub mod hash_alloc;
-mod incremental;
 pub mod metis_alloc;
 pub mod metrics;
 pub mod params;
@@ -48,6 +47,7 @@ pub mod scheduler;
 pub mod session;
 pub mod state;
 pub mod streaming;
+mod sweep;
 
 pub use ablation::{gtxallo_full_scan, gtxallo_with_init_strategy, InitStrategy};
 pub use allocation::Allocation;

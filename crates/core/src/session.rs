@@ -14,9 +14,10 @@
 //!    — the same clique-expansion weights [`TxGraph::ingest_block_nodes`]
 //!    just added to the graph, classified by the *current* labels;
 //! 3. [`AtxAlloSession::update`] then freezes the touched rows into the
-//!    session's [`DeltaCsr`] and runs the epoch sweep over them (the
-//!    private `incremental` kernel), which keeps the aggregates in
-//!    lock-step via `apply_join`/`apply_leave` as it moves nodes.
+//!    session's [`DeltaCsr`] and runs the crate's one TxAllo sweep kernel
+//!    (the private `sweep` module, G-TxAllo's too) over them, which keeps
+//!    the aggregates in lock-step via `apply_join`/`apply_leave` as it
+//!    moves nodes.
 //!
 //! The per-epoch cost becomes `O(|V̂| log |V̂| + Σ_{v∈V̂} deg v)` — fully
 //! independent of chain length, which is the §V-C promise A-TxAllo makes
@@ -43,9 +44,9 @@ use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
 
 use crate::allocation::Allocation;
 use crate::atxallo::AtxAlloOutcome;
-use crate::incremental::{epoch_sweep, SweepScratch};
 use crate::params::TxAlloParams;
 use crate::state::{CommunityState, UNASSIGNED};
+use crate::sweep::{txallo_sweep, SweepScratch};
 
 /// Epoch-serving A-TxAllo state: the label vector and the per-community
 /// accounting, both surviving across epochs (see the module docs).
@@ -218,22 +219,13 @@ impl AtxAlloSession {
         self.labels.resize(graph.node_count(), UNASSIGNED);
         self.state.set_limits(params.eta, params.capacity);
         self.snap.refill_touched(graph, touched);
-        let out = epoch_sweep(
+        txallo_sweep(
             &self.snap,
             &mut self.labels,
             &mut self.state,
             params.epsilon,
             &mut self.scratch,
-        );
-        AtxAlloOutcome {
-            new_nodes: out.new_nodes,
-            sweeps: out.sweeps,
-            total_gain: out.total_gain,
-            moves: out.moves,
-            rows_gathered: out.rows_gathered,
-            entries_gathered: out.entries_gathered,
-            entries_certified: out.entries_certified,
-        }
+        )
     }
 
     /// Maximum absolute difference between the maintained aggregates and a

@@ -85,8 +85,6 @@ pub(crate) struct Move {
 pub struct MoveScratch {
     /// Weight from the node to each connected community.
     link: DenseAccumulator,
-    /// Weight from the node to unassigned nodes.
-    pub to_unassigned: f64,
 }
 
 impl MoveScratch {
@@ -94,18 +92,6 @@ impl MoveScratch {
     #[inline]
     pub fn weight_to(&self, c: u32) -> f64 {
         self.link.get(c)
-    }
-
-    /// Whether the node has any edge into community `c`.
-    #[inline]
-    pub fn touches(&self, c: u32) -> bool {
-        self.link.contains(c)
-    }
-
-    /// Number of distinct communities the node is connected to (`|C_v|`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.link.len()
     }
 
     /// Whether the node touches no assigned community (`C_v = ∅`).
@@ -274,20 +260,12 @@ impl CommunityState {
             * std::mem::size_of::<f64>()
     }
 
-    /// Gathers the per-community link weights of `v` into `scratch`
-    /// (weights toward [`UNASSIGNED`] neighbors are summed separately).
+    /// Gathers the per-community link weights of `v` into `scratch`;
+    /// weights toward [`UNASSIGNED`] neighbors stay out of the candidates.
     ///
     /// On return the scratch's candidate list is sorted ascending, ready
-    /// for a deterministic sweep over `C_v`.
-    ///
-    /// Graphs exposing their rows as sorted-run slices
-    /// ([`WeightedGraph::row_view`] — the CSR snapshots and the mutable
-    /// slab graph) take a *blocked* gather: labels for a strip of targets
-    /// are loaded into a local array before the strip accumulates, so the
-    /// gather's random label loads overlap instead of serializing behind
-    /// each `acc.add`. The accumulation order is position-for-position the
-    /// row's ascending order either way — bit-identical to the callback
-    /// path.
+    /// for a deterministic sweep over `C_v`. The row is read through
+    /// [`link_walk`], the walk the sweep kernel's graph view runs too.
     pub fn gather_links(
         &self,
         graph: &impl WeightedGraph,
@@ -296,31 +274,11 @@ impl CommunityState {
         scratch: &mut MoveScratch,
     ) {
         scratch.link.begin(self.intra.len());
-        scratch.to_unassigned = 0.0;
-        // The blocked path requires a fully-merged row (a pending tail
-        // would have to interleave with the run to reproduce the ascending
-        // accumulation order bit-for-bit — the callback merge does that).
-        match graph.row_view(v) {
-            Some(view) if view.tail_ids.is_empty() => {
-                gather_labels_blocked(view.run_ids, view.run_ws, labels, |cu, w| {
-                    if cu == UNASSIGNED {
-                        scratch.to_unassigned += w;
-                    } else {
-                        scratch.link.add(cu, w);
-                    }
-                });
+        link_walk(graph, v, labels, |cu, w| {
+            if cu != UNASSIGNED {
+                scratch.link.add(cu, w);
             }
-            _ => {
-                graph.for_each_neighbor(v, |u, w| {
-                    let cu = labels[u as usize];
-                    if cu == UNASSIGNED {
-                        scratch.to_unassigned += w;
-                    } else {
-                        scratch.link.add(cu, w);
-                    }
-                });
-            }
-        }
+        });
         scratch.link.sort_touched();
     }
 
@@ -352,11 +310,12 @@ impl CommunityState {
         (sigma_new, hat_new)
     }
 
-    /// The placement rule (D2) shared by G-TxAllo's initialization phase
-    /// and A-TxAllo's phase 1: the community `v` should join, by join gain
-    /// (Eq. 6) over `candidates` — `(community, w_vq)` in ascending
-    /// community order — or over every community at `w_vq = 0` when there
-    /// are none (`C_v = ∅`, Algorithm 1 lines 4–6).
+    /// The placement rule (D2) of the TxAllo sweep kernel's phase 1
+    /// (G-TxAllo's initialization phase, A-TxAllo's placement): the
+    /// community `v` should join, by join gain (Eq. 6) over `candidates` —
+    /// `(community, w_vq)` in ascending community order — or over every
+    /// community at `w_vq = 0` when there are none (`C_v = ∅`, Algorithm 1
+    /// lines 4–6).
     ///
     /// Ties on the gain (within [`GAIN_EPS`]) are broken toward the
     /// *least-loaded* community (then the earlier candidate). This matters:
@@ -437,8 +396,9 @@ impl CommunityState {
         self.leave_gain(p, self_w, d_v, w_vp) + self.join_gain(q, self_w, d_v, w_vq)
     }
 
-    /// The move rule (Eq. 8) shared by every optimization sweep: G-TxAllo's
-    /// phase 2, A-TxAllo's phase 2 and the full-scan ablation. `v` sits in
+    /// The move rule (Eq. 8) shared by every optimization sweep: phase 2 of
+    /// the TxAllo sweep kernel (both algorithms) and the full-scan
+    /// ablation. `v` sits in
     /// community `p`; `candidates` lists `(community, w_vq)` in ascending
     /// community order, and an entry for `p` itself only supplies `w_vp`.
     ///
@@ -447,9 +407,9 @@ impl CommunityState {
     /// ties go to the earlier rival. The best move is returned only when
     /// its gain is positive; commit it with [`CommunityState::apply_move`].
     ///
-    /// Always inlined: it runs once per evaluated row, and the G-TxAllo
-    /// and A-TxAllo kernels share one instantiation, which the compiler
-    /// otherwise keeps as an out-of-line call.
+    /// Always inlined: it runs once per evaluated row, and the sweep
+    /// kernel's three row views share one instantiation, which the
+    /// compiler otherwise keeps as an out-of-line call.
     #[inline(always)]
     pub(crate) fn best_move(
         &self,
@@ -487,7 +447,7 @@ impl CommunityState {
         })
     }
 
-    /// The certified skip of the two TxAllo sweeps: `Some(entries)` when
+    /// The certified skip of the TxAllo sweep kernel: `Some(entries)` when
     /// stale row `r` (`row_len` entries, `v` in `p`) need not be
     /// re-gathered because [`CommunityState::certainly_stays`] proves it
     /// stays, `None` when the caller must gather it. `entries` is
@@ -720,8 +680,8 @@ impl CommunityState {
 }
 
 /// The blocked gather strip shared by every row gather in this crate
-/// (`CommunityState::gather_links` here, `gather_row` in the epoch sweep
-/// kernel): labels for a strip of 8 targets are loaded into a local array
+/// ([`link_walk`] on a fully merged row, and the sweep kernel's snapshot
+/// views): labels for a strip of 8 targets are loaded into a local array
 /// first, then `f(label, weight)` runs left to right over the strip — the
 /// label loads are the gather's random accesses, and batching them breaks
 /// the load→accumulate dependency chain so they overlap. The callback
@@ -749,6 +709,27 @@ pub(crate) fn gather_labels_blocked(
     }
     for (&u, &w) in chunks_i.remainder().iter().zip(chunks_w.remainder()) {
         f(labels[u as usize], w);
+    }
+}
+
+/// Calls `f(label, weight)` for every neighbor of `v` in `graph`,
+/// ascending by neighbor id. A fully merged row
+/// ([`WeightedGraph::row_view`] with an empty tail) takes the blocked
+/// strip ([`gather_labels_blocked`]); a row with a pending tail, or a
+/// graph without row slices, takes the callback merge. Both produce the
+/// same callback sequence, so accumulations are bit-identical.
+#[inline]
+pub(crate) fn link_walk(
+    graph: &impl WeightedGraph,
+    v: NodeId,
+    labels: &[u32],
+    mut f: impl FnMut(u32, f64),
+) {
+    match graph.row_view(v) {
+        Some(view) if view.tail_ids.is_empty() => {
+            gather_labels_blocked(view.run_ids, view.run_ws, labels, f);
+        }
+        _ => graph.for_each_neighbor(v, |u, w| f(labels[u as usize], w)),
     }
 }
 
@@ -1173,7 +1154,8 @@ mod tests {
         let s = CommunityState::from_labels(&g, &labels, 2, 2.0, 100.0);
         let mut scratch = MoveScratch::default();
         s.gather_links(&g, &labels, 2, &mut scratch);
-        assert!((scratch.weight_to(0) - 2.0).abs() < 1e-12);
-        assert!((scratch.to_unassigned - 1.0).abs() < 1e-12);
+        // Node 2 links to node 1 (community 0, weight 2) and to the
+        // unassigned node 3 (weight 1), which is no candidate.
+        assert_eq!(scratch.candidates().collect::<Vec<_>>(), vec![(0, 2.0)]);
     }
 }

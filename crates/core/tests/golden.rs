@@ -19,7 +19,10 @@
 use std::collections::BTreeMap;
 
 use txallo_core::state::capped_throughput;
-use txallo_core::{CommunityState, GTxAllo, GTxAlloPlan, TxAlloParams, GAIN_EPS, MAX_SWEEPS};
+use txallo_core::{
+    allocate_with_brokers, gtxallo_with_init_strategy, Allocation, AtxAlloSession, BrokerConfig,
+    CommunityState, GTxAllo, GTxAlloPlan, InitStrategy, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
+};
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
@@ -290,7 +293,8 @@ fn final_state_matches_from_labels_recomputation() {
     // over the final labels (float drift stays below 1e-6 of |T|).
     let graph = workload_graph(1_500, 12_000, 23);
     let params = TxAlloParams::for_graph(&graph, 10);
-    let out = GTxAllo::new(params.clone()).allocate_detailed(&graph);
+    let plan = GTxAlloPlan::new(&graph, &params.louvain);
+    let out = GTxAllo::new(params.clone()).allocate_planned(&plan);
     let rebuilt = CommunityState::from_labels(
         &graph,
         out.allocation.labels(),
@@ -396,4 +400,111 @@ fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
         ),
         (14_298, 116_575, 158_429)
     );
+}
+
+/// The explicit-order sweep on the hub graph: `allocate_with_init` over
+/// the mutable graph in canonical order (the ablation's Louvain start),
+/// and the broker pipeline, which sweeps a masked view of it. Most rows
+/// of this graph carry a pending tail, so the link walk takes the
+/// callback merge as well as the blocked strip.
+#[test]
+fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
+    let graph = workload_graph(10_000, 60_000, 7);
+    let tailed = (0..graph.node_count() as NodeId)
+        .filter(|&v| graph.row_view(v).is_some_and(|r| !r.tail_ids.is_empty()))
+        .count();
+    assert!(tailed > 0, "fixture: rows with a pending tail");
+    let params = TxAlloParams::for_graph(&graph, 20);
+    let out = gtxallo_with_init_strategy(&params, &graph, InitStrategy::Louvain);
+    assert_eq!(
+        (out.sweeps, out.moves, fingerprint(out.allocation.labels())),
+        (26, 8_613, 0x3fed_ef77_41ae_abab)
+    );
+    assert_eq!(
+        (
+            out.rows_gathered,
+            out.entries_gathered,
+            out.entries_certified
+        ),
+        (13_427, 107_991, 144_941)
+    );
+    let (brokered, _) = allocate_with_brokers(&graph, &params, &BrokerConfig::default());
+    assert_eq!(fingerprint(brokered.labels()), 0x1a43_4578_491e_3290);
+}
+
+/// Algorithm 2 over `V̂ = V` is Algorithm 1's placement and optimization
+/// phases. From a prefix labelled `v mod k`, with the newest 10% of nodes
+/// unassigned, an adaptive update touching every node and
+/// `allocate_with_init` from the same labels in canonical order agree on
+/// the labels and every counter, bit for bit, although one sweeps a delta
+/// snapshot of every row and the other the whole-graph CSR in an explicit
+/// order. The second tuple pins `(sweeps, moves, entries gathered,
+/// entries certified)`.
+#[test]
+fn adaptive_update_over_every_node_is_the_global_sweep() {
+    for (accounts, transactions, seed, k, pinned) in [
+        (
+            2_000usize,
+            12_000usize,
+            3u64,
+            8usize,
+            (14, 2_149, 29_700, 10_928),
+        ),
+        (10_000, 60_000, 7, 20, (9, 11_185, 117_185, 32_070)),
+    ] {
+        let graph = workload_graph(accounts, transactions, seed);
+        let n = graph.node_count();
+        let assigned = n - n / 10;
+        let prefix: Vec<u32> = (0..assigned).map(|v| (v % k) as u32).collect();
+        let params = TxAlloParams::for_graph(&graph, k);
+
+        let mut communities = prefix.clone();
+        communities.resize(n, UNASSIGNED);
+        let init = LouvainResult {
+            communities,
+            community_count: k,
+            levels: 0,
+        };
+        let global = GTxAllo::new(params.clone()).allocate_with_init(
+            &CsrGraph::from_graph(&graph),
+            &init,
+            &graph.nodes_in_canonical_order(),
+        );
+
+        let mut session = AtxAlloSession::new(&graph, &Allocation::new(prefix, k), &params);
+        let every: Vec<NodeId> = (0..n as NodeId).collect();
+        let adaptive = session.update(&graph, &every, &params);
+
+        assert_eq!(session.labels(), global.allocation.labels(), "seed {seed}");
+        assert_eq!(adaptive.new_nodes, n - assigned, "seed {seed}");
+        assert_eq!(
+            (
+                adaptive.sweeps,
+                adaptive.moves,
+                adaptive.total_gain.to_bits(),
+                adaptive.rows_gathered,
+                adaptive.entries_gathered,
+                adaptive.entries_certified,
+            ),
+            (
+                global.sweeps,
+                global.moves,
+                global.total_gain.to_bits(),
+                global.rows_gathered,
+                global.entries_gathered,
+                global.entries_certified,
+            ),
+            "seed {seed}"
+        );
+        assert_eq!(
+            (
+                global.sweeps,
+                global.moves,
+                global.entries_gathered,
+                global.entries_certified
+            ),
+            pinned,
+            "seed {seed}"
+        );
+    }
 }

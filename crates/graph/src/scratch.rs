@@ -125,10 +125,10 @@ impl DenseAccumulator {
     }
 }
 
-/// Per-row candidate cache and active set of the four incremental sweeps:
-/// Louvain local moving, the G-TxAllo optimization phase, the A-TxAllo
-/// epoch sweep (snapshot rows as positions, communities as buckets) and
-/// the METIS FM boundary pass (parts as buckets).
+/// Per-row candidate cache and active set of the three incremental sweep
+/// kernels: Louvain local moving, the TxAllo sweep (G-TxAllo's
+/// optimization phase and A-TxAllo's epoch update, communities as
+/// buckets) and the METIS FM boundary pass (parts as buckets).
 ///
 /// A row's move decision depends on two inputs: its gathered
 /// `(bucket, weight)` candidate list, which changes only when a neighbor

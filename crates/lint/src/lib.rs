@@ -50,12 +50,16 @@ impl Finding {
 /// Analyze one file's source. `path` must be repo-relative with forward
 /// slashes — rule scoping is path-based.
 pub fn analyze(path: &str, source: &str) -> Vec<Finding> {
-    let view = FileView::scan(path, source);
+    findings_of(&FileView::scan(path, source))
+}
+
+fn findings_of(view: &FileView) -> Vec<Finding> {
+    let path = view.path.as_str();
     let mut raw: Vec<rules::RawFinding> = Vec::new();
     for rule in rules::RULES {
-        (rule.check)(&view, &mut raw);
+        (rule.check)(view, &mut raw);
     }
-    let mut sups = suppress::parse(&view);
+    let mut sups = suppress::parse(view);
 
     let mut findings: Vec<Finding> = Vec::new();
     for (line, rule, message) in raw {
@@ -192,14 +196,27 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> std::io::R
 }
 
 /// Aggregate result of a workspace run.
+#[derive(Default)]
 pub struct Report {
     /// All findings across all files, active and suppressed.
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files: usize,
+    /// Non-blank lines outside `#[cfg(test)]` items across the scanned
+    /// files ([`FileView::code_lines`]).
+    pub lines: usize,
 }
 
 impl Report {
+    /// Scans one file into the report: its findings and its line count.
+    /// `path` is repo-relative, as for [`analyze`].
+    pub fn add(&mut self, path: &str, source: &str) {
+        let view = FileView::scan(path, source);
+        self.findings.extend(findings_of(&view));
+        self.files += 1;
+        self.lines += view.code_lines();
+    }
+
     /// Findings that count against the exit code.
     pub fn active(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.is_active())
@@ -227,8 +244,9 @@ impl Report {
             .map(|(r, n)| format!("\"{r}\":{n}"))
             .collect();
         format!(
-            "{{\"files\":{},\"active\":{},\"suppressed\":{},\"rules\":{{{}}}}}",
+            "{{\"files\":{},\"lines\":{},\"active\":{},\"suppressed\":{},\"rules\":{{{}}}}}",
             self.files,
+            self.lines,
             self.active_count(),
             self.suppressed_count(),
             rules.join(",")
@@ -238,17 +256,11 @@ impl Report {
 
 /// Run the linter over the workspace rooted at `root`.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = workspace_files(root)?;
-    let mut findings = Vec::new();
-    let count = files.len();
-    for (rel, abs) in files {
-        let source = std::fs::read_to_string(&abs)?;
-        findings.extend(analyze(&rel, &source));
+    let mut report = Report::default();
+    for (rel, abs) in workspace_files(root)? {
+        report.add(&rel, &std::fs::read_to_string(&abs)?);
     }
-    Ok(Report {
-        findings,
-        files: count,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -308,6 +320,20 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.rule == "suppression-hygiene" && f.is_active()));
+    }
+
+    #[test]
+    fn summary_counts_non_blank_lines_outside_test_items() {
+        let mut report = Report::default();
+        report.add(
+            "crates/core/src/x.rs",
+            "//! Docs count.\n\nfn lib() {}\n   \n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn tail() {}\n",
+        );
+        report.add("crates/core/src/y.rs", "fn other() {}\n");
+        assert_eq!((report.files, report.lines), (2, 4));
+        assert!(report
+            .json_summary()
+            .starts_with("{\"files\":2,\"lines\":4,\"active\":0,"));
     }
 
     #[test]

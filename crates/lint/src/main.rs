@@ -20,8 +20,9 @@ USAGE:
     --rules       list the rule set and exit
 
 Findings print as `file:line rule message`; the final stdout line is a
-machine-readable JSON summary. Suppress a finding with a trailing (or
-directly-preceding standalone) comment:
+machine-readable JSON summary, which also counts the scanned files'
+non-blank lines outside `#[cfg(test)]` items (`lines`). Suppress a
+finding with a trailing (or directly-preceding standalone) comment:
 
     // txallo-lint: allow(rule-id) — reason (mandatory)
 ";
@@ -71,22 +72,17 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        let mut findings = Vec::new();
-        let count = files.len();
+        let mut report = txallo_lint::Report::default();
         for f in &files {
-            let source = match std::fs::read_to_string(f) {
-                Ok(s) => s,
+            match std::fs::read_to_string(f) {
+                Ok(source) => report.add(&f.replace('\\', "/"), &source),
                 Err(e) => {
                     eprintln!("txallo-lint: cannot read {f}: {e}");
                     return ExitCode::from(2);
                 }
-            };
-            findings.extend(txallo_lint::analyze(&f.replace('\\', "/"), &source));
+            }
         }
-        txallo_lint::Report {
-            findings,
-            files: count,
-        }
+        report
     };
 
     for f in &report.findings {

@@ -78,6 +78,16 @@ impl FileView {
     pub fn is_empty(&self) -> bool {
         self.raw.is_empty()
     }
+
+    /// Non-blank lines outside `#[cfg(test)]` items, comments included:
+    /// the size of the shipped code.
+    pub fn code_lines(&self) -> usize {
+        self.raw
+            .iter()
+            .zip(&self.in_test)
+            .filter(|(line, &test)| !test && !line.trim().is_empty())
+            .count()
+    }
 }
 
 /// Scan one line starting in `mode`; returns (code, comment, end mode).
