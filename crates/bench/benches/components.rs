@@ -30,7 +30,7 @@ use txallo_core::{
 };
 use txallo_graph::{BlockNodes, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
-use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
+use txallo_metis::{metis_partition, recursive_bisection_partition};
 use txallo_model::FxHashMap;
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
@@ -117,19 +117,19 @@ fn bench_components(_: &mut Criterion) {
     });
 
     c.bench_function("louvain/full", |b| {
-        b.iter(|| louvain(&graph, &LouvainConfig::default()));
+        b.iter(|| louvain(&graph));
     });
 
     let csr = CsrGraph::from_graph(&graph);
     c.bench_function("louvain/csr", |b| {
-        b.iter(|| louvain_csr(&csr, &LouvainConfig::default()));
+        b.iter(|| louvain_csr(&csr));
     });
 
     // The optimization phase as production runs it: sweeps over the shared
     // renumbered CSR snapshot (the plan is built once, by
     // `GTxAlloPlan::new`, outside this timer).
-    let init = louvain_csr(&csr, &LouvainConfig::default());
-    let plan = GTxAlloPlan::new(&graph, &LouvainConfig::default());
+    let init = louvain_csr(&csr);
+    let plan = GTxAlloPlan::new(&graph, &LouvainConfig);
     c.bench_function("gtxallo/optimize_only", |b| {
         let gtx = GTxAllo::new(params.clone());
         b.iter(|| gtx.allocate_planned(&plan));
@@ -296,12 +296,11 @@ fn bench_scale(_: &mut Criterion) {
     // hub's many leaves, so the hierarchy stops far above its target and
     // the greedy grower and FM refinement run on a large coarsest graph
     // (the shape of the served `metis` epochs).
-    let metis = MetisConfig::new(20);
     c.bench_function("scale/metis_partition", |b| {
-        b.iter(|| black_box(metis_partition(&graph, &metis)));
+        b.iter(|| black_box(metis_partition(&graph, 20)));
     });
     c.bench_function("scale/metis_recursive", |b| {
-        b.iter(|| black_box(recursive_bisection_partition(&graph, &metis)));
+        b.iter(|| black_box(recursive_bisection_partition(&graph, 20)));
     });
 }
 

@@ -38,7 +38,7 @@ pub struct SweepRow {
 /// cost so Fig. 8 remains honest about end-to-end runtime.
 pub fn run_sweep(dataset: &Dataset, quick: bool) -> Vec<SweepRow> {
     let init_start = std::time::Instant::now();
-    let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig::default());
+    let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig);
     let init_time = init_start.elapsed();
     eprintln!(
         "# louvain init: {} communities in {:?} (plan shared across the sweep)",
@@ -334,7 +334,7 @@ pub fn runtime_table(scale: ExperimentScale) {
     }
     // G-TxAllo initialization share (paper: 67.6 s of 122.3 s).
     let start = std::time::Instant::now();
-    let init = louvain(dataset.graph(), &txallo_louvain::LouvainConfig::default());
+    let init = louvain(dataset.graph());
     let init_time = start.elapsed();
     w.row(&format!(
         "G-TxAllo louvain init,-,{:.4}",
@@ -685,12 +685,12 @@ pub fn bench_snapshot(out_path: &str) {
     };
     let csr = CsrGraph::from_graph(&graph);
     let louvain_full = median_ms(reps, || {
-        std::hint::black_box(txallo_louvain::louvain(&graph, &LouvainConfig::default()));
+        std::hint::black_box(txallo_louvain::louvain(&graph));
     });
     let louvain_flat = median_ms(reps, || {
-        std::hint::black_box(louvain_csr(&csr, &LouvainConfig::default()));
+        std::hint::black_box(louvain_csr(&csr));
     });
-    let plan = GTxAlloPlan::new(&graph, &LouvainConfig::default());
+    let plan = GTxAlloPlan::new(&graph, &LouvainConfig);
     let gtx = GTxAllo::new(params.clone());
     let optimize_only = median_ms(reps, || {
         std::hint::black_box(gtx.allocate_planned(&plan));

@@ -218,7 +218,7 @@ mod tests {
             factor: 0.01,
             seed: 5,
         });
-        let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig::default());
+        let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig);
         let (a, _) = run_allocator(AllocatorKind::TxAllo, &dataset, 5, 2.0, Some(&plan));
         let (b, _) = run_allocator(AllocatorKind::TxAllo, &dataset, 5, 2.0, None);
         assert_eq!(a, b, "cached plan must not change the result");

@@ -17,7 +17,7 @@
 
 use txallo_core::state::UNASSIGNED;
 use txallo_core::{Allocation, CommunityState, MoveScratch, TxAlloParams, GAIN_EPS, MAX_SWEEPS};
-use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, FxHashMap, FxHashSet, Ledger, Transaction};
 
 /// The seed (pre-sorted-run) mutable transaction graph, preserved verbatim
@@ -52,7 +52,7 @@ impl SeedTxGraph {
         if let Some(&n) = self.to_node.get(&account) {
             return n;
         }
-        let n = self.accounts.len() as NodeId;
+        let n = fit_u32(self.accounts.len());
         self.to_node.insert(account, n);
         self.accounts.push(account);
         self.adjacency.push(FxHashMap::default());
@@ -218,7 +218,7 @@ pub fn gain_sweep_fast(
     scratch: &mut MoveScratch,
 ) -> f64 {
     let mut checksum = 0.0;
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         state.gather_links(graph, labels, v, scratch);
         let p = labels[v as usize];
         let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));
@@ -244,7 +244,7 @@ pub fn gain_sweep_seed(
     scratch: &mut MoveScratch,
 ) -> f64 {
     let mut checksum = 0.0;
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         state.gather_links(graph, labels, v, scratch);
         let p = labels[v as usize];
         let (self_w, d_v) = (graph.self_loop(v), graph.incident_weight(v));

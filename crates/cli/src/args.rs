@@ -68,6 +68,24 @@ impl ArgMap {
                 .map_err(|_| format!("flag --{name}: cannot parse {v:?}")),
         }
     }
+
+    /// A parsed `f64` flag with a default, rejected unless `valid` holds
+    /// for it; the message names the range as `expected`. NaN fails every
+    /// comparison, so a range test rejects it too.
+    pub fn checked_f64(
+        &self,
+        name: &str,
+        default: f64,
+        expected: &str,
+        valid: impl Fn(f64) -> bool,
+    ) -> Result<f64, String> {
+        let value: f64 = self.parsed_or(name, default)?;
+        if valid(value) {
+            Ok(value)
+        } else {
+            Err(format!("flag --{name}: {value} is not {expected}"))
+        }
+    }
 }
 
 /// A flag name as typed: `-k` for one letter, `--name` otherwise.

@@ -7,7 +7,7 @@ use std::time::Instant;
 use txallo_core::{AllocatorRegistry, MetricsReport, TxAlloParams};
 
 use crate::args::ArgMap;
-use crate::commands::load_dataset;
+use crate::commands::{eta_flag, load_dataset};
 use crate::mapping::write_mapping;
 
 /// The flags [`run`] reads.
@@ -17,7 +17,7 @@ pub const FLAGS: &[&str] = &["trace", "method", "k", "eta", "out"];
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let dataset = load_dataset(args)?;
     let k: usize = args.parsed_or("k", 16)?;
-    let eta: f64 = args.parsed_or("eta", 2.0)?;
+    let eta = eta_flag(args)?;
     if k == 0 {
         return Err("-k must be at least 1".into());
     }

@@ -6,7 +6,7 @@ use std::io::BufReader;
 use txallo_core::{MetricsReport, TxAlloParams};
 
 use crate::args::ArgMap;
-use crate::commands::load_dataset;
+use crate::commands::{eta_flag, load_dataset};
 use crate::mapping::read_mapping;
 
 /// The flags [`run`] reads.
@@ -16,7 +16,7 @@ pub const FLAGS: &[&str] = &["trace", "mapping", "eta"];
 pub fn run(args: &ArgMap) -> Result<(), String> {
     let dataset = load_dataset(args)?;
     let path = args.required("mapping")?;
-    let eta: f64 = args.parsed_or("eta", 2.0)?;
+    let eta = eta_flag(args)?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let (allocation, unknown) = read_mapping(dataset.graph(), BufReader::new(file))?;
     if unknown > 0 {

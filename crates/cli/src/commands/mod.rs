@@ -36,6 +36,13 @@ pub fn lookup(name: &str) -> Option<Command> {
         .map(|&(_, command)| command)
 }
 
+/// `--eta`: the workload of a cross-shard transaction, a finite value of
+/// at least 1 (an intra-shard one costs 1), default 2.
+pub fn eta_flag(args: &ArgMap) -> Result<f64, String> {
+    let expected = "a finite value of at least 1";
+    args.checked_f64("eta", 2.0, expected, |eta| eta >= 1.0 && eta.is_finite())
+}
+
 /// Loads `--trace <path>` into a dataset.
 pub fn load_dataset(args: &ArgMap) -> Result<Dataset, String> {
     let path = args.required("trace")?;

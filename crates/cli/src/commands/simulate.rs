@@ -6,6 +6,7 @@ use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
 use txallo_workload::{EthereumLikeGenerator, StreamingWorkload, WorkloadConfig};
 
 use crate::args::ArgMap;
+use crate::commands::eta_flag;
 
 /// The flags [`run`] reads.
 pub const FLAGS: &[&str] = &[
@@ -28,7 +29,8 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let epoch_blocks: usize = args.parsed_or("epoch-blocks", 50)?;
     let gap: u64 = args.parsed_or("gap", 10)?;
     let seed: u64 = args.parsed_or("seed", 42)?;
-    let eta: f64 = args.parsed_or("eta", 2.0)?;
+    let eta = eta_flag(args)?;
+    let decay = args.checked_f64("decay", 1.0, "in (0, 1]", |d| d > 0.0 && d <= 1.0)?;
     // Streamed replay: synthesize blocks on demand (`--stream true`)
     // instead of materializing the whole ledger up front.
     let stream_mode: bool = args.parsed_or("stream", false)?;
@@ -60,7 +62,6 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     } else {
         HybridSchedule::Hybrid { global_gap: gap }
     };
-    let decay: f64 = args.parsed_or("decay", 1.0)?;
     let decay_per_epoch = if decay < 1.0 { Some(decay) } else { None };
     let mut sim = ShardedChainSim::new(SimConfig {
         eta,

@@ -303,3 +303,61 @@ fn invalid_workload_flags_exit_2() {
         );
     }
 }
+
+/// Out-of-range `--eta` (below 1, infinite or NaN) and `--decay` (outside
+/// (0, 1], or NaN) are CLI errors (exit 2) naming the flag, not a panic in the
+/// library (exit 101) or a silent run without decay.
+#[test]
+fn out_of_range_eta_and_decay_exit_2() {
+    let trace = tmp("range_trace.csv");
+    let mapping = tmp("range_mapping.csv");
+    let (trace, mapping) = (trace.to_str().unwrap(), mapping.to_str().unwrap());
+    let out = txallo_bin()
+        .args(["generate", "--out", trace, "--accounts", "200"])
+        .args(["--transactions", "500", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let out = txallo_bin()
+        .args(["allocate", "--trace", trace, "--method", "hash", "-k", "4"])
+        .args(["--out", mapping])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    let eta_prefixes: [&[&str]; 3] = [
+        &["allocate", "--trace", trace, "--method", "hash", "-k", "4"],
+        &["evaluate", "--trace", trace, "--mapping", mapping],
+        &["simulate", "--epochs", "1", "--epoch-blocks", "5"],
+    ];
+    for prefix in eta_prefixes {
+        for eta in ["0.5", "inf", "NaN"] {
+            let out = txallo_bin()
+                .args(prefix)
+                .args(["--eta", eta])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{prefix:?} --eta {eta}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("error: flag --eta: ")
+                    && stderr.contains("is not a finite value of at least 1"),
+                "{prefix:?} --eta {eta}: {stderr}"
+            );
+        }
+    }
+    for decay in ["0", "-0.5", "1.5", "NaN"] {
+        let out = txallo_bin()
+            .args(["simulate", "--epochs", "1", "--epoch-blocks", "5"])
+            .args(["--decay", decay])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--decay {decay}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: flag --decay: ") && stderr.contains("is not in (0, 1]"),
+            "--decay {decay}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing may run: --decay {decay}");
+    }
+}

@@ -94,11 +94,11 @@ pub fn gtxallo_with_init_strategy(
     let order = graph.nodes_in_canonical_order();
     match strategy {
         InitStrategy::Louvain => {
-            let init = louvain(graph, &params.louvain);
+            let init = louvain(graph);
             gtx.allocate_with_init(graph, &init, &order)
         }
         InitStrategy::LouvainSplit => {
-            let mut init = louvain(graph, &params.louvain);
+            let mut init = louvain(graph);
             let split = txallo_louvain::split_disconnected(graph, &init.communities);
             init.communities = split.labels;
             init.community_count = split.count;
@@ -122,7 +122,7 @@ pub fn gtxallo_with_init_strategy(
 pub fn gtxallo_full_scan(params: &TxAlloParams, graph: &TxGraph) -> Allocation {
     use crate::state::{CommunityState, MoveScratch};
 
-    let init = louvain(graph, &params.louvain);
+    let init = louvain(graph);
     let gtx = GTxAllo::new(params.clone());
     let order = graph.nodes_in_canonical_order();
     // Start from the regular pipeline's initialization result…

@@ -15,7 +15,7 @@
 //! cross-shard state reconciliation. The account's self-loops remain in
 //! its home shard.
 
-use txallo_graph::{NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, NodeId, WeightedGraph};
 use txallo_model::FxHashSet;
 
 use crate::allocation::Allocation;
@@ -75,7 +75,7 @@ pub fn select_split_accounts(
     config: &BrokerConfig,
 ) -> Vec<NodeId> {
     let threshold = config.split_threshold * params.capacity;
-    let mut hot: Vec<NodeId> = (0..graph.node_count() as NodeId)
+    let mut hot: Vec<NodeId> = (0..fit_u32(graph.node_count()))
         .filter(|&v| graph.incident_weight(v) > threshold)
         .collect();
     hot.sort_unstable_by(|&a, &b| {
@@ -191,7 +191,7 @@ pub fn evaluate_with_brokers(
     // their weight is water-filled across shards instead of following
     // their (arbitrary) static placement.
     let mut anchored_weight = vec![0.0f64; graph.node_count()];
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         graph.for_each_neighbor(v, |u, w| {
             if !split_set.contains(&u) {
                 anchored_weight[v as usize] += w;
@@ -209,7 +209,7 @@ pub fn evaluate_with_brokers(
     let mut cross_weight = 0.0f64;
     let total = graph.total_weight();
 
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         let sv = allocation.shard_of(v).index();
         intra[sv] += graph.self_loop(v);
         let v_split = split_set.contains(&v);
@@ -350,7 +350,7 @@ pub fn allocate_with_brokers(
     // Recompute λ/ε for the reduced weight so the optimizer is not skewed,
     // but keep the caller's η and shard count.
     let masked_params = TxAlloParams::for_graph(&masked, params.shards).with_eta(params.eta);
-    let init = txallo_louvain::louvain(&masked, &masked_params.louvain);
+    let init = txallo_louvain::louvain(&masked);
     let order = graph.nodes_in_canonical_order();
     let outcome =
         crate::gtxallo::GTxAllo::new(masked_params).allocate_with_init(&masked, &init, &order);

@@ -228,15 +228,17 @@ pub struct GTxAlloPlan {
 
 impl GTxAlloPlan {
     /// Builds the plan: canonical order, renumbered CSR snapshot, Louvain.
-    pub fn new(graph: &TxGraph, louvain: &LouvainConfig) -> Self {
+    /// The [`LouvainConfig`] has no fields; it is kept, ignored, only
+    /// because the frozen benchmark harness still passes one.
+    pub fn new(graph: &TxGraph, _louvain: &LouvainConfig) -> Self {
         let order = graph.nodes_in_canonical_order();
         let n = order.len();
         let mut new_id = vec![0 as NodeId; n];
         for (i, &v) in order.iter().enumerate() {
-            new_id[v as usize] = i as NodeId;
+            new_id[v as usize] = fit_u32(i);
         }
         let csr = CsrGraph::from_graph_relabeled(graph, &new_id);
-        let init = louvain_csr(&csr, louvain);
+        let init = louvain_csr(&csr);
         Self { order, csr, init }
     }
 
@@ -374,7 +376,7 @@ mod tests {
     fn optimization_never_reduces_throughput() {
         let g = clustered_graph(5, 5, 15);
         let params = TxAlloParams::for_graph(&g, 5);
-        let init = txallo_louvain::louvain(&g, &params.louvain);
+        let init = txallo_louvain::louvain(&g);
         let order = g.nodes_in_canonical_order();
         let gt = GTxAllo::new(params.clone());
         let out = gt.allocate_with_init(&g, &init, &order);

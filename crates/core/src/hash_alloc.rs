@@ -7,7 +7,7 @@
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
 use crate::Allocator;
-use txallo_graph::{NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, TxGraph, WeightedGraph};
 
 /// Hash-based account allocator.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ impl HashAllocator {
 
     /// Allocates every account of `graph` by address hash.
     pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
-        let labels: Vec<u32> = (0..graph.node_count() as NodeId)
+        let labels: Vec<u32> = (0..fit_u32(graph.node_count()))
             .map(|v| graph.account(v).hash_shard(self.shards).0)
             .collect();
         Allocation::new(labels, self.shards)

@@ -68,7 +68,7 @@ pub use metis_alloc::MetisAllocator;
 pub use metrics::{latency_of_normalized_load, MetricsReport};
 pub use params::{TxAlloParams, MAX_SWEEPS};
 pub use registry::{AllocatorRegistry, UnknownAllocator};
-pub use scheduler::{SchedulerConfig, SchedulerState, ShardScheduler};
+pub use scheduler::{SchedulerState, ShardScheduler};
 pub use session::AtxAlloSession;
 pub use state::{CommunityState, MoveScratch};
 pub use streaming::{

@@ -5,7 +5,7 @@
 //! and BrokerChain. It minimizes edge cut under *vertex-weight* balance —
 //! precisely the objective mismatch (§II-C) TxAllo improves upon.
 
-use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
+use txallo_metis::{metis_partition, recursive_bisection_partition};
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
@@ -15,16 +15,16 @@ use txallo_graph::TxGraph;
 /// METIS-style allocator.
 #[derive(Debug, Clone)]
 pub struct MetisAllocator {
-    config: MetisConfig,
+    shards: usize,
     recursive: bool,
 }
 
 impl MetisAllocator {
-    /// Creates the allocator for `shards` shards with METIS defaults
-    /// (direct k-way partitioning).
+    /// Creates the allocator for `shards` shards (direct k-way
+    /// partitioning).
     pub fn new(shards: usize) -> Self {
         Self {
-            config: MetisConfig::new(shards),
+            shards,
             recursive: false,
         }
     }
@@ -34,7 +34,7 @@ impl MetisAllocator {
     /// often slightly better cuts).
     pub fn recursive(shards: usize) -> Self {
         Self {
-            config: MetisConfig::new(shards),
+            shards,
             recursive: true,
         }
     }
@@ -42,11 +42,11 @@ impl MetisAllocator {
     /// Partitions the accounts of `graph`.
     pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
         let result = if self.recursive {
-            recursive_bisection_partition(graph, &self.config)
+            recursive_bisection_partition(graph, self.shards)
         } else {
-            metis_partition(graph, &self.config)
+            metis_partition(graph, self.shards)
         };
-        Allocation::new(result.parts, self.config.parts)
+        Allocation::new(result.parts, self.shards)
     }
 }
 

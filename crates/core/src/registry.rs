@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::params::TxAlloParams;
-use crate::scheduler::{SchedulerConfig, ShardScheduler};
+use crate::scheduler::ShardScheduler;
 use crate::streaming::{
     BatchSolver, GlobalStream, HybridSchedule, HybridStream, SchedulerStream, StreamingAllocator,
 };
@@ -92,14 +92,7 @@ impl AllocatorRegistry {
             "hash" => Box::new(HashAllocator::new(params.shards)),
             "metis" => Box::new(MetisAllocator::new(params.shards)),
             "metis-recursive" => Box::new(MetisAllocator::recursive(params.shards)),
-            // `λ = |T|/k` is exactly `params.capacity`, so the scheduler's
-            // paper configuration derives from the shared hyper-parameters
-            // without a separate total-weight plumb.
-            "scheduler" => Box::new(ShardScheduler::new(SchedulerConfig {
-                shards: params.shards,
-                eta: params.eta,
-                capacity: params.capacity,
-            })),
+            "scheduler" => Box::new(ShardScheduler::new(params)),
             _ => return Err(self.unknown(name)),
         })
     }
@@ -200,13 +193,8 @@ mod tests {
                 "{name} diverged from direct construction"
             );
         }
-        // Scheduler: registry config must equal the paper's `new(k, |T|)`.
         let mut from_registry = registry.batch("scheduler", &params).unwrap();
-        let direct = ShardScheduler::new(SchedulerConfig::new(
-            k,
-            txallo_graph::WeightedGraph::total_weight(dataset.graph()),
-        ))
-        .allocate_dataset(&dataset);
+        let direct = ShardScheduler::new(&params).allocate_dataset(&dataset);
         assert_eq!(from_registry.allocate(&dataset), direct);
     }
 }

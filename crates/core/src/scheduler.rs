@@ -20,64 +20,38 @@
 //!    within the capacity buffer (`capacity × BUFFER_RATIO`, buffer 1 per
 //!    the paper's setting §VI-B1).
 
-use txallo_graph::{NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
 use txallo_model::FxHashMap;
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
+use crate::params::TxAlloParams;
 use crate::Allocator;
 
 /// Buffer ratio: a migration may not push a shard's accumulated load past
 /// `capacity × BUFFER_RATIO`. The paper's comparison uses 1.0 (§VI-B1).
 const BUFFER_RATIO: f64 = 1.0;
 
-/// Configuration of the Shard Scheduler baseline.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Number of shards `k`.
-    pub shards: usize,
-    /// Workload of a cross-shard transaction (`η`).
-    pub eta: f64,
-    /// Per-shard capacity `λ` (same convention as [`crate::TxAlloParams`]).
-    pub capacity: f64,
-}
-
-impl SchedulerConfig {
-    /// Paper-default configuration for `total_weight` transactions over
-    /// `shards` shards (`λ = |T|/k`, η = 2).
-    pub fn new(shards: usize, total_weight: f64) -> Self {
-        assert!(shards > 0);
-        Self {
-            shards,
-            eta: 2.0,
-            capacity: total_weight / shards as f64,
-        }
-    }
-
-    /// Returns a copy with a different η.
-    pub fn with_eta(mut self, eta: f64) -> Self {
-        self.eta = eta;
-        self
-    }
-}
-
 /// The transaction-level allocator.
 #[derive(Debug, Clone)]
 pub struct ShardScheduler {
-    config: SchedulerConfig,
+    params: TxAlloParams,
 }
 
 impl ShardScheduler {
-    /// Creates the scheduler.
-    pub fn new(config: SchedulerConfig) -> Self {
-        Self { config }
+    /// Creates the scheduler over `params`' `k`, `η` and `λ` (the paper's
+    /// setting is `λ = |T|/k`, see [`TxAlloParams::for_graph`]).
+    pub fn new(params: &TxAlloParams) -> Self {
+        Self {
+            params: params.clone(),
+        }
     }
 
     /// Replays the dataset's ledger transaction by transaction and returns
     /// the final account-shard mapping.
     pub fn allocate_dataset(&self, dataset: &Dataset) -> Allocation {
         let graph = dataset.graph();
-        let mut state = SchedulerState::new(self.config.clone());
+        let mut state = SchedulerState::new(&self.params);
         state.ensure_nodes(graph.node_count());
         let (mut accounts, mut nodes) = (Vec::new(), Vec::new());
         for tx in dataset.ledger().transactions() {
@@ -97,7 +71,7 @@ impl ShardScheduler {
         // Accounts never seen in the ledger cannot exist (graph is built
         // from the same ledger), so every label is set.
         debug_assert!(state.labels().iter().all(|&s| s != u32::MAX));
-        Allocation::new(state.into_labels(), self.config.shards)
+        Allocation::new(state.into_labels(), self.params.shards)
     }
 }
 
@@ -114,8 +88,12 @@ impl ShardScheduler {
 /// whole ledger.
 #[derive(Debug, Clone)]
 pub struct SchedulerState {
-    config: SchedulerConfig,
+    /// Workload of a cross-shard transaction (`η`).
+    eta: f64,
+    /// Per-shard capacity `λ`.
+    capacity: f64,
     shard_of: Vec<u32>,
+    /// Accumulated load per shard (`k` entries).
     load: Vec<f64>,
     /// Historical affinity: per account, accumulated interaction weight
     /// with each shard (by partner placement at interaction time).
@@ -126,13 +104,14 @@ pub struct SchedulerState {
 }
 
 impl SchedulerState {
-    /// Fresh state with no accounts placed.
-    pub fn new(config: SchedulerConfig) -> Self {
-        let load = vec![0.0f64; config.shards];
+    /// Fresh state with no accounts placed, over `params`' `k`, `η` and
+    /// `λ`.
+    pub fn new(params: &TxAlloParams) -> Self {
         Self {
-            config,
+            eta: params.eta,
+            capacity: params.capacity,
             shard_of: Vec::new(),
-            load,
+            load: vec![0.0f64; params.shards],
             affinity: Vec::new(),
             shards: Vec::new(),
         }
@@ -150,7 +129,7 @@ impl SchedulerState {
     /// Updates the per-shard capacity `λ` (streaming callers refresh it
     /// per epoch as `|T|` grows; the batch replay keeps it fixed).
     pub fn set_capacity(&mut self, capacity: f64) {
-        self.config.capacity = capacity;
+        self.capacity = capacity;
     }
 
     /// Scales the accumulated history — per-shard loads and per-account
@@ -224,7 +203,7 @@ impl SchedulerState {
     /// holds). Every node must be below the last
     /// [`SchedulerState::ensure_nodes`] count.
     pub fn process_nodes(&mut self, nodes: &[NodeId]) {
-        let k = self.config.shards;
+        let k = fit_u32(self.load.len());
         // Place new accounts into the least-loaded shard (rule 1).
         for &v in nodes {
             if self.shard_of[v as usize] == u32::MAX {
@@ -241,7 +220,7 @@ impl SchedulerState {
             // is what makes the method O(|T|·k) and the slowest in
             // Fig. 8): highest historical affinity wins, ties broken
             // toward the lighter shard, respecting the capacity buffer.
-            let cap = self.config.capacity * BUFFER_RATIO;
+            let cap = self.capacity * BUFFER_RATIO;
             for &v in nodes {
                 let current = self.shard_of[v as usize];
                 let mut best = current;
@@ -250,7 +229,7 @@ impl SchedulerState {
                     .copied()
                     .unwrap_or(0.0);
                 let mut best_load = self.load[current as usize];
-                for s in 0..k as u32 {
+                for s in 0..k {
                     if s == current || self.load[s as usize] >= cap {
                         continue;
                     }
@@ -268,11 +247,7 @@ impl SchedulerState {
         }
 
         // Charge the workload to every involved shard.
-        let unit = if self.shards.len() > 1 {
-            self.config.eta
-        } else {
-            1.0
-        };
+        let unit = if self.shards.len() > 1 { self.eta } else { 1.0 };
         for &s in &self.shards {
             self.load[s as usize] += unit;
         }
@@ -313,7 +288,6 @@ impl Allocator for ShardScheduler {
 mod tests {
     use super::*;
     use crate::metrics::MetricsReport;
-    use crate::params::TxAlloParams;
     use txallo_model::{AccountId, Block, Ledger, Transaction};
 
     fn dataset_from_txs(txs: Vec<Transaction>) -> Dataset {
@@ -327,8 +301,8 @@ mod tests {
             .map(|i| Transaction::transfer(AccountId(i), AccountId(i + 50)))
             .collect();
         let ds = dataset_from_txs(txs);
-        let cfg = SchedulerConfig::new(4, ds.graph().total_weight());
-        let alloc = ShardScheduler::new(cfg).allocate_dataset(&ds);
+        let params = TxAlloParams::for_graph(ds.graph(), 4);
+        let alloc = ShardScheduler::new(&params).allocate_dataset(&ds);
         assert_eq!(alloc.len(), ds.graph().node_count());
         assert!(alloc.labels().iter().all(|&l| l < 4));
     }
@@ -349,9 +323,8 @@ mod tests {
         }
         let ds = dataset_from_txs(txs);
         let k = 5;
-        let cfg = SchedulerConfig::new(k, ds.graph().total_weight());
-        let alloc = ShardScheduler::new(cfg).allocate_dataset(&ds);
         let params = TxAlloParams::for_graph(ds.graph(), k);
+        let alloc = ShardScheduler::new(&params).allocate_dataset(&ds);
         let r = MetricsReport::compute(ds.graph(), &alloc, &params);
         // Balance must be much better than "everything on one shard".
         assert!(
@@ -376,8 +349,8 @@ mod tests {
             ));
         }
         let ds = dataset_from_txs(txs);
-        let cfg = SchedulerConfig::new(3, ds.graph().total_weight());
-        let alloc = ShardScheduler::new(cfg).allocate_dataset(&ds);
+        let params = TxAlloParams::for_graph(ds.graph(), 3);
+        let alloc = ShardScheduler::new(&params).allocate_dataset(&ds);
         let g = ds.graph();
         assert_eq!(
             alloc.shard_of(g.node_of(AccountId(1)).unwrap()),
@@ -392,9 +365,9 @@ mod tests {
             .map(|i| Transaction::transfer(AccountId(i % 7), AccountId((i * 3) % 11 + 20)))
             .collect();
         let ds = dataset_from_txs(txs);
-        let cfg = SchedulerConfig::new(4, ds.graph().total_weight());
-        let a = ShardScheduler::new(cfg.clone()).allocate_dataset(&ds);
-        let b = ShardScheduler::new(cfg).allocate_dataset(&ds);
+        let params = TxAlloParams::for_graph(ds.graph(), 4);
+        let a = ShardScheduler::new(&params).allocate_dataset(&ds);
+        let b = ShardScheduler::new(&params).allocate_dataset(&ds);
         assert_eq!(a, b);
     }
 }

@@ -128,7 +128,7 @@ impl CommunityState {
         assert_eq!(labels.len(), graph.node_count());
         let mut intra = vec![0.0f64; community_count];
         let mut cut = vec![0.0f64; community_count];
-        for v in 0..graph.node_count() as NodeId {
+        for v in 0..fit_u32(graph.node_count()) {
             let cv = labels[v as usize];
             if cv == UNASSIGNED {
                 continue;
@@ -265,7 +265,7 @@ impl CommunityState {
     ///
     /// On return the scratch's candidate list is sorted ascending, ready
     /// for a deterministic sweep over `C_v`. The row is read through
-    /// [`link_walk`], the walk the sweep kernel's graph view runs too.
+    /// `link_walk`, the walk the sweep kernel's graph view runs too.
     pub fn gather_links(
         &self,
         graph: &impl WeightedGraph,

@@ -80,7 +80,7 @@ use crate::atxallo::UpdatePath;
 use crate::checkpoint::{CommunityAggregates, StreamState};
 use crate::gtxallo::GTxAllo;
 use crate::params::TxAlloParams;
-use crate::scheduler::{SchedulerConfig, SchedulerState};
+use crate::scheduler::SchedulerState;
 use crate::session::AtxAlloSession;
 use crate::state::{CommunityState, UNASSIGNED};
 
@@ -451,14 +451,32 @@ pub struct HybridStream {
     /// Epochs closed since [`begin`](StreamingAllocator::begin): the
     /// schedule's phase.
     epoch: u64,
-    session: Option<AtxAlloSession>,
-    /// Labels to rebuild the session from when it was invalidated
-    /// out-of-band (always `Some` exactly when `session` is `None` after
-    /// `begin`).
-    fallback: Option<Allocation>,
+    /// What the stream serves from; `None` until
+    /// [`begin`](StreamingAllocator::begin) or a successful
+    /// [`import_state`](StreamingAllocator::import_state).
+    served: Option<Served>,
     touched: EpochTouched,
     rescaled_this_epoch: bool,
-    began: bool,
+}
+
+/// The state a begun [`HybridStream`] serves from.
+#[derive(Debug, Clone)]
+enum Served {
+    /// A warm session: the labels and their community aggregates.
+    Warm(Box<AtxAlloSession>),
+    /// Labels only, after an invalidation or a labels-only import: the
+    /// next adaptive boundary rebuilds the aggregates from the graph.
+    Labels(Allocation),
+}
+
+impl Served {
+    /// The served labels.
+    fn labels(&self) -> &[u32] {
+        match self {
+            Self::Warm(session) => session.labels(),
+            Self::Labels(allocation) => allocation.labels(),
+        }
+    }
 }
 
 impl HybridStream {
@@ -470,11 +488,9 @@ impl HybridStream {
             params,
             schedule,
             epoch: 0,
-            session: None,
-            fallback: None,
+            served: None,
             touched: EpochTouched::default(),
             rescaled_this_epoch: false,
-            began: false,
         }
     }
 
@@ -483,22 +499,26 @@ impl HybridStream {
         self.schedule.is_global_epoch(self.epoch)
     }
 
-    /// The adaptive epoch path: ensure a session, sweep `V̂`, diff the
-    /// touched rows.
-    fn adaptive_epoch(&mut self, graph: &TxGraph, params: &TxAlloParams) -> AllocationUpdate {
-        let mut carry = if self.rescaled_this_epoch {
-            StateCarry::WarmRescaled
-        } else {
-            StateCarry::Warm
+    /// The adaptive epoch path: warm the served state into a session,
+    /// sweep `V̂`, diff the touched rows. Returns the update and the
+    /// session to serve from next.
+    fn adaptive_epoch(
+        &mut self,
+        served: Served,
+        graph: &TxGraph,
+        params: &TxAlloParams,
+    ) -> (AllocationUpdate, Box<AtxAlloSession>) {
+        let (mut session, carry) = match served {
+            Served::Warm(session) if self.rescaled_this_epoch => {
+                (session, StateCarry::WarmRescaled)
+            }
+            Served::Warm(session) => (session, StateCarry::Warm),
+            Served::Labels(prev) => (
+                Box::new(AtxAlloSession::new(graph, &prev, params)),
+                StateCarry::Rebuilt,
+            ),
         };
-        if self.session.is_none() {
-            let prev = self.fallback.take().expect("invalidate stored the labels"); // txallo-lint: allow(lib-unwrap) — invalidate_state() and a labels-only import_state() are the only paths that clear the session, and both store fallback first
-            self.session = Some(AtxAlloSession::new(graph, &prev, params));
-            carry = StateCarry::Rebuilt;
-        }
         let touched = self.touched.drain_sorted();
-        // txallo-lint: allow(lib-unwrap) — the branch directly above rebuilds the session when it is None
-        let session = self.session.as_mut().expect("ensured above");
         // Only snapshot rows (touched ∪ new) can move, so diffing the
         // touched set is complete — and keeps the boundary `O(|V̂|)`.
         let before: Vec<u32> = touched
@@ -524,33 +544,38 @@ impl HybridStream {
                 });
             }
         }
-        AllocationUpdate {
+        let update = AllocationUpdate {
             shard_count: params.shards,
             len: graph.node_count(),
             kind: UpdateKind::Adaptive,
             path: Some(UpdatePath::Incremental),
             carry,
             moves,
-        }
+        };
+        (update, session)
     }
 
-    /// The global path: re-solve with G-TxAllo, rebuild the session, diff
-    /// everything.
-    fn global_epoch(&mut self, graph: &TxGraph, params: &TxAlloParams) -> AllocationUpdate {
-        let old = self.allocation();
+    /// The global path: re-solve with G-TxAllo, diff everything against
+    /// the `old` labels. Returns the update and the session rebuilt from
+    /// the fresh labels.
+    fn global_epoch(
+        &mut self,
+        old: &[u32],
+        graph: &TxGraph,
+        params: &TxAlloParams,
+    ) -> (AllocationUpdate, Box<AtxAlloSession>) {
         let fresh = GTxAllo::new(params.clone()).allocate_graph(graph);
-        let moves = diff_full(old.labels(), fresh.labels());
-        self.session = Some(AtxAlloSession::new(graph, &fresh, params));
-        self.fallback = None;
+        let moves = diff_full(old, fresh.labels());
         self.touched.clear();
-        AllocationUpdate {
+        let update = AllocationUpdate {
             shard_count: params.shards,
             len: graph.node_count(),
             kind: UpdateKind::Global,
             path: None,
             carry: StateCarry::Rebuilt,
             moves,
-        }
+        };
+        (update, Box::new(AtxAlloSession::new(graph, &fresh, params)))
     }
 }
 
@@ -566,17 +591,16 @@ impl StreamingAllocator for HybridStream {
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
         self.params = params.clone();
         let initial = GTxAllo::new(params.clone()).allocate_graph(graph);
-        self.session = Some(AtxAlloSession::new(graph, &initial, params));
-        self.fallback = None;
+        let session = AtxAlloSession::new(graph, &initial, params);
+        self.served = Some(Served::Warm(Box::new(session)));
         self.touched.clear();
         self.epoch = 0;
         self.rescaled_this_epoch = false;
-        self.began = true;
         initial
     }
 
     fn on_block_nodes(&mut self, _graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
-        assert!(self.began, "call begin() before serving blocks");
+        assert!(self.served.is_some(), "call begin() before serving blocks");
         // A global boundary replaces labels and session wholesale, so
         // folding this epoch's deltas would be wasted work; the touched
         // set is not needed either.
@@ -592,7 +616,7 @@ impl StreamingAllocator for HybridStream {
         // its aggregates; an invalidated one rebuilds from the
         // post-ingestion graph at the boundary, where the deltas are
         // already counted.
-        if let Some(session) = self.session.as_mut() {
+        if let Some(Served::Warm(session)) = self.served.as_mut() {
             session.apply_block_nodes(nodes);
         }
     }
@@ -601,52 +625,56 @@ impl StreamingAllocator for HybridStream {
         if self.global_now() {
             return;
         }
-        if let Some(session) = self.session.as_mut() {
+        if let Some(Served::Warm(session)) = self.served.as_mut() {
             session.apply_decay(factor);
             self.rescaled_this_epoch = true;
         }
     }
 
     fn end_epoch(&mut self, graph: &TxGraph, _kind: EpochKind) -> AllocationUpdate {
-        assert!(self.began, "call begin() before closing epochs");
+        let Some(served) = self.served.take() else {
+            panic!("call begin() before closing epochs");
+        };
         self.params = self.params.rescaled_for_graph(graph);
         let params = self.params.clone();
-        let update = if self.global_now() {
-            self.global_epoch(graph, &params)
+        let (update, session) = if self.global_now() {
+            self.global_epoch(served.labels(), graph, &params)
         } else {
-            self.adaptive_epoch(graph, &params)
+            self.adaptive_epoch(served, graph, &params)
         };
+        self.served = Some(Served::Warm(session));
         self.epoch += 1;
         self.rescaled_this_epoch = false;
         update
     }
 
     fn allocation(&self) -> Allocation {
-        match (&self.session, &self.fallback) {
-            (Some(session), _) => session.allocation(),
-            (None, Some(fallback)) => fallback.clone(),
-            (None, None) => panic!("call begin() before reading the allocation"),
+        match &self.served {
+            Some(Served::Warm(session)) => session.allocation(),
+            Some(Served::Labels(allocation)) => allocation.clone(),
+            None => panic!("call begin() before reading the allocation"),
         }
     }
 
     fn export_state(&self) -> Option<StreamState> {
-        if !self.began {
-            return None;
-        }
+        let served = self.served.as_ref()?;
         let shards = self.params.shards;
-        let community = self.session.as_ref().map(|session| {
-            let state = session.state();
-            CommunityAggregates {
-                intra: (0..shards as u32).map(|c| state.intra(c)).collect(),
-                cut: (0..shards as u32).map(|c| state.cut(c)).collect(),
-                eta: state.eta(),
-                capacity: state.capacity(),
+        let community = match served {
+            Served::Warm(session) => {
+                let state = session.state();
+                Some(CommunityAggregates {
+                    intra: (0..shards as u32).map(|c| state.intra(c)).collect(),
+                    cut: (0..shards as u32).map(|c| state.cut(c)).collect(),
+                    eta: state.eta(),
+                    capacity: state.capacity(),
+                })
             }
-        });
+            Served::Labels(_) => None,
+        };
         Some(StreamState {
             epoch: self.epoch,
             shards,
-            labels: self.allocation().labels().to_vec(),
+            labels: served.labels().to_vec(),
             community,
         })
     }
@@ -667,8 +695,7 @@ impl StreamingAllocator for HybridStream {
         // as the uninterrupted run.
         self.epoch = state.epoch;
         self.rescaled_this_epoch = false;
-        self.began = true;
-        match &state.community {
+        let (served, carry) = match &state.community {
             Some(agg) => {
                 // The warm path: adopt the checkpointed accumulations
                 // bit-for-bit; the session resumes exactly where the
@@ -679,46 +706,44 @@ impl StreamingAllocator for HybridStream {
                     agg.eta,
                     agg.capacity,
                 );
-                self.session = Some(AtxAlloSession::from_parts(
-                    state.shards,
-                    state.labels.clone(),
-                    aggregates,
-                ));
-                self.fallback = None;
-                Some(StateCarry::Warm)
+                let session =
+                    AtxAlloSession::from_parts(state.shards, state.labels.clone(), aggregates);
+                (Served::Warm(Box::new(session)), StateCarry::Warm)
             }
-            None => {
-                // Labels-only state: serve from the labels and rebuild
-                // the aggregates at the next boundary — a degraded but
-                // sound resume.
-                self.session = None;
-                self.fallback = Some(Allocation::new(state.labels.clone(), state.shards));
-                Some(StateCarry::Rebuilt)
-            }
-        }
+            // Labels-only state: serve from the labels and rebuild the
+            // aggregates at the next boundary — a degraded but sound
+            // resume.
+            None => (
+                Served::Labels(Allocation::new(state.labels.clone(), state.shards)),
+                StateCarry::Rebuilt,
+            ),
+        };
+        self.served = Some(served);
+        Some(carry)
     }
 
     fn consistency_error(&self, graph: &TxGraph) -> Option<f64> {
-        self.session
-            .as_ref()
-            .map(|session| session.consistency_error(graph))
+        match &self.served {
+            Some(Served::Warm(session)) => Some(session.consistency_error(graph)),
+            _ => None,
+        }
     }
 
     fn invalidate_state(&mut self) -> bool {
-        let Some(session) = self.session.take() else {
+        let Some(Served::Warm(session)) = &self.served else {
             return false;
         };
-        self.fallback = Some(session.allocation());
+        self.served = Some(Served::Labels(session.allocation()));
         true
     }
 
     fn state_bytes(&self) -> usize {
-        let session = self.session.as_ref().map_or(0, |s| s.approx_bytes());
-        let fallback = self
-            .fallback
-            .as_ref()
-            .map_or(0, |a| std::mem::size_of_val(a.labels()));
-        session + fallback + self.touched.approx_bytes()
+        let served = match &self.served {
+            Some(Served::Warm(session)) => session.approx_bytes(),
+            Some(Served::Labels(allocation)) => std::mem::size_of_val(allocation.labels()),
+            None => 0,
+        };
+        served + self.touched.approx_bytes()
     }
 }
 
@@ -895,12 +920,7 @@ impl StreamingAllocator for SchedulerStream {
     }
 
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
-        let config = SchedulerConfig {
-            shards: params.shards,
-            eta: params.eta,
-            capacity: params.capacity,
-        };
-        let mut state = SchedulerState::new(config);
+        let mut state = SchedulerState::new(params);
         state.seed_from_graph(graph);
         self.shards = params.shards;
         self.published = state.labels().to_vec();

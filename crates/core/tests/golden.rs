@@ -21,16 +21,18 @@ use std::collections::BTreeMap;
 use txallo_core::state::capped_throughput;
 use txallo_core::{
     allocate_with_brokers, gtxallo_with_init_strategy, Allocation, AtxAlloSession, BrokerConfig,
-    CommunityState, GTxAllo, GTxAlloPlan, InitStrategy, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
+    CommunityState, Dataset, EpochKind, GTxAllo, GTxAlloPlan, InitStrategy, SchedulerStream,
+    ShardScheduler, StreamingAllocator, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
 };
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
-use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
-use txallo_metis::{metis_partition, recursive_bisection_partition, MetisConfig};
+use txallo_louvain::{louvain_csr, LouvainResult};
+use txallo_metis::{metis_partition, recursive_bisection_partition};
+use txallo_model::Ledger;
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
 const UNASSIGNED: u32 = u32::MAX;
 
-fn workload_graph(accounts: usize, transactions: usize, seed: u64) -> TxGraph {
+fn workload_ledger(accounts: usize, transactions: usize, seed: u64) -> Ledger {
     let cfg = WorkloadConfig {
         accounts,
         transactions,
@@ -38,8 +40,11 @@ fn workload_graph(accounts: usize, transactions: usize, seed: u64) -> TxGraph {
         groups: accounts / 50,
         ..WorkloadConfig::default()
     };
-    let mut generator = EthereumLikeGenerator::new(cfg, seed);
-    TxGraph::from_ledger(&generator.default_ledger())
+    EthereumLikeGenerator::new(cfg, seed).default_ledger()
+}
+
+fn workload_graph(accounts: usize, transactions: usize, seed: u64) -> TxGraph {
+    TxGraph::from_ledger(&workload_ledger(accounts, transactions, seed))
 }
 
 /// Raw-formula `σ_c`, `Λ̂_c`, `Λ_c`: recomputed from `intra`/`cut` on
@@ -250,7 +255,7 @@ fn non_identity_sweep_order_matches_reference_byte_for_byte() {
         let graph = workload_graph(accounts, transactions, seed);
         let params = TxAlloParams::for_graph(&graph, k);
         let csr = CsrGraph::from_graph(&graph);
-        let init = louvain_csr(&csr, &params.louvain);
+        let init = louvain_csr(&csr);
         let canonical = graph.nodes_in_canonical_order();
         let reversed: Vec<NodeId> = (0..csr.node_count() as NodeId).rev().collect();
         for order in [canonical, reversed] {
@@ -331,16 +336,16 @@ fn determinism_locks_across_algorithms() {
 
     // Louvain on the CSR snapshot.
     let csr = CsrGraph::from_graph(&graph);
-    let a = louvain_csr(&csr, &LouvainConfig::default());
-    let b = louvain_csr(&csr, &LouvainConfig::default());
+    let a = louvain_csr(&csr);
+    let b = louvain_csr(&csr);
     assert_eq!(
         a.communities, b.communities,
         "Louvain must be deterministic"
     );
 
     // METIS.
-    let ma = metis_partition(&csr, &MetisConfig::new(8));
-    let mb = metis_partition(&csr, &MetisConfig::new(8));
+    let ma = metis_partition(&csr, 8);
+    let mb = metis_partition(&csr, 8);
     assert_eq!(ma.parts, mb.parts, "METIS must be deterministic");
 
     // Cross-run fingerprints: independent rebuilds of the same seeded
@@ -364,12 +369,74 @@ fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
         (5, 0x8311_f850_39a5_dcc2u64, 0x663f_bf9d_c7af_d5c7u64),
         (20, 0x2805_cf1d_ca11_02b9, 0xe037_0ac6_af53_ad61),
     ] {
-        let r = metis_partition(&csr, &MetisConfig::new(k));
+        let r = metis_partition(&csr, k);
         assert_eq!(r.levels, 5, "k = {k}");
         assert_eq!(fingerprint(&r.parts), kway, "k-way, k = {k}");
-        let rb = recursive_bisection_partition(&csr, &MetisConfig::new(k));
+        let rb = recursive_bisection_partition(&csr, k);
         assert_eq!(fingerprint(&rb.parts), recursive, "recursive, k = {k}");
     }
+}
+
+/// Louvain on the stalled-hierarchy graph: the communities fingerprint,
+/// the level count and the community count. G-TxAllo's placement starts
+/// from these communities, so a change here moves every TxAllo golden.
+#[test]
+fn louvain_trajectory_is_pinned_on_a_hub_graph() {
+    let csr = CsrGraph::from_graph(&workload_graph(10_000, 60_000, 7));
+    let r = louvain_csr(&csr);
+    assert_eq!(
+        (fingerprint(&r.communities), r.levels, r.community_count),
+        (0x2fd5_50f0_8103_e9d7, 4, 107)
+    );
+}
+
+/// The Shard Scheduler on the stalled-hierarchy workload: the batch
+/// replay's labels over the whole ledger, and the stream's labels after
+/// each of four epochs of 50 blocks, served from a warm start on the
+/// first 400 blocks' graph.
+#[test]
+fn shard_scheduler_trajectories_are_pinned() {
+    let ledger = workload_ledger(10_000, 60_000, 7);
+    let blocks = ledger.blocks().to_vec();
+    let k = 20;
+
+    let dataset = Dataset::from_ledger(ledger);
+    let params = TxAlloParams::for_graph(dataset.graph(), k);
+    let batch = ShardScheduler::new(&params).allocate_dataset(&dataset);
+    assert_eq!(fingerprint(batch.labels()), 0xfffe_0d14_d9d1_cd31);
+
+    let (warm, rest) = blocks.split_at(400);
+    let mut graph = TxGraph::new();
+    for block in warm {
+        graph.ingest_block(block);
+    }
+    let params = TxAlloParams::for_graph(&graph, k);
+    let mut stream = SchedulerStream::new();
+    let mut mirror = stream.begin(&graph, &params);
+    assert_eq!(
+        fingerprint(mirror.labels()),
+        0x0cd1_4570_6c9f_0140,
+        "warm start"
+    );
+    let mut pinned = Vec::new();
+    for epoch in rest.chunks(50).take(4) {
+        for block in epoch {
+            let nodes = graph.ingest_block_nodes(block);
+            stream.on_block_nodes(&graph, block, &nodes);
+        }
+        mirror.apply_update(&stream.end_epoch(&graph, EpochKind::Scheduled));
+        assert_eq!(mirror, stream.allocation());
+        pinned.push(fingerprint(mirror.labels()));
+    }
+    assert_eq!(
+        pinned,
+        vec![
+            0xd8b5_c45b_f518_fb41,
+            0xea5c_1f25_07f6_adf1,
+            0xccec_5570_de83_2562,
+            0x9149_6e7e_b6fd_1e53
+        ]
+    );
 }
 
 /// G-TxAllo's optimization work on the stalled-hierarchy graph, whose hub

@@ -26,7 +26,7 @@
 //! neighbors in ascending id order, so any per-community accumulation that
 //! follows row order is reproducible bit-for-bit.
 
-use crate::traits::{NodeId, WeightedGraph};
+use crate::traits::{fit_u32, NodeId, WeightedGraph};
 
 /// Immutable CSR weighted graph with per-node cached scalars.
 ///
@@ -410,7 +410,7 @@ fn fill_rows<G: WeightedGraph>(
     weights: &mut [f64],
 ) {
     let mut cursor: Vec<u32> = offsets[..inv.len()].to_vec();
-    for i in 0..inv.len() as NodeId {
+    for i in 0..fit_u32(inv.len()) {
         let v = inv[i as usize];
         g.for_each_neighbor(v, |u, w| {
             let row = map(u) as usize;

@@ -4,7 +4,7 @@ use std::fmt;
 
 use txallo_model::{AccountId, FxHashMap};
 
-use crate::traits::NodeId;
+use crate::traits::{fit_u32, NodeId};
 
 /// The dense node-id space is exhausted: interning one more account would
 /// need an id past [`AccountInterner::MAX_ACCOUNTS`]. Node ids are `u32`
@@ -54,7 +54,7 @@ impl AccountInterner {
         if len >= Self::MAX_ACCOUNTS {
             Err(IdSpaceExhausted)
         } else {
-            Ok(len as NodeId)
+            Ok(fit_u32(len))
         }
     }
 

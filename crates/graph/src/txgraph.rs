@@ -337,7 +337,7 @@ impl TxGraph {
     /// for deterministic sweeps (§V-B).
     pub fn nodes_in_canonical_order(&self) -> Vec<NodeId> {
         let mut nodes = Vec::new();
-        let all = 0..self.node_count() as NodeId;
+        let all = 0..fit_u32(self.node_count());
         self.sort_canonical(all, &mut Vec::new(), &mut nodes);
         nodes
     }

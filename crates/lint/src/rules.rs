@@ -69,7 +69,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "no-narrowing-as",
-        summary: "no `as u8/u16/u32` narrowing on id/count paths; use checked constructors (IdSpaceExhausted-style)",
+        summary: "no `as u8/u16/u32/NodeId` narrowing on id/count paths; use checked constructors (IdSpaceExhausted-style)",
         contract: "hygiene (id-space safety)",
         check: no_narrowing_as,
     },
@@ -648,7 +648,7 @@ const ID_FRAGMENTS: &[&str] = &[
 
 fn no_narrowing_as(view: &FileView, out: &mut Vec<RawFinding>) {
     for (lineno, code) in code_lines(view) {
-        for target in [" as u8", " as u16", " as u32"] {
+        for target in [" as u8", " as u16", " as u32", " as NodeId"] {
             let mut from = 0;
             while let Some(at) = find_token_from(code, target, from) {
                 from = at + 1;
@@ -920,9 +920,10 @@ mod tests {
 
     #[test]
     fn narrowing_flags_id_paths_only() {
-        let src = "let a = node_count() as u32;\nlet b = shards as u32;\nlet c = v.len() as u32;";
+        let src = "let a = node_count() as u32;\nlet b = shards as u32;\nlet c = v.len() as u32;\n\
+                   let d = v.len() as NodeId;\nlet e = i as NodeId;\nlet f = len as NodeIdx;";
         let hits = run_rule("no-narrowing-as", "crates/core/src/x.rs", src);
-        assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 3, 4]);
     }
 
     #[test]

@@ -13,6 +13,27 @@ fn trigger_count(account_count: usize) -> u16 {
     //~^ no-narrowing-as
 }
 
+fn trigger_node_id(nodes: &[u64]) -> NodeId {
+    // `NodeId` is the `u32` alias: the same silent truncation.
+    nodes.len() as NodeId
+    //~^ no-narrowing-as
+}
+
+fn trigger_node_id_range(node_count: usize) -> Vec<NodeId> {
+    (0..node_count as NodeId).collect()
+    //~^ no-narrowing-as
+}
+
+fn suppressed_node_id(len: usize) -> NodeId {
+    len as NodeId // txallo-lint: allow(no-narrowing-as) — len < MAX_ACCOUNTS ≤ u32::MAX, checked by the caller
+    //~^ SUPPRESSED no-narrowing-as
+}
+
+fn negative_node_id_non_id(i: usize) -> NodeId {
+    // An identifier that is not id/count-shaped is not on the checked path.
+    i as NodeId
+}
+
 fn suppressed(nodes: &[u64]) -> u32 {
     nodes.len() as u32 // txallo-lint: allow(no-narrowing-as) — bounded by the interner's u32 id-space cap
     //~^ SUPPRESSED no-narrowing-as

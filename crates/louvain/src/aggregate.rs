@@ -48,20 +48,10 @@ pub struct AggregateScratch {
 /// Intra-community weight (including member self-loops) becomes the
 /// super-node's self-loop; inter-community weight accumulates on the
 /// super-edge. Total weight is preserved exactly, which keeps modularity
-/// comparable across levels.
+/// comparable across levels. `scratch` is caller-owned, so the level loop
+/// of `louvain_csr` reuses every buffer across the whole hierarchy instead
+/// of growing fresh ones per aggregation level.
 pub fn aggregate_graph(
-    graph: &impl WeightedGraph,
-    communities: &[u32],
-    community_count: usize,
-) -> CsrGraph {
-    let mut scratch = AggregateScratch::default();
-    aggregate_graph_into(graph, communities, community_count, &mut scratch)
-}
-
-/// [`aggregate_graph`] with caller-owned scratch, so the level loop of
-/// `louvain_csr` reuses every buffer across the whole hierarchy instead of
-/// growing fresh ones per aggregation level.
-pub fn aggregate_graph_into(
     graph: &impl WeightedGraph,
     communities: &[u32],
     community_count: usize,
@@ -78,7 +68,7 @@ pub fn aggregate_graph_into(
     let mut total = 0.0f64;
     let edges = &mut scratch.edges;
     edges.clear();
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         let cv = communities[v as usize];
         let loop_w = graph.self_loop(v);
         if loop_w > 0.0 {
@@ -189,7 +179,7 @@ mod tests {
             4,
             vec![(0u32, 1, 2.0), (2, 3, 1.0), (1, 2, 0.5), (0, 0, 0.25)],
         );
-        let agg = aggregate_graph(&g, &[0, 0, 1, 1], 2);
+        let agg = aggregate_graph(&g, &[0, 0, 1, 1], 2, &mut AggregateScratch::default());
         assert_eq!(agg.node_count(), 2);
         assert!((agg.total_weight() - g.total_weight()).abs() < 1e-12);
         // Community 0 self-loop: edge (0,1)=2.0 plus node-0 loop 0.25.
@@ -201,7 +191,7 @@ mod tests {
     #[test]
     fn identity_partition_keeps_structure() {
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 3.0)]);
-        let agg = aggregate_graph(&g, &[0, 1, 2], 3);
+        let agg = aggregate_graph(&g, &[0, 1, 2], 3, &mut AggregateScratch::default());
         assert_eq!(agg.node_count(), 3);
         assert!((agg.weight_between(0, 1) - 1.0).abs() < 1e-12);
         assert!((agg.weight_between(1, 2) - 3.0).abs() < 1e-12);
@@ -210,7 +200,7 @@ mod tests {
     #[test]
     fn collapse_to_single_node() {
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
-        let agg = aggregate_graph(&g, &[0, 0, 0], 1);
+        let agg = aggregate_graph(&g, &[0, 0, 0], 1, &mut AggregateScratch::default());
         assert_eq!(agg.node_count(), 1);
         assert!((agg.self_loop(0) - 3.0).abs() < 1e-12);
         assert_eq!(agg.edge_count(), 0);
@@ -257,7 +247,7 @@ mod tests {
         let mut self_loops = vec![0.0f64; c];
         let mut total = 0.0f64;
         let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); c];
-        for v in 0..graph.node_count() as NodeId {
+        for v in 0..fit_u32(graph.node_count()) {
             let cv = communities[v as usize];
             let loop_w = graph.self_loop(v);
             if loop_w > 0.0 {
@@ -313,7 +303,7 @@ mod tests {
                 let (g, labels, _) = scrambled(n, c);
                 (g, labels, c)
             };
-            let agg = aggregate_graph(&g, &labels, c);
+            let agg = aggregate_graph(&g, &labels, c, &mut AggregateScratch::default());
             let (ref_loops, ref_total, ref_rows) = reference_aggregate(&g, &labels, c);
             assert_eq!(agg.total_weight().to_bits(), ref_total.to_bits(), "n={n}");
             for q in 0..c as u32 {
@@ -335,7 +325,7 @@ mod tests {
     #[test]
     fn aggregate_is_bitwise_symmetric() {
         let (g, labels, c) = scrambled(200, 7);
-        let agg = aggregate_graph(&g, &labels, c);
+        let agg = aggregate_graph(&g, &labels, c, &mut AggregateScratch::default());
         for a in 0..c as u32 {
             for (b, w) in agg.neighbors(a) {
                 assert_eq!(
@@ -354,11 +344,11 @@ mod tests {
     fn aggregation_degenerate_shapes() {
         let g = CsrGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
         let mut scratch = AggregateScratch::default();
-        let agg = aggregate_graph_into(&g, &[], 0, &mut scratch);
+        let agg = aggregate_graph(&g, &[], 0, &mut scratch);
         assert_eq!(agg.node_count(), 0);
 
         let (g, labels, _) = scrambled(40, 1);
-        let agg = aggregate_graph_into(&g, &labels, 1, &mut scratch);
+        let agg = aggregate_graph(&g, &labels, 1, &mut scratch);
         let (ref_loops, ref_total, ref_rows) = reference_aggregate(&g, &labels, 1);
         assert_eq!(agg.node_count(), 1);
         assert_eq!(agg.edge_count(), 0);
@@ -376,7 +366,7 @@ mod tests {
         let (g, _, _) = scrambled(80, 1);
         let n = g.node_count();
         let labels: Vec<u32> = (0..n as u32).collect();
-        let agg = aggregate_graph(&g, &labels, n);
+        let agg = aggregate_graph(&g, &labels, n, &mut AggregateScratch::default());
         let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
         for v in 0..n as NodeId {
             let loop_w = g.self_loop(v);

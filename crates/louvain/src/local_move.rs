@@ -2,7 +2,7 @@
 
 use txallo_graph::{fit_u32, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
 
-use crate::{LouvainConfig, GAIN_EPS};
+use crate::{GAIN_EPS, MAX_SWEEPS};
 
 /// Result of repeated local-moving sweeps on one level.
 #[derive(Debug, Clone)]
@@ -19,7 +19,7 @@ pub struct LocalMoveOutcome {
 ///
 /// Each node starts in its own singleton community. For node `v`, the gain
 /// of moving the (isolated) node into community `c` is the standard Louvain
-/// delta: `ΔQ = w(v→c)/m − γ·Σ_tot(c)·k_v/(2m²)`. The node joins the
+/// delta of classic modularity: `ΔQ = w(v→c)/m − Σ_tot(c)·k_v/(2m²)`. The node joins the
 /// neighboring community maximizing the gain; staying put wins ties, and
 /// among equal-gain candidates the smallest community id wins (see
 /// [`GAIN_EPS`] for the exact tie contract).
@@ -28,7 +28,7 @@ pub struct LocalMoveOutcome {
 /// [`DenseAccumulator`] indexed by community id — no hashing, no per-node
 /// allocation; only the touched-list (the node's distinct neighboring
 /// communities) is sorted to fix the deterministic candidate order.
-pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> LocalMoveOutcome {
+pub fn local_moving_pass(graph: &impl WeightedGraph) -> LocalMoveOutcome {
     let n = graph.node_count();
     let m = graph.total_weight();
     let mut communities: Vec<u32> = (0..n as u32).collect();
@@ -70,7 +70,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> 
     // reuse is bit-exact.
     let mut cache = SweepCache::new(n, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
 
-    for _ in 0..config.max_sweeps {
+    for _ in 0..MAX_SWEEPS {
         sweeps += 1;
         let mut moved_this_sweep = false;
 
@@ -101,7 +101,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> 
                 .iter()
                 .find(|&&(c, _)| c == current)
                 .map_or(0.0, |&(_, w)| w);
-            let gain_stay = w_current / m - config.resolution * sig_cur * k_v / (2.0 * m * m);
+            let gain_stay = w_current / m - sig_cur * k_v / (2.0 * m * m);
 
             let mut best_comm = current;
             let mut best_gain = gain_stay;
@@ -109,8 +109,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph, config: &LouvainConfig) -> 
                 if c == current {
                     continue;
                 }
-                let gain =
-                    w_vc / m - config.resolution * sigma_tot[c as usize] * k_v / (2.0 * m * m);
+                let gain = w_vc / m - sigma_tot[c as usize] * k_v / (2.0 * m * m);
                 if gain > best_gain + GAIN_EPS {
                     best_gain = gain;
                     best_comm = c;
@@ -149,7 +148,7 @@ mod tests {
     #[test]
     fn merges_a_triangle() {
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
-        let out = local_moving_pass(&g, &LouvainConfig::default());
+        let out = local_moving_pass(&g);
         assert!(out.moved_any);
         assert_eq!(out.communities[0], out.communities[1]);
         assert_eq!(out.communities[1], out.communities[2]);
@@ -158,7 +157,7 @@ mod tests {
     #[test]
     fn keeps_disconnected_nodes_apart() {
         let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
-        let out = local_moving_pass(&g, &LouvainConfig::default());
+        let out = local_moving_pass(&g);
         assert_eq!(out.communities[0], out.communities[1]);
         assert_eq!(out.communities[2], out.communities[3]);
         assert_ne!(out.communities[0], out.communities[2]);
@@ -167,7 +166,7 @@ mod tests {
     #[test]
     fn no_move_on_empty_graph() {
         let g = CsrGraph::from_edges(0, Vec::new());
-        let out = local_moving_pass(&g, &LouvainConfig::default());
+        let out = local_moving_pass(&g);
         assert!(!out.moved_any);
         assert!(out.communities.is_empty());
     }
@@ -180,8 +179,8 @@ mod tests {
             edges.push((a, (a + 2) % 20, 0.5));
         }
         let g = CsrGraph::from_edges(20, edges);
-        let a = local_moving_pass(&g, &LouvainConfig::default());
-        let b = local_moving_pass(&g, &LouvainConfig::default());
+        let a = local_moving_pass(&g);
+        let b = local_moving_pass(&g);
         assert_eq!(a.communities, b.communities);
         assert_eq!(a.sweeps, b.sweeps);
     }
@@ -192,10 +191,7 @@ mod tests {
     /// dense-scratch pass must produce byte-identical labels — this pins
     /// down both the dense gather and the exactness of the stamp-based
     /// node skipping.
-    fn reference_local_moving(
-        graph: &impl WeightedGraph,
-        config: &LouvainConfig,
-    ) -> LocalMoveOutcome {
+    fn reference_local_moving(graph: &impl WeightedGraph) -> LocalMoveOutcome {
         let n = graph.node_count();
         let m = graph.total_weight();
         let mut communities: Vec<u32> = (0..n as u32).collect();
@@ -210,7 +206,7 @@ mod tests {
         let mut moved_any = false;
         let mut sweeps = 0usize;
         let mut link_weight: FxHashMap<u32, f64> = FxHashMap::default();
-        for _ in 0..config.max_sweeps {
+        for _ in 0..MAX_SWEEPS {
             sweeps += 1;
             let mut moved_this_sweep = false;
             for v in 0..n as NodeId {
@@ -222,7 +218,7 @@ mod tests {
                 });
                 let sig_cur = sigma_tot[current as usize] - k_v;
                 let w_current = link_weight.get(&current).copied().unwrap_or(0.0);
-                let gain_stay = w_current / m - config.resolution * sig_cur * k_v / (2.0 * m * m);
+                let gain_stay = w_current / m - sig_cur * k_v / (2.0 * m * m);
                 let mut best_comm = current;
                 let mut best_gain = gain_stay;
                 let mut candidates: Vec<(u32, f64)> =
@@ -232,8 +228,7 @@ mod tests {
                     if c == current {
                         continue;
                     }
-                    let gain =
-                        w_vc / m - config.resolution * sigma_tot[c as usize] * k_v / (2.0 * m * m);
+                    let gain = w_vc / m - sigma_tot[c as usize] * k_v / (2.0 * m * m);
                     if gain > best_gain + GAIN_EPS {
                         best_gain = gain;
                         best_comm = c;
@@ -300,9 +295,10 @@ mod tests {
     /// local-moving pass — dense community-to-community rows plus the
     /// self-loops that carry each community's internal weight.
     fn aggregated_level(graph: &CsrGraph) -> CsrGraph {
-        let level0 = local_moving_pass(graph, &LouvainConfig::default());
+        let level0 = local_moving_pass(graph);
         let compact = crate::compact_labels(&level0.communities);
-        crate::aggregate_graph(graph, &compact.labels, compact.count)
+        let scratch = &mut crate::AggregateScratch::default();
+        crate::aggregate_graph(graph, &compact.labels, compact.count, scratch)
     }
 
     /// The dense-gather, cached, active-set pass must replay the hash-map
@@ -318,10 +314,9 @@ mod tests {
         inputs.extend((0..5u64).map(|seed| weighted_mess(seed, 48)));
         inputs.push(CsrGraph::from_edges(0, Vec::new()));
         inputs.push(CsrGraph::from_edges(3, Vec::new()));
-        let config = LouvainConfig::default();
         for (i, g) in inputs.iter().enumerate() {
-            let dense = local_moving_pass(g, &config);
-            let reference = reference_local_moving(g, &config);
+            let dense = local_moving_pass(g);
+            let reference = reference_local_moving(g);
             assert_eq!(dense.communities, reference.communities, "input {i}");
             assert_eq!(dense.sweeps, reference.sweeps, "input {i}");
             assert_eq!(dense.moved_any, reference.moved_any, "input {i}");

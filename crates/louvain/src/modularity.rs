@@ -1,6 +1,6 @@
 //! Newman modularity for weighted graphs with self-loops.
 
-use txallo_graph::{NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, WeightedGraph};
 
 /// Computes generalized modularity
 /// `Q = Σ_c [ w_in(c)/m − γ·(Σ_tot(c)/(2m))² ]`
@@ -22,7 +22,7 @@ pub fn modularity(graph: &impl WeightedGraph, communities: &[u32], resolution: f
         .unwrap_or(0);
     let mut intra = vec![0.0f64; community_count];
     let mut totals = vec![0.0f64; community_count];
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         let cv = communities[v as usize] as usize;
         totals[cv] += graph.strength(v);
         intra[cv] += graph.self_loop(v);

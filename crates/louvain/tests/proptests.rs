@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
-use txallo_louvain::{aggregate_graph, compact_labels, louvain_default, modularity};
+use txallo_louvain::{aggregate_graph, compact_labels, louvain, modularity, AggregateScratch};
 
 fn edges_strategy(n: u32, len: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     prop::collection::vec((0..n, 0..n, 0.1f64..5.0), 1..len)
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn louvain_beats_baselines(edges in edges_strategy(24, 80)) {
         let g = CsrGraph::from_edges(24, edges);
-        let result = louvain_default(&g);
+        let result = louvain(&g);
         prop_assert_eq!(result.communities.len(), g.node_count());
         prop_assert!(result.communities.iter().all(|&c| (c as usize) < result.community_count));
         let trivial = modularity(&g, &[0u32; 24], 1.0);
@@ -56,7 +56,8 @@ proptest! {
     ) {
         let g = CsrGraph::from_edges(18, edges);
         let compact = compact_labels(&raw_labels);
-        let agg = aggregate_graph(&g, &compact.labels, compact.count);
+        let scratch = &mut AggregateScratch::default();
+        let agg = aggregate_graph(&g, &compact.labels, compact.count, scratch);
         prop_assert!((agg.total_weight() - g.total_weight()).abs() < 1e-9);
         // Q of the partition on g == Q of singletons on the aggregate.
         let q_fine = modularity(&g, &compact.labels, 1.0);
@@ -87,8 +88,8 @@ proptest! {
     #[test]
     fn louvain_deterministic(edges in edges_strategy(16, 40)) {
         let g = CsrGraph::from_edges(16, edges);
-        let a = louvain_default(&g);
-        let b = louvain_default(&g);
+        let a = louvain(&g);
+        let b = louvain(&g);
         prop_assert_eq!(a.communities, b.communities);
     }
 }

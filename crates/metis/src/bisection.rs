@@ -5,12 +5,10 @@
 //! `⌈log₂ k⌉` full multilevel passes, which is what gives real METIS its
 //! characteristic running-time growth with `k` (§VI-B6 of the paper).
 
-use txallo_graph::{CsrGraph, DenseIndexMap, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, DenseIndexMap, NodeId, WeightedGraph};
 
-use crate::coarsen::coarsen;
 use crate::frontier::{heaviest_first, GrowFrontier};
-use crate::refine::fm_refine_with_targets;
-use crate::MetisConfig;
+use crate::{v_cycle, vertex_weights, MetisResult, COARSEN_TARGET};
 
 /// Grows one region to `frac` of the total vertex weight (2-way greedy
 /// graph growing, same frontier as the k-way grower); everything else is
@@ -47,39 +45,22 @@ pub(crate) fn grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64
 }
 
 /// Multilevel 2-way partition of `graph` with proportional targets
-/// `frac : (1 − frac)`.
-fn multilevel_bisect(
-    graph: CsrGraph,
-    vertex_weights: Vec<f64>,
-    frac: f64,
-    config: &MetisConfig,
-) -> Vec<u32> {
+/// `frac : (1 − frac)` of its total vertex weight at every level.
+fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> Vec<u32> {
     let total: f64 = vertex_weights.iter().sum();
     let targets = [total * frac, total * (1.0 - frac)];
-    let floor = config.coarsen_target.clamp(40, 4_000);
-    let mut hierarchy = coarsen(graph, vertex_weights, floor);
-    let mut level = hierarchy.pop().expect("base level exists"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
-
-    let mut parts = grow_bisection(&level.graph, &level.vertex_weights, frac);
-    loop {
-        fm_refine_with_targets(
-            &level.graph,
-            &level.vertex_weights,
-            &mut parts,
-            &targets,
-            config.balance_factor,
-            config.refine_passes,
-        );
-        let Some(fine) = hierarchy.pop() else { break };
-        parts = crate::project(&parts, level.fine_to_coarse);
-        level = fine;
-    }
-    parts
+    v_cycle(
+        graph,
+        vertex_weights,
+        COARSEN_TARGET,
+        |level| grow_bisection(&level.graph, &level.vertex_weights, frac),
+        |_| targets.to_vec(),
+    )
+    .0
 }
 
 /// Recursive-bisection k-way partitioning over a node subset of the base
 /// graph. Part ids `offset..offset + k` are written into `out`.
-#[allow(clippy::too_many_arguments)] // internal recursion plumbing, not an API
 fn recurse(
     base: &CsrGraph,
     vertex_weights: &[f64],
@@ -87,7 +68,6 @@ fn recurse(
     k: usize,
     offset: u32,
     out: &mut [u32],
-    config: &MetisConfig,
     local_of: &mut DenseIndexMap,
 ) {
     if k <= 1 || nodes.len() <= 1 {
@@ -122,7 +102,7 @@ fn recurse(
 
     let k_left = k.div_ceil(2);
     let frac = k_left as f64 / k as f64;
-    let halves = multilevel_bisect(induced, weights, frac, config);
+    let halves = multilevel_bisect(induced, weights, frac);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -133,16 +113,7 @@ fn recurse(
             right.push(v);
         }
     }
-    recurse(
-        base,
-        vertex_weights,
-        left,
-        k_left,
-        offset,
-        out,
-        config,
-        local_of,
-    );
+    recurse(base, vertex_weights, left, k_left, offset, out, local_of);
     recurse(
         base,
         vertex_weights,
@@ -150,41 +121,32 @@ fn recurse(
         k - k_left,
         offset + k_left as u32,
         out,
-        config,
         local_of,
     );
 }
 
-/// K-way partitioning by recursive bisection (pmetis-style).
-pub fn recursive_bisection_partition(
-    graph: &impl WeightedGraph,
-    config: &MetisConfig,
-) -> crate::MetisResult {
-    assert!(config.parts > 0, "parts must be positive");
+/// K-way partitioning of `graph` into `parts` parts by recursive
+/// bisection (pmetis-style).
+pub fn recursive_bisection_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult {
+    assert!(parts > 0, "parts must be positive");
     let n = graph.node_count();
     if n == 0 {
-        return crate::MetisResult {
+        return MetisResult {
             parts: Vec::new(),
             levels: 0,
         };
     }
     let base = CsrGraph::from_graph(graph);
-    let vertex_weights = config.weighting.of(graph);
-    let mut parts = vec![0u32; n];
-    let nodes: Vec<NodeId> = (0..n as NodeId).collect();
+    let weights = vertex_weights(graph);
+    let mut labels = vec![0u32; n];
+    let nodes: Vec<NodeId> = (0..fit_u32(n)).collect();
     let mut local_of = DenseIndexMap::new();
-    recurse(
-        &base,
-        &vertex_weights,
-        nodes,
-        config.parts,
-        0,
-        &mut parts,
-        config,
-        &mut local_of,
-    );
-    let levels = (config.parts as f64).log2().ceil() as usize;
-    crate::MetisResult { parts, levels }
+    recurse(&base, &weights, nodes, parts, 0, &mut labels, &mut local_of);
+    let levels = (parts as f64).log2().ceil() as usize;
+    MetisResult {
+        parts: labels,
+        levels,
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +171,7 @@ mod tests {
     #[test]
     fn bisects_two_cliques() {
         let g = cliques(2, 6, 0.1);
-        let r = recursive_bisection_partition(&g, &MetisConfig::new(2));
+        let r = recursive_bisection_partition(&g, 2);
         for v in 1..6 {
             assert_eq!(r.parts[v], r.parts[0]);
             assert_eq!(r.parts[v + 6], r.parts[6]);
@@ -223,9 +185,7 @@ mod tests {
     fn handles_odd_k_with_proportional_targets() {
         // 3 equal cliques, k = 3: each part should hold exactly one clique.
         let g = cliques(3, 8, 0.05);
-        let mut cfg = MetisConfig::new(3);
-        cfg.weighting = crate::VertexWeighting::Unit;
-        let r = recursive_bisection_partition(&g, &cfg);
+        let r = recursive_bisection_partition(&g, 3);
         let mut counts = [0usize; 3];
         for &p in &r.parts {
             assert!((p as usize) < 3);
@@ -239,9 +199,8 @@ mod tests {
     #[test]
     fn quality_comparable_to_direct_kway() {
         let g = cliques(8, 6, 0.2);
-        let cfg = MetisConfig::new(8);
-        let rb = recursive_bisection_partition(&g, &cfg);
-        let kw = metis_partition(&g, &cfg);
+        let rb = recursive_bisection_partition(&g, 8);
+        let kw = metis_partition(&g, 8);
         // Both should find near-clique partitions; RB within 2× of direct.
         let (rb_cut, kw_cut) = (edge_cut(&g, &rb.parts), edge_cut(&g, &kw.parts));
         assert!(
@@ -253,18 +212,18 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = cliques(4, 5, 0.3);
-        let a = recursive_bisection_partition(&g, &MetisConfig::new(4));
-        let b = recursive_bisection_partition(&g, &MetisConfig::new(4));
+        let a = recursive_bisection_partition(&g, 4);
+        let b = recursive_bisection_partition(&g, 4);
         assert_eq!(a.parts, b.parts);
     }
 
     #[test]
     fn k_one_and_empty() {
         let g = cliques(2, 4, 0.1);
-        let r = recursive_bisection_partition(&g, &MetisConfig::new(1));
+        let r = recursive_bisection_partition(&g, 1);
         assert!(r.parts.iter().all(|&p| p == 0));
         let empty = CsrGraph::from_edges(0, Vec::new());
-        let r = recursive_bisection_partition(&empty, &MetisConfig::new(4));
+        let r = recursive_bisection_partition(&empty, 4);
         assert!(r.parts.is_empty());
     }
 }

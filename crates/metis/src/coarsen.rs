@@ -1,6 +1,6 @@
 //! Coarsening phase: heavy-edge matching and hierarchy construction.
 
-use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
 /// One level of the multilevel hierarchy.
 #[derive(Debug, Clone)]
@@ -14,53 +14,28 @@ pub struct CoarseLevel {
     pub fine_to_coarse: Option<Vec<u32>>,
 }
 
-/// Reusable scratch for the coarsening loop: the matching's mate array and
-/// the coarse edge list are cleared and refilled every level instead of
-/// reallocated (the level-0 high-water mark is allocated once and the
-/// geometrically shrinking levels ride inside it).
-#[derive(Debug, Clone, Default)]
-pub struct CoarsenArena {
-    /// `mate[v]` = matched partner of `v` (possibly `v` itself), or
-    /// [`CoarsenArena::UNMATCHED`].
-    mate: Vec<NodeId>,
-    /// Coarse edge list under construction.
-    edges: Vec<(NodeId, NodeId, f64)>,
-}
-
-impl CoarsenArena {
-    /// Sentinel for a not-yet-matched node.
-    const UNMATCHED: NodeId = NodeId::MAX;
-
-    /// An empty arena; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// Sentinel for a not-yet-matched node.
+const UNMATCHED: NodeId = NodeId::MAX;
 
 /// Heavy-edge matching (HEM).
 ///
 /// Visits nodes in ascending id order; an unmatched node is matched with
 /// its heaviest unmatched neighbor (ties broken toward the smaller id).
 /// Returns a dense map `fine node → coarse node`, assigning coarse ids in
-/// first-seen order (deterministic).
-pub fn heavy_edge_matching(graph: &CsrGraph) -> (Vec<u32>, usize) {
-    heavy_edge_matching_in(graph, &mut CoarsenArena::new())
-}
-
-/// [`heavy_edge_matching`] with a caller-owned [`CoarsenArena`], reusing
-/// its mate buffer across invocations.
-pub fn heavy_edge_matching_in(graph: &CsrGraph, arena: &mut CoarsenArena) -> (Vec<u32>, usize) {
+/// first-seen order (deterministic). `mate` is caller-owned scratch,
+/// cleared and refilled with each node's partner (possibly itself), so
+/// the coarsening loop reuses one buffer across its levels.
+pub fn heavy_edge_matching(graph: &CsrGraph, mate: &mut Vec<NodeId>) -> (Vec<u32>, usize) {
     let n = graph.node_count();
-    arena.mate.clear();
-    arena.mate.resize(n, CoarsenArena::UNMATCHED);
-    let mate = &mut arena.mate;
-    for v in 0..n as NodeId {
-        if mate[v as usize] != CoarsenArena::UNMATCHED {
+    mate.clear();
+    mate.resize(n, UNMATCHED);
+    for v in 0..fit_u32(n) {
+        if mate[v as usize] != UNMATCHED {
             continue;
         }
         let mut best: Option<(NodeId, f64)> = None;
         graph.for_each_neighbor(v, |u, w| {
-            if mate[u as usize] != CoarsenArena::UNMATCHED || u == v {
+            if mate[u as usize] != UNMATCHED || u == v {
                 return;
             }
             match best {
@@ -97,19 +72,23 @@ pub fn heavy_edge_matching_in(graph: &CsrGraph, arena: &mut CoarsenArena) -> (Ve
 /// map from the previous level.
 pub fn coarsen(base: CsrGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<CoarseLevel> {
     assert_eq!(vertex_weights.len(), base.node_count());
-    let mut levels = vec![CoarseLevel {
+    let mut levels = Vec::new();
+    let mut current = CoarseLevel {
         graph: base,
         vertex_weights,
         fine_to_coarse: None,
-    }];
-    let mut arena = CoarsenArena::new();
+    };
+    // Scratch reused by every level: the matching's mate array and the
+    // coarse edge list (the level-0 high-water mark is allocated once and
+    // the geometrically shrinking levels ride inside it).
+    let mut mate = Vec::new();
+    let mut edges = Vec::new();
     loop {
-        let current = levels.last().expect("at least the base level"); // txallo-lint: allow(lib-unwrap) — levels is seeded with the base level right above and never drained
         let n = current.graph.node_count();
         if n <= floor {
             break;
         }
-        let (map, coarse_n) = heavy_edge_matching_in(&current.graph, &mut arena);
+        let (map, coarse_n) = heavy_edge_matching(&current.graph, &mut mate);
         // Matching that barely shrinks the graph (e.g. star graphs) would
         // loop forever — METIS stops when the reduction is under ~5-10%.
         if coarse_n as f64 > n as f64 * 0.95 {
@@ -119,7 +98,6 @@ pub fn coarsen(base: CsrGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<Co
         for (v, &c) in map.iter().enumerate() {
             coarse_weights[c as usize] += current.vertex_weights[v];
         }
-        let edges = &mut arena.edges;
         edges.clear();
         for v in 0..n as NodeId {
             let cv = map[v as usize];
@@ -138,13 +116,14 @@ pub fn coarsen(base: CsrGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<Co
                 }
             });
         }
-        let coarse_graph = CsrGraph::from_edges(coarse_n, edges.iter().copied());
-        levels.push(CoarseLevel {
-            graph: coarse_graph,
+        let coarse = CoarseLevel {
+            graph: CsrGraph::from_edges(coarse_n, edges.iter().copied()),
             vertex_weights: coarse_weights,
             fine_to_coarse: Some(map),
-        });
+        };
+        levels.push(std::mem::replace(&mut current, coarse));
     }
+    levels.push(current);
     levels
 }
 
@@ -156,7 +135,7 @@ mod tests {
     fn matching_pairs_heavy_edges_first() {
         // 0-1 heavy, 1-2 light: HEM must pair (0,1) and leave 2 alone.
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 10.0), (1, 2, 1.0)]);
-        let (map, n) = heavy_edge_matching(&g);
+        let (map, n) = heavy_edge_matching(&g, &mut Vec::new());
         assert_eq!(n, 2);
         assert_eq!(map[0], map[1]);
         assert_ne!(map[0], map[2]);
@@ -169,7 +148,7 @@ mod tests {
             edges.push((a, (a + 1) % 30, 1.0 + (a % 3) as f64));
         }
         let g = CsrGraph::from_edges(30, edges);
-        let (map, n) = heavy_edge_matching(&g);
+        let (map, n) = heavy_edge_matching(&g, &mut Vec::new());
         assert!((15..=30).contains(&n));
         assert!(map.iter().all(|&c| (c as usize) < n));
     }

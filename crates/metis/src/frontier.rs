@@ -4,12 +4,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
 /// Vertex ids by descending weight, ties toward the smaller id: the order
 /// in which the growers seed regions.
 pub(crate) fn heaviest_first(vertex_weights: &[f64]) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..vertex_weights.len() as NodeId).collect();
+    let mut order: Vec<NodeId> = (0..fit_u32(vertex_weights.len())).collect();
     order.sort_unstable_by(|&a, &b| {
         vertex_weights[b as usize]
             .partial_cmp(&vertex_weights[a as usize])

@@ -28,13 +28,11 @@ pub mod initial;
 pub mod refine;
 
 pub use bisection::recursive_bisection_partition;
-pub use coarsen::{
-    coarsen, heavy_edge_matching, heavy_edge_matching_in, CoarseLevel, CoarsenArena,
-};
+pub use coarsen::{coarsen, heavy_edge_matching, CoarseLevel};
 pub use initial::greedy_growing_partition;
-pub use refine::{edge_cut, fm_refine, fm_refine_with_targets};
+pub use refine::{edge_cut, fm_refine};
 
-use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 
 /// Floor applied to vertex strengths when they become balance weights, so
 /// isolated (zero-strength) nodes keep a nonzero weight and ratio
@@ -50,58 +48,25 @@ pub(crate) const STRENGTH_FLOOR: f64 = 1e-9;
 // txallo-lint: allow(D2-eps-literal) — named, documented divide-by-zero guard; value pinned by the golden suites
 pub(crate) const RATIO_FLOOR: f64 = 1e-12;
 
-/// How vertices are weighted for the balance constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VertexWeighting {
-    /// Every account weighs 1 (balance = equal account counts).
-    Unit,
-    /// An account weighs its weighted degree (balance ≈ equal transaction
-    /// involvement). This is the closest analogue of how the blockchain
-    /// partitioning literature feeds account graphs to METIS.
-    #[default]
-    Strength,
-}
+/// Allowed imbalance: a part may hold at most this multiple of its target
+/// vertex weight (METIS's `ub` parameter).
+const BALANCE_FACTOR: f64 = 1.05;
 
-impl VertexWeighting {
-    /// The balance weight of every node of `graph`.
-    pub(crate) fn of(self, graph: &impl WeightedGraph) -> Vec<f64> {
-        match self {
-            Self::Unit => vec![1.0; graph.node_count()],
-            Self::Strength => (0..graph.node_count() as NodeId)
-                .map(|v| graph.strength(v).max(STRENGTH_FLOOR))
-                .collect(),
-        }
-    }
-}
+/// Coarsening stops once a graph has at most this many nodes (the k-way
+/// driver raises it to `20 × parts`).
+const COARSEN_TARGET: usize = 2_000;
 
-/// Configuration for [`metis_partition`].
-#[derive(Debug, Clone)]
-pub struct MetisConfig {
-    /// Number of parts `k`.
-    pub parts: usize,
-    /// Allowed imbalance: a part may hold at most `balance_factor ×` the
-    /// average vertex weight (METIS's `ub` parameter, default 1.05).
-    pub balance_factor: f64,
-    /// Stop coarsening when the graph has at most this many nodes
-    /// (clamped below by `20 × parts`).
-    pub coarsen_target: usize,
-    /// Maximum FM refinement passes per level.
-    pub refine_passes: usize,
-    /// Vertex weighting scheme.
-    pub weighting: VertexWeighting,
-}
+/// Maximum FM refinement passes per level.
+const REFINE_PASSES: usize = 8;
 
-impl MetisConfig {
-    /// Reasonable defaults for `k` parts.
-    pub fn new(parts: usize) -> Self {
-        Self {
-            parts,
-            balance_factor: 1.05,
-            coarsen_target: 2_000,
-            refine_passes: 8,
-            weighting: VertexWeighting::default(),
-        }
-    }
+/// The balance weight of every node of `graph`: its weighted degree,
+/// floored at [`STRENGTH_FLOOR`], so balance means roughly equal
+/// transaction involvement. This is the closest analogue of how the
+/// blockchain partitioning literature feeds account graphs to METIS.
+fn vertex_weights(graph: &impl WeightedGraph) -> Vec<f64> {
+    (0..fit_u32(graph.node_count()))
+        .map(|v| graph.strength(v).max(STRENGTH_FLOOR))
+        .collect()
 }
 
 /// Result of a multilevel partition run.
@@ -113,9 +78,10 @@ pub struct MetisResult {
     pub levels: usize,
 }
 
-/// Partitions `graph` into `config.parts` parts.
-pub fn metis_partition(graph: &impl WeightedGraph, config: &MetisConfig) -> MetisResult {
-    assert!(config.parts > 0, "parts must be positive");
+/// Partitions `graph` into `parts` parts by direct k-way multilevel
+/// partitioning.
+pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult {
+    assert!(parts > 0, "parts must be positive");
     let n = graph.node_count();
     if n == 0 {
         return MetisResult {
@@ -123,58 +89,65 @@ pub fn metis_partition(graph: &impl WeightedGraph, config: &MetisConfig) -> Meti
             levels: 0,
         };
     }
-    if config.parts == 1 {
+    if parts == 1 {
         return MetisResult {
             parts: vec![0; n],
             levels: 0,
         };
     }
-
-    let base = CsrGraph::from_graph(graph);
-    let vertex_weights = config.weighting.of(graph);
-
-    // Phase 1: coarsen.
-    let coarsen_floor = config.coarsen_target.max(20 * config.parts);
-    let mut hierarchy = coarsen(base, vertex_weights, coarsen_floor);
-    let levels = hierarchy.len();
-    let mut level = hierarchy
-        .pop()
-        .expect("hierarchy always has the base level"); // txallo-lint: allow(lib-unwrap) — coarsen() always returns at least the base level
-
-    // Phase 2: initial partition of the coarsest graph.
-    let mut parts = greedy_growing_partition(
-        &level.graph,
-        &level.vertex_weights,
-        config.parts,
-        config.balance_factor,
+    // Each level refines toward `parts` equal shares of its own total
+    // vertex weight.
+    let (labels, levels) = v_cycle(
+        CsrGraph::from_graph(graph),
+        vertex_weights(graph),
+        COARSEN_TARGET.max(20 * parts),
+        |level| {
+            greedy_growing_partition(&level.graph, &level.vertex_weights, parts, BALANCE_FACTOR)
+        },
+        |weights| vec![weights.iter().sum::<f64>() / parts as f64; parts],
     );
-    // Phase 3: refine, then project one level finer, down to the base
-    // graph. Each coarse level is dropped once its partition is projected.
-    loop {
+    MetisResult {
+        parts: labels,
+        levels,
+    }
+}
+
+/// The multilevel V-cycle shared by both drivers: coarsen `base` until it
+/// has at most `floor` nodes, partition the coarsest level with `initial`,
+/// then, from the coarsest level to `base`, FM-refine each level toward
+/// `targets(its vertex weights)` and project the result one level finer.
+/// Each level is dropped once refined. Returns the base graph's parts and
+/// the number of levels.
+fn v_cycle(
+    base: CsrGraph,
+    vertex_weights: Vec<f64>,
+    floor: usize,
+    initial: impl Fn(&CoarseLevel) -> Vec<u32>,
+    targets: impl Fn(&[f64]) -> Vec<f64>,
+) -> (Vec<u32>, usize) {
+    let mut hierarchy = coarsen(base, vertex_weights, floor);
+    let levels = hierarchy.len();
+    let mut parts = Vec::new();
+    // The projection map of the level refined last (`None` before the
+    // coarsest level).
+    let mut coarser: Option<Vec<u32>> = None;
+    while let Some(level) = hierarchy.pop() {
+        parts = match coarser {
+            // Each fine node takes its coarse node's part.
+            Some(map) => map.iter().map(|&c| parts[c as usize]).collect(),
+            None => initial(&level),
+        };
         fm_refine(
             &level.graph,
             &level.vertex_weights,
             &mut parts,
-            config.parts,
-            config.balance_factor,
-            config.refine_passes,
+            &targets(&level.vertex_weights),
+            BALANCE_FACTOR,
+            REFINE_PASSES,
         );
-        let Some(fine) = hierarchy.pop() else { break };
-        parts = project(&parts, level.fine_to_coarse);
-        level = fine;
+        coarser = level.fine_to_coarse;
     }
-
-    MetisResult { parts, levels }
-}
-
-/// The partition of a level's finer neighbor: each fine node takes its
-/// coarse node's part through the coarse level's projection map.
-fn project(coarse_parts: &[u32], fine_to_coarse: Option<Vec<u32>>) -> Vec<u32> {
-    fine_to_coarse
-        .expect("non-base levels store their projection map") // txallo-lint: allow(lib-unwrap) — every non-base level is built by coarsen() with its projection map populated
-        .iter()
-        .map(|&c| coarse_parts[c as usize])
-        .collect()
+    (parts, levels)
 }
 
 #[cfg(test)]
@@ -196,7 +169,7 @@ mod tests {
     #[test]
     fn bisects_two_cliques_along_the_bridge() {
         let g = two_cliques(0.1);
-        let r = metis_partition(&g, &MetisConfig::new(2));
+        let r = metis_partition(&g, 2);
         assert_eq!(r.parts.len(), 12);
         for v in 1..6 {
             assert_eq!(r.parts[v], r.parts[0], "clique A must stay together");
@@ -213,7 +186,7 @@ mod tests {
     #[test]
     fn one_part_is_trivial() {
         let g = two_cliques(1.0);
-        let r = metis_partition(&g, &MetisConfig::new(1));
+        let r = metis_partition(&g, 1);
         assert!(r.parts.iter().all(|&p| p == 0));
         assert_eq!(edge_cut(&g, &r.parts), 0.0);
     }
@@ -226,7 +199,7 @@ mod tests {
         }
         let g = CsrGraph::from_edges(100, edges);
         for k in [2usize, 3, 5, 8] {
-            let r = metis_partition(&g, &MetisConfig::new(k));
+            let r = metis_partition(&g, k);
             let used: std::collections::HashSet<u32> = r.parts.iter().copied().collect();
             assert!(used.len() <= k);
             assert!(used.iter().all(|&p| (p as usize) < k));
@@ -238,7 +211,9 @@ mod tests {
 
     #[test]
     fn balances_unit_weights() {
-        // 4 cliques of 8 nodes, lightly interconnected; k = 4.
+        // 4 cliques of 8 nodes, lightly interconnected; k = 4. Every node's
+        // strength is within 0.2 of 7, so balancing strength is balancing
+        // node counts.
         let mut edges = Vec::new();
         for c in 0..4u32 {
             let b = c * 8;
@@ -250,9 +225,7 @@ mod tests {
             edges.push((b, ((c + 1) % 4) * 8, 0.1));
         }
         let g = CsrGraph::from_edges(32, edges);
-        let mut cfg = MetisConfig::new(4);
-        cfg.weighting = VertexWeighting::Unit;
-        let r = metis_partition(&g, &cfg);
+        let r = metis_partition(&g, 4);
         let mut counts = [0usize; 4];
         for &p in &r.parts {
             counts[p as usize] += 1;
@@ -265,8 +238,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = two_cliques(0.5);
-        let a = metis_partition(&g, &MetisConfig::new(3));
-        let b = metis_partition(&g, &MetisConfig::new(3));
+        let a = metis_partition(&g, 3);
+        let b = metis_partition(&g, 3);
         assert_eq!(a.parts, b.parts);
         assert_eq!(a.levels, b.levels);
     }
@@ -274,7 +247,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(0, Vec::new());
-        let r = metis_partition(&g, &MetisConfig::new(4));
+        let r = metis_partition(&g, 4);
         assert!(r.parts.is_empty());
     }
 }

@@ -12,7 +12,7 @@ const FM_GAIN_MIN: f64 = 1e-12;
 /// Total weight of edges whose endpoints lie in different parts.
 pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
     let mut cut = 0.0;
-    for v in 0..graph.node_count() as NodeId {
+    for v in 0..fit_u32(graph.node_count()) {
         graph.for_each_neighbor(v, |u, w| {
             if v < u && parts[v as usize] != parts[u as usize] {
                 cut += w;
@@ -22,7 +22,9 @@ pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
     cut
 }
 
-/// Simplified boundary Fiduccia–Mattheyses refinement.
+/// Simplified boundary Fiduccia–Mattheyses refinement toward per-part
+/// weight targets (`k = targets.len()` parts; the k-way driver passes
+/// equal shares, the bisection driver `⌈k/2⌉ : ⌊k/2⌋` splits).
 ///
 /// Each pass sweeps the boundary vertices in ascending id order and greedily
 /// moves a vertex to the adjacent part with the largest positive cut
@@ -35,28 +37,6 @@ pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
 /// sizes the blockchain baseline works on, greedy boundary passes converge
 /// to comparable cuts and stay deterministic.
 pub fn fm_refine(
-    graph: &CsrGraph,
-    vertex_weights: &[f64],
-    parts: &mut [u32],
-    k: usize,
-    balance_factor: f64,
-    max_passes: usize,
-) {
-    let total: f64 = vertex_weights.iter().sum();
-    let targets = vec![total / k.max(1) as f64; k];
-    fm_refine_with_targets(
-        graph,
-        vertex_weights,
-        parts,
-        &targets,
-        balance_factor,
-        max_passes,
-    );
-}
-
-/// [`fm_refine`] generalized to per-part weight targets (used by the
-/// recursive-bisection driver, where a 2-way split may be `⌈k/2⌉ : ⌊k/2⌋`).
-pub fn fm_refine_with_targets(
     graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
@@ -201,7 +181,7 @@ mod tests {
         // Start with one node on the wrong side.
         let mut parts = vec![0, 0, 0, 1, 1, 1, 1, 0];
         let before = edge_cut(&g, &parts);
-        fm_refine(&g, &[1.0; 8], &mut parts, 2, 1.3, 8);
+        fm_refine(&g, &[1.0; 8], &mut parts, &[4.0; 2], 1.3, 8);
         let after = edge_cut(&g, &parts);
         assert!(
             after < before,
@@ -220,7 +200,7 @@ mod tests {
         let edges: Vec<_> = (1..7u32).map(|v| (0u32, v, 1.0)).collect();
         let g = CsrGraph::from_edges(7, edges);
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1];
-        fm_refine(&g, &[1.0; 7], &mut parts, 2, 1.2, 8);
+        fm_refine(&g, &[1.0; 7], &mut parts, &[3.5; 2], 1.2, 8);
         let heavy = parts.iter().filter(|&&p| p == 0).count();
         assert!(heavy <= 5, "balance cap violated: {parts:?}");
     }
@@ -230,8 +210,8 @@ mod tests {
         let g = two_cliques_graph();
         let mut p1 = vec![0, 1, 0, 1, 0, 1, 0, 1];
         let mut p2 = p1.clone();
-        fm_refine(&g, &[1.0; 8], &mut p1, 2, 1.3, 50);
-        fm_refine(&g, &[1.0; 8], &mut p2, 2, 1.3, 50);
+        fm_refine(&g, &[1.0; 8], &mut p1, &[4.0; 2], 1.3, 50);
+        fm_refine(&g, &[1.0; 8], &mut p2, &[4.0; 2], 1.3, 50);
         assert_eq!(p1, p2);
     }
 
@@ -379,7 +359,7 @@ mod tests {
             let total: f64 = weights.iter().sum();
             let targets = vec![total / k as f64; k];
             let mut dense = start.clone();
-            fm_refine_with_targets(&g, &weights, &mut dense, &targets, bf, 12);
+            fm_refine(&g, &weights, &mut dense, &targets, bf, 12);
             let mut reference = start;
             reference_refine(&g, &weights, &mut reference, &targets, bf, 12);
             assert_eq!(dense, reference, "instance {i}: cached pass diverged");
@@ -391,10 +371,10 @@ mod tests {
     #[test]
     fn refine_degenerate_shapes_are_noops() {
         let empty = CsrGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
-        fm_refine(&empty, &[], &mut [], 2, 1.1, 4);
+        fm_refine(&empty, &[], &mut [], &[0.0; 2], 1.1, 4);
         let (g, weights, start) = random_instance(30, 4, 1);
         let mut one_part = start.clone();
-        fm_refine(&g, &weights, &mut one_part, 1, 1.1, 4);
+        fm_refine(&g, &weights, &mut one_part, &[weights.iter().sum()], 1.1, 4);
         assert_eq!(one_part, start);
     }
 }

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use txallo_graph::{CsrGraph, WeightedGraph};
 use txallo_metis::{
     coarsen, edge_cut, fm_refine, greedy_growing_partition, heavy_edge_matching, metis_partition,
-    MetisConfig, VertexWeighting,
 };
 
 fn edges_strategy(n: u32, len: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
@@ -17,7 +16,7 @@ proptest! {
     #[test]
     fn partition_validity(edges in edges_strategy(30, 90), k in 1usize..8) {
         let g = CsrGraph::from_edges(30, edges);
-        let r = metis_partition(&g, &MetisConfig::new(k));
+        let r = metis_partition(&g, k);
         prop_assert_eq!(r.parts.len(), 30);
         prop_assert!(r.parts.iter().all(|&p| (p as usize) < k));
         let cut = edge_cut(&g, &r.parts);
@@ -30,7 +29,7 @@ proptest! {
     #[test]
     fn matching_groups_at_most_two(edges in edges_strategy(25, 60)) {
         let g = CsrGraph::from_edges(25, edges);
-        let (map, coarse_n) = heavy_edge_matching(&g);
+        let (map, coarse_n) = heavy_edge_matching(&g, &mut Vec::new());
         prop_assert_eq!(map.len(), 25);
         let mut counts = vec![0usize; coarse_n];
         for &c in &map {
@@ -64,13 +63,14 @@ proptest! {
         let w = vec![1.0; 20];
         let mut parts = greedy_growing_partition(&g, &w, k, 1.2);
         let before = edge_cut(&g, &parts);
-        fm_refine(&g, &w, &mut parts, k, 1.2, 6);
+        fm_refine(&g, &w, &mut parts, &vec![20.0 / k as f64; k], 1.2, 6);
         let after = edge_cut(&g, &parts);
         prop_assert!(after <= before + 1e-9, "cut increased: {before} -> {after}");
         prop_assert!(parts.iter().all(|&p| (p as usize) < k));
     }
 
-    /// Unit-weight balance: no part exceeds a generous bound of the
+    /// Unit-weight balance (every node of a ring has strength 2, so the
+    /// strength weights are equal): no part exceeds a generous bound of the
     /// average (greedy growing + escape-hatch refinement can overshoot the
     /// strict cap on adversarial graphs, but must not collapse everything
     /// into one part when the graph is connected enough).
@@ -80,9 +80,7 @@ proptest! {
         let n = 8 * k as u32;
         let edges: Vec<_> = (0..n).map(|v| (v, (v + 1) % n, 1.0)).collect();
         let g = CsrGraph::from_edges(n as usize, edges);
-        let mut cfg = MetisConfig::new(k);
-        cfg.weighting = VertexWeighting::Unit;
-        let r = metis_partition(&g, &cfg);
+        let r = metis_partition(&g, k);
         let mut counts = vec![0usize; k];
         for &p in &r.parts {
             counts[p as usize] += 1;
@@ -98,8 +96,8 @@ proptest! {
     #[test]
     fn partitioning_deterministic(edges in edges_strategy(22, 50), k in 2usize..5) {
         let g = CsrGraph::from_edges(22, edges);
-        let a = metis_partition(&g, &MetisConfig::new(k));
-        let b = metis_partition(&g, &MetisConfig::new(k));
+        let a = metis_partition(&g, k);
+        let b = metis_partition(&g, k);
         prop_assert_eq!(a.parts, b.parts);
     }
 }

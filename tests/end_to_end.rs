@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from workload
 //! generation through allocation to metrics, exercising every allocator.
 
-use txallo::core::{GTxAllo, SchedulerConfig, ShardScheduler};
+use txallo::core::{GTxAllo, ShardScheduler};
 use txallo::prelude::*;
 
 fn small_dataset(seed: u64) -> Dataset {
@@ -167,9 +167,9 @@ fn scheduler_balances_better_than_gtxallo_under_hot_account() {
     };
     let dataset = Dataset::from_ledger(EthereumLikeGenerator::new(config, 17).default_ledger());
     let k = 10;
-    let total = dataset.graph().total_weight();
-    let mut sched = ShardScheduler::new(SchedulerConfig::new(k, total));
-    let mut gtx = GTxAllo::new(TxAlloParams::for_graph(dataset.graph(), k));
+    let params = TxAlloParams::for_graph(dataset.graph(), k);
+    let mut sched = ShardScheduler::new(&params);
+    let mut gtx = GTxAllo::new(params);
     let r_sched = evaluate(&mut sched, &dataset, k, 2.0);
     let r_tx = evaluate(&mut gtx, &dataset, k, 2.0);
     assert!(
