@@ -6,7 +6,9 @@
 //! The `gather/*` pair isolates the per-node link-weight gathering that
 //! dominates every sweep: `gather/hashmap` is the seed implementation
 //! (fresh `FxHashMap` + copy + sort per node), `gather/dense` is the CSR +
-//! dense-scratch hot path that replaced it. The `gain/*` pair does the
+//! dense-scratch gather that replaced it (`CommunityState::gather_links`;
+//! the served sweeps gather through the sweep kernel's blocked row views
+//! instead). The `gain/*` pair does the
 //! same for the per-candidate gain evaluation (`gain/eval_seed` is the
 //! pre-cache formula path: σ/Λ̂ recomputed from `intra`/`cut` plus two
 //! Eq. 3 evaluations per candidate; `gain/eval` is the cached fast path),
@@ -65,8 +67,9 @@ fn gather_sweep_hashmap(graph: &CsrGraph, labels: &[u32]) -> f64 {
     checksum
 }
 
-/// Dense-scratch gather via `CommunityState::gather_links` — the
-/// production hot path.
+/// Dense-scratch gather via `CommunityState::gather_links`, the gather of
+/// the full-scan ablation and the seed reference. The production sweeps
+/// gather through the sweep kernel's row views (`crates/core/src/sweep.rs`).
 fn gather_sweep_dense(
     graph: &CsrGraph,
     labels: &[u32],

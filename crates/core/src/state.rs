@@ -264,8 +264,7 @@ impl CommunityState {
     /// weights toward [`UNASSIGNED`] neighbors stay out of the candidates.
     ///
     /// On return the scratch's candidate list is sorted ascending, ready
-    /// for a deterministic sweep over `C_v`. The row is read through
-    /// `link_walk`, the walk the sweep kernel's graph view runs too.
+    /// for a deterministic sweep over `C_v`.
     pub fn gather_links(
         &self,
         graph: &impl WeightedGraph,
@@ -274,7 +273,8 @@ impl CommunityState {
         scratch: &mut MoveScratch,
     ) {
         scratch.link.begin(self.intra.len());
-        link_walk(graph, v, labels, |cu, w| {
+        graph.for_each_neighbor(v, |u, w| {
+            let cu = labels[u as usize];
             if cu != UNASSIGNED {
                 scratch.link.add(cu, w);
             }
@@ -676,60 +676,6 @@ impl CommunityState {
     #[cfg(test)]
     fn snapshot(&self) -> (Vec<f64>, Vec<f64>) {
         (self.intra.clone(), self.cut.clone())
-    }
-}
-
-/// The blocked gather strip shared by every row gather in this crate
-/// ([`link_walk`] on a fully merged row, and the sweep kernel's snapshot
-/// views): labels for a strip of 8 targets are loaded into a local array
-/// first, then `f(label, weight)` runs left to right over the strip — the
-/// label loads are the gather's random accesses, and batching them breaks
-/// the load→accumulate dependency chain so they overlap. The callback
-/// sequence is position-for-position identical to the scalar loop, hence
-/// bit-identical accumulation (callers branch on [`UNASSIGNED`] inside
-/// `f`).
-#[inline]
-pub(crate) fn gather_labels_blocked(
-    ids: &[NodeId],
-    ws: &[f64],
-    labels: &[u32],
-    mut f: impl FnMut(u32, f64),
-) {
-    const BLOCK: usize = 8;
-    let mut cls = [0u32; BLOCK];
-    let mut chunks_i = ids.chunks_exact(BLOCK);
-    let mut chunks_w = ws.chunks_exact(BLOCK);
-    for (ts, strip) in chunks_i.by_ref().zip(chunks_w.by_ref()) {
-        for j in 0..BLOCK {
-            cls[j] = labels[ts[j] as usize];
-        }
-        for j in 0..BLOCK {
-            f(cls[j], strip[j]);
-        }
-    }
-    for (&u, &w) in chunks_i.remainder().iter().zip(chunks_w.remainder()) {
-        f(labels[u as usize], w);
-    }
-}
-
-/// Calls `f(label, weight)` for every neighbor of `v` in `graph`,
-/// ascending by neighbor id. A fully merged row
-/// ([`WeightedGraph::row_view`] with an empty tail) takes the blocked
-/// strip ([`gather_labels_blocked`]); a row with a pending tail, or a
-/// graph without row slices, takes the callback merge. Both produce the
-/// same callback sequence, so accumulations are bit-identical.
-#[inline]
-pub(crate) fn link_walk(
-    graph: &impl WeightedGraph,
-    v: NodeId,
-    labels: &[u32],
-    mut f: impl FnMut(u32, f64),
-) {
-    match graph.row_view(v) {
-        Some(view) if view.tail_ids.is_empty() => {
-            gather_labels_blocked(view.run_ids, view.run_ws, labels, f);
-        }
-        _ => graph.for_each_neighbor(v, |u, w| f(labels[u as usize], w)),
     }
 }
 

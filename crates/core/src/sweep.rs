@@ -35,7 +35,7 @@ use txallo_graph::{CsrGraph, DeltaCsr, DenseAccumulator, NodeId, SweepCache, Wei
 
 use crate::atxallo::AtxAlloOutcome;
 use crate::params::MAX_SWEEPS;
-use crate::state::{gather_labels_blocked, link_walk, CommunityState, UNASSIGNED};
+use crate::state::{CommunityState, UNASSIGNED};
 
 /// The rows a sweep visits, in sweep order: row `r` is the `r`-th node
 /// the sweep visits.
@@ -54,6 +54,33 @@ pub(crate) trait SweepRows {
     /// Calls `f(row, weight)` for every neighbor of row `r` that is itself
     /// a row: the neighbors whose cached links a move of `r` invalidates.
     fn for_each_row_neighbor(&self, r: usize, f: impl FnMut(usize, f64));
+}
+
+/// The blocked gather strip of the two slice views ([`DeltaCsr`] and the
+/// plan's [`CsrGraph`]): labels for a strip of 8 targets are loaded into a
+/// local array first, then `f(label, weight)` runs left to right over the
+/// strip — the label loads are the gather's random accesses, and batching
+/// them breaks the load→accumulate dependency chain so they overlap. The
+/// callback sequence is position-for-position identical to the scalar
+/// loop, hence bit-identical accumulation (callers branch on
+/// [`UNASSIGNED`] inside `f`).
+#[inline]
+fn gather_labels_blocked(ids: &[NodeId], ws: &[f64], labels: &[u32], mut f: impl FnMut(u32, f64)) {
+    const BLOCK: usize = 8;
+    let mut cls = [0u32; BLOCK];
+    let mut chunks_i = ids.chunks_exact(BLOCK);
+    let mut chunks_w = ws.chunks_exact(BLOCK);
+    for (ts, strip) in chunks_i.by_ref().zip(chunks_w.by_ref()) {
+        for j in 0..BLOCK {
+            cls[j] = labels[ts[j] as usize];
+        }
+        for j in 0..BLOCK {
+            f(cls[j], strip[j]);
+        }
+    }
+    for (&u, &w) in chunks_i.remainder().iter().zip(chunks_w.remainder()) {
+        f(labels[u as usize], w);
+    }
 }
 
 /// A snapshot of `V̂`: its rows in canonical order, neighbors outside it
@@ -172,8 +199,9 @@ impl<G: WeightedGraph> SweepRows for OrderedRows<'_, G> {
         self.graph.neighbor_count(self.order[r])
     }
 
-    fn for_each_link(&self, r: usize, labels: &[u32], f: impl FnMut(u32, f64)) {
-        link_walk(self.graph, self.order[r], labels, f);
+    fn for_each_link(&self, r: usize, labels: &[u32], mut f: impl FnMut(u32, f64)) {
+        self.graph
+            .for_each_neighbor(self.order[r], |u, w| f(labels[u as usize], w));
     }
 
     fn for_each_row_neighbor(&self, r: usize, mut f: impl FnMut(usize, f64)) {

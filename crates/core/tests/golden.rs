@@ -20,9 +20,10 @@ use std::collections::BTreeMap;
 
 use txallo_core::state::capped_throughput;
 use txallo_core::{
-    allocate_with_brokers, gtxallo_with_init_strategy, Allocation, AtxAlloSession, BrokerConfig,
-    CommunityState, Dataset, EpochKind, GTxAllo, GTxAlloPlan, InitStrategy, SchedulerStream,
-    ShardScheduler, StreamingAllocator, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
+    allocate_with_brokers, gtxallo_with_init_strategy, select_split_accounts, Allocation,
+    AtxAlloSession, BrokerConfig, CommunityState, Dataset, EpochKind, GTxAllo, GTxAlloPlan,
+    InitStrategy, MaskedGraph, SchedulerStream, ShardScheduler, StreamingAllocator, TxAlloParams,
+    GAIN_EPS, MAX_SWEEPS,
 };
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainResult};
@@ -360,8 +361,9 @@ fn determinism_locks_across_algorithms() {
 /// matching cannot pair a hub's many leaves, so coarsening stops at its
 /// reduction guard with 4,817 of 9,687 nodes left, far above the 2,000
 /// coarsen target: the greedy grower and FM refinement then run on a
-/// large coarsest graph, the shape the served `metis` epochs see. Update
-/// the constants only when the partitioner is meant to change.
+/// large coarsest graph, the shape the served `metis` epochs see. Both
+/// drivers report the levels of their deepest V-cycle. Update the
+/// constants only when the partitioner is meant to change.
 #[test]
 fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
     let csr = CsrGraph::from_graph(&workload_graph(10_000, 60_000, 7));
@@ -373,6 +375,7 @@ fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
         assert_eq!(r.levels, 5, "k = {k}");
         assert_eq!(fingerprint(&r.parts), kway, "k-way, k = {k}");
         let rb = recursive_bisection_partition(&csr, k);
+        assert_eq!(rb.levels, 5, "recursive, k = {k}");
         assert_eq!(fingerprint(&rb.parts), recursive, "recursive, k = {k}");
     }
 }
@@ -471,16 +474,10 @@ fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
 
 /// The explicit-order sweep on the hub graph: `allocate_with_init` over
 /// the mutable graph in canonical order (the ablation's Louvain start),
-/// and the broker pipeline, which sweeps a masked view of it. Most rows
-/// of this graph carry a pending tail, so the link walk takes the
-/// callback merge as well as the blocked strip.
+/// and the broker pipeline, which sweeps a masked view of it.
 #[test]
 fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
     let graph = workload_graph(10_000, 60_000, 7);
-    let tailed = (0..graph.node_count() as NodeId)
-        .filter(|&v| graph.row_view(v).is_some_and(|r| !r.tail_ids.is_empty()))
-        .count();
-    assert!(tailed > 0, "fixture: rows with a pending tail");
     let params = TxAlloParams::for_graph(&graph, 20);
     let out = gtxallo_with_init_strategy(&params, &graph, InitStrategy::Louvain);
     assert_eq!(
@@ -497,6 +494,62 @@ fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
     );
     let (brokered, _) = allocate_with_brokers(&graph, &params, &BrokerConfig::default());
     assert_eq!(fingerprint(brokered.labels()), 0x1a43_4578_491e_3290);
+}
+
+/// Both whole-graph snapshots fill the same rows from every source shape
+/// the pipelines freeze: the hub graph's mutable form (its slab rows carry
+/// pending tails, so the row copy merges), its CSR (a slice copy), and the
+/// broker's masked view of it, which stores no rows and copies through
+/// `for_each_neighbor`. `from_graph` copies each row; `from_graph_relabeled`
+/// under the identity scatters it. They must agree on every row and, bit
+/// for bit, on every weight, self-loop, incident weight and the total.
+#[test]
+fn row_copy_and_scatter_snapshots_agree_on_every_source() {
+    fn bits(ws: &[f64]) -> Vec<u64> {
+        ws.iter().map(|w| w.to_bits()).collect()
+    }
+    fn check(g: &impl WeightedGraph, source: &str) {
+        let n = g.node_count();
+        let identity: Vec<NodeId> = (0..n as NodeId).collect();
+        let copied = CsrGraph::from_graph(g);
+        let scattered = CsrGraph::from_graph_relabeled(g, &identity);
+        assert_eq!(copied.node_count(), n, "{source}");
+        assert_eq!(scattered.node_count(), n, "{source}");
+        for v in 0..n as NodeId {
+            assert_eq!(
+                copied.neighbor_ids(v),
+                scattered.neighbor_ids(v),
+                "{source} row {v}"
+            );
+            assert_eq!(
+                bits(copied.neighbor_weights(v)),
+                bits(scattered.neighbor_weights(v)),
+                "{source} row {v} weights"
+            );
+            assert_eq!(
+                copied.self_loop(v).to_bits(),
+                scattered.self_loop(v).to_bits(),
+                "{source} self-loop {v}"
+            );
+            assert_eq!(
+                copied.incident_weight(v).to_bits(),
+                scattered.incident_weight(v).to_bits(),
+                "{source} incident {v}"
+            );
+        }
+        assert_eq!(
+            copied.total_weight().to_bits(),
+            scattered.total_weight().to_bits(),
+            "{source} total"
+        );
+    }
+    let graph = workload_graph(10_000, 60_000, 7);
+    let params = TxAlloParams::for_graph(&graph, 20);
+    let split = select_split_accounts(&graph, &params, &BrokerConfig::default());
+    assert!(!split.is_empty(), "fixture: the broker masks accounts");
+    check(&graph, "TxGraph");
+    check(&CsrGraph::from_graph(&graph), "CsrGraph");
+    check(&MaskedGraph::new(&graph, split), "MaskedGraph");
 }
 
 /// Algorithm 2 over `V̂ = V` is Algorithm 1's placement and optimization

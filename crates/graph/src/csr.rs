@@ -115,7 +115,6 @@ impl CsrGraph {
 
         // Pass 3: sort each row and merge duplicate targets in place,
         // compacting rows toward the front of the arrays.
-        let mut incident = vec![0.0f64; node_count];
         let mut write = 0usize;
         let mut row: Vec<(NodeId, f64)> = Vec::new();
         let mut compact_offsets = vec![0u32; node_count + 1];
@@ -140,120 +139,74 @@ impl CsrGraph {
                     write += 1;
                 }
             }
-            incident[v] = self_loops[v] + weights[row_start..write].iter().sum::<f64>();
             compact_offsets[v + 1] = write as u32;
         }
         targets.truncate(write);
         weights.truncate(write);
         targets.shrink_to_fit();
         weights.shrink_to_fit();
-
-        Self {
-            offsets: compact_offsets,
-            targets,
-            weights,
-            self_loops,
-            incident,
-            total_weight: total,
-        }
+        Self::from_sorted_rows(compact_offsets, targets, weights, self_loops, total)
     }
 
     /// Snapshots any [`WeightedGraph`] into CSR form (used to freeze the
-    /// mutable `TxGraph` before the repeated sweeps of G-TxAllo and METIS).
+    /// mutable `TxGraph` before the repeated sweeps of G-TxAllo and METIS):
+    /// one [`WeightedGraph::copy_row_into`] per node, sequential reads and
+    /// writes, no sort. The total weight is the source's own accumulator.
     pub fn from_graph(g: &impl WeightedGraph) -> Self {
-        Self::snapshot(g, None)
+        let n = fit_u32(g.node_count());
+        let entries = (0..n).map(|v| g.neighbor_count(v)).sum();
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::with_capacity(entries);
+        let mut weights = Vec::with_capacity(entries);
+        for v in 0..n {
+            g.copy_row_into(v, &mut targets, &mut weights);
+            offsets.push(fit_u32(targets.len()));
+        }
+        let self_loops = (0..n).map(|v| g.self_loop(v)).collect();
+        Self::from_sorted_rows(offsets, targets, weights, self_loops, g.total_weight())
     }
 
     /// Like [`CsrGraph::from_graph`] but with node ids remapped through
     /// `new_id` (a bijection onto `0..node_count`). Used to renumber a
     /// graph into canonical sweep order so that the sweeps walk rows
     /// sequentially.
+    ///
+    /// A row copy cannot produce rows sorted by *mapped* id, so this is a
+    /// counting-sort scatter: each row's degree (`neighbor_count`) is
+    /// prefix-summed into the offsets, then the mapped ids are visited in
+    /// ascending order and each is appended to the rows of all its
+    /// neighbors, so rows come out sorted by construction.
     pub fn from_graph_relabeled(g: &impl WeightedGraph, new_id: &[NodeId]) -> Self {
-        assert_eq!(new_id.len(), g.node_count(), "one new id per node");
-        Self::snapshot(g, Some(new_id))
-    }
-
-    /// Snapshot behind both constructors (`new_id = None` keeps the source
-    /// ids). Two serial fills, both free of per-row comparison sorts:
-    ///
-    /// * **Straight row copy** — when the ids are kept *and* the source
-    ///   stores sorted rows ([`WeightedGraph::row_view`], i.e. the mutable
-    ///   `TxGraph`'s sorted-run slab or another CSR): each row is one
-    ///   contiguous copy/merge, sequential reads and writes, no scatter.
-    /// * **Counting-sort scatter** — for relabeled snapshots (a straight
-    ///   copy cannot produce rows sorted by *mapped* id) and sources
-    ///   without sorted rows: count each row's degree (`neighbor_count`),
-    ///   prefix-sum into the offsets, then visit *mapped* source ids in
-    ///   ascending order and append each node to the rows of all its
-    ///   neighbors — rows come out sorted by construction.
-    ///
-    /// Relies on the [`WeightedGraph`] contract that `for_each_neighbor`
-    /// reports each neighbor exactly once (all implementors accumulate
-    /// parallel edges at ingestion).
-    fn snapshot<G: WeightedGraph>(g: &G, new_id: Option<&[NodeId]>) -> Self {
         let n = g.node_count();
-        let map = |v: NodeId| new_id.map_or(v, |ids| ids[v as usize]);
-        // Pass 1 is O(n), no adjacency iteration at all: `neighbor_count`
-        // and `self_loop` are O(1) accessors on every implementor, and the
-        // total weight is the source graph's own accumulator (re-summing
-        // it over the edges — what the edge-list build did — costs a full
-        // extra adjacency walk for a value the graph already maintains).
+        assert_eq!(new_id.len(), n, "one new id per node");
         let mut inv: Vec<NodeId> = vec![0; n];
         let mut self_loops = vec![0.0f64; n];
         let mut offsets = vec![0u32; n + 1];
-        for v in 0..n as NodeId {
-            let nv = map(v) as usize;
+        for v in 0..fit_u32(n) {
+            let nv = new_id[v as usize] as usize;
             debug_assert!(nv < n, "new_id must map onto 0..n");
             inv[nv] = v;
-            offsets[nv + 1] = g.neighbor_count(v) as u32;
-            let loop_w = g.self_loop(v);
-            if loop_w > 0.0 {
-                self_loops[nv] = loop_w;
-            }
+            offsets[nv + 1] = fit_u32(g.neighbor_count(v));
+            self_loops[nv] = g.self_loop(v);
         }
-        let total = g.total_weight();
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-
         let entries = offsets[n] as usize;
         let mut targets = vec![0 as NodeId; entries];
         let mut weights = vec![0.0f64; entries];
-        // Identity mapping over a sorted-row source: straight copies (the
-        // `row_view` contract is uniform across nodes, so probing one row
-        // decides for the build; the loop debug-asserts the rest).
-        if new_id.is_none() && n > 0 && g.row_view(0).is_some() {
-            copy_rows(g, &offsets, &mut targets, &mut weights);
-        } else {
-            fill_rows(g, &inv, map, &offsets, &mut targets, &mut weights);
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        for (i, &v) in (0..).zip(&inv) {
+            g.for_each_neighbor(v, |u, w| {
+                let row = new_id[u as usize] as usize;
+                let pos = cursor[row] as usize;
+                targets[pos] = i;
+                weights[pos] = w;
+                cursor[row] += 1;
+            });
         }
-
-        let mut incident = vec![0.0f64; n];
-        for v in 0..n {
-            let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            // Same fold shape as the edge-list path: the row summed on its
-            // own from 0, then added to the self-loop.
-            incident[v] = self_loops[v] + weights[s..e].iter().sum::<f64>();
-            // Release-mode guard for the `for_each_neighbor` uniqueness
-            // contract (see `WeightedGraph`): a source graph reporting a
-            // neighbor twice would leave this row non-ascending and every
-            // binary search over it silently wrong. One predictable
-            // compare per entry, amortized into the incident fold pass.
-            assert!(
-                targets[s..e].windows(2).all(|w| w[0] < w[1]),
-                "row {v} is not strictly ascending: the source graph's \
-                 for_each_neighbor reported a duplicate neighbor"
-            );
-        }
-
-        Self {
-            offsets,
-            targets,
-            weights,
-            self_loops,
-            incident,
-            total_weight: total,
-        }
+        Self::from_sorted_rows(offsets, targets, weights, self_loops, g.total_weight())
     }
 
     /// Builds directly from pre-assembled CSR arrays: row boundaries,
@@ -261,12 +214,14 @@ impl CsrGraph {
     /// merged, each unordered non-loop edge present in both endpoint rows),
     /// per-node self-loops and the total weight.
     ///
-    /// This is the entry point for producers that assemble sorted rows
-    /// themselves (e.g. the Louvain aggregation's counting-sort build) —
-    /// no edge-list round trip, no re-sort. The incident cache is derived
-    /// here with the canonical fold (`self_loop + Σ row`, the row summed
-    /// on its own in ascending order), and the ascending-row invariant is
-    /// verified like in every other constructor.
+    /// Every constructor returns through here, as do producers that
+    /// assemble sorted rows themselves (e.g. the Louvain aggregation's
+    /// counting-sort build). The incident cache is derived here with the
+    /// canonical fold (`self_loop + Σ row`, the row summed on its own in
+    /// ascending order), and every row is checked strictly ascending: a
+    /// source whose `for_each_neighbor` broke its order or uniqueness
+    /// contract would otherwise leave every binary search over the row
+    /// silently wrong.
     ///
     /// # Panics
     /// Panics when the arrays are inconsistent or any row is not strictly
@@ -350,78 +305,6 @@ impl CsrGraph {
     }
 }
 
-/// The straight-copy fill of [`CsrGraph::snapshot`] (identity mapping):
-/// each source row is already an ascending-id sorted run pair
-/// ([`WeightedGraph::row_view`]), so the fill is one two-run merge copy per
-/// row — sequential reads, sequential writes, no scatter.
-fn copy_rows<G: WeightedGraph>(
-    g: &G,
-    offsets: &[u32],
-    targets: &mut [NodeId],
-    weights: &mut [f64],
-) {
-    for v in 0..g.node_count() {
-        let view = g
-            .row_view(v as NodeId)
-            .expect("row_view is uniform across nodes"); // txallo-lint: allow(lib-unwrap) — the direct path is taken only after probing row_view(0), and the trait contract makes the answer uniform across nodes
-        let mut pos = offsets[v] as usize;
-        debug_assert_eq!(
-            offsets[v + 1] as usize - offsets[v] as usize,
-            view.run_ids.len() + view.tail_ids.len(),
-            "row_view disagrees with neighbor_count for node {v}"
-        );
-        if view.tail_ids.is_empty() {
-            targets[pos..pos + view.run_ids.len()].copy_from_slice(view.run_ids);
-            weights[pos..pos + view.run_ws.len()].copy_from_slice(view.run_ws);
-            continue;
-        }
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < view.run_ids.len() && j < view.tail_ids.len() {
-            if view.run_ids[i] < view.tail_ids[j] {
-                targets[pos] = view.run_ids[i];
-                weights[pos] = view.run_ws[i];
-                i += 1;
-            } else {
-                targets[pos] = view.tail_ids[j];
-                weights[pos] = view.tail_ws[j];
-                j += 1;
-            }
-            pos += 1;
-        }
-        let run_rest = view.run_ids.len() - i;
-        targets[pos..pos + run_rest].copy_from_slice(&view.run_ids[i..]);
-        weights[pos..pos + run_rest].copy_from_slice(&view.run_ws[i..]);
-        pos += run_rest;
-        let tail_rest = view.tail_ids.len() - j;
-        targets[pos..pos + tail_rest].copy_from_slice(&view.tail_ids[j..]);
-        weights[pos..pos + tail_rest].copy_from_slice(&view.tail_ws[j..]);
-    }
-}
-
-/// The counting-sort fill of [`CsrGraph::snapshot`] (mapped ids): visits
-/// *mapped* source ids ascending and appends each to its neighbors' rows,
-/// so rows come out sorted by construction.
-fn fill_rows<G: WeightedGraph>(
-    g: &G,
-    inv: &[NodeId],
-    map: impl Fn(NodeId) -> NodeId,
-    offsets: &[u32],
-    targets: &mut [NodeId],
-    weights: &mut [f64],
-) {
-    let mut cursor: Vec<u32> = offsets[..inv.len()].to_vec();
-    for i in 0..fit_u32(inv.len()) {
-        let v = inv[i as usize];
-        g.for_each_neighbor(v, |u, w| {
-            let row = map(u) as usize;
-            let pos = cursor[row] as usize;
-            targets[pos] = i;
-            weights[pos] = w;
-            cursor[row] += 1;
-        });
-    }
-}
-
 impl WeightedGraph for CsrGraph {
     fn node_count(&self) -> usize {
         self.self_loops.len()
@@ -452,13 +335,11 @@ impl WeightedGraph for CsrGraph {
         e - s
     }
 
-    fn row_view(&self, v: NodeId) -> Option<crate::traits::RowView<'_>> {
-        Some(crate::traits::RowView {
-            run_ids: self.neighbor_ids(v),
-            run_ws: self.neighbor_weights(v),
-            tail_ids: &[],
-            tail_ws: &[],
-        })
+    fn copy_row_into(&self, v: NodeId, ids: &mut Vec<NodeId>, ws: &mut Vec<f64>) -> f64 {
+        let row = self.neighbor_weights(v);
+        ids.extend_from_slice(self.neighbor_ids(v));
+        ws.extend_from_slice(row);
+        row.iter().fold(0.0, |sum, &w| sum + w)
     }
 }
 
@@ -529,8 +410,8 @@ mod tests {
         CsrGraph::from_edges(n, edges)
     }
 
-    /// The radix snapshot must reproduce the edge-list constructor's arrays
-    /// bit-for-bit (rows sorted by construction vs per-row sort + merge).
+    /// The snapshot must reproduce the edge-list constructor's arrays
+    /// bit-for-bit (rows copied already sorted vs per-row sort + merge).
     #[test]
     fn radix_snapshot_matches_edge_list_build() {
         let g = scrambled_graph(120);

@@ -15,24 +15,33 @@
 //! The crate deliberately ships the graph in three shapes, one per access
 //! pattern:
 //!
-//! * [`TxGraph`] — *ingestion form*. Per-node rows live in a shared
-//!   sorted-run slab arena ([`slab::SortedRunStore`]): ascending-id sorted
-//!   runs with a small amortized-merge tail, so a repeated account pair
-//!   accumulates weight in place (binary search, `O(1)` amortized per
-//!   edge) **and** the mutable graph is CSR-shaped by construction —
-//!   neighbor iteration is always ascending. This is what the block stream
-//!   mutates. Implements the shared [`WeightedGraph`] interface.
+//! * [`TxGraph`] — *ingestion form*. Per-node rows live in a shared,
+//!   crate-private sorted-run slab arena: ascending-id sorted runs with a
+//!   small amortized-merge tail, so a repeated account pair accumulates
+//!   weight in place (binary search, `O(1)` amortized per edge) **and**
+//!   the mutable graph is CSR-shaped by construction — neighbor iteration
+//!   is always ascending. This is what the block stream mutates.
+//!   Implements the shared [`WeightedGraph`] interface.
 //! * [`CsrGraph`] — *full-sweep form*. Offsets + packed neighbor/weight
 //!   arrays (compressed sparse row), rows sorted and duplicate-merged at
 //!   build time. Every repeated-sweep consumer — Louvain levels, the
 //!   G-TxAllo optimization phase, METIS coarsening/refinement — snapshots
 //!   into this form once ([`CsrGraph::from_graph`]) and then iterates flat
-//!   memory. Also implements [`WeightedGraph`].
+//!   memory. Every constructor finishes through
+//!   [`CsrGraph::from_sorted_rows`], which derives the incident weights
+//!   and checks each row strictly ascending. Also implements
+//!   [`WeightedGraph`].
 //! * [`DeltaCsr`] — *epoch-update form*. A compact CSR over just the
 //!   epoch's touched node set `V̂` and its incident edges, rows in the
 //!   canonical sweep order, built by straight run copies out of the slab
 //!   adjacency; each row equals the full [`CsrGraph`]'s row bit for bit
 //!   (see [`delta`]). This is what A-TxAllo's epoch sweep runs on.
+//!
+//! Every form reads rows the same way: [`WeightedGraph::for_each_neighbor`]
+//! reports a row in ascending id order, and
+//! [`WeightedGraph::copy_row_into`] is the one way a whole row leaves a
+//! graph (a slab run copy, a CSR slice copy, or the callback walk for
+//! views without row storage).
 //!
 //! The split matters because the sweeps dominate running time (§VI-B6 of
 //! the paper: Louvain initialization alone is 67.6 s of G-TxAllo's
@@ -56,7 +65,7 @@ pub mod decay;
 pub mod delta;
 pub mod interner;
 pub mod scratch;
-pub mod slab;
+mod slab;
 pub mod stats;
 pub mod traits;
 pub mod txgraph;
@@ -65,7 +74,6 @@ pub use csr::CsrGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
 pub use scratch::{DenseAccumulator, DenseIndexMap, SweepCache};
-pub use slab::SortedRunStore;
 pub use stats::GraphStats;
-pub use traits::{fit_u32, NodeId, RowView, WeightedGraph};
+pub use traits::{fit_u32, NodeId, WeightedGraph};
 pub use txgraph::{BlockNodes, MemoryFootprint, ResidencyConfig, TxGraph};

@@ -43,9 +43,11 @@
 //!
 //! Iterating a row ([`SortedRunStore::for_each`]) merges the two runs on
 //! the fly, so **neighbors always come out in ascending id order** — the
-//! mutable graph is CSR-shaped by construction. `DeltaCsr` row assembly and
-//! the identity `CsrGraph` snapshot become straight run copies/merges with
-//! no sort at all, and every order-dependent float accumulation over the
+//! mutable graph is CSR-shaped by construction. A whole row leaves the
+//! store only through [`SortedRunStore::copy_row_into`], one slice copy
+//! or two-run merge, so `DeltaCsr` row assembly and the identity
+//! `CsrGraph` snapshot need no sort at all, and the run/tail split never
+//! leaves this module. Every order-dependent float accumulation over the
 //! mutable adjacency (community aggregates, incident re-derivation) sees
 //! the same ascending order the frozen forms use.
 
@@ -102,7 +104,7 @@ struct RowMeta {
 
 /// The shared sorted-run arena (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
-pub struct SortedRunStore {
+pub(crate) struct SortedRunStore {
     ids: Vec<NodeId>,
     ws: Vec<f64>,
     rows: Vec<RowMeta>,
@@ -115,18 +117,18 @@ pub struct SortedRunStore {
 
 impl SortedRunStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows.len()
     }
 
     /// Appends an empty row (capacity is allocated lazily on first insert).
-    pub fn push_row(&mut self) {
+    pub(crate) fn push_row(&mut self) {
         self.rows.push(RowMeta::default());
     }
 
@@ -157,10 +159,10 @@ impl SortedRunStore {
     /// Appends a row pre-filled from an ascending-id sorted `(ids, ws)`
     /// pair — the checkpoint-restore path. The row lands fully merged
     /// (`run == len == cap`), which is exactly the state
-    /// [`SortedRunStore::for_each`] and the snapshot copies treat as the
-    /// fast path, so a restored store behaves identically to one whose
-    /// tail merges all happened to have just fired.
-    pub fn push_row_from_sorted(&mut self, ids: &[NodeId], ws: &[f64]) {
+    /// [`SortedRunStore::for_each`] and [`SortedRunStore::copy_row_into`]
+    /// treat as the fast path, so a restored store behaves identically to
+    /// one whose tail merges all happened to have just fired.
+    pub(crate) fn push_row_from_sorted(&mut self, ids: &[NodeId], ws: &[f64]) {
         assert_eq!(ids.len(), ws.len(), "parallel row arrays");
         debug_assert!(
             ids.windows(2).all(|p| p[0] < p[1]),
@@ -186,14 +188,14 @@ impl SortedRunStore {
 
     /// Number of live entries in row `r`.
     #[inline]
-    pub fn row_len(&self, r: usize) -> usize {
+    pub(crate) fn row_len(&self, r: usize) -> usize {
         self.rows[r].len as usize
     }
 
     /// The row's two sorted runs as `(run_ids, run_ws, tail_ids, tail_ws)`.
     /// Both are ascending by id; their id sets are disjoint.
     #[inline]
-    pub fn row_parts(&self, r: usize) -> (&[NodeId], &[f64], &[NodeId], &[f64]) {
+    fn row_parts(&self, r: usize) -> (&[NodeId], &[f64], &[NodeId], &[f64]) {
         let m = self.rows[r];
         let (s, run, len) = (m.start as usize, m.run as usize, m.len as usize);
         (
@@ -208,7 +210,7 @@ impl SortedRunStore {
     /// (merging the two runs on the fly; a merged row iterates a plain
     /// slice).
     #[inline]
-    pub fn for_each(&self, r: usize, mut f: impl FnMut(NodeId, f64)) {
+    pub(crate) fn for_each(&self, r: usize, mut f: impl FnMut(NodeId, f64)) {
         let (run_ids, run_ws, tail_ids, tail_ws) = self.row_parts(r);
         if tail_ids.is_empty() {
             for (&u, &w) in run_ids.iter().zip(run_ws) {
@@ -241,7 +243,12 @@ impl SortedRunStore {
     /// returning the sum of the appended weights folded in that same
     /// ascending order — the straight run copy/merge the snapshot builders
     /// use in place of gather-and-sort.
-    pub fn copy_row_into(&self, r: usize, out_ids: &mut Vec<NodeId>, out_ws: &mut Vec<f64>) -> f64 {
+    pub(crate) fn copy_row_into(
+        &self,
+        r: usize,
+        out_ids: &mut Vec<NodeId>,
+        out_ws: &mut Vec<f64>,
+    ) -> f64 {
         let mut sum = 0.0f64;
         let (run_ids, run_ws, tail_ids, _) = self.row_parts(r);
         if tail_ids.is_empty() {
@@ -286,7 +293,7 @@ impl SortedRunStore {
 
     /// The weight stored for `id` in row `r`, if present.
     #[inline]
-    pub fn get(&self, r: usize, id: NodeId) -> Option<f64> {
+    pub(crate) fn get(&self, r: usize, id: NodeId) -> Option<f64> {
         self.find(r, id).map(|i| self.ws[i])
     }
 
@@ -296,7 +303,7 @@ impl SortedRunStore {
     /// Repeated ids accumulate in place, in call order — chronological
     /// per-pair accumulation, the same float trajectory a hash-map entry
     /// would produce.
-    pub fn add(&mut self, r: usize, id: NodeId, w: f64) -> bool {
+    pub(crate) fn add(&mut self, r: usize, id: NodeId, w: f64) -> bool {
         // Fast paths for the hottest ingest cases: the row's last live
         // entry is the pair itself (immediately repeated traffic), or the
         // pair sits in the main run (where merges put it). One probe + one
@@ -343,7 +350,7 @@ impl SortedRunStore {
     /// Runs over the whole arena — dead ranges included, which is harmless
     /// (they are never read) and keeps the pass one branch-free linear
     /// sweep.
-    pub fn scale_all(&mut self, factor: f64) {
+    pub(crate) fn scale_all(&mut self, factor: f64) {
         for w in &mut self.ws {
             *w *= factor;
         }
@@ -426,7 +433,7 @@ impl SortedRunStore {
 
     /// Arena bytes currently allocated (entry storage plus per-row
     /// metadata), by vector capacity — what the process actually holds.
-    pub fn arena_bytes(&self) -> usize {
+    pub(crate) fn arena_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.ws.capacity() * std::mem::size_of::<f64>()
             + self.rows.capacity() * std::mem::size_of::<RowMeta>()
@@ -435,7 +442,7 @@ impl SortedRunStore {
     }
 
     /// Live entries across all rows (12 bytes each: id + weight).
-    pub fn live_entries(&self) -> usize {
+    pub(crate) fn live_entries(&self) -> usize {
         self.rows.iter().map(|m| m.len as usize).sum()
     }
 

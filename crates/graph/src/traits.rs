@@ -19,25 +19,6 @@ pub fn fit_u32(n: usize) -> u32 {
     u32::try_from(n).expect("count exceeds the u32 id space")
 }
 
-/// A borrowed view of one node's adjacency as up to two ascending-id
-/// sorted runs (see [`WeightedGraph::row_view`]).
-///
-/// The two runs are individually sorted ascending by id, their id sets are
-/// disjoint, and merging them yields exactly the node's neighbor set. A
-/// fully-merged row has an empty tail, in which case the run slices *are*
-/// the row. `run_ids`/`run_ws` and `tail_ids`/`tail_ws` are parallel.
-#[derive(Debug, Clone, Copy)]
-pub struct RowView<'a> {
-    /// Main sorted run: neighbor ids ascending.
-    pub run_ids: &'a [NodeId],
-    /// Weights parallel to `run_ids`.
-    pub run_ws: &'a [f64],
-    /// Pending sorted tail (empty when the row is fully merged).
-    pub tail_ids: &'a [NodeId],
-    /// Weights parallel to `tail_ids`.
-    pub tail_ws: &'a [f64],
-}
-
 /// An undirected weighted graph with optional self-loops.
 ///
 /// Conventions (these must agree across every implementor, they are what
@@ -67,34 +48,34 @@ pub trait WeightedGraph {
         self.incident_weight(v) + self.self_loop(v)
     }
 
-    /// Calls `f(u, w)` for every neighbor `u ≠ v` with edge weight `w`.
-    ///
-    /// Iteration order is unspecified; deterministic algorithms must not
-    /// depend on it (they accumulate into per-community buckets instead).
+    /// Calls `f(u, w)` for every neighbor `u ≠ v` with edge weight `w`,
+    /// in **ascending id order**.
     ///
     /// Contract: each distinct neighbor is reported **exactly once**, with
     /// its total accumulated weight (parallel edges are merged at
     /// ingestion), and the number of callbacks equals
-    /// [`WeightedGraph::neighbor_count`]. The counting-sort CSR snapshot
-    /// ([`crate::CsrGraph::from_graph`]) sizes and fills its rows from
-    /// this agreement and verifies it at build time.
+    /// [`WeightedGraph::neighbor_count`]. Every order-dependent float fold
+    /// over a row (community link weights, incident weights, the delta
+    /// snapshot's sums) relies on the ascending order to be reproducible
+    /// bit for bit; [`crate::CsrGraph::from_graph`] checks order and
+    /// uniqueness on every row it copies.
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId, f64));
 
     /// Number of neighbors of `v` (excluding the self-loop).
     fn neighbor_count(&self, v: NodeId) -> usize;
 
-    /// The adjacency of `v` as sorted runs, when this graph stores rows
-    /// that way ([`RowView`]); `None` when only callback iteration is
-    /// available.
-    ///
-    /// Contract: an implementation must answer uniformly — `Some` for
-    /// every node or `None` for every node — so snapshot builders can pick
-    /// a copy strategy once per build. Consumers must produce bit-identical
-    /// results through either path (both iterate neighbors in the same
-    /// ascending order with the same weights); the view only removes the
-    /// callback indirection and enables blocked gathers over the slices.
-    fn row_view(&self, v: NodeId) -> Option<RowView<'_>> {
-        let _ = v;
-        None
+    /// Appends the row of `v` (ascending ids, weights parallel) to
+    /// `ids`/`ws` and returns its weight sum folded from 0 in that same
+    /// order: the one way a whole row leaves a graph. The default appends
+    /// from [`WeightedGraph::for_each_neighbor`]; graphs that store rows
+    /// override it with a copy.
+    fn copy_row_into(&self, v: NodeId, ids: &mut Vec<NodeId>, ws: &mut Vec<f64>) -> f64 {
+        let mut sum = 0.0f64;
+        self.for_each_neighbor(v, |u, w| {
+            ids.push(u);
+            ws.push(w);
+            sum += w;
+        });
+        sum
     }
 }

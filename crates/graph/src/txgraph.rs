@@ -10,7 +10,7 @@ use txallo_model::{AccountId, Block, Ledger, Transaction};
 
 use crate::interner::AccountInterner;
 use crate::slab::SortedRunStore;
-use crate::traits::{fit_u32, NodeId, RowView, WeightedGraph};
+use crate::traits::{fit_u32, NodeId, WeightedGraph};
 
 /// The interned node view of one block: per-transaction dense node ids
 /// plus the deduplicated touched set `V̂` — everything an epoch consumer
@@ -68,15 +68,14 @@ impl BlockNodes {
 /// assert_eq!(g.total_weight(), 2.0); // one unit of weight per transaction
 /// ```
 ///
-/// Per-node adjacency lives in a shared [`SortedRunStore`] arena: each row
-/// is an ascending-id sorted run with a small amortized-merge tail, so the
+/// Per-node adjacency lives in one shared sorted-run arena: each row is
+/// an ascending-id sorted run with a small amortized-merge tail, so the
 /// mutable graph is CSR-shaped *by construction* — repeated transactions
 /// between the same pair still accumulate weight in place (binary search
 /// instead of a hash probe, chronological accumulation either way), and
 /// every snapshot the sweep kernels run on assembles its rows by straight
-/// run copies instead of hash iteration plus sorting.
-/// [`TxGraph::for_each_neighbor`] therefore always reports neighbors in
-/// ascending id order. Per-node scalars (`incident weight`, self-loop) are
+/// run copies ([`WeightedGraph::copy_row_into`]) instead of hash iteration
+/// plus sorting. Per-node scalars (`incident weight`, self-loop) are
 /// flat vectors, following the perf-book advice to keep hot per-node state
 /// unboxed and index-addressed.
 #[derive(Debug, Clone, Default)]
@@ -114,10 +113,9 @@ impl TxGraph {
     /// float fields are chronological accumulations that must never be
     /// recomputed on restore.
     ///
-    /// The rows land fully merged in the slab
-    /// ([`SortedRunStore::push_row_from_sorted`]), so every later
-    /// ingestion, snapshot, and order-dependent float fold behaves exactly
-    /// as it would have on the uninterrupted graph.
+    /// The rows land fully merged in the slab, so every later ingestion,
+    /// snapshot, and order-dependent float fold behaves exactly as it
+    /// would have on the uninterrupted graph.
     #[allow(clippy::too_many_arguments)]
     pub fn from_checkpoint_parts(
         accounts: &[AccountId],
@@ -320,19 +318,6 @@ impl TxGraph {
         self.adjacency.get(a as usize, b).unwrap_or(0.0)
     }
 
-    /// Appends node `v`'s neighbors (ascending ids, weights parallel) to
-    /// `out_ids`/`out_ws`, returning the row's weight sum folded in that
-    /// same ascending order — the straight run copy the snapshot builders
-    /// use.
-    pub fn copy_row_into(
-        &self,
-        v: NodeId,
-        out_ids: &mut Vec<NodeId>,
-        out_ws: &mut Vec<f64>,
-    ) -> f64 {
-        self.adjacency.copy_row_into(v as usize, out_ids, out_ws)
-    }
-
     /// Nodes sorted by the canonical account-hash order the paper prescribes
     /// for deterministic sweeps (§V-B).
     pub fn nodes_in_canonical_order(&self) -> Vec<NodeId> {
@@ -384,9 +369,7 @@ impl WeightedGraph for TxGraph {
         self.incident[v as usize]
     }
 
-    /// Neighbors are reported in **ascending id order** (the sorted-run
-    /// invariant), so order-dependent float folds over the mutable graph
-    /// agree with the frozen CSR forms.
+    /// Merges the row's two sorted runs on the fly.
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId, f64)) {
         self.adjacency.for_each(v as usize, f);
     }
@@ -395,14 +378,10 @@ impl WeightedGraph for TxGraph {
         self.adjacency.row_len(v as usize)
     }
 
-    fn row_view(&self, v: NodeId) -> Option<RowView<'_>> {
-        let (run_ids, run_ws, tail_ids, tail_ws) = self.adjacency.row_parts(v as usize);
-        Some(RowView {
-            run_ids,
-            run_ws,
-            tail_ids,
-            tail_ws,
-        })
+    /// The slab's run copy: one slice copy for a fully merged row, a
+    /// two-run merge for a row with a pending tail.
+    fn copy_row_into(&self, v: NodeId, ids: &mut Vec<NodeId>, ws: &mut Vec<f64>) -> f64 {
+        self.adjacency.copy_row_into(v as usize, ids, ws)
     }
 }
 
@@ -795,30 +774,27 @@ mod tests {
     }
 
     #[test]
-    fn row_view_merges_to_the_full_row() {
+    fn copy_row_into_merges_to_the_full_row() {
+        // Forty partners in scrambled order leave node 0 with a pending
+        // tail; the copy appends the merged row after what the buffers
+        // already hold.
         let mut g = TxGraph::new();
         for i in 0..40u64 {
             g.ingest_transaction(&Transaction::transfer(a(0), a((i * 7) % 41 + 1)));
         }
         let n0 = g.node_of(a(0)).unwrap();
-        let view = g.row_view(n0).expect("TxGraph always exposes rows");
-        assert!(view.run_ids.windows(2).all(|p| p[0] < p[1]));
-        assert!(view.tail_ids.windows(2).all(|p| p[0] < p[1]));
-        let mut merged: Vec<(NodeId, f64)> = view
-            .run_ids
-            .iter()
-            .copied()
-            .zip(view.run_ws.iter().copied())
-            .chain(
-                view.tail_ids
-                    .iter()
-                    .copied()
-                    .zip(view.tail_ws.iter().copied()),
-            )
-            .collect();
-        merged.sort_unstable_by_key(|&(u, _)| u);
-        let mut reported = Vec::new();
-        g.for_each_neighbor(n0, |u, w| reported.push((u, w)));
-        assert_eq!(merged, reported);
+        let (mut ids, mut ws) = (vec![7u32], vec![0.5]);
+        let sum = g.copy_row_into(n0, &mut ids, &mut ws);
+        let (mut it_ids, mut it_ws, mut it_sum) = (vec![7u32], vec![0.5], 0.0f64);
+        g.for_each_neighbor(n0, |u, w| {
+            it_ids.push(u);
+            it_ws.push(w);
+            it_sum += w;
+        });
+        assert_eq!(ids, it_ids);
+        assert_eq!(ws, it_ws);
+        assert_eq!(sum.to_bits(), it_sum.to_bits());
+        assert_eq!(ids.len(), 1 + g.neighbor_count(n0));
+        assert!(ids[1..].windows(2).all(|p| p[0] < p[1]), "ascending");
     }
 }

@@ -26,7 +26,7 @@ pub mod refine;
 pub use aggregate::{aggregate_graph, AggregateScratch};
 pub use local_move::{local_moving_pass, LocalMoveOutcome};
 pub use modularity::modularity;
-pub use refine::{count_disconnected, split_disconnected};
+pub use refine::split_disconnected;
 
 use txallo_graph::{CsrGraph, WeightedGraph};
 
@@ -198,7 +198,7 @@ mod tests {
             assert_eq!(r.communities[v + 5], r.communities[5]);
         }
         assert_ne!(r.communities[0], r.communities[5]);
-        let q = modularity(&two_cliques(), &r.communities, 1.0);
+        let q = modularity(&two_cliques(), &r.communities);
         assert!(q > 0.3, "modularity should be high, got {q}");
     }
 
@@ -270,6 +270,6 @@ mod tests {
             res.community_count, r as usize,
             "each clique is its own community"
         );
-        assert!(modularity(&g, &res.communities, 1.0) > 0.6);
+        assert!(modularity(&g, &res.communities) > 0.6);
     }
 }

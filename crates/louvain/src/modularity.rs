@@ -2,14 +2,12 @@
 
 use txallo_graph::{fit_u32, WeightedGraph};
 
-/// Computes generalized modularity
-/// `Q = Σ_c [ w_in(c)/m − γ·(Σ_tot(c)/(2m))² ]`
+/// Computes classic modularity
+/// `Q = Σ_c [ w_in(c)/m − (Σ_tot(c)/(2m))² ]`
 /// where `m` is the total edge weight (each edge once, self-loops once),
 /// `w_in(c)` the intra-community weight (self-loops count once) and
 /// `Σ_tot(c)` the summed node strengths (self-loops count twice).
-///
-/// `resolution` is γ; 1.0 recovers classic modularity.
-pub fn modularity(graph: &impl WeightedGraph, communities: &[u32], resolution: f64) -> f64 {
+pub fn modularity(graph: &impl WeightedGraph, communities: &[u32]) -> f64 {
     assert_eq!(communities.len(), graph.node_count(), "one label per node");
     let m = graph.total_weight();
     if m <= 0.0 {
@@ -34,7 +32,7 @@ pub fn modularity(graph: &impl WeightedGraph, communities: &[u32], resolution: f
     }
     let mut q = 0.0;
     for c in 0..community_count {
-        q += intra[c] / m - resolution * (totals[c] / (2.0 * m)).powi(2);
+        q += intra[c] / m - (totals[c] / (2.0 * m)).powi(2);
     }
     q
 }
@@ -48,7 +46,7 @@ mod tests {
     fn single_community_has_zero_ish_modularity() {
         // All nodes in one community: Q = 1 - 1 = 0 for any connected graph.
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
-        let q = modularity(&g, &[0, 0, 0], 1.0);
+        let q = modularity(&g, &[0, 0, 0]);
         assert!(
             q.abs() < 1e-12,
             "Q of the trivial partition must be 0, got {q}"
@@ -58,7 +56,7 @@ mod tests {
     #[test]
     fn all_singletons_give_negative_modularity() {
         let g = CsrGraph::from_edges(3, vec![(0u32, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
-        let q = modularity(&g, &[0, 1, 2], 1.0);
+        let q = modularity(&g, &[0, 1, 2]);
         assert!(
             q < 0.0,
             "singleton partition of a clique has Q < 0, got {q}"
@@ -80,8 +78,8 @@ mod tests {
                 (2, 3, 0.2),
             ],
         );
-        let good = modularity(&g, &[0, 0, 0, 1, 1, 1], 1.0);
-        let bad = modularity(&g, &[0, 1, 0, 1, 0, 1], 1.0);
+        let good = modularity(&g, &[0, 0, 0, 1, 1, 1]);
+        let bad = modularity(&g, &[0, 1, 0, 1, 0, 1]);
         assert!(good > bad, "good={good} bad={bad}");
         assert!(good > 0.3);
     }
@@ -90,17 +88,7 @@ mod tests {
     fn self_loops_count_toward_intra_weight() {
         let g = CsrGraph::from_edges(2, vec![(0u32, 0u32, 1.0), (0, 1, 1.0)]);
         // m = 2; community {0,1}: intra = 2 => Q = 2/2 - (4/4)^2 = 0
-        let q = modularity(&g, &[0, 0], 1.0);
+        let q = modularity(&g, &[0, 0]);
         assert!(q.abs() < 1e-12, "got {q}");
-    }
-
-    #[test]
-    fn resolution_shifts_the_balance() {
-        let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
-        let split = |gamma: f64| modularity(&g, &[0, 0, 1, 1], gamma);
-        assert!(
-            split(1.0) > split(2.0),
-            "higher resolution penalizes communities more"
-        );
     }
 }

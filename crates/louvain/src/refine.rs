@@ -49,26 +49,6 @@ pub fn split_disconnected(graph: &impl WeightedGraph, labels: &[u32]) -> Compact
     compact_labels(&fragment)
 }
 
-/// Number of communities in `labels` that are internally disconnected.
-pub fn count_disconnected(graph: &impl WeightedGraph, labels: &[u32]) -> usize {
-    let split = split_disconnected(graph, labels);
-    // Each disconnected community contributes ≥ 1 extra fragment; count
-    // communities whose fragment count exceeds one.
-    let mut community_of_fragment: Vec<Option<u32>> = vec![None; split.count];
-    let mut extra_fragments_per_community = std::collections::BTreeMap::<u32, usize>::new();
-    for (&label, &frag) in labels.iter().zip(split.labels.iter()) {
-        let frag = frag as usize;
-        if community_of_fragment[frag].is_none() {
-            community_of_fragment[frag] = Some(label);
-            *extra_fragments_per_community.entry(label).or_insert(0) += 1;
-        }
-    }
-    extra_fragments_per_community
-        .values()
-        .filter(|&&c| c > 1)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +71,6 @@ mod tests {
         let labels = vec![0, 0, 0, 1, 1, 1];
         let split = split_disconnected(&g, &labels);
         assert_eq!(split.count, 2);
-        assert_eq!(count_disconnected(&g, &labels), 0);
         // Same-community relations preserved.
         assert_eq!(split.labels[0], split.labels[1]);
         assert_ne!(split.labels[0], split.labels[3]);
@@ -107,7 +86,6 @@ mod tests {
         assert_eq!(split.labels[0], split.labels[1]);
         assert_eq!(split.labels[2], split.labels[3]);
         assert_ne!(split.labels[0], split.labels[2]);
-        assert_eq!(count_disconnected(&g, &labels), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ proptest! {
         labels in prop::collection::vec(0u32..5, 20),
     ) {
         let g = CsrGraph::from_edges(20, edges);
-        let q = modularity(&g, &labels, 1.0);
+        let q = modularity(&g, &labels);
         prop_assert!((-1.0..=1.0).contains(&q), "Q = {q}");
     }
 
@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn trivial_partition_zero(edges in edges_strategy(15, 40)) {
         let g = CsrGraph::from_edges(15, edges);
-        let q = modularity(&g, &[0u32; 15], 1.0);
+        let q = modularity(&g, &[0u32; 15]);
         prop_assert!(q.abs() < 1e-9, "Q = {q}");
     }
 
@@ -38,10 +38,10 @@ proptest! {
         let result = louvain(&g);
         prop_assert_eq!(result.communities.len(), g.node_count());
         prop_assert!(result.communities.iter().all(|&c| (c as usize) < result.community_count));
-        let trivial = modularity(&g, &[0u32; 24], 1.0);
+        let trivial = modularity(&g, &[0u32; 24]);
         let singletons: Vec<u32> = (0..24u32).collect();
-        let single_q = modularity(&g, &singletons, 1.0);
-        let q = modularity(&g, &result.communities, 1.0);
+        let single_q = modularity(&g, &singletons);
+        let q = modularity(&g, &result.communities);
         prop_assert!(q >= trivial - 1e-9);
         prop_assert!(q >= single_q - 1e-9);
     }
@@ -60,9 +60,9 @@ proptest! {
         let agg = aggregate_graph(&g, &compact.labels, compact.count, scratch);
         prop_assert!((agg.total_weight() - g.total_weight()).abs() < 1e-9);
         // Q of the partition on g == Q of singletons on the aggregate.
-        let q_fine = modularity(&g, &compact.labels, 1.0);
+        let q_fine = modularity(&g, &compact.labels);
         let singleton: Vec<u32> = (0..compact.count as u32).collect();
-        let q_coarse = modularity(&agg, &singleton, 1.0);
+        let q_coarse = modularity(&agg, &singleton);
         prop_assert!((q_fine - q_coarse).abs() < 1e-9, "{q_fine} vs {q_coarse}");
     }
 
@@ -101,7 +101,7 @@ fn modularity_hand_computed() {
     // Two disjoint edges, m = 2. Partition = the two pairs:
     // Q = Σ [w_in/m − (Σ_tot/2m)²] = 2·(1/2 − (2/4)²) = 2·(0.5−0.25) = 0.5.
     let g = CsrGraph::from_edges(4, vec![(0u32, 1, 1.0), (2, 3, 1.0)]);
-    let q = modularity(&g, &[0, 0, 1, 1], 1.0);
+    let q = modularity(&g, &[0, 0, 1, 1]);
     assert!((q - 0.5).abs() < 1e-12, "Q = {q}");
     let _ = (0..4 as NodeId).count();
 }

@@ -45,8 +45,9 @@ pub(crate) fn grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64
 }
 
 /// Multilevel 2-way partition of `graph` with proportional targets
-/// `frac : (1 − frac)` of its total vertex weight at every level.
-fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> Vec<u32> {
+/// `frac : (1 − frac)` of its total vertex weight at every level. Returns
+/// the parts and the V-cycle's level count.
+fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> (Vec<u32>, usize) {
     let total: f64 = vertex_weights.iter().sum();
     let targets = [total * frac, total * (1.0 - frac)];
     v_cycle(
@@ -56,11 +57,11 @@ fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> Ve
         |level| grow_bisection(&level.graph, &level.vertex_weights, frac),
         |_| targets.to_vec(),
     )
-    .0
 }
 
 /// Recursive-bisection k-way partitioning over a node subset of the base
-/// graph. Part ids `offset..offset + k` are written into `out`.
+/// graph. Part ids `offset..offset + k` are written into `out`. Returns the
+/// level count of the deepest V-cycle it ran (0 when it bisected nothing).
 fn recurse(
     base: &CsrGraph,
     vertex_weights: &[f64],
@@ -69,12 +70,12 @@ fn recurse(
     offset: u32,
     out: &mut [u32],
     local_of: &mut DenseIndexMap,
-) {
+) -> usize {
     if k <= 1 || nodes.len() <= 1 {
         for &v in &nodes {
             out[v as usize] = offset;
         }
-        return;
+        return 0;
     }
     // Build the induced subgraph with dense local ids (the stamped index
     // map is shared across the whole recursion — no per-step allocation).
@@ -102,7 +103,7 @@ fn recurse(
 
     let k_left = k.div_ceil(2);
     let frac = k_left as f64 / k as f64;
-    let halves = multilevel_bisect(induced, weights, frac);
+    let (halves, levels) = multilevel_bisect(induced, weights, frac);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -113,8 +114,8 @@ fn recurse(
             right.push(v);
         }
     }
-    recurse(base, vertex_weights, left, k_left, offset, out, local_of);
-    recurse(
+    let left_levels = recurse(base, vertex_weights, left, k_left, offset, out, local_of);
+    let right_levels = recurse(
         base,
         vertex_weights,
         right,
@@ -123,6 +124,7 @@ fn recurse(
         out,
         local_of,
     );
+    levels.max(left_levels).max(right_levels)
 }
 
 /// K-way partitioning of `graph` into `parts` parts by recursive
@@ -141,8 +143,7 @@ pub fn recursive_bisection_partition(graph: &impl WeightedGraph, parts: usize) -
     let mut labels = vec![0u32; n];
     let nodes: Vec<NodeId> = (0..fit_u32(n)).collect();
     let mut local_of = DenseIndexMap::new();
-    recurse(&base, &weights, nodes, parts, 0, &mut labels, &mut local_of);
-    let levels = (parts as f64).log2().ceil() as usize;
+    let levels = recurse(&base, &weights, nodes, parts, 0, &mut labels, &mut local_of);
     MetisResult {
         parts: labels,
         levels,

@@ -74,7 +74,8 @@ fn vertex_weights(graph: &impl WeightedGraph) -> Vec<f64> {
 pub struct MetisResult {
     /// Part id per node, in `0..parts`.
     pub parts: Vec<u32>,
-    /// Number of coarsening levels used.
+    /// Number of coarsening levels of the deepest V-cycle run (0 when no
+    /// V-cycle ran, as for one part).
     pub levels: usize,
 }
 

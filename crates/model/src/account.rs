@@ -40,19 +40,6 @@ impl From<u64> for AccountId {
     }
 }
 
-/// Kind of an account (§II-A): externally owned vs. smart-contract.
-///
-/// Contract accounts are typically far more active, which is what produces
-/// the long-tailed activity distribution of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccountKind {
-    /// Externally Owned Account — an ordinary client key pair.
-    #[default]
-    ExternallyOwned,
-    /// Contract Account — owned by a smart contract.
-    Contract,
-}
-
 /// Identifier of a shard, `0..k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ShardId(pub u32);

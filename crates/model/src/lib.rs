@@ -24,7 +24,7 @@ pub mod hash;
 pub mod ledger;
 pub mod transaction;
 
-pub use account::{AccountId, AccountKind, ShardId};
+pub use account::{AccountId, ShardId};
 pub use block::{Block, BlockHeight};
 pub use error::ModelError;
 pub use hash::{FxHashMap, FxHashSet};

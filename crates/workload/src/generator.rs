@@ -125,11 +125,6 @@ impl EthereumLikeGenerator {
         AccountId(0)
     }
 
-    /// Group count after clamping to the account budget.
-    pub fn group_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// The latent group of a static account (useful as ground truth in
     /// tests and examples).
     pub fn group_of(&self, account: AccountId) -> Option<u32> {

@@ -198,11 +198,6 @@ impl StreamingWorkload {
         AccountId(0)
     }
 
-    /// Group count after clamping to the account budget.
-    pub fn group_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Static accounts in the universe (births mint ids above this).
     pub fn initial_accounts(&self) -> u64 {
         self.config.accounts as u64
