@@ -12,10 +12,12 @@ use txallo_louvain::louvain;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
 use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
 
+use crate::components;
 use crate::harness::{
     build_dataset, eta_sweep, k_sweep, run_allocator, AllocatorKind, ExperimentScale, ResultWriter,
     ALL_ALLOCATORS,
 };
+use crate::stream_bench::{run_stream_bench, StreamBenchConfig};
 
 /// One row of the Figures 2–8 sweep.
 pub struct SweepRow {
@@ -615,359 +617,96 @@ pub fn recency(scale: ExperimentScale) {
     }
 }
 
-/// Timed snapshot of the sweep hot-path components on the 5k-account /
-/// 40k-transaction component workload, dumped as JSON (`BENCH_pr<N>.json`)
-/// so successive PRs accumulate a perf trajectory. Each number is the
-/// median of `reps` runs, in milliseconds.
-pub fn bench_snapshot(out_path: &str) {
-    use std::time::Instant;
-    use txallo_core::{AtxAlloSession, GTxAllo, GTxAlloPlan};
-    use txallo_graph::CsrGraph;
-    use txallo_louvain::{louvain_csr, LouvainConfig};
+/// The perf snapshot (`BENCH_*.json`): the median of every
+/// [`components`] case under its name, then checkpoint recovery, the
+/// fault-run tallies, the component graph's memory and the 1M-account
+/// streamed replay. Prints the JSON and writes it to `out_path`, which must
+/// not exist yet: a snapshot is a committed baseline, never overwritten.
+pub fn bench_snapshot(out_path: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    use txallo_chain::{ChainService, ChainServiceConfig, FaultPlan};
 
-    fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-        let mut samples: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    }
+    let run = components::run(false, |t| eprintln!("{t}"));
 
-    let cfg = WorkloadConfig {
-        accounts: 5_000,
-        transactions: 40_000,
-        block_size: 100,
-        groups: 80,
-        ..WorkloadConfig::default()
+    // Recovery: restarting the epoch service from a checkpoint (decode +
+    // import of the serialized labels/aggregates/graph) vs the §V-B cold
+    // path (re-ingest the whole history, one global solve). Also the
+    // protocol cost a faulty run pays, from the substrate's own tallies:
+    // timeout retries and Atomix aborts under a mixed fault plan.
+    let service_cfg = || ChainServiceConfig {
+        epoch_blocks: 10,
+        ..ChainServiceConfig::new(4)
     };
-    let mut generator = EthereumLikeGenerator::new(cfg, 42);
-    let ledger = generator.default_ledger();
-    let graph = txallo_graph::TxGraph::from_ledger(&ledger);
-    let k = 20;
-    let params = TxAlloParams::for_graph(&graph, k);
-    let reps = 15;
-
-    // Ingestion: sorted-run slab adjacency vs the preserved hash-map
-    // adjacency (`ingest/` bench group; same-run ratio). Measured once and
-    // reported under both `graph_from_ledger` (the key earlier BENCH
-    // snapshots used) and `ingest_ledger` (paired with its seed) — they
-    // are the same quantity.
-    let ingest_ledger = median_ms(reps, || {
-        std::hint::black_box(txallo_graph::TxGraph::from_ledger(&ledger));
+    let mut generator = EthereumLikeGenerator::new(components::workload(), 42);
+    let warm_blocks = generator.blocks(100);
+    let live_blocks = generator.blocks(60);
+    let mut service = ChainService::new(service_cfg());
+    service.set_fault_plan(FaultPlan::mixed(7));
+    service.warmup(&warm_blocks);
+    service.run(&live_blocks);
+    let faults = service.report();
+    let image = service.checkpoint().expect("boundary checkpoint");
+    let reps = components::COMPONENT_SAMPLES;
+    let cold = components::time("recovery_cold_init", reps, || {
+        let mut cold = ChainService::new(service_cfg());
+        cold.warmup(&warm_blocks);
+        cold.allocation().len()
     });
-    let from_ledger = ingest_ledger;
-    let ingest_ledger_seed = median_ms(reps, || {
-        std::hint::black_box(crate::seed_ref::SeedTxGraph::from_ledger(&ledger));
+    let warm = components::time("recovery_warm_resume", reps, || {
+        let resumed = ChainService::resume(service_cfg(), &image).expect("resume");
+        resumed.allocation().len()
     });
-    let csr_snapshot = median_ms(reps, || {
-        std::hint::black_box(CsrGraph::from_graph(&graph));
-    });
-    // The preserved pre-radix build (edge-list extraction + per-row sort)
-    // — the same-run baseline for the counting-sort snapshot.
-    let csr_snapshot_seed = median_ms(reps, || {
-        std::hint::black_box(crate::seed_ref::seed_csr_from_graph(&graph));
-    });
-    // The plan's renumbered snapshot on its own — the CSR share of
-    // G-TxAllo's init cost, reported separately from the Louvain share.
-    let plan_csr = {
-        let order = graph.nodes_in_canonical_order();
-        let mut new_id = vec![0u32; order.len()];
-        for (i, &v) in order.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
-        median_ms(reps, || {
-            std::hint::black_box(CsrGraph::from_graph_relabeled(&graph, &new_id));
-        })
-    };
-    let csr = CsrGraph::from_graph(&graph);
-    let louvain_full = median_ms(reps, || {
-        std::hint::black_box(txallo_louvain::louvain(&graph));
-    });
-    let louvain_flat = median_ms(reps, || {
-        std::hint::black_box(louvain_csr(&csr));
-    });
-    let plan = GTxAlloPlan::new(&graph, &LouvainConfig);
-    let gtx = GTxAllo::new(params.clone());
-    let optimize_only = median_ms(reps, || {
-        std::hint::black_box(gtx.allocate_planned(&plan));
-    });
-    let end_to_end = median_ms(reps, || {
-        std::hint::black_box(gtx.allocate_graph(&graph));
-    });
-
-    let prev = gtx.allocate_graph(&graph);
-    // Per-candidate gain evaluation over the converged k-shard state
-    // (σ ≈ λ there, so both throughput regimes are exercised): cached
-    // fast path vs the pre-cache formula recompute, bit-identical results.
-    let (gain_eval, gain_eval_seed) = {
-        use txallo_core::{CommunityState, MoveScratch};
-        let kstate =
-            CommunityState::from_labels(&csr, prev.labels(), k, params.eta, params.capacity);
-        let mut scratch = MoveScratch::default();
-        let fast = median_ms(reps, || {
-            std::hint::black_box(crate::seed_ref::gain_sweep_fast(
-                &csr,
-                prev.labels(),
-                &kstate,
-                &mut scratch,
-            ));
-        });
-        let seed = median_ms(reps, || {
-            std::hint::black_box(crate::seed_ref::gain_sweep_seed(
-                &csr,
-                prev.labels(),
-                &kstate,
-                &mut scratch,
-            ));
-        });
-        (fast, seed)
-    };
-    let mut graph2 = graph.clone();
-    let new_blocks = generator.blocks(10);
-    let new_nodes: Vec<txallo_graph::BlockNodes> = new_blocks
-        .iter()
-        .map(|b| graph2.ingest_block_nodes(b))
-        .collect();
-    let mut touched: Vec<u32> = new_nodes
-        .iter()
-        .flat_map(|n| n.touched().iter().copied())
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-    let params2 = TxAlloParams::for_graph(&graph2, k);
-    let touched_fraction = touched.len() as f64 / {
-        use txallo_graph::WeightedGraph;
-        graph2.node_count() as f64
-    };
-    // Snapshot assembly over the touched set: straight run copies vs the
-    // seed per-row hash gather + packed-key sort (`snapshot/` group).
-    let (snapshot_touched, snapshot_touched_seed) = {
-        let mut seed_graph2 = crate::seed_ref::SeedTxGraph::from_ledger(&ledger);
-        for b in &new_blocks {
-            seed_graph2.ingest_block(b);
-        }
-        let mut snap = txallo_graph::DeltaCsr::default();
-        let fast = median_ms(reps, || {
-            snap.refill_touched(&graph2, &touched);
-            std::hint::black_box(snap.len());
-        });
-        let mut rows = crate::seed_ref::SeedDeltaRows::default();
-        let seed = median_ms(reps, || {
-            crate::seed_ref::seed_delta_rows(&seed_graph2, &touched, &mut rows);
-            std::hint::black_box(rows.node.len());
-        });
-        (fast, seed)
-    };
-    // Serving configuration: warm session (aggregates carried across
-    // epochs), delta folding + delta-CSR sweep per epoch.
-    let warm = AtxAlloSession::new(&graph, &prev, &params2);
-    let atxallo_epoch = median_ms(reps, || {
-        let mut session = warm.clone();
-        for nodes in &new_nodes {
-            session.apply_block_nodes(nodes);
-        }
-        std::hint::black_box(session.update(&graph2, &touched, &params2));
-    });
-    // The public serving surface: the same warm session driven through
-    // the `StreamingAllocator` API (`on_block_nodes` + `end_epoch`),
-    // including the move-diff construction the service layer adds.
-    let stream_warm = {
-        use txallo_core::StreamingAllocator;
-        let mut stream = txallo_core::HybridStream::new(
-            params2.clone(),
-            txallo_core::HybridSchedule::AlwaysAdaptive,
-        );
-        stream.begin(&graph, &params2);
-        stream
-    };
-    let atxallo_epoch_stream = median_ms(reps, || {
-        use txallo_core::StreamingAllocator;
-        let mut stream = stream_warm.clone();
-        for (blk, nodes) in new_blocks.iter().zip(&new_nodes) {
-            stream.on_block_nodes(&graph2, blk, nodes);
-        }
-        std::hint::black_box(stream.end_epoch(&graph2, txallo_core::EpochKind::Scheduled));
-    });
-    // A one-shot update: a fresh session per call, so the aggregates are
-    // rebuilt from the graph.
-    let atxallo_incremental = median_ms(reps, || {
-        let mut session = AtxAlloSession::new(&graph2, &prev, &params2);
-        std::hint::black_box(session.update(&graph2, &touched, &params2));
-    });
-    // The seed implementation, same-run: the honest baseline for the
-    // speedup claim regardless of machine drift between PR snapshots.
-    let atxallo_seed = median_ms(reps, || {
-        std::hint::black_box(crate::seed_ref::seed_atxallo_update(
-            &params2, &graph2, &prev, &touched,
-        ));
-    });
-
-    // The 50k/400k scale workload: where the §VI-B6 init cost actually
-    // bites; the CSR build ratio at this size is the tentpole claim.
-    let scale_reps = 5;
-    let big = {
-        let cfg = WorkloadConfig {
-            accounts: 50_000,
-            transactions: 400_000,
-            block_size: 200,
-            groups: 800,
-            ..WorkloadConfig::default()
-        };
-        let mut generator = EthereumLikeGenerator::new(cfg, 42);
-        txallo_graph::TxGraph::from_ledger(&generator.default_ledger())
-    };
-    let scale_csr_build = median_ms(scale_reps, || {
-        std::hint::black_box(CsrGraph::from_graph(&big));
-    });
-    let scale_csr_build_seed = median_ms(scale_reps, || {
-        std::hint::black_box(crate::seed_ref::seed_csr_from_graph(&big));
-    });
-    let scale_plan_csr = {
-        let order = big.nodes_in_canonical_order();
-        let mut new_id = vec![0u32; order.len()];
-        for (i, &v) in order.iter().enumerate() {
-            new_id[v as usize] = i as u32;
-        }
-        median_ms(scale_reps, || {
-            std::hint::black_box(CsrGraph::from_graph_relabeled(&big, &new_id));
-        })
-    };
-    let scale_end_to_end = {
-        let gtx = GTxAllo::new(TxAlloParams::for_graph(&big, 40));
-        median_ms(scale_reps, || {
-            std::hint::black_box(gtx.allocate_graph(&big));
-        })
-    };
-
-    // Recovery (PR 6): restarting the epoch service from a checkpoint
-    // (decode + import of the serialized labels/aggregates/graph) vs the
-    // §V-B cold path (re-ingest the whole history, one global solve).
-    // Also the protocol cost a faulty run pays, from the substrate's own
-    // tallies: timeout retries and Atomix aborts under a mixed fault plan.
-    let (
-        recovery_cold_init,
-        recovery_warm_resume,
-        recovery_image_kib,
-        fault_retries,
-        fault_aborted,
-        fault_migrations_aborted,
-        fault_crash_outages,
-    ) = {
-        use txallo_chain::{ChainService, ChainServiceConfig, FaultPlan};
-        let service_cfg = || ChainServiceConfig {
-            epoch_blocks: 10,
-            ..ChainServiceConfig::new(4)
-        };
-        let trace_cfg = WorkloadConfig {
-            accounts: 5_000,
-            transactions: 40_000,
-            block_size: 100,
-            groups: 80,
-            ..WorkloadConfig::default()
-        };
-        let mut generator = EthereumLikeGenerator::new(trace_cfg, 42);
-        let warm_blocks = generator.blocks(100);
-        let live_blocks = generator.blocks(60);
-
-        let mut service = ChainService::new(service_cfg());
-        service.set_fault_plan(FaultPlan::mixed(7));
-        service.warmup(&warm_blocks);
-        service.run(&live_blocks);
-        let report = service.report();
-        let image = service.checkpoint().expect("boundary checkpoint");
-
-        // Cold: everything the checkpoint lets us skip — replaying the
-        // history into the graph and re-running the global solve.
-        let cold = median_ms(reps, || {
-            let mut cold = ChainService::new(service_cfg());
-            cold.warmup(&warm_blocks);
-            std::hint::black_box(cold.allocation().len());
-        });
-        // Warm: decode + validate + import the image; no solve at all.
-        let warm = median_ms(reps, || {
-            let resumed = ChainService::resume(service_cfg(), &image).expect("resume");
-            std::hint::black_box(resumed.allocation().len());
-        });
-        (
-            cold,
-            warm,
-            image.len() as f64 / 1024.0,
-            report.retries,
-            report.aborted,
-            report.migrations_aborted,
-            report.crash_outages,
-        )
-    };
-
-    // Memory accounting of the component workload's graph and warm
-    // session (PR 8: the `MemoryFootprint` surface, reported in every
-    // snapshot from here on).
-    let footprint = graph2.memory_footprint();
-    let session_bytes = warm.approx_bytes();
 
     // Streaming replay: a million-account epoch loop through the full
     // service surface, ledger never materialized, every graph row in core.
-    // Per-phase decomposition in seconds (§VI-B6 style).
     eprintln!("# running streaming replay (1M accounts; this is the slow part)...");
-    let stream_replay = crate::stream_bench::run_stream_bench(
-        &crate::stream_bench::StreamBenchConfig::at_scale(1_000_000),
-    )
-    .to_json();
+    let stream_replay = run_stream_bench(&StreamBenchConfig::at_scale(1_000_000)).to_json();
 
+    let cases: String = run
+        .timings
+        .iter()
+        .map(|t| format!("  \"{}\": {:.3},\n", t.name, t.median_ms()))
+        .collect();
+    let footprint = run.footprint;
     let json = format!(
-        "{{\n  \"workload\": {{\"accounts\": 5000, \"transactions\": 40000, \"k\": {k}, \"seed\": 42}},\n  \
-         \"unit\": \"ms (median of {reps})\",\n  \
-         \"graph_from_ledger\": {from_ledger:.3},\n  \
-         \"ingest_ledger\": {ingest_ledger:.3},\n  \
-         \"ingest_ledger_seed\": {ingest_ledger_seed:.3},\n  \
-         \"snapshot_touched\": {snapshot_touched:.3},\n  \
-         \"snapshot_touched_seed\": {snapshot_touched_seed:.3},\n  \
-         \"csr_snapshot\": {csr_snapshot:.3},\n  \
-         \"csr_snapshot_seed\": {csr_snapshot_seed:.3},\n  \
-         \"plan_csr\": {plan_csr:.3},\n  \
-         \"louvain_full\": {louvain_full:.3},\n  \
-         \"louvain_csr\": {louvain_flat:.3},\n  \
-         \"gtxallo_optimize_only\": {optimize_only:.3},\n  \
-         \"gtxallo_end_to_end\": {end_to_end:.3},\n  \
-         \"gain_eval\": {gain_eval:.3},\n  \
-         \"gain_eval_seed\": {gain_eval_seed:.3},\n  \
-         \"atxallo_epoch_update\": {atxallo_epoch:.3},\n  \
-         \"atxallo_epoch_update_stream\": {atxallo_epoch_stream:.3},\n  \
-         \"atxallo_epoch_update_incremental\": {atxallo_incremental:.3},\n  \
-         \"atxallo_epoch_update_seed\": {atxallo_seed:.3},\n  \
-         \"atxallo_touched_fraction\": {touched_fraction:.4},\n  \
-         \"scale_workload\": {{\"accounts\": 50000, \"transactions\": 400000, \"k\": 40, \"seed\": 42}},\n  \
-         \"scale_unit\": \"ms (median of {scale_reps})\",\n  \
-         \"scale_csr_build\": {scale_csr_build:.3},\n  \
-         \"scale_csr_build_seed\": {scale_csr_build_seed:.3},\n  \
-         \"scale_plan_csr\": {scale_plan_csr:.3},\n  \
-         \"scale_gtxallo_end_to_end\": {scale_end_to_end:.3},\n  \
+        "{{\n  \"fixtures\": \"txallo_bench::components: 5k acct / 40k tx + a 10-block epoch, k = 20; \
+         50k acct / 400k tx, k = 40 (METIS k = 20); experiment scale 0.15, eta = 2; all seed 42\",\n  \
+         \"unit\": \"ms, median of each case's samples\",\n  \
+         \"samples\": {{\"components\": {}, \"scale\": {}, \"allocators\": {}}},\n\
+         {cases}  \
+         \"atxallo_touched_fraction\": {:.4},\n  \
          \"recovery_workload\": {{\"warm_blocks\": 100, \"live_blocks\": 60, \"epoch_blocks\": 10, \"k\": 4, \"fault_seed\": 7}},\n  \
-         \"recovery_cold_init\": {recovery_cold_init:.3},\n  \
-         \"recovery_warm_resume\": {recovery_warm_resume:.3},\n  \
-         \"recovery_image_kib\": {recovery_image_kib:.1},\n  \
-         \"fault_run_retries\": {fault_retries},\n  \
-         \"fault_run_aborted\": {fault_aborted},\n  \
-         \"fault_run_migrations_aborted\": {fault_migrations_aborted},\n  \
-         \"fault_run_crash_outages\": {fault_crash_outages},\n  \
-         \"memory_footprint\": {{\"slab_arena_bytes\": {slab_arena}, \"slab_live_entries\": {slab_live}, \
-         \"node_scalar_bytes\": {node_scalar}, \"interner_bytes\": {interner}, \
-         \"graph_resident_bytes\": {graph_resident}, \"session_bytes\": {session_bytes}}},\n  \
+         \"recovery_cold_init\": {:.3},\n  \
+         \"recovery_warm_resume\": {:.3},\n  \
+         \"recovery_image_kib\": {:.1},\n  \
+         \"fault_run_retries\": {},\n  \
+         \"fault_run_aborted\": {},\n  \
+         \"fault_run_migrations_aborted\": {},\n  \
+         \"fault_run_crash_outages\": {},\n  \
+         \"memory_footprint\": {{\"slab_arena_bytes\": {}, \"slab_live_entries\": {}, \
+         \"node_scalar_bytes\": {}, \"interner_bytes\": {}, \
+         \"graph_resident_bytes\": {}, \"session_bytes\": {}}},\n  \
          \"stream_replay\": {stream_replay}\n}}\n",
-        slab_arena = footprint.slab_arena_bytes,
-        slab_live = footprint.slab_live_entries,
-        node_scalar = footprint.node_scalar_bytes,
-        interner = footprint.interner_bytes,
-        graph_resident = footprint.resident_bytes(),
+        components::COMPONENT_SAMPLES,
+        components::SCALE_SAMPLES,
+        components::ALLOCATOR_SAMPLES,
+        run.touched_fraction,
+        cold.median_ms(),
+        warm.median_ms(),
+        image.len() as f64 / 1024.0,
+        faults.retries,
+        faults.aborted,
+        faults.migrations_aborted,
+        faults.crash_outages,
+        footprint.slab_arena_bytes,
+        footprint.slab_live_entries,
+        footprint.node_scalar_bytes,
+        footprint.interner_bytes,
+        footprint.resident_bytes(),
+        run.session_bytes,
     );
     print!("{json}");
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("# could not write {out_path}: {e}");
-    } else {
-        eprintln!("# wrote {out_path}");
-    }
+    std::fs::File::create_new(out_path)?.write_all(json.as_bytes())?;
+    eprintln!("# wrote {out_path}");
+    Ok(())
 }

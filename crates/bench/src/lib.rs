@@ -3,11 +3,13 @@
 //! Every figure/table of the paper's §VI maps to one function in
 //! [`figures`]; the `experiments` binary dispatches to them. Results are
 //! printed as CSV rows (same axes as the paper) and mirrored into
-//! `results/<experiment>.csv`.
+//! `results/<experiment>.csv`. The timed component cases, and the runner
+//! that times them, are [`components`].
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
+pub mod components;
 pub mod figures;
 pub mod harness;
 pub mod seed_ref;

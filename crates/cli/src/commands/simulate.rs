@@ -1,9 +1,11 @@
-//! `txallo simulate` — run the epoch simulator on a synthetic stream.
+//! `txallo simulate` — run the epoch simulator on a synthetic stream, each
+//! block synthesized on demand (streamed replay), so the ledger is never
+//! materialized and any `--accounts` scale fits.
 
 use txallo_core::AllocatorRegistry;
 use txallo_graph::WeightedGraph;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
-use txallo_workload::{EthereumLikeGenerator, StreamingWorkload, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 use crate::args::ArgMap;
 use crate::commands::eta_flag;
@@ -18,7 +20,6 @@ pub const FLAGS: &[&str] = &[
     "seed",
     "eta",
     "decay",
-    "stream",
     "accounts",
 ];
 
@@ -31,9 +32,6 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let seed: u64 = args.parsed_or("seed", 42)?;
     let eta = eta_flag(args)?;
     let decay = args.checked_f64("decay", 1.0, "in (0, 1]", |d| d > 0.0 && d <= 1.0)?;
-    // Streamed replay: synthesize blocks on demand (`--stream true`)
-    // instead of materializing the whole ledger up front.
-    let stream_mode: bool = args.parsed_or("stream", false)?;
     let accounts: usize = args.parsed_or("accounts", WorkloadConfig::default().accounts)?;
     let method = args.get("method").unwrap_or("txallo");
     if shards == 0 || epochs == 0 || epoch_blocks == 0 {
@@ -73,27 +71,14 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     });
 
     let warm_blocks = epoch_blocks as u64 * epochs;
-    let reports = if stream_mode {
-        let w = StreamingWorkload::new(config, seed);
-        let warm_time = sim.warmup_streamed(w.block_iter(0..warm_blocks));
-        eprintln!(
-            "warm-up: {} accounts, initial {method} solve in {warm_time:.2?}",
-            sim.graph().node_count()
-        );
-        println!("epoch,algo,gamma,throughput_times,new_accounts,migrated,update_seconds");
-        sim.run_stream_with(epochs, |e| w.epoch_blocks(e + epochs, epoch_blocks as u64))
-    } else {
-        let mut generator = EthereumLikeGenerator::new(config, seed);
-        let warm = generator.blocks(warm_blocks);
-        let stream = generator.blocks(warm_blocks);
-        let warm_time = sim.warmup(&warm);
-        eprintln!(
-            "warm-up: {} accounts, initial {method} solve in {warm_time:.2?}",
-            sim.graph().node_count()
-        );
-        println!("epoch,algo,gamma,throughput_times,new_accounts,migrated,update_seconds");
-        sim.run_stream(&stream)
-    };
+    let w = StreamingWorkload::new(config, seed);
+    let warm_time = sim.warmup_streamed(w.block_iter(0..warm_blocks));
+    eprintln!(
+        "warm-up: {} accounts, initial {method} solve in {warm_time:.2?}",
+        sim.graph().node_count()
+    );
+    println!("epoch,algo,gamma,throughput_times,new_accounts,migrated,update_seconds");
+    let reports = sim.run_stream_with(epochs, |e| w.epoch_blocks(e + epochs, epoch_blocks as u64));
     let mut sum_tp = 0.0;
     for r in &reports {
         sum_tp += r.metrics.throughput_normalized;

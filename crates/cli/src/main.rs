@@ -9,7 +9,7 @@
 //! txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
 //! txallo simulate  [--method <name>] [--shards N] [--epochs N]
 //!                  [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
-//!                  [--stream true] [--accounts N]
+//!                  [--accounts N]
 //! txallo convert   --etl transactions.csv --out trace.csv
 //! ```
 //!
@@ -66,14 +66,13 @@ USAGE:
   txallo evaluate  --trace trace.csv --mapping mapping.csv [--eta F]
   txallo simulate  [--method {methods}] [--shards N] [--epochs N]
                    [--epoch-blocks N] [--gap N] [--seed S] [--eta F] [--decay F]
-                   [--stream true] [--accounts N]
+                   [--accounts N]
   txallo convert   --etl transactions.csv --out trace.csv
 
 Each command accepts exactly the flags listed for it.
 
---stream true synthesizes simulate's blocks on demand (streamed replay,
-any --accounts scale) instead of materializing the ledger. It is
-bit-transparent: it changes memory use, never an allocation."
+simulate synthesizes each block on demand (streamed replay), so it never
+materializes the ledger and runs at any --accounts scale."
     )
 }
 

@@ -361,3 +361,16 @@ fn out_of_range_eta_and_decay_exit_2() {
         assert!(out.stdout.is_empty(), "nothing may run: --decay {decay}");
     }
 }
+
+/// `simulate` always streams its blocks, so `--stream` is an unknown flag.
+#[test]
+fn simulate_stream_flag_exits_2_and_names_it() {
+    let out = txallo_bin()
+        .args(["simulate", "--stream", "true"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --stream "), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
