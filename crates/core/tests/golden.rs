@@ -362,21 +362,40 @@ fn determinism_locks_across_algorithms() {
 /// reduction guard with 4,817 of 9,687 nodes left, far above the 2,000
 /// coarsen target: the greedy grower and FM refinement then run on a
 /// large coarsest graph, the shape the served `metis` epochs see. Both
-/// drivers report the levels of their deepest V-cycle. Update the
-/// constants only when the partitioner is meant to change.
+/// drivers report the levels of their deepest V-cycle and FM's rows
+/// gathered and evaluated, summed over every level they refined. Update
+/// the constants only when the partitioner is meant to change.
 #[test]
 fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
     let csr = CsrGraph::from_graph(&workload_graph(10_000, 60_000, 7));
     for (k, kway, recursive) in [
-        (5, 0x8311_f850_39a5_dcc2u64, 0x663f_bf9d_c7af_d5c7u64),
-        (20, 0x2805_cf1d_ca11_02b9, 0xe037_0ac6_af53_ad61),
+        (
+            5,
+            (0x8311_f850_39a5_dcc2u64, 29_424, 50_186),
+            (0x663f_bf9d_c7af_d5c7u64, 44_391, 54_474),
+        ),
+        (
+            20,
+            (0x2805_cf1d_ca11_02b9, 29_733, 45_787),
+            (0xe037_0ac6_af53_ad61, 63_506, 74_949),
+        ),
     ] {
         let r = metis_partition(&csr, k);
         assert_eq!(r.levels, 5, "k = {k}");
-        assert_eq!(fingerprint(&r.parts), kway, "k-way, k = {k}");
+        let work = (
+            fingerprint(&r.parts),
+            r.fm.rows_gathered,
+            r.fm.rows_evaluated,
+        );
+        assert_eq!(work, kway, "k-way, k = {k}");
         let rb = recursive_bisection_partition(&csr, k);
         assert_eq!(rb.levels, 5, "recursive, k = {k}");
-        assert_eq!(fingerprint(&rb.parts), recursive, "recursive, k = {k}");
+        let work = (
+            fingerprint(&rb.parts),
+            rb.fm.rows_gathered,
+            rb.fm.rows_evaluated,
+        );
+        assert_eq!(work, recursive, "recursive, k = {k}");
     }
 }
 

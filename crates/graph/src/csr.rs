@@ -73,7 +73,8 @@ impl CsrGraph {
         let mut total = 0.0f64;
         // Pass 0: materialize non-loop edges once (the iterator may be lazy)
         // while folding loops and the total straight into their arrays.
-        let mut flat: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        let edges = edges.into_iter();
+        let mut flat: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(edges.size_hint().0);
         for (a, b, w) in edges {
             debug_assert!(
                 (a as usize) < node_count && (b as usize) < node_count,
@@ -97,52 +98,42 @@ impl CsrGraph {
             offsets[i] += offsets[i - 1];
         }
 
-        // Pass 2: scatter into rows (unsorted, duplicates still present).
+        // Pass 2: scatter `(target, weight)` pairs into their rows, in edge
+        // order (unsorted, duplicates still present).
         let mut cursor: Vec<u32> = offsets[..node_count].to_vec();
-        let mut targets = vec![0 as NodeId; flat.len() * 2];
-        let mut weights = vec![0.0f64; flat.len() * 2];
+        let mut rows = vec![(0 as NodeId, 0.0f64); flat.len() * 2];
         for &(a, b, w) in &flat {
             let ia = cursor[a as usize] as usize;
-            targets[ia] = b;
-            weights[ia] = w;
+            rows[ia] = (b, w);
             cursor[a as usize] += 1;
             let ib = cursor[b as usize] as usize;
-            targets[ib] = a;
-            weights[ib] = w;
+            rows[ib] = (a, w);
             cursor[b as usize] += 1;
         }
         drop(flat);
 
-        // Pass 3: sort each row and merge duplicate targets in place,
-        // compacting rows toward the front of the arrays.
-        let mut write = 0usize;
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
+        // Pass 3: sort each row where it landed, then merge duplicate
+        // targets into the compact arrays.
+        let mut targets = Vec::with_capacity(rows.len());
+        let mut weights = Vec::with_capacity(rows.len());
         let mut compact_offsets = vec![0u32; node_count + 1];
         for v in 0..node_count {
-            let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
-            row.clear();
-            row.extend(
-                targets[start..end]
-                    .iter()
-                    .copied()
-                    .zip(weights[start..end].iter().copied()),
-            );
+            let row = &mut rows[offsets[v] as usize..offsets[v + 1] as usize];
             // txallo-lint: allow(no-unstable-float-sort) — known hazard, ROADMAP item 1: duplicate targets carry different weights, so a merged sum depends on the order std's unstable sort leaves them in; METIS coarsening builds every level here, and the stable merge moves the `metis_epochs` benchmark digest, so it waits for the change that re-records it
             row.sort_unstable_by_key(|&(u, _)| u);
-            let row_start = write;
-            for &(u, w) in &row {
-                if write > row_start && targets[write - 1] == u {
-                    weights[write - 1] += w;
+            let row_start = targets.len();
+            for &(u, w) in &*row {
+                let end = targets.len();
+                if end > row_start && targets[end - 1] == u {
+                    weights[end - 1] += w;
                 } else {
-                    targets[write] = u;
-                    weights[write] = w;
-                    write += 1;
+                    targets.push(u);
+                    weights.push(w);
                 }
             }
-            compact_offsets[v + 1] = write as u32;
+            compact_offsets[v + 1] = fit_u32(targets.len());
         }
-        targets.truncate(write);
-        weights.truncate(write);
+        drop(rows);
         targets.shrink_to_fit();
         weights.shrink_to_fit();
         Self::from_sorted_rows(compact_offsets, targets, weights, self_loops, total)
@@ -469,6 +460,84 @@ mod tests {
             });
             let ids = relabeled.neighbor_ids(nv);
             assert!(ids.windows(2).all(|p| p[0] < p[1]), "row {nv} sorted");
+        }
+    }
+
+    /// The row build `from_edges` had before it sorted rows where they
+    /// land: targets and weights scattered into two arrays, then each row
+    /// copied into a staging buffer, sorted by the same call and merged.
+    fn staged_rows(node_count: usize, edges: &[(NodeId, NodeId, f64)]) -> Vec<Vec<(NodeId, u64)>> {
+        let flat: Vec<_> = edges.iter().filter(|e| e.0 != e.1).copied().collect();
+        let mut offsets = vec![0usize; node_count + 1];
+        for &(a, b, _) in &flat {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets[..node_count].to_vec();
+        let mut targets = vec![0 as NodeId; flat.len() * 2];
+        let mut weights = vec![0.0f64; flat.len() * 2];
+        for &(a, b, w) in &flat {
+            for (row, other) in [(a, b), (b, a)] {
+                targets[cursor[row as usize]] = other;
+                weights[cursor[row as usize]] = w;
+                cursor[row as usize] += 1;
+            }
+        }
+        (0..node_count)
+            .map(|v| {
+                let (s, e) = (offsets[v], offsets[v + 1]);
+                let mut row: Vec<(NodeId, f64)> = targets[s..e]
+                    .iter()
+                    .copied()
+                    .zip(weights[s..e].iter().copied())
+                    .collect();
+                row.sort_unstable_by_key(|&(u, _)| u);
+                let mut merged: Vec<(NodeId, f64)> = Vec::new();
+                for (u, w) in row {
+                    match merged.last_mut() {
+                        Some(last) if last.0 == u => last.1 += w,
+                        _ => merged.push((u, w)),
+                    }
+                }
+                merged.into_iter().map(|(u, w)| (u, w.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    /// Sorting each row where it lands must leave every row's pre-sort
+    /// sequence, and so every merged sum, as the staged build had it. The
+    /// rows are long and repeat each target many times, with weights whose
+    /// float sum depends on the order of addition.
+    #[test]
+    fn from_edges_sums_duplicates_as_the_staged_row_build() {
+        let magnitudes = [1e16, 1.0, 0.1, 3e-5, 7.25, 1e-3];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize
+        };
+        let n = 40;
+        let mut edges = Vec::new();
+        for i in 0..3_000 {
+            // Rows 0 and 1 are hubs with hundreds of entries over few keys.
+            let a = if i % 3 == 0 {
+                (i / 3 % 2) as NodeId
+            } else {
+                (next() % n) as NodeId
+            };
+            let b = (next() % 9) as NodeId;
+            edges.push((a, b, magnitudes[next() % magnitudes.len()]));
+        }
+        let g = CsrGraph::from_edges(n, edges.iter().copied());
+        let staged = staged_rows(n, &edges);
+        for v in 0..n as NodeId {
+            let row: Vec<(NodeId, u64)> = g.neighbors(v).map(|(u, w)| (u, w.to_bits())).collect();
+            assert_eq!(row, staged[v as usize], "row {v}");
         }
     }
 

@@ -150,7 +150,8 @@ impl DenseAccumulator {
 ///   certify that a stale row cannot move without re-gathering it;
 /// * an **active-position bitset**: a row whose candidates list no rival
 ///   bucket cannot move, so it leaves the set until a neighbor's move
-///   re-activates it.
+///   re-activates it; a kernel may take out any other row it proves
+///   cannot move before then ([`SweepCache::deactivate`]).
 ///
 /// Rows are sweep positions (`0..rows`). A sweep walks the active rows in
 /// ascending position with [`SweepCache::next_active`], which re-reads the
@@ -319,10 +320,20 @@ impl SweepCache {
     pub fn evaluate(&mut self, r: usize, own: u32) -> Option<&[(u32, f64)]> {
         self.last_eval[r] = self.move_stamp;
         if self.candidates(r).iter().all(|&(c, _)| c == own) {
-            self.active[r / 64] &= !(1u64 << (r % 64));
+            self.deactivate(r);
             return None;
         }
         Some(self.candidates(r))
+    }
+
+    /// Takes row `r` out of the active set until a neighbor's move
+    /// re-activates it. Exact only when no visit of `r` before then could
+    /// move it: its candidates list no rival bucket (what
+    /// [`SweepCache::evaluate`] checks itself), or its kernel proved the
+    /// same of its current links.
+    #[inline]
+    pub fn deactivate(&mut self, r: usize) {
+        self.active[r / 64] &= !(1u64 << (r % 64));
     }
 
     /// Records a committed move out of bucket `from` into `to`. Follow it

@@ -7,8 +7,8 @@
 
 use txallo_graph::{fit_u32, CsrGraph, DenseIndexMap, NodeId, WeightedGraph};
 
-use crate::frontier::{heaviest_first, GrowFrontier};
-use crate::{v_cycle, vertex_weights, MetisResult, COARSEN_TARGET};
+use crate::frontier::{GrowFrontier, HeaviestFirst};
+use crate::{v_cycle, vertex_weights, FmWork, MetisResult, COARSEN_TARGET};
 
 /// Grows one region to `frac` of the total vertex weight (2-way greedy
 /// graph growing, same frontier as the k-way grower); everything else is
@@ -20,22 +20,13 @@ pub(crate) fn grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64
     let total: f64 = vertex_weights.iter().sum();
     let target = total * frac;
 
-    let by_weight = heaviest_first(vertex_weights);
+    let mut by_weight = HeaviestFirst::new(vertex_weights);
     let mut frontier = GrowFrontier::new(n, 1);
     let mut region_weight = 0.0;
-    let mut cursor = 0usize;
     while region_weight < target {
-        let next = match frontier.pop(&parts) {
-            Some(u) => u,
-            None => {
-                while cursor < n && parts[by_weight[cursor] as usize] == 0 {
-                    cursor += 1;
-                }
-                if cursor >= n {
-                    break;
-                }
-                by_weight[cursor]
-            }
+        let next = frontier.pop(&parts);
+        let Some(next) = next.or_else(|| by_weight.next_free(|v| parts[v as usize] == 1)) else {
+            break;
         };
         parts[next as usize] = 0;
         region_weight += vertex_weights[next as usize];
@@ -46,8 +37,12 @@ pub(crate) fn grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64
 
 /// Multilevel 2-way partition of `graph` with proportional targets
 /// `frac : (1 − frac)` of its total vertex weight at every level. Returns
-/// the parts and the V-cycle's level count.
-fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> (Vec<u32>, usize) {
+/// the parts, the V-cycle's level count and its FM work.
+fn multilevel_bisect(
+    graph: CsrGraph,
+    vertex_weights: Vec<f64>,
+    frac: f64,
+) -> (Vec<u32>, usize, FmWork) {
     let total: f64 = vertex_weights.iter().sum();
     let targets = [total * frac, total * (1.0 - frac)];
     v_cycle(
@@ -61,7 +56,8 @@ fn multilevel_bisect(graph: CsrGraph, vertex_weights: Vec<f64>, frac: f64) -> (V
 
 /// Recursive-bisection k-way partitioning over a node subset of the base
 /// graph. Part ids `offset..offset + k` are written into `out`. Returns the
-/// level count of the deepest V-cycle it ran (0 when it bisected nothing).
+/// level count of the deepest V-cycle it ran (0 when it bisected nothing)
+/// and the FM work of all the V-cycles it ran.
 fn recurse(
     base: &CsrGraph,
     vertex_weights: &[f64],
@@ -70,12 +66,12 @@ fn recurse(
     offset: u32,
     out: &mut [u32],
     local_of: &mut DenseIndexMap,
-) -> usize {
+) -> (usize, FmWork) {
     if k <= 1 || nodes.len() <= 1 {
         for &v in &nodes {
             out[v as usize] = offset;
         }
-        return 0;
+        return (0, FmWork::default());
     }
     // Build the induced subgraph with dense local ids (the stamped index
     // map is shared across the whole recursion — no per-step allocation).
@@ -103,7 +99,7 @@ fn recurse(
 
     let k_left = k.div_ceil(2);
     let frac = k_left as f64 / k as f64;
-    let (halves, levels) = multilevel_bisect(induced, weights, frac);
+    let (halves, levels, mut fm) = multilevel_bisect(induced, weights, frac);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -114,8 +110,8 @@ fn recurse(
             right.push(v);
         }
     }
-    let left_levels = recurse(base, vertex_weights, left, k_left, offset, out, local_of);
-    let right_levels = recurse(
+    let (left_levels, left_fm) = recurse(base, vertex_weights, left, k_left, offset, out, local_of);
+    let (right_levels, right_fm) = recurse(
         base,
         vertex_weights,
         right,
@@ -124,7 +120,9 @@ fn recurse(
         out,
         local_of,
     );
-    levels.max(left_levels).max(right_levels)
+    fm += left_fm;
+    fm += right_fm;
+    (levels.max(left_levels).max(right_levels), fm)
 }
 
 /// K-way partitioning of `graph` into `parts` parts by recursive
@@ -136,6 +134,7 @@ pub fn recursive_bisection_partition(graph: &impl WeightedGraph, parts: usize) -
         return MetisResult {
             parts: Vec::new(),
             levels: 0,
+            fm: FmWork::default(),
         };
     }
     let base = CsrGraph::from_graph(graph);
@@ -143,10 +142,11 @@ pub fn recursive_bisection_partition(graph: &impl WeightedGraph, parts: usize) -
     let mut labels = vec![0u32; n];
     let nodes: Vec<NodeId> = (0..fit_u32(n)).collect();
     let mut local_of = DenseIndexMap::new();
-    let levels = recurse(&base, &weights, nodes, parts, 0, &mut labels, &mut local_of);
+    let (levels, fm) = recurse(&base, &weights, nodes, parts, 0, &mut labels, &mut local_of);
     MetisResult {
         parts: labels,
         levels,
+        fm,
     }
 }
 

@@ -1,22 +1,62 @@
-//! The candidate frontier of the two greedy growers: initial k-way
-//! partitioning and bisection seeding.
+//! The candidate frontier and the vertex orders of the two greedy
+//! growers: initial k-way partitioning and bisection seeding.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
+/// The growers' integer order key of a non-negative finite `x` (a gain,
+/// a gain/strength ratio or a weight). The IEEE 754 bits of such values,
+/// read as an unsigned integer, order exactly as the values do, and equal
+/// values have equal bits: `-0.0`, the one exception, fails the sign
+/// check. So a key order followed by the id is the same strict total
+/// order as a `partial_cmp` chain followed by the id.
+fn order_key(x: f64) -> u64 {
+    debug_assert!(
+        x.is_finite() && x.is_sign_positive(),
+        "order keys need a non-negative finite value, got {x:?}"
+    );
+    x.to_bits()
+}
+
 /// Vertex ids by descending weight, ties toward the smaller id: the order
-/// in which the growers seed regions.
-pub(crate) fn heaviest_first(vertex_weights: &[f64]) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..fit_u32(vertex_weights.len())).collect();
-    order.sort_unstable_by(|&a, &b| {
-        vertex_weights[b as usize]
-            .partial_cmp(&vertex_weights[a as usize])
-            .expect("finite weights") // txallo-lint: allow(lib-unwrap) — vertex weights are finite strengths (floored positive), so partial_cmp is total
-            .then(a.cmp(&b))
-    });
-    order
+/// in which the growers seed regions. A max-heap, built in linear time and
+/// popped lazily, since a grower reads only the seeds it needs.
+#[derive(Debug)]
+pub(crate) struct HeaviestFirst(BinaryHeap<(u64, Reverse<NodeId>)>);
+
+impl HeaviestFirst {
+    /// Every vertex of `vertex_weights`, in seed order.
+    pub(crate) fn new(vertex_weights: &[f64]) -> Self {
+        let keyed = (0..fit_u32(vertex_weights.len()))
+            .map(|v| (order_key(vertex_weights[v as usize]), Reverse(v)));
+        Self(keyed.collect())
+    }
+
+    /// The next vertex in seed order that `free` accepts. The vertices
+    /// passed over leave the order, so `free` may reject only vertices
+    /// that are taken for good.
+    pub(crate) fn next_free(&mut self, free: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+        while let Some((_, Reverse(v))) = self.0.pop() {
+            if free(v) {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+/// The part of least weight, ties toward the smaller id: where the k-way
+/// grower sweeps a vertex no region reached.
+pub(crate) fn lightest_part(part_weight: &[f64]) -> usize {
+    (1..part_weight.len()).fold(0, |lightest, p| {
+        if order_key(part_weight[p]) < order_key(part_weight[lightest]) {
+            p
+        } else {
+            lightest
+        }
+    })
 }
 
 /// The unassigned vertices adjacent to a growing region, each with its
@@ -40,38 +80,15 @@ pub(crate) struct GrowFrontier {
     unassigned: u32,
 }
 
-/// A heap entry: a member's gain and gain/strength ratio when pushed.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    gain: f64,
-    ratio: f64,
-    node: NodeId,
-}
+/// A heap entry: the order keys of a member's gain and gain/strength
+/// ratio when pushed, then its id reversed, so the max-heap pops the
+/// largest gain, then the largest ratio, then the smallest id.
+type Candidate = (u64, u64, Reverse<NodeId>);
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Gains and ratios are finite (sums of finite edge weights), so
-        // `partial_cmp` is total; equal values fall through to the id.
-        let by = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
-        by(self.gain, other.gain)
-            .then(by(self.ratio, other.ratio))
-            .then(other.node.cmp(&self.node))
-    }
+/// The heap entry of member `node` at `gain` and `ratio`.
+fn candidate(gain: f64, ratio: f64, node: NodeId) -> Candidate {
+    (order_key(gain), order_key(ratio), Reverse(node))
 }
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
 
 impl GrowFrontier {
     /// An empty frontier over `n` vertices; `parts[v] == unassigned` marks
@@ -96,26 +113,20 @@ impl GrowFrontier {
             self.gain[i] += w;
             self.member[i] = true;
             let gain = self.gain[i];
-            self.heap.push(Candidate {
-                gain,
-                ratio: gain / graph.strength(u).max(crate::RATIO_FLOOR),
-                node: u,
-            });
+            let ratio = gain / graph.strength(u).max(crate::RATIO_FLOOR);
+            self.heap.push(candidate(gain, ratio, u));
         });
     }
 
     /// Removes the best member from the frontier and returns it; its gain
     /// resets, so a later [`GrowFrontier::absorb`] re-enters it afresh.
     pub(crate) fn pop(&mut self, parts: &[u32]) -> Option<NodeId> {
-        while let Some(c) = self.heap.pop() {
-            let i = c.node as usize;
-            if self.member[i]
-                && parts[i] == self.unassigned
-                && self.gain[i].to_bits() == c.gain.to_bits()
-            {
+        while let Some((gain, _, Reverse(node))) = self.heap.pop() {
+            let i = node as usize;
+            if self.member[i] && parts[i] == self.unassigned && self.gain[i].to_bits() == gain {
                 self.member[i] = false;
                 self.gain[i] = 0.0;
-                return Some(c.node);
+                return Some(node);
             }
         }
         None
@@ -124,9 +135,9 @@ impl GrowFrontier {
     /// Empties the frontier: every member (each holds the entry of its
     /// last gain change) leaves with zero gain.
     pub(crate) fn clear(&mut self) {
-        for c in self.heap.drain() {
-            self.member[c.node as usize] = false;
-            self.gain[c.node as usize] = 0.0;
+        for (_, _, Reverse(node)) in self.heap.drain() {
+            self.member[node as usize] = false;
+            self.gain[node as usize] = 0.0;
         }
     }
 }
@@ -136,150 +147,89 @@ mod tests {
     use super::*;
     use crate::bisection::grow_bisection;
     use crate::greedy_growing_partition;
+    use crate::tests::reference::{
+        reference_greedy_growing, reference_grow_bisection, reference_heaviest_first,
+    };
+    use crate::{RATIO_FLOOR, STRENGTH_FLOOR};
+    use std::cmp::Ordering;
 
-    /// The best candidate of a linear scan over `frontier` under the
-    /// growers' selection rule (largest gain, then gain/strength, then
-    /// smallest id), skipping entries `live` rejects.
-    fn scan_best(
-        graph: &CsrGraph,
-        frontier: &[NodeId],
-        gain: &[f64],
-        live: impl Fn(NodeId) -> bool,
-    ) -> Option<NodeId> {
-        let mut best: Option<(NodeId, f64, f64)> = None;
-        for &u in frontier {
-            if !live(u) {
-                continue;
-            }
-            let g = gain[u as usize];
-            let ratio = g / graph.strength(u).max(crate::RATIO_FLOOR);
-            let better = match best {
-                None => true,
-                Some((bu, bg, br)) => {
-                    g > bg || (g == bg && (ratio > br || (ratio == br && u < bu)))
-                }
-            };
-            if better {
-                best = Some((u, g, ratio));
-            }
-        }
-        best.map(|(u, _, _)| u)
+    /// Non-negative finite values on which the integer keys must order as
+    /// the `partial_cmp` comparators did: zero, subnormals, neighbors one
+    /// ulp apart, the two floors, and ordinary and extreme magnitudes.
+    fn crafted_values() -> Vec<f64> {
+        let subnormal_min = f64::from_bits(1);
+        vec![
+            0.0,
+            subnormal_min,
+            subnormal_min.next_up(),
+            f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE,
+            RATIO_FLOOR,
+            STRENGTH_FLOOR.next_down(),
+            STRENGTH_FLOOR,
+            STRENGTH_FLOOR.next_up(),
+            0.5,
+            1.0f64.next_down(),
+            1.0,
+            1.0f64.next_up(),
+            3.0,
+            1e300,
+            f64::MAX,
+        ]
     }
 
-    /// Linear-scan reference of the k-way grower: a frontier list with
-    /// per-node gain and membership, rescanned for every pick. The heap
-    /// frontier must grow byte-identical partitions.
-    fn reference_greedy_growing(
-        graph: &CsrGraph,
-        vertex_weights: &[f64],
-        k: usize,
-        balance_factor: f64,
-    ) -> Vec<u32> {
-        let n = graph.node_count();
-        let mut parts = vec![u32::MAX; n];
-        let target = vertex_weights.iter().sum::<f64>() / k as f64;
-        let cap = target * balance_factor;
-        let by_weight = heaviest_first(vertex_weights);
-        let mut part_weight = vec![0.0f64; k];
-        let mut gain = vec![0.0f64; n];
-        let mut in_map = vec![false; n];
-        let mut frontier: Vec<NodeId> = Vec::new();
-        let absorb = |v: NodeId,
-                      parts: &[u32],
-                      gain: &mut [f64],
-                      in_map: &mut [bool],
-                      frontier: &mut Vec<NodeId>| {
-            graph.for_each_neighbor(v, |u, w| {
-                if parts[u as usize] == u32::MAX {
-                    gain[u as usize] += w;
-                    if !in_map[u as usize] {
-                        in_map[u as usize] = true;
-                        frontier.push(u);
-                    }
+    /// The heap's order before integer keys: a `partial_cmp` chain over the
+    /// gain, then the ratio, then the id reversed.
+    fn partial_cmp_order(a: (f64, f64, NodeId), b: (f64, f64, NodeId)) -> Ordering {
+        let by = |x: f64, y: f64| x.partial_cmp(&y).unwrap_or(Ordering::Equal);
+        by(a.0, b.0).then(by(a.1, b.1)).then(b.2.cmp(&a.2))
+    }
+
+    /// The three integer-keyed orders against the `partial_cmp`
+    /// comparators they replace. The heap entries range over every pair of
+    /// crafted gains, ratios and ids, so they include equal gains with
+    /// different ratios, equal keys with different ids, last-ulp
+    /// differences and subnormal gains; the seed order and the leftover
+    /// sweep see weights at `STRENGTH_FLOOR` and its neighbors, tied and
+    /// not.
+    #[test]
+    fn integer_keys_order_as_the_partial_cmp_comparators() {
+        let values = crafted_values();
+        for &(ga, gb) in &pairs(&values) {
+            for &(ra, rb) in &pairs(&values) {
+                for (ia, ib) in [(2, 9), (9, 2), (4, 4)] {
+                    assert_eq!(
+                        candidate(ga, ra, ia).cmp(&candidate(gb, rb, ib)),
+                        partial_cmp_order((ga, ra, ia), (gb, rb, ib)),
+                        "gains {ga:e} / {gb:e}, ratios {ra:e} / {rb:e}, ids {ia} / {ib}"
+                    );
                 }
-            });
-        };
-        for part in 0..k as u32 {
-            let Some(&seed) = by_weight.iter().find(|&&v| parts[v as usize] == u32::MAX) else {
-                break;
-            };
-            parts[seed as usize] = part;
-            part_weight[part as usize] += vertex_weights[seed as usize];
-            for &u in &frontier {
-                gain[u as usize] = 0.0;
-                in_map[u as usize] = false;
-            }
-            frontier.clear();
-            absorb(seed, &parts, &mut gain, &mut in_map, &mut frontier);
-            while part_weight[part as usize] < target {
-                let live = |u: NodeId| in_map[u as usize] && parts[u as usize] == u32::MAX;
-                let Some(u) = scan_best(graph, &frontier, &gain, live) else {
-                    break;
-                };
-                in_map[u as usize] = false;
-                gain[u as usize] = 0.0;
-                if part_weight[part as usize] + vertex_weights[u as usize] > cap {
-                    continue;
-                }
-                parts[u as usize] = part;
-                part_weight[part as usize] += vertex_weights[u as usize];
-                absorb(u, &parts, &mut gain, &mut in_map, &mut frontier);
             }
         }
-        for v in 0..n {
-            if parts[v] == u32::MAX {
-                let lightest = (0..k)
-                    .min_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).unwrap())
+
+        let mut weights: Vec<f64> = values.iter().chain(values.iter().rev()).copied().collect();
+        weights.extend([STRENGTH_FLOOR; 4]);
+        let mut seeds = HeaviestFirst::new(&weights);
+        let order: Vec<NodeId> = std::iter::from_fn(|| seeds.next_free(|_| true)).collect();
+        assert_eq!(order, reference_heaviest_first(&weights));
+
+        for &a in &values {
+            for &(b, c) in &pairs(&values) {
+                let part_weight = [a, b, c];
+                let old = (0..3)
+                    .min_by(|&x, &y| part_weight[x].partial_cmp(&part_weight[y]).unwrap())
                     .unwrap();
-                parts[v] = lightest as u32;
-                part_weight[lightest] += vertex_weights[v];
+                assert_eq!(lightest_part(&part_weight), old, "{part_weight:?}");
             }
         }
-        parts
     }
 
-    /// Linear-scan reference of the bisection grower: membership is never
-    /// reset, and a dry frontier pulls the next heaviest unassigned vertex.
-    fn reference_grow_bisection(graph: &CsrGraph, vertex_weights: &[f64], frac: f64) -> Vec<u32> {
-        let n = graph.node_count();
-        let mut parts = vec![1u32; n];
-        let target = vertex_weights.iter().sum::<f64>() * frac;
-        let by_weight = heaviest_first(vertex_weights);
-        let mut gain = vec![0.0f64; n];
-        let mut in_frontier = vec![false; n];
-        let mut frontier: Vec<NodeId> = Vec::new();
-        let mut next = by_weight[0];
-        let mut region_weight = 0.0;
-        let mut cursor = 1usize;
-        loop {
-            parts[next as usize] = 0;
-            region_weight += vertex_weights[next as usize];
-            graph.for_each_neighbor(next, |u, w| {
-                if parts[u as usize] == 1 {
-                    gain[u as usize] += w;
-                    if !in_frontier[u as usize] {
-                        in_frontier[u as usize] = true;
-                        frontier.push(u);
-                    }
-                }
-            });
-            if region_weight >= target {
-                break;
-            }
-            next = match scan_best(graph, &frontier, &gain, |u| parts[u as usize] == 1) {
-                Some(u) => u,
-                None => {
-                    while cursor < n && parts[by_weight[cursor] as usize] == 0 {
-                        cursor += 1;
-                    }
-                    if cursor >= n {
-                        break;
-                    }
-                    by_weight[cursor]
-                }
-            };
-        }
-        parts
+    /// Every ordered pair of `values`, ties included.
+    fn pairs(values: &[f64]) -> Vec<(f64, f64)> {
+        values
+            .iter()
+            .flat_map(|&a| values.iter().map(move |&b| (a, b)))
+            .collect()
     }
 
     /// A seeded graph of `n` vertices in `components` disconnected blocks:

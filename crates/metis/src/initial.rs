@@ -1,8 +1,8 @@
 //! Initial partitioning via greedy graph growing (GGGP).
 
-use txallo_graph::{CsrGraph, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 
-use crate::frontier::{heaviest_first, GrowFrontier};
+use crate::frontier::{lightest_part, GrowFrontier, HeaviestFirst};
 
 /// Part label of a vertex no region has taken yet.
 const UNASSIGNED: u32 = u32::MAX;
@@ -15,7 +15,9 @@ const UNASSIGNED: u32 = u32::MAX;
 /// strength, then the smaller id) until the region reaches the target
 /// vertex weight `total/k`. A candidate that would push the region past
 /// `target × balance_factor` is left for later parts. Unreached vertices
-/// are swept into the currently lightest parts at the end.
+/// are swept into the currently lightest parts at the end. The vertex
+/// weights must be non-negative and finite: the grower orders by their
+/// bits.
 pub fn greedy_growing_partition(
     graph: &CsrGraph,
     vertex_weights: &[f64],
@@ -34,20 +36,14 @@ pub fn greedy_growing_partition(
     let target = total / k as f64;
     let cap = target * balance_factor;
 
-    let by_weight = heaviest_first(vertex_weights);
+    let mut by_weight = HeaviestFirst::new(vertex_weights);
     let mut part_weight = vec![0.0f64; k];
-    let mut seed_cursor = 0usize;
     let mut frontier = GrowFrontier::new(n, UNASSIGNED);
 
     for part in 0..k as u32 {
-        // Find the next unassigned seed.
-        while seed_cursor < n && parts[by_weight[seed_cursor] as usize] != UNASSIGNED {
-            seed_cursor += 1;
-        }
-        if seed_cursor >= n {
+        let Some(seed) = by_weight.next_free(|v| parts[v as usize] == UNASSIGNED) else {
             break;
-        }
-        let seed = by_weight[seed_cursor];
+        };
         parts[seed as usize] = part;
         part_weight[part as usize] += vertex_weights[seed as usize];
         frontier.clear();
@@ -68,10 +64,8 @@ pub fn greedy_growing_partition(
     // Sweep leftovers into the lightest part.
     for v in 0..n {
         if parts[v] == UNASSIGNED {
-            let lightest = (0..k)
-                .min_by(|&a, &b| part_weight[a].partial_cmp(&part_weight[b]).expect("finite")) // txallo-lint: allow(lib-unwrap) — part weights are finite sums of finite vertex weights, so partial_cmp is total
-                .expect("k > 0"); // txallo-lint: allow(lib-unwrap) — the k == 0 assert and k == 1 early return above guarantee a non-empty range
-            parts[v] = lightest as u32;
+            let lightest = lightest_part(&part_weight);
+            parts[v] = fit_u32(lightest);
             part_weight[lightest] += vertex_weights[v];
         }
     }

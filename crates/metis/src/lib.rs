@@ -30,8 +30,9 @@ pub mod refine;
 pub use bisection::recursive_bisection_partition;
 pub use coarsen::{coarsen, heavy_edge_matching, CoarseLevel};
 pub use initial::greedy_growing_partition;
-pub use refine::{edge_cut, fm_refine};
+pub use refine::{edge_cut, fm_refine, FmWork};
 
+use refine::refine;
 use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 
 /// Floor applied to vertex strengths when they become balance weights, so
@@ -77,6 +78,8 @@ pub struct MetisResult {
     /// Number of coarsening levels of the deepest V-cycle run (0 when no
     /// V-cycle ran, as for one part).
     pub levels: usize,
+    /// FM refinement's work, summed over the levels of every V-cycle run.
+    pub fm: FmWork,
 }
 
 /// Partitions `graph` into `parts` parts by direct k-way multilevel
@@ -88,17 +91,19 @@ pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult 
         return MetisResult {
             parts: Vec::new(),
             levels: 0,
+            fm: FmWork::default(),
         };
     }
     if parts == 1 {
         return MetisResult {
             parts: vec![0; n],
             levels: 0,
+            fm: FmWork::default(),
         };
     }
     // Each level refines toward `parts` equal shares of its own total
     // vertex weight.
-    let (labels, levels) = v_cycle(
+    let (labels, levels, fm) = v_cycle(
         CsrGraph::from_graph(graph),
         vertex_weights(graph),
         COARSEN_TARGET.max(20 * parts),
@@ -110,6 +115,7 @@ pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult 
     MetisResult {
         parts: labels,
         levels,
+        fm,
     }
 }
 
@@ -117,43 +123,58 @@ pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult 
 /// has at most `floor` nodes, partition the coarsest level with `initial`,
 /// then, from the coarsest level to `base`, FM-refine each level toward
 /// `targets(its vertex weights)` and project the result one level finer.
-/// Each level is dropped once refined. Returns the base graph's parts and
-/// the number of levels.
+/// Each level is dropped once refined. Returns the base graph's parts, the
+/// number of levels and the summed FM work.
+///
+/// A fine node whose coarse node ended its level's refinement interior
+/// starts its own level's refinement idle: every fine neighbor lies in
+/// that coarse node or in a coarse neighbor of it, so after projection
+/// the fine node is interior too.
 fn v_cycle(
     base: CsrGraph,
     vertex_weights: Vec<f64>,
     floor: usize,
     initial: impl Fn(&CoarseLevel) -> Vec<u32>,
     targets: impl Fn(&[f64]) -> Vec<f64>,
-) -> (Vec<u32>, usize) {
+) -> (Vec<u32>, usize, FmWork) {
     let mut hierarchy = coarsen(base, vertex_weights, floor);
     let levels = hierarchy.len();
     let mut parts = Vec::new();
+    let mut interior = Vec::new();
+    let mut work = FmWork::default();
     // The projection map of the level refined last (`None` before the
     // coarsest level).
     let mut coarser: Option<Vec<u32>> = None;
     while let Some(level) = hierarchy.pop() {
-        parts = match coarser {
-            // Each fine node takes its coarse node's part.
-            Some(map) => map.iter().map(|&c| parts[c as usize]).collect(),
-            None => initial(&level),
-        };
-        fm_refine(
+        match coarser {
+            // Each fine node takes its coarse node's part and interior flag.
+            Some(map) => {
+                parts = map.iter().map(|&c| parts[c as usize]).collect();
+                interior = map.iter().map(|&c| interior[c as usize]).collect();
+            }
+            None => parts = initial(&level),
+        }
+        work += refine(
             &level.graph,
             &level.vertex_weights,
             &mut parts,
             &targets(&level.vertex_weights),
             BALANCE_FACTOR,
             REFINE_PASSES,
+            &mut interior,
         );
         coarser = level.fine_to_coarse;
     }
-    (parts, levels)
+    (parts, levels, work)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cache-free references of the kernels, which both drivers and the
+    /// unit tests of the growers and the boundary pass must match.
+    pub(crate) mod reference;
 
     fn two_cliques(bridge: f64) -> CsrGraph {
         let mut edges = Vec::new();

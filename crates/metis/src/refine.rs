@@ -22,9 +22,28 @@ pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
     cut
 }
 
+/// Work counters of FM refinement: one call's, or a partition run's summed
+/// over its levels and V-cycles ([`crate::MetisResult::fm`]).
+/// Deterministic, so goldens pin them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FmWork {
+    /// Rows whose per-part links were gathered from the graph.
+    pub rows_gathered: u64,
+    /// Rows whose move decision was evaluated from their links.
+    pub rows_evaluated: u64,
+}
+
+impl std::ops::AddAssign for FmWork {
+    fn add_assign(&mut self, other: Self) {
+        self.rows_gathered += other.rows_gathered;
+        self.rows_evaluated += other.rows_evaluated;
+    }
+}
+
 /// Simplified boundary Fiduccia–Mattheyses refinement toward per-part
 /// weight targets (`k = targets.len()` parts; the k-way driver passes
-/// equal shares, the bisection driver `⌈k/2⌉ : ⌊k/2⌋` splits).
+/// equal shares, the bisection driver `⌈k/2⌉ : ⌊k/2⌋` splits). Returns
+/// its work counters.
 ///
 /// Each pass sweeps the boundary vertices in ascending id order and greedily
 /// moves a vertex to the adjacent part with the largest positive cut
@@ -43,11 +62,41 @@ pub fn fm_refine(
     targets: &[f64],
     balance_factor: f64,
     max_passes: usize,
-) {
+) -> FmWork {
+    let mut interior = Vec::new();
+    refine(
+        graph,
+        vertex_weights,
+        parts,
+        targets,
+        balance_factor,
+        max_passes,
+        &mut interior,
+    )
+}
+
+/// [`fm_refine`] with the V-cycle's hand-off of interior rows (every
+/// neighbor in the row's own part). On entry, a row flagged in `interior`
+/// (empty: none) must be interior: it starts outside the active set, since
+/// visiting it could only gather it and drop it again. On return,
+/// `interior` has one flag per row, and a flagged row is interior under
+/// the refined parts. When the passes converge, the flags mark exactly the
+/// interior rows.
+pub(crate) fn refine(
+    graph: &CsrGraph,
+    vertex_weights: &[f64],
+    parts: &mut [u32],
+    targets: &[f64],
+    balance_factor: f64,
+    max_passes: usize,
+    interior: &mut Vec<bool>,
+) -> FmWork {
     let n = graph.node_count();
     let k = targets.len();
+    let mut work = FmWork::default();
     if n == 0 || k <= 1 {
-        return;
+        interior.clear();
+        return work;
     }
     let mut part_weight = part_weights(parts, vertex_weights, k);
 
@@ -56,10 +105,20 @@ pub fn fm_refine(
     // once a neighbor moves) and the weights of its own and listed parts
     // (changed only by moves touching them). So gathers are cached until a
     // neighbor moves, a fresh vertex whose parts are untouched since its
-    // last evaluation is skipped, and an interior vertex sits out until a
-    // neighbor's move. Each pass visits the active vertices in ascending
-    // id order, so the move sequence is the full scan's, byte for byte.
+    // last evaluation is skipped, and a vertex sits out until a neighbor's
+    // move when it is interior or no rival part offers it a positive gain:
+    // its gains read only its links, and the balance rule only filters
+    // positive-gain moves. Each pass visits the active vertices in
+    // ascending id order, so the move sequence is the full scan's, byte
+    // for byte.
     let mut cache = SweepCache::new(k, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
+    // A flag is set only by an evaluation that found no rival part and is
+    // cleared by every neighbor move. A flagged row is inactive, so no
+    // evaluation meets one.
+    interior.resize(n, false);
+    for r in (0..n).filter(|&r| interior[r]) {
+        cache.deactivate(r);
+    }
     let mut link = DenseAccumulator::new();
     for _ in 0..max_passes {
         let mut improved = false;
@@ -69,6 +128,7 @@ pub fn fm_refine(
             let v = fit_u32(vi);
             let from = parts[vi];
             if cache.is_stale(vi) {
+                work.rows_gathered += 1;
                 link.begin(k);
                 graph.for_each_neighbor(v, |u, w| link.add(parts[u as usize], w));
                 // Candidate destinations in ascending part order (determinism).
@@ -77,23 +137,33 @@ pub fn fm_refine(
             } else if cache.unchanged_since_eval(vi, from) {
                 continue;
             }
+            work.rows_evaluated += 1;
             let Some(entries) = cache.evaluate(vi, from) else {
-                continue; // Interior vertex: no neighbor in another part.
+                interior[vi] = true; // No neighbor in another part.
+                continue;
             };
             let w_v = vertex_weights[vi];
-            if let Some(to) = best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
-                parts[vi] = to;
-                part_weight[from as usize] -= w_v;
-                part_weight[to as usize] += w_v;
-                improved = true;
-                cache.commit_move(from, to);
-                graph.for_each_neighbor(v, |u, w| cache.invalidate(u as usize, w));
+            match best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
+                Decision::Move(to) => {
+                    parts[vi] = to;
+                    part_weight[from as usize] -= w_v;
+                    part_weight[to as usize] += w_v;
+                    improved = true;
+                    cache.commit_move(from, to);
+                    graph.for_each_neighbor(v, |u, w| {
+                        cache.invalidate(u as usize, w);
+                        interior[u as usize] = false;
+                    });
+                }
+                Decision::Held => {}
+                Decision::Stuck => cache.deactivate(vi),
             }
         }
         if !improved {
             break;
         }
     }
+    work
 }
 
 /// Vertex weight per part.
@@ -103,6 +173,19 @@ fn part_weights(parts: &[u32], vertex_weights: &[f64], k: usize) -> Vec<f64> {
         part_weight[p as usize] += vertex_weights[v];
     }
     part_weight
+}
+
+/// The boundary pass's decision for one vertex.
+#[derive(Debug, Clone, Copy)]
+enum Decision {
+    /// Move to this part.
+    Move(u32),
+    /// A rival part offers a cut reduction above [`FM_GAIN_MIN`], but the
+    /// balance rule admits none of them now.
+    Held,
+    /// No rival part offers a cut reduction above [`FM_GAIN_MIN`]: the
+    /// vertex cannot move until a neighbor's move changes its links.
+    Stuck,
 }
 
 /// The boundary pass's decision for one vertex of weight `w_v` in part
@@ -116,8 +199,9 @@ fn best_move(
     part_weight: &[f64],
     targets: &[f64],
     balance_factor: f64,
-) -> Option<u32> {
+) -> Decision {
     let internal = entries.iter().find(|e| e.0 == from).map_or(0.0, |e| e.1);
+    let mut rival = false;
     let mut best: Option<(u32, f64)> = None;
     for &(to, external) in entries {
         if to == from {
@@ -127,6 +211,7 @@ fn best_move(
         if gain <= FM_GAIN_MIN {
             continue;
         }
+        rival = true;
         // A move is admissible if the destination stays within the cap, or
         // if it still strictly improves the balance (moving from a heavier
         // to a lighter part) — the escape hatch that keeps refinement live
@@ -148,12 +233,17 @@ fn best_move(
             _ => best = Some((to, gain)),
         }
     }
-    best.map(|(to, _)| to)
+    match best {
+        Some((to, _)) => Decision::Move(to),
+        None if rival => Decision::Held,
+        None => Decision::Stuck,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::reference::reference_refine;
 
     fn two_cliques_graph() -> CsrGraph {
         let mut edges = Vec::new();
@@ -213,85 +303,6 @@ mod tests {
         fm_refine(&g, &[1.0; 8], &mut p1, &[4.0; 2], 1.3, 50);
         fm_refine(&g, &[1.0; 8], &mut p2, &[4.0; 2], 1.3, 50);
         assert_eq!(p1, p2);
-    }
-
-    /// Ordered-map reference of the boundary pass: identical admission
-    /// rules and tie-breaks, `BTreeMap` gathering. The dense-scratch
-    /// implementation must produce byte-identical parts.
-    fn reference_refine(
-        graph: &CsrGraph,
-        vertex_weights: &[f64],
-        parts: &mut [u32],
-        targets: &[f64],
-        balance_factor: f64,
-        max_passes: usize,
-    ) {
-        use std::collections::BTreeMap;
-        let n = graph.node_count();
-        let k = targets.len();
-        if n == 0 || k <= 1 {
-            return;
-        }
-        let caps: Vec<f64> = targets.iter().map(|t| t * balance_factor).collect();
-        let floors: Vec<f64> = targets.iter().map(|t| t * (2.0 - balance_factor)).collect();
-        let mut part_weight = vec![0.0f64; k];
-        for (v, &p) in parts.iter().enumerate() {
-            part_weight[p as usize] += vertex_weights[v];
-        }
-        let mut link: BTreeMap<u32, f64> = BTreeMap::new();
-        for _ in 0..max_passes {
-            let mut improved = false;
-            for v in 0..n as NodeId {
-                let from = parts[v as usize];
-                link.clear();
-                let mut is_boundary = false;
-                graph.for_each_neighbor(v, |u, w| {
-                    let pu = parts[u as usize];
-                    if pu != from {
-                        is_boundary = true;
-                    }
-                    *link.entry(pu).or_insert(0.0) += w;
-                });
-                if !is_boundary {
-                    continue;
-                }
-                let w_v = vertex_weights[v as usize];
-                let internal = link.get(&from).copied().unwrap_or(0.0);
-                let mut best: Option<(u32, f64)> = None;
-                for (&to, &external) in &link {
-                    if to == from {
-                        continue;
-                    }
-                    let gain = external - internal;
-                    if gain <= 1e-12 {
-                        continue;
-                    }
-                    let dest_ok = part_weight[to as usize] + w_v <= caps[to as usize]
-                        || part_weight[to as usize] + w_v < part_weight[from as usize];
-                    if !dest_ok {
-                        continue;
-                    }
-                    if part_weight[from as usize] - w_v < floors[from as usize]
-                        && part_weight[from as usize] <= targets[from as usize]
-                    {
-                        continue;
-                    }
-                    match best {
-                        Some((bp, bg)) if gain < bg || (gain == bg && to > bp) => {}
-                        _ => best = Some((to, gain)),
-                    }
-                }
-                if let Some((to, _)) = best {
-                    parts[v as usize] = to;
-                    part_weight[from as usize] -= w_v;
-                    part_weight[to as usize] += w_v;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
     }
 
     /// A seeded random instance for the cached boundary pass: `n` vertices
