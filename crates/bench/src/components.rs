@@ -30,7 +30,7 @@ use txallo_graph::{
 use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
 use txallo_metis::{metis_partition, recursive_bisection_partition};
 use txallo_model::FxHashMap;
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 use crate::harness::{build_dataset, run_allocator, ExperimentScale, ALL_ALLOCATORS};
 use crate::seed_ref::{
@@ -215,8 +215,9 @@ fn gather_sweep_dense(
 fn component_cases(r: &mut Runner) -> (f64, MemoryFootprint, usize) {
     r.fixture(COMPONENT_SAMPLES);
     let k = 20;
-    let mut generator = EthereumLikeGenerator::new(workload(), 42);
-    let ledger = generator.default_ledger();
+    let wl = StreamingWorkload::new(workload(), 42);
+    let history = wl.config().block_count();
+    let ledger = wl.ledger(history);
     let graph = TxGraph::from_ledger(&ledger);
     let params = TxAlloParams::for_graph(&graph, k);
 
@@ -279,7 +280,7 @@ fn component_cases(r: &mut Runner) -> (f64, MemoryFootprint, usize) {
 
     // A-TxAllo: one epoch of 10 fresh blocks on top of the warm allocation.
     let mut graph2 = graph.clone();
-    let new_blocks = generator.blocks(10);
+    let new_blocks = wl.blocks(history..history + 10);
     let new_nodes: Vec<BlockNodes> = new_blocks
         .iter()
         .map(|b| graph2.ingest_block_nodes(b))
@@ -362,7 +363,8 @@ fn scale_cases(r: &mut Runner) {
         groups: 800,
         ..WorkloadConfig::default()
     };
-    let graph = TxGraph::from_ledger(&EthereumLikeGenerator::new(cfg, 42).default_ledger());
+    let blocks = cfg.block_count();
+    let graph = TxGraph::from_ledger(&StreamingWorkload::new(cfg, 42).ledger(blocks));
 
     r.case("scale/csr_build_50k", || CsrGraph::from_graph(&graph));
     r.case("scale/csr_build_50k_seed", || seed_csr_from_graph(&graph));

@@ -1,16 +1,17 @@
 //! One function per figure/table of the paper's evaluation (§VI).
 //!
 //! Each function prints CSV rows with the same axes as the corresponding
-//! figure and mirrors them into `results/`. EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! figure and mirrors them into `results/`. PAPER.md's "Deviations and
+//! reproduction notes" says where the reproduction departs from the paper.
 
 use std::time::Duration;
 
 use txallo_core::{Dataset, GTxAllo, GTxAlloPlan, MetricsReport, TxAlloParams};
 use txallo_graph::GraphStats;
 use txallo_louvain::louvain;
+use txallo_model::Block;
 use txallo_sim::{HybridSchedule, ShardedChainSim, SimConfig, UpdateKind};
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 use crate::components;
 use crate::harness::{
@@ -197,15 +198,20 @@ pub fn fig8(rows: &[SweepRow]) {
     emit_metric(rows, &mut w, "seconds", |r| r.time.as_secs_f64());
 }
 
-/// The workload used by the adaptive experiments (Figs. 9–10).
-fn adaptive_workload(scale: ExperimentScale) -> WorkloadConfig {
-    let base = scale.config();
-    WorkloadConfig {
-        block_size: 100,
-        new_account_prob: 0.004,
-        drift_interval: 50,
-        ..base
-    }
+/// The trace of the adaptive experiments (Figs. 9–10): `blocks` warm-up
+/// blocks, then as many served ones, so the warm-up history is as long as
+/// the stream the epochs serve.
+fn adaptive_trace(scale: ExperimentScale, blocks: u64) -> (Vec<Block>, Vec<Block>) {
+    let wl = StreamingWorkload::new(
+        WorkloadConfig {
+            block_size: 100,
+            new_account_prob: 0.004,
+            drift_interval: 50,
+            ..scale.config()
+        },
+        scale.seed,
+    );
+    (wl.blocks(0..blocks), wl.blocks(blocks..2 * blocks))
 }
 
 /// Fig. 9 — throughput evolution of A-TxAllo under different global
@@ -216,7 +222,6 @@ pub fn fig9(scale: ExperimentScale, quick: bool) {
     let k = 16;
     let epoch_blocks = if quick { 10 } else { 30 };
     let epochs: u64 = if quick { 8 } else { 60 };
-    let warmup_blocks = epoch_blocks as u64 * epochs; // 1:1 split (see EXPERIMENTS.md)
 
     let schedules: Vec<(String, HybridSchedule)> = if quick {
         vec![
@@ -234,13 +239,12 @@ pub fn fig9(scale: ExperimentScale, quick: bool) {
         ]
     };
 
+    // Identical trace for every schedule.
+    let (warm, stream) = adaptive_trace(scale, epoch_blocks as u64 * epochs);
+
     w.note("# Fig.9a: columns: schedule,epoch,throughput_times");
     let mut averages = Vec::new();
     for (name, schedule) in &schedules {
-        // Identical trace for every schedule: same seed, fresh generator.
-        let mut generator = EthereumLikeGenerator::new(adaptive_workload(scale), scale.seed);
-        let warm = generator.blocks(warmup_blocks);
-        let stream = generator.blocks(epoch_blocks as u64 * epochs);
         let mut sim = ShardedChainSim::new(SimConfig {
             epoch_blocks,
             schedule: *schedule,
@@ -271,8 +275,8 @@ pub fn fig10(scale: ExperimentScale, quick: bool) {
     let k = 16;
     let epoch_blocks = if quick { 10 } else { 30 };
     let epochs: u64 = if quick { 8 } else { 60 };
-    let warmup_blocks = epoch_blocks as u64 * epochs;
     let gap = if quick { 4 } else { 20 };
+    let (warm, stream) = adaptive_trace(scale, epoch_blocks as u64 * epochs);
 
     w.note("# Fig.10: columns: schedule,epoch,update,seconds");
     for (name, schedule) in [
@@ -282,9 +286,6 @@ pub fn fig10(scale: ExperimentScale, quick: bool) {
             HybridSchedule::Hybrid { global_gap: gap },
         ),
     ] {
-        let mut generator = EthereumLikeGenerator::new(adaptive_workload(scale), scale.seed);
-        let warm = generator.blocks(warmup_blocks);
-        let stream = generator.blocks(epoch_blocks as u64 * epochs);
         let mut sim = ShardedChainSim::new(SimConfig {
             epoch_blocks,
             schedule,
@@ -372,9 +373,10 @@ pub fn headline(scale: ExperimentScale) {
     ));
 }
 
-/// Ablation study of G-TxAllo's design choices (DESIGN.md): the Louvain
-/// initialization vs hash / round-robin starts, and Eq. 9's candidate
-/// restriction vs a full `k`-scan.
+/// Ablation study of G-TxAllo's design choices (see the module doc of
+/// `txallo_core::ablation`): the Louvain initialization vs hash /
+/// round-robin starts, and Eq. 9's candidate restriction vs a full
+/// `k`-scan.
 pub fn ablation(scale: ExperimentScale) {
     use std::time::Instant;
     use txallo_core::{gtxallo_full_scan, gtxallo_with_init_strategy, InitStrategy};
@@ -435,15 +437,15 @@ pub fn latency_validation(scale: ExperimentScale) {
 
     let mut w = ResultWriter::new("latency_validation");
     let (k, eta) = (16usize, 2.0);
-    let mut generator = EthereumLikeGenerator::new(
+    let wl = StreamingWorkload::new(
         WorkloadConfig {
             block_size: 100,
             ..scale.config()
         },
         scale.seed,
     );
-    let warm = generator.blocks(500);
-    let eval = generator.blocks(200);
+    let warm = wl.blocks(0..500);
+    let eval = wl.blocks(500..700);
 
     let mut graph = txallo_graph::TxGraph::new();
     for b in warm.iter().chain(eval.iter()) {
@@ -547,7 +549,6 @@ pub fn broker(scale: ExperimentScale) {
 /// produce *for the next epoch* of a drifting workload.
 pub fn recency(scale: ExperimentScale) {
     use txallo_graph::{fit_u32, TxGraph, WeightedGraph};
-    use txallo_model::Block;
 
     let mut w = ResultWriter::new("recency");
     let (k, eta) = (16usize, 2.0);
@@ -557,9 +558,9 @@ pub fn recency(scale: ExperimentScale) {
         new_account_prob: 0.004,
         ..scale.config()
     };
-    let mut generator = EthereumLikeGenerator::new(cfg, scale.seed);
-    let history = generator.blocks(600);
-    let future = generator.blocks(50);
+    let wl = StreamingWorkload::new(cfg, scale.seed);
+    let history = wl.blocks(0..600);
+    let future = wl.blocks(600..650);
 
     // Build the three views of history: everything, the last 200 blocks,
     // and every block decayed by 0.8 per 50-block epoch (decay, then
@@ -637,9 +638,9 @@ pub fn bench_snapshot(out_path: &str) -> std::io::Result<()> {
         epoch_blocks: 10,
         ..ChainServiceConfig::new(4)
     };
-    let mut generator = EthereumLikeGenerator::new(components::workload(), 42);
-    let warm_blocks = generator.blocks(100);
-    let live_blocks = generator.blocks(60);
+    let wl = StreamingWorkload::new(components::workload(), 42);
+    let warm_blocks = wl.blocks(0..100);
+    let live_blocks = wl.blocks(100..160);
     let mut service = ChainService::new(service_cfg());
     service.set_fault_plan(FaultPlan::mixed(7));
     service.warmup(&warm_blocks);

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use txallo_core::{Allocation, AllocatorRegistry, Dataset, GTxAllo, GTxAlloPlan, TxAlloParams};
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 /// Scale knobs for the experiments (the paper runs 91.8M transactions on a
 /// cluster node; the default here reproduces the shapes on a laptop).
@@ -38,8 +38,9 @@ impl ExperimentScale {
 
 /// Builds the shared experiment dataset.
 pub fn build_dataset(scale: ExperimentScale) -> Dataset {
-    let mut generator = EthereumLikeGenerator::new(scale.config(), scale.seed);
-    Dataset::from_ledger(generator.default_ledger())
+    let config = scale.config();
+    let blocks = config.block_count();
+    Dataset::from_ledger(StreamingWorkload::new(config, scale.seed).ledger(blocks))
 }
 
 /// The four methods of the paper's comparison (legend of Figs. 2–8).

@@ -460,7 +460,7 @@ mod tests {
     use txallo_core::{AllocatorRegistry, Dataset, TxAlloParams};
     use txallo_graph::WeightedGraph;
     use txallo_model::{AccountId, Transaction};
-    use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+    use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
     fn engine(shards: usize) -> ChainEngine {
         ChainEngine::new(ChainEngineConfig {
@@ -784,9 +784,8 @@ mod tests {
             groups: 20,
             ..WorkloadConfig::default()
         };
-        let mut generator = EthereumLikeGenerator::new(cfg, 13);
-        let ledger = generator.default_ledger();
-        let dataset = Dataset::from_ledger(ledger);
+        let blocks = cfg.block_count();
+        let dataset = Dataset::from_ledger(StreamingWorkload::new(cfg, 13).ledger(blocks));
         let k = 4;
         let params = TxAlloParams::for_graph(dataset.graph(), k);
         let alloc = AllocatorRegistry::builtin()

@@ -243,7 +243,7 @@ mod tests {
     use super::*;
     use txallo_core::UpdateKind;
     use txallo_graph::WeightedGraph;
-    use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+    use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
     fn service_config(shards: usize, epoch_blocks: usize, gap: u64) -> ChainServiceConfig {
         ChainServiceConfig {
@@ -260,7 +260,7 @@ mod tests {
         }
     }
 
-    fn generator() -> EthereumLikeGenerator {
+    fn workload() -> StreamingWorkload {
         let cfg = WorkloadConfig {
             accounts: 1_000,
             transactions: 30_000,
@@ -270,15 +270,15 @@ mod tests {
             drift_interval: 20,
             ..WorkloadConfig::default()
         };
-        EthereumLikeGenerator::new(cfg, 33)
+        StreamingWorkload::new(cfg, 33)
     }
 
     #[test]
     fn epochs_close_and_migrations_hit_the_substrate() {
-        let mut gen = generator();
+        let wl = workload();
         let mut service = ChainService::new(service_config(4, 10, 2));
-        service.warmup(&gen.blocks(100));
-        let updates = service.run(&gen.blocks(60));
+        service.warmup(&wl.blocks(0..100));
+        let updates = service.run(&wl.blocks(100..160));
         assert_eq!(updates.len(), 6);
         assert_eq!(service.epochs_closed(), 6);
         assert_eq!(
@@ -315,12 +315,12 @@ mod tests {
         // the hash stream on the same trace — the §V-C claim, measured on
         // the consensus substrate itself.
         let cross_ratio = |method: &str| {
-            let mut gen = generator();
+            let wl = workload();
             let mut config = service_config(4, 10, 2);
             config.method = method.into();
             let mut service = ChainService::new(config);
-            service.warmup(&gen.blocks(100));
-            service.run(&gen.blocks(40));
+            service.warmup(&wl.blocks(0..100));
+            service.run(&wl.blocks(100..140));
             let r = service.report();
             r.cross_committed as f64 / (r.cross_committed + r.intra_committed).max(1) as f64
         };
@@ -335,8 +335,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "warmup")]
     fn block_before_warmup_panics() {
-        let mut gen = generator();
-        let block = gen.blocks(1).pop().unwrap();
+        let wl = workload();
+        let block = wl.block_at(0);
         let mut service = ChainService::new(ChainServiceConfig::new(2));
         let _ = service.process_block(&block);
     }
@@ -423,9 +423,9 @@ mod tests {
         use crate::fault::FaultPlan;
         let plan = FaultPlan::mixed(9);
         let config = service_config(3, 10, 2);
-        let mut gen = generator();
-        let warm = gen.blocks(40);
-        let live = gen.blocks(60);
+        let wl = workload();
+        let warm = wl.blocks(0..40);
+        let live = wl.blocks(40..100);
 
         // The uninterrupted reference run.
         let mut reference = ChainService::new(config.clone());
@@ -473,22 +473,22 @@ mod tests {
 
     #[test]
     fn checkpoint_outside_a_boundary_is_refused() {
-        let mut gen = generator();
+        let wl = workload();
         let mut service = ChainService::new(service_config(2, 10, 1000));
         assert_eq!(
             service.checkpoint().err(),
             Some(crate::error::ChainError::NotWarmedUp)
         );
-        service.warmup(&gen.blocks(10));
+        service.warmup(&wl.blocks(0..10));
         assert!(service.checkpoint().is_ok(), "warm-up ends on a boundary");
-        service.run(&gen.blocks(3));
+        service.run(&wl.blocks(10..13));
         assert_eq!(
             service.checkpoint().err(),
             Some(crate::error::ChainError::MidEpochCheckpoint {
                 blocks_into_epoch: 3
             })
         );
-        service.run(&gen.blocks(7));
+        service.run(&wl.blocks(13..20));
         assert!(service.checkpoint().is_ok(), "epoch closed again");
     }
 
@@ -496,9 +496,9 @@ mod tests {
     fn corrupt_images_and_config_mismatches_are_typed_errors() {
         use crate::error::ChainError;
         use txallo_core::CheckpointError;
-        let mut gen = generator();
+        let wl = workload();
         let mut service = ChainService::new(service_config(2, 10, 1000));
-        service.warmup(&gen.blocks(10));
+        service.warmup(&wl.blocks(0..10));
         let image = service.checkpoint().unwrap();
 
         let mut flipped = image.clone();
@@ -525,12 +525,12 @@ mod tests {
         // The transaction-level scheduler keeps unserializable state; a
         // checkpoint degrades to labels-only and resume cold-opens the
         // stream — visibly, via `resume_carry`.
-        let mut gen = generator();
+        let wl = workload();
         let mut config = service_config(2, 10, 1000);
         config.method = "scheduler".into();
         let mut service = ChainService::new(config.clone());
-        service.warmup(&gen.blocks(20));
-        service.run(&gen.blocks(10));
+        service.warmup(&wl.blocks(0..20));
+        service.run(&wl.blocks(20..30));
         let image = service.checkpoint().unwrap();
         let resumed = ChainService::resume(config, &image).unwrap();
         assert_eq!(resumed.resume_carry(), Some(StateCarry::Rebuilt));
@@ -547,19 +547,19 @@ mod tests {
         // A negative tolerance makes every audit "fail", deterministically
         // driving the ladder: healthy → invalidated → hash fallback. The
         // service must keep closing epochs the whole way down.
-        let mut gen = generator();
+        let wl = workload();
         let mut service = ChainService::new(service_config(3, 10, 1000));
         service.enable_health_check(1, -1.0);
-        service.warmup(&gen.blocks(40));
+        service.warmup(&wl.blocks(0..40));
         assert_eq!(service.degradation(), Degradation::None);
 
-        service.run(&gen.blocks(10));
+        service.run(&wl.blocks(40..50));
         assert_eq!(
             service.degradation(),
             Degradation::Invalidated,
             "first strike drops the warm session"
         );
-        service.run(&gen.blocks(10));
+        service.run(&wl.blocks(50..60));
         assert_eq!(
             service.degradation(),
             Degradation::HashFallback,
@@ -567,7 +567,7 @@ mod tests {
         );
         // Life goes on at the bottom rung: epochs close, every account
         // is labelled, and the rung is sticky.
-        let updates = service.run(&gen.blocks(20));
+        let updates = service.run(&wl.blocks(60..80));
         assert_eq!(updates.len(), 2);
         assert_eq!(service.epochs_closed(), 4);
         assert_eq!(service.allocation().len(), service.graph().node_count());
@@ -600,12 +600,12 @@ mod tests {
 
     #[test]
     fn mid_epoch_new_accounts_get_transient_hash_labels() {
-        let mut gen = generator();
+        let wl = workload();
         let mut service = ChainService::new(service_config(3, 50, 5));
-        service.warmup(&gen.blocks(20));
+        service.warmup(&wl.blocks(0..20));
         // Fewer blocks than an epoch: no boundary fires, yet consensus
         // processed every block (new accounts included).
-        let updates = service.run(&gen.blocks(10));
+        let updates = service.run(&wl.blocks(20..30));
         assert!(updates.is_empty());
         assert_eq!(service.allocation().len(), service.graph().node_count());
         assert!(service.report().blocks == 10);

@@ -8,7 +8,7 @@ use txallo_chain::{
 use txallo_core::{Allocation, HybridSchedule, StateCarry};
 use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 fn no_faults() -> FaultInjector {
     FaultInjector::new(FaultPlan::none())
@@ -111,7 +111,7 @@ fn small_trace(seed: u64, blocks: u64) -> Vec<Block> {
         drift_interval: 15,
         ..WorkloadConfig::default()
     };
-    EthereumLikeGenerator::new(cfg, seed).blocks(blocks)
+    StreamingWorkload::new(cfg, seed).blocks(0..blocks)
 }
 
 fn faulty_config(shards: usize) -> ChainServiceConfig {

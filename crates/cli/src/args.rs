@@ -1,5 +1,5 @@
-//! Minimal `--flag value` argument parsing (no external dependencies, per
-//! DESIGN.md's dependency policy).
+//! Minimal `--flag value` argument parsing (no external dependencies: the
+//! build is offline, see ARCHITECTURE.md's paragraph on vendored stubs).
 
 use std::collections::BTreeMap;
 

@@ -3,7 +3,7 @@
 use std::fs::File;
 use std::io::BufWriter;
 
-use txallo_workload::{write_ledger_csv, EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{write_ledger_csv, StreamingWorkload, WorkloadConfig};
 
 use crate::args::ArgMap;
 
@@ -35,8 +35,8 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let seed: u64 = args.parsed_or("seed", 42)?;
     config.check()?;
 
-    let mut generator = EthereumLikeGenerator::new(config, seed);
-    let ledger = generator.default_ledger();
+    let blocks = config.block_count();
+    let ledger = StreamingWorkload::new(config, seed).ledger(blocks);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     write_ledger_csv(&ledger, BufWriter::new(file)).map_err(|e| e.to_string())?;
     eprintln!(

@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use txallo_workload::{read_ledger_csv, StreamingWorkload, WorkloadConfig};
+
 fn txallo_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_txallo"))
 }
@@ -39,6 +41,19 @@ fn generate_stats_allocate_evaluate_pipeline() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(trace.exists());
+    // The written trace is `StreamingWorkload`'s, the source `simulate`
+    // streams from.
+    let file = std::fs::File::open(&trace).expect("open trace");
+    let written = read_ledger_csv(std::io::BufReader::new(file)).expect("read trace");
+    let config = WorkloadConfig {
+        accounts: 500,
+        transactions: 5_000,
+        ..WorkloadConfig::default()
+    };
+    assert_eq!(
+        written.blocks()[0],
+        StreamingWorkload::new(config, 7).block_at(0)
+    );
 
     // stats
     let out = txallo_bin()
@@ -274,7 +289,7 @@ fn unknown_flags_exit_2_and_name_the_flag() {
 }
 
 /// Out-of-range workload flags are reported as CLI errors (exit 2), not
-/// as a panic inside the generator (exit 101).
+/// as a panic inside `StreamingWorkload::new` (exit 101).
 #[test]
 fn invalid_workload_flags_exit_2() {
     let trace = tmp("invalid_workload_trace.csv");

@@ -12,8 +12,8 @@
 //!
 //! Run via `experiments ablation`.
 
-use txallo_graph::{NodeId, TxGraph, WeightedGraph};
-use txallo_louvain::{louvain, LouvainResult};
+use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
+use txallo_louvain::{split_disconnected, LouvainResult};
 
 use crate::allocation::Allocation;
 use crate::gtxallo::{GTxAllo, GTxAlloOutcome, GTxAlloPlan};
@@ -57,57 +57,52 @@ impl InitStrategy {
     }
 }
 
-/// Builds a pseudo-`LouvainResult` for the non-Louvain strategies so the
-/// regular G-TxAllo pipeline can consume it unchanged.
-fn synthetic_init(graph: &TxGraph, k: usize, strategy: InitStrategy) -> LouvainResult {
-    let n = graph.node_count();
-    let communities: Vec<u32> = match strategy {
-        InitStrategy::Louvain | InitStrategy::LouvainSplit => {
-            unreachable!("handled by the real Louvain")
-        }
-        InitStrategy::Hash => (0..n as NodeId)
-            .map(|v| graph.account(v).hash_shard(k).0)
-            .collect(),
-        InitStrategy::RoundRobin => {
-            let order = graph.nodes_in_canonical_order();
-            let mut labels = vec![0u32; n];
-            for (i, &v) in order.iter().enumerate() {
-                labels[v as usize] = (i % k) as u32;
-            }
-            labels
-        }
-    };
-    LouvainResult {
-        communities,
-        community_count: k.min(n.max(1)),
-        levels: 0,
-    }
-}
-
 /// Runs G-TxAllo with the given initialization strategy.
+///
+/// Every start is computed in the renumbered space of production's
+/// [`GTxAlloPlan`] and swept over its CSR in that order, so the
+/// [`InitStrategy::Louvain`] row is production G-TxAllo bit for bit and
+/// the other rows differ from it only in their start.
 pub fn gtxallo_with_init_strategy(
     params: &TxAlloParams,
     graph: &TxGraph,
     strategy: InitStrategy,
 ) -> GTxAlloOutcome {
-    let gtx = GTxAllo::new(params.clone());
-    let order = graph.nodes_in_canonical_order();
-    match strategy {
-        InitStrategy::Louvain => {
-            let init = louvain(graph);
-            gtx.allocate_with_init(graph, &init, &order)
-        }
+    let plan = GTxAlloPlan::new(graph, &params.louvain);
+    let (n, k) = (plan.order().len(), params.shards);
+    let synthetic = |communities: Vec<u32>| LouvainResult {
+        communities,
+        community_count: k.min(n.max(1)),
+        levels: 0,
+    };
+    let init = match strategy {
+        InitStrategy::Louvain => plan.init().clone(),
         InitStrategy::LouvainSplit => {
-            let mut init = louvain(graph);
-            let split = txallo_louvain::split_disconnected(graph, &init.communities);
-            init.communities = split.labels;
-            init.community_count = split.count;
-            gtx.allocate_with_init(graph, &init, &order)
+            let split = split_disconnected(plan.csr(), &plan.init().communities);
+            LouvainResult {
+                communities: split.labels,
+                community_count: split.count,
+                levels: plan.init().levels,
+            }
         }
-        other => {
-            let init = synthetic_init(graph, params.shards, other);
-            gtx.allocate_with_init(graph, &init, &order)
-        }
+        InitStrategy::Hash => synthetic(
+            plan.order()
+                .iter()
+                .map(|&v| graph.account(v).hash_shard(k).0)
+                .collect(),
+        ),
+        InitStrategy::RoundRobin => synthetic((0..n).map(|i| (i % k) as u32).collect()),
+    };
+    let identity: Vec<NodeId> = (0..fit_u32(n)).collect();
+    let out = GTxAllo::new(params.clone()).allocate_with_init(plan.csr(), &init, &identity);
+    // Map the renumbered labels back to original node ids.
+    let mut labels = vec![0u32; n];
+    for (&v, &label) in plan.order().iter().zip(out.allocation.labels()) {
+        labels[v as usize] = label;
+    }
+    GTxAlloOutcome {
+        allocation: Allocation::new(labels, k),
+        ..out
     }
 }
 
@@ -224,13 +219,44 @@ mod tests {
         );
     }
 
+    /// The ablation figure's workload at `--scale 0.2`.
+    fn ablation_workload() -> TxGraph {
+        use txallo_workload::{StreamingWorkload, WorkloadConfig};
+        let cfg = WorkloadConfig::scaled(0.2);
+        let blocks = cfg.block_count();
+        TxGraph::from_ledger(&StreamingWorkload::new(cfg, 42).ledger(blocks))
+    }
+
+    /// Ablation A's `louvain` row is production G-TxAllo (the route of
+    /// `allocate_graph`), bit for bit: labels, trajectory, gain and gather
+    /// work.
+    #[test]
+    fn louvain_row_is_production_gtxallo() {
+        let g = ablation_workload();
+        let params = TxAlloParams::for_graph(&g, 20).with_eta(2.0);
+        let plan = GTxAlloPlan::new(&g, &params.louvain);
+        let production = GTxAllo::new(params.clone()).allocate_planned(&plan);
+        let row = gtxallo_with_init_strategy(&params, &g, InitStrategy::Louvain);
+        let counters = |o: &GTxAlloOutcome| {
+            (
+                o.initial_communities,
+                o.sweeps,
+                o.moves,
+                o.total_gain.to_bits(),
+                o.rows_gathered,
+                o.entries_gathered,
+                o.entries_certified,
+            )
+        };
+        assert_eq!(row.allocation, production.allocation);
+        assert_eq!(counters(&row), counters(&production));
+    }
+
     /// The full scan starts where production G-TxAllo ends, so on the
     /// ablation figure's own workload it can only add gain.
     #[test]
     fn full_scan_is_at_least_production_on_the_ablation_workload() {
-        use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
-        let ledger = EthereumLikeGenerator::new(WorkloadConfig::scaled(0.2), 42).default_ledger();
-        let g = TxGraph::from_ledger(&ledger);
+        let g = ablation_workload();
         let params = TxAlloParams::for_graph(&g, 20).with_eta(2.0);
         let production = GTxAllo::new(params.clone()).allocate_graph(&g);
         let full = gtxallo_full_scan(&params, &g);

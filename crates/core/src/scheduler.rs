@@ -9,8 +9,9 @@
 //! the longest running time (Fig. 8 — it touches every transaction).
 //!
 //! The original system tracks per-object placement with broker-mediated
-//! migration; this reproduction keeps the two published decision rules that
-//! drive its measured behaviour (see DESIGN.md):
+//! migration; this reproduction keeps only the two published decision rules
+//! that drive its measured behaviour, because the §VI metrics score where
+//! accounts land, not how a migration is brokered:
 //!
 //! 1. **New accounts** go to the least-loaded shard at arrival time.
 //! 2. **Migration**: when a transaction is cross-shard, each affected

@@ -29,7 +29,7 @@ use txallo_core::{
 };
 use txallo_graph::{DeltaCsr, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{AccountId, Block, Transaction};
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 /// One adaptive update from `prev`: a session opened on it and updated
 /// once, returning the counters and the updated allocation.
@@ -396,18 +396,18 @@ fn all_new_accounts_epoch() {
 fn session_counters_are_pinned() {
     type Counters = (usize, usize, usize, u64, usize, usize, usize, usize);
     const EXPECTED: [Counters; 12] = [
-        (37, 5, 80, 4631787468209792256, 868, 898, 11223, 3300),
-        (25, 5, 73, 4633556997353331296, 915, 943, 11831, 4985),
-        (28, 3, 88, 4635926382035870704, 899, 975, 13368, 3558),
-        (16, 5, 73, 4634549327310523968, 884, 950, 13202, 5619),
-        (18, 3, 66, 4632565103725250432, 911, 952, 13397, 2751),
-        (19, 3, 57, 4632696130269209184, 901, 933, 13697, 2498),
-        (19, 3, 53, 4630816543648368512, 932, 962, 14456, 3062),
-        (16, 2, 42, 4627983276730538112, 875, 890, 14147, 876),
-        (19, 4, 68, 4633812357978265024, 899, 934, 14736, 4670),
-        (11, 3, 51, 4631472006856327392, 922, 957, 15573, 3077),
-        (11, 3, 45, 4631774169515208672, 915, 939, 15769, 3264),
-        (12, 4, 48, 4629623144729970496, 887, 917, 15880, 3150),
+        (37, 4, 75, 4630869408072801920, 863, 893, 11375, 4050),
+        (17, 2, 47, 4632156980172481760, 867, 885, 11434, 726),
+        (14, 4, 50, 4631577653483662080, 853, 883, 12224, 2143),
+        (21, 4, 54, 4630715197325012928, 868, 897, 12494, 3336),
+        (24, 3, 64, 4630682640406426720, 889, 922, 13121, 4311),
+        (25, 3, 55, 4627433008836705280, 875, 905, 13347, 1716),
+        (15, 4, 45, 4630349941013345248, 902, 929, 13930, 3796),
+        (19, 4, 57, 4631582933344593728, 912, 956, 15000, 4621),
+        (18, 3, 60, 4631353648972540096, 853, 891, 14670, 4787),
+        (11, 4, 45, 4631409812685461568, 856, 882, 14819, 4335),
+        (11, 3, 32, 4627784879934109632, 855, 876, 15166, 2443),
+        (22, 3, 50, 4629779122324769280, 845, 861, 15074, 2049),
     ];
     let config = WorkloadConfig {
         accounts: 3_000,
@@ -419,9 +419,9 @@ fn session_counters_are_pinned() {
         ..WorkloadConfig::default()
     };
     let k = 8;
-    let mut generator = EthereumLikeGenerator::new(config, 42);
+    let wl = StreamingWorkload::new(config, 42);
     let mut g = TxGraph::new();
-    for b in generator.blocks(150) {
+    for b in wl.blocks(0..150) {
         g.ingest_block(&b);
     }
     let params = TxAlloParams::for_graph(&g, k);
@@ -433,7 +433,8 @@ fn session_counters_are_pinned() {
             session.apply_decay(0.9);
         }
         let mut touched = Vec::new();
-        for b in generator.blocks(10) {
+        let start = 150 + 10 * epoch as u64;
+        for b in wl.blocks(start..start + 10) {
             let nodes = g.ingest_block_nodes(&b);
             session.apply_block_nodes(&nodes);
             touched.extend_from_slice(nodes.touched());

@@ -20,16 +20,15 @@ use std::collections::BTreeMap;
 
 use txallo_core::state::capped_throughput;
 use txallo_core::{
-    allocate_with_brokers, gtxallo_with_init_strategy, select_split_accounts, Allocation,
-    AtxAlloSession, BrokerConfig, CommunityState, Dataset, EpochKind, GTxAllo, GTxAlloPlan,
-    InitStrategy, MaskedGraph, SchedulerStream, ShardScheduler, StreamingAllocator, TxAlloParams,
-    GAIN_EPS, MAX_SWEEPS,
+    allocate_with_brokers, select_split_accounts, Allocation, AtxAlloSession, BrokerConfig,
+    CommunityState, Dataset, EpochKind, GTxAllo, GTxAlloPlan, MaskedGraph, SchedulerStream,
+    ShardScheduler, StreamingAllocator, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
 };
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
-use txallo_louvain::{louvain_csr, LouvainResult};
+use txallo_louvain::{louvain, louvain_csr, LouvainResult};
 use txallo_metis::{metis_partition, recursive_bisection_partition};
 use txallo_model::Ledger;
-use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 const UNASSIGNED: u32 = u32::MAX;
 
@@ -41,7 +40,8 @@ fn workload_ledger(accounts: usize, transactions: usize, seed: u64) -> Ledger {
         groups: accounts / 50,
         ..WorkloadConfig::default()
     };
-    EthereumLikeGenerator::new(cfg, seed).default_ledger()
+    let blocks = cfg.block_count();
+    StreamingWorkload::new(cfg, seed).ledger(blocks)
 }
 
 fn workload_graph(accounts: usize, transactions: usize, seed: u64) -> TxGraph {
@@ -359,7 +359,7 @@ fn determinism_locks_across_algorithms() {
 
 /// Trajectory pins of both METIS drivers. On this graph heavy-edge
 /// matching cannot pair a hub's many leaves, so coarsening stops at its
-/// reduction guard with 4,817 of 9,687 nodes left, far above the 2,000
+/// reduction guard with 4,950 of 9,698 nodes left, far above the 2,000
 /// coarsen target: the greedy grower and FM refinement then run on a
 /// large coarsest graph, the shape the served `metis` epochs see. Both
 /// drivers report the levels of their deepest V-cycle and FM's rows
@@ -371,13 +371,13 @@ fn metis_trajectories_are_pinned_on_a_stalled_hierarchy() {
     for (k, kway, recursive) in [
         (
             5,
-            (0x8311_f850_39a5_dcc2u64, 29_424, 50_186),
-            (0x663f_bf9d_c7af_d5c7u64, 44_391, 54_474),
+            (0x05e4_dc39_aaa2_d720u64, 30_038, 47_203),
+            (0x440c_61a8_54ca_d1e2u64, 42_545, 55_853),
         ),
         (
             20,
-            (0x2805_cf1d_ca11_02b9, 29_733, 45_787),
-            (0xe037_0ac6_af53_ad61, 63_506, 74_949),
+            (0x1f8e_a2af_0d6a_960d, 30_682, 46_211),
+            (0xac4a_6277_0b33_e55b, 65_820, 80_069),
         ),
     ] {
         let r = metis_partition(&csr, k);
@@ -408,7 +408,7 @@ fn louvain_trajectory_is_pinned_on_a_hub_graph() {
     let r = louvain_csr(&csr);
     assert_eq!(
         (fingerprint(&r.communities), r.levels, r.community_count),
-        (0x2fd5_50f0_8103_e9d7, 4, 107)
+        (0x23d2_e702_1c18_d5b5, 4, 117)
     );
 }
 
@@ -425,7 +425,7 @@ fn shard_scheduler_trajectories_are_pinned() {
     let dataset = Dataset::from_ledger(ledger);
     let params = TxAlloParams::for_graph(dataset.graph(), k);
     let batch = ShardScheduler::new(&params).allocate_dataset(&dataset);
-    assert_eq!(fingerprint(batch.labels()), 0xfffe_0d14_d9d1_cd31);
+    assert_eq!(fingerprint(batch.labels()), 0x15bf_fffe_c123_7234);
 
     let (warm, rest) = blocks.split_at(400);
     let mut graph = TxGraph::new();
@@ -437,7 +437,7 @@ fn shard_scheduler_trajectories_are_pinned() {
     let mut mirror = stream.begin(&graph, &params);
     assert_eq!(
         fingerprint(mirror.labels()),
-        0x0cd1_4570_6c9f_0140,
+        0xe5f6_aec4_ef14_4a92,
         "warm start"
     );
     let mut pinned = Vec::new();
@@ -453,19 +453,19 @@ fn shard_scheduler_trajectories_are_pinned() {
     assert_eq!(
         pinned,
         vec![
-            0xd8b5_c45b_f518_fb41,
-            0xea5c_1f25_07f6_adf1,
-            0xccec_5570_de83_2562,
-            0x9149_6e7e_b6fd_1e53
+            0xba2f_9056_e1da_483f,
+            0xf3db_d5c6_59e1_2c5e,
+            0x41c8_8192_cc71_4b8c,
+            0x4744_2980_b024_9895
         ]
     );
 }
 
 /// G-TxAllo's optimization work on the stalled-hierarchy graph, whose hub
-/// row has 3,451 entries: the trajectory (sweeps, moves, labels) and the
+/// row has 3,460 entries: the trajectory (sweeps, moves, labels) and the
 /// gather counters `(rows_gathered, entries_gathered, entries_certified)`.
 /// The certified entries are re-gathers of stale rows that a no-move
-/// certificate ruled out; gathered plus certified entries, 275,004, are
+/// certificate ruled out; gathered plus certified entries, 281,341, are
 /// the entries the optimizer gathered before certificates existed.
 #[test]
 fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
@@ -475,11 +475,11 @@ fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
     let hub = (0..plan.csr().node_count() as NodeId)
         .map(|v| plan.csr().neighbor_count(v))
         .max();
-    assert_eq!(hub, Some(3_451), "fixture: the hub row");
+    assert_eq!(hub, Some(3_460), "fixture: the hub row");
     let out = GTxAllo::new(params).allocate_planned(&plan);
     assert_eq!(
         (out.sweeps, out.moves, fingerprint(out.allocation.labels())),
-        (28, 9_091, 0xc236_9d32_015b_b249)
+        (29, 8_791, 0x737e_77b1_8f7f_6af1)
     );
     assert_eq!(
         (
@@ -487,21 +487,25 @@ fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
             out.entries_gathered,
             out.entries_certified
         ),
-        (14_298, 116_575, 158_429)
+        (13_672, 108_316, 173_025)
     );
 }
 
 /// The explicit-order sweep on the hub graph: `allocate_with_init` over
-/// the mutable graph in canonical order (the ablation's Louvain start),
+/// the mutable graph in canonical order from Louvain in interning order,
 /// and the broker pipeline, which sweeps a masked view of it.
 #[test]
 fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
     let graph = workload_graph(10_000, 60_000, 7);
     let params = TxAlloParams::for_graph(&graph, 20);
-    let out = gtxallo_with_init_strategy(&params, &graph, InitStrategy::Louvain);
+    let out = GTxAllo::new(params.clone()).allocate_with_init(
+        &graph,
+        &louvain(&graph),
+        &graph.nodes_in_canonical_order(),
+    );
     assert_eq!(
         (out.sweeps, out.moves, fingerprint(out.allocation.labels())),
-        (26, 8_613, 0x3fed_ef77_41ae_abab)
+        (26, 8_738, 0xea95_ef79_2498_b0a4)
     );
     assert_eq!(
         (
@@ -509,10 +513,10 @@ fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
             out.entries_gathered,
             out.entries_certified
         ),
-        (13_427, 107_991, 144_941)
+        (13_546, 105_602, 140_970)
     );
     let (brokered, _) = allocate_with_brokers(&graph, &params, &BrokerConfig::default());
-    assert_eq!(fingerprint(brokered.labels()), 0x1a43_4578_491e_3290);
+    assert_eq!(fingerprint(brokered.labels()), 0x009b_6200_a589_b604);
 }
 
 /// Both whole-graph snapshots fill the same rows from every source shape
@@ -587,9 +591,9 @@ fn adaptive_update_over_every_node_is_the_global_sweep() {
             12_000usize,
             3u64,
             8usize,
-            (14, 2_149, 29_700, 10_928),
+            (9, 2_226, 36_117, 6_338),
         ),
-        (10_000, 60_000, 7, 20, (9, 11_185, 117_185, 32_070)),
+        (10_000, 60_000, 7, 20, (12, 11_033, 120_665, 59_417)),
     ] {
         let graph = workload_graph(accounts, transactions, seed);
         let n = graph.node_count();

@@ -1,7 +1,9 @@
 //! Fast, deterministic hashing utilities.
 //!
 //! The workspace deliberately avoids the `rustc-hash` dependency and ships a
-//! small Fx-style multiply-rotate hasher instead (see DESIGN.md). The hasher
+//! small Fx-style multiply-rotate hasher instead: the build is offline, and
+//! its one external dependency is a vendored test stub (see
+//! ARCHITECTURE.md's paragraph on vendored stubs). The hasher
 //! is *not* HashDoS-resistant; it is used for account/node keys that are
 //! either internal indices or already well-mixed addresses, exactly the
 //! situation the Rust Performance Book recommends a fast hasher for.

@@ -222,9 +222,9 @@ mod tests {
     use super::*;
     use crate::epoch::UpdateKind;
     use txallo_core::StateCarry;
-    use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+    use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
-    fn generator() -> EthereumLikeGenerator {
+    fn workload() -> StreamingWorkload {
         let cfg = WorkloadConfig {
             accounts: 1_500,
             transactions: 40_000,
@@ -232,7 +232,7 @@ mod tests {
             groups: 30,
             ..WorkloadConfig::default()
         };
-        EthereumLikeGenerator::new(cfg, 21)
+        StreamingWorkload::new(cfg, 21)
     }
 
     fn config(shards: usize, epoch_blocks: usize, schedule: HybridSchedule) -> SimConfig {
@@ -246,11 +246,11 @@ mod tests {
 
     #[test]
     fn warmup_then_adaptive_epochs() {
-        let mut gen = generator();
-        let warm = gen.blocks(100);
+        let wl = workload();
+        let warm = wl.blocks(0..100);
         let mut sim = ShardedChainSim::new(config(4, 20, HybridSchedule::AlwaysAdaptive));
         sim.warmup(&warm);
-        let stream = gen.blocks(60);
+        let stream = wl.blocks(100..160);
         let reports = sim.run_stream(&stream);
         assert_eq!(reports.len(), 3);
         for (i, r) in reports.iter().enumerate() {
@@ -268,11 +268,11 @@ mod tests {
 
     #[test]
     fn hybrid_schedule_runs_global_on_gap() {
-        let mut gen = generator();
-        let warm = gen.blocks(60);
+        let wl = workload();
+        let warm = wl.blocks(0..60);
         let mut sim = ShardedChainSim::new(config(3, 10, HybridSchedule::Hybrid { global_gap: 2 }));
         sim.warmup(&warm);
-        let stream = gen.blocks(40);
+        let stream = wl.blocks(60..100);
         let reports = sim.run_stream(&stream);
         assert_eq!(reports.len(), 4);
         assert_eq!(reports[0].update, UpdateKind::Adaptive);
@@ -292,11 +292,11 @@ mod tests {
 
     #[test]
     fn adaptive_is_faster_than_global() {
-        let mut gen = generator();
-        let warm = gen.blocks(200);
+        let wl = workload();
+        let warm = wl.blocks(0..200);
         let mut sim = ShardedChainSim::new(config(4, 10, HybridSchedule::AlwaysAdaptive));
         let global_time = sim.warmup(&warm);
-        let stream = gen.blocks(10);
+        let stream = wl.blocks(200..210);
         let report = sim.run_stream(&stream).pop().unwrap();
         // The adaptive update touches a fraction of the graph; it must be
         // significantly faster than the global warm-up run.
@@ -311,8 +311,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "warmup")]
     fn epoch_before_warmup_panics() {
-        let mut gen = generator();
-        let blocks = gen.blocks(10);
+        let wl = workload();
+        let blocks = wl.blocks(0..10);
         let mut sim = ShardedChainSim::new(SimConfig::new(2));
         let _ = sim.run_epoch(&blocks);
     }
@@ -330,9 +330,9 @@ mod tests {
     fn baseline_methods_stream_too() {
         // The §VI comparison can run epoch-driven: every registered
         // method serves the same epoch loop.
-        let mut gen = generator();
-        let warm = gen.blocks(40);
-        let stream = gen.blocks(20);
+        let wl = workload();
+        let warm = wl.blocks(0..40);
+        let stream = wl.blocks(40..60);
         for method in ["hash", "metis", "scheduler"] {
             let mut sim = ShardedChainSim::new(SimConfig {
                 method: method.into(),
@@ -356,15 +356,15 @@ mod tests {
 
     #[test]
     fn decay_keeps_graph_weight_bounded_and_folds_into_session() {
-        let mut gen = generator();
-        let warm = gen.blocks(40);
+        let wl = workload();
+        let warm = wl.blocks(0..40);
         let mut sim = ShardedChainSim::new(SimConfig {
             decay_per_epoch: Some(0.5),
             ..config(3, 10, HybridSchedule::AlwaysAdaptive)
         });
         sim.warmup(&warm);
         use txallo_graph::WeightedGraph;
-        let stream = gen.blocks(100);
+        let stream = wl.blocks(40..140);
         let mut last_weight = f64::INFINITY;
         for (i, r) in sim.run_stream(&stream).iter().enumerate() {
             assert!(r.metrics.throughput_normalized > 0.5, "epoch {i} collapsed");
@@ -384,11 +384,11 @@ mod tests {
 
     #[test]
     fn throughput_stays_reasonable_across_drift() {
-        let mut gen = generator();
-        let warm = gen.blocks(150);
+        let wl = workload();
+        let warm = wl.blocks(0..150);
         let mut sim = ShardedChainSim::new(config(4, 25, HybridSchedule::Hybrid { global_gap: 3 }));
         sim.warmup(&warm);
-        let stream = gen.blocks(150);
+        let stream = wl.blocks(150..300);
         let reports = sim.run_stream(&stream);
         for r in &reports {
             assert!(
@@ -465,14 +465,14 @@ mod tests {
 
     #[test]
     fn health_check_degrades_and_reports_the_rung() {
-        let mut gen = generator();
-        let warm = gen.blocks(40);
+        let wl = workload();
+        let warm = wl.blocks(0..40);
         let mut sim = ShardedChainSim::new(config(3, 10, HybridSchedule::AlwaysAdaptive));
         sim.warmup(&warm);
         // An impossible tolerance forces a strike at every audited
         // boundary: first Invalidated, then the hash fallback.
         sim.enable_health_check(1, -1.0);
-        let stream = gen.blocks(30);
+        let stream = wl.blocks(40..70);
         let reports = sim.run_stream(&stream);
         assert_eq!(reports[0].degradation, Degradation::Invalidated);
         assert_eq!(reports[1].degradation, Degradation::HashFallback);
@@ -490,14 +490,14 @@ mod tests {
 
     #[test]
     fn healthy_stream_never_degrades() {
-        let mut gen = generator();
-        let warm = gen.blocks(40);
+        let wl = workload();
+        let warm = wl.blocks(0..40);
         let mut sim = ShardedChainSim::new(config(3, 10, HybridSchedule::AlwaysAdaptive));
         sim.warmup(&warm);
         // The adaptive session's float aggregates are maintained exactly
         // (chronological accumulation); a generous tolerance never trips.
         sim.enable_health_check(1, 1e-6);
-        for r in sim.run_stream(&gen.blocks(30)) {
+        for r in sim.run_stream(&wl.blocks(40..70)) {
             assert_eq!(r.degradation, Degradation::None);
             assert_eq!(
                 r.carry,
@@ -509,11 +509,11 @@ mod tests {
 
     #[test]
     fn migration_diffs_are_surfaced() {
-        let mut gen = generator();
-        let warm = gen.blocks(100);
+        let wl = workload();
+        let warm = wl.blocks(0..100);
         let mut sim = ShardedChainSim::new(config(4, 20, HybridSchedule::Hybrid { global_gap: 2 }));
         sim.warmup(&warm);
-        let stream = gen.blocks(80);
+        let stream = wl.blocks(100..180);
         let reports = sim.run_stream(&stream);
         let moved: usize = reports.iter().map(|r| r.metrics.migrated_accounts).sum();
         let placed: usize = reports.iter().map(|r| r.new_accounts).sum();

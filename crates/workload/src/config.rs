@@ -1,6 +1,6 @@
-//! Generator configuration.
+//! Workload configuration.
 
-/// Parameters of the Ethereum-like trace generator.
+/// Parameters of the synthetic Ethereum-like trace.
 ///
 /// Defaults are calibrated to the paper's dataset description (§VI-A,
 /// Fig. 1) at a laptop-friendly scale; `accounts`/`transactions` scale the

@@ -163,7 +163,7 @@ pub fn read_ledger_csv(input: impl BufRead) -> Result<Ledger, CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EthereumLikeGenerator, WorkloadConfig};
+    use crate::{StreamingWorkload, WorkloadConfig};
     use std::io::BufReader;
 
     #[test]
@@ -173,8 +173,7 @@ mod tests {
             multi_io_prob: 0.3,
             ..WorkloadConfig::default()
         };
-        let mut gen = EthereumLikeGenerator::new(cfg, 8);
-        let ledger = gen.ledger(5);
+        let ledger = StreamingWorkload::new(cfg, 8).ledger(5);
         let mut buf = Vec::new();
         write_ledger_csv(&ledger, &mut buf).unwrap();
         let back = read_ledger_csv(BufReader::new(buf.as_slice())).unwrap();

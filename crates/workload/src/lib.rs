@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates on 91.8M real Ethereum transactions (blocks
 //! 10,000,000–10,600,000). That dataset is not redistributable, so this
-//! crate generates a *statistically equivalent* trace (see DESIGN.md,
-//! "Dataset substitution") with the properties the evaluation depends on:
+//! crate synthesizes a *statistically equivalent* trace with
+//! [`StreamingWorkload`] (see PAPER.md, "Deviations and reproduction
+//! notes"), with the properties the evaluation depends on:
 //!
 //! * **long-tailed account activity** — Zipf-distributed participation with
 //!   a single dominant account (paper: ≈11% of all transactions);
@@ -14,6 +15,10 @@
 //! * **temporal drift** — group popularity rotates slowly and new accounts
 //!   are born over time, so adaptive re-allocation has real work to do.
 //!
+//! Every block is a pure function of `(config, seed, height)`, so tests,
+//! figures, `txallo generate` and the streamed replays all draw the same
+//! trace from the same flags.
+//!
 //! Real traces can also be round-tripped through a simple CSV format
 //! ([`csvio`]) for replaying actual Ethereum exports.
 
@@ -23,13 +28,11 @@
 pub mod config;
 pub mod csvio;
 pub mod etl;
-pub mod generator;
 pub mod stream;
 pub mod zipf;
 
 pub use config::WorkloadConfig;
 pub use csvio::{read_ledger_csv, write_ledger_csv, CsvError};
 pub use etl::{address_to_account, read_ethereum_etl_csv};
-pub use generator::EthereumLikeGenerator;
 pub use stream::StreamingWorkload;
 pub use zipf::ZipfTable;

@@ -1,12 +1,9 @@
 //! Counter-based streaming workload: any block regenerable independently.
 //!
-//! [`EthereumLikeGenerator`] carries a mutable `SmallRng`, so block `h` is
-//! only reachable by generating blocks `0..h` first and the whole ledger
-//! must be materialized to replay an epoch twice. [`StreamingWorkload`]
-//! removes the stored stream state: every random decision is a pure
-//! function of `(seed, account index, draw counter)` through `mix64`, in
-//! the style of zksync-era's `loadnext` per-account seeded RNG streams.
-//! Consequences:
+//! [`StreamingWorkload`] stores no stream state: every random decision is
+//! a pure function of `(seed, account index, draw counter)` through
+//! `mix64`, in the style of zksync-era's `loadnext` per-account seeded RNG
+//! streams. Consequences:
 //!
 //! - `block_at(h)` is a pure function — any epoch is regenerable on
 //!   demand, in any order, on any worker, and replay is bit-identical to
@@ -17,15 +14,11 @@
 //!   multi-million-account epochs through the allocator without holding
 //!   the chain in memory.
 //!
-//! The statistical shape mirrors [`EthereumLikeGenerator`] (same config
-//! vocabulary: Zipf activity, latent groups, one hot account, drift,
-//! births, self-loops, multi-IO) with one documented deviation: accounts
-//! born mid-stream get deterministic ids derived from their birth
-//! transaction and do **not** re-enter circulation (the generator routes
-//! 5% of member picks to newborns). Drift rotation supplies the hot/cold
-//! churn that path provided.
-//!
-//! [`EthereumLikeGenerator`]: crate::EthereumLikeGenerator
+//! The statistical shape is the one [`WorkloadConfig`] describes: Zipf
+//! activity, latent groups, one hot account, drift, births, self-loops
+//! and multi-IO. Accounts born mid-stream get deterministic ids derived
+//! from their birth transaction and do **not** transact again; drift
+//! rotation supplies the hot/cold churn.
 
 use std::ops::Range;
 
@@ -136,8 +129,8 @@ impl StreamingWorkload {
         let group_table = ZipfTable::from_weights(&group_weights);
 
         // Assign accounts to groups: the first 2g accounts round-robin (so
-        // no group is empty), the rest by popularity — same shape as the
-        // stateful generator, drawn from the setup stream.
+        // no group is empty), the rest by popularity, drawn from the setup
+        // stream.
         let mut setup = Draws::new(mix64(seed ^ SALT_SETUP));
         let mut group_of = vec![0u32; n];
         for (i, slot) in group_of.iter_mut().enumerate() {
@@ -213,11 +206,10 @@ impl StreamingWorkload {
         self.activity.sample_at(d.next_f64()) as u64 + 1
     }
 
-    /// Samples a group by drifted popularity. The generator rebuilds a
-    /// rotated-weight table per draw; rotating the *rank* after sampling
-    /// the base table picks group `i` with probability proportional to
-    /// `base[(i + epoch) % g]` — the identical distribution, allocation
-    /// free.
+    /// Samples a group by drifted popularity. Rotating the *rank* after
+    /// sampling the base table picks group `i` with probability
+    /// proportional to `base[(i + epoch) % g]`, without building a rotated
+    /// table per draw.
     fn sample_group(&self, epoch: u64, d: &mut Draws) -> usize {
         let g = self.group_table.len();
         let j = self.group_table.sample_at(d.next_f64());

@@ -1,10 +1,9 @@
 //! Zipf sampling via a precomputed cumulative table.
 //!
-//! `rand_distr` is not in the workspace dependency set (DESIGN.md); for a
-//! fixed support size a cumulative table + binary search is simpler, exact
-//! and deterministic.
-
-use rand::Rng;
+//! The workspace has no distribution crate: its one external dependency
+//! is the vendored `proptest` stub (see ARCHITECTURE.md's paragraph on
+//! vendored stubs). For a fixed support size a cumulative table + binary
+//! search is simpler, exact and deterministic.
 
 /// Samples ranks `0..n` with probability `∝ 1/(rank+1)^s`.
 #[derive(Debug, Clone)]
@@ -51,14 +50,9 @@ impl ZipfTable {
         self.cdf.is_empty()
     }
 
-    /// Draws one rank.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        self.sample_at(rng.gen::<f64>())
-    }
-
-    /// Maps a uniform draw `x01 ∈ [0, 1)` to a rank — the deterministic
-    /// core of [`ZipfTable::sample`], exposed so counter-based RNG streams
-    /// (which produce their own uniforms) can share the exact table walk.
+    /// Maps a uniform draw `x01 ∈ [0, 1)` to a rank. Callers bring their
+    /// own uniforms, such as the counter-based streams of
+    /// [`StreamingWorkload`](crate::StreamingWorkload).
     pub fn sample_at(&self, x01: f64) -> usize {
         let total = *self.cdf.last().expect("non-empty"); // txallo-lint: allow(lib-unwrap) — both constructors assert a non-empty support and push one cdf entry per rank
         let x = x01 * total;
@@ -80,8 +74,12 @@ impl ZipfTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use txallo_model::hash::mix64;
+
+    /// `count` uniform points in `[0, 1)` from a counter-based stream.
+    fn uniforms(seed: u64, count: u64) -> impl Iterator<Item = f64> {
+        (0..count).map(move |i| (mix64(seed ^ mix64(i)) >> 11) as f64 / (1u64 << 53) as f64)
+    }
 
     #[test]
     fn uniform_when_exponent_zero() {
@@ -101,11 +99,10 @@ mod tests {
     #[test]
     fn sampling_matches_probabilities() {
         let t = ZipfTable::new(10, 1.0);
-        let mut rng = SmallRng::seed_from_u64(7);
         let n = 200_000;
         let mut counts = [0usize; 10];
-        for _ in 0..n {
-            counts[t.sample(&mut rng)] += 1;
+        for x in uniforms(7, n as u64) {
+            counts[t.sample_at(x)] += 1;
         }
         for (r, &count) in counts.iter().enumerate() {
             let freq = count as f64 / n as f64;
@@ -124,10 +121,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let t = ZipfTable::new(100, 1.0);
-        let draw = |seed: u64| -> Vec<usize> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..50).map(|_| t.sample(&mut rng)).collect()
-        };
+        let draw =
+            |seed: u64| -> Vec<usize> { uniforms(seed, 50).map(|x| t.sample_at(x)).collect() };
         assert_eq!(draw(3), draw(3));
         assert_ne!(draw(3), draw(4));
     }

@@ -19,7 +19,8 @@ fn main() {
         groups: 200,
         ..WorkloadConfig::default()
     };
-    let ledger = EthereumLikeGenerator::new(config, 7).default_ledger();
+    let blocks = config.block_count();
+    let ledger = StreamingWorkload::new(config, 7).ledger(blocks);
     let dataset = Dataset::from_ledger(ledger);
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
 

@@ -18,7 +18,8 @@ fn main() {
         groups: 150,
         ..WorkloadConfig::default()
     };
-    let ledger = EthereumLikeGenerator::new(config, 7).default_ledger();
+    let blocks = config.block_count();
+    let ledger = StreamingWorkload::new(config, 7).ledger(blocks);
     let dataset = Dataset::from_ledger(ledger);
     let graph = dataset.graph().clone();
     let k = 20;

@@ -19,7 +19,8 @@ fn main() {
         groups: 60,
         ..WorkloadConfig::default()
     };
-    let ledger = EthereumLikeGenerator::new(config, 99).default_ledger();
+    let blocks = config.block_count();
+    let ledger = StreamingWorkload::new(config, 99).ledger(blocks);
     let dataset = Dataset::from_ledger(ledger);
     let graph = dataset.graph();
     let k = 8;

@@ -18,10 +18,10 @@ fn main() {
         drift_interval: 50,
         ..WorkloadConfig::default()
     };
-    let mut generator = EthereumLikeGenerator::new(config, 2024);
+    let wl = StreamingWorkload::new(config, 2024);
 
     // 90/10 split, as in the paper's A-TxAllo evaluation.
-    let warmup_blocks = generator.blocks(1_000);
+    let warmup_blocks = wl.blocks(0..1_000);
     let mut sim = ShardedChainSim::new(SimConfig {
         shards: 12,
         eta: 2.0,
@@ -42,7 +42,7 @@ fn main() {
         "epoch", "algo", "γ %", "Λ/λ", "new acct", "migrated", "update time"
     );
 
-    let stream = generator.blocks(1_000);
+    let stream = wl.blocks(1_000..2_000);
     for report in sim.run_stream(&stream) {
         println!(
             "{:>5} {:>9} {:>10.1} {:>8.2} {:>10} {:>9} {:>11.2?}",

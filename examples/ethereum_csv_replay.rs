@@ -31,7 +31,8 @@ fn main() {
                 groups: 60,
                 ..WorkloadConfig::default()
             };
-            let ledger = EthereumLikeGenerator::new(config, 11).default_ledger();
+            let blocks = config.block_count();
+            let ledger = StreamingWorkload::new(config, 11).ledger(blocks);
             let file = File::create(&tmp).expect("create temp trace");
             write_ledger_csv(&ledger, BufWriter::new(file)).expect("write trace");
             println!(

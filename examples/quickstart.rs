@@ -15,8 +15,8 @@ fn main() {
         groups: 120,
         ..WorkloadConfig::default()
     };
-    let mut generator = EthereumLikeGenerator::new(config.clone(), 42);
-    let ledger = generator.default_ledger();
+    let blocks = config.block_count();
+    let ledger = StreamingWorkload::new(config, 42).ledger(blocks);
     let stats = ledger.stats();
     println!(
         "trace: {} blocks, {} transactions, {} accounts",

@@ -26,12 +26,13 @@ fn main() {
         drift_interval: 40,
         ..WorkloadConfig::default()
     };
-    let mut generator = EthereumLikeGenerator::new(config, 2025);
+    let wl = StreamingWorkload::new(config, 2025);
     let (k, epoch_blocks, epochs) = (10usize, 50usize, 12u64);
 
     // Warm-up: accumulate history, open the service on it.
     let mut graph = TxGraph::new();
-    for block in generator.blocks(500) {
+    let history = 500;
+    for block in wl.block_iter(0..history) {
         graph.ingest_block(&block);
     }
     let params = TxAlloParams::for_graph(&graph, k);
@@ -56,7 +57,8 @@ fn main() {
 
     for epoch in 0..epochs {
         // Serve one epoch: ingest each block, then let the stream see it.
-        let blocks = generator.blocks(epoch_blocks as u64);
+        let start = history + epoch * epoch_blocks as u64;
+        let blocks = wl.blocks(start..start + epoch_blocks as u64);
         for block in &blocks {
             let nodes = graph.ingest_block_nodes(block);
             stream.on_block_nodes(&graph, block, &nodes);

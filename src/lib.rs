@@ -35,7 +35,7 @@
 //!     groups: 40,
 //!     ..WorkloadConfig::default()
 //! };
-//! let ledger = EthereumLikeGenerator::new(config, 42).ledger(100);
+//! let ledger = StreamingWorkload::new(config, 42).ledger(100);
 //! let dataset = Dataset::from_ledger(ledger);
 //!
 //! // Allocate accounts to 8 shards with G-TxAllo (resolved by name
@@ -74,5 +74,5 @@ pub mod prelude {
     pub use txallo_graph::{CsrGraph, GraphStats, NodeId, TxGraph, WeightedGraph};
     pub use txallo_model::{AccountId, Block, Ledger, ShardId, Transaction};
     pub use txallo_sim::{EpochReport, HybridSchedule, ShardedChainSim, SimConfig};
-    pub use txallo_workload::{EthereumLikeGenerator, WorkloadConfig};
+    pub use txallo_workload::{StreamingWorkload, WorkloadConfig};
 }

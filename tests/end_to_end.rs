@@ -12,7 +12,8 @@ fn small_dataset(seed: u64) -> Dataset {
         groups: 50,
         ..WorkloadConfig::default()
     };
-    Dataset::from_ledger(EthereumLikeGenerator::new(config, seed).default_ledger())
+    let blocks = config.block_count();
+    Dataset::from_ledger(StreamingWorkload::new(config, seed).ledger(blocks))
 }
 
 /// Runs one allocator and returns its report.
@@ -87,7 +88,8 @@ fn gamma_improves_with_structure() {
             intra_group_prob: intra,
             ..WorkloadConfig::default()
         };
-        let ds = Dataset::from_ledger(EthereumLikeGenerator::new(config, 3).default_ledger());
+        let blocks = config.block_count();
+        let ds = Dataset::from_ledger(StreamingWorkload::new(config, 3).ledger(blocks));
         let params = TxAlloParams::for_graph(ds.graph(), 8);
         let alloc = GTxAllo::new(params.clone()).allocate_graph(ds.graph());
         MetricsReport::compute(ds.graph(), &alloc, &params).cross_shard_ratio
@@ -124,8 +126,8 @@ fn adaptive_tracks_global_quality() {
         groups: 40,
         ..WorkloadConfig::default()
     };
-    let mut generator = EthereumLikeGenerator::new(config, 5);
-    let warm = generator.blocks(300);
+    let wl = StreamingWorkload::new(config, 5);
+    let warm = wl.blocks(0..300);
     let mut sim = ShardedChainSim::new(SimConfig {
         shards: 6,
         eta: 2.0,
@@ -136,7 +138,7 @@ fn adaptive_tracks_global_quality() {
         ..SimConfig::new(6)
     });
     sim.warmup(&warm);
-    let stream = generator.blocks(300);
+    let stream = wl.blocks(300..600);
     let reports = sim.run_stream(&stream);
     let adaptive_gamma = reports.last().unwrap().metrics.cross_shard_ratio;
 
@@ -165,7 +167,8 @@ fn scheduler_balances_better_than_gtxallo_under_hot_account() {
         hot_account_share: 0.2, // exaggerate the hot spot
         ..WorkloadConfig::default()
     };
-    let dataset = Dataset::from_ledger(EthereumLikeGenerator::new(config, 17).default_ledger());
+    let blocks = config.block_count();
+    let dataset = Dataset::from_ledger(StreamingWorkload::new(config, 17).ledger(blocks));
     let k = 10;
     let params = TxAlloParams::for_graph(dataset.graph(), k);
     let mut sched = ShardScheduler::new(&params);

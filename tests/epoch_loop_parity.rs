@@ -13,7 +13,7 @@ use txallo::prelude::*;
 
 /// The chain service's own test trace: drifting communities with a steady
 /// trickle of brand-new accounts.
-fn generator() -> EthereumLikeGenerator {
+fn workload() -> StreamingWorkload {
     let cfg = WorkloadConfig {
         accounts: 1_000,
         transactions: 30_000,
@@ -23,7 +23,7 @@ fn generator() -> EthereumLikeGenerator {
         drift_interval: 20,
         ..WorkloadConfig::default()
     };
-    EthereumLikeGenerator::new(cfg, 33)
+    StreamingWorkload::new(cfg, 33)
 }
 
 #[test]
@@ -32,9 +32,9 @@ fn sim_and_chain_close_the_same_epochs() {
     const EPOCH_BLOCKS: usize = 10;
     const AUDIT_EVERY: u64 = 2;
     let schedule = HybridSchedule::Hybrid { global_gap: 3 };
-    let mut gen = generator();
-    let warm = gen.blocks(100);
-    let live = gen.blocks(80);
+    let wl = workload();
+    let warm = wl.blocks(0..100);
+    let live = wl.blocks(100..180);
 
     for method in AllocatorRegistry::builtin().names() {
         for tolerance in [1e-6, -1.0] {
