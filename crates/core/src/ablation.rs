@@ -12,7 +12,7 @@
 //!
 //! Run via `experiments ablation`.
 
-use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_louvain::{split_disconnected, LouvainResult};
 
 use crate::allocation::Allocation;
@@ -93,17 +93,7 @@ pub fn gtxallo_with_init_strategy(
         ),
         InitStrategy::RoundRobin => synthetic((0..n).map(|i| (i % k) as u32).collect()),
     };
-    let identity: Vec<NodeId> = (0..fit_u32(n)).collect();
-    let out = GTxAllo::new(params.clone()).allocate_with_init(plan.csr(), &init, &identity);
-    // Map the renumbered labels back to original node ids.
-    let mut labels = vec![0u32; n];
-    for (&v, &label) in plan.order().iter().zip(out.allocation.labels()) {
-        labels[v as usize] = label;
-    }
-    GTxAlloOutcome {
-        allocation: Allocation::new(labels, k),
-        ..out
-    }
+    GTxAllo::new(params.clone()).allocate_planned_from(&plan, &init)
 }
 
 /// The candidate-set ablation: starts from production G-TxAllo's result

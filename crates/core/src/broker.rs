@@ -15,10 +15,13 @@
 //! cross-shard state reconciliation. The account's self-loops remain in
 //! its home shard.
 
+use std::collections::BTreeSet;
+
 use txallo_graph::{fit_u32, NodeId, WeightedGraph};
 use txallo_model::FxHashSet;
 
 use crate::allocation::Allocation;
+use crate::gtxallo::{GTxAllo, GTxAlloPlan};
 use crate::metrics::{latency_of_normalized_load, worst_latency_of_normalized_load};
 use crate::params::TxAlloParams;
 use crate::state::capped_throughput;
@@ -97,30 +100,32 @@ pub fn select_split_accounts(
 /// stay in the home shard).
 pub struct MaskedGraph<'a, G: WeightedGraph> {
     inner: &'a G,
-    masked: FxHashSet<NodeId>,
+    masked: BTreeSet<NodeId>,
     incident: Vec<f64>,
     total: f64,
 }
 
 impl<'a, G: WeightedGraph> MaskedGraph<'a, G> {
-    /// Builds the view in `O(V + E)`.
+    /// Builds the view in `O(V + Σ masked rows)`.
+    ///
+    /// The weights are the inner graph's, minus the masked edges' weights,
+    /// subtracted in ascending masked-node order; a masked node's incident
+    /// weight is its self-loop. An empty mask thus reports the inner
+    /// graph's weights bit for bit.
     pub fn new(inner: &'a G, masked: impl IntoIterator<Item = NodeId>) -> Self {
-        let masked: FxHashSet<NodeId> = masked.into_iter().collect();
-        let n = inner.node_count();
-        let mut incident = vec![0.0f64; n];
-        let mut total = 0.0f64;
-        for v in 0..n as NodeId {
-            let v_masked = masked.contains(&v);
-            let loop_w = inner.self_loop(v);
-            incident[v as usize] += loop_w;
-            total += loop_w;
-            inner.for_each_neighbor(v, |u, w| {
-                if v_masked || masked.contains(&u) {
-                    return;
-                }
-                incident[v as usize] += w;
-                if u > v {
-                    total += w;
+        let masked: BTreeSet<NodeId> = masked.into_iter().collect();
+        let mut incident: Vec<f64> = (0..fit_u32(inner.node_count()))
+            .map(|v| inner.incident_weight(v))
+            .collect();
+        let mut total = inner.total_weight();
+        for &m in &masked {
+            incident[m as usize] = inner.self_loop(m);
+            inner.for_each_neighbor(m, |u, w| {
+                if !masked.contains(&u) {
+                    incident[u as usize] -= w;
+                    total -= w;
+                } else if u > m {
+                    total -= w; // An edge between two masked nodes, once.
                 }
             });
         }
@@ -338,8 +343,14 @@ pub fn evaluate_with_brokers(
 }
 
 /// The full broker-aware pipeline: select split accounts, partition the
-/// graph *without* their edges (G-TxAllo on the masked view), then score
-/// with brokered serving. Returns the allocation and its brokered report.
+/// graph *without* their edges, then score with brokered serving. Returns
+/// the allocation and its brokered report.
+///
+/// The partition is production G-TxAllo on the masked view: a
+/// [`GTxAlloPlan`] in the graph's canonical order, then
+/// [`GTxAllo::allocate_planned`]. So a broker that splits nothing returns
+/// [`GTxAllo::allocate_graph`]'s labels, and the comparison with plain
+/// G-TxAllo measures the split alone.
 pub fn allocate_with_brokers(
     graph: &txallo_graph::TxGraph,
     params: &TxAlloParams,
@@ -350,10 +361,8 @@ pub fn allocate_with_brokers(
     // Recompute λ/ε for the reduced weight so the optimizer is not skewed,
     // but keep the caller's η and shard count.
     let masked_params = TxAlloParams::for_graph(&masked, params.shards).with_eta(params.eta);
-    let init = txallo_louvain::louvain(&masked);
-    let order = graph.nodes_in_canonical_order();
-    let outcome =
-        crate::gtxallo::GTxAllo::new(masked_params).allocate_with_init(&masked, &init, &order);
+    let plan = GTxAlloPlan::with_order(&masked, graph.nodes_in_canonical_order());
+    let outcome = GTxAllo::new(masked_params).allocate_planned(&plan);
     let report = evaluate_with_brokers(graph, &outcome.allocation, params, config);
     (outcome.allocation, report)
 }
@@ -361,7 +370,6 @@ pub fn allocate_with_brokers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtxallo::GTxAllo;
     use crate::metrics::MetricsReport;
     use txallo_graph::TxGraph;
     use txallo_model::{AccountId, Transaction};

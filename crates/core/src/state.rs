@@ -408,7 +408,7 @@ impl CommunityState {
     /// its gain is positive; commit it with [`CommunityState::apply_move`].
     ///
     /// Always inlined: it runs once per evaluated row, and the sweep
-    /// kernel's three row views share one instantiation, which the
+    /// kernel's two row views share one instantiation, which the
     /// compiler otherwise keeps as an out-of-line call.
     #[inline(always)]
     pub(crate) fn best_move(

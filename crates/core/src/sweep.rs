@@ -11,10 +11,10 @@
 //!    sweep the rows until a sweep gains less than `ε`, moving each node
 //!    to its best-gain community (Eq. 8).
 //!
-//! Three views feed it: G-TxAllo's renumbered [`CsrGraph`], its own sweep
-//! order (row `r` is node `r`); a graph in an explicit order
-//! ([`OrderedRows`], for `GTxAllo::allocate_with_init`); and A-TxAllo's
-//! [`DeltaCsr`] snapshot of `V̂`, whose outside neighbors stay frozen.
+//! Two views feed it: G-TxAllo's renumbered [`CsrGraph`] (the
+//! `GTxAlloPlan` snapshot), its own sweep order (row `r` is node `r`); and
+//! A-TxAllo's [`DeltaCsr`] snapshot of `V̂` in canonical order, whose
+//! outside neighbors stay frozen.
 //!
 //! Phase 2 runs on the [`SweepCache`] that Louvain local moving and METIS
 //! FM share, with rows as positions and communities as buckets. A row's
@@ -145,68 +145,6 @@ impl SweepRows for CsrGraph {
 
     fn for_each_row_neighbor(&self, r: usize, mut f: impl FnMut(usize, f64)) {
         self.for_each_neighbor(r as NodeId, |u, w| f(u as usize, w));
-    }
-}
-
-/// Every node of `graph`, swept in an explicit order.
-pub(crate) struct OrderedRows<'a, G> {
-    graph: &'a G,
-    order: &'a [NodeId],
-    /// Sweep position of each node (the inverse of `order`).
-    position: Vec<usize>,
-}
-
-impl<'a, G: WeightedGraph> OrderedRows<'a, G> {
-    /// The rows of `graph` in `order`, which must list every node once.
-    pub(crate) fn new(graph: &'a G, order: &'a [NodeId]) -> Self {
-        assert_eq!(
-            order.len(),
-            graph.node_count(),
-            "sweep order must cover every node"
-        );
-        let mut position = vec![usize::MAX; order.len()];
-        for (i, &v) in order.iter().enumerate() {
-            assert_eq!(
-                position[v as usize],
-                usize::MAX,
-                "sweep order repeats node {v}"
-            );
-            position[v as usize] = i;
-        }
-        Self {
-            graph,
-            order,
-            position,
-        }
-    }
-}
-
-impl<G: WeightedGraph> SweepRows for OrderedRows<'_, G> {
-    fn rows(&self) -> usize {
-        self.order.len()
-    }
-
-    fn slot(&self, r: usize) -> usize {
-        self.order[r] as usize
-    }
-
-    fn weights(&self, r: usize) -> (f64, f64) {
-        let v = self.order[r];
-        (self.graph.self_loop(v), self.graph.incident_weight(v))
-    }
-
-    fn row_len(&self, r: usize) -> usize {
-        self.graph.neighbor_count(self.order[r])
-    }
-
-    fn for_each_link(&self, r: usize, labels: &[u32], mut f: impl FnMut(u32, f64)) {
-        self.graph
-            .for_each_neighbor(self.order[r], |u, w| f(labels[u as usize], w));
-    }
-
-    fn for_each_row_neighbor(&self, r: usize, mut f: impl FnMut(usize, f64)) {
-        self.graph
-            .for_each_neighbor(self.order[r], |u, w| f(self.position[u as usize], w));
     }
 }
 

@@ -25,7 +25,7 @@ use txallo_core::{
     ShardScheduler, StreamingAllocator, TxAlloParams, GAIN_EPS, MAX_SWEEPS,
 };
 use txallo_graph::{CsrGraph, NodeId, TxGraph, WeightedGraph};
-use txallo_louvain::{louvain, louvain_csr, LouvainResult};
+use txallo_louvain::{louvain_csr, LouvainResult};
 use txallo_metis::{metis_partition, recursive_bisection_partition};
 use txallo_model::Ledger;
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
@@ -90,10 +90,11 @@ fn gather_reference(graph: &CsrGraph, labels: &[u32], v: NodeId, link: &mut BTre
     });
 }
 
-/// Reference re-implementation of `GTxAllo::allocate_with_init` —
-/// semantically identical (same truncation, placement, gains, GAIN_EPS tie
-/// contract, sweep order and convergence rule) but with ordered-map
-/// gathering and a full re-gather of every node in every sweep.
+/// Reference re-implementation of G-TxAllo's truncation, placement and
+/// optimization over `graph` swept in `order` — semantically identical to
+/// the sweep kernel (same truncation, placement, gains, GAIN_EPS tie
+/// contract and convergence rule) but with ordered-map gathering and a
+/// full re-gather of every node in every sweep.
 fn reference_allocate(
     params: &TxAlloParams,
     graph: &CsrGraph,
@@ -219,6 +220,9 @@ fn fingerprint(labels: &[u32]) -> u64 {
     h
 }
 
+/// Production G-TxAllo against the reference over the plan's renumbered
+/// snapshot in its own order, with the reference's labels mapped back to
+/// original node ids through the plan's order.
 #[test]
 fn dense_scratch_path_matches_reference_byte_for_byte() {
     for (accounts, transactions, seed, k) in [
@@ -229,13 +233,16 @@ fn dense_scratch_path_matches_reference_byte_for_byte() {
         let graph = workload_graph(accounts, transactions, seed);
         let params = TxAlloParams::for_graph(&graph, k);
         let plan = GTxAlloPlan::new(&graph, &params.louvain);
-        let n = plan.csr().node_count();
-        let sequential: Vec<NodeId> = (0..n as NodeId).collect();
+        let sequential: Vec<NodeId> = (0..plan.csr().node_count() as NodeId).collect();
 
         let production = GTxAllo::new(params.clone())
-            .allocate_with_init(plan.csr(), plan.init(), &sequential)
+            .allocate_planned(&plan)
             .allocation;
-        let reference = reference_allocate(&params, plan.csr(), plan.init(), &sequential);
+        let renumbered = reference_allocate(&params, plan.csr(), plan.init(), &sequential);
+        let mut reference = vec![UNASSIGNED; renumbered.len()];
+        for (&v, &label) in plan.order().iter().zip(&renumbered) {
+            reference[v as usize] = label;
+        }
         assert_eq!(
             production.labels(),
             &reference[..],
@@ -243,53 +250,6 @@ fn dense_scratch_path_matches_reference_byte_for_byte() {
              (seed {seed}, k {k})"
         );
     }
-}
-
-/// The ablation and broker paths sweep the *un-renumbered* graph in the
-/// canonical account-hash order, so sweep positions and node ids differ:
-/// the optimizer's cache and active set must follow `order`, not ids.
-#[test]
-fn non_identity_sweep_order_matches_reference_byte_for_byte() {
-    for (accounts, transactions, seed, k) in
-        [(1_000usize, 8_000usize, 7u64, 8usize), (800, 6_000, 3, 5)]
-    {
-        let graph = workload_graph(accounts, transactions, seed);
-        let params = TxAlloParams::for_graph(&graph, k);
-        let csr = CsrGraph::from_graph(&graph);
-        let init = louvain_csr(&csr);
-        let canonical = graph.nodes_in_canonical_order();
-        let reversed: Vec<NodeId> = (0..csr.node_count() as NodeId).rev().collect();
-        for order in [canonical, reversed] {
-            assert!(order.iter().enumerate().any(|(i, &v)| v as usize != i));
-            let production = GTxAllo::new(params.clone())
-                .allocate_with_init(&csr, &init, &order)
-                .allocation;
-            let reference = reference_allocate(&params, &csr, &init, &order);
-            assert_eq!(
-                production.labels(),
-                &reference[..],
-                "non-identity order diverged from the reference (seed {seed}, k {k})"
-            );
-        }
-    }
-}
-
-#[test]
-fn planned_pipeline_is_a_permutation_of_the_sweep_result() {
-    let graph = workload_graph(1_000, 8_000, 11);
-    let params = TxAlloParams::for_graph(&graph, 6);
-    let plan = GTxAlloPlan::new(&graph, &params.louvain);
-    let planned = GTxAllo::new(params.clone()).allocate_planned(&plan);
-    let sequential: Vec<NodeId> = (0..plan.csr().node_count() as NodeId).collect();
-    let raw = GTxAllo::new(params).allocate_with_init(plan.csr(), plan.init(), &sequential);
-    for (i, &orig) in plan.order().iter().enumerate() {
-        assert_eq!(
-            planned.allocation.labels()[orig as usize],
-            raw.allocation.labels()[i],
-            "unpermutation mismatch at canonical position {i}"
-        );
-    }
-    assert_eq!(planned.sweeps, raw.sweeps);
 }
 
 #[test]
@@ -491,32 +451,65 @@ fn gtxallo_gather_work_is_pinned_on_a_hub_graph() {
     );
 }
 
-/// The explicit-order sweep on the hub graph: `allocate_with_init` over
-/// the mutable graph in canonical order from Louvain in interning order,
-/// and the broker pipeline, which sweeps a masked view of it.
+/// The broker pipeline on the hub graph: G-TxAllo planned over a masked
+/// view of it, with the heaviest accounts' edges hidden.
 #[test]
-fn explicit_order_sweeps_are_pinned_on_a_hub_graph() {
+fn broker_pipeline_is_pinned_on_a_hub_graph() {
     let graph = workload_graph(10_000, 60_000, 7);
     let params = TxAlloParams::for_graph(&graph, 20);
-    let out = GTxAllo::new(params.clone()).allocate_with_init(
-        &graph,
-        &louvain(&graph),
-        &graph.nodes_in_canonical_order(),
-    );
-    assert_eq!(
-        (out.sweeps, out.moves, fingerprint(out.allocation.labels())),
-        (26, 8_738, 0xea95_ef79_2498_b0a4)
-    );
-    assert_eq!(
-        (
-            out.rows_gathered,
-            out.entries_gathered,
-            out.entries_certified
-        ),
-        (13_546, 105_602, 140_970)
-    );
     let (brokered, _) = allocate_with_brokers(&graph, &params, &BrokerConfig::default());
-    assert_eq!(fingerprint(brokered.labels()), 0x009b_6200_a589_b604);
+    assert_eq!(fingerprint(brokered.labels()), 0x6508_fc20_3992_f697);
+}
+
+/// The graphs the broker's no-split probes run on: `(accounts,
+/// transactions, seed, k)`. Their multi-party transactions give them
+/// fractional weights, so a re-summed weight can differ from the
+/// chronological one in its last bits.
+const BROKER_PROBES: [(usize, usize, u64, usize); 3] = [
+    (2_000, 12_000, 3, 8),
+    (10_000, 60_000, 7, 20),
+    (1_000, 8_000, 11, 6),
+];
+
+/// An empty mask is the graph: the view reports the graph's total and
+/// every incident weight bit for bit, not re-summed.
+#[test]
+fn empty_mask_reports_the_graph_weights_bit_for_bit() {
+    for (accounts, transactions, seed, _) in BROKER_PROBES {
+        let graph = workload_graph(accounts, transactions, seed);
+        let masked = MaskedGraph::new(&graph, []);
+        assert_eq!(
+            masked.total_weight().to_bits(),
+            graph.total_weight().to_bits(),
+            "seed {seed}"
+        );
+        for v in 0..graph.node_count() as NodeId {
+            assert_eq!(
+                masked.incident_weight(v).to_bits(),
+                graph.incident_weight(v).to_bits(),
+                "seed {seed}, node {v}"
+            );
+        }
+    }
+}
+
+/// A broker that splits nothing is production G-TxAllo: with the split
+/// threshold above every incident weight, the pipeline returns
+/// `allocate_graph`'s labels bit for bit.
+#[test]
+fn broker_that_splits_nothing_is_production_gtxallo() {
+    let config = BrokerConfig {
+        split_threshold: f64::INFINITY,
+        ..BrokerConfig::default()
+    };
+    for (accounts, transactions, seed, k) in BROKER_PROBES {
+        let graph = workload_graph(accounts, transactions, seed);
+        let params = TxAlloParams::for_graph(&graph, k);
+        let (brokered, report) = allocate_with_brokers(&graph, &params, &config);
+        assert!(report.split_accounts.is_empty(), "seed {seed}");
+        let production = GTxAllo::new(params).allocate_graph(&graph);
+        assert!(brokered == production, "seed {seed}: labels differ");
+    }
 }
 
 /// Both whole-graph snapshots fill the same rows from every source shape
@@ -577,12 +570,11 @@ fn row_copy_and_scatter_snapshots_agree_on_every_source() {
 
 /// Algorithm 2 over `V̂ = V` is Algorithm 1's placement and optimization
 /// phases. From a prefix labelled `v mod k`, with the newest 10% of nodes
-/// unassigned, an adaptive update touching every node and
-/// `allocate_with_init` from the same labels in canonical order agree on
-/// the labels and every counter, bit for bit, although one sweeps a delta
-/// snapshot of every row and the other the whole-graph CSR in an explicit
-/// order. The second tuple pins `(sweeps, moves, entries gathered,
-/// entries certified)`.
+/// unassigned, an adaptive update touching every node lands on the labels
+/// of the reference G-TxAllo sweep over the whole-graph CSR in canonical
+/// order from the same labels, bit for bit, although the session sweeps a
+/// delta snapshot of every row over original ids. The second tuple pins
+/// the update's `(sweeps, moves, entries gathered, entries certified)`.
 #[test]
 fn adaptive_update_over_every_node_is_the_global_sweep() {
     for (accounts, transactions, seed, k, pinned) in [
@@ -608,43 +600,21 @@ fn adaptive_update_over_every_node_is_the_global_sweep() {
             community_count: k,
             levels: 0,
         };
-        let global = GTxAllo::new(params.clone()).allocate_with_init(
-            &CsrGraph::from_graph(&graph),
-            &init,
-            &graph.nodes_in_canonical_order(),
-        );
+        let canonical = graph.nodes_in_canonical_order();
+        let global = reference_allocate(&params, &CsrGraph::from_graph(&graph), &init, &canonical);
 
         let mut session = AtxAlloSession::new(&graph, &Allocation::new(prefix, k), &params);
         let every: Vec<NodeId> = (0..n as NodeId).collect();
         let adaptive = session.update(&graph, &every, &params);
 
-        assert_eq!(session.labels(), global.allocation.labels(), "seed {seed}");
+        assert_eq!(session.labels(), &global[..], "seed {seed}");
         assert_eq!(adaptive.new_nodes, n - assigned, "seed {seed}");
         assert_eq!(
             (
                 adaptive.sweeps,
                 adaptive.moves,
-                adaptive.total_gain.to_bits(),
-                adaptive.rows_gathered,
                 adaptive.entries_gathered,
-                adaptive.entries_certified,
-            ),
-            (
-                global.sweeps,
-                global.moves,
-                global.total_gain.to_bits(),
-                global.rows_gathered,
-                global.entries_gathered,
-                global.entries_certified,
-            ),
-            "seed {seed}"
-        );
-        assert_eq!(
-            (
-                global.sweeps,
-                global.moves,
-                global.entries_gathered,
-                global.entries_certified
+                adaptive.entries_certified
             ),
             pinned,
             "seed {seed}"
