@@ -27,8 +27,8 @@ use txallo_core::{
 use txallo_graph::{
     fit_u32, BlockNodes, CsrGraph, DeltaCsr, MemoryFootprint, NodeId, TxGraph, WeightedGraph,
 };
-use txallo_louvain::{louvain, louvain_csr, LouvainConfig};
-use txallo_metis::{metis_partition, recursive_bisection_partition};
+use txallo_louvain::{louvain_csr, LouvainConfig};
+use txallo_metis::metis_partition;
 use txallo_model::FxHashMap;
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
@@ -237,19 +237,22 @@ fn component_cases(r: &mut Runner) -> (f64, MemoryFootprint, usize) {
         CsrGraph::from_graph_relabeled(&graph, &new_id)
     });
 
-    r.case("louvain/full", || louvain(&graph));
-    let csr = CsrGraph::from_graph(&graph);
-    r.case("louvain/csr", || louvain_csr(&csr));
+    // Louvain as every G-TxAllo run computes it: the whole plan (canonical
+    // order, renumbered snapshot, Louvain), then Louvain alone over the
+    // plan's snapshot.
+    r.case("louvain/full", || GTxAlloPlan::new(&graph, &LouvainConfig));
+    let plan = GTxAlloPlan::new(&graph, &LouvainConfig);
+    r.case("louvain/csr", || louvain_csr(plan.csr()));
 
     // The optimization phase as production runs it: sweeps over the shared
     // renumbered CSR snapshot (the plan is built once, outside the timer).
-    let plan = GTxAlloPlan::new(&graph, &LouvainConfig);
     let gtx = GTxAllo::new(params.clone());
     r.case("gtxallo/optimize_only", || gtx.allocate_planned(&plan));
     r.case("gtxallo/end_to_end", || gtx.allocate_graph(&graph));
 
     // Link gathering, one full sweep over every node: the seed hash map vs
     // the dense scratch.
+    let csr = CsrGraph::from_graph(&graph);
     let init = louvain_csr(&csr);
     let labels = init.communities;
     let state = CommunityState::from_labels(
@@ -352,8 +355,8 @@ fn component_cases(r: &mut Runner) -> (f64, MemoryFootprint, usize) {
 }
 
 /// The 50k-account / 400k-transaction cases: the CSR builds and
-/// G-TxAllo at the size where the §VI-B6 init cost bites, and both METIS
-/// drivers (k = 20) where coarsening stalls.
+/// G-TxAllo at the size where the §VI-B6 init cost bites, and METIS
+/// (k = 20) where coarsening stalls.
 fn scale_cases(r: &mut Runner) {
     r.fixture(SCALE_SAMPLES);
     let cfg = WorkloadConfig {
@@ -381,9 +384,6 @@ fn scale_cases(r: &mut Runner) {
     // refinement run on a large coarsest graph (the shape of the served
     // `metis` epochs).
     r.case("scale/metis_partition", || metis_partition(&graph, 20));
-    r.case("scale/metis_recursive", || {
-        recursive_bisection_partition(&graph, 20)
-    });
 }
 
 /// The four allocators of the paper's comparison, end to end at k = 10,

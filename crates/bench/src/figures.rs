@@ -319,21 +319,6 @@ pub fn runtime_table(scale: ExperimentScale) {
             w.row(&format!("{alloc},{k},{:.4}", time.as_secs_f64()));
         }
     }
-    // Recursive-bisection METIS (the real pmetis strategy, ~log2(k)
-    // multilevel passes — the variant whose running time grows with k).
-    let registry = txallo_core::AllocatorRegistry::builtin();
-    for &k in &ks {
-        let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
-        let mut metis_rb = registry
-            .batch("metis-recursive", &params)
-            .expect("builtin name");
-        let start = std::time::Instant::now();
-        let _ = metis_rb.allocate(&dataset);
-        w.row(&format!(
-            "Metis (recursive bisection),{k},{:.4}",
-            start.elapsed().as_secs_f64()
-        ));
-    }
     // G-TxAllo initialization share (paper: 67.6 s of 122.3 s): the plan
     // every G-TxAllo run builds (canonical order, renumbered CSR, Louvain).
     let start = std::time::Instant::now();

@@ -132,11 +132,10 @@ fn faulty_config(shards: usize) -> ChainServiceConfig {
 /// Every registry method, and whether its resume is warm. `scheduler`
 /// keeps transaction-level state that a checkpoint cannot hold, so it
 /// reopens cold (`StateCarry::Rebuilt`).
-const METHODS: [(&str, bool); 5] = [
+const METHODS: [(&str, bool); 4] = [
     ("txallo", true),
     ("hash", true),
     ("metis", true),
-    ("metis-recursive", true),
     ("scheduler", false),
 ];
 
@@ -155,7 +154,7 @@ fn service(method: &str, plan: FaultPlan) -> ChainService {
 
 proptest! {
     // Every case drives two full chain services per method and fault
-    // plan (20 in all); keep the case count modest so the suite stays
+    // plan (16 in all); keep the case count modest so the suite stays
     // quick.
     #![proptest_config(ProptestConfig::with_cases(12))]
 

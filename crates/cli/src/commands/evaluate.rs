@@ -4,6 +4,7 @@ use std::fs::File;
 use std::io::BufReader;
 
 use txallo_core::{MetricsReport, TxAlloParams};
+use txallo_sim::epoch_metrics;
 
 use crate::args::ArgMap;
 use crate::commands::{eta_flag, load_dataset};
@@ -22,11 +23,15 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     if unknown > 0 {
         eprintln!("warning: {unknown} mapped accounts do not appear in the trace");
     }
-    let params = TxAlloParams::for_graph(dataset.graph(), allocation.shard_count()).with_eta(eta);
+    let shards = allocation.shard_count();
+    let params = TxAlloParams::for_graph(dataset.graph(), shards).with_eta(eta);
     let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
-    let tx_gamma = MetricsReport::transaction_level_cross_ratio(&dataset, &allocation);
+    // The whole ledger scored as one epoch: its share of `µ(Tx) > 1`.
+    let blocks = dataset.ledger().blocks();
+    let tx_gamma =
+        epoch_metrics(blocks, dataset.graph(), &allocation, shards, eta).cross_shard_ratio;
 
-    println!("shards               : {}", allocation.shard_count());
+    println!("shards               : {shards}");
     println!(
         "cross-shard γ (graph): {:.2}%",
         100.0 * report.cross_shard_ratio

@@ -389,3 +389,39 @@ fn simulate_stream_flag_exits_2_and_names_it() {
     assert!(stderr.contains("unknown flag --stream "), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing may run");
 }
+
+/// The name of the recursive-bisection METIS driver is not a method (one
+/// METIS driver, the direct k-way V-cycle, backs `metis`): `allocate` and
+/// `simulate` exit 2 with an error that lists the registered names, and
+/// run nothing.
+#[test]
+fn deleted_method_name_exits_2_and_lists_the_methods() {
+    let deleted = "metis-recursive";
+    let trace = tmp("refusal_trace.csv");
+    let trace = trace.to_str().unwrap();
+    let out = txallo_bin()
+        .args(["generate", "--out", trace, "--accounts", "200"])
+        .args(["--transactions", "500", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let commands: [&[&str]; 2] = [
+        &["allocate", "--trace", trace, "-k", "4"],
+        &["simulate", "--epochs", "1", "--epoch-blocks", "5"],
+    ];
+    for prefix in commands {
+        let out = txallo_bin()
+            .args(prefix)
+            .args(["--method", deleted])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{prefix:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown method {deleted:?}"))
+                && stderr.contains("(registered: hash|metis|scheduler|txallo)"),
+            "{prefix:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing may run: {prefix:?}");
+    }
+}

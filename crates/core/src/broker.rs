@@ -22,9 +22,8 @@ use txallo_model::FxHashSet;
 
 use crate::allocation::Allocation;
 use crate::gtxallo::{GTxAllo, GTxAlloPlan};
-use crate::metrics::{latency_of_normalized_load, worst_latency_of_normalized_load};
+use crate::metrics::LoadMetrics;
 use crate::params::TxAlloParams;
-use crate::state::capped_throughput;
 
 /// Configuration of the broker mechanism.
 #[derive(Debug, Clone)]
@@ -313,18 +312,7 @@ pub fn evaluate_with_brokers(
         }
     }
     let hats: Vec<f64> = (0..k).map(|s| intra[s] + cut[s] / 2.0).collect();
-    let mean = sigmas.iter().sum::<f64>() / k as f64;
-    let variance = sigmas.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / k as f64;
-    let throughput: f64 = (0..k)
-        .map(|s| capped_throughput(sigmas[s], hats[s], params.capacity))
-        .sum();
-    let loads: Vec<f64> = sigmas.iter().map(|s| s / params.capacity).collect();
-    let avg_latency = loads
-        .iter()
-        .map(|&x| latency_of_normalized_load(x))
-        .sum::<f64>()
-        / k as f64;
-    let worst = loads.iter().copied().fold(0.0f64, f64::max);
+    let load = LoadMetrics::new(&sigmas, &hats, params.capacity);
 
     BrokeredReport {
         split_accounts: split,
@@ -333,12 +321,12 @@ pub fn evaluate_with_brokers(
         } else {
             0.0
         },
-        shard_loads: loads,
-        workload_std_normalized: variance.sqrt() / params.capacity,
-        throughput,
-        throughput_normalized: throughput / params.capacity,
-        avg_latency,
-        worst_latency: worst_latency_of_normalized_load(worst),
+        shard_loads: load.shard_loads,
+        workload_std_normalized: load.workload_std / params.capacity,
+        throughput: load.throughput,
+        throughput_normalized: load.throughput / params.capacity,
+        avg_latency: load.avg_latency,
+        worst_latency: load.worst_latency,
     }
 }
 

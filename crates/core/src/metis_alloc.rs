@@ -5,7 +5,7 @@
 //! and BrokerChain. It minimizes edge cut under *vertex-weight* balance —
 //! precisely the objective mismatch (§II-C) TxAllo improves upon.
 
-use txallo_metis::{metis_partition, recursive_bisection_partition};
+use txallo_metis::metis_partition;
 
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
@@ -16,37 +16,18 @@ use txallo_graph::TxGraph;
 #[derive(Debug, Clone)]
 pub struct MetisAllocator {
     shards: usize,
-    recursive: bool,
 }
 
 impl MetisAllocator {
     /// Creates the allocator for `shards` shards (direct k-way
     /// partitioning).
     pub fn new(shards: usize) -> Self {
-        Self {
-            shards,
-            recursive: false,
-        }
-    }
-
-    /// Creates the allocator in recursive-bisection mode — the strategy
-    /// real `pmetis` uses, with `⌈log₂ k⌉` multilevel passes (slower,
-    /// often slightly better cuts).
-    pub fn recursive(shards: usize) -> Self {
-        Self {
-            shards,
-            recursive: true,
-        }
+        Self { shards }
     }
 
     /// Partitions the accounts of `graph`.
     pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
-        let result = if self.recursive {
-            recursive_bisection_partition(graph, self.shards)
-        } else {
-            metis_partition(graph, self.shards)
-        };
-        Allocation::new(result.parts, self.shards)
+        Allocation::new(metis_partition(graph, self.shards).parts, self.shards)
     }
 }
 

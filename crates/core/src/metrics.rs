@@ -4,7 +4,6 @@
 use txallo_graph::WeightedGraph;
 
 use crate::allocation::Allocation;
-use crate::dataset::Dataset;
 use crate::params::TxAlloParams;
 use crate::state::{capped_throughput, CommunityState};
 
@@ -80,21 +79,8 @@ impl MetricsReport {
         let gamma = if m > 0.0 { cut_total / m } else { 0.0 };
 
         let sigmas: Vec<f64> = (0..k as u32).map(|c| state.sigma(c)).collect();
-        let mean = sigmas.iter().sum::<f64>() / k as f64;
-        let variance = sigmas.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / k as f64;
-        let rho = variance.sqrt();
-
-        let throughput: f64 = (0..k as u32)
-            .map(|c| capped_throughput(state.sigma(c), state.lambda_hat(c), params.capacity))
-            .sum();
-
-        let loads: Vec<f64> = sigmas.iter().map(|s| s / params.capacity).collect();
-        let avg_latency = loads
-            .iter()
-            .map(|&x| latency_of_normalized_load(x))
-            .sum::<f64>()
-            / k as f64;
-        let worst_load = loads.iter().copied().fold(0.0f64, f64::max);
+        let hats: Vec<f64> = (0..k as u32).map(|c| state.lambda_hat(c)).collect();
+        let load = LoadMetrics::new(&sigmas, &hats, params.capacity);
 
         Self {
             shards: k,
@@ -102,46 +88,67 @@ impl MetricsReport {
             capacity: params.capacity,
             total_weight: m,
             cross_shard_ratio: gamma,
+            shard_loads: load.shard_loads,
+            workload_std: load.workload_std,
+            workload_std_normalized: load.workload_std / params.capacity,
+            throughput: load.throughput,
+            throughput_normalized: load.throughput / params.capacity,
+            avg_latency: load.avg_latency,
+            worst_latency: load.worst_latency,
+        }
+    }
+}
+
+/// The metrics that follow from the per-shard workloads alone: balance,
+/// capped throughput and latency. [`MetricsReport::compute`] and
+/// [`crate::broker::evaluate_with_brokers`] both finish with them.
+pub(crate) struct LoadMetrics {
+    /// Per-shard normalized workloads `σᵢ/λ`.
+    pub(crate) shard_loads: Vec<f64>,
+    /// Workload standard deviation `ρ` (Eq. 1), absolute.
+    pub(crate) workload_std: f64,
+    /// Capacity-capped system throughput `Λ` (Eq. 2–3), absolute.
+    pub(crate) throughput: f64,
+    /// Average confirmation latency `ζ` (Eq. 4), in blocks.
+    pub(crate) avg_latency: f64,
+    /// Worst-case latency of the most loaded shard, in blocks.
+    pub(crate) worst_latency: f64,
+}
+
+impl LoadMetrics {
+    /// The metrics of shards with workloads `sigmas` and uncapped
+    /// throughputs `lambda_hats` (`Λ̂ᵢ`, one per shard) at capacity
+    /// `capacity`.
+    pub(crate) fn new(sigmas: &[f64], lambda_hats: &[f64], capacity: f64) -> Self {
+        let k = sigmas.len() as f64;
+        let mean = sigmas.iter().sum::<f64>() / k;
+        let variance = sigmas.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / k;
+        let throughput = sigmas
+            .iter()
+            .zip(lambda_hats)
+            .map(|(&sigma, &hat)| capped_throughput(sigma, hat, capacity))
+            .sum();
+        let loads: Vec<f64> = sigmas.iter().map(|s| s / capacity).collect();
+        let avg_latency = loads
+            .iter()
+            .map(|&x| latency_of_normalized_load(x))
+            .sum::<f64>()
+            / k;
+        let worst_load = loads.iter().copied().fold(0.0f64, f64::max);
+        Self {
             shard_loads: loads,
-            workload_std: rho,
-            workload_std_normalized: rho / params.capacity,
+            workload_std: variance.sqrt(),
             throughput,
-            throughput_normalized: throughput / params.capacity,
             avg_latency,
             worst_latency: worst_latency_of_normalized_load(worst_load),
         }
-    }
-
-    /// Transaction-level cross-shard ratio: the fraction of ledger
-    /// transactions with `µ(Tx) > 1`. For 1-input/1-output traffic this
-    /// coincides with the graph-level `γ`; multi-IO transactions can make
-    /// it slightly higher (one clique edge crossing shards suffices).
-    pub fn transaction_level_cross_ratio(dataset: &Dataset, allocation: &Allocation) -> f64 {
-        let total = dataset.ledger().transaction_count();
-        if total == 0 {
-            return 0.0;
-        }
-        // The dataset's graph interns every account of its ledger, so
-        // `tx_shards_into` resolves each one.
-        let graph = dataset.graph();
-        let mut shards = Vec::new();
-        let cross = dataset
-            .ledger()
-            .transactions()
-            .filter(|tx| {
-                allocation.tx_shards_into(graph, tx, &mut shards);
-                shards.len() > 1
-            })
-            .count();
-        cross as f64 / total as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txallo_graph::{CsrGraph, TxGraph};
-    use txallo_model::{AccountId, Block, Ledger, Transaction};
+    use txallo_graph::CsrGraph;
 
     #[test]
     fn latency_formula_matches_integral() {
@@ -210,30 +217,5 @@ mod tests {
         // σ₀ = 2, Λ̂₀ = 2 → Λ = 1·2/2 = 1 = λ; shard 1 idle.
         assert!((r.throughput - 1.0).abs() < 1e-12);
         assert!(r.workload_std > 0.0, "maximally imbalanced");
-    }
-
-    #[test]
-    fn transaction_level_gamma_counts_mu() {
-        let ledger = Ledger::from_blocks(vec![Block::new(
-            0,
-            vec![
-                Transaction::transfer(AccountId(1), AccountId(2)), // intra
-                Transaction::transfer(AccountId(1), AccountId(3)), // cross
-                Transaction::new(vec![AccountId(1)], vec![AccountId(2), AccountId(3)]).unwrap(), // cross (µ=2)
-            ],
-        )])
-        .unwrap();
-        let ds = Dataset::from_ledger(ledger);
-        let g: &TxGraph = ds.graph();
-        let n1 = g.node_of(AccountId(1)).unwrap() as usize;
-        let n2 = g.node_of(AccountId(2)).unwrap() as usize;
-        let n3 = g.node_of(AccountId(3)).unwrap() as usize;
-        let mut labels = vec![0u32; 3];
-        labels[n1] = 0;
-        labels[n2] = 0;
-        labels[n3] = 1;
-        let alloc = Allocation::new(labels, 2);
-        let gamma = MetricsReport::transaction_level_cross_ratio(&ds, &alloc);
-        assert!((gamma - 2.0 / 3.0).abs() < 1e-12);
     }
 }

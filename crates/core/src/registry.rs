@@ -18,7 +18,7 @@ use crate::streaming::{
 use crate::{Allocator, GTxAllo, HashAllocator, MetisAllocator};
 
 /// Every name the table holds, sorted.
-const NAMES: [&str; 5] = ["hash", "metis", "metis-recursive", "scheduler", "txallo"];
+const NAMES: [&str; 4] = ["hash", "metis", "scheduler", "txallo"];
 
 /// Lookup failure: the requested name is not in the table. The display
 /// message enumerates the known names, so CLI errors stay accurate as the
@@ -45,16 +45,14 @@ impl fmt::Display for UnknownAllocator {
 impl std::error::Error for UnknownAllocator {}
 
 /// The closed name → allocator table (see the [module docs](self)): the
-/// methods of the paper's comparison (legend of Figs. 2–8), plus the
-/// recursive-bisection METIS variant of the §VI-B6 running-time table.
+/// methods of the paper's comparison (legend of Figs. 2–8).
 ///
-/// | name              | batch              | streaming                       |
-/// |-------------------|--------------------|---------------------------------|
-/// | `txallo`          | [`GTxAllo`]        | [`HybridStream`] (per schedule) |
-/// | `hash`            | [`HashAllocator`]  | [`GlobalStream`] re-hash        |
-/// | `metis`           | [`MetisAllocator`] | [`GlobalStream`] re-partition   |
-/// | `metis-recursive` | [`MetisAllocator::recursive`] | [`GlobalStream`]     |
-/// | `scheduler`       | [`ShardScheduler`] | [`SchedulerStream`] (tx-level)  |
+/// | name        | batch              | streaming                       |
+/// |-------------|--------------------|---------------------------------|
+/// | `txallo`    | [`GTxAllo`]        | [`HybridStream`] (per schedule) |
+/// | `hash`      | [`HashAllocator`]  | [`GlobalStream`] re-hash        |
+/// | `metis`     | [`MetisAllocator`] | [`GlobalStream`] re-partition   |
+/// | `scheduler` | [`ShardScheduler`] | [`SchedulerStream`] (tx-level)  |
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllocatorRegistry;
 
@@ -91,7 +89,6 @@ impl AllocatorRegistry {
             "txallo" => Box::new(GTxAllo::new(params.clone())),
             "hash" => Box::new(HashAllocator::new(params.shards)),
             "metis" => Box::new(MetisAllocator::new(params.shards)),
-            "metis-recursive" => Box::new(MetisAllocator::recursive(params.shards)),
             "scheduler" => Box::new(ShardScheduler::new(params)),
             _ => return Err(self.unknown(name)),
         })
@@ -115,10 +112,6 @@ impl AllocatorRegistry {
             "metis" => (
                 "Metis",
                 Box::new(|graph, p| MetisAllocator::new(p.shards).allocate_graph(graph)),
-            ),
-            "metis-recursive" => (
-                "Metis (recursive bisection)",
-                Box::new(|graph, p| MetisAllocator::recursive(p.shards).allocate_graph(graph)),
             ),
             _ => return Err(self.unknown(name)),
         };
@@ -144,7 +137,7 @@ mod tests {
         let registry = AllocatorRegistry::builtin();
         assert_eq!(
             registry.names(),
-            vec!["hash", "metis", "metis-recursive", "scheduler", "txallo"]
+            vec!["hash", "metis", "scheduler", "txallo"]
         );
         assert!(registry.contains("txallo"));
         assert!(!registry.contains("nope"));
@@ -161,7 +154,7 @@ mod tests {
         let message = err.to_string();
         assert!(message.contains("unknown method"), "{message}");
         assert!(
-            message.contains("hash|metis|metis-recursive|scheduler|txallo"),
+            message.contains("hash|metis|scheduler|txallo"),
             "error must enumerate dynamically: {message}"
         );
     }

@@ -73,7 +73,7 @@ pub mod txgraph;
 pub use csr::CsrGraph;
 pub use delta::DeltaCsr;
 pub use interner::{AccountInterner, IdSpaceExhausted};
-pub use scratch::{DenseAccumulator, DenseIndexMap, SweepCache};
+pub use scratch::{DenseAccumulator, SweepCache};
 pub use stats::GraphStats;
 pub use traits::{fit_u32, NodeId, WeightedGraph};
 pub use txgraph::{BlockNodes, MemoryFootprint, ResidencyConfig, TxGraph};

@@ -362,55 +362,6 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-/// A reusable `u32 → u32` map over dense keys, invalidated in O(1) —
-/// the index-building cousin of [`DenseAccumulator`] (used e.g. to map
-/// subgraph nodes to local ids during recursive bisection without
-/// allocating a hash map per recursion step).
-#[derive(Debug, Clone, Default)]
-pub struct DenseIndexMap {
-    value: Vec<u32>,
-    stamp: Vec<u64>,
-    epoch: u64,
-}
-
-impl DenseIndexMap {
-    /// An empty map; keys are sized on first [`begin`].
-    ///
-    /// [`begin`]: DenseIndexMap::begin
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a new mapping round over keys `0..keys`.
-    pub fn begin(&mut self, keys: usize) {
-        if self.value.len() < keys {
-            self.value.resize(keys, 0);
-            self.stamp.resize(keys, 0);
-        }
-        self.epoch += 1;
-    }
-
-    /// Maps `key` to `value` for this round.
-    #[inline]
-    pub fn insert(&mut self, key: u32, value: u32) {
-        let i = key as usize;
-        debug_assert!(i < self.value.len(), "key {key} out of range");
-        self.stamp[i] = self.epoch;
-        self.value[i] = value;
-    }
-
-    /// The value of `key` this round, if mapped.
-    #[inline]
-    pub fn get(&self, key: u32) -> Option<u32> {
-        let i = key as usize;
-        if i < self.stamp.len() && self.stamp[i] == self.epoch {
-            Some(self.value[i])
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,17 +697,5 @@ mod tests {
         let before = shrunk.approx_bytes();
         shrunk.reset(4, vec![4; 10]);
         assert_eq!(shrunk.approx_bytes(), before, "capacity survives a reset");
-    }
-
-    #[test]
-    fn index_map_rounds() {
-        let mut map = DenseIndexMap::new();
-        map.begin(5);
-        map.insert(3, 0);
-        map.insert(1, 1);
-        assert_eq!(map.get(3), Some(0));
-        assert_eq!(map.get(0), None);
-        map.begin(5);
-        assert_eq!(map.get(3), None, "new round forgets old entries");
     }
 }

@@ -71,18 +71,9 @@ pub struct LouvainResult {
     pub levels: usize,
 }
 
-/// Runs the full Louvain method on `graph`.
-///
-/// The graph is snapshotted into flat CSR form once; every sweep and every
-/// aggregation level then runs on packed rows. Callers that already hold a
-/// [`CsrGraph`] should use [`louvain_csr`] to skip the copy.
-pub fn louvain(graph: &impl WeightedGraph) -> LouvainResult {
-    louvain_csr(&CsrGraph::from_graph(graph))
-}
-
-/// [`louvain`] over an existing CSR snapshot — no copying at all: level 0
-/// sweeps the borrowed graph, later levels own their (much smaller)
-/// aggregated graphs.
+/// Runs the full Louvain method on a CSR snapshot, without copying it:
+/// level 0 sweeps the borrowed graph, later levels own their (much
+/// smaller) aggregated graphs.
 pub fn louvain_csr(graph: &CsrGraph) -> LouvainResult {
     let n = graph.node_count();
     if n == 0 {
@@ -188,7 +179,7 @@ mod tests {
 
     #[test]
     fn splits_two_cliques() {
-        let r = louvain(&two_cliques());
+        let r = louvain_csr(&two_cliques());
         assert_eq!(
             r.community_count, 2,
             "two cliques must become two communities"
@@ -205,8 +196,8 @@ mod tests {
     #[test]
     fn is_deterministic() {
         let g = two_cliques();
-        let a = louvain(&g);
-        let b = louvain(&g);
+        let a = louvain_csr(&g);
+        let b = louvain_csr(&g);
         assert_eq!(a.communities, b.communities);
         assert_eq!(a.levels, b.levels);
     }
@@ -214,7 +205,7 @@ mod tests {
     #[test]
     fn singleton_graph() {
         let g = CsrGraph::from_edges(1, vec![(0u32, 0u32, 3.0)]);
-        let r = louvain(&g);
+        let r = louvain_csr(&g);
         assert_eq!(r.community_count, 1);
         assert_eq!(r.communities, vec![0]);
     }
@@ -222,7 +213,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(0, Vec::new());
-        let r = louvain(&g);
+        let r = louvain_csr(&g);
         assert_eq!(r.community_count, 0);
         assert!(r.communities.is_empty());
     }
@@ -238,7 +229,7 @@ mod tests {
             edges.push((b, b + 2, 1.0));
         }
         let g = CsrGraph::from_edges(9, edges);
-        let r = louvain(&g);
+        let r = louvain_csr(&g);
         assert_eq!(r.community_count, 3);
     }
 
@@ -265,7 +256,7 @@ mod tests {
             edges.push((base, next_base, 0.05));
         }
         let g = CsrGraph::from_edges((r * s) as usize, edges);
-        let res = louvain(&g);
+        let res = louvain_csr(&g);
         assert_eq!(
             res.community_count, r as usize,
             "each clique is its own community"

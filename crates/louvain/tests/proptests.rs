@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use txallo_graph::{CsrGraph, NodeId, WeightedGraph};
-use txallo_louvain::{aggregate_graph, compact_labels, louvain, modularity, AggregateScratch};
+use txallo_louvain::{aggregate_graph, compact_labels, louvain_csr, modularity, AggregateScratch};
 
 fn edges_strategy(n: u32, len: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     prop::collection::vec((0..n, 0..n, 0.1f64..5.0), 1..len)
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn louvain_beats_baselines(edges in edges_strategy(24, 80)) {
         let g = CsrGraph::from_edges(24, edges);
-        let result = louvain(&g);
+        let result = louvain_csr(&g);
         prop_assert_eq!(result.communities.len(), g.node_count());
         prop_assert!(result.communities.iter().all(|&c| (c as usize) < result.community_count));
         let trivial = modularity(&g, &[0u32; 24]);
@@ -88,8 +88,8 @@ proptest! {
     #[test]
     fn louvain_deterministic(edges in edges_strategy(16, 40)) {
         let g = CsrGraph::from_edges(16, edges);
-        let a = louvain(&g);
-        let b = louvain(&g);
+        let a = louvain_csr(&g);
+        let b = louvain_csr(&g);
         prop_assert_eq!(a.communities, b.communities);
     }
 }

@@ -1,12 +1,15 @@
-//! The candidate frontier and the vertex orders of the two greedy
-//! growers: initial k-way partitioning and bisection seeding.
+//! The candidate frontier and the vertex orders of the greedy grower of
+//! initial k-way partitioning.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
-/// The growers' integer order key of a non-negative finite `x` (a gain,
+/// Part label of a vertex no region has taken yet.
+pub(crate) const UNASSIGNED: u32 = u32::MAX;
+
+/// The grower's integer order key of a non-negative finite `x` (a gain,
 /// a gain/strength ratio or a weight). The IEEE 754 bits of such values,
 /// read as an unsigned integer, order exactly as the values do, and equal
 /// values have equal bits: `-0.0`, the one exception, fails the sign
@@ -21,8 +24,8 @@ fn order_key(x: f64) -> u64 {
 }
 
 /// Vertex ids by descending weight, ties toward the smaller id: the order
-/// in which the growers seed regions. A max-heap, built in linear time and
-/// popped lazily, since a grower reads only the seeds it needs.
+/// in which the grower seeds regions. A max-heap, built in linear time and
+/// popped lazily, since the grower reads only the seeds it needs.
 #[derive(Debug)]
 pub(crate) struct HeaviestFirst(BinaryHeap<(u64, Reverse<NodeId>)>);
 
@@ -47,8 +50,8 @@ impl HeaviestFirst {
     }
 }
 
-/// The part of least weight, ties toward the smaller id: where the k-way
-/// grower sweeps a vertex no region reached.
+/// The part of least weight, ties toward the smaller id: where the grower
+/// sweeps a vertex no region reached.
 pub(crate) fn lightest_part(part_weight: &[f64]) -> usize {
     (1..part_weight.len()).fold(0, |lightest, p| {
         if order_key(part_weight[p]) < order_key(part_weight[lightest]) {
@@ -77,7 +80,6 @@ pub(crate) struct GrowFrontier {
     gain: Vec<f64>,
     member: Vec<bool>,
     heap: BinaryHeap<Candidate>,
-    unassigned: u32,
 }
 
 /// A heap entry: the order keys of a member's gain and gain/strength
@@ -91,14 +93,12 @@ fn candidate(gain: f64, ratio: f64, node: NodeId) -> Candidate {
 }
 
 impl GrowFrontier {
-    /// An empty frontier over `n` vertices; `parts[v] == unassigned` marks
-    /// a vertex no region has taken yet.
-    pub(crate) fn new(n: usize, unassigned: u32) -> Self {
+    /// An empty frontier over `n` vertices.
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             gain: vec![0.0; n],
             member: vec![false; n],
             heap: BinaryHeap::new(),
-            unassigned,
         }
     }
 
@@ -107,7 +107,7 @@ impl GrowFrontier {
     pub(crate) fn absorb(&mut self, graph: &CsrGraph, parts: &[u32], v: NodeId) {
         graph.for_each_neighbor(v, |u, w| {
             let i = u as usize;
-            if parts[i] != self.unassigned {
+            if parts[i] != UNASSIGNED {
                 return;
             }
             self.gain[i] += w;
@@ -123,7 +123,7 @@ impl GrowFrontier {
     pub(crate) fn pop(&mut self, parts: &[u32]) -> Option<NodeId> {
         while let Some((gain, _, Reverse(node))) = self.heap.pop() {
             let i = node as usize;
-            if self.member[i] && parts[i] == self.unassigned && self.gain[i].to_bits() == gain {
+            if self.member[i] && parts[i] == UNASSIGNED && self.gain[i].to_bits() == gain {
                 self.member[i] = false;
                 self.gain[i] = 0.0;
                 return Some(node);
@@ -145,11 +145,8 @@ impl GrowFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bisection::grow_bisection;
     use crate::greedy_growing_partition;
-    use crate::tests::reference::{
-        reference_greedy_growing, reference_grow_bisection, reference_heaviest_first,
-    };
+    use crate::tests::reference::{reference_greedy_growing, reference_heaviest_first};
     use crate::{RATIO_FLOOR, STRENGTH_FLOOR};
     use std::cmp::Ordering;
 
@@ -294,12 +291,6 @@ mod tests {
                                 "k-way, {case}, balance {bf}"
                             );
                         }
-                        let frac = k.div_ceil(2) as f64 / k as f64;
-                        assert_eq!(
-                            grow_bisection(&g, &w, frac),
-                            reference_grow_bisection(&g, &w, frac),
-                            "bisection, {case}"
-                        );
                     }
                 }
             }

@@ -2,10 +2,7 @@
 
 use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 
-use crate::frontier::{lightest_part, GrowFrontier, HeaviestFirst};
-
-/// Part label of a vertex no region has taken yet.
-const UNASSIGNED: u32 = u32::MAX;
+use crate::frontier::{lightest_part, GrowFrontier, HeaviestFirst, UNASSIGNED};
 
 /// Produces an initial `k`-way partition of (the coarsest) `graph`.
 ///
@@ -38,7 +35,7 @@ pub fn greedy_growing_partition(
 
     let mut by_weight = HeaviestFirst::new(vertex_weights);
     let mut part_weight = vec![0.0f64; k];
-    let mut frontier = GrowFrontier::new(n, UNASSIGNED);
+    let mut frontier = GrowFrontier::new(n);
 
     for part in 0..k as u32 {
         let Some(seed) = by_weight.next_free(|v| parts[v as usize] == UNASSIGNED) else {

@@ -21,13 +21,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
-pub mod bisection;
 pub mod coarsen;
 mod frontier;
 pub mod initial;
 pub mod refine;
 
-pub use bisection::recursive_bisection_partition;
 pub use coarsen::{coarsen, heavy_edge_matching, CoarseLevel};
 pub use initial::greedy_growing_partition;
 pub use refine::{edge_cut, fm_refine, FmWork};
@@ -42,10 +40,10 @@ use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 // txallo-lint: allow(D2-eps-literal) — named, documented magnitude floor; the one sanctioned definition site in this crate
 pub(crate) const STRENGTH_FLOOR: f64 = 1e-9;
 
-/// Floor on the gain/strength ratio denominator in the greedy growers
-/// (initial partitioning and bisection seeding). Smaller than
-/// [`STRENGTH_FLOOR`] because it guards a division, not a weight; the
-/// value is preserved exactly — changing it changes growth trajectories.
+/// Floor on the gain/strength ratio denominator in the greedy grower of
+/// initial partitioning. Smaller than [`STRENGTH_FLOOR`] because it guards
+/// a division, not a weight; the value is preserved exactly — changing it
+/// changes growth trajectories.
 // txallo-lint: allow(D2-eps-literal) — named, documented divide-by-zero guard; value pinned by the golden suites
 pub(crate) const RATIO_FLOOR: f64 = 1e-12;
 
@@ -53,8 +51,8 @@ pub(crate) const RATIO_FLOOR: f64 = 1e-12;
 /// vertex weight (METIS's `ub` parameter).
 const BALANCE_FACTOR: f64 = 1.05;
 
-/// Coarsening stops once a graph has at most this many nodes (the k-way
-/// driver raises it to `20 × parts`).
+/// Coarsening stops once a graph has at most this many nodes, or at most
+/// `20 × parts` when that is larger.
 const COARSEN_TARGET: usize = 2_000;
 
 /// Maximum FM refinement passes per level.
@@ -75,10 +73,10 @@ fn vertex_weights(graph: &impl WeightedGraph) -> Vec<f64> {
 pub struct MetisResult {
     /// Part id per node, in `0..parts`.
     pub parts: Vec<u32>,
-    /// Number of coarsening levels of the deepest V-cycle run (0 when no
-    /// V-cycle ran, as for one part).
+    /// Number of coarsening levels of the V-cycle (0 when none ran, as for
+    /// one part).
     pub levels: usize,
-    /// FM refinement's work, summed over the levels of every V-cycle run.
+    /// FM refinement's work, summed over the levels of the V-cycle.
     pub fm: FmWork,
 }
 
@@ -87,31 +85,14 @@ pub struct MetisResult {
 pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult {
     assert!(parts > 0, "parts must be positive");
     let n = graph.node_count();
-    if n == 0 {
-        return MetisResult {
-            parts: Vec::new(),
-            levels: 0,
-            fm: FmWork::default(),
-        };
-    }
-    if parts == 1 {
+    if n == 0 || parts == 1 {
         return MetisResult {
             parts: vec![0; n],
             levels: 0,
             fm: FmWork::default(),
         };
     }
-    // Each level refines toward `parts` equal shares of its own total
-    // vertex weight.
-    let (labels, levels, fm) = v_cycle(
-        CsrGraph::from_graph(graph),
-        vertex_weights(graph),
-        COARSEN_TARGET.max(20 * parts),
-        |level| {
-            greedy_growing_partition(&level.graph, &level.vertex_weights, parts, BALANCE_FACTOR)
-        },
-        |weights| vec![weights.iter().sum::<f64>() / parts as f64; parts],
-    );
+    let (labels, levels, fm) = v_cycle(CsrGraph::from_graph(graph), vertex_weights(graph), parts);
     MetisResult {
         parts: labels,
         levels,
@@ -119,27 +100,22 @@ pub fn metis_partition(graph: &impl WeightedGraph, parts: usize) -> MetisResult 
     }
 }
 
-/// The multilevel V-cycle shared by both drivers: coarsen `base` until it
-/// has at most `floor` nodes, partition the coarsest level with `initial`,
-/// then, from the coarsest level to `base`, FM-refine each level toward
-/// `targets(its vertex weights)` and project the result one level finer.
-/// Each level is dropped once refined. Returns the base graph's parts, the
-/// number of levels and the summed FM work.
+/// The multilevel V-cycle: coarsen `base` until it has at most
+/// `max(COARSEN_TARGET, 20 × parts)` nodes, grow `parts` regions on the
+/// coarsest level, then, from the coarsest level to `base`, FM-refine each
+/// level toward `parts` equal shares of its own total vertex weight and
+/// project the result one level finer. Each level is dropped once refined.
+/// Returns the base graph's parts, the number of levels and the summed FM
+/// work.
 ///
 /// A fine node whose coarse node ended its level's refinement interior
 /// starts its own level's refinement idle: every fine neighbor lies in
 /// that coarse node or in a coarse neighbor of it, so after projection
 /// the fine node is interior too.
-fn v_cycle(
-    base: CsrGraph,
-    vertex_weights: Vec<f64>,
-    floor: usize,
-    initial: impl Fn(&CoarseLevel) -> Vec<u32>,
-    targets: impl Fn(&[f64]) -> Vec<f64>,
-) -> (Vec<u32>, usize, FmWork) {
-    let mut hierarchy = coarsen(base, vertex_weights, floor);
+fn v_cycle(base: CsrGraph, vertex_weights: Vec<f64>, parts: usize) -> (Vec<u32>, usize, FmWork) {
+    let mut hierarchy = coarsen(base, vertex_weights, COARSEN_TARGET.max(20 * parts));
     let levels = hierarchy.len();
-    let mut parts = Vec::new();
+    let mut labels = Vec::new();
     let mut interior = Vec::new();
     let mut work = FmWork::default();
     // The projection map of the level refined last (`None` before the
@@ -149,31 +125,38 @@ fn v_cycle(
         match coarser {
             // Each fine node takes its coarse node's part and interior flag.
             Some(map) => {
-                parts = map.iter().map(|&c| parts[c as usize]).collect();
+                labels = map.iter().map(|&c| labels[c as usize]).collect();
                 interior = map.iter().map(|&c| interior[c as usize]).collect();
             }
-            None => parts = initial(&level),
+            None => {
+                labels = greedy_growing_partition(
+                    &level.graph,
+                    &level.vertex_weights,
+                    parts,
+                    BALANCE_FACTOR,
+                );
+            }
         }
         work += refine(
             &level.graph,
             &level.vertex_weights,
-            &mut parts,
-            &targets(&level.vertex_weights),
+            &mut labels,
+            parts,
             BALANCE_FACTOR,
             REFINE_PASSES,
             &mut interior,
         );
         coarser = level.fine_to_coarse;
     }
-    (parts, levels, work)
+    (labels, levels, work)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Cache-free references of the kernels, which both drivers and the
-    /// unit tests of the growers and the boundary pass must match.
+    /// Cache-free references of the kernels, which the driver and the
+    /// unit tests of the grower and the boundary pass must match.
     pub(crate) mod reference;
 
     fn two_cliques(bridge: f64) -> CsrGraph {

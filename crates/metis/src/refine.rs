@@ -23,7 +23,7 @@ pub fn edge_cut(graph: &CsrGraph, parts: &[u32]) -> f64 {
 }
 
 /// Work counters of FM refinement: one call's, or a partition run's summed
-/// over its levels and V-cycles ([`crate::MetisResult::fm`]).
+/// over its levels ([`crate::MetisResult::fm`]).
 /// Deterministic, so goldens pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FmWork {
@@ -40,10 +40,9 @@ impl std::ops::AddAssign for FmWork {
     }
 }
 
-/// Simplified boundary Fiduccia–Mattheyses refinement toward per-part
-/// weight targets (`k = targets.len()` parts; the k-way driver passes
-/// equal shares, the bisection driver `⌈k/2⌉ : ⌊k/2⌋` splits). Returns
-/// its work counters.
+/// Simplified boundary Fiduccia–Mattheyses refinement toward `k` parts of
+/// equal vertex weight: the per-part target is `total / k`. Returns its
+/// work counters.
 ///
 /// Each pass sweeps the boundary vertices in ascending id order and greedily
 /// moves a vertex to the adjacent part with the largest positive cut
@@ -59,7 +58,7 @@ pub fn fm_refine(
     graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
-    targets: &[f64],
+    k: usize,
     balance_factor: f64,
     max_passes: usize,
 ) -> FmWork {
@@ -68,7 +67,7 @@ pub fn fm_refine(
         graph,
         vertex_weights,
         parts,
-        targets,
+        k,
         balance_factor,
         max_passes,
         &mut interior,
@@ -86,18 +85,18 @@ pub(crate) fn refine(
     graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
-    targets: &[f64],
+    k: usize,
     balance_factor: f64,
     max_passes: usize,
     interior: &mut Vec<bool>,
 ) -> FmWork {
     let n = graph.node_count();
-    let k = targets.len();
     let mut work = FmWork::default();
     if n == 0 || k <= 1 {
         interior.clear();
         return work;
     }
+    let target = vertex_weights.iter().sum::<f64>() / k as f64;
     let mut part_weight = part_weights(parts, vertex_weights, k);
 
     // Incremental boundary passes on the shared `SweepCache`, parts as
@@ -143,7 +142,7 @@ pub(crate) fn refine(
                 continue;
             };
             let w_v = vertex_weights[vi];
-            match best_move(entries, from, w_v, &part_weight, targets, balance_factor) {
+            match best_move(entries, from, w_v, &part_weight, target, balance_factor) {
                 Decision::Move(to) => {
                     parts[vi] = to;
                     part_weight[from as usize] -= w_v;
@@ -191,13 +190,14 @@ enum Decision {
 /// The boundary pass's decision for one vertex of weight `w_v` in part
 /// `from`, given its `(part, link weight)` entries ascending by part: the
 /// destination with the largest cut reduction above [`FM_GAIN_MIN`] that
-/// the balance rule admits, ties toward the smaller part id.
+/// the balance rule around the per-part `target` admits, ties toward the
+/// smaller part id.
 fn best_move(
     entries: &[(u32, f64)],
     from: u32,
     w_v: f64,
     part_weight: &[f64],
-    targets: &[f64],
+    target: f64,
     balance_factor: f64,
 ) -> Decision {
     let internal = entries.iter().find(|e| e.0 == from).map_or(0.0, |e| e.1);
@@ -216,15 +216,15 @@ fn best_move(
         // if it still strictly improves the balance (moving from a heavier
         // to a lighter part) — the escape hatch that keeps refinement live
         // when parts sit exactly at the cap.
-        let dest_ok = part_weight[to as usize] + w_v <= targets[to as usize] * balance_factor
+        let dest_ok = part_weight[to as usize] + w_v <= target * balance_factor
             || part_weight[to as usize] + w_v < part_weight[from as usize];
         if !dest_ok {
             continue;
         }
         // The source must not drop below `target × (2 − balance_factor)`
         // unless it is over target.
-        if part_weight[from as usize] - w_v < targets[from as usize] * (2.0 - balance_factor)
-            && part_weight[from as usize] <= targets[from as usize]
+        if part_weight[from as usize] - w_v < target * (2.0 - balance_factor)
+            && part_weight[from as usize] <= target
         {
             continue;
         }
@@ -271,7 +271,7 @@ mod tests {
         // Start with one node on the wrong side.
         let mut parts = vec![0, 0, 0, 1, 1, 1, 1, 0];
         let before = edge_cut(&g, &parts);
-        fm_refine(&g, &[1.0; 8], &mut parts, &[4.0; 2], 1.3, 8);
+        fm_refine(&g, &[1.0; 8], &mut parts, 2, 1.3, 8);
         let after = edge_cut(&g, &parts);
         assert!(
             after < before,
@@ -290,7 +290,7 @@ mod tests {
         let edges: Vec<_> = (1..7u32).map(|v| (0u32, v, 1.0)).collect();
         let g = CsrGraph::from_edges(7, edges);
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1];
-        fm_refine(&g, &[1.0; 7], &mut parts, &[3.5; 2], 1.2, 8);
+        fm_refine(&g, &[1.0; 7], &mut parts, 2, 1.2, 8);
         let heavy = parts.iter().filter(|&&p| p == 0).count();
         assert!(heavy <= 5, "balance cap violated: {parts:?}");
     }
@@ -300,8 +300,8 @@ mod tests {
         let g = two_cliques_graph();
         let mut p1 = vec![0, 1, 0, 1, 0, 1, 0, 1];
         let mut p2 = p1.clone();
-        fm_refine(&g, &[1.0; 8], &mut p1, &[4.0; 2], 1.3, 50);
-        fm_refine(&g, &[1.0; 8], &mut p2, &[4.0; 2], 1.3, 50);
+        fm_refine(&g, &[1.0; 8], &mut p1, 2, 1.3, 50);
+        fm_refine(&g, &[1.0; 8], &mut p2, 2, 1.3, 50);
         assert_eq!(p1, p2);
     }
 
@@ -367,12 +367,10 @@ mod tests {
             }
         }
         for (i, (g, weights, start, k, bf)) in instances.into_iter().enumerate() {
-            let total: f64 = weights.iter().sum();
-            let targets = vec![total / k as f64; k];
             let mut dense = start.clone();
-            fm_refine(&g, &weights, &mut dense, &targets, bf, 12);
+            fm_refine(&g, &weights, &mut dense, k, bf, 12);
             let mut reference = start;
-            reference_refine(&g, &weights, &mut reference, &targets, bf, 12);
+            reference_refine(&g, &weights, &mut reference, k, bf, 12);
             assert_eq!(dense, reference, "instance {i}: cached pass diverged");
         }
     }
@@ -382,10 +380,10 @@ mod tests {
     #[test]
     fn refine_degenerate_shapes_are_noops() {
         let empty = CsrGraph::from_edges(0, Vec::<(NodeId, NodeId, f64)>::new());
-        fm_refine(&empty, &[], &mut [], &[0.0; 2], 1.1, 4);
+        fm_refine(&empty, &[], &mut [], 2, 1.1, 4);
         let (g, weights, start) = random_instance(30, 4, 1);
         let mut one_part = start.clone();
-        fm_refine(&g, &weights, &mut one_part, &[weights.iter().sum()], 1.1, 4);
+        fm_refine(&g, &weights, &mut one_part, 1, 1.1, 4);
         assert_eq!(one_part, start);
     }
 }

@@ -1,13 +1,12 @@
 //! Cache-free references of the multilevel partitioner, for tests: the
-//! growers as linear frontier scans under the `partial_cmp` orders, the
-//! boundary pass as an ordered-map full scan, and both drivers' V-cycles
+//! grower as a linear frontier scan under the `partial_cmp` orders, the
+//! boundary pass as an ordered-map full scan, and the driver's V-cycle
 //! built from them. The production kernels must match them byte for byte.
 
 use txallo_graph::{fit_u32, CsrGraph, NodeId, WeightedGraph};
 
 use crate::{
-    coarsen, metis_partition, recursive_bisection_partition, vertex_weights, CoarseLevel,
-    BALANCE_FACTOR, COARSEN_TARGET, REFINE_PASSES,
+    coarsen, metis_partition, vertex_weights, BALANCE_FACTOR, COARSEN_TARGET, REFINE_PASSES,
 };
 
 /// Vertex ids by descending weight, ties toward the smaller id, sorted by
@@ -24,7 +23,7 @@ pub(crate) fn reference_heaviest_first(vertex_weights: &[f64]) -> Vec<NodeId> {
 }
 
 /// The best candidate of a linear scan over `frontier` under the
-/// growers' selection rule (largest gain, then gain/strength, then
+/// grower's selection rule (largest gain, then gain/strength, then
 /// smallest id), skipping entries `live` rejects.
 fn scan_best(
     graph: &CsrGraph,
@@ -122,71 +121,24 @@ pub(crate) fn reference_greedy_growing(
     parts
 }
 
-/// Linear-scan reference of the bisection grower: membership is never
-/// reset, and a dry frontier pulls the next heaviest unassigned vertex.
-pub(crate) fn reference_grow_bisection(
-    graph: &CsrGraph,
-    vertex_weights: &[f64],
-    frac: f64,
-) -> Vec<u32> {
-    let n = graph.node_count();
-    let mut parts = vec![1u32; n];
-    let target = vertex_weights.iter().sum::<f64>() * frac;
-    let by_weight = reference_heaviest_first(vertex_weights);
-    let mut gain = vec![0.0f64; n];
-    let mut in_frontier = vec![false; n];
-    let mut frontier: Vec<NodeId> = Vec::new();
-    let mut next = by_weight[0];
-    let mut region_weight = 0.0;
-    let mut cursor = 1usize;
-    loop {
-        parts[next as usize] = 0;
-        region_weight += vertex_weights[next as usize];
-        graph.for_each_neighbor(next, |u, w| {
-            if parts[u as usize] == 1 {
-                gain[u as usize] += w;
-                if !in_frontier[u as usize] {
-                    in_frontier[u as usize] = true;
-                    frontier.push(u);
-                }
-            }
-        });
-        if region_weight >= target {
-            break;
-        }
-        next = match scan_best(graph, &frontier, &gain, |u| parts[u as usize] == 1) {
-            Some(u) => u,
-            None => {
-                while cursor < n && parts[by_weight[cursor] as usize] == 0 {
-                    cursor += 1;
-                }
-                if cursor >= n {
-                    break;
-                }
-                by_weight[cursor]
-            }
-        };
-    }
-    parts
-}
-
-/// Ordered-map reference of the boundary pass: identical admission
-/// rules and tie-breaks, `BTreeMap` gathering. The dense-scratch
+/// Ordered-map reference of the boundary pass toward `k` equal shares of
+/// the total vertex weight: identical admission rules and tie-breaks,
+/// per-part targets, `BTreeMap` gathering. The dense-scratch
 /// implementation must produce byte-identical parts.
 pub(crate) fn reference_refine(
     graph: &CsrGraph,
     vertex_weights: &[f64],
     parts: &mut [u32],
-    targets: &[f64],
+    k: usize,
     balance_factor: f64,
     max_passes: usize,
 ) {
     use std::collections::BTreeMap;
     let n = graph.node_count();
-    let k = targets.len();
     if n == 0 || k <= 1 {
         return;
     }
+    let targets = vec![vertex_weights.iter().sum::<f64>() / k as f64; k];
     let caps: Vec<f64> = targets.iter().map(|t| t * balance_factor).collect();
     let floors: Vec<f64> = targets.iter().map(|t| t * (2.0 - balance_factor)).collect();
     let mut part_weight = vec![0.0f64; k];
@@ -249,111 +201,32 @@ pub(crate) fn reference_refine(
     }
 }
 
-/// The multilevel V-cycle of both drivers with the reference kernels: the
-/// production coarsening, `initial` on the coarsest level, then
+/// The k-way driver (`k ≥ 2`) with the reference kernels: the production
+/// coarsening, [`reference_greedy_growing`] on the coarsest level, then
 /// [`reference_refine`] on every level: no candidate cache, no idle start
 /// and no deactivation.
-fn reference_v_cycle(
-    base: CsrGraph,
-    vertex_weights: Vec<f64>,
-    floor: usize,
-    initial: impl Fn(&CoarseLevel) -> Vec<u32>,
-    targets: impl Fn(&[f64]) -> Vec<f64>,
-) -> Vec<u32> {
-    let mut hierarchy = coarsen(base, vertex_weights, floor);
+fn reference_metis_partition(graph: &CsrGraph, k: usize) -> Vec<u32> {
+    let floor = COARSEN_TARGET.max(20 * k);
+    let mut hierarchy = coarsen(CsrGraph::from_graph(graph), vertex_weights(graph), floor);
     let mut parts = Vec::new();
     let mut coarser: Option<Vec<u32>> = None;
     while let Some(level) = hierarchy.pop() {
+        let weights = &level.vertex_weights;
         parts = match coarser {
             Some(map) => map.iter().map(|&c| parts[c as usize]).collect(),
-            None => initial(&level),
+            None => reference_greedy_growing(&level.graph, weights, k, BALANCE_FACTOR),
         };
         reference_refine(
             &level.graph,
-            &level.vertex_weights,
+            weights,
             &mut parts,
-            &targets(&level.vertex_weights),
+            k,
             BALANCE_FACTOR,
             REFINE_PASSES,
         );
         coarser = level.fine_to_coarse;
     }
     parts
-}
-
-/// Reference of the direct k-way driver (`k ≥ 2`).
-fn reference_metis_partition(graph: &CsrGraph, k: usize) -> Vec<u32> {
-    reference_v_cycle(
-        CsrGraph::from_graph(graph),
-        vertex_weights(graph),
-        COARSEN_TARGET.max(20 * k),
-        |level| reference_greedy_growing(&level.graph, &level.vertex_weights, k, BALANCE_FACTOR),
-        |weights| vec![weights.iter().sum::<f64>() / k as f64; k],
-    )
-}
-
-/// Reference of the recursive-bisection driver (`k ≥ 2`): the same
-/// induced subgraphs, in the same edge order, bisected by the reference
-/// V-cycle.
-fn reference_recursive_bisection(graph: &CsrGraph, k: usize) -> Vec<u32> {
-    let weights = vertex_weights(graph);
-    let mut out = vec![0u32; graph.node_count()];
-    let nodes = (0..fit_u32(graph.node_count())).collect();
-    reference_recurse(graph, &weights, nodes, k, 0, &mut out);
-    out
-}
-
-fn reference_recurse(
-    base: &CsrGraph,
-    vertex_weights: &[f64],
-    nodes: Vec<NodeId>,
-    k: usize,
-    offset: u32,
-    out: &mut [u32],
-) {
-    if k <= 1 || nodes.len() <= 1 {
-        for &v in &nodes {
-            out[v as usize] = offset;
-        }
-        return;
-    }
-    let mut local = vec![u32::MAX; base.node_count()];
-    for (i, &v) in nodes.iter().enumerate() {
-        local[v as usize] = fit_u32(i);
-    }
-    let mut edges = Vec::new();
-    let mut weights = Vec::new();
-    for (i, &v) in nodes.iter().enumerate() {
-        let i = fit_u32(i);
-        weights.push(vertex_weights[v as usize]);
-        let loop_w = base.self_loop(v);
-        if loop_w > 0.0 {
-            edges.push((i, i, loop_w));
-        }
-        base.for_each_neighbor(v, |u, w| {
-            if u > v && local[u as usize] != u32::MAX {
-                edges.push((i, local[u as usize], w));
-            }
-        });
-    }
-    let induced = CsrGraph::from_edges(nodes.len(), edges);
-    let k_left = k.div_ceil(2);
-    let frac = k_left as f64 / k as f64;
-    let total: f64 = weights.iter().sum();
-    let targets = [total * frac, total * (1.0 - frac)];
-    let halves = reference_v_cycle(
-        induced,
-        weights,
-        COARSEN_TARGET,
-        |level| reference_grow_bisection(&level.graph, &level.vertex_weights, frac),
-        |_| targets.to_vec(),
-    );
-    let (left, right): (Vec<NodeId>, Vec<NodeId>) = nodes
-        .iter()
-        .partition(|&&v| halves[local[v as usize] as usize] == 0);
-    reference_recurse(base, vertex_weights, left, k_left, offset, out);
-    let right_offset = offset + fit_u32(k_left);
-    reference_recurse(base, vertex_weights, right, k - k_left, right_offset, out);
 }
 
 /// A seeded hub-and-leaf graph on which coarsening stalls: `body`
@@ -402,10 +275,10 @@ fn hub_and_leaf_graph(seed: u64, body: usize, hubs: usize, leaves: usize) -> Csr
     CsrGraph::from_edges(n, edges)
 }
 
-/// Both drivers against the reference V-cycle on graphs whose coarsening
-/// stalls after at least three levels, far above the 2,000-node target,
-/// so the growers and the boundary pass run on large coarse graphs with
-/// many interior rows and many rows no rival part can draw.
+/// The k-way driver against the reference V-cycle on graphs whose
+/// coarsening stalls after at least three levels, far above the 2,000-node
+/// target, so the grower and the boundary pass run on large coarse graphs
+/// with many interior rows and many rows no rival part can draw.
 #[test]
 fn drivers_match_the_reference_v_cycle_on_stalled_hierarchies() {
     for seed in [1u64, 2] {
@@ -424,11 +297,6 @@ fn drivers_match_the_reference_v_cycle_on_stalled_hierarchies() {
                 kway.parts,
                 reference_metis_partition(&g, k),
                 "k-way, seed {seed}, k {k}"
-            );
-            assert_eq!(
-                recursive_bisection_partition(&g, k).parts,
-                reference_recursive_bisection(&g, k),
-                "recursive bisection, seed {seed}, k {k}"
             );
         }
     }

@@ -63,7 +63,7 @@ proptest! {
         let w = vec![1.0; 20];
         let mut parts = greedy_growing_partition(&g, &w, k, 1.2);
         let before = edge_cut(&g, &parts);
-        fm_refine(&g, &w, &mut parts, &vec![20.0 / k as f64; k], 1.2, 6);
+        fm_refine(&g, &w, &mut parts, k, 1.2, 6);
         let after = edge_cut(&g, &parts);
         prop_assert!(after <= before + 1e-9, "cut increased: {before} -> {after}");
         prop_assert!(parts.iter().all(|&p| (p as usize) < k));

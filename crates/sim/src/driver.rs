@@ -24,7 +24,7 @@ pub struct SimConfig {
     pub epoch_blocks: usize,
     /// The allocation method, resolved through
     /// [`AllocatorRegistry`](txallo_core::AllocatorRegistry) (`txallo`,
-    /// `hash`, `metis`, `metis-recursive`, `scheduler`).
+    /// `hash`, `metis`, `scheduler`).
     pub method: String,
     /// The reallocation schedule (`txallo`'s global-refresh policy;
     /// schedule-free methods ignore it).

@@ -155,6 +155,28 @@ mod tests {
         assert!((m.throughput_normalized - 1.0).abs() < 1e-12);
     }
 
+    /// A multi-IO transaction is cross-shard as soon as two of its
+    /// accounts sit in different shards, and it counts once.
+    #[test]
+    fn transaction_level_gamma_counts_mu() {
+        let mut graph = TxGraph::new();
+        let block = Block::new(
+            0,
+            vec![
+                Transaction::transfer(AccountId(1), AccountId(2)), // intra
+                Transaction::transfer(AccountId(1), AccountId(3)), // cross
+                Transaction::new(vec![AccountId(1)], vec![AccountId(2), AccountId(3)]).unwrap(), // cross (µ = 2)
+            ],
+        );
+        graph.ingest_block(&block);
+        let mut labels = vec![0u32; 3];
+        labels[graph.node_of(AccountId(3)).unwrap() as usize] = 1;
+        let alloc = Allocation::new(labels, 2);
+        let m = epoch_metrics(&[block], &graph, &alloc, 2, 2.0);
+        assert_eq!((m.transactions, m.cross_shard), (3, 2));
+        assert!((m.cross_shard_ratio - 2.0 / 3.0).abs() < 1e-12);
+    }
+
     #[test]
     fn all_intra_epoch_is_ideal() {
         let mut graph = TxGraph::new();

@@ -12,6 +12,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
 use txallo::prelude::*;
+use txallo::sim::epoch_metrics;
 use txallo::workload::{read_ledger_csv, write_ledger_csv};
 
 fn main() {
@@ -66,7 +67,10 @@ fn main() {
             .expect("registered")
             .allocate(&dataset);
         let r = MetricsReport::compute(dataset.graph(), &allocation, &params);
-        let tx_gamma = MetricsReport::transaction_level_cross_ratio(&dataset, &allocation);
+        // The whole ledger scored as one epoch: its share of `µ(Tx) > 1`.
+        let (blocks, shards) = (dataset.ledger().blocks(), allocation.shard_count());
+        let tx_gamma = epoch_metrics(blocks, dataset.graph(), &allocation, shards, params.eta)
+            .cross_shard_ratio;
         println!(
             "{name:>9}: γ(graph) = {:.1}%, γ(tx-level) = {:.1}%, Λ/λ = {:.2}×, ζ = {:.2} blocks",
             100.0 * r.cross_shard_ratio,
