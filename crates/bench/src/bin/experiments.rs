@@ -20,6 +20,8 @@
 //! for `--epochs` epochs and exits nonzero when its accounted peak breaches
 //! `--max-resident-mib`.
 
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::cell::OnceCell;
 
 use txallo_bench::figures::{self, SweepRow};

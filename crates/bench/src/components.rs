@@ -18,7 +18,6 @@
 //! `experiments bench-snapshot` writes its medians into a `BENCH_*.json`.
 
 use std::fmt;
-use std::time::Instant;
 
 use txallo_core::{
     AtxAlloSession, CommunityState, EpochKind, GTxAllo, GTxAlloPlan, HybridSchedule, HybridStream,
@@ -32,7 +31,7 @@ use txallo_metis::metis_partition;
 use txallo_model::FxHashMap;
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
-use crate::harness::{build_dataset, run_allocator, ExperimentScale, ALL_ALLOCATORS};
+use crate::harness::{build_dataset, run_allocator, timed, ExperimentScale, ALL_ALLOCATORS};
 use crate::seed_ref::{
     gain_sweep_fast, gain_sweep_seed, seed_atxallo_update, seed_csr_from_graph, seed_delta_rows,
     SeedDeltaRows, SeedTxGraph,
@@ -92,11 +91,7 @@ impl fmt::Display for Timing {
 /// the result is dropped inside the timed region.
 pub fn time<O>(name: &str, samples: usize, mut f: impl FnMut() -> O) -> Timing {
     let mut samples_ms: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
+        .map(|_| timed(|| drop(std::hint::black_box(f()))).1.as_secs_f64() * 1e3)
         .collect();
     samples_ms.sort_by(f64::total_cmp);
     Timing {
@@ -250,35 +245,41 @@ fn component_cases(r: &mut Runner) -> (f64, MemoryFootprint, usize) {
     r.case("gtxallo/optimize_only", || gtx.allocate_planned(&plan));
     r.case("gtxallo/end_to_end", || gtx.allocate_graph(&graph));
 
-    // Link gathering, one full sweep over every node: the seed hash map vs
-    // the dense scratch.
-    let csr = CsrGraph::from_graph(&graph);
-    let init = louvain_csr(&csr);
-    let labels = init.communities;
+    // Link gathering, one full sweep over every node of the plan's
+    // renumbered snapshot from its Louvain start, as production sweeps
+    // read them: the seed hash map vs the dense scratch.
+    let (csr, init) = (plan.csr(), plan.init());
+    let labels = &init.communities;
     let state = CommunityState::from_labels(
-        &csr,
-        &labels,
+        csr,
+        labels,
         init.community_count,
         params.eta,
         params.capacity,
     );
     let mut scratch = MoveScratch::default();
-    r.case("gather/hashmap", || gather_sweep_hashmap(&csr, &labels));
+    r.case("gather/hashmap", || gather_sweep_hashmap(csr, labels));
     r.case("gather/dense", || {
-        gather_sweep_dense(&csr, &labels, &state, &mut scratch)
+        gather_sweep_dense(csr, labels, &state, &mut scratch)
     });
 
     // Per-candidate gain evaluation over the *converged k-shard state*
-    // (communities hover around σ ≈ λ there, so both regimes are hit):
-    // cached fast path vs pre-cache formula recompute, bit-identical.
-    let prev = gtx.allocate_graph(&graph);
+    // (communities hover around σ ≈ λ there, so both regimes are hit), its
+    // labels moved into the plan's renumbered space: cached fast path vs
+    // pre-cache formula recompute, bit-identical.
+    let prev = gtx.allocate_planned(&plan).allocation;
+    let k_labels: Vec<u32> = plan
+        .order()
+        .iter()
+        .map(|&v| prev.labels()[v as usize])
+        .collect();
     let mut scratch = MoveScratch::default();
-    let kstate = CommunityState::from_labels(&csr, prev.labels(), k, params.eta, params.capacity);
+    let kstate = CommunityState::from_labels(csr, &k_labels, k, params.eta, params.capacity);
     r.case("gain/eval", || {
-        gain_sweep_fast(&csr, prev.labels(), &kstate, &mut scratch)
+        gain_sweep_fast(csr, &k_labels, &kstate, &mut scratch)
     });
     r.case("gain/eval_seed", || {
-        gain_sweep_seed(&csr, prev.labels(), &kstate, &mut scratch)
+        gain_sweep_seed(csr, &k_labels, &kstate, &mut scratch)
     });
 
     // A-TxAllo: one epoch of 10 fresh blocks on top of the warm allocation.

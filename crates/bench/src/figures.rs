@@ -14,8 +14,8 @@ use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 use crate::components;
 use crate::harness::{
-    build_dataset, eta_sweep, k_sweep, run_allocator, AllocatorKind, ExperimentScale, ResultWriter,
-    ALL_ALLOCATORS,
+    build_dataset, eta_sweep, k_sweep, run_allocator, timed, AllocatorKind, ExperimentScale,
+    ResultWriter, ALL_ALLOCATORS,
 };
 use crate::stream_bench::{run_stream_bench, StreamBenchConfig};
 
@@ -39,9 +39,8 @@ pub struct SweepRow {
 /// depends on neither k nor η); its reported time adds the amortized init
 /// cost so Fig. 8 remains honest about end-to-end runtime.
 pub fn run_sweep(dataset: &Dataset, quick: bool) -> Vec<SweepRow> {
-    let init_start = std::time::Instant::now();
-    let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig);
-    let init_time = init_start.elapsed();
+    let (plan, init_time) =
+        timed(|| GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig));
     eprintln!(
         "# louvain init: {} communities in {:?} (plan shared across the sweep)",
         plan.init().community_count,
@@ -321,9 +320,8 @@ pub fn runtime_table(scale: ExperimentScale) {
     }
     // G-TxAllo initialization share (paper: 67.6 s of 122.3 s): the plan
     // every G-TxAllo run builds (canonical order, renumbered CSR, Louvain).
-    let start = std::time::Instant::now();
-    let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig);
-    let init_time = start.elapsed();
+    let (plan, init_time) =
+        timed(|| GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig));
     w.row(&format!(
         "G-TxAllo louvain init,-,{:.4}",
         init_time.as_secs_f64()
@@ -366,7 +364,6 @@ pub fn headline(scale: ExperimentScale) {
 /// round-robin starts, and Eq. 9's candidate restriction vs a full
 /// `k`-scan.
 pub fn ablation(scale: ExperimentScale) {
-    use std::time::Instant;
     use txallo_core::{gtxallo_full_scan, gtxallo_with_init_strategy, InitStrategy};
 
     let mut w = ResultWriter::new("ablation");
@@ -377,9 +374,8 @@ pub fn ablation(scale: ExperimentScale) {
     w.note("# ablation A: initialization strategy (k=20, eta=2)");
     w.note("# columns: variant,gamma,rho_over_lambda,throughput_times,seconds");
     for strategy in InitStrategy::ALL {
-        let start = Instant::now();
-        let out = gtxallo_with_init_strategy(&params, dataset.graph(), strategy);
-        let secs = start.elapsed().as_secs_f64();
+        let (out, time) = timed(|| gtxallo_with_init_strategy(&params, dataset.graph(), strategy));
+        let secs = time.as_secs_f64();
         let r = MetricsReport::compute(dataset.graph(), &out.allocation, &params);
         w.row(&format!(
             "{},{:.4},{:.4},{:.4},{:.4}",
@@ -395,9 +391,8 @@ pub fn ablation(scale: ExperimentScale) {
     let (restricted, restricted_time) =
         run_allocator(AllocatorKind::TxAllo, &dataset, k, eta, None);
     let restricted_secs = restricted_time.as_secs_f64();
-    let start = Instant::now();
-    let full = gtxallo_full_scan(&params, dataset.graph());
-    let full_secs = start.elapsed().as_secs_f64();
+    let (full, full_time) = timed(|| gtxallo_full_scan(&params, dataset.graph()));
+    let full_secs = full_time.as_secs_f64();
     let r1 = MetricsReport::compute(dataset.graph(), &restricted, &params);
     let r2 = MetricsReport::compute(dataset.graph(), &full, &params);
     w.row(&format!(

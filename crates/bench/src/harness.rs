@@ -4,7 +4,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txallo_core::{Allocation, AllocatorRegistry, Dataset, GTxAllo, GTxAlloPlan, TxAlloParams};
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
@@ -101,8 +101,7 @@ pub fn run_allocator(
     cached_plan: Option<&GTxAlloPlan>,
 ) -> (Allocation, Duration) {
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
-    let start = Instant::now();
-    let allocation = match (kind, cached_plan) {
+    timed(|| match (kind, cached_plan) {
         (AllocatorKind::TxAllo, Some(plan)) => {
             GTxAllo::new(params).allocate_planned(plan).allocation
         }
@@ -110,8 +109,20 @@ pub fn run_allocator(
             .batch(kind.registry_name(), &params)
             .expect("builtin kinds are registered")
             .allocate(dataset),
-    };
-    (allocation, start.elapsed())
+    })
+}
+
+/// Runs `f` once and returns its result with the wall time it took: the
+/// crate's one clock read, which every timing here goes through.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the harness measures wall time for its reports; no allocation reads the clock"
+    )]
+    let start = std::time::Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
 /// Prints CSV rows to stdout and mirrors them into `results/<name>.csv`.

@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod components;
 pub mod figures;

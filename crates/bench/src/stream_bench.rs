@@ -9,12 +9,12 @@
 //! them; `perfbench --workload stream_1m --trace 1` splits the same kind
 //! of replay layer by layer.
 
-use std::time::Instant;
-
 use txallo_core::HybridSchedule;
 use txallo_graph::{MemoryFootprint, WeightedGraph};
 use txallo_sim::{ShardedChainSim, SimConfig};
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
+
+use crate::harness::timed;
 
 /// Configuration of one streaming replay run.
 #[derive(Debug, Clone)]
@@ -157,9 +157,8 @@ pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
 
     // Warm-up: stream the history in (one block alive at a time), then the
     // one global solve every serving mode pays.
-    let warm_start = Instant::now();
-    sim.warmup_streamed(workload.block_iter(0..warm_blocks));
-    let warmup_seconds = warm_start.elapsed().as_secs_f64();
+    let (_, warmup) = timed(|| sim.warmup_streamed(workload.block_iter(0..warm_blocks)));
+    let warmup_seconds = warmup.as_secs_f64();
 
     let (mut generate_seconds, mut serve_seconds, mut update_seconds) = (0.0, 0.0, 0.0);
     let mut peak_resident = 0usize;
@@ -167,13 +166,12 @@ pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
     let mut transactions = warm_blocks * cfg.block_size as u64;
     let mut throughput_sum = 0.0;
     for epoch in 0..cfg.epochs {
-        let t = Instant::now();
-        let blocks = workload.epoch_blocks(cfg.warm_epochs + epoch, cfg.epoch_blocks);
-        generate_seconds += t.elapsed().as_secs_f64();
+        let (blocks, t) =
+            timed(|| workload.epoch_blocks(cfg.warm_epochs + epoch, cfg.epoch_blocks));
+        generate_seconds += t.as_secs_f64();
 
-        let t = Instant::now();
-        let report = sim.run_epoch(&blocks);
-        serve_seconds += t.elapsed().as_secs_f64();
+        let (report, t) = timed(|| sim.run_epoch(&blocks));
+        serve_seconds += t.as_secs_f64();
         update_seconds += report.update_time.as_secs_f64();
         transactions += report.metrics.transactions as u64;
         throughput_sum += report.metrics.throughput_normalized;

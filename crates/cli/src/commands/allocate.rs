@@ -2,7 +2,6 @@
 
 use std::fs::File;
 use std::io::BufWriter;
-use std::time::Instant;
 
 use txallo_core::{AllocatorRegistry, MetricsReport, TxAlloParams};
 
@@ -29,7 +28,12 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let registry = AllocatorRegistry::builtin();
     let mut allocator = registry.batch(method, &params).map_err(|e| e.to_string())?;
 
-    let start = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "reports the allocation's wall time to the user; the allocation never reads the clock"
+    )]
+    let start = std::time::Instant::now();
     let allocation = allocator.allocate(&dataset);
     let elapsed = start.elapsed();
     let report = MetricsReport::compute(dataset.graph(), &allocation, &params);

@@ -19,6 +19,9 @@
 //! Method names come from `txallo_core::AllocatorRegistry::builtin()`;
 //! the usage text enumerates them at runtime.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod args;
 mod commands;
 mod mapping;

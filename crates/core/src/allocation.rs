@@ -135,9 +135,13 @@ impl Allocation {
     pub fn tx_shards_into(&self, graph: &TxGraph, tx: &Transaction, out: &mut Vec<u32>) {
         out.clear();
         for &a in tx.inputs().iter().chain(tx.outputs()) {
+            #[expect(
+                clippy::expect_used,
+                reason = "every caller (the chain engine, epoch scoring, the shard queues, the ledger-level γ over a dataset's graph) ingests the transactions before reading their shard sets, so all accounts are interned"
+            )]
             let node = graph
                 .node_of(a)
-                .expect("accounts are ingested before their shards are read"); // txallo-lint: allow(lib-unwrap) — every caller (the chain engine, epoch scoring, the shard queues, the ledger-level γ over a dataset's graph) ingests the transactions before reading their shard sets, so all accounts are interned
+                .expect("accounts are ingested before their shards are read");
             out.push(self.labels[node as usize]);
         }
         out.sort_unstable();

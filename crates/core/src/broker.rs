@@ -80,11 +80,15 @@ pub fn select_split_accounts(
     let mut hot: Vec<NodeId> = (0..fit_u32(graph.node_count()))
         .filter(|&v| graph.incident_weight(v) > threshold)
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "incident weights are finite sums of finite transaction weights, so partial_cmp is total"
+    )]
     hot.sort_unstable_by(|&a, &b| {
         graph
             .incident_weight(b)
             .partial_cmp(&graph.incident_weight(a))
-            .expect("finite weights") // txallo-lint: allow(lib-unwrap) — incident weights are finite sums of finite transaction weights, so partial_cmp is total
+            .expect("finite weights")
             .then(a.cmp(&b))
     });
     hot.truncate(config.max_split_accounts);
@@ -277,10 +281,14 @@ pub fn evaluate_with_brokers(
         // Tie-break on shard id: with equal σ levels the unstable sort
         // would otherwise scramble which shard falls inside the
         // `take(filled + 1)` window, and the fill would not replay.
+        #[expect(
+            clippy::expect_used,
+            reason = "σ is a finite sum of finite workloads, so partial_cmp is total here"
+        )]
         order.sort_unstable_by(|&a, &b| {
             sigmas[a]
                 .partial_cmp(&sigmas[b])
-                .expect("finite") // txallo-lint: allow(lib-unwrap) — σ is a finite sum of finite workloads, so partial_cmp is total here
+                .expect("finite")
                 .then(a.cmp(&b))
         });
         let mut filled = 0usize;

@@ -208,7 +208,11 @@ impl<'a> Decoder<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap())) // txallo-lint: allow(lib-unwrap) — take(4) returned exactly 4 bytes, so the array conversion is infallible
+        #[expect(
+            clippy::unwrap_used,
+            reason = "take(4) returned exactly 4 bytes, so the array conversion is infallible"
+        )]
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
@@ -351,7 +355,11 @@ fn decode_graph(d: &mut Decoder<'_>) -> Result<TxGraph, CheckpointError> {
         for _ in 0..len {
             adj_ws.push(d.f64()?);
         }
-        let row = &adj_ids[*offsets.last().expect("non-empty")..]; // txallo-lint: allow(lib-unwrap) — offsets starts with a pushed 0 sentinel a few lines up, so last() always exists
+        #[expect(
+            clippy::expect_used,
+            reason = "offsets starts with a pushed 0 sentinel a few lines up, so last() always exists"
+        )]
+        let row = &adj_ids[*offsets.last().expect("non-empty")..];
         if !row.windows(2).all(|p| p[0] < p[1]) {
             return Err(CheckpointError::Malformed("adjacency row order"));
         }

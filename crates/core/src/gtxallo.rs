@@ -151,10 +151,14 @@ impl GTxAllo {
                 self.params.capacity,
             );
             let mut by_sigma: Vec<u32> = (0..l as u32).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "sigma values are finite sums of finite per-account workloads, so partial_cmp is total"
+            )]
             by_sigma.sort_unstable_by(|&a, &b| {
                 full.sigma(b)
                     .partial_cmp(&full.sigma(a))
-                    .expect("finite workloads") // txallo-lint: allow(lib-unwrap) — sigma values are finite sums of finite per-account workloads, so partial_cmp is total
+                    .expect("finite workloads")
                     .then(a.cmp(&b))
             });
             let mut remap = vec![UNASSIGNED; l];

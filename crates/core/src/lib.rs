@@ -28,7 +28,9 @@
 //! [`AllocatorRegistry`] instead of constructing algorithms directly.
 
 #![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
+#![deny(unreachable_pub, missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod ablation;
 pub mod allocation;

@@ -62,10 +62,14 @@ impl ShardScheduler {
             accounts.sort_unstable();
             accounts.dedup();
             nodes.clear();
+            #[expect(
+                clippy::expect_used,
+                reason = "a dataset's graph is built from its own ledger, so it interns every ledger account"
+            )]
             nodes.extend(
                 accounts
                     .iter()
-                    .map(|&a| graph.node_of(a).expect("account in graph")), // txallo-lint: allow(lib-unwrap) — a dataset's graph is built from its own ledger, so it interns every ledger account
+                    .map(|&a| graph.node_of(a).expect("account in graph")),
             );
             state.process_nodes(&nodes);
         }

@@ -358,7 +358,11 @@ impl CommunityState {
                 best = Some((q, gain, sigma));
             }
         }
-        best.expect("k ≥ 1 guarantees a candidate").0 // txallo-lint: allow(lib-unwrap) — with no candidates the scan visits every community 0..k and k >= 1, so best is always set
+        #[expect(
+            clippy::expect_used,
+            reason = "with no candidates the scan visits every community 0..k and k >= 1, so best is always set"
+        )]
+        best.expect("k ≥ 1 guarantees a candidate").0
     }
 
     /// Throughput gain `Δ_{leave} Λ_p` of `v` leaving its community `p`

@@ -932,7 +932,11 @@ impl StreamingAllocator for SchedulerStream {
     fn on_block_nodes(&mut self, graph: &TxGraph, _block: &Block, nodes: &BlockNodes) {
         // Ingestion already interned each transaction's account set: the
         // rules run on those node ids, with no lookup or allocation.
-        let state = self.state.as_mut().expect("call begin() first"); // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block_nodes/end_epoch
+        #[expect(
+            clippy::expect_used,
+            reason = "documented trait contract: begin() runs before on_block_nodes/end_epoch"
+        )]
+        let state = self.state.as_mut().expect("call begin() first");
         state.ensure_nodes(graph.node_count());
         for i in 0..nodes.tx_count() {
             state.process_nodes(nodes.tx_nodes(i));
@@ -950,7 +954,10 @@ impl StreamingAllocator for SchedulerStream {
     }
 
     fn end_epoch(&mut self, graph: &TxGraph, _kind: EpochKind) -> AllocationUpdate {
-        // txallo-lint: allow(lib-unwrap) — documented trait contract: begin() runs before on_block_nodes/end_epoch
+        #[expect(
+            clippy::expect_used,
+            reason = "documented trait contract: begin() runs before on_block_nodes/end_epoch"
+        )]
         let state = self.state.as_mut().expect("call begin() first");
         // λ = |T|/k grows with the accumulated history; refresh the
         // migration capacity buffer once per epoch, like the other

@@ -78,8 +78,12 @@ impl AccountInterner {
     /// Panics if the u32 node-id space is exhausted; use
     /// [`AccountInterner::try_intern`] to handle that case.
     pub fn intern(&mut self, account: AccountId) -> NodeId {
+        #[expect(
+            clippy::expect_used,
+            reason = "intern() is the documented panicking convenience over try_intern for callers that accept the 4-billion-account cap"
+        )]
         self.try_intern(account)
-            .expect("node-id space exhausted (u32 ids)") // txallo-lint: allow(lib-unwrap) — intern() is the documented panicking convenience over try_intern for callers that accept the 4-billion-account cap
+            .expect("node-id space exhausted (u32 ids)")
     }
 
     /// Looks up the node id of an already-interned account.

@@ -58,7 +58,9 @@
 //! Every builder here is serial; the crate starts no threads.
 
 #![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
+#![deny(unreachable_pub, missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod csr;
 pub mod decay;

@@ -47,10 +47,18 @@ impl GraphStats {
             };
         }
         let mut weights: Vec<f64> = (0..n as NodeId).map(|v| g.incident_weight(v)).collect();
-        // txallo-lint: allow(no-unstable-float-sort, lib-unwrap) — sorting bare f64 values (no payload, equal keys indistinguishable); incident weights are finite sums of finite transaction weights
+        #[expect(
+            clippy::expect_used,
+            reason = "incident weights are finite sums of finite transaction weights"
+        )]
+        // txallo-lint: allow(no-unstable-float-sort) — sorting bare f64 values (no payload, equal keys indistinguishable)
         weights.sort_unstable_by(|a, b| a.partial_cmp(b).expect("weights are finite"));
         let sum: f64 = weights.iter().sum();
-        let max = *weights.last().expect("n > 0"); // txallo-lint: allow(lib-unwrap) — the n == 0 case returned the zero struct a few lines above
+        #[expect(
+            clippy::expect_used,
+            reason = "the n == 0 case returned the zero struct a few lines above"
+        )]
+        let max = *weights.last().expect("n > 0");
         let mean = sum / n as f64;
         // Gini via the sorted-rank formula.
         let mut rank_weighted = 0.0;

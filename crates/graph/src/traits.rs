@@ -15,7 +15,10 @@ pub type NodeId = u32;
 /// change ever violates the id-space invariant.
 #[inline]
 pub fn fit_u32(n: usize) -> u32 {
-    // txallo-lint: allow(lib-unwrap) — this IS the checked boundary: the interner caps ids at u32::MAX, so in-range lengths always fit and an overflow here is a program bug worth stopping on
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked boundary: the interner caps ids at u32::MAX, so in-range lengths always fit and an overflow here is a program bug worth stopping on"
+    )]
     u32::try_from(n).expect("count exceeds the u32 id space")
 }
 

@@ -116,7 +116,10 @@ impl TxGraph {
     /// The rows land fully merged in the slab, so every later ingestion,
     /// snapshot, and order-dependent float fold behaves exactly as it
     /// would have on the uninterrupted graph.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per decoded checkpoint part; a struct would exist for this one call"
+    )]
     pub fn from_checkpoint_parts(
         accounts: &[AccountId],
         row_offsets: &[usize],

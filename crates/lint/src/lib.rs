@@ -9,14 +9,18 @@
 //! only) walks every workspace crate and rejects nondeterminism-shaped
 //! code before it can compile into a bug.
 //!
-//! See [`rules::RULES`] for the rule set and
-//! `ARCHITECTURE.md §Running the linter` for the suppression syntax.
+//! See [`rules::RULES`] for the rule set and `ARCHITECTURE.md §Running
+//! the linter` for the suppression syntax and for the compiler lints (set
+//! in `clippy.toml` and at each crate root) that check threads, clock
+//! reads, `unwrap`s and API docs.
 //! Findings print as `file:line rule message`; the run exits nonzero on
 //! any unsuppressed finding, and the final stdout line is a
 //! machine-readable JSON summary.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod rules;
 pub mod scan;
@@ -269,25 +273,24 @@ mod tests {
 
     #[test]
     fn suppressed_finding_is_inactive_and_counted() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // txallo-lint: allow(lib-unwrap) — caller validated x above\n}";
+        let src = "fn f(g: f64) -> bool {\n    g > 1e-12 // txallo-lint: allow(D2-eps-literal) — a documented floor for this check\n}";
         let findings = analyze("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].is_active());
         assert_eq!(
             findings[0].suppressed.as_deref(),
-            Some("caller validated x above")
+            Some("a documented floor for this check")
         );
     }
 
     #[test]
     fn suppression_without_reason_is_a_finding() {
-        let src =
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // txallo-lint: allow(lib-unwrap)\n}";
+        let src = "fn f(g: f64) -> bool {\n    g > 1e-12 // txallo-lint: allow(D2-eps-literal)\n}";
         let findings = analyze("crates/core/src/x.rs", src);
-        // The unwrap stays active AND the bare suppression is flagged.
+        // The literal stays active AND the bare suppression is flagged.
         assert!(findings
             .iter()
-            .any(|f| f.rule == "lib-unwrap" && f.is_active()));
+            .any(|f| f.rule == "D2-eps-literal" && f.is_active()));
         assert!(findings
             .iter()
             .any(|f| f.rule == "suppression-hygiene" && f.is_active()));
@@ -302,11 +305,11 @@ mod tests {
 
     #[test]
     fn unused_suppression_is_a_finding_unless_self_exempt() {
-        let src = "fn f() {} // txallo-lint: allow(lib-unwrap) — nothing here unwraps";
+        let src = "fn f() {} // txallo-lint: allow(D2-eps-literal) — no literal on this line";
         let findings = analyze("crates/core/src/x.rs", src);
         assert!(findings.iter().any(|f| f.rule == "unused-suppression"));
         let exempt =
-            "fn f() {} // txallo-lint: allow(lib-unwrap, unused-suppression) — kept for the cfg'd path";
+            "fn f() {} // txallo-lint: allow(D2-eps-literal, unused-suppression) — kept for the cfg'd path";
         let findings = analyze("crates/core/src/x.rs", exempt);
         assert!(!findings.iter().any(|f| f.rule == "unused-suppression"));
     }
@@ -315,7 +318,7 @@ mod tests {
     fn hygiene_findings_are_not_suppressible() {
         // A reasonless suppression cannot be silenced by naming the meta
         // rule — the hygiene finding must survive.
-        let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // txallo-lint: allow(lib-unwrap, suppression-hygiene)\n}";
+        let src = "fn f(g: f64) -> bool {\n    g > 1e-12 // txallo-lint: allow(D2-eps-literal, suppression-hygiene)\n}";
         let findings = analyze("crates/core/src/x.rs", src);
         assert!(findings
             .iter()
@@ -338,7 +341,7 @@ mod tests {
 
     #[test]
     fn standalone_suppression_covers_the_next_line() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // txallo-lint: allow(lib-unwrap) — caller validated x above\n    x.unwrap()\n}";
+        let src = "fn f(g: f64) -> bool {\n    // txallo-lint: allow(D2-eps-literal) — a documented floor for this check\n    g > 1e-12\n}";
         let findings = analyze("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].is_active());

@@ -3,6 +3,8 @@
 //! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/io error.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

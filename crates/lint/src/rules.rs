@@ -44,22 +44,10 @@ pub const RULES: &[Rule] = &[
         check: d2_eps_literal,
     },
     Rule {
-        id: "D5-thread-spawn",
-        summary: "no thread spawning or shared-state sync primitives; the workspace is single-threaded",
-        contract: "D5 parallel reduction",
-        check: d5_thread_spawn,
-    },
-    Rule {
         id: "D5-adhoc-reduction",
         summary: "no ad-hoc float folds over per-chunk/per-worker partials; fold serially in canonical order",
         contract: "D5 parallel reduction",
         check: d5_adhoc_reduction,
-    },
-    Rule {
-        id: "no-wall-clock",
-        summary: "no SystemTime/Instant feeding algorithm state (bench/CLI measurement code is exempt)",
-        contract: "D1-D5 (replayability)",
-        check: no_wall_clock,
     },
     Rule {
         id: "no-unstable-float-sort",
@@ -72,18 +60,6 @@ pub const RULES: &[Rule] = &[
         summary: "no `as u8/u16/u32/NodeId` narrowing on id/count paths; use checked constructors (IdSpaceExhausted-style)",
         contract: "hygiene (id-space safety)",
         check: no_narrowing_as,
-    },
-    Rule {
-        id: "lib-unwrap",
-        summary: "no unwrap/expect in non-test library code without a documented suppression",
-        contract: "hygiene (total library surface)",
-        check: lib_unwrap,
-    },
-    Rule {
-        id: "pub-undocumented",
-        summary: "public items in core/graph/louvain need doc comments",
-        contract: "hygiene (API documentation)",
-        check: pub_undocumented,
     },
 ];
 
@@ -436,42 +412,6 @@ fn d2_eps_literal(view: &FileView, out: &mut Vec<RawFinding>) {
     }
 }
 
-const THREAD_TOKENS: &[&str] = &[
-    "std::thread",
-    "thread::spawn",
-    "thread::scope",
-    "available_parallelism",
-    "Mutex<",
-    "RwLock<",
-    "Condvar",
-    "mpsc::",
-    "AtomicUsize",
-    "AtomicU64",
-    "AtomicU32",
-    "AtomicI64",
-    "AtomicI32",
-    "AtomicBool",
-];
-
-fn d5_thread_spawn(view: &FileView, out: &mut Vec<RawFinding>) {
-    for (lineno, code) in code_lines(view) {
-        for tok in THREAD_TOKENS {
-            if has_token(code, tok) {
-                out.push((
-                    lineno,
-                    "D5-thread-spawn",
-                    format!(
-                        "`{}` — the workspace starts no threads (D5: one serial kernel \
-                         per phase)",
-                        tok.trim_end_matches('<')
-                    ),
-                ));
-                break; // one finding per line is enough
-            }
-        }
-    }
-}
-
 /// Identifier fragments marking a value as per-chunk/per-worker output of
 /// a parallel phase — the inputs whose fold order would depend on the
 /// chunk shape if combined with floats outside the canonical tree.
@@ -541,30 +481,6 @@ fn d5_adhoc_reduction(view: &FileView, out: &mut Vec<RawFinding>) {
                     reducer.trim_end_matches(['(', ':', '<'])
                 ),
             ));
-        }
-    }
-}
-
-/// Measurement-side code where wall-clock reads are the point.
-const CLOCK_EXEMPT: &[&str] = &["crates/bench/src", "crates/cli/src"];
-
-fn no_wall_clock(view: &FileView, out: &mut Vec<RawFinding>) {
-    if in_scope(view, CLOCK_EXEMPT) {
-        return;
-    }
-    for (lineno, code) in code_lines(view) {
-        for tok in ["SystemTime", "Instant"] {
-            if has_token(code, tok) {
-                out.push((
-                    lineno,
-                    "no-wall-clock",
-                    format!(
-                        "`{tok}` in library code — wall-clock state cannot feed any \
-                         algorithm decision (replayability); measure in bench/CLI code only"
-                    ),
-                ));
-                break;
-            }
         }
     }
 }
@@ -682,92 +598,6 @@ fn no_narrowing_as(view: &FileView, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The bench harness may panic freely: it is a measurement tool, not a
-/// serving surface.
-const UNWRAP_EXEMPT: &[&str] = &["crates/bench/src"];
-
-fn lib_unwrap(view: &FileView, out: &mut Vec<RawFinding>) {
-    if in_scope(view, UNWRAP_EXEMPT) {
-        return;
-    }
-    for (lineno, code) in code_lines(view) {
-        for tok in [".unwrap()", ".unwrap_err()", ".expect(", ".expect_err("] {
-            if code.contains(tok) {
-                out.push((
-                    lineno,
-                    "lib-unwrap",
-                    format!(
-                        "`{}` in non-test library code — return a typed error, or \
-                         suppress with the invariant that makes this infallible",
-                        tok.trim_end_matches('(')
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-/// Crates whose public API surface must be documented.
-const DOC_SCOPE: &[&str] = &["crates/core/src", "crates/graph/src", "crates/louvain/src"];
-
-const ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union",
-];
-
-fn pub_undocumented(view: &FileView, out: &mut Vec<RawFinding>) {
-    if !in_scope(view, DOC_SCOPE) {
-        return;
-    }
-    for (lineno, code) in code_lines(view) {
-        let t = code.trim_start();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue; // `pub(crate)` etc. are internal, not API surface
-        };
-        let Some(kw) = rest.split_whitespace().next() else {
-            continue;
-        };
-        let kw = kw.trim_end_matches('<'); // `pub fn f<...>` splits cleanly anyway
-        if !ITEM_KEYWORDS.contains(&kw) {
-            continue;
-        }
-        // `pub mod foo;` declares an out-of-line module whose docs are the
-        // module file's own `//!` header; only inline `pub mod { .. }`
-        // needs a doc comment at the declaration.
-        if kw == "mod" && t.trim_end().ends_with(';') {
-            continue;
-        }
-        // Walk upward past attributes to the doc position.
-        let mut j = lineno - 1; // 0-based index of this line
-        let documented = loop {
-            if j == 0 {
-                break false;
-            }
-            j -= 1;
-            let above_code = view.code[j].trim();
-            let above_raw = view.raw[j].trim_start();
-            if above_raw.starts_with("///") || above_raw.starts_with("#[doc") {
-                break true;
-            }
-            // Skip attribute lines (single- or multi-line closers).
-            if above_code.starts_with("#[") || above_code == ")]" || above_code == "]" {
-                continue;
-            }
-            break false;
-        };
-        if !documented {
-            out.push((
-                lineno,
-                "pub-undocumented",
-                format!(
-                    "public `{kw}` without a doc comment — core/graph/louvain API \
-                     surface is documented (rustdoc builds with -D warnings)"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,18 +646,6 @@ mod tests {
     fn d2_exempts_gain_eps_home() {
         let src = "pub const GAIN_EPS: f64 = 1e-15;";
         assert!(run_rule("D2-eps-literal", "crates/louvain/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d5_flags_thread_outside_par() {
-        let src = "fn f() { std::thread::scope(|s| {}); }";
-        for path in [
-            "crates/graph/src/csr.rs",
-            "crates/graph/src/par.rs",
-            "src/lib.rs",
-        ] {
-            assert_eq!(run_rule("D5-thread-spawn", path, src).len(), 1, "{path}");
-        }
     }
 
     #[test]
@@ -924,36 +742,5 @@ mod tests {
                    let d = v.len() as NodeId;\nlet e = i as NodeId;\nlet f = len as NodeIdx;";
         let hits = run_rule("no-narrowing-as", "crates/core/src/x.rs", src);
         assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn unwrap_flagged_outside_bench_and_tests() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(run_rule("lib-unwrap", "crates/core/src/x.rs", src).len(), 1);
-        assert!(run_rule("lib-unwrap", "crates/bench/src/x.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests { fn f(x: Option<u32>) -> u32 { x.unwrap() } }";
-        assert!(run_rule("lib-unwrap", "crates/core/src/x.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_is_not_flagged() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }";
-        assert!(run_rule("lib-unwrap", "crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn pub_items_need_docs_in_scope() {
-        let undoc = "pub fn f() {}";
-        assert_eq!(
-            run_rule("pub-undocumented", "crates/graph/src/x.rs", undoc).len(),
-            1
-        );
-        let doc = "/// Does f.\npub fn f() {}";
-        assert!(run_rule("pub-undocumented", "crates/graph/src/x.rs", doc).is_empty());
-        let attr = "/// Doc.\n#[derive(Clone)]\npub struct S;";
-        assert!(run_rule("pub-undocumented", "crates/graph/src/x.rs", attr).is_empty());
-        let crate_vis = "pub(crate) fn f() {}";
-        assert!(run_rule("pub-undocumented", "crates/graph/src/x.rs", crate_vis).is_empty());
-        assert!(run_rule("pub-undocumented", "crates/sim/src/x.rs", undoc).is_empty());
     }
 }

@@ -105,11 +105,11 @@ mod tests {
 
     #[test]
     fn trailing_suppression_applies_to_its_own_line() {
-        let v = view("let x = m.unwrap(); // txallo-lint: allow(lib-unwrap) — checked above");
+        let v = view("let x = g > 1e-12; // txallo-lint: allow(D2-eps-literal) — checked above");
         let s = parse(&v);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].applies_to, 1);
-        assert_eq!(s[0].rules, vec!["lib-unwrap"]);
+        assert_eq!(s[0].rules, vec!["D2-eps-literal"]);
         assert_eq!(s[0].reason, "checked above");
     }
 
@@ -124,16 +124,16 @@ mod tests {
     #[test]
     fn multiple_rules_and_ascii_dash() {
         let v = view(
-            "x(); // txallo-lint: allow(lib-unwrap, no-wall-clock) - measured outside the kernel",
+            "x(); // txallo-lint: allow(D2-eps-literal, no-narrowing-as) - measured outside the kernel",
         );
         let s = parse(&v);
-        assert_eq!(s[0].rules, vec!["lib-unwrap", "no-wall-clock"]);
+        assert_eq!(s[0].rules, vec!["D2-eps-literal", "no-narrowing-as"]);
         assert_eq!(s[0].reason, "measured outside the kernel");
     }
 
     #[test]
     fn missing_reason_is_empty() {
-        let v = view("x(); // txallo-lint: allow(lib-unwrap)");
+        let v = view("x(); // txallo-lint: allow(D2-eps-literal)");
         let s = parse(&v);
         assert!(s[0].reason.is_empty());
     }

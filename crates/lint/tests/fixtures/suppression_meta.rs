@@ -4,31 +4,31 @@
 // not suppressible) and unused-suppression (stale annotations are flagged
 // unless self-exempted).
 
-fn reasonless(x: Option<u32>) -> u32 {
-    x.unwrap() // txallo-lint: allow(lib-unwrap)
-    //~^ lib-unwrap
+fn reasonless(g: f64) -> bool {
+    g > 1e-12 // txallo-lint: allow(D2-eps-literal)
+    //~^ D2-eps-literal
     //~^^ suppression-hygiene
 }
 
-fn short_reason(x: Option<u32>) -> u32 {
-    x.unwrap() // txallo-lint: allow(lib-unwrap) — ok
-    //~^ lib-unwrap
+fn short_reason(g: f64) -> bool {
+    g > 1e-12 // txallo-lint: allow(D2-eps-literal) — ok
+    //~^ D2-eps-literal
     //~^^ suppression-hygiene
 }
 
 fn unknown_rule() {} // txallo-lint: allow(no-such-rule) — a perfectly long reason for a rule that does not exist
 //~^ suppression-hygiene
 
-fn hygiene_is_not_suppressible(x: Option<u32>) -> u32 {
+fn hygiene_is_not_suppressible(g: f64) -> bool {
     // Naming the meta rule cannot silence the hygiene finding: with no
-    // written reason the unwrap stays active too, and the audit failure
+    // written reason the literal stays active too, and the audit failure
     // survives alongside it.
-    x.unwrap() // txallo-lint: allow(lib-unwrap, suppression-hygiene)
-    //~^ lib-unwrap
+    g > 1e-12 // txallo-lint: allow(D2-eps-literal, suppression-hygiene)
+    //~^ D2-eps-literal
     //~^^ suppression-hygiene
 }
 
-fn stale() {} // txallo-lint: allow(lib-unwrap) — nothing on this line unwraps anymore
+fn stale() {} // txallo-lint: allow(D2-eps-literal) — no literal is left on this line
 //~^ unused-suppression
 
-fn stale_but_kept() {} // txallo-lint: allow(lib-unwrap, unused-suppression) — annotation kept deliberately for the cfg'd-out debug path
+fn stale_but_kept() {} // txallo-lint: allow(D2-eps-literal, unused-suppression) — annotation kept deliberately for the cfg'd-out debug path

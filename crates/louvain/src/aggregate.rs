@@ -154,8 +154,12 @@ pub fn aggregate_graph(
             let t = scratch.b_target[i];
             let w = scratch.b_w[i];
             match targets.last() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by targets.last() == Some in the match arm, and weights grows in lockstep with targets"
+                )]
                 Some(&last) if targets.len() > row_start && last == t => {
-                    *weights.last_mut().expect("parallel to targets") += w; // txallo-lint: allow(lib-unwrap) — guarded by targets.last() == Some in the match arm, and weights grows in lockstep with targets
+                    *weights.last_mut().expect("parallel to targets") += w;
                 }
                 _ => {
                     targets.push(t);

@@ -16,7 +16,9 @@
 //! randomness is used anywhere.
 
 #![forbid(unsafe_code)]
-#![deny(unreachable_pub)]
+#![deny(unreachable_pub, missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod aggregate;
 pub mod local_move;

@@ -36,7 +36,10 @@ impl Hasher for FxHasher64 {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // txallo-lint: allow(lib-unwrap) — chunks_exact(8) yields exactly 8 bytes per chunk, so the array conversion is infallible
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact(8) yields exactly 8 bytes per chunk, so the array conversion is infallible"
+            )]
             self.add_word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();

@@ -10,12 +10,14 @@
 //!   can determine the order of node sequence") is provided by
 //!   [`hash::mix64`].
 //! * Transactions keep their raw input/output lists; the deduplicated
-//!   account set `A_Tx` and the clique-expansion pair count `π(Tx)` used by
-//!   the transaction graph are computed here so every consumer agrees on
-//!   them.
+//!   account set `A_Tx` is computed here so every consumer agrees on it.
+//!   The transaction graph's clique expansion (each of the `C(|A_Tx|, 2)`
+//!   pairs weighted `1/C(|A_Tx|, 2)`) is `txallo_graph`'s ingestion.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod account;
 pub mod block;

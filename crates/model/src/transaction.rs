@@ -73,68 +73,6 @@ impl Transaction {
     pub fn is_self_loop(&self) -> bool {
         self.account_count() == 1
     }
-
-    /// `π(Tx) = C(|A_Tx|, 2)`: the number of one-to-one edges the clique
-    /// expansion produces (Def. 2). Self-loop transactions map to a single
-    /// self-loop edge, so `π = 1` for them.
-    pub fn pair_count(&self) -> usize {
-        let n = self.account_count();
-        if n <= 1 {
-            1
-        } else {
-            n * (n - 1) / 2
-        }
-    }
-
-    /// The weight each expanded edge receives, `1/π(Tx)`; total edge weight
-    /// contributed by any transaction is exactly 1.
-    pub fn edge_weight(&self) -> f64 {
-        1.0 / self.pair_count() as f64
-    }
-
-    /// Iterates the unordered account pairs of the clique expansion together
-    /// with their weight. A self-loop transaction yields `(a, a, 1.0)`.
-    pub fn expanded_edges(&self) -> impl Iterator<Item = (AccountId, AccountId, f64)> + '_ {
-        let set = self.account_set();
-        let w = if set.len() <= 1 {
-            1.0
-        } else {
-            1.0 / (set.len() * (set.len() - 1) / 2) as f64
-        };
-        ExpandedEdges { set, i: 0, j: 0, w }
-    }
-}
-
-struct ExpandedEdges {
-    set: Vec<AccountId>,
-    i: usize,
-    j: usize,
-    w: f64,
-}
-
-impl Iterator for ExpandedEdges {
-    type Item = (AccountId, AccountId, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let n = self.set.len();
-        if n == 1 {
-            // Single-account transaction: one self-loop edge.
-            if self.i == 0 {
-                self.i = 1;
-                return Some((self.set[0], self.set[0], self.w));
-            }
-            return None;
-        }
-        self.j += 1;
-        if self.j >= n {
-            self.i += 1;
-            self.j = self.i + 1;
-            if self.j >= n {
-                return None;
-            }
-        }
-        Some((self.set[self.i], self.set[self.j], self.w))
-    }
 }
 
 #[cfg(test)]
@@ -155,8 +93,6 @@ mod tests {
     fn transfer_has_two_accounts_and_one_pair() {
         let tx = Transaction::transfer(a(1), a(2));
         assert_eq!(tx.account_count(), 2);
-        assert_eq!(tx.pair_count(), 1);
-        assert!((tx.edge_weight() - 1.0).abs() < 1e-12);
         assert!(!tx.is_self_loop());
     }
 
@@ -165,45 +101,29 @@ mod tests {
         let tx = Transaction::transfer(a(7), a(7));
         assert!(tx.is_self_loop());
         assert_eq!(tx.account_count(), 1);
-        assert_eq!(tx.pair_count(), 1);
-        let edges: Vec<_> = tx.expanded_edges().collect();
-        assert_eq!(edges, vec![(a(7), a(7), 1.0)]);
+        assert_eq!(tx.account_set(), vec![a(7)]);
     }
 
     #[test]
     fn multi_io_clique_expansion() {
-        // 2 inputs + 2 distinct outputs => |A_Tx| = 4, π = 6, weight 1/6 each.
+        // 2 inputs + 2 distinct outputs => |A_Tx| = 4.
         let tx = Transaction::new(vec![a(1), a(2)], vec![a(3), a(4)]).unwrap();
         assert_eq!(tx.account_count(), 4);
-        assert_eq!(tx.pair_count(), 6);
-        let edges: Vec<_> = tx.expanded_edges().collect();
-        assert_eq!(edges.len(), 6);
-        let total: f64 = edges.iter().map(|e| e.2).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-12,
-            "weights must sum to 1, got {total}"
-        );
-        // All pairs distinct and ordered (i < j).
-        for (u, v, _) in &edges {
-            assert!(u < v);
-        }
+        assert_eq!(tx.account_set(), vec![a(1), a(2), a(3), a(4)]);
+        assert!(!tx.is_self_loop());
     }
 
     #[test]
     fn duplicate_endpoints_are_deduplicated() {
         let tx = Transaction::new(vec![a(1), a(1)], vec![a(2), a(1)]).unwrap();
         assert_eq!(tx.account_set(), vec![a(1), a(2)]);
-        assert_eq!(tx.pair_count(), 1);
+        assert_eq!(tx.account_count(), 2);
     }
 
     #[test]
     fn three_account_transaction() {
         let tx = Transaction::new(vec![a(1)], vec![a(2), a(3)]).unwrap();
-        assert_eq!(tx.pair_count(), 3);
-        let edges: Vec<_> = tx.expanded_edges().collect();
-        assert_eq!(edges.len(), 3);
-        for (_, _, w) in edges {
-            assert!((w - 1.0 / 3.0).abs() < 1e-12);
-        }
+        assert_eq!(tx.account_count(), 3);
+        assert_eq!(tx.account_set(), vec![a(1), a(2), a(3)]);
     }
 }

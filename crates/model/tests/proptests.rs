@@ -9,39 +9,14 @@ fn accounts(max: u64, len: usize) -> impl Strategy<Value = Vec<AccountId>> {
 }
 
 proptest! {
-    /// The clique expansion always distributes exactly weight 1 and its
-    /// edge count matches π(Tx) = C(|A_Tx|, 2).
-    #[test]
-    fn clique_expansion_distributes_unit_weight(
-        ins in accounts(50, 5),
-        outs in accounts(50, 5),
-    ) {
-        let tx = Transaction::new(ins, outs).expect("non-empty by strategy");
-        let edges: Vec<_> = tx.expanded_edges().collect();
-        prop_assert_eq!(edges.len(), tx.pair_count());
-        let total: f64 = edges.iter().map(|e| e.2).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9, "total weight {total}");
-        // Each pair is unordered-unique and within the account set.
-        let set = tx.account_set();
-        for &(a, b, w) in &edges {
-            prop_assert!(set.contains(&a) && set.contains(&b));
-            prop_assert!(w > 0.0);
-            if set.len() > 1 {
-                prop_assert!(a < b, "expanded pairs are ordered");
-            }
-        }
-    }
-
-    /// `account_count` equals the deduplicated set size, and `pair_count`
-    /// follows the binomial formula.
+    /// `account_count` equals the deduplicated set size, and a transaction
+    /// is a self-loop exactly when that set has one account.
     #[test]
     fn pair_count_formula(ins in accounts(20, 4), outs in accounts(20, 4)) {
         let tx = Transaction::new(ins, outs).unwrap();
         let n = tx.account_count();
         prop_assert_eq!(n, tx.account_set().len());
-        let expected = if n <= 1 { 1 } else { n * (n - 1) / 2 };
-        prop_assert_eq!(tx.pair_count(), expected);
-        prop_assert!((tx.edge_weight() * tx.pair_count() as f64 - 1.0).abs() < 1e-12);
+        prop_assert_eq!(tx.is_self_loop(), n == 1);
     }
 
     /// Hash-based shard assignment is total, stable and in range for any k.

@@ -166,7 +166,11 @@ impl ShardQueueSim {
                 None => unconfirmed += 1,
             }
         }
-        // txallo-lint: allow(no-unstable-float-sort, lib-unwrap) — sorting bare u64-derived f64 latencies with no payload to scramble; confirmation heights are finite by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "confirmation heights are finite by construction"
+        )]
+        // txallo-lint: allow(no-unstable-float-sort) — sorting bare u64-derived f64 latencies with no payload to scramble
         latencies.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
         let confirmed = latencies.len();
         let pct = |p: f64| -> f64 {

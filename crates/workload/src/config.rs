@@ -13,27 +13,17 @@ pub struct WorkloadConfig {
     pub transactions: usize,
     /// Transactions per block (Ethereum in the paper's window: ~150).
     pub block_size: usize,
-    /// Zipf exponent of global account activity (≈1 reproduces the
-    /// observed long tail).
-    pub activity_exponent: f64,
     /// Fraction of transactions involving the single hottest account
     /// (paper: "about 11% transactions are associated with the most active
     /// account").
     pub hot_account_share: f64,
     /// Number of latent communities.
     pub groups: usize,
-    /// Zipf exponent of group sizes.
-    pub group_size_exponent: f64,
     /// Probability that a transaction stays inside the sender's group
     /// (`1 − μ_mix`). Drives how much structure allocators can exploit.
     pub intra_group_prob: f64,
-    /// Probability of a self-transfer (§V-B's self-loop case; used on
-    /// Ethereum to cancel pending transactions).
-    pub self_loop_prob: f64,
     /// Probability that a transaction has extra outputs (multi-IO).
     pub multi_io_prob: f64,
-    /// Maximum number of extra outputs of a multi-IO transaction.
-    pub max_extra_outputs: usize,
     /// Probability that a transaction's receiver is a brand-new account
     /// (account birth; feeds A-TxAllo's phase 1).
     pub new_account_prob: f64,
@@ -48,14 +38,10 @@ impl Default for WorkloadConfig {
             accounts: 20_000,
             transactions: 200_000,
             block_size: 150,
-            activity_exponent: 1.0,
             hot_account_share: 0.08,
             groups: 400,
-            group_size_exponent: 0.5,
             intra_group_prob: 0.9,
-            self_loop_prob: 0.005,
             multi_io_prob: 0.05,
-            max_extra_outputs: 3,
             new_account_prob: 0.002,
             drift_interval: 100,
         }
@@ -86,7 +72,6 @@ impl WorkloadConfig {
         let probabilities = [
             self.hot_account_share,
             self.intra_group_prob,
-            self.self_loop_prob,
             self.multi_io_prob,
             self.new_account_prob,
         ];
@@ -98,10 +83,8 @@ impl WorkloadConfig {
             Err("need at least one group")
         } else if !probabilities.iter().all(|p| (0.0..=1.0).contains(p)) {
             Err("probabilities must lie in [0, 1]")
-        } else if self.activity_exponent >= 0.0 && self.group_size_exponent >= 0.0 {
-            Ok(())
         } else {
-            Err("Zipf exponents must be non-negative")
+            Ok(())
         }
     }
 
@@ -155,11 +138,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(hot.check(), Err("probabilities must lie in [0, 1]"));
-        let nan = WorkloadConfig {
-            activity_exponent: f64::NAN,
-            ..Default::default()
-        };
-        assert!(nan.check().is_err());
     }
 
     #[test]

@@ -24,6 +24,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod config;
 pub mod csvio;

@@ -14,9 +14,9 @@
 //!   multi-million-account epochs through the allocator without holding
 //!   the chain in memory.
 //!
-//! The statistical shape is the one [`WorkloadConfig`] describes: Zipf
-//! activity, latent groups, one hot account, drift, births, self-loops
-//! and multi-IO. Accounts born mid-stream get deterministic ids derived
+//! The statistical shape is the one [`WorkloadConfig`] and this module's
+//! fixed exponents and rates describe: Zipf activity, latent groups, one
+//! hot account, drift, births, self-loops and multi-IO. Accounts born mid-stream get deterministic ids derived
 //! from their birth transaction and do **not** transact again; drift
 //! rotation supplies the hot/cold churn.
 
@@ -33,6 +33,15 @@ use crate::zipf::ZipfTable;
 const SALT_SETUP: u64 = 0xA076_1D64_78BD_642F;
 const SALT_TX: u64 = 0xE703_7ED1_A0B4_28DB;
 const SALT_ACCOUNT: u64 = 0x8EBC_6AF0_9C88_C6E3;
+
+/// Zipf exponent of account activity, global and in-group (≈1: a long tail).
+const ACTIVITY_EXPONENT: f64 = 1.0;
+/// Zipf exponent of group sizes.
+const GROUP_SIZE_EXPONENT: f64 = 0.5;
+/// Probability of a self-transfer (§V-B's self-loop case).
+const SELF_LOOP_PROB: f64 = 0.005;
+/// Most extra outputs a multi-IO transaction gets.
+const MAX_EXTRA_OUTPUTS: u64 = 3;
 
 /// A stateless counter-based draw stream: draw `i` is
 /// `mix64(key ^ i)` — no stored RNG state beyond the position counter,
@@ -124,7 +133,7 @@ impl StreamingWorkload {
 
         // Group popularity (sizes) follow a Zipf law of their own.
         let group_weights: Vec<f64> = (0..g)
-            .map(|i| 1.0 / ((i + 1) as f64).powf(config.group_size_exponent))
+            .map(|i| 1.0 / ((i + 1) as f64).powf(GROUP_SIZE_EXPONENT))
             .collect();
         let group_table = ZipfTable::from_weights(&group_weights);
 
@@ -156,14 +165,14 @@ impl StreamingWorkload {
                 } else {
                     let w: Vec<f64> = m
                         .iter()
-                        .map(|&id| 1.0 / ((id + 1) as f64).powf(config.activity_exponent))
+                        .map(|&id| 1.0 / ((id + 1) as f64).powf(ACTIVITY_EXPONENT))
                         .collect();
                     ZipfTable::from_weights(&w)
                 }
             })
             .collect();
 
-        let activity = ZipfTable::new(n.saturating_sub(1).max(1), config.activity_exponent);
+        let activity = ZipfTable::new(n.saturating_sub(1).max(1), ACTIVITY_EXPONENT);
 
         Self {
             config,
@@ -263,7 +272,7 @@ impl StreamingWorkload {
         }
 
         let sender = self.sample_global(&mut t);
-        if t.next_f64() < cfg.self_loop_prob {
+        if t.next_f64() < SELF_LOOP_PROB {
             return Transaction::transfer(AccountId(sender), AccountId(sender));
         }
 
@@ -287,7 +296,7 @@ impl StreamingWorkload {
         };
 
         if a.next_f64() < cfg.multi_io_prob {
-            let extras = 1 + a.next_below(cfg.max_extra_outputs.max(1) as u64);
+            let extras = 1 + a.next_below(MAX_EXTRA_OUTPUTS);
             let group = self.group_of[sender as usize] as usize;
             let mut outputs = vec![AccountId(receiver)];
             for _ in 0..extras {
@@ -295,8 +304,12 @@ impl StreamingWorkload {
             }
             outputs.sort_unstable();
             outputs.dedup();
+            #[expect(
+                clippy::expect_used,
+                reason = "inputs and outputs are built non-empty a few lines above, the only Transaction::new error"
+            )]
             return Transaction::new(vec![AccountId(sender)], outputs)
-                .expect("non-empty endpoints by construction"); // txallo-lint: allow(lib-unwrap) — inputs and outputs are built non-empty a few lines above, the only Transaction::new error
+                .expect("non-empty endpoints by construction");
         }
 
         Transaction::transfer(AccountId(sender), AccountId(receiver))
@@ -335,7 +348,10 @@ impl StreamingWorkload {
     /// Materializes the first `count` blocks as a [`Ledger`] (for tests
     /// and small-scale comparisons against the streamed path).
     pub fn ledger(&self, count: u64) -> Ledger {
-        // txallo-lint: allow(lib-unwrap) — blocks() numbers heights contiguously from 0, the only Ledger::from_blocks error
+        #[expect(
+            clippy::expect_used,
+            reason = "blocks() numbers heights contiguously from 0, the only Ledger::from_blocks error"
+        )]
         Ledger::from_blocks(self.blocks(0..count)).expect("heights are contiguous by construction")
     }
 }
@@ -464,7 +480,6 @@ mod tests {
     #[test]
     fn self_loops_and_multi_io_appear() {
         let mut cfg = small_config();
-        cfg.self_loop_prob = 0.05;
         cfg.multi_io_prob = 0.2;
         let s = StreamingWorkload::new(cfg, 11);
         let stats = s.ledger(100).stats();

@@ -54,7 +54,11 @@ impl ZipfTable {
     /// own uniforms, such as the counter-based streams of
     /// [`StreamingWorkload`](crate::StreamingWorkload).
     pub fn sample_at(&self, x01: f64) -> usize {
-        let total = *self.cdf.last().expect("non-empty"); // txallo-lint: allow(lib-unwrap) — both constructors assert a non-empty support and push one cdf entry per rank
+        #[expect(
+            clippy::expect_used,
+            reason = "both constructors assert a non-empty support and push one cdf entry per rank"
+        )]
+        let total = *self.cdf.last().expect("non-empty");
         let x = x01 * total;
         // partition_point returns the first rank whose cumulative weight
         // exceeds x.
@@ -65,7 +69,11 @@ impl ZipfTable {
 
     /// Probability of a given rank.
     pub fn probability(&self, rank: usize) -> f64 {
-        let total = *self.cdf.last().expect("non-empty"); // txallo-lint: allow(lib-unwrap) — both constructors assert a non-empty support and push one cdf entry per rank
+        #[expect(
+            clippy::expect_used,
+            reason = "both constructors assert a non-empty support and push one cdf entry per rank"
+        )]
+        let total = *self.cdf.last().expect("non-empty");
         let prev = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         (self.cdf[rank] - prev) / total
     }

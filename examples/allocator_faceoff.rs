@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example allocator_faceoff [k] [eta]`
 
-use std::time::Instant;
-
 use txallo::prelude::*;
 
 fn main() {
@@ -44,7 +42,12 @@ fn main() {
         .collect();
 
     for alloc in allocators.iter_mut() {
-        let start = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "times each allocator for the comparison table; no allocation reads the clock"
+        )]
+        let start = std::time::Instant::now();
         let allocation = alloc.allocate(&dataset);
         let elapsed = start.elapsed();
         let r = MetricsReport::compute(dataset.graph(), &allocation, &params);

@@ -52,6 +52,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub use txallo_chain as chain;
 pub use txallo_core as core;
