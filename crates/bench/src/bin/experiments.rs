@@ -20,7 +20,11 @@
 //! for `--epochs` epochs and exits nonzero when its accounted peak breaches
 //! `--max-resident-mib`.
 
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 use std::cell::OnceCell;
 

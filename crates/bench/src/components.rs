@@ -176,8 +176,15 @@ fn gather_sweep_hashmap(graph: &CsrGraph, labels: &[u32]) -> f64 {
         graph.for_each_neighbor(v, |u, w| {
             *link.entry(labels[u as usize]).or_insert(0.0) += w;
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the entries are sorted by their distinct keys on the next line, so the map's traversal order never reaches the checksum"
+        )]
         let mut candidates: Vec<(u32, f64)> = link.iter().map(|(&c, &w)| (c, w)).collect();
-        // txallo-lint: allow(no-unstable-float-sort) — the keys are the map's keys, which are distinct, so no two candidates compare equal
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the keys are the map's keys, which are distinct, so no two candidates compare equal"
+        )]
         candidates.sort_unstable_by_key(|&(c, _)| c);
         if let Some(&(_, w)) = candidates.first() {
             checksum += w;

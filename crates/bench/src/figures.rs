@@ -160,7 +160,10 @@ pub fn fig4(scale: ExperimentScale) {
         let (allocation, _) = run_allocator(alloc, &dataset, k, eta, None);
         let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
         let mut loads = report.shard_loads.clone();
-        // txallo-lint: allow(no-unstable-float-sort) — sorting bare f64 loads for figure output; equal keys are indistinguishable, there is no payload to scramble
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorting bare f64 loads for figure output; equal keys are indistinguishable, there is no payload to scramble"
+        )]
         loads.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
         for (shard, load) in loads.iter().enumerate() {
             w.row(&format!("{alloc},{shard},{load:.4}"));

@@ -8,7 +8,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod components;
 pub mod figures;

@@ -166,6 +166,10 @@ pub fn seed_delta_rows(graph: &SeedTxGraph, touched: &[NodeId], out: &mut SeedDe
         let v = out.node[i];
         raw.clear();
         keys.clear();
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the row's map keys are distinct, and `keys` sorts the entries by them before any is read"
+        )]
         for (&u, &w) in &graph.adjacency[v as usize] {
             keys.push(((u as u64) << 32) | raw.len() as u64);
             raw.push((u, w));
@@ -305,6 +309,10 @@ pub fn seed_atxallo_update(
     let mut state = CommunityState::from_labels(graph, &labels, k, params.eta, params.capacity);
     let mut scratch = MoveScratch::default();
     let mut order: Vec<NodeId> = touched.to_vec();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the key ends in the node's account id, so two elements compare equal only when they are the same node"
+    )]
     order.sort_unstable_by_key(|&v| {
         let a = graph.account(v);
         (a.address_hash(), a.0)

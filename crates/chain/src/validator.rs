@@ -117,6 +117,10 @@ impl ValidatorSet {
         // Sort validator indices by a keyed hash — a deterministic
         // permutation that changes completely between epochs.
         let mut order: Vec<usize> = (0..n).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mix64 and the XOR with a fixed word are bijections, so distinct indices get distinct keys"
+        )]
         order.sort_unstable_by_key(|&i| mix64((i as u64) ^ mix64(epoch).rotate_left(17)));
         for (rank, &i) in order.iter().enumerate() {
             self.shard_of[i] = (rank % self.shard_count) as u32;

@@ -36,6 +36,12 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     config.check()?;
 
     let blocks = config.block_count();
+    if blocks == 0 {
+        return Err(format!(
+            "--transactions {} fills no block of --block-size {}, so the trace would be empty",
+            config.transactions, config.block_size
+        ));
+    }
     let ledger = StreamingWorkload::new(config, seed).ledger(blocks);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     write_ledger_csv(&ledger, BufWriter::new(file)).map_err(|e| e.to_string())?;

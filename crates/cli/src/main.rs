@@ -20,7 +20,11 @@
 //! the usage text enumerates them at runtime.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 mod args;
 mod commands;

@@ -289,12 +289,15 @@ fn unknown_flags_exit_2_and_name_the_flag() {
 }
 
 /// Out-of-range workload flags are reported as CLI errors (exit 2), not
-/// as a panic inside `StreamingWorkload::new` (exit 101).
+/// as a panic inside `StreamingWorkload::new` (exit 101), and `generate`
+/// writes nothing: a budget below one block would leave an empty trace
+/// that every later command refuses.
 #[test]
 fn invalid_workload_flags_exit_2() {
-    let trace = tmp("invalid_workload_trace.csv");
-    let trace = trace.to_str().unwrap();
-    let cases: [(&[&str], &str); 3] = [
+    let path = tmp("invalid_workload_trace.csv");
+    let _ = std::fs::remove_file(&path);
+    let trace = path.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
         (
             &["generate", "--out", trace, "--accounts", "1"],
             "need at least two accounts",
@@ -302,6 +305,10 @@ fn invalid_workload_flags_exit_2() {
         (
             &["generate", "--out", trace, "--hot-share", "1.5"],
             "probabilities must lie in [0, 1]",
+        ),
+        (
+            &["generate", "--out", trace, "--transactions", "100"],
+            "--transactions 100 fills no block of --block-size 150",
         ),
         (
             &["simulate", "--accounts", "1"],
@@ -317,6 +324,7 @@ fn invalid_workload_flags_exit_2() {
             "{args:?}: {stderr}"
         );
     }
+    assert!(!path.exists(), "no trace may be written");
 }
 
 /// Out-of-range `--eta` (below 1, infinite or NaN) and `--decay` (outside
@@ -424,4 +432,48 @@ fn deleted_method_name_exits_2_and_lists_the_methods() {
         );
         assert!(out.stdout.is_empty(), "nothing may run: {prefix:?}");
     }
+}
+
+/// `evaluate` scores a mapping with the shard count it was allocated
+/// with: at `-k 60` over about a hundred accounts the highest shards hold
+/// no account, so the labels alone would undercount `k` and inflate Λ/λ.
+#[test]
+fn evaluate_uses_the_allocated_shard_count() {
+    let trace = tmp("shard_count_trace.csv");
+    let mapping = tmp("shard_count_mapping.csv");
+    let (trace, mapping) = (trace.to_str().unwrap(), mapping.to_str().unwrap());
+    let out = txallo_bin()
+        .args(["generate", "--out", trace, "--accounts", "100"])
+        .args(["--transactions", "1000"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let out = txallo_bin()
+        .args([
+            "allocate", "--trace", trace, "--method", "txallo", "-k", "60",
+        ])
+        .args(["--out", mapping])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let throughput = |text: &str| -> String {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("throughput Λ/λ"))
+            .unwrap_or_else(|| panic!("no throughput line in {text}"));
+        line.split(':').nth(1).unwrap().trim().to_owned()
+    };
+    let allocated = throughput(&String::from_utf8_lossy(&out.stderr));
+
+    let out = txallo_bin()
+        .args(["evaluate", "--trace", trace, "--mapping", mapping])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l == "shards               : 60"),
+        "{stdout}"
+    );
+    assert_eq!(throughput(&stdout), allocated, "{stdout}");
 }

@@ -82,7 +82,8 @@ pub fn select_split_accounts(
         .collect();
     #[expect(
         clippy::expect_used,
-        reason = "incident weights are finite sums of finite transaction weights, so partial_cmp is total"
+        clippy::disallowed_methods,
+        reason = "incident weights are finite sums of finite transaction weights, so partial_cmp is total; the id tie-break makes every key distinct"
     )]
     hot.sort_unstable_by(|&a, &b| {
         graph
@@ -283,7 +284,8 @@ pub fn evaluate_with_brokers(
         // `take(filled + 1)` window, and the fill would not replay.
         #[expect(
             clippy::expect_used,
-            reason = "σ is a finite sum of finite workloads, so partial_cmp is total here"
+            clippy::disallowed_methods,
+            reason = "σ is a finite sum of finite workloads, so partial_cmp is total here; the shard-id tie-break makes every key distinct"
         )]
         order.sort_unstable_by(|&a, &b| {
             sigmas[a]

@@ -153,7 +153,8 @@ impl GTxAllo {
             let mut by_sigma: Vec<u32> = (0..l as u32).collect();
             #[expect(
                 clippy::expect_used,
-                reason = "sigma values are finite sums of finite per-account workloads, so partial_cmp is total"
+                clippy::disallowed_methods,
+                reason = "sigma values are finite sums of finite per-account workloads, so partial_cmp is total; the id tie-break makes every key distinct"
             )]
             by_sigma.sort_unstable_by(|&a, &b| {
                 full.sigma(b)

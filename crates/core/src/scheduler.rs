@@ -149,6 +149,11 @@ impl SchedulerState {
             *load *= factor;
         }
         for per_account in &mut self.affinity {
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "each weight is scaled on its own by the same factor, so the traversal order reaches no value"
+            )]
             for weight in per_account.values_mut() {
                 *weight *= factor;
             }

@@ -107,7 +107,7 @@ fn reference_allocate(
     if l > k {
         let full = CommunityState::from_labels(graph, &labels, l, params.eta, params.capacity);
         let mut by_sigma: Vec<u32> = (0..l as u32).collect();
-        by_sigma.sort_unstable_by(|&a, &b| {
+        by_sigma.sort_by(|&a, &b| {
             full.sigma(b)
                 .partial_cmp(&full.sigma(a))
                 .expect("finite")

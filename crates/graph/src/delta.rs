@@ -121,7 +121,10 @@ fn fill_canonical_nodes(snap: &mut DeltaCsr, graph: &TxGraph, touched: &[NodeId]
     let pairs = &mut snap.scratch.pairs;
     pairs.clear();
     pairs.extend(snap.node.iter().enumerate().map(|(i, &v)| (v, i as u32)));
-    // txallo-lint: allow(no-unstable-float-sort) — the keys are the touched node ids, which are distinct, so no two pairs compare equal
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the keys are the touched node ids, which are distinct, so no two pairs compare equal"
+    )]
     pairs.sort_unstable_by_key(|&(v, _)| v);
     snap.id_keys.clear();
     snap.id_keys.extend(pairs.iter().map(|&(v, _)| v));

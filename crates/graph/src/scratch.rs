@@ -606,7 +606,7 @@ mod tests {
                     let mut cands: Vec<(u32, f64)> = (0..window)
                         .map(|j| (((r + j) % buckets) as u32, (r * 7 + j) as f64 * 0.5))
                         .collect();
-                    cands.sort_unstable_by_key(|&(b, _)| b);
+                    cands.sort_by_key(|&(b, _)| b);
                     c.store(r, cands);
                 } else if c.unchanged_since_eval(r, own) {
                     log.push(format!("{r} skipped"));

@@ -49,9 +49,9 @@ impl GraphStats {
         let mut weights: Vec<f64> = (0..n as NodeId).map(|v| g.incident_weight(v)).collect();
         #[expect(
             clippy::expect_used,
-            reason = "incident weights are finite sums of finite transaction weights"
+            clippy::disallowed_methods,
+            reason = "incident weights are finite sums of finite transaction weights; sorting bare f64 values (no payload, equal keys indistinguishable)"
         )]
-        // txallo-lint: allow(no-unstable-float-sort) — sorting bare f64 values (no payload, equal keys indistinguishable)
         weights.sort_unstable_by(|a, b| a.partial_cmp(b).expect("weights are finite"));
         let sum: f64 = weights.iter().sum();
         #[expect(

@@ -349,6 +349,10 @@ impl TxGraph {
                 .into_iter()
                 .map(|v| (self.interner.account(v).address_hash(), v)),
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the key ends in the account id, so two entries compare equal only when they are the same node"
+        )]
         keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| id(a.1).cmp(&id(b.1))));
         out.clear();
         out.extend(keyed.iter().map(|&(_, v)| v));

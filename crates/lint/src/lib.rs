@@ -1,18 +1,18 @@
 //! `txallo-lint` — workspace static analyzer for the determinism contract.
 //!
 //! The paper (§IV-A) requires every validator to reproduce the allocation
-//! bit-for-bit; ARCHITECTURE.md §Determinism contract encodes that as five
-//! rules (D1–D5). The golden/proptest suites enforce the contract
-//! *dynamically* — they can only catch a violation once a workload trips
-//! it. This crate enforces it *statically*: a dependency-free, hand-rolled
-//! source scanner (no `syn`; the build is offline with vendored stubs
-//! only) walks every workspace crate and rejects nondeterminism-shaped
-//! code before it can compile into a bug.
+//! bit-for-bit; ARCHITECTURE.md §Determinism contract encodes that as
+//! D1–D5. The golden/proptest suites enforce the contract *dynamically*,
+//! and clippy enforces by type what it can (hash-order traversal, unstable
+//! keyed sorts, threads and clock reads: `clippy.toml` and each crate
+//! root). This crate checks the two rules that are matters of spelling:
+//! ad-hoc epsilon literals (`D2-eps-literal`) and silent narrowing casts
+//! on id/count paths (`no-narrowing-as`). It is a dependency-free,
+//! hand-rolled source scanner (no `syn`; the build is offline with
+//! vendored stubs only) that walks every workspace crate.
 //!
 //! See [`rules::RULES`] for the rule set and `ARCHITECTURE.md §Running
-//! the linter` for the suppression syntax and for the compiler lints (set
-//! in `clippy.toml` and at each crate root) that check threads, clock
-//! reads, `unwrap`s and API docs.
+//! the linter` for the suppression syntax and for the compiler lints.
 //! Findings print as `file:line rule message`; the run exits nonzero on
 //! any unsuppressed finding, and the final stdout line is a
 //! machine-readable JSON summary.
@@ -20,7 +20,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod rules;
 pub mod scan;

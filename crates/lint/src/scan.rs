@@ -69,16 +69,6 @@ impl FileView {
         }
     }
 
-    /// Number of lines in the file.
-    pub fn len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// True when the file has no lines at all.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
     /// Non-blank lines outside `#[cfg(test)]` items, comments included:
     /// the size of the shipped code.
     pub fn code_lines(&self) -> usize {

@@ -142,8 +142,8 @@ pub fn local_moving_pass(graph: &impl WeightedGraph) -> LocalMoveOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use txallo_graph::CsrGraph;
-    use txallo_model::FxHashMap;
 
     #[test]
     fn merges_a_triangle() {
@@ -185,9 +185,10 @@ mod tests {
         assert_eq!(a.sweeps, b.sweeps);
     }
 
-    /// Reference re-implementation of the seed's hash-map gather: collect
-    /// per-community weights into a map, copy to a vec, sort by community,
-    /// evaluate every node every sweep (no incremental skipping). The
+    /// Reference re-implementation of the seed's map gather: collect
+    /// per-community weights into an ordered map, evaluate the candidates
+    /// in ascending community order, and every node every sweep (no
+    /// incremental skipping). The
     /// dense-scratch pass must produce byte-identical labels — this pins
     /// down both the dense gather and the exactness of the stamp-based
     /// node skipping.
@@ -205,7 +206,7 @@ mod tests {
         let mut sigma_tot: Vec<f64> = (0..n as NodeId).map(|v| graph.strength(v)).collect();
         let mut moved_any = false;
         let mut sweeps = 0usize;
-        let mut link_weight: FxHashMap<u32, f64> = FxHashMap::default();
+        let mut link_weight: BTreeMap<u32, f64> = BTreeMap::new();
         for _ in 0..MAX_SWEEPS {
             sweeps += 1;
             let mut moved_this_sweep = false;
@@ -221,10 +222,7 @@ mod tests {
                 let gain_stay = w_current / m - sig_cur * k_v / (2.0 * m * m);
                 let mut best_comm = current;
                 let mut best_gain = gain_stay;
-                let mut candidates: Vec<(u32, f64)> =
-                    link_weight.iter().map(|(&c, &w)| (c, w)).collect();
-                candidates.sort_unstable_by_key(|&(c, _)| c);
-                for (c, w_vc) in candidates {
+                for (&c, &w_vc) in &link_weight {
                     if c == current {
                         continue;
                     }
@@ -301,7 +299,7 @@ mod tests {
         crate::aggregate_graph(graph, &compact.labels, compact.count, scratch)
     }
 
-    /// The dense-gather, cached, active-set pass must replay the hash-map
+    /// The dense-gather, cached, active-set pass must replay the map-gather
     /// reference move for move on every input: the messy ring, seeded
     /// weighted messes (one spanning several 64-row bitset words), a deep
     /// aggregated level, and the degenerate empty and edgeless shapes.

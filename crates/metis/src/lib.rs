@@ -21,7 +21,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod coarsen;
 mod frontier;
@@ -207,7 +211,7 @@ mod tests {
         let g = CsrGraph::from_edges(100, edges);
         for k in [2usize, 3, 5, 8] {
             let r = metis_partition(&g, k);
-            let used: std::collections::HashSet<u32> = r.parts.iter().copied().collect();
+            let used: std::collections::BTreeSet<u32> = r.parts.iter().copied().collect();
             assert!(used.len() <= k);
             assert!(used.iter().all(|&p| (p as usize) < k));
             // A ring splits into k contiguous arcs: cut = k edges (roughly).

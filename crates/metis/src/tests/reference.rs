@@ -13,7 +13,7 @@ use crate::{
 /// a `partial_cmp` chain.
 pub(crate) fn reference_heaviest_first(vertex_weights: &[f64]) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = (0..fit_u32(vertex_weights.len())).collect();
-    order.sort_unstable_by(|&a, &b| {
+    order.sort_by(|&a, &b| {
         vertex_weights[b as usize]
             .partial_cmp(&vertex_weights[a as usize])
             .expect("finite weights")

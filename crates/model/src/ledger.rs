@@ -1,7 +1,7 @@
 //! The ledger `L = {B_1, ..., B_n}` and summary statistics.
 
 use crate::account::AccountId;
-use crate::block::{Block, BlockHeight};
+use crate::block::Block;
 use crate::error::ModelError;
 use crate::hash::FxHashMap;
 use crate::transaction::Transaction;
@@ -57,16 +57,6 @@ impl Ledger {
         self.blocks.len()
     }
 
-    /// Height of the first block, if any.
-    pub fn base_height(&self) -> Option<BlockHeight> {
-        self.blocks.first().map(Block::height)
-    }
-
-    /// Height of the last block, if any.
-    pub fn tip_height(&self) -> Option<BlockHeight> {
-        self.blocks.last().map(Block::height)
-    }
-
     /// Iterates every transaction in ledger order.
     pub fn transactions(&self) -> impl Iterator<Item = &Transaction> {
         self.blocks.iter().flat_map(|b| b.transactions().iter())
@@ -83,6 +73,7 @@ impl Ledger {
         let mut tx_count = 0usize;
         let mut self_loops = 0usize;
         let mut multi_io = 0usize;
+        let mut max_activity = 0u64;
         for tx in self.transactions() {
             tx_count += 1;
             if tx.is_self_loop() {
@@ -92,31 +83,19 @@ impl Ledger {
                 multi_io += 1;
             }
             for acct in tx.account_set() {
-                *activity.entry(acct).or_insert(0) += 1;
+                let count = activity.entry(acct).or_insert(0);
+                *count += 1;
+                max_activity = max_activity.max(*count);
             }
         }
-        let account_count = activity.len();
-        let max_activity = activity.values().copied().max().unwrap_or(0);
         LedgerStats {
             block_count: self.block_count(),
             transaction_count: tx_count,
-            account_count,
+            account_count: activity.len(),
             self_loop_count: self_loops,
             multi_io_count: multi_io,
             max_account_activity: max_activity,
         }
-    }
-
-    /// Per-account participation counts (number of transactions whose
-    /// account set contains the account). Used for Fig. 1-style analysis.
-    pub fn account_activity(&self) -> FxHashMap<AccountId, u64> {
-        let mut activity: FxHashMap<AccountId, u64> = FxHashMap::default();
-        for tx in self.transactions() {
-            for acct in tx.account_set() {
-                *activity.entry(acct).or_insert(0) += 1;
-            }
-        }
-        activity
     }
 }
 
@@ -170,8 +149,6 @@ mod tests {
             }
         ));
         assert_eq!(l.block_count(), 2);
-        assert_eq!(l.base_height(), Some(5));
-        assert_eq!(l.tip_height(), Some(6));
     }
 
     #[test]

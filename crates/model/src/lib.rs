@@ -17,7 +17,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod account;
 pub mod block;

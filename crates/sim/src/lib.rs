@@ -13,7 +13,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod driver;
 pub mod epoch;

@@ -168,9 +168,9 @@ impl ShardQueueSim {
         }
         #[expect(
             clippy::expect_used,
-            reason = "confirmation heights are finite by construction"
+            clippy::disallowed_methods,
+            reason = "confirmation heights are finite by construction; sorting bare u64-derived f64 latencies with no payload to scramble"
         )]
-        // txallo-lint: allow(no-unstable-float-sort) — sorting bare u64-derived f64 latencies with no payload to scramble
         latencies.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
         let confirmed = latencies.len();
         let pct = |p: f64| -> f64 {

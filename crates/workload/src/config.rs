@@ -9,7 +9,8 @@
 pub struct WorkloadConfig {
     /// Number of initially existing accounts.
     pub accounts: usize,
-    /// Total number of transactions to generate (across all blocks).
+    /// Total number of transactions to generate (across all blocks),
+    /// rounded down to whole blocks: 1000 at block size 150 writes 900.
     pub transactions: usize,
     /// Transactions per block (Ethereum in the paper's window: ~150).
     pub block_size: usize,
