@@ -183,7 +183,6 @@ pub fn seed_delta_rows(graph: &SeedTxGraph, touched: &[NodeId], out: &mut SeedDe
             out.weights.push(w);
             row_sum += w;
         }
-        // txallo-lint: allow(no-narrowing-as) — seed-era reference implementation preserved verbatim for the regression harness; the delta path it mirrors uses the checked fit_u32
         out.offsets.push(out.targets.len() as u32);
         out.self_loops.push(self_w);
         out.incident.push(self_w + row_sum);

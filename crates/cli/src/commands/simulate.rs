@@ -55,6 +55,8 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     };
     config.check()?;
 
+    // `--gap 0` means never global. `Hybrid { global_gap: 0 }` would not:
+    // the schedule clamps its gap to 1, a global close every epoch.
     let schedule = if gap == 0 {
         HybridSchedule::AlwaysAdaptive
     } else {

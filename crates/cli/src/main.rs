@@ -79,7 +79,9 @@ USAGE:
 Each command accepts exactly the flags listed for it.
 
 simulate synthesizes each block on demand (streamed replay), so it never
-materializes the ledger and runs at any --accounts scale."
+materializes the ledger and runs at any --accounts scale. It runs
+G-TxAllo every --gap epochs (default 10; 0 = never global) and A-TxAllo
+in the others."
     )
 }
 

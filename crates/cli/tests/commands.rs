@@ -141,33 +141,29 @@ fn allocate_all_methods_work() {
     }
 }
 
+/// One row per epoch. `--gap N` runs G-TxAllo at epochs N, 2N, … and
+/// A-TxAllo in the others; `--gap 0` never runs G-TxAllo.
 #[test]
 fn simulate_produces_epoch_rows() {
-    let out = txallo_bin()
-        .args([
-            "simulate",
-            "--shards",
-            "3",
-            "--epochs",
-            "3",
-            "--epoch-blocks",
-            "10",
-            "--gap",
-            "2",
-        ])
-        .output()
-        .expect("run simulate");
-    assert!(
-        out.status.success(),
-        "simulate failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let data_rows = stdout
-        .lines()
-        .filter(|l| l.starts_with(char::is_numeric))
-        .count();
-    assert_eq!(data_rows, 3, "one row per epoch: {stdout}");
+    for (gap, algos) in [
+        ("2", ["adaptive", "adaptive", "global"]),
+        ("0", ["adaptive"; 3]),
+    ] {
+        let out = txallo_bin()
+            .args(["simulate", "--shards", "3", "--epochs", "3"])
+            .args(["--epoch-blocks", "10", "--gap", gap])
+            .output()
+            .expect("run simulate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "simulate failed: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let rows = stdout.lines().filter(|l| l.starts_with(char::is_numeric));
+        let algo: Vec<&str> = rows.filter_map(|row| row.split(',').nth(1)).collect();
+        assert_eq!(
+            algo, algos,
+            "--gap {gap}, the algo column of each epoch: {stdout}"
+        );
+    }
 }
 
 #[test]

@@ -43,14 +43,12 @@ use txallo_graph::{fit_u32, CsrGraph, WeightedGraph};
 /// isolated (zero-strength) nodes keep a nonzero weight and ratio
 /// denominators stay positive. A magnitude guard, not a gain tolerance —
 /// tie-breaking is `txallo_louvain::GAIN_EPS` territory (contract D2).
-// txallo-lint: allow(D2-eps-literal) — named, documented magnitude floor; the one sanctioned definition site in this crate
 pub(crate) const STRENGTH_FLOOR: f64 = 1e-9;
 
 /// Floor on the gain/strength ratio denominator in the greedy grower of
 /// initial partitioning. Smaller than [`STRENGTH_FLOOR`] because it guards
 /// a division, not a weight; the value is preserved exactly — changing it
 /// changes growth trajectories.
-// txallo-lint: allow(D2-eps-literal) — named, documented divide-by-zero guard; value pinned by the golden suites
 pub(crate) const RATIO_FLOOR: f64 = 1e-12;
 
 /// Allowed imbalance: a part may hold at most this multiple of its target

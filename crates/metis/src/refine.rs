@@ -6,7 +6,6 @@ use txallo_graph::{fit_u32, CsrGraph, DenseAccumulator, NodeId, SweepCache, Weig
 /// magnitude floor against float dust from the link accumulator, not a
 /// tie-break tolerance; the value is preserved exactly — raising it
 /// changes which moves fire and therefore the refined partitions.
-// txallo-lint: allow(D2-eps-literal) — named, documented gain floor; value pinned by the metis golden/property tests
 const FM_GAIN_MIN: f64 = 1e-12;
 
 /// Total weight of edges whose endpoints lie in different parts.
