@@ -9,10 +9,12 @@
 //! free relabel. The epoch loop itself lives in
 //! [`ChainService`](crate::ChainService).
 
+use std::collections::BTreeMap;
+
 use txallo_core::checkpoint::{Decoder, Encoder};
 use txallo_core::{Allocation, AllocationUpdate, CheckpointError};
 use txallo_graph::TxGraph;
-use txallo_model::{Block, FxHashMap};
+use txallo_model::Block;
 
 use crate::atomix::AtomixProtocol;
 use crate::error::ChainError;
@@ -218,16 +220,19 @@ impl ChainEngine {
 
         // Partition the block: intra counted per shard; cross grouped by
         // their exact shard set (real deployments batch Atomix by shard
-        // pair, which is what keeps η near 2 instead of 2×batch size).
+        // pair, which is what keeps η near 2 instead of 2×batch size),
+        // in shard-set order.
         let mut intra = vec![0u64; self.config.shards];
-        let mut cross: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
+        let mut cross: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
         let mut scratch: Vec<u32> = Vec::with_capacity(8);
         for tx in block.transactions() {
             allocation.tx_shards_into(graph, tx, &mut scratch);
             if scratch.len() == 1 {
                 intra[scratch[0] as usize] += 1;
+            } else if let Some(count) = cross.get_mut(scratch.as_slice()) {
+                *count += 1;
             } else {
-                *cross.entry(scratch.clone()).or_insert(0) += 1;
+                cross.insert(scratch.clone(), 1);
             }
         }
 
@@ -250,9 +255,7 @@ impl ChainEngine {
         }
 
         // Cross: one Atomix run per (shard set, batch).
-        let mut groups: Vec<(Vec<u32>, u64)> = cross.into_iter().collect();
-        groups.sort_unstable(); // determinism
-        for (shards, count) in groups {
+        for (shards, count) in cross {
             for in_run in batches(count, self.config.batch_size) {
                 let out = AtomixProtocol::run(&mut self.instances, &shards, &mut self.fault);
                 self.report.total_messages += out.messages;
@@ -277,7 +280,7 @@ impl ChainEngine {
     /// exactly like a cross-shard transaction batch. First placements
     /// (no previous shard) cost nothing — there is no state to move.
     pub fn apply_reallocation(&mut self, update: &AllocationUpdate) {
-        let mut pairs: FxHashMap<(u32, u32), u64> = FxHashMap::default();
+        let mut pairs: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for m in &update.moves {
             let Some(from) = m.from else { continue };
             if from == m.to {
@@ -285,8 +288,6 @@ impl ChainEngine {
             }
             *pairs.entry((from.0, m.to.0)).or_insert(0) += 1;
         }
-        let mut pairs: Vec<((u32, u32), u64)> = pairs.into_iter().collect();
-        pairs.sort_unstable(); // determinism
 
         // A batch whose Atomix instance cannot commit is re-run up to the
         // plan's retry budget (none under `FaultPlan::none()`); one that

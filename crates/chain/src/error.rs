@@ -121,7 +121,12 @@ impl From<UnknownAllocator> for ChainError {
 
 impl From<CheckpointError> for ChainError {
     fn from(e: CheckpointError) -> Self {
-        ChainError::CorruptCheckpoint(e)
+        match e {
+            CheckpointError::ShardMismatch { expected, found } => {
+                ChainError::ShardMismatch { expected, found }
+            }
+            e => ChainError::CorruptCheckpoint(e),
+        }
     }
 }
 

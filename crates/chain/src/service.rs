@@ -160,9 +160,9 @@ impl ChainService {
             .collect()
     }
 
-    /// Serializes the whole resumable service state — graph, stream
-    /// labels + aggregates, epoch count, degradation rung, engine counters
-    /// — into one versioned, checksummed image (see
+    /// Serializes the whole resumable service state — graph, epoch count,
+    /// degradation rung, served labels, the stream's aggregates, engine
+    /// counters — into one versioned, checksummed image (see
     /// [`txallo_core::checkpoint`]).
     ///
     /// Checkpoints are only defined at epoch boundaries: mid-epoch the
@@ -181,8 +181,9 @@ impl ChainService {
     }
 
     /// Reopens a service from a [`ChainService::checkpoint`] image under
-    /// `config`, which must describe the same deployment (shard count is
-    /// verified; the rest is the caller's contract, as with any restart).
+    /// `config`, which must describe the same deployment (the shard count
+    /// is verified, as [`ChainError::ShardMismatch`]; the rest is the
+    /// caller's contract, as with any restart).
     ///
     /// When the stream supports warm restore the resumed service is
     /// **bit-identical** to one that never stopped — same labels, same
@@ -192,12 +193,6 @@ impl ChainService {
     /// resume and reports that through [`ChainService::resume_carry`].
     pub fn resume(config: ChainServiceConfig, image: &[u8]) -> Result<Self, ChainError> {
         let cp = decode_checkpoint(image)?;
-        if cp.stream.shards != config.engine.shards {
-            return Err(ChainError::ShardMismatch {
-                expected: config.engine.shards,
-                found: cp.stream.shards,
-            });
-        }
         let mut service = Self::try_new(config)?;
         let (engine_blob, carry) = service.epochs.restore(cp)?;
         service.engine.import_state(&engine_blob)?;

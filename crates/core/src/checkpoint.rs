@@ -3,10 +3,11 @@
 //! The paper's serving claim (§V-C) is that A-TxAllo's per-epoch cost is
 //! independent of chain length *because* the aggregates survive between
 //! epochs. This module extends that survival across process restarts: at
-//! an epoch boundary the whole resumable state — the transaction graph,
-//! the stream's labels and community aggregates, and an opaque consumer
-//! blob (the chain engine's counters) — is serialized into one
-//! self-validating binary image, and a resumed run continues
+//! an epoch boundary [`EpochLoop`](crate::EpochLoop) writes its whole
+//! resumable state — the transaction graph, the epoch count, the recovery
+//! rung, the served labels, a warm session's community aggregates and an
+//! opaque consumer blob (the chain engine's counters) — as one flat,
+//! self-validating record, and a resumed run continues
 //! **bit-identically** to one that never stopped.
 //!
 //! Bit-identity dictates the format: every `f64` is stored as its raw IEEE
@@ -18,7 +19,9 @@
 //! ## Layout
 //!
 //! ```text
-//! magic u64 | version u32 | graph section | stream section
+//! magic u64 | version u32 | graph | epoch u64 | rung u8 | shards u64
+//!           | label count u64 + labels u32 | aggregates marker u8
+//!           [+ intra f64 × shards + cut f64 × shards + eta f64 + capacity f64]
 //!           | consumer len u64 + bytes | checksum u64
 //! ```
 //!
@@ -32,14 +35,19 @@
 use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
 use txallo_model::AccountId;
 
+use crate::allocation::Allocation;
+use crate::streaming::Degradation;
+
 /// File magic: `b"TXALLOCP"` as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"TXALLOCP");
 
 /// Current format version. Bumped on any layout change; old images are
 /// rejected with [`CheckpointError::UnsupportedVersion`] rather than
 /// misread. Version 2 replaced version 1's byte-wise FNV-1a checksum with
-/// a word-wise one over four lanes of little-endian `u64` words.
-pub const FORMAT_VERSION: u32 = 2;
+/// a word-wise one over four lanes of little-endian `u64` words; version 3
+/// writes the epoch, the rung, the shard count and the labels once, in
+/// one flat record.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a checkpoint image failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +62,14 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// Structurally invalid content (the named field is inconsistent).
     Malformed(&'static str),
+    /// The image was written under another shard count than the restoring
+    /// loop serves.
+    ShardMismatch {
+        /// Shards the restoring loop serves.
+        expected: usize,
+        /// Shards recorded in the image.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -73,6 +89,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Malformed(what) => {
                 write!(f, "malformed checkpoint: inconsistent {what}")
             }
+            CheckpointError::ShardMismatch { expected, found } => write!(
+                f,
+                "checkpoint shard count {found} does not match the configured {expected}"
+            ),
         }
     }
 }
@@ -252,7 +272,8 @@ impl<'a> Decoder<'a> {
 }
 
 /// The per-community aggregates a warm A-TxAllo session carries across
-/// epochs — raw accumulations, restored bit-for-bit.
+/// epochs — raw accumulations, restored bit-for-bit. Each vector holds one
+/// value per shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommunityAggregates {
     /// Internal weight `W_in(c)` per community, chronological accumulation.
@@ -265,30 +286,24 @@ pub struct CommunityAggregates {
     pub capacity: f64,
 }
 
-/// A streaming allocator's resumable serving state at an epoch boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamState {
-    /// Epochs closed since `begin` (drives [`HybridSchedule`] phase).
-    ///
-    /// [`HybridSchedule`]: crate::HybridSchedule
-    pub epoch: u64,
-    /// Shard count `k`.
-    pub shards: usize,
-    /// Current label per node, node-id order.
-    pub labels: Vec<u32>,
-    /// Warm session aggregates; `None` when the stream was serving from
-    /// labels only (invalidated session, or a labels-only stream) — resume
-    /// then rebuilds the aggregates and reports a degraded carry.
-    pub community: Option<CommunityAggregates>,
-}
-
-/// A fully decoded checkpoint image.
+/// A fully decoded checkpoint image: an [`EpochLoop`](crate::EpochLoop)'s
+/// state at an epoch boundary.
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The transaction graph, restored bit-for-bit.
     pub graph: TxGraph,
-    /// The stream's serving state.
-    pub stream: StreamState,
+    /// Epochs closed since warm-up (drives [`HybridSchedule`] phase).
+    ///
+    /// [`HybridSchedule`]: crate::HybridSchedule
+    pub epoch: u64,
+    /// The recovery ladder's rung.
+    pub degradation: Degradation,
+    /// The served labels and the shard count: one label per graph node,
+    /// each below the shard count (decoding checks both).
+    pub allocation: Allocation,
+    /// A warm session's aggregates; `None` when the stream served without
+    /// any (labels only, a batch re-solve, or the scheduler).
+    pub community: Option<CommunityAggregates>,
     /// The consumer's opaque section (e.g. the chain engine's counters).
     pub consumer: Vec<u8>,
 }
@@ -384,85 +399,66 @@ fn decode_graph(d: &mut Decoder<'_>) -> Result<TxGraph, CheckpointError> {
     ))
 }
 
-fn encode_stream(e: &mut Encoder, stream: &StreamState) {
-    e.u64(stream.epoch);
-    e.u64(stream.shards as u64);
-    e.u64(stream.labels.len() as u64);
-    for &l in &stream.labels {
+/// Stable wire code of a [`Degradation`] rung. Code 2 is unused (no image
+/// holds it); the others keep the values they had in format version 1.
+pub(crate) fn degradation_code(d: Degradation) -> u8 {
+    match d {
+        Degradation::None => 0,
+        Degradation::Invalidated => 1,
+        Degradation::HashFallback => 3,
+    }
+}
+
+pub(crate) fn degradation_from_code(code: u8) -> Result<Degradation, CheckpointError> {
+    Ok(match code {
+        0 => Degradation::None,
+        1 => Degradation::Invalidated,
+        3 => Degradation::HashFallback,
+        _ => return Err(CheckpointError::Malformed("degradation rung")),
+    })
+}
+
+/// Serializes one epoch-boundary checkpoint image (see the
+/// [module docs](self) for the layout).
+///
+/// # Panics
+/// Panics if `community` does not hold one value per shard of
+/// `allocation`.
+pub fn encode_checkpoint(
+    graph: &TxGraph,
+    epoch: u64,
+    degradation: Degradation,
+    allocation: &Allocation,
+    community: Option<&CommunityAggregates>,
+    consumer: &[u8],
+) -> Vec<u8> {
+    let shards = allocation.shard_count();
+    let mut e = Encoder::new();
+    e.u64(MAGIC);
+    e.u32(FORMAT_VERSION);
+    encode_graph(&mut e, graph);
+    e.u64(epoch);
+    e.u8(degradation_code(degradation));
+    e.u64(shards as u64);
+    e.u64(allocation.len() as u64);
+    for &l in allocation.labels() {
         e.u32(l);
     }
-    match &stream.community {
+    match community {
         None => e.u8(0),
         Some(agg) => {
+            assert!(
+                agg.intra.len() == shards && agg.cut.len() == shards,
+                "aggregates must cover every shard"
+            );
             e.u8(1);
-            e.u64(agg.intra.len() as u64);
-            for &w in &agg.intra {
-                e.f64(w);
-            }
-            for &w in &agg.cut {
+            for &w in agg.intra.iter().chain(&agg.cut) {
                 e.f64(w);
             }
             e.f64(agg.eta);
             e.f64(agg.capacity);
         }
     }
-}
-
-fn decode_stream(d: &mut Decoder<'_>, node_count: usize) -> Result<StreamState, CheckpointError> {
-    let epoch = d.u64()?;
-    let shards = d.len()?;
-    let label_count = d.len()?;
-    if label_count != node_count {
-        return Err(CheckpointError::Malformed("label count"));
-    }
-    let mut labels = Vec::with_capacity(label_count);
-    for _ in 0..label_count {
-        let l = d.u32()?;
-        if l as usize >= shards {
-            return Err(CheckpointError::Malformed("label out of range"));
-        }
-        labels.push(l);
-    }
-    let community = match d.u8()? {
-        0 => None,
-        1 => {
-            let c = d.len()?;
-            if c != shards {
-                return Err(CheckpointError::Malformed("aggregate community count"));
-            }
-            let mut intra = Vec::with_capacity(c);
-            for _ in 0..c {
-                intra.push(d.f64()?);
-            }
-            let mut cut = Vec::with_capacity(c);
-            for _ in 0..c {
-                cut.push(d.f64()?);
-            }
-            Some(CommunityAggregates {
-                intra,
-                cut,
-                eta: d.f64()?,
-                capacity: d.f64()?,
-            })
-        }
-        _ => return Err(CheckpointError::Malformed("community marker")),
-    };
-    Ok(StreamState {
-        epoch,
-        shards,
-        labels,
-        community,
-    })
-}
-
-/// Serializes one epoch-boundary checkpoint image (see the
-/// [module docs](self) for the layout).
-pub fn encode_checkpoint(graph: &TxGraph, stream: &StreamState, consumer: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(MAGIC);
-    e.u32(FORMAT_VERSION);
-    encode_graph(&mut e, graph);
-    encode_stream(&mut e, stream);
     e.u64(consumer.len() as u64);
     e.bytes(consumer);
     let mut buf = e.finish();
@@ -473,8 +469,8 @@ pub fn encode_checkpoint(graph: &TxGraph, stream: &StreamState, consumer: &[u8])
 
 /// Decodes and validates a checkpoint image produced by
 /// [`encode_checkpoint`]. Every failure mode is a typed
-/// [`CheckpointError`]; on success the graph, stream state, and consumer
-/// blob round-trip bit-identically.
+/// [`CheckpointError`]; on success every field round-trips
+/// bit-identically.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     const FOOTER: usize = 8;
     const HEADER: usize = 8 + 4;
@@ -494,13 +490,43 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         return Err(CheckpointError::ChecksumMismatch);
     }
     let graph = decode_graph(&mut d)?;
-    let stream = decode_stream(&mut d, graph.node_count())?;
+    let epoch = d.u64()?;
+    let degradation = degradation_from_code(d.u8()?)?;
+    let shards =
+        usize::try_from(d.u64()?).map_err(|_| CheckpointError::Malformed("shard count"))?;
+    if d.len()? != graph.node_count() {
+        return Err(CheckpointError::Malformed("label count"));
+    }
+    let labels: Vec<u32> = (0..graph.node_count())
+        .map(|_| d.u32())
+        .collect::<Result<_, _>>()?;
+    if labels.iter().any(|&l| l as usize >= shards) {
+        return Err(CheckpointError::Malformed("label out of range"));
+    }
+    let community = match d.u8()? {
+        0 => None,
+        1 => {
+            // Collecting reserves nothing up front, so a forged shard
+            // count ends in truncation, not in an allocation of its size.
+            let mut floats = |n: usize| (0..n).map(|_| d.f64()).collect::<Result<Vec<_>, _>>();
+            Some(CommunityAggregates {
+                intra: floats(shards)?,
+                cut: floats(shards)?,
+                eta: d.f64()?,
+                capacity: d.f64()?,
+            })
+        }
+        _ => return Err(CheckpointError::Malformed("community marker")),
+    };
     let consumer_len = d.len()?;
     let consumer = d.bytes(consumer_len)?.to_vec();
     d.finish()?;
     Ok(Checkpoint {
         graph,
-        stream,
+        epoch,
+        degradation,
+        allocation: Allocation::new(labels, shards),
+        community,
         consumer,
     })
 }
@@ -523,31 +549,53 @@ mod tests {
         g
     }
 
-    fn sample_stream(g: &TxGraph) -> StreamState {
-        let n = g.node_count();
-        let shards = 3usize;
-        let labels: Vec<u32> = (0..n as u32).map(|v| v % shards as u32).collect();
-        StreamState {
-            epoch: 17,
-            shards,
-            labels,
-            community: Some(CommunityAggregates {
-                intra: vec![1.25, 0.5, 7.0 / 3.0],
-                cut: vec![0.1, 2.5, 0.0],
-                eta: 5.0,
-                capacity: 12.5,
-            }),
+    fn sample_allocation(g: &TxGraph) -> Allocation {
+        Allocation::new((0..g.node_count()).map(|v| (v % 3) as u32).collect(), 3)
+    }
+
+    fn sample_aggregates() -> CommunityAggregates {
+        CommunityAggregates {
+            intra: vec![1.25, 0.5, 7.0 / 3.0],
+            cut: vec![0.1, 2.5, 0.0],
+            eta: 5.0,
+            capacity: 12.5,
         }
+    }
+
+    /// An image of `g` at epoch 17 on the `Invalidated` rung, labelled
+    /// round-robin over three shards, with the sample aggregates.
+    fn sample_image(g: &TxGraph, consumer: &[u8]) -> Vec<u8> {
+        let aggregates = sample_aggregates();
+        let allocation = sample_allocation(g);
+        encode_checkpoint(
+            g,
+            17,
+            Degradation::Invalidated,
+            &allocation,
+            Some(&aggregates),
+            consumer,
+        )
+    }
+
+    /// `bytes` with its trailing checksum recomputed, so a rewritten field
+    /// is reached instead of reported as corruption.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let len = bytes.len();
+        let sum = checksum(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     #[test]
     fn round_trip_is_bit_identical() {
         let g = sample_graph();
-        let stream = sample_stream(&g);
         let consumer = vec![1u8, 2, 3, 250, 0, 9];
-        let image = encode_checkpoint(&g, &stream, &consumer);
+        let image = sample_image(&g, &consumer);
         let cp = decode_checkpoint(&image).unwrap();
-        assert_eq!(cp.stream, stream);
+        assert_eq!(cp.epoch, 17);
+        assert_eq!(cp.degradation, Degradation::Invalidated);
+        assert_eq!(cp.allocation, sample_allocation(&g));
+        assert_eq!(cp.community, Some(sample_aggregates()));
         assert_eq!(cp.consumer, consumer);
         assert_eq!(cp.graph.node_count(), g.node_count());
         assert_eq!(
@@ -566,17 +614,21 @@ mod tests {
         }
         // Re-encoding the restored state reproduces the image byte-for-byte
         // (stability: checkpoints of resumed runs match the original's).
-        assert_eq!(
-            encode_checkpoint(&cp.graph, &cp.stream, &cp.consumer),
-            image
+        let again = encode_checkpoint(
+            &cp.graph,
+            cp.epoch,
+            cp.degradation,
+            &cp.allocation,
+            cp.community.as_ref(),
+            &cp.consumer,
         );
+        assert_eq!(again, image);
     }
 
     #[test]
     fn every_corruption_is_a_typed_error() {
         let g = sample_graph();
-        let stream = sample_stream(&g);
-        let image = encode_checkpoint(&g, &stream, &[7u8; 16]);
+        let image = sample_image(&g, &[7u8; 16]);
 
         assert_eq!(
             decode_checkpoint(&[]).err(),
@@ -596,12 +648,6 @@ mod tests {
 
         // Magic / version errors keep a *valid* checksum so they are
         // reached: rewrite the header and re-seal.
-        let reseal = |mut bytes: Vec<u8>| {
-            let len = bytes.len();
-            let sum = checksum(&bytes[..len - 8]);
-            bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-            bytes
-        };
         let mut wrong_magic = image.clone();
         wrong_magic[0] = b'Z';
         assert_eq!(
@@ -631,7 +677,7 @@ mod tests {
     fn a_version_1_image_is_refused() {
         let fnv1a = |bytes: &[u8]| bytes.iter().fold(FNV_BASIS, |h, &b| mix(h, u64::from(b)));
         let g = sample_graph();
-        let mut v1 = encode_checkpoint(&g, &sample_stream(&g), &[]);
+        let mut v1 = sample_image(&g, &[]);
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
         let len = v1.len();
         let sum = fnv1a(&v1[..len - 8]);
@@ -639,6 +685,20 @@ mod tests {
         assert_eq!(
             decode_checkpoint(&v1).err(),
             Some(CheckpointError::UnsupportedVersion(1))
+        );
+    }
+
+    /// Version 2 nested the epoch, the rung and the consumer blob in a
+    /// section of their own, under the same checksum. Such an image is
+    /// refused by its version, not misread.
+    #[test]
+    fn a_version_2_image_is_refused() {
+        let g = sample_graph();
+        let mut v2 = sample_image(&g, &[]);
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&reseal(v2)).err(),
+            Some(CheckpointError::UnsupportedVersion(2))
         );
     }
 
@@ -650,7 +710,7 @@ mod tests {
         for i in 0..6u64 {
             g.ingest_transaction(&Transaction::transfer(AccountId(i), AccountId((i * 5) % 7)));
         }
-        let image = encode_checkpoint(&g, &sample_stream(&g), &[1, 2, 3]);
+        let image = sample_image(&g, &[1, 2, 3]);
         assert!(decode_checkpoint(&image).is_ok());
         for at in 0..image.len() {
             for mask in [0x01u8, 0x80, 0xFF] {
@@ -673,20 +733,27 @@ mod tests {
 
     #[test]
     fn labels_must_cover_the_graph_and_respect_k() {
-        let g = sample_graph();
-        let mut stream = sample_stream(&g);
-        stream.labels.pop();
-        let image = encode_checkpoint(&g, &stream, &[]);
+        // Stale labels: the graph grew by an account since they were set.
+        let mut grown = sample_graph();
+        let stale = sample_allocation(&grown);
+        grown.ingest_transaction(&Transaction::transfer(AccountId(500), AccountId(0)));
+        let image = encode_checkpoint(&grown, 0, Degradation::None, &stale, None, &[]);
         assert_eq!(
             decode_checkpoint(&image).err(),
             Some(CheckpointError::Malformed("label count"))
         );
 
-        let mut stream = sample_stream(&g);
-        stream.labels[0] = 3; // == shards
-        let image = encode_checkpoint(&g, &stream, &[]);
+        // A label equal to the shard count. The labels follow the graph,
+        // the epoch (8 bytes), the rung (1), the shard count (8) and the
+        // label count (8).
+        let g = sample_graph();
+        let mut graph = Encoder::new();
+        encode_graph(&mut graph, &g);
+        let first_label = 8 + 4 + graph.finish().len() + 8 + 1 + 8 + 8;
+        let mut image = sample_image(&g, &[]);
+        image[first_label..first_label + 4].copy_from_slice(&3u32.to_le_bytes());
         assert_eq!(
-            decode_checkpoint(&image).err(),
+            decode_checkpoint(&reseal(image)).err(),
             Some(CheckpointError::Malformed("label out of range"))
         );
     }
@@ -694,11 +761,12 @@ mod tests {
     #[test]
     fn labels_only_state_round_trips() {
         let g = sample_graph();
-        let mut stream = sample_stream(&g);
-        stream.community = None;
-        let image = encode_checkpoint(&g, &stream, &[]);
+        let allocation = sample_allocation(&g);
+        let image = encode_checkpoint(&g, 4, Degradation::None, &allocation, None, &[]);
         let cp = decode_checkpoint(&image).unwrap();
-        assert_eq!(cp.stream, stream);
+        assert_eq!(cp.allocation, allocation);
+        assert_eq!(cp.community, None);
+        assert_eq!((cp.epoch, cp.degradation), (4, Degradation::None));
         assert!(cp.consumer.is_empty());
     }
 
@@ -740,6 +808,12 @@ mod tests {
         assert!(CheckpointError::Malformed("label count")
             .to_string()
             .contains("label count"));
+        assert!(CheckpointError::ShardMismatch {
+            expected: 3,
+            found: 2
+        }
+        .to_string()
+        .contains("shard count 2"));
         let err: Box<dyn std::error::Error> = Box::new(CheckpointError::BadMagic);
         assert!(err.to_string().contains("magic"));
     }

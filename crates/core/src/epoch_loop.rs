@@ -21,15 +21,12 @@ use txallo_graph::{TxGraph, WeightedGraph};
 use txallo_model::Block;
 
 use crate::allocation::Allocation;
-use crate::checkpoint::{
-    encode_checkpoint, Checkpoint, CheckpointError, Decoder, Encoder, StreamState,
-};
-use crate::hash_alloc::HashAllocator;
+use crate::checkpoint::{encode_checkpoint, Checkpoint, CheckpointError};
 use crate::params::TxAlloParams;
 use crate::registry::{AllocatorRegistry, UnknownAllocator};
 use crate::streaming::{
-    AllocationUpdate, Degradation, EpochKind, GlobalStream, HybridSchedule, StateCarry,
-    StreamingAllocator,
+    AllocationUpdate, BatchSolver, Degradation, EpochKind, GlobalStream, HybridSchedule,
+    StateCarry, StreamingAllocator,
 };
 
 /// The epoch-driven serving state of one allocation method (see the
@@ -192,59 +189,58 @@ impl EpochLoop {
         self.degradation = Degradation::HashFallback;
     }
 
-    /// Serializes the graph, stream state, epoch count, rung and the
-    /// `consumer` blob into one boundary checkpoint image (see
-    /// [`crate::checkpoint`]).
+    /// Serializes the graph, epoch count, rung, served labels, the
+    /// stream's aggregates and the `consumer` blob into one boundary
+    /// checkpoint image (see [`crate::checkpoint`]).
+    ///
+    /// # Panics
+    /// Panics part-way through an epoch, where the served labels still
+    /// hold transient hash shards for accounts no boundary has placed.
     pub fn checkpoint(&self, consumer: &[u8]) -> Vec<u8> {
-        // Streams without checkpoint support still get a labels-only
-        // state: resume then rebuilds their internals from the graph.
-        let stream_state = self.stream.export_state().unwrap_or_else(|| StreamState {
-            epoch: self.epoch,
-            shards: self.allocation.shard_count(),
-            labels: self.allocation.labels().to_vec(),
-            community: None,
-        });
-        let mut section = Encoder::new();
-        section.u64(self.epoch);
-        section.u8(degradation_code(self.degradation));
-        section.u64(consumer.len() as u64);
-        section.bytes(consumer);
-        encode_checkpoint(&self.graph, &stream_state, &section.finish())
+        assert_eq!(self.blocks_in_epoch, 0, "checkpoint taken mid-epoch");
+        encode_checkpoint(
+            &self.graph,
+            self.epoch,
+            self.degradation,
+            &self.allocation,
+            self.stream.export_aggregates().as_ref(),
+            consumer,
+        )
     }
 
     /// Reopens the loop from a decoded [`EpochLoop::checkpoint`] image,
-    /// returning the consumer blob and how the stream state crossed.
+    /// returning the consumer blob and how the stream state crossed. An
+    /// image of another shard count is refused
+    /// ([`CheckpointError::ShardMismatch`]).
     pub fn restore(
         &mut self,
         checkpoint: Checkpoint,
     ) -> Result<(Vec<u8>, StateCarry), CheckpointError> {
-        let mut section = Decoder::new(&checkpoint.consumer);
-        let epoch = section.u64()?;
-        let degradation = degradation_from_code(section.u8()?)?;
-        let consumer_len = section.u64()? as usize;
-        let consumer = section.bytes(consumer_len)?.to_vec();
-        section.finish()?;
-
+        let found = checkpoint.allocation.shard_count();
+        if found != self.params.shards {
+            let expected = self.params.shards;
+            return Err(CheckpointError::ShardMismatch { expected, found });
+        }
         self.graph = checkpoint.graph;
-        let params = self.params();
-        if degradation == Degradation::HashFallback {
+        if checkpoint.degradation == Degradation::HashFallback {
             // The run had already fallen back to hash allocation; resuming
             // onto the configured method would silently un-degrade it.
-            self.stream = hash_fallback(params.clone());
+            self.stream = hash_fallback(self.params());
         }
+        let (epoch, allocation) = (checkpoint.epoch, checkpoint.allocation);
         let carry = match self
             .stream
-            .import_state(&checkpoint.stream, &self.graph, &params)
+            .import_state(epoch, &allocation, checkpoint.community)
         {
             Some(carry) => {
-                self.serve(self.stream.allocation());
+                self.serve(allocation);
                 carry
             }
             None => {
                 // The stream cannot adopt checkpointed state (e.g. the
                 // transaction-level scheduler): cold-open it on the
                 // restored graph — a sound, visibly degraded resume.
-                let allocation = self.stream.begin(&self.graph, &params);
+                let allocation = self.stream.begin(&self.graph, &self.params());
                 self.serve(allocation);
                 StateCarry::Rebuilt
             }
@@ -252,8 +248,8 @@ impl EpochLoop {
         self.epoch = epoch;
         self.blocks_in_epoch = 0;
         self.warmed_up = true;
-        self.degradation = degradation;
-        Ok((consumer, carry))
+        self.degradation = checkpoint.degradation;
+        Ok((checkpoint.consumer, carry))
     }
 
     fn serve(&mut self, allocation: Allocation) {
@@ -307,7 +303,7 @@ fn hash_fallback(params: TxAlloParams) -> Box<dyn StreamingAllocator> {
     Box::new(GlobalStream::new(
         "hash-fallback",
         params,
-        Box::new(|g, p| HashAllocator::new(p.shards).allocate_graph(g)),
+        BatchSolver::Hash,
     ))
 }
 
@@ -323,29 +319,53 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Stable wire code of a [`Degradation`] rung (checkpoint format). Code 2
-/// is unused (no image holds it); the others keep the values they had in
-/// format version 1.
-fn degradation_code(d: Degradation) -> u8 {
-    match d {
-        Degradation::None => 0,
-        Degradation::Invalidated => 1,
-        Degradation::HashFallback => 3,
-    }
-}
-
-fn degradation_from_code(code: u8) -> Result<Degradation, CheckpointError> {
-    Ok(match code {
-        0 => Degradation::None,
-        1 => Degradation::Invalidated,
-        3 => Degradation::HashFallback,
-        _ => return Err(CheckpointError::Malformed("degradation rung")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{decode_checkpoint, degradation_code, degradation_from_code};
+    use txallo_model::{AccountId, Transaction};
+
+    /// A `txallo` loop over `shards`, warmed up on two small cliques.
+    fn warm_loop(shards: usize) -> EpochLoop {
+        let params = TxAlloParams::for_total_weight(0.0, shards);
+        let mut epochs = EpochLoop::new("txallo", HybridSchedule::AlwaysAdaptive, params, None)
+            .expect("txallo is registered");
+        let clique = |base: u64| {
+            let pairs = [(0, 1), (1, 2), (0, 2)];
+            let txs =
+                pairs.map(|(i, j)| Transaction::transfer(AccountId(base + i), AccountId(base + j)));
+            Block::new(base, txs.to_vec())
+        };
+        epochs.warmup([clique(0), clique(10)]);
+        epochs
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint taken mid-epoch")]
+    fn checkpoint_part_way_through_an_epoch_panics() {
+        let mut epochs = warm_loop(2);
+        epochs.ingest(&Block::new(
+            20,
+            vec![Transaction::transfer(AccountId(100), AccountId(0))],
+        ));
+        let _ = epochs.checkpoint(&[]);
+    }
+
+    #[test]
+    fn restore_refuses_another_shard_count() {
+        let image = warm_loop(2).checkpoint(&[]);
+        let mut other = warm_loop(3);
+        assert_eq!(
+            other.restore(decode_checkpoint(&image).unwrap()).err(),
+            Some(CheckpointError::ShardMismatch {
+                expected: 3,
+                found: 2
+            })
+        );
+        let mut same = warm_loop(2);
+        let (_, carry) = same.restore(decode_checkpoint(&image).unwrap()).unwrap();
+        assert_eq!(carry, StateCarry::Warm);
+    }
 
     #[test]
     fn rung_codes_round_trip_and_retired_code_2_is_malformed() {

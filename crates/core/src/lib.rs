@@ -64,7 +64,6 @@ pub use broker::{
 };
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointError, CommunityAggregates,
-    StreamState,
 };
 pub use dataset::Dataset;
 pub use epoch_loop::EpochLoop;

@@ -102,17 +102,11 @@ impl AllocatorRegistry {
         params: &TxAlloParams,
         schedule: HybridSchedule,
     ) -> Result<Box<dyn StreamingAllocator>, UnknownAllocator> {
-        let (label, solver): (&str, BatchSolver) = match name {
+        let (label, solver) = match name {
             "txallo" => return Ok(Box::new(HybridStream::new(params.clone(), schedule))),
             "scheduler" => return Ok(Box::new(SchedulerStream::new())),
-            "hash" => (
-                "Random",
-                Box::new(|graph, p| HashAllocator::new(p.shards).allocate_graph(graph)),
-            ),
-            "metis" => (
-                "Metis",
-                Box::new(|graph, p| MetisAllocator::new(p.shards).allocate_graph(graph)),
-            ),
+            "hash" => ("Random", BatchSolver::Hash),
+            "metis" => ("Metis", BatchSolver::Metis),
             _ => return Err(self.unknown(name)),
         };
         Ok(Box::new(GlobalStream::new(label, params.clone(), solver)))

@@ -19,7 +19,7 @@
 //!   schedule, the session lifecycle and the diffing). `AlwaysGlobal`
 //!   and `AlwaysAdaptive` are the two ends of the same schedule.
 //! * [`GlobalStream`] — a batch solver re-run at every epoch boundary
-//!   (hash, METIS — anything expressible as graph → labels).
+//!   (hash or METIS, a [`BatchSolver`]).
 //! * [`SchedulerStream`] — the transaction-level Shard Scheduler baseline,
 //!   which is *naturally* streaming (it decides per incoming transaction).
 //!
@@ -77,8 +77,10 @@ use txallo_model::{Block, ShardId};
 
 use crate::allocation::Allocation;
 use crate::atxallo::UpdatePath;
-use crate::checkpoint::{CommunityAggregates, StreamState};
+use crate::checkpoint::CommunityAggregates;
 use crate::gtxallo::GTxAllo;
+use crate::hash_alloc::HashAllocator;
+use crate::metis_alloc::MetisAllocator;
 use crate::params::TxAlloParams;
 use crate::scheduler::SchedulerState;
 use crate::session::AtxAlloSession;
@@ -275,32 +277,29 @@ pub trait StreamingAllocator: std::fmt::Debug {
     /// [`begin`]: StreamingAllocator::begin
     fn allocation(&self) -> Allocation;
 
-    /// Serializes the stream's resumable serving state. Call only at an
-    /// epoch boundary (after [`end_epoch`], before the next epoch's
-    /// blocks). `None` — the default — means the stream does not support
-    /// checkpointing; consumers then persist a labels-only
-    /// [`StreamState`] themselves or cold-start on resume.
-    ///
-    /// [`end_epoch`]: StreamingAllocator::end_epoch
-    fn export_state(&self) -> Option<StreamState> {
+    /// The community aggregates of a warm session, for a boundary
+    /// checkpoint: the one serving state the restored graph and labels
+    /// cannot rebuild bit-for-bit. `None` — the default — for streams that
+    /// hold none.
+    fn export_aggregates(&self) -> Option<CommunityAggregates> {
         None
     }
 
-    /// Restores serving state captured by
-    /// [`export_state`](StreamingAllocator::export_state) (or a
-    /// labels-only fallback), with `graph` the checkpointed graph and
-    /// `params` re-derived for it. Returns the carry the resumed stream
-    /// starts from — [`StateCarry::Warm`] when the aggregates survived
-    /// bit-for-bit, [`StateCarry::Rebuilt`] when only the labels did —
-    /// or `None` (the default) when the stream cannot adopt this state
-    /// and the consumer must cold-[`begin`](StreamingAllocator::begin).
+    /// Adopts checkpointed boundary state: `epoch` closes since warm-up,
+    /// the served `allocation` (one label per node of the restored graph,
+    /// under the stream's shard count) and a warm session's `aggregates`.
+    /// Returns the carry the resumed stream starts from —
+    /// [`StateCarry::Warm`] when the aggregates survived bit-for-bit,
+    /// [`StateCarry::Rebuilt`] when only the labels did — or `None` (the
+    /// default) when the stream cannot adopt this state and the consumer
+    /// must cold-[`begin`](StreamingAllocator::begin).
     fn import_state(
         &mut self,
-        state: &StreamState,
-        graph: &TxGraph,
-        params: &TxAlloParams,
+        epoch: u64,
+        allocation: &Allocation,
+        aggregates: Option<CommunityAggregates>,
     ) -> Option<StateCarry> {
-        let _ = (state, graph, params);
+        let _ = (epoch, allocation, aggregates);
         None
     }
 
@@ -328,77 +327,6 @@ pub trait StreamingAllocator: std::fmt::Debug {
     /// only; the default reports `0` for stateless allocators.
     fn state_bytes(&self) -> usize {
         0
-    }
-}
-
-/// The epoch's touched-node accumulator: a dense stamp array over node
-/// ids plus the list of nodes marked this epoch.
-///
-/// Node ids are dense by construction (the interner), so membership is an
-/// array compare — no hashing at all, which matters because the serving
-/// path used to re-hash every touched id into an `FxHashSet` per block on
-/// top of the interner lookups ingestion already paid. Draining sorts the
-/// list, reproducing exactly the sorted deduplicated set the old hash-set
-/// collection produced.
-#[derive(Debug, Clone, Default)]
-struct EpochTouched {
-    /// `stamp[v] == epoch` ⇔ `v` is marked this epoch.
-    stamp: Vec<u32>,
-    /// Current epoch stamp (0 means "no epoch yet": slots start at 0, so
-    /// the first epoch uses stamp 1).
-    epoch: u32,
-    /// Nodes marked this epoch, insertion order.
-    list: Vec<NodeId>,
-}
-
-impl EpochTouched {
-    /// Marks `v` as touched this epoch (idempotent).
-    fn mark(&mut self, v: NodeId) {
-        let i = v as usize;
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-        }
-        let epoch = self.epoch.max(1);
-        self.epoch = epoch;
-        if self.stamp[i] != epoch {
-            self.stamp[i] = epoch;
-            self.list.push(v);
-        }
-    }
-
-    /// Ends the epoch: returns the marked nodes sorted ascending and
-    /// resets for the next epoch (an `O(1)` stamp bump; the stamp array
-    /// is re-zeroed only on the rare u32 wrap).
-    fn drain_sorted(&mut self) -> Vec<NodeId> {
-        let mut out = std::mem::take(&mut self.list);
-        out.sort_unstable();
-        match self.epoch.checked_add(1) {
-            Some(next) => self.epoch = next,
-            None => {
-                self.stamp.fill(0);
-                self.epoch = 1;
-            }
-        }
-        out
-    }
-
-    /// Forgets all marks without producing the list.
-    fn clear(&mut self) {
-        self.list.clear();
-        match self.epoch.checked_add(1) {
-            Some(next) => self.epoch = next,
-            None => {
-                self.stamp.fill(0);
-                self.epoch = 1;
-            }
-        }
-    }
-
-    /// Approximate resident bytes (capacity-based): the stamp array is
-    /// `O(nodes)`, the list `O(touched)`.
-    fn approx_bytes(&self) -> usize {
-        self.stamp.capacity() * std::mem::size_of::<u32>()
-            + self.list.capacity() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -455,7 +383,9 @@ pub struct HybridStream {
     /// [`begin`](StreamingAllocator::begin) or a successful
     /// [`import_state`](StreamingAllocator::import_state).
     served: Option<Served>,
-    touched: EpochTouched,
+    /// Each block's touched nodes this epoch, appended; sorted and
+    /// deduplicated at the adaptive close.
+    touched: Vec<NodeId>,
     rescaled_this_epoch: bool,
 }
 
@@ -489,7 +419,7 @@ impl HybridStream {
             schedule,
             epoch: 0,
             served: None,
-            touched: EpochTouched::default(),
+            touched: Vec::new(),
             rescaled_this_epoch: false,
         }
     }
@@ -518,7 +448,9 @@ impl HybridStream {
                 StateCarry::Rebuilt,
             ),
         };
-        let touched = self.touched.drain_sorted();
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
         // Only snapshot rows (touched ∪ new) can move, so diffing the
         // touched set is complete — and keeps the boundary `O(|V̂|)`.
         let before: Vec<u32> = touched
@@ -609,9 +541,7 @@ impl StreamingAllocator for HybridStream {
         }
         // The touched ids and every transaction's dense node set come
         // straight from ingestion — no account re-hashing at all.
-        for &v in nodes.touched() {
-            self.touched.mark(v);
-        }
+        self.touched.extend_from_slice(nodes.touched());
         // A warm session folds the block's clique-expansion deltas into
         // its aggregates; an invalidated one rebuilds from the
         // post-ingestion graph at the boundary, where the deltas are
@@ -656,67 +586,45 @@ impl StreamingAllocator for HybridStream {
         }
     }
 
-    fn export_state(&self) -> Option<StreamState> {
-        let served = self.served.as_ref()?;
-        let shards = self.params.shards;
-        let community = match served {
-            Served::Warm(session) => {
-                let state = session.state();
-                Some(CommunityAggregates {
-                    intra: (0..shards as u32).map(|c| state.intra(c)).collect(),
-                    cut: (0..shards as u32).map(|c| state.cut(c)).collect(),
-                    eta: state.eta(),
-                    capacity: state.capacity(),
-                })
-            }
-            Served::Labels(_) => None,
+    fn export_aggregates(&self) -> Option<CommunityAggregates> {
+        let Some(Served::Warm(session)) = &self.served else {
+            return None;
         };
-        Some(StreamState {
-            epoch: self.epoch,
-            shards,
-            labels: served.labels().to_vec(),
-            community,
+        let (state, shards) = (session.state(), self.params.shards as u32);
+        Some(CommunityAggregates {
+            intra: (0..shards).map(|c| state.intra(c)).collect(),
+            cut: (0..shards).map(|c| state.cut(c)).collect(),
+            eta: state.eta(),
+            capacity: state.capacity(),
         })
     }
 
     fn import_state(
         &mut self,
-        state: &StreamState,
-        graph: &TxGraph,
-        params: &TxAlloParams,
+        epoch: u64,
+        allocation: &Allocation,
+        aggregates: Option<CommunityAggregates>,
     ) -> Option<StateCarry> {
-        if state.shards != params.shards || state.labels.len() != graph.node_count() {
-            return None;
-        }
-        self.params = params.clone();
-        self.touched = EpochTouched::default();
+        self.touched.clear();
         // The epoch counter is what phases the schedule's global
         // refreshes; restoring it keeps them on the same absolute epochs
         // as the uninterrupted run.
-        self.epoch = state.epoch;
+        self.epoch = epoch;
         self.rescaled_this_epoch = false;
-        let (served, carry) = match &state.community {
+        let (served, carry) = match aggregates {
             Some(agg) => {
                 // The warm path: adopt the checkpointed accumulations
                 // bit-for-bit; the session resumes exactly where the
                 // uninterrupted one would be.
-                let aggregates = CommunityState::from_raw(
-                    agg.intra.clone(),
-                    agg.cut.clone(),
-                    agg.eta,
-                    agg.capacity,
-                );
-                let session =
-                    AtxAlloSession::from_parts(state.shards, state.labels.clone(), aggregates);
+                let state = CommunityState::from_raw(agg.intra, agg.cut, agg.eta, agg.capacity);
+                let labels = allocation.labels().to_vec();
+                let session = AtxAlloSession::from_parts(allocation.shard_count(), labels, state);
                 (Served::Warm(Box::new(session)), StateCarry::Warm)
             }
             // Labels-only state: serve from the labels and rebuild the
             // aggregates at the next boundary — a degraded but sound
             // resume.
-            None => (
-                Served::Labels(Allocation::new(state.labels.clone(), state.shards)),
-                StateCarry::Rebuilt,
-            ),
+            None => (Served::Labels(allocation.clone()), StateCarry::Rebuilt),
         };
         self.served = Some(served);
         Some(carry)
@@ -743,7 +651,7 @@ impl StreamingAllocator for HybridStream {
             Some(Served::Labels(allocation)) => std::mem::size_of_val(allocation.labels()),
             None => 0,
         };
-        served + self.touched.approx_bytes()
+        served + self.touched.capacity() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -751,8 +659,14 @@ impl StreamingAllocator for HybridStream {
 // GlobalStream
 // ---------------------------------------------------------------------------
 
-/// The batch-solver signature [`GlobalStream`] re-runs each epoch.
-pub type BatchSolver = Box<dyn Fn(&TxGraph, &TxAlloParams) -> Allocation + Send + Sync>;
+/// The batch solver a [`GlobalStream`] re-runs each epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSolver {
+    /// Hash-based random allocation ([`HashAllocator`]).
+    Hash,
+    /// The METIS graph partitioner ([`MetisAllocator`]).
+    Metis,
+}
 
 /// A batch allocator served epoch-wise: re-solve on the whole accumulated
 /// graph at every boundary and emit the diff against the previous labels.
@@ -760,21 +674,13 @@ pub type BatchSolver = Box<dyn Fn(&TxGraph, &TxAlloParams) -> Allocation + Send 
 /// This is how the stateless baselines (hash, METIS) join the
 /// epoch-driven comparison; Fig. 9's "Global Method" curve is
 /// [`HybridStream`] under [`HybridSchedule::AlwaysGlobal`].
+#[derive(Debug)]
 pub struct GlobalStream {
     name: String,
     solver: BatchSolver,
     params: TxAlloParams,
     labels: Vec<u32>,
     began: bool,
-}
-
-impl std::fmt::Debug for GlobalStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GlobalStream")
-            .field("name", &self.name)
-            .field("nodes", &self.labels.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl GlobalStream {
@@ -791,7 +697,11 @@ impl GlobalStream {
     }
 
     fn solve(&mut self, graph: &TxGraph) -> Allocation {
-        let allocation = (self.solver)(graph, &self.params);
+        let shards = self.params.shards;
+        let allocation = match self.solver {
+            BatchSolver::Hash => HashAllocator::new(shards).allocate_graph(graph),
+            BatchSolver::Metis => MetisAllocator::new(shards).allocate_graph(graph),
+        };
         assert_eq!(
             allocation.len(),
             graph.node_count(),
@@ -839,31 +749,15 @@ impl StreamingAllocator for GlobalStream {
         Allocation::new(self.labels.clone(), self.params.shards)
     }
 
-    fn export_state(&self) -> Option<StreamState> {
-        if !self.began {
-            return None;
-        }
-        // A batch stream's only serving state is its published labels —
-        // everything else is re-derived from the graph at each boundary.
-        Some(StreamState {
-            epoch: 0,
-            shards: self.params.shards,
-            labels: self.labels.clone(),
-            community: None,
-        })
-    }
-
     fn import_state(
         &mut self,
-        state: &StreamState,
-        graph: &TxGraph,
-        params: &TxAlloParams,
+        _epoch: u64,
+        allocation: &Allocation,
+        _aggregates: Option<CommunityAggregates>,
     ) -> Option<StateCarry> {
-        if state.shards != params.shards || state.labels.len() != graph.node_count() {
-            return None;
-        }
-        self.params = params.clone();
-        self.labels = state.labels.clone();
+        // A batch stream's only serving state is its published labels —
+        // everything else is re-derived from the graph at each boundary.
+        self.labels = allocation.labels().to_vec();
         self.began = true;
         Some(StateCarry::Stateless)
     }
@@ -1173,11 +1067,7 @@ mod tests {
     fn global_stream_reports_full_diffs() {
         let mut g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 4);
-        let mut stream = GlobalStream::new(
-            "Random",
-            params.clone(),
-            Box::new(|g, p| crate::HashAllocator::new(p.shards).allocate_graph(g)),
-        );
+        let mut stream = GlobalStream::new("Random", params.clone(), BatchSolver::Hash);
         let mut mirror = stream.begin(&g, &params);
         let block = epoch_block(0, &[(500, 0), (501, 502)]);
         feed(&mut g, &mut stream, &block);
@@ -1222,8 +1112,8 @@ mod tests {
         // Run a stream for two epochs, checkpoint at the boundary, restore
         // into a fresh stream, then drive both side by side: every later
         // epoch must produce identical diffs and identical labels — the
-        // warm-resume contract the chain service builds on. Every schedule
-        // exports its epoch count, `AlwaysAdaptive` included.
+        // warm-resume contract the chain service builds on. The imported
+        // epoch count phases every schedule, `AlwaysAdaptive` included.
         for schedule in [
             HybridSchedule::Hybrid { global_gap: 3 },
             HybridSchedule::AlwaysAdaptive,
@@ -1238,14 +1128,13 @@ mod tests {
                 live.end_epoch(&g, EpochKind::Scheduled);
             }
 
-            let state = live.export_state().expect("adaptive streams checkpoint");
-            assert_eq!(state.epoch, 2, "{schedule:?}");
-            assert!(state.community.is_some(), "warm session exports aggregates");
+            let aggregates = live.export_aggregates();
+            assert!(aggregates.is_some(), "warm session exports aggregates");
 
             let mut resumed = HybridStream::new(params.clone(), schedule);
             let carry = resumed
-                .import_state(&state, &g, &params.rescaled_for_graph(&g))
-                .expect("state fits the graph");
+                .import_state(2, &live.allocation(), aggregates)
+                .expect("adaptive streams adopt checkpointed state");
             assert_eq!(carry, StateCarry::Warm);
             let err = resumed.consistency_error(&g).expect("session restored");
             assert!(err < 1e-9, "restored aggregates diverge by {err}");
@@ -1267,7 +1156,6 @@ mod tests {
                     "{schedule:?} epoch {h} labels diverged"
                 );
             }
-            assert_eq!(live.export_state().unwrap().epoch, 6, "{schedule:?}");
         }
     }
 
@@ -1279,16 +1167,16 @@ mod tests {
         stream.begin(&g, &params);
         assert!(stream.invalidate_state(), "warm session was dropped");
         assert!(!stream.invalidate_state(), "second drop is a no-op");
-        let state = stream.export_state().unwrap();
-        assert!(state.community.is_none(), "invalidated ⇒ labels only");
+        assert!(
+            stream.export_aggregates().is_none(),
+            "invalidated ⇒ labels only"
+        );
         assert!(stream.consistency_error(&g).is_none());
 
         let mut resumed = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
-        let carry = resumed
-            .import_state(&state, &g, &params.rescaled_for_graph(&g))
-            .unwrap();
+        let carry = resumed.import_state(0, &stream.allocation(), None).unwrap();
         assert_eq!(carry, StateCarry::Rebuilt);
-        assert_eq!(resumed.allocation().labels(), state.labels.as_slice());
+        assert_eq!(resumed.allocation(), stream.allocation());
         // The next boundary rebuilds the aggregates and reports it.
         let block = epoch_block(0, &[(100, 0)]);
         feed(&mut g, &mut resumed, &block);
@@ -1298,27 +1186,19 @@ mod tests {
 
     #[test]
     fn mismatched_state_is_rejected_not_adopted() {
+        // A wrong shard count or stale labels never reach a stream:
+        // `EpochLoop::restore` and `decode_checkpoint` refuse them. A
+        // stream without checkpoint support says so instead of lying.
         let g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 2);
         let mut stream = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
-        stream.begin(&g, &params);
-        let state = stream.export_state().unwrap();
-
-        // Wrong shard count.
-        let other = TxAlloParams::for_graph(&g, 3);
-        let mut fresh = HybridStream::new(other.clone(), HybridSchedule::AlwaysAdaptive);
-        assert!(fresh.import_state(&state, &g, &other).is_none());
-        // Wrong node count (stale labels for a grown graph).
-        let mut grown = clique_graph();
-        grown.ingest_transaction(&Transaction::transfer(AccountId(500), AccountId(0)));
-        let mut fresh = HybridStream::new(params.clone(), HybridSchedule::AlwaysAdaptive);
-        assert!(fresh
-            .import_state(&state, &grown, &params.rescaled_for_graph(&grown))
-            .is_none());
-        // Streams without checkpoint support say so instead of lying.
-        assert!(SchedulerStream::new().export_state().is_none());
+        let allocation = stream.begin(&g, &params);
         let mut sched = SchedulerStream::new();
-        assert!(sched.import_state(&state, &g, &params).is_none());
+        sched.begin(&g, &params);
+        assert!(sched.export_aggregates().is_none());
+        assert!(sched
+            .import_state(0, &allocation, stream.export_aggregates())
+            .is_none());
         assert!(!sched.invalidate_state());
     }
 
@@ -1333,24 +1213,21 @@ mod tests {
 
     #[test]
     fn global_stream_state_round_trips_labels() {
-        let mut g = clique_graph();
-        let params = TxAlloParams::for_graph(&g, 4);
-        let solver = |g: &TxGraph, p: &TxAlloParams| -> Allocation {
-            crate::HashAllocator::new(p.shards).allocate_graph(g)
-        };
-        let mut stream = GlobalStream::new("Random", params.clone(), Box::new(solver));
-        stream.begin(&g, &params);
-        let block = epoch_block(0, &[(600, 0)]);
-        feed(&mut g, &mut stream, &block);
-        stream.end_epoch(&g, EpochKind::Scheduled);
+        for solver in [BatchSolver::Hash, BatchSolver::Metis] {
+            let mut g = clique_graph();
+            let params = TxAlloParams::for_graph(&g, 4);
+            let mut stream = GlobalStream::new("batch", params.clone(), solver);
+            stream.begin(&g, &params);
+            let block = epoch_block(0, &[(600, 0)]);
+            feed(&mut g, &mut stream, &block);
+            stream.end_epoch(&g, EpochKind::Scheduled);
+            assert!(stream.export_aggregates().is_none(), "{solver:?}");
 
-        let state = stream.export_state().unwrap();
-        let mut resumed = GlobalStream::new("Random", params.clone(), Box::new(solver));
-        let carry = resumed
-            .import_state(&state, &g, &params.rescaled_for_graph(&g))
-            .unwrap();
-        assert_eq!(carry, StateCarry::Stateless);
-        assert_eq!(resumed.allocation(), stream.allocation());
+            let mut resumed = GlobalStream::new("batch", params.clone(), solver);
+            let carry = resumed.import_state(1, &stream.allocation(), None);
+            assert_eq!(carry, Some(StateCarry::Stateless), "{solver:?}");
+            assert_eq!(resumed.allocation(), stream.allocation(), "{solver:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! off the `.rs` files under `crates/` and `src/` (outside [`SKIP_DIRS`]),
 //! skipping comments, string and char literals and `#[cfg(test)]` items:
 //!
-//! - **D2:** no float literal with a decimal exponent of −9 or below,
-//!   except in `crates/louvain/src/lib.rs`, the home of `GAIN_EPS`;
+//! - **D2:** no float literal with a decimal exponent of −9 or below, nor
+//!   a positional one below `1e-8` (`0.000_000_001`), except in
+//!   `crates/louvain/src/lib.rs`, the home of `GAIN_EPS`;
 //! - **narrowing:** no `as u8`, `as u16`, `as u32` or `as NodeId` on an
 //!   identifier whose `_`-separated parts include one of [`ID_PARTS`].
 //!
@@ -134,7 +135,9 @@ fn test_mask(code: &[String]) -> Vec<bool> {
     mask
 }
 
-/// Float literals in `line` with an exponent of −9 or below.
+/// Float literals in `line` with an exponent of −9 or below, or written
+/// positionally with a zero integer part and zeros in the first eight
+/// fraction places.
 fn eps_literals(line: &str) -> usize {
     let b = line.as_bytes();
     let mantissa = |c: u8| c.is_ascii_digit() || c == b'.';
@@ -151,6 +154,14 @@ fn eps_literals(line: &str) -> usize {
             .parse()
             .map_or(!exponent.is_empty(), |e: u64| e >= 9);
         hits += usize::from(small && !head.ends_with(is_ident));
+    }
+    for (i, _) in line.match_indices('.') {
+        let head = line[..i].trim_end_matches(['0', '_']);
+        let rest = line[i + 1..].trim_start_matches(|c: char| c.is_ascii_digit() || c == '_');
+        let fraction = line[i + 1..line.len() - rest.len()].replace('_', "");
+        let zero_int = line[head.len()..i].starts_with('0') && !head.ends_with(is_ident);
+        let first_nonzero = fraction.find(|c| c != '0');
+        hits += usize::from(zero_int && first_nonzero >= Some(8) && !rest.starts_with(['e', 'E']));
     }
     hits
 }
@@ -260,6 +271,9 @@ macro_rules! hit_cases {
 hit_cases! {
     d2_flags_small_literals_only: "let a = 1e-9 + 2.5E-10; let d = 1e-99999999999999999999;
 let b = 1e-3 * 1e6 * 1e-8; let x1e = 3; let c = x1e-9;" => [1, 1, 1];
+    d2_flags_small_positional_literals: r#"const EPS: f64 = 0.000_000_001; let a = 0.000_000_01;
+let s = "0.000_000_001"; let b = 0.000000000_5 + x0.000_000_001 + 10.000_000_001;
+let c = 0.0 + 0.000_000_001e3 + 0..100000000 + pair.0.0;"# => [1, 2];
     narrowing_flags_id_paths_only: "let a = nodes.len() as u32; let b = v.len() as NodeId;
 let c = node_count() as u16 + account_idx as u8 + shard_id as u32;
 let d = i as NodeId; let e = len as NodeIdx; let f = count as u64; let g = valid as u8;"
