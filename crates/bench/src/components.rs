@@ -31,7 +31,7 @@ use txallo_metis::metis_partition;
 use txallo_model::FxHashMap;
 use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
-use crate::harness::{build_dataset, run_allocator, timed, ExperimentScale, ALL_ALLOCATORS};
+use crate::harness::{build_dataset, run_allocator, timed, ExperimentScale, METHODS};
 use crate::seed_ref::{
     gain_sweep_fast, gain_sweep_seed, seed_atxallo_update, seed_csr_from_graph, seed_delta_rows,
     SeedDeltaRows, SeedTxGraph,
@@ -403,9 +403,9 @@ fn allocator_cases(r: &mut Runner) {
         seed: 42,
     });
     for k in [10, 20, 60] {
-        for kind in ALL_ALLOCATORS {
-            r.case(&format!("allocators/{kind}/{k}"), || {
-                run_allocator(kind, &dataset, k, 2.0, None)
+        for (name, legend) in METHODS {
+            r.case(&format!("allocators/{legend}/{k}"), || {
+                run_allocator(name, &dataset, k, 2.0, None)
             });
         }
     }

@@ -14,8 +14,8 @@ use txallo_workload::{StreamingWorkload, WorkloadConfig};
 
 use crate::components;
 use crate::harness::{
-    build_dataset, eta_sweep, k_sweep, run_allocator, timed, AllocatorKind, ExperimentScale,
-    ResultWriter, ALL_ALLOCATORS,
+    build_dataset, eta_sweep, k_sweep, legend_of, run_allocator, timed, ExperimentScale,
+    ResultWriter, METHODS,
 };
 use crate::stream_bench::{run_stream_bench, StreamBenchConfig};
 
@@ -25,8 +25,8 @@ pub struct SweepRow {
     pub k: usize,
     /// Cross-shard workload parameter.
     pub eta: f64,
-    /// Which allocator produced the row.
-    pub allocator: AllocatorKind,
+    /// The figure legend of the method that produced the row.
+    pub allocator: &'static str,
     /// The evaluated metrics.
     pub report: MetricsReport,
     /// Wall-clock time of the allocation.
@@ -51,36 +51,24 @@ pub fn run_sweep(dataset: &Dataset, quick: bool) -> Vec<SweepRow> {
     for &k in &k_sweep(quick) {
         // Random and METIS labels ignore η: allocate once per k, re-score
         // the same labels under each η.
-        let eta_independent: Vec<(AllocatorKind, _, Duration)> =
-            [AllocatorKind::Random, AllocatorKind::Metis]
-                .into_iter()
-                .map(|alloc| {
-                    let (allocation, time) = run_allocator(alloc, dataset, k, 2.0, None);
-                    (alloc, allocation, time)
-                })
-                .collect();
+        let eta_independent =
+            ["hash", "metis"].map(|name| (name, run_allocator(name, dataset, k, 2.0, None)));
         for &eta in &eta_sweep(quick) {
             let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
-            for &alloc in &ALL_ALLOCATORS {
-                let (allocation, time) = match alloc {
-                    AllocatorKind::Random | AllocatorKind::Metis => {
-                        let (_, allocation, time) = eta_independent
-                            .iter()
-                            .find(|(a, _, _)| *a == alloc)
-                            .expect("precomputed above");
-                        (allocation.clone(), *time)
-                    }
-                    AllocatorKind::TxAllo => {
-                        let (allocation, time) = run_allocator(alloc, dataset, k, eta, Some(&plan));
+            for (name, legend) in METHODS {
+                let (allocation, time) = match eta_independent.iter().find(|(n, _)| *n == name) {
+                    Some((_, (allocation, time))) => (allocation.clone(), *time),
+                    None if name == "txallo" => {
+                        let (allocation, time) = run_allocator(name, dataset, k, eta, Some(&plan));
                         (allocation, time + init_time)
                     }
-                    AllocatorKind::Scheduler => run_allocator(alloc, dataset, k, eta, None),
+                    None => run_allocator(name, dataset, k, eta, None),
                 };
                 let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
                 rows.push(SweepRow {
                     k,
                     eta,
-                    allocator: alloc,
+                    allocator: legend,
                     report,
                     time,
                 });
@@ -156,8 +144,8 @@ pub fn fig4(scale: ExperimentScale) {
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
     w.note("# Fig.4: normalized per-shard workload (sigma_i / lambda), eta=2, k=20");
     w.note("# columns: allocator,shard,normalized_workload");
-    for &alloc in &ALL_ALLOCATORS {
-        let (allocation, _) = run_allocator(alloc, &dataset, k, eta, None);
+    for (name, legend) in METHODS {
+        let (allocation, _) = run_allocator(name, &dataset, k, eta, None);
         let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
         let mut loads = report.shard_loads.clone();
         #[expect(
@@ -166,7 +154,7 @@ pub fn fig4(scale: ExperimentScale) {
         )]
         loads.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
         for (shard, load) in loads.iter().enumerate() {
-            w.row(&format!("{alloc},{shard},{load:.4}"));
+            w.row(&format!("{legend},{shard},{load:.4}"));
         }
     }
 }
@@ -315,10 +303,10 @@ pub fn runtime_table(scale: ExperimentScale) {
     let eta = 2.0;
     let ks = [20usize, 40, 60];
     w.note("# columns: allocator,k,seconds (end-to-end, no cached init)");
-    for &alloc in &ALL_ALLOCATORS {
+    for (name, legend) in METHODS {
         for &k in &ks {
-            let (_, time) = run_allocator(alloc, &dataset, k, eta, None);
-            w.row(&format!("{alloc},{k},{:.4}", time.as_secs_f64()));
+            let (_, time) = run_allocator(name, &dataset, k, eta, None);
+            w.row(&format!("{legend},{k},{:.4}", time.as_secs_f64()));
         }
     }
     // G-TxAllo initialization share (paper: 67.6 s of 122.3 s): the plan
@@ -343,17 +331,13 @@ pub fn headline(scale: ExperimentScale) {
     let (k, eta) = (60usize, 2.0);
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
     w.note("# headline: gamma at k=60, eta=2 (paper: Random 98%, METIS 28%, TxAllo 12%)");
-    for alloc in [
-        AllocatorKind::Random,
-        AllocatorKind::Metis,
-        AllocatorKind::TxAllo,
-    ] {
-        let (allocation, _) = run_allocator(alloc, &dataset, k, eta, None);
+    for name in ["hash", "metis", "txallo"] {
+        let (allocation, _) = run_allocator(name, &dataset, k, eta, None);
         let r = MetricsReport::compute(dataset.graph(), &allocation, &params);
-        w.row(&format!("{alloc},{:.4}", r.cross_shard_ratio));
+        w.row(&format!("{},{:.4}", legend_of(name), r.cross_shard_ratio));
     }
     // Also report G-TxAllo's detailed counters at this setting (via the
-    // reusable plan — the counters are not part of the `Allocator` trait).
+    // reusable plan — a batch allocation returns only the labels).
     let plan = GTxAlloPlan::new(dataset.graph(), &params.louvain);
     let outcome = GTxAllo::new(params.clone()).allocate_planned(&plan);
     w.note(&format!(
@@ -391,8 +375,7 @@ pub fn ablation(scale: ExperimentScale) {
     }
 
     w.note("# ablation B: candidate communities C_v (Eq. 9) vs full k-scan");
-    let (restricted, restricted_time) =
-        run_allocator(AllocatorKind::TxAllo, &dataset, k, eta, None);
+    let (restricted, restricted_time) = run_allocator("txallo", &dataset, k, eta, None);
     let restricted_secs = restricted_time.as_secs_f64();
     let (full, full_time) = timed(|| gtxallo_full_scan(&params, dataset.graph()));
     let full_secs = full_time.as_secs_f64();
@@ -443,8 +426,8 @@ pub fn latency_validation(scale: ExperimentScale) {
     let dataset = txallo_core::Dataset::from_parts(ledger, graph.clone());
 
     w.note("# columns: allocator,headroom,measured_mean,measured_p99,unconfirmed");
-    for &alloc_kind in &ALL_ALLOCATORS {
-        let (allocation, _) = run_allocator(alloc_kind, &dataset, k, eta, None);
+    for (name, legend) in METHODS {
+        let (allocation, _) = run_allocator(name, &dataset, k, eta, None);
         for headroom in [1.5f64, 2.0, 3.0, 4.0] {
             let capacity = headroom * 100.0 / k as f64;
             let mut sim = ShardQueueSim::new(k, capacity, eta);
@@ -454,7 +437,7 @@ pub fn latency_validation(scale: ExperimentScale) {
             sim.drain(5_000);
             let stats = sim.stats();
             w.row(&format!(
-                "{alloc_kind},{headroom},{:.3},{:.3},{}",
+                "{legend},{headroom},{:.3},{:.3},{}",
                 stats.mean_latency, stats.p99_latency, stats.unconfirmed
             ));
         }
@@ -475,15 +458,15 @@ pub fn measure_eta(scale: ExperimentScale) {
     });
     let k = 8;
     w.note("# columns: allocator,intra_msgs_per_shard_tx,cross_msgs_per_shard_tx,measured_eta,cross_committed,aborted");
-    for &alloc_kind in &ALL_ALLOCATORS {
-        let (allocation, _) = run_allocator(alloc_kind, &dataset, k, 2.0, None);
+    for (name, legend) in METHODS {
+        let (allocation, _) = run_allocator(name, &dataset, k, 2.0, None);
         let mut engine = ChainEngine::new(ChainEngineConfig::new(k));
         for block in dataset.ledger().blocks() {
             engine.process_block(block, dataset.graph(), &allocation);
         }
         let r = engine.report();
         w.row(&format!(
-            "{alloc_kind},{:.1},{:.1},{:.3},{},{}",
+            "{legend},{:.1},{:.1},{:.3},{},{}",
             r.intra_cost_per_shard,
             r.cross_cost_per_shard,
             r.measured_eta(),
@@ -505,7 +488,7 @@ pub fn broker(scale: ExperimentScale) {
     let (k, eta) = (20usize, 2.0);
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
 
-    let (plain_alloc, _) = run_allocator(AllocatorKind::TxAllo, &dataset, k, eta, None);
+    let (plain_alloc, _) = run_allocator("txallo", &dataset, k, eta, None);
     let plain = MetricsReport::compute(dataset.graph(), &plain_alloc, &params);
     let (_, brokered) = allocate_with_brokers(dataset.graph(), &params, &BrokerConfig::default());
 

@@ -1,6 +1,5 @@
 //! Dataset construction, allocator dispatch and result recording.
 
-use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -43,72 +42,45 @@ pub fn build_dataset(scale: ExperimentScale) -> Dataset {
     Dataset::from_ledger(StreamingWorkload::new(config, scale.seed).ledger(blocks))
 }
 
-/// The four methods of the paper's comparison (legend of Figs. 2–8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocatorKind {
-    /// G-TxAllo ("Our Method").
-    TxAllo,
-    /// Hash-based random allocation.
-    Random,
-    /// METIS-style graph partitioning.
-    Metis,
-    /// Shard Scheduler (transaction-level).
-    Scheduler,
-}
-
-/// All four, in the paper's legend order.
-pub const ALL_ALLOCATORS: [AllocatorKind; 4] = [
-    AllocatorKind::TxAllo,
-    AllocatorKind::Random,
-    AllocatorKind::Metis,
-    AllocatorKind::Scheduler,
+/// The four methods of the paper's comparison, as (registry name, figure
+/// legend), in the legend order of Figs. 2–8.
+pub const METHODS: [(&str, &str); 4] = [
+    ("txallo", "Our Method"),
+    ("hash", "Random"),
+    ("metis", "Metis"),
+    ("scheduler", "Shard Scheduler"),
 ];
 
-impl fmt::Display for AllocatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            AllocatorKind::TxAllo => "Our Method",
-            AllocatorKind::Random => "Random",
-            AllocatorKind::Metis => "Metis",
-            AllocatorKind::Scheduler => "Shard Scheduler",
-        };
-        f.write_str(name)
-    }
+/// The figure legend of the registry name `name`.
+///
+/// # Panics
+/// Panics if `name` is not in [`METHODS`].
+pub fn legend_of(name: &str) -> &'static str {
+    METHODS
+        .iter()
+        .find(|&&(method, _)| method == name)
+        .map(|&(_, legend)| legend)
+        .expect("a method of the comparison")
 }
 
-impl AllocatorKind {
-    /// The [`AllocatorRegistry`] name this figure-legend kind resolves to.
-    pub fn registry_name(self) -> &'static str {
-        match self {
-            AllocatorKind::TxAllo => "txallo",
-            AllocatorKind::Random => "hash",
-            AllocatorKind::Metis => "metis",
-            AllocatorKind::Scheduler => "scheduler",
-        }
-    }
-}
-
-/// Runs one allocator through the shared [`AllocatorRegistry`], timing the
-/// full allocation (for G-TxAllo a cached [`GTxAlloPlan`] — canonical
+/// Runs the method `name` through the shared [`AllocatorRegistry`], timing
+/// the full allocation (for `txallo` a cached [`GTxAlloPlan`] — canonical
 /// order + CSR snapshot + Louvain init — may be supplied; the plan is
 /// independent of both `k` and `η`, so sweeps reuse it; pass `None` to
 /// time end-to-end).
 pub fn run_allocator(
-    kind: AllocatorKind,
+    name: &str,
     dataset: &Dataset,
     k: usize,
     eta: f64,
     cached_plan: Option<&GTxAlloPlan>,
 ) -> (Allocation, Duration) {
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
-    timed(|| match (kind, cached_plan) {
-        (AllocatorKind::TxAllo, Some(plan)) => {
-            GTxAllo::new(params).allocate_planned(plan).allocation
-        }
+    timed(|| match cached_plan {
+        Some(plan) if name == "txallo" => GTxAllo::new(params).allocate_planned(plan).allocation,
         _ => AllocatorRegistry::builtin()
-            .batch(kind.registry_name(), &params)
-            .expect("builtin kinds are registered")
-            .allocate(dataset),
+            .allocate(name, &params, dataset)
+            .expect("a registered method"),
     })
 }
 
@@ -214,8 +186,8 @@ mod tests {
             factor: 0.01,
             seed: 3,
         });
-        for kind in ALL_ALLOCATORS {
-            let (alloc, time) = run_allocator(kind, &dataset, 4, 2.0, None);
+        for (name, _) in METHODS {
+            let (alloc, time) = run_allocator(name, &dataset, 4, 2.0, None);
             assert_eq!(alloc.len(), {
                 use txallo_graph::WeightedGraph;
                 dataset.graph().node_count()
@@ -231,16 +203,23 @@ mod tests {
             seed: 5,
         });
         let plan = GTxAlloPlan::new(dataset.graph(), &txallo_louvain::LouvainConfig);
-        let (a, _) = run_allocator(AllocatorKind::TxAllo, &dataset, 5, 2.0, Some(&plan));
-        let (b, _) = run_allocator(AllocatorKind::TxAllo, &dataset, 5, 2.0, None);
+        let (a, _) = run_allocator("txallo", &dataset, 5, 2.0, Some(&plan));
+        let (b, _) = run_allocator("txallo", &dataset, 5, 2.0, None);
         assert_eq!(a, b, "cached plan must not change the result");
     }
 
     #[test]
     fn allocator_names_match_paper_legend() {
-        assert_eq!(AllocatorKind::TxAllo.to_string(), "Our Method");
-        assert_eq!(AllocatorKind::Random.to_string(), "Random");
-        assert_eq!(AllocatorKind::Metis.to_string(), "Metis");
-        assert_eq!(AllocatorKind::Scheduler.to_string(), "Shard Scheduler");
+        assert_eq!(legend_of("txallo"), "Our Method");
+        assert_eq!(legend_of("hash"), "Random");
+        assert_eq!(legend_of("metis"), "Metis");
+        assert_eq!(legend_of("scheduler"), "Shard Scheduler");
+        let mut names = METHODS.map(|(name, _)| name);
+        names.sort();
+        assert_eq!(
+            names,
+            AllocatorRegistry::builtin().names(),
+            "every registered method has exactly one legend"
+        );
     }
 }

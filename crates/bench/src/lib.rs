@@ -21,7 +21,7 @@ pub mod seed_ref;
 pub mod stream_bench;
 
 pub use harness::{
-    build_dataset, eta_sweep, k_sweep, run_allocator, AllocatorKind, ExperimentScale, ResultWriter,
-    ALL_ALLOCATORS,
+    build_dataset, eta_sweep, k_sweep, legend_of, run_allocator, ExperimentScale, ResultWriter,
+    METHODS,
 };
 pub use stream_bench::{run_stream_bench, StreamBenchConfig, StreamBenchReport};

@@ -85,7 +85,7 @@ pub struct StreamBenchReport {
     pub peak_graph_bytes: usize,
     /// The footprint at the end of the run.
     pub final_footprint: MemoryFootprint,
-    /// Allocator serving-state bytes at the end of the run.
+    /// The allocator's serving-state bytes at the end of the run.
     pub final_allocator_bytes: usize,
     /// Mean normalized throughput over the served epochs.
     pub avg_throughput: f64,

@@ -110,11 +110,11 @@ pub struct ChainEngine {
     /// The fault regime every round runs under; [`FaultPlan::none`] is
     /// the fault-free run (same code, zero draws).
     fault: FaultInjector,
-    // Work accumulators for the η measurement.
-    intra_shard_tx_units: f64,
-    intra_messages: f64,
-    cross_shard_tx_units: f64,
-    cross_messages: f64,
+    // Work counts for the η measurement.
+    intra_shard_tx_units: u64,
+    intra_messages: u64,
+    cross_shard_tx_units: u64,
+    cross_messages: u64,
 }
 
 impl ChainEngine {
@@ -138,10 +138,10 @@ impl ChainEngine {
             instances,
             report: EngineReport::default(),
             fault: FaultInjector::new(FaultPlan::none()),
-            intra_shard_tx_units: 0.0,
-            intra_messages: 0.0,
-            cross_shard_tx_units: 0.0,
-            cross_messages: 0.0,
+            intra_shard_tx_units: 0,
+            intra_messages: 0,
+            cross_shard_tx_units: 0,
+            cross_messages: 0,
         })
     }
 
@@ -249,8 +249,8 @@ impl ChainEngine {
                 }
                 // Each tx in the round is charged its share of one shard's
                 // round cost.
-                self.intra_shard_tx_units += in_round as f64;
-                self.intra_messages += out.messages as f64;
+                self.intra_shard_tx_units += in_round;
+                self.intra_messages += out.messages;
             }
         }
 
@@ -266,8 +266,8 @@ impl ChainEngine {
                     self.report.aborted += in_run;
                 }
                 // A cross tx occupies µ shards; charge per shard-tx unit.
-                self.cross_shard_tx_units += (in_run * shards.len() as u64) as f64;
-                self.cross_messages += out.messages as f64;
+                self.cross_shard_tx_units += in_run * shards.len() as u64;
+                self.cross_messages += out.messages;
             }
         }
 
@@ -314,10 +314,9 @@ impl ChainEngine {
     }
 
     /// Serializes the engine's resumable state: report counters, the η
-    /// accumulators (raw bits — they are chronological float sums), the
-    /// reshuffle epoch, per-shard view cursors, and the fault injector's
-    /// plan + decision counter (marker byte 0 alone stands for
-    /// [`FaultPlan::none`], which never draws).
+    /// work counts, the reshuffle epoch, per-shard view cursors, and the
+    /// fault injector's plan + decision counter (marker byte 0 alone
+    /// stands for [`FaultPlan::none`], which never draws).
     pub fn export_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         let r = &self.report;
@@ -333,16 +332,12 @@ impl ChainEngine {
             r.retries,
             r.migrations_aborted,
             r.crash_outages,
-        ] {
-            e.u64(v);
-        }
-        for v in [
             self.intra_shard_tx_units,
             self.intra_messages,
             self.cross_shard_tx_units,
             self.cross_messages,
         ] {
-            e.f64(v);
+            e.u64(v);
         }
         e.u64(self.validators.epoch());
         e.u64(self.instances.len() as u64);
@@ -386,10 +381,10 @@ impl ChainEngine {
             intra_cost_per_shard: 0.0,
             cross_cost_per_shard: 0.0,
         };
-        let intra_shard_tx_units = d.f64()?;
-        let intra_messages = d.f64()?;
-        let cross_shard_tx_units = d.f64()?;
-        let cross_messages = d.f64()?;
+        let intra_shard_tx_units = d.u64()?;
+        let intra_messages = d.u64()?;
+        let cross_shard_tx_units = d.u64()?;
+        let cross_messages = d.u64()?;
         let epoch = d.u64()?;
         let instances = d.u64()? as usize;
         if instances != self.config.shards {
@@ -434,16 +429,15 @@ impl ChainEngine {
     /// Finalizes and returns the report.
     pub fn report(&self) -> EngineReport {
         let mut r = self.report.clone();
-        r.intra_cost_per_shard = if self.intra_shard_tx_units > 0.0 {
-            self.intra_messages / self.intra_shard_tx_units
-        } else {
-            0.0
+        let per_unit = |messages: u64, units: u64| {
+            if units > 0 {
+                messages as f64 / units as f64
+            } else {
+                0.0
+            }
         };
-        r.cross_cost_per_shard = if self.cross_shard_tx_units > 0.0 {
-            self.cross_messages / self.cross_shard_tx_units
-        } else {
-            0.0
-        };
+        r.intra_cost_per_shard = per_unit(self.intra_messages, self.intra_shard_tx_units);
+        r.cross_cost_per_shard = per_unit(self.cross_messages, self.cross_shard_tx_units);
         r
     }
 }
@@ -790,9 +784,8 @@ mod tests {
         let k = 4;
         let params = TxAlloParams::for_graph(dataset.graph(), k);
         let alloc = AllocatorRegistry::builtin()
-            .batch("txallo", &params)
-            .unwrap()
-            .allocate(&dataset);
+            .allocate("txallo", &params, &dataset)
+            .unwrap();
         let g = dataset.graph();
         let mut e = engine(k);
         for block in dataset.ledger().blocks() {

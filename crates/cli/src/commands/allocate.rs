@@ -23,22 +23,21 @@ pub fn run(args: &ArgMap) -> Result<(), String> {
     let method = args.get("method").unwrap_or("txallo");
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
 
-    // Name → algorithm resolution goes through the shared registry; an
-    // unknown method reports whatever is actually registered.
-    let registry = AllocatorRegistry::builtin();
-    let mut allocator = registry.batch(method, &params).map_err(|e| e.to_string())?;
-
     #[expect(
         clippy::disallowed_methods,
         clippy::disallowed_types,
         reason = "reports the allocation's wall time to the user; the allocation never reads the clock"
     )]
     let start = std::time::Instant::now();
-    let allocation = allocator.allocate(&dataset);
+    // Name → algorithm resolution goes through the shared registry; an
+    // unknown method reports whatever is actually registered.
+    let allocation = AllocatorRegistry::builtin()
+        .allocate(method, &params, &dataset)
+        .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
 
-    eprintln!("method            : {}", allocator.name());
+    eprintln!("method            : {method}");
     eprintln!("allocation time   : {elapsed:.2?}");
     eprintln!(
         "cross-shard ratio : {:.2}%",

@@ -124,7 +124,7 @@ fn allocate_all_methods_work() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    for method in ["txallo", "hash", "metis", "scheduler"] {
+    for method in txallo_core::AllocatorRegistry::builtin().names() {
         let out = txallo_bin()
             .args([
                 "allocate",

@@ -32,7 +32,7 @@
 //! before it verifies the checksum, so an image of another format version
 //! is refused by name ([`CheckpointError::UnsupportedVersion`]).
 
-use txallo_graph::{fit_u32, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, TxGraph, WeightedGraph};
 use txallo_model::AccountId;
 
 use crate::allocation::Allocation;
@@ -314,17 +314,17 @@ fn encode_graph(e: &mut Encoder, graph: &TxGraph) {
     for &acct in graph.interner().accounts() {
         e.u64(acct.0);
     }
-    for v in 0..n as NodeId {
+    for v in 0..fit_u32(n) {
         e.f64(graph.self_loop(v));
     }
-    for v in 0..n as NodeId {
+    for v in 0..fit_u32(n) {
         e.f64(graph.incident_weight(v));
     }
     e.f64(graph.total_weight());
     e.u64(graph.edge_count() as u64);
     e.u64(graph.transaction_count() as u64);
     let (mut ids, mut ws) = (Vec::new(), Vec::new());
-    for v in 0..n as NodeId {
+    for v in 0..fit_u32(n) {
         ids.clear();
         ws.clear();
         graph.copy_row_into(v, &mut ids, &mut ws);
@@ -534,6 +534,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txallo_graph::NodeId;
     use txallo_model::Transaction;
 
     fn sample_graph() -> TxGraph {

@@ -3,8 +3,8 @@
 use txallo_graph::TxGraph;
 use txallo_model::Ledger;
 
-/// The input of every [`crate::Allocator`]: the historical ledger and the
-/// transaction graph built from it.
+/// The input of a batch allocation ([`crate::AllocatorRegistry::allocate`]):
+/// the historical ledger and the transaction graph built from it.
 ///
 /// Graph-based allocators (TxAllo, METIS, hash) read the graph; the
 /// transaction-level [`crate::ShardScheduler`] replays the ledger. Keeping

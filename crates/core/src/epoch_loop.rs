@@ -300,11 +300,7 @@ impl EpochLoop {
 
 /// The recovery ladder's last rung.
 fn hash_fallback(params: TxAlloParams) -> Box<dyn StreamingAllocator> {
-    Box::new(GlobalStream::new(
-        "hash-fallback",
-        params,
-        BatchSolver::Hash,
-    ))
+    Box::new(GlobalStream::new(params, BatchSolver::Hash))
 }
 
 /// Runs `f` and measures its wall-clock time.

@@ -4,11 +4,9 @@ use txallo_graph::{fit_u32, CsrGraph, NodeId, TxGraph, WeightedGraph};
 use txallo_louvain::{louvain_csr, LouvainConfig, LouvainResult};
 
 use crate::allocation::Allocation;
-use crate::dataset::Dataset;
 use crate::params::TxAlloParams;
 use crate::state::{CommunityState, UNASSIGNED};
 use crate::sweep::{txallo_sweep, SweepScratch};
-use crate::Allocator;
 
 /// The global TxAllo algorithm: Louvain initialization, truncation to the
 /// `k` heaviest communities, then deterministic throughput-gain sweeps.
@@ -253,16 +251,6 @@ impl GTxAlloPlan {
     /// The renumbered CSR snapshot.
     pub fn csr(&self) -> &CsrGraph {
         &self.csr
-    }
-}
-
-impl Allocator for GTxAllo {
-    fn name(&self) -> &str {
-        "G-TxAllo"
-    }
-
-    fn allocate(&mut self, dataset: &Dataset) -> Allocation {
-        self.allocate_graph(dataset.graph())
     }
 }
 

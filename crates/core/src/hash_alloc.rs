@@ -5,8 +5,6 @@
 //! entirely, which is why ~`1 − 1/k` of transactions end up cross-shard.
 
 use crate::allocation::Allocation;
-use crate::dataset::Dataset;
-use crate::Allocator;
 use txallo_graph::{fit_u32, TxGraph, WeightedGraph};
 
 /// Hash-based account allocator.
@@ -28,16 +26,6 @@ impl HashAllocator {
             .map(|v| graph.account(v).hash_shard(self.shards).0)
             .collect();
         Allocation::new(labels, self.shards)
-    }
-}
-
-impl Allocator for HashAllocator {
-    fn name(&self) -> &str {
-        "Random"
-    }
-
-    fn allocate(&mut self, dataset: &Dataset) -> Allocation {
-        self.allocate_graph(dataset.graph())
     }
 }
 

@@ -16,8 +16,8 @@
 //!
 //! The allocation API is two-level:
 //!
-//! * **batch** (§V-B): every algorithm implements [`Allocator`] over a
-//!   [`Dataset`] (ledger + transaction graph), for one-shot allocation;
+//! * **batch** (§V-B): [`AllocatorRegistry::allocate`] maps a [`Dataset`]
+//!   (ledger + transaction graph) to an [`Allocation`] in one shot;
 //! * **streaming** (§V-C): [`StreamingAllocator`] serves an epoch-driven
 //!   chain — `begin` on the warm-up history, `on_block_nodes` per
 //!   committed block, `end_epoch` returning the [`AllocationUpdate`]
@@ -25,7 +25,8 @@
 //!   [`EpochLoop`] every consumer drives.
 //!
 //! Consumers resolve either entry point by name through the
-//! [`AllocatorRegistry`] instead of constructing algorithms directly.
+//! [`AllocatorRegistry`], whose table calls each algorithm's own entry
+//! point.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub, missing_docs)]
@@ -84,14 +85,3 @@ pub use streaming::{
 // TxAllo sweeps (see its docs in `txallo_louvain` for the determinism
 // contract).
 pub use txallo_louvain::GAIN_EPS;
-
-/// A transaction-allocation algorithm: maps a dataset to an account-shard
-/// assignment (Definition 1 of the paper).
-pub trait Allocator {
-    /// Human-readable name used in experiment output (matches the legend
-    /// labels of the paper's figures).
-    fn name(&self) -> &str;
-
-    /// Computes the account-shard mapping for `dataset`.
-    fn allocate(&mut self, dataset: &Dataset) -> Allocation;
-}

@@ -8,8 +8,6 @@
 use txallo_metis::metis_partition;
 
 use crate::allocation::Allocation;
-use crate::dataset::Dataset;
-use crate::Allocator;
 use txallo_graph::TxGraph;
 
 /// METIS-style allocator.
@@ -28,16 +26,6 @@ impl MetisAllocator {
     /// Partitions the accounts of `graph`.
     pub fn allocate_graph(&self, graph: &TxGraph) -> Allocation {
         Allocation::new(metis_partition(graph, self.shards).parts, self.shards)
-    }
-}
-
-impl Allocator for MetisAllocator {
-    fn name(&self) -> &str {
-        "Metis"
-    }
-
-    fn allocate(&mut self, dataset: &Dataset) -> Allocation {
-        self.allocate_graph(dataset.graph())
     }
 }
 

@@ -1,21 +1,23 @@
-//! Name-based construction of allocators — the single wiring point for
+//! Name-based resolution of allocators — the single wiring point for
 //! every consumer (CLI, bench harness, simulator, chain engine, examples).
 //!
 //! Each name resolves to *both* entry points of the two-level allocation
-//! API: a batch [`Allocator`] (the one-shot §V-B call) and a
-//! [`StreamingAllocator`] (the epoch-driven §V-C service). Consumers stop
-//! hand-maintaining `match method { "txallo" | "hash" | ... }` lists: they
-//! look names up here, and unknown-name errors enumerate what the table
-//! holds.
+//! API: a one-shot batch allocation ([`AllocatorRegistry::allocate`], the
+//! §V-B call) and a [`StreamingAllocator`] (the epoch-driven §V-C
+//! service). Consumers stop hand-maintaining `match method { "txallo" |
+//! "hash" | ... }` lists: they look names up here, and unknown-name errors
+//! enumerate what the table holds.
 
 use std::fmt;
 
+use crate::allocation::Allocation;
+use crate::dataset::Dataset;
 use crate::params::TxAlloParams;
 use crate::scheduler::ShardScheduler;
 use crate::streaming::{
     BatchSolver, GlobalStream, HybridSchedule, HybridStream, SchedulerStream, StreamingAllocator,
 };
-use crate::{Allocator, GTxAllo, HashAllocator, MetisAllocator};
+use crate::{GTxAllo, HashAllocator, MetisAllocator};
 
 /// Every name the table holds, sorted.
 const NAMES: [&str; 4] = ["hash", "metis", "scheduler", "txallo"];
@@ -27,8 +29,6 @@ const NAMES: [&str; 4] = ["hash", "metis", "scheduler", "txallo"];
 pub struct UnknownAllocator {
     /// The name that failed to resolve.
     pub requested: String,
-    /// Every known name, sorted.
-    pub registered: Vec<String>,
 }
 
 impl fmt::Display for UnknownAllocator {
@@ -37,7 +37,7 @@ impl fmt::Display for UnknownAllocator {
             f,
             "unknown method {:?} (registered: {})",
             self.requested,
-            self.registered.join("|")
+            NAMES.join("|")
         )
     }
 }
@@ -47,12 +47,12 @@ impl std::error::Error for UnknownAllocator {}
 /// The closed name → allocator table (see the [module docs](self)): the
 /// methods of the paper's comparison (legend of Figs. 2–8).
 ///
-/// | name        | batch              | streaming                       |
-/// |-------------|--------------------|---------------------------------|
-/// | `txallo`    | [`GTxAllo`]        | [`HybridStream`] (per schedule) |
-/// | `hash`      | [`HashAllocator`]  | [`GlobalStream`] re-hash        |
-/// | `metis`     | [`MetisAllocator`] | [`GlobalStream`] re-partition   |
-/// | `scheduler` | [`ShardScheduler`] | [`SchedulerStream`] (tx-level)  |
+/// | name        | batch                                | streaming                       |
+/// |-------------|--------------------------------------|---------------------------------|
+/// | `txallo`    | [`GTxAllo::allocate_graph`]          | [`HybridStream`] (per schedule) |
+/// | `hash`      | [`HashAllocator::allocate_graph`]    | [`GlobalStream`] re-hash        |
+/// | `metis`     | [`MetisAllocator::allocate_graph`]   | [`GlobalStream`] re-partition   |
+/// | `scheduler` | [`ShardScheduler::allocate_dataset`] | [`SchedulerStream`] (tx-level)  |
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllocatorRegistry;
 
@@ -63,8 +63,8 @@ impl AllocatorRegistry {
     }
 
     /// Every name, sorted.
-    pub fn names(&self) -> Vec<String> {
-        NAMES.iter().map(|name| name.to_string()).collect()
+    pub fn names(&self) -> &'static [&'static str] {
+        &NAMES
     }
 
     /// Whether `name` is in the table.
@@ -75,21 +75,23 @@ impl AllocatorRegistry {
     fn unknown(&self, name: &str) -> UnknownAllocator {
         UnknownAllocator {
             requested: name.to_string(),
-            registered: self.names(),
         }
     }
 
-    /// Builds the batch entry point for `name`.
-    pub fn batch(
+    /// Allocates every account of `dataset` with the method `name`: the
+    /// one-shot batch entry point.
+    pub fn allocate(
         &self,
         name: &str,
         params: &TxAlloParams,
-    ) -> Result<Box<dyn Allocator>, UnknownAllocator> {
+        dataset: &Dataset,
+    ) -> Result<Allocation, UnknownAllocator> {
+        let graph = dataset.graph();
         Ok(match name {
-            "txallo" => Box::new(GTxAllo::new(params.clone())),
-            "hash" => Box::new(HashAllocator::new(params.shards)),
-            "metis" => Box::new(MetisAllocator::new(params.shards)),
-            "scheduler" => Box::new(ShardScheduler::new(params)),
+            "txallo" => GTxAllo::new(params.clone()).allocate_graph(graph),
+            "hash" => HashAllocator::new(params.shards).allocate_graph(graph),
+            "metis" => MetisAllocator::new(params.shards).allocate_graph(graph),
+            "scheduler" => ShardScheduler::new(params).allocate_dataset(dataset),
             _ => return Err(self.unknown(name)),
         })
     }
@@ -102,21 +104,20 @@ impl AllocatorRegistry {
         params: &TxAlloParams,
         schedule: HybridSchedule,
     ) -> Result<Box<dyn StreamingAllocator>, UnknownAllocator> {
-        let (label, solver) = match name {
+        let solver = match name {
             "txallo" => return Ok(Box::new(HybridStream::new(params.clone(), schedule))),
             "scheduler" => return Ok(Box::new(SchedulerStream::new())),
-            "hash" => ("Random", BatchSolver::Hash),
-            "metis" => ("Metis", BatchSolver::Metis),
+            "hash" => BatchSolver::Hash,
+            "metis" => BatchSolver::Metis,
             _ => return Err(self.unknown(name)),
         };
-        Ok(Box::new(GlobalStream::new(label, params.clone(), solver)))
+        Ok(Box::new(GlobalStream::new(params.clone(), solver)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dataset;
     use txallo_model::{AccountId, Block, Ledger, Transaction};
 
     fn tiny_dataset() -> Dataset {
@@ -129,10 +130,7 @@ mod tests {
     #[test]
     fn builtin_has_the_papers_methods() {
         let registry = AllocatorRegistry::builtin();
-        assert_eq!(
-            registry.names(),
-            vec!["hash", "metis", "scheduler", "txallo"]
-        );
+        assert_eq!(registry.names(), ["hash", "metis", "scheduler", "txallo"]);
         assert!(registry.contains("txallo"));
         assert!(!registry.contains("nope"));
     }
@@ -141,47 +139,36 @@ mod tests {
     fn unknown_name_error_lists_registrations() {
         let registry = AllocatorRegistry::builtin();
         let params = TxAlloParams::for_total_weight(10.0, 2);
-        let err = match registry.batch("nope", &params) {
-            Err(err) => err,
-            Ok(_) => panic!("lookup must fail"),
-        };
-        let message = err.to_string();
-        assert!(message.contains("unknown method"), "{message}");
-        assert!(
-            message.contains("hash|metis|scheduler|txallo"),
-            "error must enumerate dynamically: {message}"
+        let err = registry
+            .allocate("nope", &params, &tiny_dataset())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"unknown method "nope" (registered: hash|metis|scheduler|txallo)"#,
+            "the error must enumerate the table"
         );
     }
 
     #[test]
     fn batch_builders_match_direct_construction() {
         let dataset = tiny_dataset();
-        let k = 3;
-        let params = TxAlloParams::for_graph(dataset.graph(), k);
+        let (graph, k) = (dataset.graph(), 3);
+        let params = TxAlloParams::for_graph(graph, k);
         let registry = AllocatorRegistry::builtin();
-        for (name, expected) in [
+        for (name, direct) in [
+            ("hash", HashAllocator::new(k).allocate_graph(graph)),
+            ("metis", MetisAllocator::new(k).allocate_graph(graph)),
             (
-                "txallo",
-                GTxAllo::new(params.clone()).allocate_graph(dataset.graph()),
+                "scheduler",
+                ShardScheduler::new(&params).allocate_dataset(&dataset),
             ),
-            (
-                "hash",
-                HashAllocator::new(k).allocate_graph(dataset.graph()),
-            ),
-            (
-                "metis",
-                MetisAllocator::new(k).allocate_graph(dataset.graph()),
-            ),
+            ("txallo", GTxAllo::new(params.clone()).allocate_graph(graph)),
         ] {
-            let mut allocator = registry.batch(name, &params).unwrap();
             assert_eq!(
-                allocator.allocate(&dataset),
-                expected,
-                "{name} diverged from direct construction"
+                registry.allocate(name, &params, &dataset),
+                Ok(direct),
+                "{name} diverged from its direct entry point"
             );
         }
-        let mut from_registry = registry.batch("scheduler", &params).unwrap();
-        let direct = ShardScheduler::new(&params).allocate_dataset(&dataset);
-        assert_eq!(from_registry.allocate(&dataset), direct);
     }
 }

@@ -27,7 +27,6 @@ use txallo_model::FxHashMap;
 use crate::allocation::Allocation;
 use crate::dataset::Dataset;
 use crate::params::TxAlloParams;
-use crate::Allocator;
 
 /// Buffer ratio: a migration may not push a shard's accumulated load past
 /// `capacity × BUFFER_RATIO`. The paper's comparison uses 1.0 (§VI-B1).
@@ -191,7 +190,7 @@ impl SchedulerState {
     pub fn seed_from_graph(&mut self, graph: &TxGraph) {
         let n = graph.node_count();
         self.ensure_nodes(n);
-        for v in 0..n as NodeId {
+        for v in 0..fit_u32(n) {
             if self.shard_of[v as usize] != u32::MAX {
                 continue;
             }
@@ -199,7 +198,7 @@ impl SchedulerState {
             self.shard_of[v as usize] = s;
             self.load[s as usize] += graph.incident_weight(v);
         }
-        for v in 0..n as NodeId {
+        for v in 0..fit_u32(n) {
             graph.for_each_neighbor(v, |u, w| {
                 let su = self.shard_of[u as usize];
                 *self.affinity[v as usize].entry(su).or_insert(0.0) += w;
@@ -282,16 +281,6 @@ fn distinct_shards(shard_of: &[u32], nodes: &[NodeId], out: &mut Vec<u32>) {
     out.extend(nodes.iter().map(|&v| shard_of[v as usize]));
     out.sort_unstable();
     out.dedup();
-}
-
-impl Allocator for ShardScheduler {
-    fn name(&self) -> &str {
-        "Shard Scheduler"
-    }
-
-    fn allocate(&mut self, dataset: &Dataset) -> Allocation {
-        self.allocate_dataset(dataset)
-    }
 }
 
 #[cfg(test)]

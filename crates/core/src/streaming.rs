@@ -72,7 +72,7 @@
 //! assert_eq!(allocation.labels(), stream.allocation().labels());
 //! ```
 
-use txallo_graph::{BlockNodes, NodeId, TxGraph, WeightedGraph};
+use txallo_graph::{fit_u32, BlockNodes, NodeId, TxGraph, WeightedGraph};
 use txallo_model::{Block, ShardId};
 
 use crate::allocation::Allocation;
@@ -243,9 +243,6 @@ impl HybridSchedule {
 /// An epoch-driven allocation service (see the [module docs](self) for the
 /// call protocol).
 pub trait StreamingAllocator: std::fmt::Debug {
-    /// Human-readable name (matches the paper's figure legends).
-    fn name(&self) -> &str;
-
     /// Opens the service on the warm-up graph, returning the initial
     /// account-shard mapping (the paper's one-off global run).
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation;
@@ -338,7 +335,7 @@ fn diff_full(old: &[u32], new: &[u32]) -> Vec<AccountMove> {
         let from = old.get(i).copied().unwrap_or(UNASSIGNED);
         if from != to {
             moves.push(AccountMove {
-                node: i as NodeId,
+                node: fit_u32(i),
                 from: (from != UNASSIGNED).then_some(ShardId(from)),
                 to: ShardId(to),
             });
@@ -512,14 +509,6 @@ impl HybridStream {
 }
 
 impl StreamingAllocator for HybridStream {
-    fn name(&self) -> &str {
-        match self.schedule {
-            HybridSchedule::AlwaysGlobal => "G-TxAllo",
-            HybridSchedule::AlwaysAdaptive => "A-TxAllo",
-            HybridSchedule::Hybrid { .. } => "TxAllo",
-        }
-    }
-
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
         self.params = params.clone();
         let initial = GTxAllo::new(params.clone()).allocate_graph(graph);
@@ -676,7 +665,6 @@ pub enum BatchSolver {
 /// [`HybridStream`] under [`HybridSchedule::AlwaysGlobal`].
 #[derive(Debug)]
 pub struct GlobalStream {
-    name: String,
     solver: BatchSolver,
     params: TxAlloParams,
     labels: Vec<u32>,
@@ -686,9 +674,8 @@ pub struct GlobalStream {
 impl GlobalStream {
     /// Creates the stream around `solver` (re-run with per-epoch rescaled
     /// parameters).
-    pub fn new(name: impl Into<String>, params: TxAlloParams, solver: BatchSolver) -> Self {
+    pub fn new(params: TxAlloParams, solver: BatchSolver) -> Self {
         Self {
-            name: name.into(),
             solver,
             params,
             labels: Vec::new(),
@@ -714,10 +701,6 @@ impl GlobalStream {
 }
 
 impl StreamingAllocator for GlobalStream {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
         self.params = params.clone();
         self.began = true;
@@ -809,10 +792,6 @@ impl Default for SchedulerStream {
 }
 
 impl StreamingAllocator for SchedulerStream {
-    fn name(&self) -> &str {
-        "Shard Scheduler"
-    }
-
     fn begin(&mut self, graph: &TxGraph, params: &TxAlloParams) -> Allocation {
         let mut state = SchedulerState::new(params);
         state.seed_from_graph(graph);
@@ -1067,7 +1046,7 @@ mod tests {
     fn global_stream_reports_full_diffs() {
         let mut g = clique_graph();
         let params = TxAlloParams::for_graph(&g, 4);
-        let mut stream = GlobalStream::new("Random", params.clone(), BatchSolver::Hash);
+        let mut stream = GlobalStream::new(params.clone(), BatchSolver::Hash);
         let mut mirror = stream.begin(&g, &params);
         let block = epoch_block(0, &[(500, 0), (501, 502)]);
         feed(&mut g, &mut stream, &block);
@@ -1216,14 +1195,14 @@ mod tests {
         for solver in [BatchSolver::Hash, BatchSolver::Metis] {
             let mut g = clique_graph();
             let params = TxAlloParams::for_graph(&g, 4);
-            let mut stream = GlobalStream::new("batch", params.clone(), solver);
+            let mut stream = GlobalStream::new(params.clone(), solver);
             stream.begin(&g, &params);
             let block = epoch_block(0, &[(600, 0)]);
             feed(&mut g, &mut stream, &block);
             stream.end_epoch(&g, EpochKind::Scheduled);
             assert!(stream.export_aggregates().is_none(), "{solver:?}");
 
-            let mut resumed = GlobalStream::new("batch", params.clone(), solver);
+            let mut resumed = GlobalStream::new(params.clone(), solver);
             let carry = resumed.import_state(1, &stream.allocation(), None);
             assert_eq!(carry, Some(StateCarry::Stateless), "{solver:?}");
             assert_eq!(resumed.allocation(), stream.allocation(), "{solver:?}");

@@ -31,7 +31,9 @@
 //! trajectory is that of re-gathering every row every sweep, which the
 //! golden tests assert against cache-free references.
 
-use txallo_graph::{CsrGraph, DeltaCsr, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
+use txallo_graph::{
+    fit_u32, CsrGraph, DeltaCsr, DenseAccumulator, NodeId, SweepCache, WeightedGraph,
+};
 
 use crate::atxallo::AtxAlloOutcome;
 use crate::params::MAX_SWEEPS;
@@ -130,21 +132,21 @@ impl SweepRows for CsrGraph {
     }
 
     fn weights(&self, r: usize) -> (f64, f64) {
-        let v = r as NodeId;
+        let v = fit_u32(r);
         (self.self_loop(v), self.incident_weight(v))
     }
 
     fn row_len(&self, r: usize) -> usize {
-        self.neighbor_count(r as NodeId)
+        self.neighbor_count(fit_u32(r))
     }
 
     fn for_each_link(&self, r: usize, labels: &[u32], f: impl FnMut(u32, f64)) {
-        let v = r as NodeId;
+        let v = fit_u32(r);
         gather_labels_blocked(self.neighbor_ids(v), self.neighbor_weights(v), labels, f);
     }
 
     fn for_each_row_neighbor(&self, r: usize, mut f: impl FnMut(usize, f64)) {
-        self.for_each_neighbor(r as NodeId, |u, w| f(u as usize, w));
+        self.for_each_neighbor(fit_u32(r), |u, w| f(u as usize, w));
     }
 }
 

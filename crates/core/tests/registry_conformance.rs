@@ -127,14 +127,12 @@ fn batch_entry_points_are_valid_and_deterministic() {
     let params = TxAlloParams::for_graph(dataset.graph(), K);
     for name in registry.names() {
         let first = registry
-            .batch(&name, &params)
-            .expect("registered")
-            .allocate(&dataset);
+            .allocate(name, &params, &dataset)
+            .expect("registered");
         assert_valid(&first, dataset.graph(), &format!("{name}/batch"));
         let second = registry
-            .batch(&name, &params)
-            .expect("registered")
-            .allocate(&dataset);
+            .allocate(name, &params, &dataset)
+            .expect("registered");
         assert_eq!(first, second, "{name}: batch must be deterministic");
     }
 }
@@ -144,8 +142,8 @@ fn streaming_entry_points_are_valid_deterministic_and_diff_lossless() {
     let registry = AllocatorRegistry::builtin();
     for name in registry.names() {
         for schedule in SCHEDULES {
-            let first = streaming_run(&registry, &name, schedule, 4);
-            let second = streaming_run(&registry, &name, schedule, 4);
+            let first = streaming_run(&registry, name, schedule, 4);
+            let second = streaming_run(&registry, name, schedule, 4);
             assert_eq!(
                 first, second,
                 "{name} {schedule:?}: streaming must be deterministic"
@@ -162,14 +160,13 @@ fn empty_graph_is_handled_by_both_entry_points() {
     let params = TxAlloParams::for_total_weight(0.0, K);
     for name in registry.names() {
         let batch = registry
-            .batch(&name, &params)
-            .expect("registered")
-            .allocate(&empty_dataset);
+            .allocate(name, &params, &empty_dataset)
+            .expect("registered");
         assert!(batch.is_empty(), "{name}: empty dataset → empty allocation");
 
         for schedule in SCHEDULES {
             let mut stream = registry
-                .streaming(&name, &params, schedule)
+                .streaming(name, &params, schedule)
                 .expect("registered");
             let name = format!("{name} {schedule:?}");
             let mut mirror = stream.begin(&empty_graph, &params);

@@ -1,6 +1,6 @@
 //! Structural statistics of the transaction graph (Fig. 1 analysis).
 
-use crate::traits::{NodeId, WeightedGraph};
+use crate::traits::{fit_u32, WeightedGraph};
 
 /// Summary of a transaction graph's structure: the numbers behind the
 /// paper's Fig. 1 narrative (long-tailed activity, one dominant account).
@@ -46,7 +46,7 @@ impl GraphStats {
                 low_activity_fraction: 0.0,
             };
         }
-        let mut weights: Vec<f64> = (0..n as NodeId).map(|v| g.incident_weight(v)).collect();
+        let mut weights: Vec<f64> = (0..fit_u32(n)).map(|v| g.incident_weight(v)).collect();
         #[expect(
             clippy::expect_used,
             clippy::disallowed_methods,

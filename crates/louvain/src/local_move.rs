@@ -1,6 +1,6 @@
 //! The local-moving phase of Louvain.
 
-use txallo_graph::{fit_u32, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
+use txallo_graph::{fit_u32, DenseAccumulator, SweepCache, WeightedGraph};
 
 use crate::{GAIN_EPS, MAX_SWEEPS};
 
@@ -45,7 +45,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph) -> LocalMoveOutcome {
     // going through the graph accessor each time (same values bit-for-bit;
     // the initial Σ_tot per community is the same array copied, since every
     // node starts in its own singleton community).
-    let strength: Vec<f64> = (0..n as NodeId).map(|v| graph.strength(v)).collect();
+    let strength: Vec<f64> = (0..fit_u32(n)).map(|v| graph.strength(v)).collect();
     // Σ_tot per community (strengths, self-loops twice).
     let mut sigma_tot: Vec<f64> = strength.clone();
     let mut moved_any = false;
@@ -68,7 +68,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph) -> LocalMoveOutcome {
     // when a move commits; the seed's `-= k_v … += k_v` round-trip is gone
     // because float subtraction does not exactly invert addition), so all
     // reuse is bit-exact.
-    let mut cache = SweepCache::new(n, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
+    let mut cache = SweepCache::new(n, (0..fit_u32(n)).map(|v| graph.neighbor_count(v)));
 
     for _ in 0..MAX_SWEEPS {
         sweeps += 1;
@@ -143,7 +143,7 @@ pub fn local_moving_pass(graph: &impl WeightedGraph) -> LocalMoveOutcome {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use txallo_graph::CsrGraph;
+    use txallo_graph::{CsrGraph, NodeId};
 
     #[test]
     fn merges_a_triangle() {

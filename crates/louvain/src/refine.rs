@@ -11,7 +11,7 @@
 //! Deterministic: fragments are discovered by BFS from the smallest node
 //! id of each community.
 
-use txallo_graph::{NodeId, WeightedGraph};
+use txallo_graph::{fit_u32, NodeId, WeightedGraph};
 
 use crate::{compact_labels, CompactLabels};
 
@@ -26,7 +26,7 @@ pub fn split_disconnected(graph: &impl WeightedGraph, labels: &[u32]) -> Compact
     let mut next_fragment = 0u32;
     let mut queue: Vec<NodeId> = Vec::new();
 
-    for start in 0..n as NodeId {
+    for start in 0..fit_u32(n) {
         if fragment[start as usize] != u32::MAX {
             continue;
         }

@@ -99,7 +99,7 @@ pub fn coarsen(base: CsrGraph, vertex_weights: Vec<f64>, floor: usize) -> Vec<Co
             coarse_weights[c as usize] += current.vertex_weights[v];
         }
         edges.clear();
-        for v in 0..n as NodeId {
+        for v in 0..fit_u32(n) {
             let cv = map[v as usize];
             let loop_w = current.graph.self_loop(v);
             if loop_w > 0.0 {

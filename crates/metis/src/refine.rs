@@ -1,6 +1,6 @@
 //! Boundary FM refinement and the edge-cut objective.
 
-use txallo_graph::{fit_u32, CsrGraph, DenseAccumulator, NodeId, SweepCache, WeightedGraph};
+use txallo_graph::{fit_u32, CsrGraph, DenseAccumulator, SweepCache, WeightedGraph};
 
 /// Minimum cut improvement for an FM move to count as a gain. A
 /// magnitude floor against float dust from the link accumulator, not a
@@ -109,7 +109,7 @@ pub(crate) fn refine(
     // positive-gain moves. Each pass visits the active vertices in
     // ascending id order, so the move sequence is the full scan's, byte
     // for byte.
-    let mut cache = SweepCache::new(k, (0..n as NodeId).map(|v| graph.neighbor_count(v)));
+    let mut cache = SweepCache::new(k, (0..fit_u32(n)).map(|v| graph.neighbor_count(v)));
     // A flag is set only by an evaluation that found no rival part and is
     // cleared by every neighbor move. A flagged row is inactive, so no
     // evaluation meets one.
@@ -243,6 +243,7 @@ fn best_move(
 mod tests {
     use super::*;
     use crate::tests::reference::reference_refine;
+    use txallo_graph::NodeId;
 
     fn two_cliques_graph() -> CsrGraph {
         let mut edges = Vec::new();

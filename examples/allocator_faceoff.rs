@@ -35,25 +35,21 @@ fn main() {
     // Every registered method competes — add one to the registry and it
     // shows up here with no further wiring.
     let registry = AllocatorRegistry::builtin();
-    let mut allocators: Vec<Box<dyn Allocator>> = registry
-        .names()
-        .iter()
-        .map(|name| registry.batch(name, &params).expect("registered"))
-        .collect();
-
-    for alloc in allocators.iter_mut() {
+    for name in registry.names() {
         #[expect(
             clippy::disallowed_methods,
             clippy::disallowed_types,
             reason = "times each allocator for the comparison table; no allocation reads the clock"
         )]
         let start = std::time::Instant::now();
-        let allocation = alloc.allocate(&dataset);
+        let allocation = registry
+            .allocate(name, &params, &dataset)
+            .expect("registered");
         let elapsed = start.elapsed();
         let r = MetricsReport::compute(dataset.graph(), &allocation, &params);
         println!(
             "{:<16} {:>8.1} {:>8.3} {:>10.2} {:>10.2} {:>10.0} {:>9.2?}",
-            alloc.name(),
+            name,
             100.0 * r.cross_shard_ratio,
             r.workload_std_normalized,
             r.throughput_normalized,

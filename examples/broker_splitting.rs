@@ -26,9 +26,8 @@ fn main() {
     let params = TxAlloParams::for_graph(&graph, k);
 
     let plain_alloc = AllocatorRegistry::builtin()
-        .batch("txallo", &params)
-        .expect("registered")
-        .allocate(&dataset);
+        .allocate("txallo", &params, &dataset)
+        .expect("registered");
     let plain = MetricsReport::compute(&graph, &plain_alloc, &params);
 
     let broker_cfg = BrokerConfig::default();

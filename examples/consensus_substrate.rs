@@ -41,9 +41,8 @@ fn main() {
 
     for name in ["txallo", "hash"] {
         let allocation = registry
-            .batch(name, &params)
-            .expect("registered")
-            .allocate(&dataset);
+            .allocate(name, &params, &dataset)
+            .expect("registered");
         let metrics = MetricsReport::compute(graph, &allocation, &params);
         let mut engine = ChainEngine::new(ChainEngineConfig::new(k));
         for block in dataset.ledger().blocks() {

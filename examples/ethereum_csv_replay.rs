@@ -63,9 +63,8 @@ fn main() {
 
     for name in ["txallo", "hash"] {
         let allocation = registry
-            .batch(name, &params)
-            .expect("registered")
-            .allocate(&dataset);
+            .allocate(name, &params, &dataset)
+            .expect("registered");
         let r = MetricsReport::compute(dataset.graph(), &allocation, &params);
         // The whole ledger scored as one epoch: its share of `µ(Tx) > 1`.
         let (blocks, shards) = (dataset.ledger().blocks(), allocation.shard_count());

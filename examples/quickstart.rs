@@ -44,12 +44,14 @@ fn main() {
     let params = TxAlloParams::for_graph(graph, k);
     let registry = AllocatorRegistry::builtin();
     println!("registered methods: {}", registry.names().join(", "));
-    let mut txallo = registry.batch("txallo", &params).expect("builtin");
-    let allocation = txallo.allocate(&dataset);
+    let method = "txallo";
+    let allocation = registry
+        .allocate(method, &params, &dataset)
+        .expect("builtin");
 
     // 4. Evaluate.
     let report = MetricsReport::compute(graph, &allocation, &params);
-    println!("\n=== {k}-shard allocation ({}) ===", txallo.name());
+    println!("\n=== {k}-shard allocation ({method}) ===");
     println!(
         "cross-shard ratio γ       : {:.1}%",
         100.0 * report.cross_shard_ratio
@@ -73,9 +75,8 @@ fn main() {
 
     // 5. Compare against the traditional hash-based allocation.
     let hash_alloc = registry
-        .batch("hash", &params)
-        .expect("builtin")
-        .allocate(&dataset);
+        .allocate("hash", &params, &dataset)
+        .expect("builtin");
     let hash_report = MetricsReport::compute(graph, &hash_alloc, &params);
     println!(
         "\nhash-based baseline: γ = {:.1}%, Λ/λ = {:.2}×",

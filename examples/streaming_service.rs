@@ -46,8 +46,7 @@ fn main() {
         };
     let mut allocation = stream.begin(&graph, &params);
     println!(
-        "{} serving {} accounts across {k} shards ({method} via registry)\n",
-        stream.name(),
+        "{method} serving {} accounts across {k} shards (via registry)\n",
         allocation.len()
     );
     println!(

@@ -42,7 +42,7 @@
 //! // through the registry) and inspect the metrics.
 //! let params = TxAlloParams::for_graph(dataset.graph(), 8);
 //! let registry = AllocatorRegistry::builtin();
-//! let allocation = registry.batch("txallo", &params).unwrap().allocate(&dataset);
+//! let allocation = registry.allocate("txallo", &params, &dataset).unwrap();
 //! let report = MetricsReport::compute(dataset.graph(), &allocation, &params);
 //!
 //! // The graph has community structure, so TxAllo beats hashing easily.
@@ -74,8 +74,8 @@ pub mod prelude {
         ChainEngine, ChainEngineConfig, ChainService, ChainServiceConfig, EngineReport,
     };
     pub use txallo_core::{
-        Allocation, AllocationUpdate, Allocator, AllocatorRegistry, Dataset, EpochKind,
-        MetricsReport, StateCarry, StreamingAllocator, TxAlloParams, UpdateKind,
+        Allocation, AllocationUpdate, AllocatorRegistry, Dataset, EpochKind, MetricsReport,
+        StateCarry, StreamingAllocator, TxAlloParams, UpdateKind,
     };
     pub use txallo_graph::{CsrGraph, GraphStats, NodeId, TxGraph, WeightedGraph};
     pub use txallo_model::{AccountId, Block, Ledger, ShardId, Transaction};

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from workload
 //! generation through allocation to metrics, exercising every allocator.
 
-use txallo::core::{GTxAllo, ShardScheduler};
+use txallo::core::GTxAllo;
 use txallo::prelude::*;
 
 fn small_dataset(seed: u64) -> Dataset {
@@ -16,20 +16,20 @@ fn small_dataset(seed: u64) -> Dataset {
     Dataset::from_ledger(StreamingWorkload::new(config, seed).ledger(blocks))
 }
 
-/// Runs one allocator and returns its report.
-fn evaluate(alloc: &mut dyn Allocator, dataset: &Dataset, k: usize, eta: f64) -> MetricsReport {
+/// Runs the method `name` through the registry and returns its report.
+fn evaluate(name: &str, dataset: &Dataset, k: usize, eta: f64) -> MetricsReport {
     let params = TxAlloParams::for_graph(dataset.graph(), k).with_eta(eta);
-    let allocation = alloc.allocate(dataset);
+    let allocation = AllocatorRegistry::builtin()
+        .allocate(name, &params, dataset)
+        .unwrap();
     assert_eq!(
         allocation.len(),
         dataset.graph().node_count(),
-        "{} must label all",
-        alloc.name()
+        "{name} must label all"
     );
     assert!(
         allocation.labels().iter().all(|&l| (l as usize) < k),
-        "{} produced out-of-range labels",
-        alloc.name()
+        "{name} produced out-of-range labels"
     );
     MetricsReport::compute(dataset.graph(), &allocation, &params)
 }
@@ -38,18 +38,10 @@ fn evaluate(alloc: &mut dyn Allocator, dataset: &Dataset, k: usize, eta: f64) ->
 fn full_pipeline_all_allocators() {
     let dataset = small_dataset(1);
     let k = 8;
-    let params = TxAlloParams::for_graph(dataset.graph(), k);
-    let registry = AllocatorRegistry::builtin();
-
-    let mut gtx = registry.batch("txallo", &params).unwrap();
-    let mut hash = registry.batch("hash", &params).unwrap();
-    let mut metis = registry.batch("metis", &params).unwrap();
-    let mut sched = registry.batch("scheduler", &params).unwrap();
-
-    let r_tx = evaluate(gtx.as_mut(), &dataset, k, 2.0);
-    let r_hash = evaluate(hash.as_mut(), &dataset, k, 2.0);
-    let r_metis = evaluate(metis.as_mut(), &dataset, k, 2.0);
-    let r_sched = evaluate(sched.as_mut(), &dataset, k, 2.0);
+    let r_tx = evaluate("txallo", &dataset, k, 2.0);
+    let r_hash = evaluate("hash", &dataset, k, 2.0);
+    let r_metis = evaluate("metis", &dataset, k, 2.0);
+    let r_sched = evaluate("scheduler", &dataset, k, 2.0);
 
     // The paper's headline ordering (§VI-B7).
     assert!(
@@ -170,11 +162,8 @@ fn scheduler_balances_better_than_gtxallo_under_hot_account() {
     let blocks = config.block_count();
     let dataset = Dataset::from_ledger(StreamingWorkload::new(config, 17).ledger(blocks));
     let k = 10;
-    let params = TxAlloParams::for_graph(dataset.graph(), k);
-    let mut sched = ShardScheduler::new(&params);
-    let mut gtx = GTxAllo::new(params);
-    let r_sched = evaluate(&mut sched, &dataset, k, 2.0);
-    let r_tx = evaluate(&mut gtx, &dataset, k, 2.0);
+    let r_sched = evaluate("scheduler", &dataset, k, 2.0);
+    let r_tx = evaluate("txallo", &dataset, k, 2.0);
     assert!(
         r_sched.workload_std_normalized < r_tx.workload_std_normalized,
         "scheduler ρ {} must beat G-TxAllo ρ {}",

@@ -36,11 +36,11 @@ fn sim_and_chain_close_the_same_epochs() {
     let warm = wl.blocks(0..100);
     let live = wl.blocks(100..180);
 
-    for method in AllocatorRegistry::builtin().names() {
+    for &method in AllocatorRegistry::builtin().names() {
         for tolerance in [1e-6, -1.0] {
             let mut sim = ShardedChainSim::new(SimConfig {
                 epoch_blocks: EPOCH_BLOCKS,
-                method: method.clone(),
+                method: method.into(),
                 schedule,
                 decay_per_epoch: None,
                 ..SimConfig::new(SHARDS)
@@ -58,7 +58,7 @@ fn sim_and_chain_close_the_same_epochs() {
                     reshuffle_interval: 0,
                 },
                 epoch_blocks: EPOCH_BLOCKS,
-                method: method.clone(),
+                method: method.into(),
                 schedule,
                 ..ChainServiceConfig::new(SHARDS)
             });
